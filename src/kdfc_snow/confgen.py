@@ -21,11 +21,13 @@ remainder (generate_config) lets most iterations be precomputed; fill bits
 are supplied explicitly, either from a seeded deterministic stream or from
 cipher-derived words.
 
-Lambda is found without Gaussian elimination: mapping row vectors to the
-field F_2[x]/p by v -> XOR of floor(p / x^(i+1)) over set bits i makes the
-companion action multiplication by x, so the solver reduces to one modular
-inversion.  The Krylov-matrix route (solve y.K = e_1, Lambda = sum y_j A^j)
-gives the same unique solution and is kept as the test oracle.
+Lambda is never built as a matrix.  Mapping row vectors to the field
+F_2[x]/p by v -> XOR of floor(p / x^(i+1)) over set bits i makes the
+companion action multiplication by x, so Lambda is multiplication by one
+field element lambda = embed(active row)^{-1} (one modular inversion), and
+each row is updated as v * Lambda = embed^{-1}(embed(v) * lambda mod p).
+The Krylov-matrix route (solve y.K = e_1, Lambda = sum y_j A^j) gives the
+same unique solution; it lives in tests/oracles.py as the test oracle.
 """
 
 from __future__ import annotations
@@ -37,15 +39,20 @@ from kdfc_snow.gf2.linalg import (
     DimensionError,
     NoSolutionError,
     SingularMatrixError,
-    companion_matrix,
     companion_vec_mul,
     determinant,
     mat_inverse,
     mat_mul,
-    mat_vec_mul,
     rank,
 )
-from kdfc_snow.gf2.poly import FactorTableMissError, Gf2Poly, euler_phi_2n1, inv_mod
+from kdfc_snow.gf2.poly import (
+    FactorTableMissError,
+    Gf2Poly,
+    _mulmod_int,
+    clmul,
+    euler_phi_2n1,
+    inv_mod,
+)
 from kdfc_snow.gf2.primtable import PrimitiveTable, primitive_poly
 from kdfc_snow.sigma_lfsr import SigmaConfig, extract_config
 
@@ -53,7 +60,6 @@ __all__ = [
     "YMatrix",
     "FillBits",
     "RankLossError",
-    "lin_solver",
     "y_iterate",
     "y_offline",
     "build_q",
@@ -182,31 +188,30 @@ def pipeline_poly(degree: int, table: "PrimitiveTable | None" = None) -> Gf2Poly
     return primitive_poly(degree)
 
 
-def _poly_of_companion(a: BitMatrix) -> Gf2Poly:
-    """Recover p from companion(p), validating the companion structure."""
-    if not a.is_square():
-        raise DimensionError("companion matrix must be square")
-    n = a.nrows
-    coeffs = 0
-    for i in range(n):
-        expected = 1 << (i - 1) if i >= 1 else 0
-        row = a.rows[i]
-        coeffs |= ((row >> (n - 1)) & 1) << i
-        if row & ((1 << (n - 1)) - 1) != expected & ((1 << (n - 1)) - 1):
-            raise DimensionError(f"row {i} breaks the companion structure")
-    if n == 1:
-        coeffs = a.rows[0] & 1
-    return Gf2Poly(coeffs | (1 << n))
-
-
 def _field_embed(v: int, pc: int) -> int:
-    """Row vector -> element of F_2[x]/p under the companion-equivariant map."""
-    acc = 0
-    while v:
-        low = v & -v
-        acc ^= pc >> low.bit_length()
-        v ^= low
-    return acc
+    """Row vector -> element of F_2[x]/p under the companion-equivariant map.
+
+    e_i maps to floor(p / x^(i+1)), so v maps to floor(p * rev(v) / x^w),
+    where rev reverses the w coordinates of v.
+    """
+    w = pc.bit_length() - 1
+    rev = int(bin(v)[:1:-1], 2) << (w - v.bit_length())
+    return clmul(pc, rev) >> w
+
+
+def _field_unembed(g: int, pc: int) -> int:
+    """Inverse of _field_embed.
+
+    The image of e_i has degree w - 1 - i, so the top term of g names the
+    next coordinate to set.
+    """
+    w = pc.bit_length() - 1
+    v = 0
+    while g:
+        i = w - g.bit_length()
+        v |= 1 << i
+        g ^= pc >> (i + 1)
+    return v
 
 
 def _lin_solve_coeffs(c: int, p: Gf2Poly) -> int:
@@ -226,47 +231,25 @@ def _lin_solve_coeffs(c: int, p: Gf2Poly) -> int:
     return y.coeffs
 
 
-def _row_times_poly_of_companion(row: int, ybits: int, p: Gf2Poly) -> int:
-    """row * (sum_j y_j A^j) via repeated companion steps (Horner-free scan)."""
-    acc = row if ybits & 1 else 0
-    u = row
-    y = ybits >> 1
-    while y:
-        u = companion_vec_mul(u, p)
-        if y & 1:
-            acc ^= u
-        y >>= 1
-    return acc
+def y_iterate(y: YMatrix, i: int, p: Gf2Poly, fill: int) -> YMatrix:
+    """One pipeline iteration: active row to e_1, then widen by one bit.
 
-
-def lin_solver(c: int, a: BitMatrix) -> BitMatrix:
-    """Matrix Lambda, polynomial in a, with c * Lambda = e_1.
-
-    a must be a companion matrix; c a nonzero row vector of matching width.
+    p is the stage polynomial, of degree equal to the width of y.
     """
-    p = _poly_of_companion(a)
-    n = a.nrows
-    ybits = _lin_solve_coeffs(c, p)
-    rows = [_row_times_poly_of_companion(1 << r, ybits, p) for r in range(n)]
-    lam = BitMatrix(rows, n)
-    if mat_vec_mul(c, lam) != 1 << (n - 1):
-        raise NoSolutionError("post-condition c * Lambda = e_1 failed")
-    return lam
-
-
-def y_iterate(y: YMatrix, i: int, a: BitMatrix, fill: int) -> YMatrix:
-    """One pipeline iteration: active row to e_1, then widen by one bit."""
     m, w = y.m, y.width
-    if a.nrows != w:
+    if p.degree != w:
         raise DimensionError(
-            f"companion size {a.nrows} does not match Y width {w}"
+            f"stage polynomial degree {p.degree} does not match Y width {w}"
         )
     if m > 1 and (fill < 0 or fill >> (m - 1)):
         raise ValueError(f"fill needs exactly {m - 1} bits")
-    p = _poly_of_companion(a)
+    pc = p.coeffs
     active = i % m
-    ybits = _lin_solve_coeffs(y.rows[active], p)
-    new_rows = [_row_times_poly_of_companion(r, ybits, p) for r in y.rows]
+    lam = _lin_solve_coeffs(y.rows[active], p)
+    new_rows = [
+        _field_unembed(_mulmod_int(_field_embed(r, pc), lam, pc), pc)
+        for r in y.rows
+    ]
     if new_rows[active] != 1 << (w - 1):
         raise NoSolutionError("active row did not land on e_1")
     pos = 0
@@ -303,8 +286,7 @@ def y_offline(
         raise ValueError(f"fill must supply {k} vectors of {m - 1} bits")
     y = YMatrix.from_bitmatrix(init)
     for i in range(1, k + 1):
-        a = companion_matrix(pipeline_poly(m + i - 1, table))
-        y = y_iterate(y, i, a, fill.vectors[i - 1])
+        y = y_iterate(y, i, pipeline_poly(m + i - 1, table), fill.vectors[i - 1])
     return y
 
 
@@ -366,8 +348,8 @@ def generate_config(
         raise ValueError(f"online fill must supply {total - k} vectors")
     y = y_init
     for i in range(k + 1, total + 1):
-        a = companion_matrix(pipeline_poly(m + i - 1, table))
-        y = y_iterate(y, i, a, online_fill.vectors[i - k - 1])
+        p_i = pipeline_poly(m + i - 1, table)
+        y = y_iterate(y, i, p_i, online_fill.vectors[i - k - 1])
     # rotate rows so the most recently active row (now e_1) is last
     last_active = total % m
     order = [(last_active + 1 + t) % m for t in range(m)]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from kdfc_snow.gf2.poly import Gf2Poly
+from kdfc_snow.gf2.poly import Gf2Poly, clmul
 
 
 class DimensionError(ValueError):
@@ -355,7 +355,7 @@ def char_poly(a: BitMatrix) -> Gf2Poly:
                     combo ^= cmb
             if x == 0:
                 # cur = sum of earlier chain vectors: combo is the block poly.
-                result = _poly_mul_int(result, combo)
+                result = clmul(result, combo)
                 break
             local.append((x.bit_length() - 1, x, combo))
             chain.append(cur)
@@ -369,18 +369,6 @@ def char_poly(a: BitMatrix) -> Gf2Poly:
                 span.append(x)
                 dim += 1
     return Gf2Poly(result)
-
-
-def _poly_mul_int(a: int, b: int) -> int:
-    """Product of two GF(2)[x] polynomials packed as ints."""
-    acc = 0
-    shift = 0
-    while b:
-        if b & 1:
-            acc ^= a << shift
-        b >>= 1
-        shift += 1
-    return acc
 
 
 def berlekamp_massey(bits: Sequence[int]) -> Gf2Poly:
@@ -419,21 +407,5 @@ def berlekamp_massey(bits: Sequence[int]) -> Gf2Poly:
 
 
 def linear_complexity(bits: Sequence[int]) -> int:
-    """Length of the shortest LFSR generating the sequence (Berlekamp-Massey)."""
-    conn = 1
-    prev = 1
-    ln = 0
-    gap = 1
-    hist = 0
-    for n, s in enumerate(bits):
-        hist = (hist << 1) | (s & 1)
-        if (conn & hist).bit_count() & 1 == 0:
-            gap += 1
-        elif 2 * ln > n:
-            conn ^= prev << gap
-            gap += 1
-        else:
-            conn, prev = conn ^ (prev << gap), conn
-            ln = n + 1 - ln
-            gap = 1
-    return ln
+    """Length of the shortest LFSR generating the sequence (0 when empty)."""
+    return berlekamp_massey(bits).degree if len(bits) else 0

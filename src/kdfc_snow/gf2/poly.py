@@ -2,6 +2,11 @@
 
 A polynomial is packed into a Python int: bit i is the coefficient of x^i.
 The zero polynomial has degree -1 (sentinel).
+
+clmul, clsquare and _mod_int are the package's one GF(2)[x] kernel on
+packed ints (multiply, square, reduce); Gf2Poly, the modular helpers,
+linalg.char_poly, the pipeline in confgen and the byte fields of snow2
+all build on them.
 """
 
 from __future__ import annotations
@@ -78,17 +83,7 @@ class Gf2Poly:
     __sub__ = __add__
 
     def __mul__(self, other: "Gf2Poly") -> "Gf2Poly":
-        a, b = self.coeffs, other.coeffs
-        if a.bit_length() > b.bit_length():
-            a, b = b, a
-        acc = 0
-        shift = 0
-        while a:
-            if a & 1:
-                acc ^= b << shift
-            a >>= 1
-            shift += 1
-        return Gf2Poly(acc)
+        return Gf2Poly(clmul(self.coeffs, other.coeffs))
 
     def __divmod__(self, other: "Gf2Poly") -> tuple["Gf2Poly", "Gf2Poly"]:
         if other.coeffs == 0:
@@ -111,15 +106,7 @@ class Gf2Poly:
 
     def square(self) -> "Gf2Poly":
         """Squaring = bit spreading over GF(2)."""
-        c = self.coeffs
-        out = 0
-        i = 0
-        while c:
-            if c & 1:
-                out |= 1 << (2 * i)
-            c >>= 1
-            i += 1
-        return Gf2Poly(out)
+        return Gf2Poly(clsquare(self.coeffs))
 
     def evaluate(self, x: int) -> int:
         """Evaluate at a GF(2) point (0 or 1)."""
@@ -189,21 +176,42 @@ def gcd(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
     return Gf2Poly(x)
 
 
+# -- packed-int kernel ----------------------------------------------------
+
+
+def clmul(a: int, b: int) -> int:
+    """Carry-less product a * b, one shifted copy per term of the sparser factor."""
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    acc = 0
+    while a:
+        low = a & -a
+        acc ^= b << (low.bit_length() - 1)
+        a ^= low
+    return acc
+
+
+def clsquare(a: int) -> int:
+    """a^2 by bit spreading: the binary digits of a, read in base 4."""
+    return int(format(a, "b"), 4)
+
+
 def _mod_int(a: int, m: int) -> int:
+    """a mod m by shift-and-xor long division."""
     ml = m.bit_length()
-    while a.bit_length() >= ml:
-        a ^= m << (a.bit_length() - ml)
+    al = a.bit_length()
+    while al >= ml:
+        a ^= m << (al - ml)
+        al = a.bit_length()
     return a
 
 
 def _mulmod_int(a: int, b: int, m: int) -> int:
-    acc = 0
-    while a:
-        if a & 1:
-            acc ^= b
-        a >>= 1
-        b <<= 1
-    return _mod_int(acc, m)
+    return _mod_int(clmul(a, b), m)
+
+
+def _sqmod_int(a: int, m: int) -> int:
+    return _mod_int(clsquare(a), m)
 
 
 def inv_mod(a: Gf2Poly, mod: Gf2Poly) -> Gf2Poly:
@@ -240,21 +248,9 @@ def powmod(base: Gf2Poly, exp: int, mod: Gf2Poly) -> Gf2Poly:
     while exp:
         if exp & 1:
             result = _mulmod_int(result, b, m)
-        b = _mulmod_int(b, b, m)
+        b = _sqmod_int(b, m)
         exp >>= 1
     return Gf2Poly(result)
-
-
-def _sqmod_int(a: int, m: int) -> int:
-    """a^2 mod m using bit spreading."""
-    out = 0
-    i = 0
-    while a:
-        if a & 1:
-            out |= 1 << (2 * i)
-        a >>= 1
-        i += 1
-    return _mod_int(out, m)
 
 
 def is_irreducible(p: Gf2Poly) -> bool:

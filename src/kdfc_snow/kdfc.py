@@ -10,8 +10,9 @@ are kept, and a fixed number of output vectors is discarded before
 keystream starts.
 
 The offline part of the pipeline does not depend on the key and is
-shipped as a data file (see tools/gen_y_init.py); its provenance fields
-(seed, fill label, polynomial-table checksum) are verified on load.
+shipped as a data file (see tools/gen_y_init.py).  On use, its recorded
+polynomial-table checksum, k and matrix dimensions are checked; the
+recorded seed and fill label are kept for regeneration, not re-derived.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ produced by the very next clock.
 from __future__ import annotations
 
 from kdfc_snow.gf2.linalg import BitMatrix
+from kdfc_snow.gf2.poly import Gf2Poly, _mulmod_int, powmod
 from kdfc_snow.sigma_lfsr import LfsrState, SigmaConfig, step_stacked
 
 __all__ = [
@@ -46,36 +47,21 @@ __all__ = [
 MASK32 = 0xFFFFFFFF
 
 # ---------------------------------------------------------------------------
-# byte field F_{2^8} = F_2[beta] / (x^8 + x^7 + x^5 + x^3 + 1)
+# byte fields: F_{2^8} = F_2[beta] / (x^8 + x^7 + x^5 + x^3 + 1) for the LFSR,
+# the Rijndael field for the S-box; products are _mulmod_int(a, b, mod)
 
-_BETA_POLY = 0x1A9  # x^8+x^7+x^5+x^3+1 without the x^8 bit once reduced
-
-
-def _bmul(a: int, b: int) -> int:
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        b >>= 1
-        a <<= 1
-        if a & 0x100:
-            a ^= _BETA_POLY
-    return acc
+_BETA_POLY = 0x1A9  # x^8 + x^7 + x^5 + x^3 + 1
+_AES_POLY = 0x11B  # x^8 + x^4 + x^3 + x + 1
 
 
-def _bpow(a: int, e: int) -> int:
-    r = 1
-    while e:
-        if e & 1:
-            r = _bmul(r, a)
-        a = _bmul(a, a)
-        e >>= 1
-    return r
+def _fpow(a: int, e: int, mod: int) -> int:
+    """a^e in the byte field F_2[x]/mod."""
+    return powmod(Gf2Poly(a), e, Gf2Poly(mod)).coeffs
 
 
 _BETA = 0x02
 # alpha^4 coefficient row of G_S, highest power first
-_G_COEFFS = tuple(_bpow(_BETA, e) for e in (23, 245, 48, 239))
+_G_COEFFS = tuple(_fpow(_BETA, e, _BETA_POLY) for e in (23, 245, 48, 239))
 
 # ---------------------------------------------------------------------------
 # multiplication by alpha / alpha^{-1} on packed words
@@ -90,18 +76,19 @@ _MUL_AINV = []
 
 
 def _build_alpha_tables() -> None:
+    def times(c: int, coeffs: tuple[int, ...]) -> int:
+        # c * (k3 alpha^3 + k2 alpha^2 + k1 alpha + k0), packed
+        return _pack(*[_mulmod_int(c, k, _BETA_POLY) for k in coeffs])
+
     g3, g2, g1, g0 = _G_COEFFS
     for c in range(256):
         # c * alpha^4 reduced: c*(g3 a^3 + g2 a^2 + g1 a + g0)
-        _MUL_A.append(_pack(_bmul(c, g3), _bmul(c, g2), _bmul(c, g1), _bmul(c, g0)))
+        _MUL_A.append(times(c, _G_COEFFS))
     # alpha^{-1} = g0^{-1} (alpha^3 + g3 alpha^2 + g2 alpha + g1)
-    g0_inv = _bpow(g0, 254)
-    i3 = g0_inv
-    i2 = _bmul(g0_inv, g3)
-    i1 = _bmul(g0_inv, g2)
-    i0 = _bmul(g0_inv, g1)
+    i3 = _fpow(g0, 254, _BETA_POLY)
+    i2, i1, i0 = (_mulmod_int(i3, g, _BETA_POLY) for g in (g3, g2, g1))
     for c in range(256):
-        _MUL_AINV.append(_pack(_bmul(c, i3), _bmul(c, i2), _bmul(c, i1), _bmul(c, i0)))
+        _MUL_AINV.append(times(c, (i3, i2, i1, i0)))
 
 
 _build_alpha_tables()
@@ -137,26 +124,12 @@ def snow2_gains() -> SigmaConfig:
 # ---------------------------------------------------------------------------
 # S-box: AES SubBytes on each byte, then AES MixColumn (Rijndael field)
 
-_AES_POLY = 0x11B
-
-
-def _rmul(a: int, b: int) -> int:
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        b >>= 1
-        a <<= 1
-        if a & 0x100:
-            a ^= _AES_POLY
-    return acc
-
 
 def _aes_sbox_table() -> list[int]:
     table = []
     for v in range(256):
         # multiplicative inverse (0 -> 0), then the AES affine transform
-        inv = 0 if v == 0 else _rpow(v, 254)
+        inv = 0 if v == 0 else _fpow(v, 254, _AES_POLY)
         out = 0x63
         for i in range(8):
             bit = 0
@@ -165,16 +138,6 @@ def _aes_sbox_table() -> list[int]:
             out ^= bit << i
         table.append(out)
     return table
-
-
-def _rpow(a: int, e: int) -> int:
-    r = 1
-    while e:
-        if e & 1:
-            r = _rmul(r, a)
-        a = _rmul(a, a)
-        e >>= 1
-    return r
 
 
 _SR = _aes_sbox_table()
@@ -192,7 +155,7 @@ def _build_stables() -> None:
             s = _SR[v]
             word = 0
             for out_pos in range(4):
-                word |= _rmul(rows[out_pos][lane], s) << (8 * out_pos)
+                word |= _mulmod_int(rows[out_pos][lane], s, _AES_POLY) << (8 * out_pos)
             t.append(word)
         _STAB.append(t)
 

@@ -12,6 +12,11 @@ route than the package:
   with a minimal double-and-add in the Rijndael field.
 * char_poly_sympy reduces a sympy integer characteristic polynomial
   mod 2, instead of GF(2) elimination.
+* sympy_mul / sympy_rem compute GF(2)[x] products and remainders with
+  sympy's Poly(..., modulus=2), instead of the package's packed-int
+  shift-and-xor kernel.
+* krylov_lambda solves the pipeline's Lambda from the Krylov matrix by
+  elimination, instead of the package's field-embedding inversion.
 * gf2_matmul_numpy checks bit-packed matrix products against numpy
   integer arithmetic mod 2.
 """
@@ -192,6 +197,33 @@ class Snow2Ref:
             out.append(f ^ self.s[0])
             self._lfsr_clock()
         return out
+
+
+# ---------------------------------------------------------------------------
+# GF(2)[x] oracles on packed ints (bit i = coefficient of x^i)
+
+_X = sympy.Symbol("x")
+
+
+def _to_sympy(a: int):
+    return sympy.Poly.from_list(
+        [int(ch) for ch in format(a, "b")], _X, modulus=2
+    )
+
+
+def _from_sympy(p) -> int:
+    out = 0
+    for c in p.all_coeffs():  # highest degree first
+        out = (out << 1) | (int(c) % 2)
+    return out
+
+
+def sympy_mul(a: int, b: int) -> int:
+    return _from_sympy(_to_sympy(a) * _to_sympy(b))
+
+
+def sympy_rem(a: int, m: int) -> int:
+    return _from_sympy(_to_sympy(a).rem(_to_sympy(m)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from kdfc_snow.confgen import (
     build_q,
     count_configurations,
     generate_config,
-    lin_solver,
     pipeline_poly,
     y_iterate,
     y_offline,
@@ -94,9 +93,8 @@ class TestIteration:
             y = YMatrix(m, w, [rng.getrandbits(w) for _ in range(m)])
             if y.is_full_rank() and all(y.rows):
                 break
-        a = companion_matrix(pipeline_poly(w))
         fill = rng.getrandbits(m - 1)
-        out = y_iterate(y, i, a, fill)
+        out = y_iterate(y, i, pipeline_poly(w), fill)
         active = i % m
         assert out.width == w + 1
         assert out.rows[active] == 1 << w
@@ -110,16 +108,31 @@ class TestIteration:
 
     @pytest.mark.parametrize("m,i", [(2, 1), (3, 2), (4, 1)])
     def test_solver_dual_route(self, m, i):
-        """The fast field-embedding solver equals the Krylov-matrix solver."""
+        """The field-arithmetic iteration applies the Krylov-matrix Lambda."""
         rng = random.Random(m * 7 + i)
         w = m + i + 3
-        a = companion_matrix(pipeline_poly(w))
+        p = pipeline_poly(w)
+        active = i % m
         for _ in range(5):
-            c = rng.getrandbits(w) or 1
-            lam_fast = lin_solver(c, a)
-            lam_krylov = krylov_lambda(c, a, w)
-            assert lam_fast == lam_krylov
-            assert mat_vec_mul(c, lam_fast) == 1 << (w - 1)
+            while True:
+                y = YMatrix(m, w, [rng.getrandbits(w) for _ in range(m)])
+                if y.is_full_rank():
+                    break
+            lam_krylov = krylov_lambda(y.rows[active], companion_matrix(p), w)
+            out = y_iterate(y, i, p, rng.getrandbits(m - 1))
+            low = (1 << w) - 1
+            for t in range(m):
+                if t == active:
+                    # the active row lands on e_1 before it is replaced
+                    assert mat_vec_mul(y.rows[t], lam_krylov) == 1 << (w - 1)
+                    assert out.rows[t] == 1 << w
+                else:
+                    assert out.rows[t] & low == mat_vec_mul(y.rows[t], lam_krylov)
+
+    def test_stage_degree_must_match_width(self):
+        y = YMatrix.from_bitmatrix(BitMatrix.identity(3))
+        with pytest.raises(DimensionError):
+            y_iterate(y, 1, pipeline_poly(4), 0)
 
     def test_rank_loss_on_bad_init(self):
         with pytest.raises(RankLossError):
@@ -142,8 +155,7 @@ class TestQAndAssembly:
         online = FillBits.from_seed(m, total, "q-structure", "online-fill")
         y = y_offline(m, b, 0, FillBits(m, []))
         for i in range(1, total + 1):
-            a = companion_matrix(pipeline_poly(m + i - 1))
-            y = y_iterate(y, i, a, online.vectors[i - 1])
+            y = y_iterate(y, i, pipeline_poly(m + i - 1), online.vectors[i - 1])
         last_active = total % m
         order = [(last_active + 1 + t) % m for t in range(m)]
         y = YMatrix(m, y.width, [y.rows[t] for t in order])

@@ -7,9 +7,14 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import sympy_mul, sympy_rem
+
 from kdfc_snow.gf2.poly import (
     FactorTableMissError,
     Gf2Poly,
+    _mod_int,
+    clmul,
+    clsquare,
     euler_phi_2n1,
     gcd,
     inv_mod,
@@ -98,6 +103,22 @@ class TestArithmeticVsSympy:
             factors = sp.factor_list()[1]
             sympy_irr = len(factors) == 1 and factors[0][1] == 1
             assert is_irreducible(p) == sympy_irr, str(p)
+
+
+class TestKernelVsSympy:
+    """The packed-int kernel (multiply, square, reduce) against sympy."""
+
+    @given(st.integers(0, (1 << 96) - 1), st.integers(0, (1 << 96) - 1))
+    def test_clmul(self, a, b):
+        assert clmul(a, b) == sympy_mul(a, b)
+
+    @given(st.integers(0, (1 << 96) - 1))
+    def test_clsquare(self, a):
+        assert clsquare(a) == sympy_mul(a, a)
+
+    @given(st.integers(0, (1 << 192) - 1), st.integers(1, (1 << 96) - 1))
+    def test_mod_int(self, a, m):
+        assert _mod_int(a, m) == sympy_rem(a, m)
 
 
 class TestAlgebraicProperties:

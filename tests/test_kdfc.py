@@ -7,8 +7,7 @@ import pytest
 
 from conftest import KAT_IV, KAT_KEY
 
-from kdfc_snow.confgen import FillBits, y_iterate
-from kdfc_snow.gf2.linalg import companion_matrix
+from kdfc_snow.confgen import FillBits, pipeline_poly, y_iterate, y_offline
 from kdfc_snow.gf2.poly import is_irreducible, reciprocal
 from kdfc_snow.gf2.primtable import default_table
 from kdfc_snow.kdfc import (
@@ -28,7 +27,6 @@ from kdfc_snow.kdfc import (
 )
 from kdfc_snow.sigma_lfsr import config_char_poly, lfsr_step
 from kdfc_snow.snow2 import KeyError32, snow2_gains
-from kdfc_snow.confgen import pipeline_poly
 
 # first 8 words after the default 32-vector discard, frozen from runs that
 # were cross-checked against the list-based reference FSM/LFSR
@@ -106,6 +104,11 @@ class TestYInit:
         params = KdfcParams(key=[0] * 8, iv=[0] * 4, _doc=tampered)
         with pytest.raises(ProvenanceError):
             params.resolve()
+
+    def test_shipped_matrix_rebuilds_from_its_seed(self):
+        doc = load_y_init()
+        fill = FillBits.from_seed(M, DEFAULT_K, doc.seed, doc.fill_label)
+        assert y_offline(M, B, DEFAULT_K, fill) == doc.y
 
     def test_k_file_mismatch(self):
         params = KdfcParams(key=[0] * 8, iv=[0] * 4, k=460, _doc=load_y_init())
@@ -195,8 +198,8 @@ class TestInit:
         doc = load_y_init()
         y = doc.y
         for i in range(469, 481):
-            a = companion_matrix(pipeline_poly(M + i - 1))
-            y = y_iterate(y, i, a, FillBits.from_seed(M, 1, "w", f"x{i}").vectors[0])
+            fill = FillBits.from_seed(M, 1, "w", f"x{i}").vectors[0]
+            y = y_iterate(y, i, pipeline_poly(M + i - 1), fill)
         a_st = kdfc_init(KdfcParams(key=[0] * 8, iv=[0] * 4, k=480, y_init=y))
         b_st = kdfc_init(KdfcParams(key=KAT_KEY, iv=KAT_IV, k=480, y_init=y))
         assert a_st.cfg == b_st.cfg
