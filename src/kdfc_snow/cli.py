@@ -128,13 +128,31 @@ def _cmd_snow2_stream(args) -> int:
 def _kdfc_state(args) -> CipherState:
     key = _words_from_hex(args.key, 8, "--key")
     iv = _words_from_hex(args.iv, 4, "--iv")
-    params = kdfc.KdfcParams(key=key, iv=iv, k=args.k, discard=args.discard)
-    if args.y_init:
-        params = kdfc.KdfcParams(
-            key=key, iv=iv, k=args.k, discard=args.discard,
-            y_init=kdfc.load_y_init(args.y_init).y,
+    doc = kdfc.load_y_init(args.y_init) if args.y_init else None
+    return kdfc.kdfc_init(
+        kdfc.KdfcParams(key=key, iv=iv, k=args.k, discard=args.discard, _doc=doc)
+    )
+
+
+def _load_state(path: str) -> CipherState:
+    """Read a state document; refuse one whose configuration is not a KDFC one."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    try:
+        cfg = SigmaConfig.from_json(doc["config"])
+        state = CipherState(
+            LfsrState(cfg.m, list(doc["lfsr"])),
+            FsmState(doc["fsm"]["r1"], doc["fsm"]["r2"]),
+            cfg,
         )
-    return kdfc.kdfc_init(params)
+    except (TypeError, AttributeError) as e:
+        raise ValueError(f"malformed state document: {e}") from None
+    got = config_char_poly(cfg)
+    if got != kdfc.target_poly():
+        raise ValueError("state configuration lacks the target characteristic polynomial")
+    if doc.get("char_poly") != _exps_of(got):
+        raise ValueError("state configuration does not match the document's char_poly")
+    return state
 
 
 def _state_doc(state: CipherState) -> dict:
@@ -157,14 +175,7 @@ def _cmd_kdfc_init(args) -> int:
 
 def _cmd_kdfc_stream(args) -> int:
     if args.state:
-        with open(args.state, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        cfg = SigmaConfig.from_json(doc["config"])
-        state = CipherState(
-            LfsrState(cfg.m, list(doc["lfsr"])),
-            FsmState(doc["fsm"]["r1"], doc["fsm"]["r2"]),
-            cfg,
-        )
+        state = _load_state(args.state)
     else:
         if not (args.key and args.iv):
             raise ValueError("kdfc stream needs --key and --iv, or --state")

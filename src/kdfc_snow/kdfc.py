@@ -10,9 +10,12 @@ are kept, and a fixed number of output vectors is discarded before
 keystream starts.
 
 The offline part of the pipeline does not depend on the key and is
-shipped as a data file (see tools/gen_y_init.py).  On use, its recorded
-polynomial-table checksum, k and matrix dimensions are checked; the
-recorded seed and fill label are kept for regeneration, not re-derived.
+shipped as a data file (see tools/gen_y_init.py), parsed once per
+process.  On every use, the recorded polynomial-table checksum, k and
+matrix dimensions of the shipped document, or of one given in its place,
+are checked; the recorded seed and fill label are kept for regeneration,
+not re-derived.  After the swap the cipher clocks as SNOW 2.0 does, so
+kdfc_keystream is snow2_keystream.
 """
 
 from __future__ import annotations
@@ -95,6 +98,10 @@ class ProvenanceError(ValueError):
     """A loaded y_init file does not match the active polynomial table."""
 
 
+_YINIT_FIELDS = (("m", int), ("k", int), ("seed", str), ("fill_label", str),
+                 ("poly_table_sha256", str), ("y", dict))
+
+
 @dataclass(frozen=True)
 class YInitDoc:
     """A shipped offline pipeline matrix plus its provenance fields."""
@@ -108,28 +115,30 @@ class YInitDoc:
 
     @classmethod
     def from_json(cls, obj: dict) -> "YInitDoc":
-        return cls(
-            m=obj["m"],
-            k=obj["k"],
-            seed=obj["seed"],
-            fill_label=obj["fill_label"],
-            poly_table_sha256=obj["poly_table_sha256"],
-            y=YMatrix.from_json(obj["y"]),
-        )
+        if not isinstance(obj, dict):
+            raise ValueError("y_init document must be a JSON object")
+        for name, kind in _YINIT_FIELDS:
+            if not isinstance(obj.get(name), kind) or isinstance(obj[name], bool):
+                raise ValueError(f"y_init field {name!r} missing or not {kind.__name__}")
+        try:
+            y = YMatrix.from_json(obj["y"])
+        except (KeyError, TypeError) as e:
+            raise ValueError(f"y_init field 'y' is malformed: {e!r}") from None
+        return cls(y=y, **{name: obj[name] for name, _ in _YINIT_FIELDS[:-1]})
 
     def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "k": self.k,
-            "seed": self.seed,
-            "fill_label": self.fill_label,
-            "poly_table_sha256": self.poly_table_sha256,
-            "y": self.y.to_json(),
-        }
+        doc = {name: getattr(self, name) for name, _ in _YINIT_FIELDS[:-1]}
+        return {**doc, "y": self.y.to_json()}
+
+
+_shipped: YInitDoc | None = None
 
 
 def load_y_init(path: str | None = None) -> YInitDoc:
-    """Load a y_init document (default: the shipped full-scale file)."""
+    """Load a y_init document (default: the shipped file, parsed once)."""
+    global _shipped
+    if path is None and _shipped is not None:
+        return _shipped
     if path is None:
         text = (
             resources.files("kdfc_snow")
@@ -146,6 +155,8 @@ def load_y_init(path: str | None = None) -> YInitDoc:
             f"y_init matrix is {doc.y.m}x{doc.y.width}, "
             f"expected {doc.m}x{doc.m + doc.k}"
         )
+    if path is None:
+        _shipped = doc
     return doc
 
 
@@ -155,10 +166,11 @@ class KdfcParams:
 
     k is the offline iteration count; the remaining ONLINE_TOTAL - k
     iterations draw their fill bits from captured FSM words, so they must
-    number at most 32.  y_init defaults to the shipped offline matrix
-    (whose provenance is checked against the active polynomial table),
-    p512 to TARGET_POLY, and discard to 32 output vectors after the
-    configuration swap.
+    number at most 32.  y_init defaults to the offline matrix of _doc, the
+    shipped document unless one is given there; the document's provenance
+    is checked against the active polynomial table and k.  A bare y_init
+    matrix skips those checks.  p512 defaults to TARGET_POLY, and discard
+    to 32 output vectors after the configuration swap.
     """
 
     key: list[int]
@@ -183,7 +195,7 @@ class KdfcParams:
             self._doc = doc
             if doc.poly_table_sha256 != table.checksum:
                 raise ProvenanceError(
-                    "shipped y_init was built with polynomial table "
+                    "y_init was built with polynomial table "
                     f"{doc.poly_table_sha256[:12]}..., but the active table "
                     f"is {table.checksum[:12]}..."
                 )
@@ -234,9 +246,7 @@ def kdfc_init(params: KdfcParams) -> CipherState:
     return state
 
 
-def kdfc_keystream(state: CipherState, n: int) -> list[int]:
-    """Produce n keystream words; the FSM equations match snow2 exactly."""
-    return snow2_keystream(state, n)
+kdfc_keystream = snow2_keystream
 
 
 def reconfigure(state: CipherState, cfg: SigmaConfig) -> CipherState:

@@ -15,11 +15,16 @@ between the two layouts, so either may be fed to char_poly.
 
 Words use the package bit order: bit i of a word is its coefficient of 2^i,
 and stacked state vectors place block i at bit positions [i*m, (i+1)*m).
+
+The one stepping route is step_stacked on stacked states, through byte
+tables built only for the nonzero gains (SNOW 2.0 has 3 of 16, so 12
+lookups per step instead of 64; a dense configuration keeps all 16).  The
+per-object reference step it is tested against lives in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-from kdfc_snow.gf2.linalg import BitMatrix, DimensionError, mat_vec_mul
+from kdfc_snow.gf2.linalg import BitMatrix, DimensionError
 from kdfc_snow.gf2.poly import Gf2Poly
 
 __all__ = [
@@ -30,8 +35,7 @@ __all__ = [
     "build_config_matrix",
     "build_transition_matrix",
     "extract_config",
-    "lfsr_step",
-    "state_vector_equiv",
+    "step_stacked",
     "period",
 ]
 
@@ -86,19 +90,22 @@ class SigmaConfig:
         gains = [BitMatrix.from_json(g) for g in obj["gains"]]
         return cls(int(obj["m"]), int(obj["b"]), gains)
 
-    def byte_tables(self) -> list[list[list[int]]]:
-        """Per-gain, per-byte-lane lookup tables for the fast feedback path.
+    def byte_tables(self) -> list[tuple[int, list[list[int]]]]:
+        """Byte-lane lookup tables for the nonzero gains, keyed by block shift.
 
-        tables[i][lane][byte] = (byte << (8*lane) as a row selector) * B_i,
-        so a feedback term x*B_i is four (or m/8) table lookups.  Built once
-        and cached; gains are treated as immutable after construction.
+        Each entry is (i*m, lanes) for a nonzero gain B_i, with
+        lanes[lane][byte] = (byte << (8*lane) as a row selector) * B_i, so a
+        feedback term x*B_i is four (or m/8) table lookups.  Built once and
+        cached; gains are treated as immutable after construction.
         """
         if self._byte_tables is None:
             m = self.m
             lanes = (m + 7) // 8
             all_tables = []
-            for g in self.gains:
+            for i, g in enumerate(self.gains):
                 rows = g.rows
+                if not any(rows):
+                    continue
                 per_gain = []
                 for lane in range(lanes):
                     base = 8 * lane
@@ -108,7 +115,7 @@ class SigmaConfig:
                         low = v & -v
                         table[v] = table[v ^ low] ^ rows[base + low.bit_length() - 1]
                     per_gain.append(table)
-                all_tables.append(per_gain)
+                all_tables.append((i * m, per_gain))
             self._byte_tables = all_tables
         return self._byte_tables
 
@@ -123,6 +130,8 @@ class LfsrState:
             raise DimensionError("need m >= 1")
         mask = (1 << m) - 1
         for i, w in enumerate(blocks):
+            if type(w) is not int:
+                raise ValueError(f"block {i} is not an integer: {w!r}")
             if w < 0 or w & ~mask:
                 raise ValueError(f"block {i} not an {m}-bit word: {w:#x}")
         self.m = m
@@ -173,7 +182,7 @@ def build_config_matrix(cfg: SigmaConfig) -> BitMatrix:
 
 
 def build_transition_matrix(cfg: SigmaConfig) -> BitMatrix:
-    """State-update matrix: stacked_next = stacked * T for one lfsr_step."""
+    """State-update matrix: stacked_next = stacked * T for one step_stacked."""
     m, b = cfg.m, cfg.b
     n = m * b
     rows = [0] * n
@@ -211,39 +220,18 @@ def extract_config(c: BitMatrix, m: int) -> SigmaConfig:
     return SigmaConfig(m, b, gains)
 
 
-def lfsr_step(cfg: SigmaConfig, s: LfsrState) -> tuple[LfsrState, int]:
-    """One shift: returns (new state, output word = the oldest block x_n)."""
-    if s.m != cfg.m or s.b != cfg.b:
-        raise DimensionError("state and configuration dimensions differ")
-    feedback = 0
-    for w, g in zip(s.blocks, cfg.gains):
-        if w:
-            feedback ^= mat_vec_mul(w, g)
-    out = s.blocks[0]
-    new = LfsrState(s.m, s.blocks[1:] + [feedback])
-    return new, out
-
-
 def step_stacked(cfg: SigmaConfig, v: int) -> int:
-    """lfsr_step on a stacked mb-bit state, via byte tables (fast path)."""
+    """One shift of a stacked mb-bit state, feedback via byte_tables."""
     m = cfg.m
     mask = (1 << m) - 1
-    tables = cfg.byte_tables()
     feedback = 0
-    for i in range(cfg.b):
-        w = (v >> (i * m)) & mask
+    for shift, lanes in cfg.byte_tables():
+        w = (v >> shift) & mask
         if w:
-            for lane, table in enumerate(tables[i]):
-                feedback ^= table[(w >> (8 * lane)) & 0xFF]
+            for table in lanes:
+                feedback ^= table[w & 0xFF]
+                w >>= 8
     return (v >> m) | (feedback << ((cfg.b - 1) * m))
-
-
-def state_vector_equiv(cfg: SigmaConfig, s: LfsrState) -> bool:
-    """Does one lfsr_step equal stacked-vector multiplication by the transition matrix?"""
-    t = build_transition_matrix(cfg)
-    via_matrix = mat_vec_mul(s.stacked(), t)
-    stepped, _ = lfsr_step(cfg, s)
-    return via_matrix == stepped.stacked()
 
 
 def period(cfg: SigmaConfig, s0: LfsrState) -> int:
@@ -260,22 +248,6 @@ def period(cfg: SigmaConfig, s0: LfsrState) -> int:
         v = step_stacked(cfg, v)
         t += 1
     return t
-
-
-def orbit_of(cfg: SigmaConfig, s0: LfsrState) -> list[int]:
-    """Stacked states visited until the seed recurs (guarded like period)."""
-    n = cfg.m * cfg.b
-    if n > PERIOD_GUARD_BITS:
-        raise PeriodGuardError(f"state space 2^{n} exceeds the 2^{PERIOD_GUARD_BITS} guard")
-    start = s0.stacked()
-    if start == 0:
-        raise PeriodGuardError("zero seed is a fixed point; period undefined")
-    orbit = [start]
-    v = step_stacked(cfg, start)
-    while v != start:
-        orbit.append(v)
-        v = step_stacked(cfg, v)
-    return orbit
 
 
 def config_char_poly(cfg: SigmaConfig) -> Gf2Poly:

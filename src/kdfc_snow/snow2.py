@@ -18,7 +18,9 @@ MixColumn matrix over the Rijndael byte field x^8 + x^4 + x^3 + x + 1
 
 Initialization loads the key/IV schedule, then clocks 32 times with F
 xored into the feedback and no output; the first keystream word is
-produced by the very next clock.
+produced by the very next clock.  Both phases, and KDFC-SNOW after its
+configuration swap, run through the one clock loop _clock on the stacked
+LFSR state.
 """
 
 from __future__ import annotations
@@ -188,7 +190,8 @@ class FsmState:
     __slots__ = ("r1", "r2")
 
     def __init__(self, r1: int = 0, r2: int = 0):
-        if not (0 <= r1 <= MASK32 and 0 <= r2 <= MASK32):
+        ints = type(r1) is type(r2) is int
+        if not (ints and 0 <= r1 <= MASK32 and 0 <= r2 <= MASK32):
             raise ValueError("FSM registers must be 32-bit words")
         self.r1 = r1
         self.r2 = r2
@@ -267,18 +270,8 @@ def init_with_captures(
         cfg = snow2_gains()
     if cfg.m != 32 or cfg.b != 16:
         raise ValueError("SNOW 2.0 initialization needs a 32x16 configuration")
-    blocks = load_state_words(key, iv)
-    v = 0
-    for i, w in enumerate(blocks):
-        v |= w << (32 * i)
-    fsm = FsmState(0, 0)
-    captures = []
-    for _ in range(32):
-        d5 = (v >> (32 * 5)) & MASK32
-        d15 = (v >> (32 * 15)) & MASK32
-        fsm, f = fsm_step(fsm, d5, d15)
-        captures.append(f)
-        v = step_stacked(cfg, v) ^ (f << (32 * 15))
+    v = LfsrState(32, load_state_words(key, iv)).stacked()
+    v, fsm, captures = _clock(cfg, v, FsmState(0, 0), 32, True)
     return CipherState(LfsrState.from_stacked(32, 16, v), fsm, cfg), captures
 
 
@@ -287,19 +280,30 @@ def snow2_keystream(state: CipherState, n: int) -> list[int]:
     if n < 0:
         raise ValueError("need n >= 0")
     cfg = state.cfg
+    v, state.fsm, out = _clock(cfg, state.lfsr.stacked(), state.fsm, n, False)
+    state.lfsr = LfsrState.from_stacked(cfg.m, cfg.b, v)
+    return out
+
+
+def _clock(cfg: SigmaConfig, v: int, fsm: FsmState, n: int, init: bool):
+    """Clock n times from stacked LFSR state v; returns (v, fsm, words).
+
+    With init set, F is xored into the new top block and the words are the
+    F values; otherwise the words are keystream F xor s_t.
+    """
+    # module globals, read per call so that wrappers installed on them apply
+    fsm_clock, step = fsm_step, step_stacked
     m = cfg.m
     mask = (1 << m) - 1
-    v = state.lfsr.stacked()
-    fsm = state.fsm
-    d5_shift = m * 5
-    d15_shift = m * (cfg.b - 1)
-    out = []
+    d5_shift = 5 * m
+    top = (cfg.b - 1) * m
+    words = []
     for _ in range(n):
-        d5 = (v >> d5_shift) & mask
-        d15 = (v >> d15_shift) & mask
-        fsm, f = fsm_step(fsm, d5, d15)
-        out.append(f ^ (v & mask))
-        v = step_stacked(cfg, v)
-    state.lfsr = LfsrState.from_stacked(m, cfg.b, v)
-    state.fsm = fsm
-    return out
+        fsm, f = fsm_clock(fsm, (v >> d5_shift) & mask, (v >> top) & mask)
+        if init:
+            words.append(f)
+            v = step(cfg, v) ^ (f << top)
+        else:
+            words.append(f ^ (v & mask))
+            v = step(cfg, v)
+    return v, fsm, words

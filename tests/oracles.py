@@ -19,6 +19,16 @@ route than the package:
   elimination, instead of the package's field-embedding inversion.
 * gf2_matmul_numpy checks bit-packed matrix products against numpy
   integer arithmetic mod 2.
+* lfsr_step steps a sigma-LFSR on its list of blocks with one matrix-vector
+  product per gain, zero gains included, instead of the package's
+  step_stacked on a stacked integer through byte tables of the nonzero
+  gains.
+* orbit_of walks a seed's orbit by multiplying the stacked state with the
+  transition matrix, instead of the package's step_stacked that period()
+  uses.
+* clock_oracle runs SNOW 2.0's init and keystream clocks on LfsrState and
+  FsmState objects with lfsr_step, under any 32x16 configuration, instead
+  of the package's single loop on the stacked state.
 """
 
 from __future__ import annotations
@@ -275,3 +285,55 @@ def krylov_lambda(c_row: int, a, n: int):
             lam_rows = [lr ^ pr for lr, pr in zip(lam_rows, power.rows)]
         power = mat_mul(power, a)
     return BitMatrix(lam_rows, n)
+
+
+# ---------------------------------------------------------------------------
+# sigma-LFSR stepping oracles
+
+def lfsr_step(cfg, s):
+    """One shift: returns (new state, output word = the oldest block x_n)."""
+    from kdfc_snow.gf2.linalg import DimensionError, mat_vec_mul
+    from kdfc_snow.sigma_lfsr import LfsrState
+
+    if s.m != cfg.m or s.b != cfg.b:
+        raise DimensionError("state and configuration dimensions differ")
+    feedback = 0
+    for w, g in zip(s.blocks, cfg.gains):
+        feedback ^= mat_vec_mul(w, g)
+    return LfsrState(s.m, s.blocks[1:] + [feedback]), s.blocks[0]
+
+
+def orbit_of(cfg, s0) -> list[int]:
+    """Stacked states visited from s0 until it recurs, via the transition matrix."""
+    from kdfc_snow.gf2.linalg import mat_vec_mul
+    from kdfc_snow.sigma_lfsr import build_transition_matrix
+
+    t = build_transition_matrix(cfg)
+    start = s0.stacked()
+    orbit = [start]
+    v = mat_vec_mul(start, t)
+    while v != start:
+        orbit.append(v)
+        v = mat_vec_mul(v, t)
+    return orbit
+
+
+def clock_oracle(key, iv, cfg, n):
+    """SNOW 2.0 clocks on objects: (32 init F words, first n keystream words)."""
+    from kdfc_snow.sigma_lfsr import LfsrState
+    from kdfc_snow.snow2 import FsmState, fsm_step, load_state_words
+
+    s = LfsrState(32, load_state_words(key, iv))
+    fsm = FsmState(0, 0)
+    init_f = []
+    for _ in range(32):
+        fsm, f = fsm_step(fsm, s.blocks[5], s.blocks[15])
+        init_f.append(f)
+        s, _ = lfsr_step(cfg, s)
+        s.blocks[15] ^= f
+    words = []
+    for _ in range(n):
+        fsm, f = fsm_step(fsm, s.blocks[5], s.blocks[15])
+        s, out = lfsr_step(cfg, s)
+        words.append(f ^ out)
+    return init_f, words

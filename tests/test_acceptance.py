@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import pytest
 
 from conftest import KAT_IV, KAT_KEY
-from oracles import char_poly_sympy
+from oracles import char_poly_sympy, lfsr_step, orbit_of
 
 from kdfc_snow.attacks import (
     build_snow2_tables,
@@ -39,8 +39,6 @@ from kdfc_snow.sigma_lfsr import (
     SigmaConfig,
     build_config_matrix,
     config_char_poly,
-    lfsr_step,
-    orbit_of,
     period,
 )
 from kdfc_snow.snow2 import snow2_gains, snow2_init, snow2_keystream

@@ -1,0 +1,85 @@
+"""The library surface that perfbench/ drives, checked without timing.
+
+perfbench/spans.py wraps library functions by module and attribute path,
+reads SigmaConfig's byte-table cache slot, and perfbench/run.py copies
+cipher states through their constructors.  A refactor that breaks any of
+these breaks `perfbench/run.py --trace 1`; these tests make it fail here.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from conftest import KAT_IV, KAT_KEY
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """perfbench's spans and run modules, with sys.path restored afterwards."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", PERFBENCH / "run.py"
+    )
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return spans, run
+
+
+def test_every_traced_name_resolves(bench):
+    spans, _ = bench
+    assert spans.TRACED
+    for modname, path, _ in spans.TRACED:
+        obj = importlib.import_module(modname)
+        for attr in path.split("."):
+            assert hasattr(obj, attr), f"{modname}.{path} does not resolve"
+            obj = getattr(obj, attr)
+        assert callable(obj), f"{modname}.{path} is not callable"
+
+
+def test_byte_table_cache_slot():
+    from kdfc_snow.sigma_lfsr import SigmaConfig
+    from kdfc_snow.snow2 import snow2_gains
+
+    assert "_byte_tables" in SigmaConfig.__slots__
+    cfg = snow2_gains()
+    assert cfg._byte_tables is None
+    cfg.byte_tables()
+    assert cfg._byte_tables is not None
+
+
+def test_copy_state_gives_an_independent_state(bench):
+    _, run = bench
+    from kdfc_snow.snow2 import CipherState, snow2_init, snow2_keystream
+
+    state = snow2_init(KAT_KEY, KAT_IV)
+    copy = run.copy_state(state)
+    assert isinstance(copy, CipherState) and copy.cfg is state.cfg
+    assert snow2_keystream(copy, 4) == snow2_keystream(state, 4)
+    snow2_keystream(copy, 1)
+    assert copy.lfsr != state.lfsr
+
+
+def test_traced_run_records_the_engine_spans(bench):
+    spans, _ = bench
+    from kdfc_snow import kdfc, snow2
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        state = snow2.snow2_init(KAT_KEY, KAT_IV)
+        words = kdfc.kdfc_keystream(state, 4) + snow2.snow2_keystream(state, 4)
+    finally:
+        tracer.uninstall()
+    assert len(words) == 8
+    assert tracer.calls("snow2.init_with_captures") == 1
+    assert tracer.calls("snow2.keystream") == 2
+    assert tracer.calls("sigma_lfsr.byte_tables") == 1
+    assert tracer.calls("snow2.fsm_step") == 32 + 8
+    assert tracer.calls("sigma_lfsr.step_stacked") == 32 + 8
+    assert snow2.step_stacked.__name__ == "step_stacked"
+    assert not hasattr(snow2.step_stacked, "__wrapped__")

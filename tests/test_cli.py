@@ -17,7 +17,7 @@ from conftest import KAT_IV, KAT_KEY
 
 from kdfc_snow.cli import main
 from kdfc_snow.confgen import pipeline_poly
-from kdfc_snow.kdfc import TARGET_POLY_EXPONENTS
+from kdfc_snow.kdfc import TARGET_POLY_EXPONENTS, load_y_init
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 ZERO_KEY = "0" * 64
@@ -139,6 +139,97 @@ class TestKdfc:
         assert doc["char_poly"] == sorted(TARGET_POLY_EXPONENTS, reverse=True)
         assert "lfsr" not in doc and "fsm" not in doc
         assert doc["config"]["m"] == 32
+
+
+@pytest.fixture(scope="module")
+def state_doc(tmp_path_factory):
+    """The KAT state document that `kdfc init` writes."""
+    path = tmp_path_factory.mktemp("state") / "state.json"
+    assert main([
+        "kdfc", "init", "--key", KAT_KEY_HEX, "--iv", KAT_IV_HEX,
+        "--out", str(path),
+    ]) == 0
+    return json.loads(path.read_text())
+
+
+class TestStateDocument:
+    """`kdfc stream --state` refuses bad documents and streams nothing."""
+
+    def stream(self, capsys, tmp_path, doc):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        return run(capsys, "kdfc", "stream", "--state", str(path), "-n", "4")
+
+    @pytest.mark.parametrize("word", ["12", 1.5, None, [1]])
+    def test_non_integer_lfsr_word(self, capsys, tmp_path, state_doc, word):
+        doc = json.loads(json.dumps(state_doc))
+        doc["lfsr"][3] = word
+        code, out, err = self.stream(capsys, tmp_path, doc)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "not an integer" in err
+
+    def test_non_integer_fsm_register(self, capsys, tmp_path, state_doc):
+        doc = json.loads(json.dumps(state_doc))
+        doc["fsm"]["r2"] = "0"
+        code, out, err = self.stream(capsys, tmp_path, doc)
+        assert code == 1 and out == "" and err.startswith("error:")
+
+    def test_zeroed_gains(self, capsys, tmp_path, state_doc):
+        doc = json.loads(json.dumps(state_doc))
+        for gain in doc["config"]["gains"]:
+            gain["data"] = ["0" * len(row) for row in gain["data"]]
+        code, out, err = self.stream(capsys, tmp_path, doc)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "target characteristic" in err
+
+    def test_char_poly_field_mismatch(self, capsys, tmp_path, state_doc):
+        doc = json.loads(json.dumps(state_doc))
+        doc["char_poly"] = [512, 0]
+        code, out, err = self.stream(capsys, tmp_path, doc)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "char_poly" in err
+
+    def test_malformed_config(self, capsys, tmp_path, state_doc):
+        doc = json.loads(json.dumps(state_doc))
+        doc["config"]["gains"][0] = 7
+        code, out, err = self.stream(capsys, tmp_path, doc)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "malformed" in err
+
+
+class TestYInitDocument:
+    """`--y-init` documents get the same checks as the shipped one."""
+
+    def stream(self, capsys, tmp_path, doc):
+        path = tmp_path / "y.json"
+        path.write_text(json.dumps(doc))
+        return run(
+            capsys, "kdfc", "stream", "--key", KAT_KEY_HEX, "--iv",
+            KAT_IV_HEX, "--y-init", str(path), "-n", "4",
+        )
+
+    def test_copy_of_shipped_document_streams(self, capsys, tmp_path):
+        code, out, _ = self.stream(capsys, tmp_path, load_y_init().to_json())
+        assert code == 0 and out.splitlines() == KDFC_KEYED_FIRST8[:4]
+
+    def test_tampered_table_checksum(self, capsys, tmp_path):
+        doc = load_y_init().to_json()
+        doc["poly_table_sha256"] = "0" * 64
+        code, out, err = self.stream(capsys, tmp_path, doc)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "polynomial table" in err
+
+    def test_missing_field_is_named(self, capsys, tmp_path):
+        code, out, err = self.stream(capsys, tmp_path, {"m": 32})
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "'k' missing" in err
+
+    def test_ill_typed_field_is_named(self, capsys, tmp_path):
+        doc = load_y_init().to_json()
+        doc["k"] = "468"
+        code, out, err = self.stream(capsys, tmp_path, doc)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "'k' missing or not int" in err
 
 
 class TestGenConfig:

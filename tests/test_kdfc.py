@@ -6,6 +6,7 @@ import json
 import pytest
 
 from conftest import KAT_IV, KAT_KEY
+from oracles import lfsr_step
 
 from kdfc_snow.confgen import FillBits, pipeline_poly, y_iterate, y_offline
 from kdfc_snow.gf2.poly import is_irreducible, reciprocal
@@ -25,7 +26,7 @@ from kdfc_snow.kdfc import (
     reconfigure,
     target_poly,
 )
-from kdfc_snow.sigma_lfsr import config_char_poly, lfsr_step
+from kdfc_snow.sigma_lfsr import config_char_poly
 from kdfc_snow.snow2 import KeyError32, snow2_gains
 
 # first 8 words after the default 32-vector discard, frozen from runs that
@@ -109,6 +110,50 @@ class TestYInit:
         doc = load_y_init()
         fill = FillBits.from_seed(M, DEFAULT_K, doc.seed, doc.fill_label)
         assert y_offline(M, B, DEFAULT_K, fill) == doc.y
+
+    def test_shipped_document_read_once(self, monkeypatch):
+        import types
+
+        from kdfc_snow import kdfc
+
+        reads = []
+        real_files = kdfc.resources.files
+
+        def files(package):
+            reads.append(package)
+            return real_files(package)
+
+        monkeypatch.setattr(kdfc, "_shipped", None)
+        monkeypatch.setattr(kdfc, "resources", types.SimpleNamespace(files=files))
+        a = kdfc_init(KdfcParams(key=[0] * 8, iv=[0] * 4, verify_config=False))
+        b = kdfc_init(KdfcParams(key=KAT_KEY, iv=KAT_IV, verify_config=False))
+        assert len(reads) == 1
+        assert kdfc_keystream(a, 8) == ZERO_KAT
+        assert kdfc_keystream(b, 8) == KEYED_KAT
+
+    def test_provenance_checked_on_every_resolve(self, monkeypatch):
+        from kdfc_snow import kdfc
+
+        # the cached shipped document is still checked against the table
+        assert load_y_init() is kdfc._shipped is not None
+        monkeypatch.setattr(default_table(), "checksum", "0" * 64)
+        with pytest.raises(ProvenanceError):
+            KdfcParams(key=[0] * 8, iv=[0] * 4).resolve()
+
+    def test_missing_and_ill_typed_fields(self):
+        obj = load_y_init().to_json()
+        for name in ("m", "k", "seed", "fill_label", "poly_table_sha256", "y"):
+            short = {k: v for k, v in obj.items() if k != name}
+            with pytest.raises(ValueError, match=f"field '{name}' missing"):
+                YInitDoc.from_json(short)
+        with pytest.raises(ValueError, match="'seed' missing or not str"):
+            YInitDoc.from_json({**obj, "seed": 3})
+        with pytest.raises(ValueError, match="'m' missing or not int"):
+            YInitDoc.from_json({**obj, "m": True})
+        with pytest.raises(ValueError, match="'y' is malformed"):
+            YInitDoc.from_json({**obj, "y": {"rows": 32}})
+        with pytest.raises(ValueError, match="JSON object"):
+            YInitDoc.from_json([obj])
 
     def test_k_file_mismatch(self):
         params = KdfcParams(key=[0] * 8, iv=[0] * 4, k=460, _doc=load_y_init())

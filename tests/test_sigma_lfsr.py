@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import char_poly_sympy
+from oracles import char_poly_sympy, lfsr_step, orbit_of
 
 from kdfc_snow.gf2.linalg import (
     BitMatrix,
-    DimensionError,
     char_poly,
     mat_vec_mul,
 )
@@ -25,12 +24,10 @@ from kdfc_snow.sigma_lfsr import (
     build_transition_matrix,
     config_char_poly,
     extract_config,
-    lfsr_step,
-    orbit_of,
     period,
-    state_vector_equiv,
     step_stacked,
 )
+from kdfc_snow.snow2 import CipherState, FsmState
 
 
 def random_config(rng, m, b):
@@ -131,21 +128,62 @@ class TestStepping:
         assert out == blocks[0]
         assert step_stacked(cfg, s.stacked()) == stepped.stacked()
 
+    @given(small_states(), st.data())
+    @settings(max_examples=80)
+    def test_step_stacked_with_zero_gains(self, data, draw):
+        # a random subset of gains zeroed (possibly all): step_stacked skips
+        # them in its tables, the oracle multiplies by every gain
+        m, b, blocks, rng = data
+        cfg = random_config(rng, m, b)
+        zeroed = draw.draw(st.lists(st.booleans(), min_size=b, max_size=b))
+        gains = [
+            BitMatrix.zeros(m, m) if z else g for z, g in zip(zeroed, cfg.gains)
+        ]
+        cfg = SigmaConfig(m, b, gains)
+        assert len(cfg.byte_tables()) == sum(any(g.rows) for g in gains)
+        s = LfsrState(m, blocks)
+        assert step_stacked(cfg, s.stacked()) == lfsr_step(cfg, s)[0].stacked()
+
+    @pytest.mark.parametrize("m", [1, 3, 8, 9, 32])
+    def test_single_block(self, m):
+        # b = 1: the new block is x * B_0, or 0 when B_0 is zero
+        rng = random.Random(m)
+        for gain in (random_config(rng, m, 1).gains[0], BitMatrix.zeros(m, m)):
+            cfg = SigmaConfig(m, 1, [gain])
+            for _ in range(10):
+                s = LfsrState(m, [rng.getrandbits(m)])
+                assert step_stacked(cfg, s.stacked()) == lfsr_step(cfg, s)[0].stacked()
+
+    def test_all_zero_gains_shift_in_zeros(self):
+        cfg = SigmaConfig(32, 16, [BitMatrix.zeros(32, 32)] * 16)
+        assert cfg.byte_tables() == []
+        v = random.Random(0).getrandbits(512)
+        assert step_stacked(cfg, v) == v >> 32
+
     @given(small_states())
     @settings(max_examples=30)
     def test_state_vector_equiv(self, data):
         m, b, blocks, rng = data
         cfg = random_config(rng, m, b)
-        assert state_vector_equiv(cfg, LfsrState(m, blocks))
+        s = LfsrState(m, blocks)
+        via_matrix = mat_vec_mul(s.stacked(), build_transition_matrix(cfg))
+        assert via_matrix == lfsr_step(cfg, s)[0].stacked()
 
     def test_stacked_roundtrip(self):
         s = LfsrState(3, [5, 0, 7])
         assert LfsrState.from_stacked(3, 3, s.stacked()) == s
 
     def test_dimension_mismatch(self):
+        # step_stacked takes a bare integer; the state/config guard is
+        # CipherState's
         cfg = SigmaConfig(2, 2, [BitMatrix.identity(2)] * 2)
-        with pytest.raises(DimensionError):
-            lfsr_step(cfg, LfsrState(2, [1, 2, 3]))
+        with pytest.raises(ValueError):
+            CipherState(LfsrState(2, [1, 2, 3]), FsmState(), cfg)
+
+    @pytest.mark.parametrize("word", [1.0, "1", None, True, [1]])
+    def test_non_integer_word_rejected(self, word):
+        with pytest.raises(ValueError, match="not an integer"):
+            LfsrState(2, [0, word])
 
 
 class TestCharPoly:

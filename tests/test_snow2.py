@@ -14,6 +14,7 @@ from oracles import (
     AES_SBOX,
     ALPHA_INV,
     Snow2Ref,
+    clock_oracle,
     f32_mul,
     ref_alpha_inv_mul,
     ref_alpha_mul,
@@ -121,6 +122,11 @@ class TestFsm:
     def test_register_validation(self):
         with pytest.raises(ValueError):
             FsmState(1 << 32, 0)
+        for bad in (1.0, "1", None, True):
+            with pytest.raises(ValueError):
+                FsmState(bad, 0)
+            with pytest.raises(ValueError):
+                FsmState(0, bad)
 
 
 class TestSchedule:
@@ -204,6 +210,24 @@ class TestKeystream:
         b = snow2_init(KAT_KEY, KAT_IV)
         assert snow2_keystream(a, 8) + snow2_keystream(a, 8) == snow2_keystream(b, 16)
 
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_dense_random_config_matches_object_clocks(self, seed):
+        # all 16 gains dense and random: the shared loop on the stacked
+        # state against per-object clocks through the oracle lfsr_step
+        from kdfc_snow.sigma_lfsr import SigmaConfig
+
+        rng = random.Random(seed)
+        cfg = SigmaConfig(32, 16, [
+            BitMatrix([rng.getrandbits(32) for _ in range(32)], 32)
+            for _ in range(16)
+        ])
+        key = [rng.getrandbits(32) for _ in range(8)]
+        iv = [rng.getrandbits(32) for _ in range(4)]
+        st, captures = init_with_captures(key, iv, cfg=cfg)
+        want_f, want_words = clock_oracle(key, iv, cfg, 24)
+        assert captures == want_f
+        assert snow2_keystream(st, 24) == want_words
+
     def test_zero_and_negative_n(self):
         st = snow2_init(KAT_KEY, KAT_IV)
         assert snow2_keystream(st, 0) == []
@@ -221,3 +245,7 @@ class TestGains:
         assert cfg.gains[11] == a_inv
         for j in set(range(16)) - {0, 2, 11}:
             assert cfg.gains[j] == BitMatrix.zeros(32, 32)
+        # tables only for the three nonzero gains, keyed by block shift
+        tables = cfg.byte_tables()
+        assert [shift for shift, _ in tables] == [0, 2 * 32, 11 * 32]
+        assert all(len(lanes) == 4 for _, lanes in tables)
