@@ -145,6 +145,8 @@ def _load_state(path: str) -> CipherState:
             FsmState(doc["fsm"]["r1"], doc["fsm"]["r2"]),
             cfg,
         )
+    except KeyError as e:
+        raise ValueError(f"malformed state document: field {e} missing") from None
     except (TypeError, AttributeError) as e:
         raise ValueError(f"malformed state document: {e}") from None
     got = config_char_poly(cfg)

@@ -11,10 +11,13 @@ degree w:
 3. the active row becomes e_1 of the new width.
 
 After the final iteration Y has width mb; its rows are rotated so the e_1
-row comes last, a block matrix Q is stacked from Y times powers of the
-degree-mb companion matrix P, and the output configuration is
+row comes last, and a block matrix Q is stacked from Y times powers of the
+degree-mb companion matrix P.  The output configuration is the matrix
 C = Q * P * Q^{-1}, which is always block-companion with characteristic
-polynomial equal to the prescribed degree-mb polynomial.
+polynomial equal to the prescribed degree-mb polynomial.  C is never
+formed: block j of Q times P is block j+1 of Q, so every block row of C
+but the last is an identity shift by construction, and assemble_config
+solves only the m gain rows from one elimination of Q.
 
 The split into an offline prefix (y_offline, publishable) and an online
 remainder (generate_config) lets most iterations be precomputed; fill bits
@@ -27,7 +30,8 @@ companion action multiplication by x, so Lambda is multiplication by one
 field element lambda = embed(active row)^{-1} (one modular inversion), and
 each row is updated as v * Lambda = embed^{-1}(embed(v) * lambda mod p).
 The Krylov-matrix route (solve y.K = e_1, Lambda = sum y_j A^j) gives the
-same unique solution; it lives in tests/oracles.py as the test oracle.
+same unique solution; it lives in tests/oracles.py as the test oracle, next
+to the dense assembly Q * P * Q^{-1}.
 """
 
 from __future__ import annotations
@@ -39,22 +43,21 @@ from kdfc_snow.gf2.linalg import (
     DimensionError,
     NoSolutionError,
     SingularMatrixError,
+    _echelon,
     companion_vec_mul,
-    determinant,
-    mat_inverse,
-    mat_mul,
     rank,
 )
 from kdfc_snow.gf2.poly import (
     FactorTableMissError,
     Gf2Poly,
     _mulmod_int,
+    _sparse_tail,
     clmul,
     euler_phi_2n1,
     inv_mod,
 )
 from kdfc_snow.gf2.primtable import PrimitiveTable, primitive_poly
-from kdfc_snow.sigma_lfsr import SigmaConfig, extract_config
+from kdfc_snow.sigma_lfsr import NotMCompanionError, SigmaConfig
 
 __all__ = [
     "YMatrix",
@@ -202,10 +205,18 @@ def _field_embed(v: int, pc: int) -> int:
 def _field_unembed(g: int, pc: int) -> int:
     """Inverse of _field_embed.
 
-    The image of e_i has degree w - 1 - i, so the top term of g names the
-    next coordinate to set.
+    With u = rev(v) and p = x^w + t, g = u + floor(u*t / x^w), so u is the
+    fixed point of u -> g + floor(u*t / x^w).  For a sparse p (see
+    gf2.poly._sparse_tail) deg t < w/2, so floor(u*t / x^w) has degree
+    below deg t and its own correction term vanishes: the first step from
+    u = g is already the fixed point.  Otherwise the image of e_i has
+    degree w - 1 - i, so the top term of g names the next coordinate to set.
     """
     w = pc.bit_length() - 1
+    tail = _sparse_tail(pc)
+    if tail is not None:
+        u = g ^ (clmul(g, tail) >> w)
+        return int(bin(u)[:1:-1], 2) << (w - u.bit_length())
     v = 0
     while g:
         i = w - g.bit_length()
@@ -291,7 +302,11 @@ def y_offline(
 
 
 def build_q(y: YMatrix, p: Gf2Poly) -> BitMatrix:
-    """Stack Y * P^j for j = 0..b-1 into the mb x mb change-of-basis Q."""
+    """Stack Y * P^j for j = 0..b-1 into the mb x mb change-of-basis Q.
+
+    Q is not checked for singularity here: assemble_config eliminates Q
+    once for its row solves and raises SingularMatrixError there.
+    """
     m, n = y.m, y.width
     if n % m:
         raise DimensionError(f"Y width {n} is not a multiple of m={m}")
@@ -304,20 +319,52 @@ def build_q(y: YMatrix, p: Gf2Poly) -> BitMatrix:
         rows.extend(cur)
         if j + 1 < b:
             cur = [companion_vec_mul(r, p) for r in cur]
-    q = BitMatrix(rows, n)
-    if determinant(q) == 0:
-        raise SingularMatrixError("Q is singular: Y rows are not independent over P")
-    return q
+    return BitMatrix(rows, n)
 
 
 def assemble_config(q: BitMatrix, p: Gf2Poly, m: int) -> SigmaConfig:
-    """C = Q * companion(p) * Q^{-1}, returned through the structure check."""
+    """The configuration C = Q * companion(p) * Q^{-1}, without forming C.
+
+    Q must stack successive P-multiples (as build_q does), so that block j
+    of Q times P is block j+1: then C * Q = Q * P makes block row j of C the
+    identity at block column j+1, and the gain rows of C are the solutions
+    x of x * Q = (last block of Q)[r] * P.  One forward elimination of Q
+    with an identity tracker serves those m solves; it is where a singular
+    Q (Y rows dependent over P) raises SingularMatrixError.
+    """
     n = q.nrows
+    if q.ncols != n:
+        raise DimensionError(f"Q is {n}x{q.ncols}, expected square")
     if p.degree != n:
         raise DimensionError(f"polynomial degree {p.degree} != Q size {n}")
-    qp = BitMatrix([companion_vec_mul(r, p) for r in q.rows], n)
-    c = mat_mul(qp, mat_inverse(q))
-    return extract_config(c, m)
+    if m < 1 or n % m:
+        raise DimensionError(f"Q size {n} is not a multiple of m={m}")
+    rows = q.rows
+    if any(companion_vec_mul(rows[i], p) != rows[i + m] for i in range(n - m)):
+        raise NotMCompanionError("Q blocks are not successive multiples by P")
+    work = [r | (1 << (n + i)) for i, r in enumerate(rows)]
+    pivots = _echelon(work, n, reduce_up=False)
+    if len(pivots) != n:
+        raise SingularMatrixError("Q is singular: Y rows are not independent over P")
+    # full rank: the pivot row of column c has no set bit below c
+    by_col = [0] * n
+    for col, i in pivots:
+        by_col[col] = work[i]
+    low = (1 << n) - 1
+    b = n // m
+    mask = (1 << m) - 1
+    gain_rows: list[list[int]] = [[] for _ in range(b)]
+    for r in rows[n - m:]:
+        v = companion_vec_mul(r, p)
+        x = 0
+        while v:
+            row = by_col[(v & -v).bit_length() - 1]
+            v ^= row & low
+            x ^= row
+        x >>= n
+        for i in range(b):
+            gain_rows[i].append((x >> (i * m)) & mask)
+    return SigmaConfig(m, b, [BitMatrix(g, m) for g in gain_rows])
 
 
 def generate_config(

@@ -6,7 +6,9 @@ The zero polynomial has degree -1 (sentinel).
 clmul, clsquare and _mod_int are the package's one GF(2)[x] kernel on
 packed ints (multiply, square, reduce); Gf2Poly, the modular helpers,
 linalg.char_poly, the pipeline in confgen and the byte fields of snow2
-all build on them.
+all build on them.  _mod_int picks its route from the modulus: sparse
+moduli (see _sparse_tail) are reduced by folding, the rest by long
+division.
 """
 
 from __future__ import annotations
@@ -196,10 +198,37 @@ def clsquare(a: int) -> int:
     return int(format(a, "b"), 4)
 
 
+def _sparse_tail(m: int) -> int | None:
+    """m - x^deg(m) when m is sparse enough to reduce by folding, else None.
+
+    Sparse means at most five terms, every lower term of degree below
+    deg(m)/2: every trinomial and pentanomial of the primitive table but
+    those of degrees 2, 8 and 12.  Then one fold x^d -> tail at least
+    halves how far an operand reaches above x^d, so a product of two
+    reduced operands needs two folds (Hankerson-Menezes-Vanstone, Guide to
+    ECC, 2.3.5).  The dense target polynomial and the byte fields of snow2
+    are not sparse.
+    """
+    d = m.bit_length() - 1
+    tail = m ^ (1 << d)
+    if m.bit_count() <= 5 and not tail >> ((d + 1) // 2):
+        return tail
+    return None
+
+
 def _mod_int(a: int, m: int) -> int:
-    """a mod m by shift-and-xor long division."""
+    """a mod m: folding for a sparse m, shift-and-xor long division otherwise."""
     ml = m.bit_length()
     al = a.bit_length()
+    if al < ml:
+        return a
+    tail = _sparse_tail(m)
+    if tail is not None:
+        d = ml - 1
+        mask = (1 << d) - 1
+        while hi := a >> d:
+            a = (a & mask) ^ clmul(hi, tail)
+        return a
     while al >= ml:
         a ^= m << (al - ml)
         al = a.bit_length()

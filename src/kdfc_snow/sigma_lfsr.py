@@ -251,7 +251,30 @@ def period(cfg: SigmaConfig, s0: LfsrState) -> int:
 
 
 def config_char_poly(cfg: SigmaConfig) -> Gf2Poly:
-    """Characteristic polynomial of the configuration matrix."""
-    from kdfc_snow.gf2.linalg import char_poly
+    """Characteristic polynomial of the configuration matrix.
 
+    Certificate: the bits s_t = bit 0 of the stacked state e_0 * T^t, T the
+    transition matrix, obey every polynomial that annihilates T, so their
+    minimal polynomial f divides the minimal polynomial of T, which divides
+    the degree-n characteristic polynomial (n = mb).  The sequence has
+    linear complexity at most n, so Berlekamp-Massey on its first 2n terms
+    returns f exactly (Massey 1969).  When f has degree n, the three are
+    equal and f is the answer; this always holds when the characteristic
+    polynomial is irreducible.  Otherwise (zero gains, a non-cyclic
+    configuration, or e_0 not a cyclic vector) the dense char_poly of the
+    configuration matrix decides.  The stepping uses a throwaway copy of
+    cfg, so the byte tables it builds are not kept on cfg.
+    """
+    from kdfc_snow.gf2.linalg import berlekamp_massey, char_poly
+
+    n = cfg.m * cfg.b
+    scratch = SigmaConfig(cfg.m, cfg.b, cfg.gains)
+    bits = []
+    v = 1
+    for _ in range(2 * n):
+        bits.append(v & 1)
+        v = step_stacked(scratch, v)
+    f = berlekamp_massey(bits)
+    if f.degree == n:
+        return f
     return char_poly(build_config_matrix(cfg))

@@ -114,7 +114,10 @@ def build_alpha_matrices() -> tuple[BitMatrix, BitMatrix]:
 
 
 def snow2_gains() -> SigmaConfig:
-    """The fixed SNOW 2.0 configuration: B_0 = alpha, B_2 = I, B_11 = alpha^{-1}."""
+    """The fixed SNOW 2.0 configuration: B_0 = alpha, B_2 = I, B_11 = alpha^{-1}.
+
+    Returns a new object on every call; the key/IV set-ups share one copy.
+    """
     a, a_inv = build_alpha_matrices()
     gains = [BitMatrix.zeros(32, 32) for _ in range(16)]
     gains[0] = a
@@ -252,6 +255,9 @@ def load_state_words(key: list[int], iv: list[int]) -> list[int]:
     raise KeyError32(f"key must be 4 or 8 words, got {len(key)}")
 
 
+_snow2_cfg: SigmaConfig | None = None
+
+
 def snow2_init(key: list[int], iv: list[int], cfg: SigmaConfig | None = None) -> CipherState:
     """Load the schedule and clock 32 init rounds (F folded into feedback).
 
@@ -265,9 +271,16 @@ def snow2_init(key: list[int], iv: list[int], cfg: SigmaConfig | None = None) ->
 def init_with_captures(
     key: list[int], iv: list[int], cfg: SigmaConfig | None = None
 ) -> tuple[CipherState, list[int]]:
-    """snow2_init variant that also returns the 32 init-round F outputs."""
+    """snow2_init variant that also returns the 32 init-round F outputs.
+
+    Without cfg, the SNOW 2.0 configuration is built once per process and
+    shared, byte tables included, by every state it initializes.
+    """
+    global _snow2_cfg
     if cfg is None:
-        cfg = snow2_gains()
+        if _snow2_cfg is None:
+            _snow2_cfg = snow2_gains()
+        cfg = _snow2_cfg
     if cfg.m != 32 or cfg.b != 16:
         raise ValueError("SNOW 2.0 initialization needs a 32x16 configuration")
     v = LfsrState(32, load_state_words(key, iv)).stacked()

@@ -29,6 +29,15 @@ route than the package:
 * clock_oracle runs SNOW 2.0's init and keystream clocks on LfsrState and
   FsmState objects with lfsr_step, under any 32x16 configuration, instead
   of the package's single loop on the stacked state.
+* long_division_mod and triangular_unembed reduce and un-embed bit by bit
+  for any modulus, instead of the package's folding through the low terms
+  of a sparse modulus.
+* dense_assemble forms C = Q * P * Q^{-1} with a full inverse and product
+  and reads the gains back through extract_config, instead of the
+  package's m row solves on one elimination of Q.
+* dense_char_poly takes the characteristic polynomial of the built
+  configuration matrix by elimination, instead of the package's
+  Berlekamp-Massey certificate on a stepped sequence.
 """
 
 from __future__ import annotations
@@ -236,6 +245,24 @@ def sympy_rem(a: int, m: int) -> int:
     return _from_sympy(_to_sympy(a).rem(_to_sympy(m)))
 
 
+def long_division_mod(a: int, m: int) -> int:
+    """a mod m, one shifted copy of m per leading bit of a."""
+    while a.bit_length() >= m.bit_length():
+        a ^= m << (a.bit_length() - m.bit_length())
+    return a
+
+
+def triangular_unembed(g: int, pc: int) -> int:
+    """Inverse of confgen._field_embed, one coordinate per top term of g."""
+    w = pc.bit_length() - 1
+    v = 0
+    while g:
+        i = w - g.bit_length()
+        v |= 1 << i
+        g ^= pc >> (i + 1)
+    return v
+
+
 # ---------------------------------------------------------------------------
 # linear-algebra oracles
 
@@ -285,6 +312,23 @@ def krylov_lambda(c_row: int, a, n: int):
             lam_rows = [lr ^ pr for lr, pr in zip(lam_rows, power.rows)]
         power = mat_mul(power, a)
     return BitMatrix(lam_rows, n)
+
+
+def dense_assemble(q, p, m: int):
+    """Gains of C = Q * companion(p) * Q^{-1}, with C formed in full."""
+    from kdfc_snow.gf2.linalg import BitMatrix, companion_vec_mul, mat_inverse, mat_mul
+    from kdfc_snow.sigma_lfsr import extract_config
+
+    qp = BitMatrix([companion_vec_mul(r, p) for r in q.rows], q.nrows)
+    return extract_config(mat_mul(qp, mat_inverse(q)), m)
+
+
+def dense_char_poly(cfg):
+    """Characteristic polynomial of the built configuration matrix."""
+    from kdfc_snow.gf2.linalg import char_poly
+    from kdfc_snow.sigma_lfsr import build_config_matrix
+
+    return char_poly(build_config_matrix(cfg))
 
 
 # ---------------------------------------------------------------------------

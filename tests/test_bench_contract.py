@@ -64,22 +64,26 @@ def test_copy_state_gives_an_independent_state(bench):
     assert copy.lfsr != state.lfsr
 
 
-def test_traced_run_records_the_engine_spans(bench):
+def test_traced_run_records_the_engine_spans(bench, monkeypatch):
     spans, _ = bench
     from kdfc_snow import kdfc, snow2
 
+    # the first set-up in a process builds the shared SNOW 2.0 config
+    monkeypatch.setattr(snow2, "_snow2_cfg", None)
     tracer = spans.Tracer()
     tracer.install()
     try:
         state = snow2.snow2_init(KAT_KEY, KAT_IV)
         words = kdfc.kdfc_keystream(state, 4) + snow2.snow2_keystream(state, 4)
+        again = snow2.snow2_init(KAT_KEY, KAT_IV)
     finally:
         tracer.uninstall()
     assert len(words) == 8
-    assert tracer.calls("snow2.init_with_captures") == 1
+    assert again.cfg is state.cfg
+    assert tracer.calls("snow2.init_with_captures") == 2
     assert tracer.calls("snow2.keystream") == 2
     assert tracer.calls("sigma_lfsr.byte_tables") == 1
-    assert tracer.calls("snow2.fsm_step") == 32 + 8
-    assert tracer.calls("sigma_lfsr.step_stacked") == 32 + 8
+    assert tracer.calls("snow2.fsm_step") == 32 + 8 + 32
+    assert tracer.calls("sigma_lfsr.step_stacked") == 32 + 8 + 32
     assert snow2.step_stacked.__name__ == "step_stacked"
     assert not hasattr(snow2.step_stacked, "__wrapped__")

@@ -189,6 +189,21 @@ class TestStateDocument:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "char_poly" in err
 
+    @pytest.mark.parametrize("field", ["config", "lfsr", "fsm"])
+    def test_missing_field_is_named(self, capsys, tmp_path, state_doc, field):
+        doc = json.loads(json.dumps(state_doc))
+        del doc[field]
+        code, out, err = self.stream(capsys, tmp_path, doc)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and f"{field!r} missing" in err
+
+    def test_missing_nested_field_is_named(self, capsys, tmp_path, state_doc):
+        doc = json.loads(json.dumps(state_doc))
+        del doc["fsm"]["r1"]
+        code, out, err = self.stream(capsys, tmp_path, doc)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "'r1' missing" in err
+
     def test_malformed_config(self, capsys, tmp_path, state_doc):
         doc = json.loads(json.dumps(state_doc))
         doc["config"]["gains"][0] = 7

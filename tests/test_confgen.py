@@ -3,9 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import krylov_lambda
+from conftest import KAT_IV, KAT_KEY
+from oracles import dense_assemble, krylov_lambda, triangular_unembed
 
+from kdfc_snow import confgen, kdfc
 from kdfc_snow.confgen import (
     FillBits,
     RankLossError,
@@ -16,19 +20,23 @@ from kdfc_snow.confgen import (
     count_configurations,
     generate_config,
     pipeline_poly,
+    _field_embed,
+    _field_unembed,
     y_iterate,
     y_offline,
 )
 from kdfc_snow.gf2.linalg import (
     BitMatrix,
     DimensionError,
+    SingularMatrixError,
     companion_matrix,
     companion_vec_mul,
     mat_vec_mul,
     rank,
 )
-from kdfc_snow.gf2.primtable import primitive_poly
-from kdfc_snow.sigma_lfsr import config_char_poly
+from kdfc_snow.gf2.poly import _sparse_tail
+from kdfc_snow.gf2.primtable import default_table, primitive_poly
+from kdfc_snow.sigma_lfsr import NotMCompanionError, SigmaConfig, config_char_poly
 
 
 def seeded_pipeline(m, b, seed, k=0):
@@ -37,6 +45,34 @@ def seeded_pipeline(m, b, seed, k=0):
     offline = FillBits.from_seed(m, k, seed, "offline-fill")
     online = FillBits.from_seed(m, total - k, seed, "online-fill")
     return p, generate_config(m, b, p, y_offline(m, b, k, offline), online)
+
+
+def final_y(m, b, seed, y=None, k=0):
+    """The pipeline's last Y, rows rotated as generate_config does before build_q."""
+    total = m * b - m
+    online = FillBits.from_seed(m, total - k, seed, "online-fill")
+    if y is None:
+        y = y_offline(m, b, 0, FillBits(m, []))
+    for i in range(k + 1, total + 1):
+        y = y_iterate(y, i, pipeline_poly(m + i - 1), online.vectors[i - k - 1])
+    last_active = total % m
+    order = [(last_active + 1 + t) % m for t in range(m)]
+    return YMatrix(m, y.width, [y.rows[t] for t in order])
+
+
+def flip_gain_bit(monkeypatch, gain, row, bit):
+    """Make generate_config's assembly hand back one gain bit flipped."""
+    real = confgen.assemble_config
+
+    def flipped(q, p, m):
+        cfg = real(q, p, m)
+        gains = list(cfg.gains)
+        rows = list(gains[gain].rows)
+        rows[row] ^= 1 << bit
+        gains[gain] = BitMatrix(rows, m)
+        return SigmaConfig(m, cfg.b, gains)
+
+    monkeypatch.setattr(confgen, "assemble_config", flipped)
 
 
 class TestFillBits:
@@ -151,14 +187,7 @@ class TestQAndAssembly:
     def test_build_q_stacks_companion_powers(self):
         m, b = 2, 3
         poly = pipeline_poly(m * b)
-        total = m * b - m
-        online = FillBits.from_seed(m, total, "q-structure", "online-fill")
-        y = y_offline(m, b, 0, FillBits(m, []))
-        for i in range(1, total + 1):
-            y = y_iterate(y, i, pipeline_poly(m + i - 1), online.vectors[i - 1])
-        last_active = total % m
-        order = [(last_active + 1 + t) % m for t in range(m)]
-        y = YMatrix(m, y.width, [y.rows[t] for t in order])
+        y = final_y(m, b, "q-structure")
         q = build_q(y, poly)
         cur = list(y.rows)
         for j in range(b):
@@ -174,6 +203,60 @@ class TestQAndAssembly:
         poly = pipeline_poly(6)
         _, cfg = seeded_pipeline(2, 3, "assembly")
         assert config_char_poly(cfg) == poly
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 5), st.text(max_size=6))
+    def test_matches_dense_assembly(self, m, b, seed):
+        p = pipeline_poly(m * b)
+        q = build_q(final_y(m, b, seed), p)
+        assert assemble_config(q, p, m) == dense_assemble(q, p, m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 5), st.randoms(use_true_random=False))
+    def test_random_y_matches_dense_assembly(self, m, b, rng):
+        # with random rows Q is often singular; both routes must then refuse it
+        n = m * b
+        p = pipeline_poly(n)
+        q = build_q(YMatrix(m, n, [rng.getrandbits(n) for _ in range(m)]), p)
+        try:
+            want = dense_assemble(q, p, m)
+        except SingularMatrixError:
+            with pytest.raises(SingularMatrixError):
+                assemble_config(q, p, m)
+        else:
+            assert assemble_config(q, p, m) == want
+
+    def test_full_scale_matches_dense_assembly(self):
+        p = kdfc.target_poly()
+        y = final_y(32, 16, "full-scale", y=kdfc.load_y_init().y, k=kdfc.DEFAULT_K)
+        q = build_q(y, p)
+        assert assemble_config(q, p, 32) == dense_assemble(q, p, 32)
+
+    def test_q_must_stack_p_multiples(self):
+        p = pipeline_poly(4)
+        with pytest.raises(NotMCompanionError):
+            assemble_config(BitMatrix.identity(4), p, 2)
+
+
+class TestEmbedding:
+    """The sparse un-embedding against the triangular loop."""
+
+    def test_every_table_degree_and_the_dense_moduli(self):
+        table = default_table()
+        moduli = [table[d].coeffs for d in range(2, 513)]
+        moduli += [kdfc.target_poly().coeffs, 0x11B]
+        assert _sparse_tail(moduli[-1]) is None and _sparse_tail(moduli[-2]) is None
+        rng = random.Random(11)
+        for pc in moduli:
+            w = pc.bit_length() - 1
+            for v in [0, 1, 1 << (w - 1), (1 << w) - 1] + [
+                rng.getrandbits(w) for _ in range(4)
+            ]:
+                g = _field_embed(v, pc)
+                assert _field_unembed(g, pc) == triangular_unembed(g, pc) == v
+            g = rng.getrandbits(w)
+            assert _field_unembed(g, pc) == triangular_unembed(g, pc)
 
 
 class TestGenerateConfig:
@@ -219,6 +302,30 @@ class TestGenerateConfig:
             2, 4, p, y_offline(2, 4, 0, FillBits(2, [])), online, verify=False
         )
         assert config_char_poly(cfg) == p
+
+    @pytest.mark.parametrize("dependent", ["equal", "times_p"])
+    def test_dependent_y_rows_raise_singular(self, dependent):
+        # a full-width y_init leaves no online iterations, so only Q can object
+        m, b = 4, 4
+        n = m * b
+        p = pipeline_poly(n)
+        rng = random.Random(dependent)
+        r0 = rng.getrandbits(n)
+        r1 = r0 if dependent == "equal" else companion_vec_mul(r0, p)
+        y = YMatrix(m, n, [r0, r1, rng.getrandbits(n), rng.getrandbits(n)])
+        with pytest.raises(SingularMatrixError):
+            generate_config(m, b, p, y, FillBits(m, []))
+
+    @pytest.mark.parametrize("gain,row,bit", [(0, 0, 0), (1, 2, 3), (3, 3, 3)])
+    def test_flipped_gain_bit_fails_the_verify(self, monkeypatch, gain, row, bit):
+        flip_gain_bit(monkeypatch, gain, row, bit)
+        with pytest.raises(RankLossError):
+            seeded_pipeline(4, 4, "flip")
+
+    def test_flipped_gain_bit_fails_the_keyed_verify(self, monkeypatch):
+        flip_gain_bit(monkeypatch, 7, 0, 0)
+        with pytest.raises(RankLossError):
+            kdfc.kdfc_init(kdfc.KdfcParams(key=KAT_KEY, iv=KAT_IV))
 
     def test_online_fill_shortage(self):
         p = pipeline_poly(8)

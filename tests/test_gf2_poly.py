@@ -7,12 +7,13 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import sympy_mul, sympy_rem
+from oracles import long_division_mod, sympy_mul, sympy_rem
 
 from kdfc_snow.gf2.poly import (
     FactorTableMissError,
     Gf2Poly,
     _mod_int,
+    _sparse_tail,
     clmul,
     clsquare,
     euler_phi_2n1,
@@ -23,6 +24,8 @@ from kdfc_snow.gf2.poly import (
     powmod,
     weight,
 )
+from kdfc_snow.gf2.primtable import default_table
+from kdfc_snow.kdfc import target_poly
 
 polys = st.integers(min_value=0, max_value=(1 << 40) - 1).map(Gf2Poly)
 nonzero_polys = st.integers(min_value=1, max_value=(1 << 40) - 1).map(Gf2Poly)
@@ -119,6 +122,37 @@ class TestKernelVsSympy:
     @given(st.integers(0, (1 << 192) - 1), st.integers(1, (1 << 96) - 1))
     def test_mod_int(self, a, m):
         assert _mod_int(a, m) == sympy_rem(a, m)
+
+
+def route_moduli() -> list[int]:
+    """Every table polynomial (degrees 2..512), then dense moduli."""
+    table = default_table()
+    return [table[d].coeffs for d in range(2, 513)] + [target_poly().coeffs, 0x11B, 0x1A9]
+
+
+class TestSparseReduction:
+    """Folding through the low terms against long division."""
+
+    def test_route_follows_the_modulus(self):
+        sparse = [m for m in route_moduli() if _sparse_tail(m) is not None]
+        assert len(sparse) == 511 - 3  # the table but degrees 2, 8 and 12
+        for dense in (target_poly().coeffs, 0x11B, 0x1A9):
+            assert _sparse_tail(dense) is None
+
+    def test_every_table_degree_and_the_dense_moduli(self):
+        rng = random.Random(5)
+        for m in route_moduli():
+            d = m.bit_length() - 1
+            operands = [0, m, m ^ (1 << d), (1 << (2 * d)) - 1, 1 << (2 * d - 1)]
+            operands += [rng.getrandbits(rng.randint(1, 2 * d)) for _ in range(6)]
+            for a in operands:
+                assert _mod_int(a, m) == long_division_mod(a, m), (d, a)
+
+    @given(st.integers(0, (1 << 64) - 1), st.integers(2, 32), st.data())
+    def test_random_sparse_moduli(self, a, d, data):
+        low = data.draw(st.sets(st.integers(0, (d - 1) // 2), max_size=4))
+        m = (1 << d) | sum(1 << e for e in low)
+        assert _mod_int(a, m) == long_division_mod(a, m)
 
 
 class TestAlgebraicProperties:

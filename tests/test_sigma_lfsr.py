@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import char_poly_sympy, lfsr_step, orbit_of
+from oracles import char_poly_sympy, dense_char_poly, lfsr_step, orbit_of
 
+from kdfc_snow.gf2 import linalg
 from kdfc_snow.gf2.linalg import (
     BitMatrix,
     char_poly,
@@ -200,6 +201,48 @@ class TestCharPoly:
         g = BitMatrix.from_bits([[0, 1], [1, 1]])
         cfg = SigmaConfig(2, 1, [g])
         assert config_char_poly(cfg) == Gf2Poly.from_exponents([2, 1, 0])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_dense_route(self, data):
+        m = data.draw(st.integers(1, 5))
+        b = data.draw(st.integers(1, 5))
+        rows = st.lists(st.integers(0, (1 << m) - 1), min_size=m, max_size=m)
+        gains = [BitMatrix(data.draw(rows), m) for _ in range(b)]
+        for i in data.draw(st.sets(st.integers(0, b - 1))):
+            gains[i] = BitMatrix.zeros(m, m)
+        cfg = SigmaConfig(m, b, gains)
+        assert config_char_poly(cfg) == dense_char_poly(cfg)
+
+    def test_cyclic_configs_skip_the_dense_route(self, monkeypatch):
+        cfgs = [primitive_config(4, 4), primitive_config(32, 2)]
+        from kdfc_snow.snow2 import snow2_gains
+
+        cfgs.append(snow2_gains())
+        want = [dense_char_poly(cfg) for cfg in cfgs]
+
+        def refuse(a):
+            raise AssertionError("dense char_poly called")
+
+        monkeypatch.setattr(linalg, "char_poly", refuse)
+        assert [config_char_poly(cfg) for cfg in cfgs] == want
+
+    def test_zero_and_non_cyclic_configs_take_the_dense_route(self, monkeypatch):
+        zero = SigmaConfig(3, 2, [BitMatrix.zeros(3, 3)] * 2)
+        identity = SigmaConfig(2, 1, [BitMatrix.identity(2)])  # (x + 1)^2, non-cyclic
+        # a companion matrix of x (x^2 + x + 1), but the bits from e_0 are 1, 0, 0, ...
+        blocks = SigmaConfig(1, 3, [BitMatrix([0], 1), BitMatrix([1], 1), BitMatrix([1], 1)])
+        cases = [
+            (zero, Gf2Poly.from_exponents([6])),
+            (identity, Gf2Poly.from_exponents([2, 0])),
+            (blocks, Gf2Poly.from_exponents([3, 2, 1])),
+        ]
+        calls = []
+        real = linalg.char_poly
+        monkeypatch.setattr(linalg, "char_poly", lambda a: calls.append(a) or real(a))
+        for cfg, want in cases:
+            assert config_char_poly(cfg) == want
+        assert len(calls) == len(cases)
 
 
 class TestPeriod:
