@@ -40,6 +40,10 @@ __all__ = [
 ]
 
 
+#: bound on (terms x bits) for the exact linearization count
+LINEARIZATION_GUARD = 1 << 32
+
+
 def pileup_bias(eps_log2: float, taps: int) -> float:
     """log2 of the combined bias of an XOR of ``taps`` biased terms.
 
@@ -47,23 +51,41 @@ def pileup_bias(eps_log2: float, taps: int) -> float:
     """
     if taps < 1:
         raise ValueError("need taps >= 1")
-    if eps_log2 > 0:
-        raise ValueError("eps_log2 is a bias exponent, must be <= 0")
-    return (taps - 1) + taps * eps_log2
+    if not math.isfinite(eps_log2) or eps_log2 > 0:
+        raise ValueError("eps_log2 is a bias exponent, must be finite and <= 0")
+    try:
+        return (taps - 1) + taps * eps_log2
+    except OverflowError:
+        raise ValueError(f"taps is too large for a float ({taps.bit_length()} bits)") from None
 
 
 def keystream_needed(eps_final_log2: float) -> float:
     """log2 keystream length to distinguish at the given combined bias."""
-    if eps_final_log2 >= 0:
-        raise ValueError("need a negative log2 bias")
+    if not math.isfinite(eps_final_log2) or eps_final_log2 >= 0:
+        raise ValueError("need a finite negative log2 bias")
     return -2.0 * eps_final_log2
 
 
 def linearization_size(nvars: int, max_deg: int) -> int:
-    """Number of monomials of degree <= max_deg in nvars variables (exact)."""
+    """Number of monomials of degree <= max_deg in nvars variables (exact).
+
+    The exact sum costs max_deg steps on binomials of at most
+    min(nvars, max_deg * bits(nvars)) bits; that product is refused above
+    LINEARIZATION_GUARD (about a second of work).
+    """
     if not 0 <= max_deg <= nvars:
         raise ValueError("need 0 <= max_deg <= nvars")
-    return sum(math.comb(nvars, i) for i in range(max_deg + 1))
+    work = (max_deg + 1) * min(nvars, max_deg * nvars.bit_length())
+    if work > LINEARIZATION_GUARD:
+        raise ValueError(
+            f"exact count for n={nvars}, degree={max_deg} is too large "
+            f"(work {work} exceeds the 2^{LINEARIZATION_GUARD.bit_length() - 1} guard)"
+        )
+    term = total = 1
+    for i in range(max_deg):
+        term = term * (nvars - i) // (i + 1)  # C(n, i + 1) from C(n, i)
+        total += term
+    return total
 
 
 def linearization_log2(nvars: int, max_deg: int) -> float:

@@ -130,7 +130,7 @@ def _kdfc_state(args) -> CipherState:
     iv = _words_from_hex(args.iv, 4, "--iv")
     doc = kdfc.load_y_init(args.y_init) if args.y_init else None
     return kdfc.kdfc_init(
-        kdfc.KdfcParams(key=key, iv=iv, k=args.k, discard=args.discard, _doc=doc)
+        kdfc.KdfcParams(key=key, iv=iv, y_init=doc, discard=args.discard)
     )
 
 
@@ -374,12 +374,11 @@ def _add_key_iv(p: argparse.ArgumentParser, required: bool = True) -> None:
 
 
 def _add_kdfc_knobs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=kdfc.DEFAULT_K,
-                   help="offline iteration count (default %(default)s)")
     p.add_argument("--discard", type=int, default=32,
                    help="output words discarded after reconfiguration")
     p.add_argument("--y-init", default=None,
-                   help="path to an offline-matrix JSON document")
+                   help="path to an offline-matrix JSON document "
+                        "(its k sets the offline iteration count)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,19 +398,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kdfc", help="key-dependent-configuration cipher")
     s2 = p.add_subparsers(dest="sub", required=True)
-    q = s2.add_parser("init", help="initialize and print the full state as JSON")
+    # no abbreviations: the removed --k must not be read as --key
+    q = s2.add_parser("init", allow_abbrev=False,
+                      help="initialize and print the full state as JSON")
     _add_key_iv(q)
     _add_kdfc_knobs(q)
     _add_out(q)
     q.set_defaults(func=_cmd_kdfc_init)
-    q = s2.add_parser("stream", help="print keystream words as hex lines")
+    q = s2.add_parser("stream", allow_abbrev=False,
+                      help="print keystream words as hex lines")
     _add_key_iv(q, required=False)
     _add_kdfc_knobs(q)
     q.add_argument("--state", default=None, help="resume from a state JSON file")
     q.add_argument("-n", type=int, required=True, help="number of 32-bit words")
     _add_out(q)
     q.set_defaults(func=_cmd_kdfc_stream)
-    q = s2.add_parser("dump-config", help="print the derived configuration as JSON")
+    q = s2.add_parser("dump-config", allow_abbrev=False,
+                      help="print the derived configuration as JSON")
     _add_key_iv(q)
     _add_kdfc_knobs(q)
     _add_out(q)

@@ -1,8 +1,9 @@
 """Feedback-configuration generation with a prescribed characteristic polynomial.
 
-The pipeline grows an m-row matrix Y one column per iteration.  Iteration i
-(1-based) works at width w = m + i - 1 with a primitive polynomial p of
-degree w:
+The pipeline grows an m-row matrix Y (a BitMatrix, starting from the
+m x m identity) one column per iteration.  Iteration i (1-based) works at
+width w = m + i - 1 with the primitive polynomial p of degree w from the
+active table (gf2.primtable.default_table):
 
 1. the active row, l = i mod m (rows 0-indexed), is sent to e_1 (the
    last-coordinate unit vector) by right-multiplying Y with a matrix
@@ -56,11 +57,10 @@ from kdfc_snow.gf2.poly import (
     euler_phi_2n1,
     inv_mod,
 )
-from kdfc_snow.gf2.primtable import PrimitiveTable, primitive_poly
+from kdfc_snow.gf2.primtable import primitive_poly
 from kdfc_snow.sigma_lfsr import NotMCompanionError, SigmaConfig
 
 __all__ = [
-    "YMatrix",
     "FillBits",
     "RankLossError",
     "y_iterate",
@@ -76,45 +76,6 @@ __all__ = [
 
 class RankLossError(RuntimeError):
     """Y lost full row rank — indicates a pipeline bug, not bad input."""
-
-
-class YMatrix:
-    """m full-rank rows of growing width (m + i after i iterations)."""
-
-    __slots__ = ("m", "width", "rows")
-
-    def __init__(self, m: int, width: int, rows: list[int]):
-        if len(rows) != m:
-            raise DimensionError(f"expected {m} rows, got {len(rows)}")
-        mask = (1 << width) - 1
-        for r in rows:
-            if r < 0 or r & ~mask:
-                raise DimensionError("row exceeds stated width")
-        self.m = m
-        self.width = width
-        self.rows = list(rows)
-
-    @classmethod
-    def from_bitmatrix(cls, mat: BitMatrix) -> "YMatrix":
-        return cls(mat.nrows, mat.ncols, list(mat.rows))
-
-    def to_bitmatrix(self) -> BitMatrix:
-        return BitMatrix(list(self.rows), self.width)
-
-    def is_full_rank(self) -> bool:
-        return rank(self.to_bitmatrix()) == self.m
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, YMatrix):
-            return NotImplemented
-        return (self.m, self.width, self.rows) == (other.m, other.width, other.rows)
-
-    def to_json(self) -> dict:
-        return self.to_bitmatrix().to_json()
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "YMatrix":
-        return cls.from_bitmatrix(BitMatrix.from_json(obj))
 
 
 class FillBits:
@@ -182,12 +143,10 @@ class FillBits:
         return cls(m, vectors)
 
 
-def pipeline_poly(degree: int, table: "PrimitiveTable | None" = None) -> Gf2Poly:
+def pipeline_poly(degree: int) -> Gf2Poly:
     """Table polynomial for a pipeline stage (degree 1 handled inline)."""
     if degree == 1:
         return Gf2Poly(0b11)  # x + 1, the unique degree-1 primitive
-    if table is not None:
-        return table[degree]
     return primitive_poly(degree)
 
 
@@ -242,12 +201,12 @@ def _lin_solve_coeffs(c: int, p: Gf2Poly) -> int:
     return y.coeffs
 
 
-def y_iterate(y: YMatrix, i: int, p: Gf2Poly, fill: int) -> YMatrix:
+def y_iterate(y: BitMatrix, i: int, p: Gf2Poly, fill: int) -> BitMatrix:
     """One pipeline iteration: active row to e_1, then widen by one bit.
 
-    p is the stage polynomial, of degree equal to the width of y.
+    y has m rows of width w; p is the stage polynomial, of degree w.
     """
-    m, w = y.m, y.width
+    m, w = y.nrows, y.ncols
     if p.degree != w:
         raise DimensionError(
             f"stage polynomial degree {p.degree} does not match Y width {w}"
@@ -270,44 +229,31 @@ def y_iterate(y: YMatrix, i: int, p: Gf2Poly, fill: int) -> YMatrix:
         else:
             new_rows[t] |= ((fill >> pos) & 1) << w
             pos += 1
-    out = YMatrix(m, w + 1, new_rows)
-    if not out.is_full_rank():
+    out = BitMatrix(new_rows, w + 1)
+    if rank(out) != m:
         raise RankLossError(f"rank dropped below {m} at iteration {i}")
     return out
 
 
-def y_offline(
-    m: int,
-    b: int,
-    k: int,
-    fill: FillBits,
-    init: BitMatrix | None = None,
-    table: PrimitiveTable | None = None,
-) -> YMatrix:
-    """Run the first k iterations from a full-rank m x m start (default I)."""
-    if init is None:
-        init = BitMatrix.identity(m)
-    if init.nrows != m or init.ncols != m:
-        raise DimensionError(f"init must be {m}x{m}")
-    if rank(init) != m:
-        raise RankLossError("initial matrix is not full rank")
+def y_offline(m: int, b: int, k: int, fill: FillBits) -> BitMatrix:
+    """Run the first k iterations from the m x m identity."""
     if not 0 <= k <= m * b - m:
         raise ValueError(f"k must lie in [0, {m * b - m}]")
     if fill.m != m or len(fill) < k:
         raise ValueError(f"fill must supply {k} vectors of {m - 1} bits")
-    y = YMatrix.from_bitmatrix(init)
+    y = BitMatrix.identity(m)
     for i in range(1, k + 1):
-        y = y_iterate(y, i, pipeline_poly(m + i - 1, table), fill.vectors[i - 1])
+        y = y_iterate(y, i, pipeline_poly(m + i - 1), fill.vectors[i - 1])
     return y
 
 
-def build_q(y: YMatrix, p: Gf2Poly) -> BitMatrix:
+def build_q(y: BitMatrix, p: Gf2Poly) -> BitMatrix:
     """Stack Y * P^j for j = 0..b-1 into the mb x mb change-of-basis Q.
 
     Q is not checked for singularity here: assemble_config eliminates Q
     once for its row solves and raises SingularMatrixError there.
     """
-    m, n = y.m, y.width
+    m, n = y.nrows, y.ncols
     if n % m:
         raise DimensionError(f"Y width {n} is not a multiple of m={m}")
     if p.degree != n:
@@ -371,10 +317,9 @@ def generate_config(
     m: int,
     b: int,
     p: Gf2Poly,
-    y_init: YMatrix,
+    y_init: BitMatrix,
     online_fill: FillBits,
     verify: bool = True,
-    table: PrimitiveTable | None = None,
 ) -> SigmaConfig:
     """Finish the pipeline from a (possibly empty) offline prefix.
 
@@ -385,22 +330,22 @@ def generate_config(
     n = m * b
     if p.degree != n:
         raise DimensionError(f"target degree {p.degree} != mb = {n}")
-    if y_init.m != m:
+    if y_init.nrows != m:
         raise DimensionError("y_init row count != m")
-    k = y_init.width - m
+    k = y_init.ncols - m
     total = n - m
     if not 0 <= k <= total:
-        raise ValueError(f"y_init width {y_init.width} outside [m, mb]")
+        raise ValueError(f"y_init width {y_init.ncols} outside [m, mb]")
     if online_fill.m != m or len(online_fill) < total - k:
         raise ValueError(f"online fill must supply {total - k} vectors")
     y = y_init
     for i in range(k + 1, total + 1):
-        p_i = pipeline_poly(m + i - 1, table)
+        p_i = pipeline_poly(m + i - 1)
         y = y_iterate(y, i, p_i, online_fill.vectors[i - k - 1])
     # rotate rows so the most recently active row (now e_1) is last
     last_active = total % m
     order = [(last_active + 1 + t) % m for t in range(m)]
-    y = YMatrix(m, y.width, [y.rows[t] for t in order])
+    y = BitMatrix([y.rows[t] for t in order], y.ncols)
     q = build_q(y, p)
     cfg = assemble_config(q, p, m)
     if verify:

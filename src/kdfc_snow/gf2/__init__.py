@@ -7,14 +7,11 @@ from kdfc_snow.gf2.linalg import (
     NoSolutionError,
     berlekamp_massey,
     char_poly,
-    companion_matrix,
     determinant,
-    krylov_matrix,
     mat_inverse,
     mat_mul,
     mat_vec_mul,
     rank,
-    solve_row,
     vec_from_hex,
     vec_to_hex,
 )
@@ -41,17 +38,14 @@ __all__ = [
     "PrimitiveTable",
     "berlekamp_massey",
     "char_poly",
-    "companion_matrix",
     "determinant",
     "is_irreducible",
     "is_primitive",
-    "krylov_matrix",
     "mat_inverse",
     "mat_mul",
     "mat_vec_mul",
     "primitive_poly",
     "rank",
-    "solve_row",
     "vec_from_hex",
     "vec_to_hex",
     "weight",

@@ -247,69 +247,16 @@ def mat_inverse(a: BitMatrix) -> BitMatrix:
     return BitMatrix(inv, n)
 
 
-def solve_row(m: BitMatrix, v: int) -> int:
-    """Solve ``y * m == v`` for a row vector y.
-
-    Deterministic: free variables are fixed to 0 (the returned combination
-    uses pivot rows only).  Raises NoSolutionError when v is outside the
-    row space of m.
-    """
-    if v >> m.ncols:
-        raise DimensionError("right-hand side longer than matrix column count")
-    n = m.nrows
-    work = [m.rows[i] | (1 << (m.ncols + i)) for i in range(n)]
-    pivots = _echelon(work, m.ncols)
-    lowmask = (1 << m.ncols) - 1
-    target = v
-    y = 0
-    for col, i in pivots:
-        if (target >> col) & 1:
-            target ^= work[i] & lowmask
-            y ^= work[i] >> m.ncols
-    if target:
-        raise NoSolutionError("vector is outside the row space")
-    return y
-
-
-def companion_matrix(p: Gf2Poly) -> BitMatrix:
-    """Companion matrix P of a monic polynomial, row-vector convention.
+def companion_vec_mul(v: int, p: Gf2Poly) -> int:
+    """Row vector times the companion matrix P of monic p, without forming P.
 
     P has ones on the subdiagonal (P[j+1, j] = 1) and last column
     (c_0, ..., c_{b-1}) where p(x) = x^b + sum c_j x^j, so that
     (x_n, ..., x_{n+b-1}) * P = (x_{n+1}, ..., x_{n+b}).
     """
     b = p.degree
-    if b < 1:
-        raise ValueError("companion matrix needs degree >= 1")
-    top = 1 << (b - 1)
-    rows = []
-    for i in range(b):
-        r = (1 << (i - 1)) if i >= 1 else 0
-        if (p.coeffs >> i) & 1:
-            r |= top
-        rows.append(r)
-    return BitMatrix(rows, b)
-
-
-def companion_vec_mul(v: int, p: Gf2Poly) -> int:
-    """Fast ``v * companion_matrix(p)`` without materializing the matrix."""
-    b = p.degree
     tail = (v & p.coeffs & ((1 << b) - 1)).bit_count() & 1
     return (v >> 1) | (tail << (b - 1))
-
-
-def krylov_matrix(c: int, a: BitMatrix, k: int) -> BitMatrix:
-    """Rows c, c*a, c*a^2, ..., c*a^(k-1)."""
-    if not a.is_square():
-        raise DimensionError("Krylov iteration needs a square matrix")
-    if c >> a.nrows:
-        raise DimensionError("vector longer than matrix size")
-    rows = []
-    cur = c
-    for _ in range(k):
-        rows.append(cur)
-        cur = mat_vec_mul(cur, a)
-    return BitMatrix(rows, a.ncols)
 
 
 def char_poly(a: BitMatrix) -> Gf2Poly:
@@ -404,8 +351,3 @@ def berlekamp_massey(bits: Sequence[int]) -> Gf2Poly:
         if (conn >> (ln - j)) & 1:
             f |= 1 << j
     return Gf2Poly(f)
-
-
-def linear_complexity(bits: Sequence[int]) -> int:
-    """Length of the shortest LFSR generating the sequence (0 when empty)."""
-    return berlekamp_massey(bits).degree if len(bits) else 0

@@ -62,9 +62,6 @@ class Gf2Poly:
     def is_zero(self) -> bool:
         return self.coeffs == 0
 
-    def is_monic(self) -> bool:
-        return self.coeffs != 0
-
     def coeff(self, i: int) -> int:
         return (self.coeffs >> i) & 1
 
@@ -156,18 +153,6 @@ class Gf2Poly:
 def weight(p: Gf2Poly) -> int:
     """Number of nonzero coefficients."""
     return p.coeffs.bit_count()
-
-
-def reciprocal(p: Gf2Poly) -> Gf2Poly:
-    """x^deg(p) * p(1/x): the coefficient sequence reversed.
-
-    Requires a nonzero constant term so the degree is preserved (otherwise
-    the reversal would silently drop leading zeros).
-    """
-    d = p.degree
-    if d < 0 or not p.coeff(0):
-        raise ValueError("reciprocal needs a nonzero constant term")
-    return Gf2Poly.from_exponents(d - e for e in p.exponents())
 
 
 def gcd(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:

@@ -11,22 +11,26 @@ keystream starts.
 
 The offline part of the pipeline does not depend on the key and is
 shipped as a data file (see tools/gen_y_init.py), parsed once per
-process.  On every use, the recorded polynomial-table checksum, k and
-matrix dimensions of the shipped document, or of one given in its place,
-are checked; the recorded seed and fill label are kept for regeneration,
-not re-derived.  After the swap the cipher clocks as SNOW 2.0 does, so
-kdfc_keystream is snow2_keystream.
+process.  The derivation is a function of key and IV over one Y-init
+document, the shipped one unless another is given, the stage polynomials
+of the active table and the fixed target polynomial.  A YInitDoc refuses a
+matrix that is not m x (m + k); on every use, KdfcParams.resolve checks the
+document's polynomial-table checksum against the active table, its m and
+its k window.  The recorded seed and fill label are kept for
+regeneration, not re-derived.  After the swap the cipher clocks as SNOW
+2.0 does, so kdfc_keystream is snow2_keystream.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
-from kdfc_snow.confgen import FillBits, YMatrix, generate_config
+from kdfc_snow.confgen import FillBits, generate_config
+from kdfc_snow.gf2.linalg import BitMatrix
 from kdfc_snow.gf2.poly import Gf2Poly
-from kdfc_snow.gf2.primtable import PrimitiveTable, default_table
+from kdfc_snow.gf2.primtable import default_table
 from kdfc_snow.sigma_lfsr import SigmaConfig
 from kdfc_snow.snow2 import (
     CipherState,
@@ -54,7 +58,7 @@ M = 32
 B = 16
 #: total pipeline iterations mb - m; offline k plus the online remainder
 ONLINE_TOTAL = M * B - M
-#: default offline iteration count (the shipped matrix provides this k)
+#: offline iteration count of the shipped matrix
 DEFAULT_K = 468
 
 Y_INIT_FILE = "y_init_m32_k468.json"
@@ -95,7 +99,7 @@ def target_poly() -> Gf2Poly:
 
 
 class ProvenanceError(ValueError):
-    """A loaded y_init file does not match the active polynomial table."""
+    """A y_init document does not match the active polynomial table."""
 
 
 _YINIT_FIELDS = (("m", int), ("k", int), ("seed", str), ("fill_label", str),
@@ -104,14 +108,21 @@ _YINIT_FIELDS = (("m", int), ("k", int), ("seed", str), ("fill_label", str),
 
 @dataclass(frozen=True)
 class YInitDoc:
-    """A shipped offline pipeline matrix plus its provenance fields."""
+    """An offline pipeline matrix Y (m x (m + k)) plus its provenance fields."""
 
     m: int
     k: int
     seed: str
     fill_label: str
     poly_table_sha256: str
-    y: YMatrix
+    y: BitMatrix
+
+    def __post_init__(self):
+        if self.y.nrows != self.m or self.y.ncols != self.m + self.k:
+            raise ValueError(
+                f"y_init matrix is {self.y.nrows}x{self.y.ncols}, "
+                f"expected {self.m}x{self.m + self.k}"
+            )
 
     @classmethod
     def from_json(cls, obj: dict) -> "YInitDoc":
@@ -121,7 +132,7 @@ class YInitDoc:
             if not isinstance(obj.get(name), kind) or isinstance(obj[name], bool):
                 raise ValueError(f"y_init field {name!r} missing or not {kind.__name__}")
         try:
-            y = YMatrix.from_json(obj["y"])
+            y = BitMatrix.from_json(obj["y"])
         except (KeyError, TypeError) as e:
             raise ValueError(f"y_init field 'y' is malformed: {e!r}") from None
         return cls(y=y, **{name: obj[name] for name, _ in _YINIT_FIELDS[:-1]})
@@ -150,11 +161,6 @@ def load_y_init(path: str | None = None) -> YInitDoc:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     doc = YInitDoc.from_json(json.loads(text))
-    if doc.y.m != doc.m or doc.y.width != doc.m + doc.k:
-        raise ValueError(
-            f"y_init matrix is {doc.y.m}x{doc.y.width}, "
-            f"expected {doc.m}x{doc.m + doc.k}"
-        )
     if path is None:
         _shipped = doc
     return doc
@@ -162,63 +168,48 @@ def load_y_init(path: str | None = None) -> YInitDoc:
 
 @dataclass
 class KdfcParams:
-    """Everything that determines a keystream: key, IV, and pipeline inputs.
+    """Everything that determines a keystream: key, IV and the Y-init document.
 
-    k is the offline iteration count; the remaining ONLINE_TOTAL - k
-    iterations draw their fill bits from captured FSM words, so they must
-    number at most 32.  y_init defaults to the offline matrix of _doc, the
-    shipped document unless one is given there; the document's provenance
-    is checked against the active polynomial table and k.  A bare y_init
-    matrix skips those checks.  p512 defaults to TARGET_POLY, and discard
-    to 32 output vectors after the configuration swap.
+    y_init defaults to the shipped document.  Its k is the offline
+    iteration count; the remaining ONLINE_TOTAL - k iterations draw their
+    fill bits from captured FSM words, so they number at most 32.  discard
+    output vectors (default 32) are dropped after the configuration swap.
     """
 
     key: list[int]
     iv: list[int]
-    k: int = DEFAULT_K
-    y_init: YMatrix | None = None
-    table: PrimitiveTable | None = None
-    p512: Gf2Poly | None = None
+    y_init: YInitDoc | None = None
     discard: int = 32
     verify_config: bool = True
-    _doc: YInitDoc | None = field(default=None, repr=False)
 
-    def resolve(self) -> tuple[YMatrix, PrimitiveTable, Gf2Poly]:
-        """Fill defaults and cross-check dimensions and provenance."""
-        table = self.table if self.table is not None else default_table()
-        p = self.p512 if self.p512 is not None else target_poly()
-        if p.degree != M * B:
-            raise ValueError(f"p512 must have degree {M * B}, got {p.degree}")
-        y = self.y_init
-        if y is None:
-            doc = self._doc if self._doc is not None else load_y_init()
-            self._doc = doc
-            if doc.poly_table_sha256 != table.checksum:
-                raise ProvenanceError(
-                    "y_init was built with polynomial table "
-                    f"{doc.poly_table_sha256[:12]}..., but the active table "
-                    f"is {table.checksum[:12]}..."
-                )
-            if doc.k != self.k:
-                raise ValueError(
-                    f"y_init file provides k={doc.k}, params ask for k={self.k}"
-                )
-            y = doc.y
-        if y.m != M:
-            raise ValueError(f"y_init must have {M} rows, got {y.m}")
-        if y.width != M + self.k:
-            raise ValueError(
-                f"y_init width {y.width} does not match k={self.k}"
+    def resolve(self) -> YInitDoc:
+        """The Y-init document to derive from, checked against this build.
+
+        The one place a document is checked before a keyed derivation: its
+        polynomial-table checksum against the active table, m against M
+        and the k window; YInitDoc itself guarantees Y is m x (m + k).
+        """
+        doc = self.y_init if self.y_init is not None else load_y_init()
+        if not isinstance(doc, YInitDoc):
+            raise TypeError(f"y_init must be a YInitDoc, got {type(doc).__name__}")
+        table = default_table()
+        if doc.poly_table_sha256 != table.checksum:
+            raise ProvenanceError(
+                "y_init was built with polynomial table "
+                f"{doc.poly_table_sha256[:12]}..., but the active table "
+                f"is {table.checksum[:12]}..."
             )
-        online = ONLINE_TOTAL - self.k
+        if doc.m != M:
+            raise ValueError(f"y_init must have {M} rows, got {doc.m}")
+        online = ONLINE_TOTAL - doc.k
         if not 0 <= online <= 32:
             raise ValueError(
-                f"k={self.k} leaves {online} online iterations; "
+                f"y_init k={doc.k} leaves {online} online iterations; "
                 "need between 0 and 32"
             )
         if self.discard < 0:
             raise ValueError("discard must be non-negative")
-        return y, table, p
+        return doc
 
 
 def kdfc_init(params: KdfcParams) -> CipherState:
@@ -228,17 +219,17 @@ def kdfc_init(params: KdfcParams) -> CipherState:
     configuration, capturing each cycle's FSM output word; (2) the last
     ONLINE_TOTAL - k words feed the online pipeline iterations, bit t of
     a word filling row t (the active row's bit is unused); (3) the
-    pipeline emits a configuration with characteristic polynomial p512;
-    (4) the configuration is swapped in with register contents kept;
-    (5) `discard` output vectors are dropped.
+    pipeline emits a configuration with characteristic polynomial
+    target_poly(); (4) the configuration is swapped in with register
+    contents kept; (5) `discard` output vectors are dropped.
     """
-    y, table, p = params.resolve()
-    online = ONLINE_TOTAL - params.k
+    doc = params.resolve()
+    online = ONLINE_TOTAL - doc.k
     state, captures = init_with_captures(params.key, params.iv)
     words = captures[len(captures) - online:] if online else []
-    fill = FillBits.from_words(M, words, first_iteration=params.k + 1)
+    fill = FillBits.from_words(M, words, first_iteration=doc.k + 1)
     cfg = generate_config(
-        M, B, p, y, fill, verify=params.verify_config, table=table
+        M, B, target_poly(), doc.y, fill, verify=params.verify_config
     )
     state = reconfigure(state, cfg)
     if params.discard:

@@ -19,7 +19,8 @@ and stacked state vectors place block i at bit positions [i*m, (i+1)*m).
 The one stepping route is step_stacked on stacked states, through byte
 tables built only for the nonzero gains (SNOW 2.0 has 3 of 16, so 12
 lookups per step instead of 64; a dense configuration keeps all 16).  The
-per-object reference step it is tested against lives in tests/oracles.py.
+per-object reference step it is tested against, the transition matrix and
+the read-back of gains from a configuration matrix live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ __all__ = [
     "NotMCompanionError",
     "PeriodGuardError",
     "build_config_matrix",
-    "build_transition_matrix",
-    "extract_config",
     "step_stacked",
     "period",
 ]
@@ -181,45 +180,6 @@ def build_config_matrix(cfg: SigmaConfig) -> BitMatrix:
     return BitMatrix(rows, n)
 
 
-def build_transition_matrix(cfg: SigmaConfig) -> BitMatrix:
-    """State-update matrix: stacked_next = stacked * T for one step_stacked."""
-    m, b = cfg.m, cfg.b
-    n = m * b
-    rows = [0] * n
-    for i in range(b):
-        for r in range(m):
-            acc = cfg.gains[i].rows[r] << ((b - 1) * m)
-            if i > 0:
-                # identity on the block sub-diagonal: block i shifts to i-1
-                acc ^= 1 << ((i - 1) * m + r)
-            rows[i * m + r] = acc
-    return BitMatrix(rows, n)
-
-
-def extract_config(c: BitMatrix, m: int) -> SigmaConfig:
-    """Recover gains from a configuration matrix; reject other structures."""
-    if not c.is_square():
-        raise NotMCompanionError("matrix is not square")
-    n = c.nrows
-    if m < 1 or n % m:
-        raise NotMCompanionError(f"size {n} not a multiple of m={m}")
-    b = n // m
-    if b > 1:
-        for j in range(b - 1):
-            shift = (j + 1) * m
-            for r in range(m):
-                if c.rows[j * m + r] != 1 << (shift + r):
-                    raise NotMCompanionError(
-                        f"block row {j} is not a super-diagonal identity block"
-                    )
-    gains = []
-    mask = (1 << m) - 1
-    for i in range(b):
-        rows = [(c.rows[(b - 1) * m + r] >> (i * m)) & mask for r in range(m)]
-        gains.append(BitMatrix(rows, m))
-    return SigmaConfig(m, b, gains)
-
-
 def step_stacked(cfg: SigmaConfig, v: int) -> int:
     """One shift of a stacked mb-bit state, feedback via byte_tables."""
     m = cfg.m
@@ -262,18 +222,17 @@ def config_char_poly(cfg: SigmaConfig) -> Gf2Poly:
     equal and f is the answer; this always holds when the characteristic
     polynomial is irreducible.  Otherwise (zero gains, a non-cyclic
     configuration, or e_0 not a cyclic vector) the dense char_poly of the
-    configuration matrix decides.  The stepping uses a throwaway copy of
-    cfg, so the byte tables it builds are not kept on cfg.
+    configuration matrix decides.  The stepping builds cfg's byte tables,
+    which stay cached on cfg for the keystream that follows.
     """
     from kdfc_snow.gf2.linalg import berlekamp_massey, char_poly
 
     n = cfg.m * cfg.b
-    scratch = SigmaConfig(cfg.m, cfg.b, cfg.gains)
     bits = []
     v = 1
     for _ in range(2 * n):
         bits.append(v & 1)
-        v = step_stacked(scratch, v)
+        v = step_stacked(cfg, v)
     f = berlekamp_massey(bits)
     if f.degree == n:
         return f

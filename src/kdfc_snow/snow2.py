@@ -26,7 +26,7 @@ LFSR state.
 from __future__ import annotations
 
 from kdfc_snow.gf2.linalg import BitMatrix
-from kdfc_snow.gf2.poly import Gf2Poly, _mulmod_int, powmod
+from kdfc_snow.gf2.poly import _mulmod_int
 from kdfc_snow.sigma_lfsr import LfsrState, SigmaConfig, step_stacked
 
 __all__ = [
@@ -50,20 +50,39 @@ MASK32 = 0xFFFFFFFF
 
 # ---------------------------------------------------------------------------
 # byte fields: F_{2^8} = F_2[beta] / (x^8 + x^7 + x^5 + x^3 + 1) for the LFSR,
-# the Rijndael field for the S-box; products are _mulmod_int(a, b, mod)
+# the Rijndael field for the S-box; each gets one log/antilog table pass
 
 _BETA_POLY = 0x1A9  # x^8 + x^7 + x^5 + x^3 + 1
 _AES_POLY = 0x11B  # x^8 + x^4 + x^3 + x + 1
 
 
-def _fpow(a: int, e: int, mod: int) -> int:
-    """a^e in the byte field F_2[x]/mod."""
-    return powmod(Gf2Poly(a), e, Gf2Poly(mod)).coeffs
+def _log_tables(mod: int, gen: int) -> tuple[list[int], list[int]]:
+    """(exp, log) of the byte field F_2[x]/mod over the generator gen.
+
+    exp[i] = gen^i for i in [0, 510), so exp[log a + log b] = a * b needs
+    no reduction mod 255; log[gen^i] = i for i in [0, 255).
+    """
+    exp = [0] * 510
+    log = [0] * 256
+    x = 1
+    for i in range(255):
+        exp[i] = exp[i + 255] = x
+        log[x] = i
+        x = _mulmod_int(x, gen, mod)
+    return exp, log
 
 
-_BETA = 0x02
-# alpha^4 coefficient row of G_S, highest power first
-_G_COEFFS = tuple(_fpow(_BETA, e, _BETA_POLY) for e in (23, 245, 48, 239))
+_BETA_EXP, _BETA_LOG = _log_tables(_BETA_POLY, 0x02)  # beta = x generates
+_AES_EXP, _AES_LOG = _log_tables(_AES_POLY, 0x03)  # x + 1 generates
+
+
+def _times(a: int, b: int, exp: list[int], log: list[int]) -> int:
+    """a * b in the byte field of (exp, log)."""
+    return exp[log[a] + log[b]] if a and b else 0
+
+
+# alpha^4 coefficient row of G_S, highest power first: beta^23, ...
+_G_COEFFS = tuple(_BETA_EXP[e] for e in (23, 245, 48, 239))
 
 # ---------------------------------------------------------------------------
 # multiplication by alpha / alpha^{-1} on packed words
@@ -73,27 +92,24 @@ def _pack(c3: int, c2: int, c1: int, c0: int) -> int:
     return (c3 << 24) | (c2 << 16) | (c1 << 8) | c0
 
 
-_MUL_A = []
-_MUL_AINV = []
+def _alpha_table(coeffs: tuple[int, ...]) -> list[int]:
+    """c * (k3 alpha^3 + k2 alpha^2 + k1 alpha + k0), packed, for every byte c."""
+    return [
+        _pack(*[_times(c, k, _BETA_EXP, _BETA_LOG) for k in coeffs])
+        for c in range(256)
+    ]
 
 
-def _build_alpha_tables() -> None:
-    def times(c: int, coeffs: tuple[int, ...]) -> int:
-        # c * (k3 alpha^3 + k2 alpha^2 + k1 alpha + k0), packed
-        return _pack(*[_mulmod_int(c, k, _BETA_POLY) for k in coeffs])
-
+def _alpha_inv_coeffs() -> tuple[int, ...]:
+    """alpha^{-1} = g0^{-1} (alpha^3 + g3 alpha^2 + g2 alpha + g1)."""
     g3, g2, g1, g0 = _G_COEFFS
-    for c in range(256):
-        # c * alpha^4 reduced: c*(g3 a^3 + g2 a^2 + g1 a + g0)
-        _MUL_A.append(times(c, _G_COEFFS))
-    # alpha^{-1} = g0^{-1} (alpha^3 + g3 alpha^2 + g2 alpha + g1)
-    i3 = _fpow(g0, 254, _BETA_POLY)
-    i2, i1, i0 = (_mulmod_int(i3, g, _BETA_POLY) for g in (g3, g2, g1))
-    for c in range(256):
-        _MUL_AINV.append(times(c, (i3, i2, i1, i0)))
+    i3 = _BETA_EXP[255 - _BETA_LOG[g0]]
+    return (i3, *(_times(i3, g, _BETA_EXP, _BETA_LOG) for g in (g3, g2, g1)))
 
 
-_build_alpha_tables()
+# c * alpha^4 reduced: c*(g3 a^3 + g2 a^2 + g1 a + g0)
+_MUL_A = _alpha_table(_G_COEFFS)
+_MUL_AINV = _alpha_table(_alpha_inv_coeffs())
 
 
 def alpha_mul(w: int) -> int:
@@ -134,13 +150,11 @@ def _aes_sbox_table() -> list[int]:
     table = []
     for v in range(256):
         # multiplicative inverse (0 -> 0), then the AES affine transform
-        inv = 0 if v == 0 else _fpow(v, 254, _AES_POLY)
+        # b ^ rotl(b, 1) ^ rotl(b, 2) ^ rotl(b, 3) ^ rotl(b, 4) ^ 0x63
+        inv = _AES_EXP[255 - _AES_LOG[v]] if v else 0
         out = 0x63
-        for i in range(8):
-            bit = 0
-            for k in (0, 4, 5, 6, 7):
-                bit ^= (inv >> ((i + k) % 8)) & 1
-            out ^= bit << i
+        for r in range(5):
+            out ^= ((inv << r) | (inv >> (8 - r))) & 0xFF
         table.append(out)
     return table
 
@@ -149,23 +163,17 @@ _SR = _aes_sbox_table()
 
 # Combined SubBytes+MixColumn lookup per byte lane: lane k feeds MixColumn
 # input position k (low byte = position 0 = first row of the matrix).
-_STAB = []
-
-
-def _build_stables() -> None:
-    rows = ((2, 3, 1, 1), (1, 2, 3, 1), (1, 1, 2, 3), (3, 1, 1, 2))
-    for lane in range(4):
-        t = []
-        for v in range(256):
-            s = _SR[v]
-            word = 0
-            for out_pos in range(4):
-                word |= _mulmod_int(rows[out_pos][lane], s, _AES_POLY) << (8 * out_pos)
-            t.append(word)
-        _STAB.append(t)
-
-
-_build_stables()
+_MIX_ROWS = ((2, 3, 1, 1), (1, 2, 3, 1), (1, 1, 2, 3), (3, 1, 1, 2))
+_STAB = [
+    [
+        sum(
+            _times(_MIX_ROWS[pos][lane], s, _AES_EXP, _AES_LOG) << (8 * pos)
+            for pos in range(4)
+        )
+        for s in _SR
+    ]
+    for lane in range(4)
+]
 
 
 def sbox_s(w: int) -> int:

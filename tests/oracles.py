@@ -38,6 +38,11 @@ route than the package:
 * dense_char_poly takes the characteristic polynomial of the built
   configuration matrix by elimination, instead of the package's
   Berlekamp-Massey certificate on a stepped sequence.
+
+The package has no production use for the matrix helpers at the end of
+this file (companion_matrix, krylov_matrix, solve_row, linear_complexity,
+reciprocal, build_transition_matrix, extract_config); they serve the
+oracles above and the tests.
 """
 
 from __future__ import annotations
@@ -297,7 +302,7 @@ def krylov_lambda(c_row: int, a, n: int):
     BitMatrix Lambda = sum_j y_j A^j with c Lambda = e_1 (top coordinate
     convention of the pipeline: e_1 = 1 << (n - 1)).
     """
-    from kdfc_snow.gf2.linalg import BitMatrix, mat_mul, mat_vec_mul, solve_row
+    from kdfc_snow.gf2.linalg import BitMatrix, mat_mul, mat_vec_mul
 
     rows = []
     v = c_row
@@ -317,7 +322,6 @@ def krylov_lambda(c_row: int, a, n: int):
 def dense_assemble(q, p, m: int):
     """Gains of C = Q * companion(p) * Q^{-1}, with C formed in full."""
     from kdfc_snow.gf2.linalg import BitMatrix, companion_vec_mul, mat_inverse, mat_mul
-    from kdfc_snow.sigma_lfsr import extract_config
 
     qp = BitMatrix([companion_vec_mul(r, p) for r in q.rows], q.nrows)
     return extract_config(mat_mul(qp, mat_inverse(q)), m)
@@ -350,7 +354,6 @@ def lfsr_step(cfg, s):
 def orbit_of(cfg, s0) -> list[int]:
     """Stacked states visited from s0 until it recurs, via the transition matrix."""
     from kdfc_snow.gf2.linalg import mat_vec_mul
-    from kdfc_snow.sigma_lfsr import build_transition_matrix
 
     t = build_transition_matrix(cfg)
     start = s0.stacked()
@@ -381,3 +384,135 @@ def clock_oracle(key, iv, cfg, n):
         s, out = lfsr_step(cfg, s)
         words.append(f ^ out)
     return init_f, words
+
+
+# ---------------------------------------------------------------------------
+# matrix helpers used only by the oracles above and the tests
+
+def companion_matrix(p):
+    """Companion matrix P of a monic polynomial, row-vector convention.
+
+    P has ones on the subdiagonal (P[j+1, j] = 1) and last column
+    (c_0, ..., c_{b-1}) where p(x) = x^b + sum c_j x^j, so that
+    (x_n, ..., x_{n+b-1}) * P = (x_{n+1}, ..., x_{n+b}).
+    """
+    from kdfc_snow.gf2.linalg import BitMatrix
+
+    b = p.degree
+    if b < 1:
+        raise ValueError("companion matrix needs degree >= 1")
+    top = 1 << (b - 1)
+    rows = []
+    for i in range(b):
+        r = (1 << (i - 1)) if i >= 1 else 0
+        if (p.coeffs >> i) & 1:
+            r |= top
+        rows.append(r)
+    return BitMatrix(rows, b)
+
+
+def krylov_matrix(c: int, a, k: int):
+    """Rows c, c*a, c*a^2, ..., c*a^(k-1)."""
+    from kdfc_snow.gf2.linalg import BitMatrix, DimensionError, mat_vec_mul
+
+    if not a.is_square():
+        raise DimensionError("Krylov iteration needs a square matrix")
+    if c >> a.nrows:
+        raise DimensionError("vector longer than matrix size")
+    rows = []
+    cur = c
+    for _ in range(k):
+        rows.append(cur)
+        cur = mat_vec_mul(cur, a)
+    return BitMatrix(rows, a.ncols)
+
+
+def solve_row(m, v: int) -> int:
+    """Solve ``y * m == v`` for a row vector y.
+
+    Deterministic: free variables are fixed to 0 (the returned combination
+    uses pivot rows only).  Raises NoSolutionError when v is outside the
+    row space of m.
+    """
+    from kdfc_snow.gf2.linalg import DimensionError, NoSolutionError, _echelon
+
+    if v >> m.ncols:
+        raise DimensionError("right-hand side longer than matrix column count")
+    n = m.nrows
+    work = [m.rows[i] | (1 << (m.ncols + i)) for i in range(n)]
+    pivots = _echelon(work, m.ncols)
+    lowmask = (1 << m.ncols) - 1
+    target = v
+    y = 0
+    for col, i in pivots:
+        if (target >> col) & 1:
+            target ^= work[i] & lowmask
+            y ^= work[i] >> m.ncols
+    if target:
+        raise NoSolutionError("vector is outside the row space")
+    return y
+
+
+def linear_complexity(bits) -> int:
+    """Length of the shortest LFSR generating the sequence (0 when empty)."""
+    from kdfc_snow.gf2.linalg import berlekamp_massey
+
+    return berlekamp_massey(bits).degree if len(bits) else 0
+
+
+def reciprocal(p):
+    """x^deg(p) * p(1/x): the coefficient sequence reversed.
+
+    Requires a nonzero constant term so the degree is preserved (otherwise
+    the reversal would silently drop leading zeros).
+    """
+    from kdfc_snow.gf2.poly import Gf2Poly
+
+    d = p.degree
+    if d < 0 or not p.coeff(0):
+        raise ValueError("reciprocal needs a nonzero constant term")
+    return Gf2Poly.from_exponents(d - e for e in p.exponents())
+
+
+def build_transition_matrix(cfg):
+    """State-update matrix: stacked_next = stacked * T for one step_stacked."""
+    from kdfc_snow.gf2.linalg import BitMatrix
+
+    m, b = cfg.m, cfg.b
+    n = m * b
+    rows = [0] * n
+    for i in range(b):
+        for r in range(m):
+            acc = cfg.gains[i].rows[r] << ((b - 1) * m)
+            if i > 0:
+                # identity on the block sub-diagonal: block i shifts to i-1
+                acc ^= 1 << ((i - 1) * m + r)
+            rows[i * m + r] = acc
+    return BitMatrix(rows, n)
+
+
+def extract_config(c, m: int):
+    """Recover gains from a configuration matrix; reject other structures."""
+    from kdfc_snow.gf2.linalg import BitMatrix
+    from kdfc_snow.sigma_lfsr import NotMCompanionError, SigmaConfig
+
+    if not c.is_square():
+        raise NotMCompanionError("matrix is not square")
+    n = c.nrows
+    if m < 1 or n % m:
+        raise NotMCompanionError(f"size {n} not a multiple of m={m}")
+    b = n // m
+    if b > 1:
+        for j in range(b - 1):
+            shift = (j + 1) * m
+            for r in range(m):
+                if c.rows[j * m + r] != 1 << (shift + r):
+                    raise NotMCompanionError(
+                        f"block row {j} is not a super-diagonal identity block"
+                    )
+    gains = []
+    mask = (1 << m) - 1
+    for i in range(b):
+        rows = [(c.rows[(b - 1) * m + r] >> (i * m)) & mask for r in range(m)]
+        gains.append(BitMatrix(rows, m))
+    return SigmaConfig(m, b, gains)

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import pytest
 
 from conftest import KAT_IV, KAT_KEY
-from oracles import char_poly_sympy, lfsr_step, orbit_of
+from oracles import char_poly_sympy, lfsr_step, orbit_of, reciprocal
 
 from kdfc_snow.attacks import (
     build_snow2_tables,
@@ -32,7 +32,7 @@ from kdfc_snow.confgen import (
     y_offline,
 )
 from kdfc_snow.gf2.linalg import BitMatrix
-from kdfc_snow.gf2.poly import Gf2Poly, is_primitive, reciprocal
+from kdfc_snow.gf2.poly import Gf2Poly, is_primitive
 from kdfc_snow.kdfc import KdfcParams, kdfc_init, kdfc_keystream, target_poly
 from kdfc_snow.sigma_lfsr import (
     LfsrState,

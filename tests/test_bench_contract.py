@@ -87,3 +87,28 @@ def test_traced_run_records_the_engine_spans(bench, monkeypatch):
     assert tracer.calls("sigma_lfsr.step_stacked") == 32 + 8 + 32
     assert snow2.step_stacked.__name__ == "step_stacked"
     assert not hasattr(snow2.step_stacked, "__wrapped__")
+
+
+def test_perfbench_call_shapes():
+    """The library calls perfbench/run.py makes, with its argument shapes."""
+    from kdfc_snow import confgen, kdfc
+    from kdfc_snow.sigma_lfsr import config_char_poly
+
+    # config-gen's seeded(): what `kdfc-snow gen-config` runs with k = 0
+    m, nb, seed = 4, 4, "shapes"
+    offline = confgen.FillBits.from_seed(m, 0, seed, "offline-fill")
+    online = confgen.FillBits.from_seed(m, m * nb - m, seed, "online-fill")
+    y = confgen.y_offline(m, nb, 0, offline)
+    poly = confgen.pipeline_poly(m * nb)
+    cfg = confgen.generate_config(m, nb, poly, y, online)
+    assert config_char_poly(cfg) == poly
+
+    # the y_init rebuild is compared with `==` against the shipped matrix,
+    # so both must be of one type (a BitMatrix)
+    rebuilt = confgen.y_offline(m, nb, 3, confgen.FillBits.from_seed(m, 3, seed, "x"))
+    assert type(rebuilt) is type(kdfc.load_y_init().y)
+
+    # keyed-init's derive(), with the library verify off
+    state = kdfc.kdfc_init(kdfc.KdfcParams(key=KAT_KEY, iv=KAT_IV, verify_config=False))
+    assert config_char_poly(state.cfg) == kdfc.target_poly()
+    assert len(kdfc.kdfc_keystream(state, 8)) == 8

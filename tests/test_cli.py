@@ -17,6 +17,7 @@ from conftest import KAT_IV, KAT_KEY
 
 from kdfc_snow.cli import main
 from kdfc_snow.confgen import pipeline_poly
+from kdfc_snow.gf2.linalg import BitMatrix
 from kdfc_snow.kdfc import TARGET_POLY_EXPONENTS, load_y_init
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -246,6 +247,24 @@ class TestYInitDocument:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "'k' missing or not int" in err
 
+    def test_k_outside_the_online_window(self, capsys, tmp_path):
+        # the document's k is the only k; 447 would need 33 captured words
+        doc = load_y_init().to_json()
+        doc["k"] = 447
+        doc["y"] = BitMatrix([1 << t for t in range(32)], 479).to_json()
+        code, out, err = self.stream(capsys, tmp_path, doc)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "k=447" in err
+
+    @pytest.mark.parametrize("sub", ["init", "stream", "dump-config"])
+    def test_kdfc_commands_take_no_k(self, capsys, sub):
+        argv = ["kdfc", sub, "--key", KAT_KEY_HEX, "--iv", KAT_IV_HEX, "--k", "468"]
+        if sub == "stream":
+            argv += ["-n", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
 
 class TestGenConfig:
     def test_char_poly_is_prescribed(self, capsys):
@@ -324,6 +343,32 @@ class TestAnalyze:
         )
         assert code == 0
         assert out == "eps_final_log2 = -6653.5\nkeystream_log2 = 13307.0\n"
+
+    @pytest.mark.parametrize("eps", ["nan", "-inf"])
+    def test_bias_rejects_non_finite(self, capsys, eps):
+        code, out, err = run(
+            capsys, "analyze", "bias", f"--eps-log2={eps}", "--taps", "250",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "finite" in err
+
+    def test_bias_rejects_taps_beyond_float_range(self, capsys):
+        code, out, err = run(
+            capsys, "analyze", "bias", "--eps-log2", "-1", "--taps", "1" + "0" * 400,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "too large" in err
+
+    def test_linearization_work_is_bounded(self):
+        # in a child process, so that an unbounded count fails on the timeout
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "kdfc_snow.cli", "analyze", "linearization",
+             "--n", "100000000", "--degree", "50000000"],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "too large" in proc.stderr
 
     def test_linearization_exact(self, capsys):
         code, out, _ = run(

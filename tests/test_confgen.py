@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import KAT_IV, KAT_KEY
-from oracles import dense_assemble, krylov_lambda, triangular_unembed
+from oracles import companion_matrix, dense_assemble, krylov_lambda, triangular_unembed
 
 from kdfc_snow import confgen, kdfc
 from kdfc_snow.confgen import (
     FillBits,
     RankLossError,
-    YMatrix,
     assemble_config,
     brute_force_count,
     build_q,
@@ -29,7 +28,6 @@ from kdfc_snow.gf2.linalg import (
     BitMatrix,
     DimensionError,
     SingularMatrixError,
-    companion_matrix,
     companion_vec_mul,
     mat_vec_mul,
     rank,
@@ -57,7 +55,7 @@ def final_y(m, b, seed, y=None, k=0):
         y = y_iterate(y, i, pipeline_poly(m + i - 1), online.vectors[i - k - 1])
     last_active = total % m
     order = [(last_active + 1 + t) % m for t in range(m)]
-    return YMatrix(m, y.width, [y.rows[t] for t in order])
+    return BitMatrix([y.rows[t] for t in order], y.ncols)
 
 
 def flip_gain_bit(monkeypatch, gain, row, bit):
@@ -106,11 +104,13 @@ class TestFillBits:
 
 
 class TestYMatrix:
+    """Y is a plain BitMatrix."""
+
     def test_roundtrips(self):
-        y = YMatrix.from_bitmatrix(BitMatrix.identity(3))
-        assert y.to_bitmatrix() == BitMatrix.identity(3)
-        assert YMatrix.from_json(y.to_json()).rows == y.rows
-        assert y.is_full_rank()
+        y = y_offline(3, 2, 2, FillBits.from_seed(3, 2, "roundtrip"))
+        assert type(y) is BitMatrix and (y.nrows, y.ncols) == (3, 5)
+        assert BitMatrix.from_json(y.to_json()) == y
+        assert rank(y) == 3
 
 
 class TestPipelinePoly:
@@ -126,15 +126,15 @@ class TestIteration:
         w = m + i - 1
         # grow a random full-rank width-w start
         while True:
-            y = YMatrix(m, w, [rng.getrandbits(w) for _ in range(m)])
-            if y.is_full_rank() and all(y.rows):
+            y = BitMatrix([rng.getrandbits(w) for _ in range(m)], w)
+            if rank(y) == m and all(y.rows):
                 break
         fill = rng.getrandbits(m - 1)
         out = y_iterate(y, i, pipeline_poly(w), fill)
         active = i % m
-        assert out.width == w + 1
+        assert out.ncols == w + 1
         assert out.rows[active] == 1 << w
-        assert out.is_full_rank()
+        assert rank(out) == m
         # non-active rows carry their fill bit at the new coordinate
         pos = 0
         for t in range(m):
@@ -151,8 +151,8 @@ class TestIteration:
         active = i % m
         for _ in range(5):
             while True:
-                y = YMatrix(m, w, [rng.getrandbits(w) for _ in range(m)])
-                if y.is_full_rank():
+                y = BitMatrix([rng.getrandbits(w) for _ in range(m)], w)
+                if rank(y) == m:
                     break
             lam_krylov = krylov_lambda(y.rows[active], companion_matrix(p), w)
             out = y_iterate(y, i, p, rng.getrandbits(m - 1))
@@ -166,17 +166,19 @@ class TestIteration:
                     assert out.rows[t] & low == mat_vec_mul(y.rows[t], lam_krylov)
 
     def test_stage_degree_must_match_width(self):
-        y = YMatrix.from_bitmatrix(BitMatrix.identity(3))
+        y = BitMatrix.identity(3)
         with pytest.raises(DimensionError):
             y_iterate(y, 1, pipeline_poly(4), 0)
 
-    def test_rank_loss_on_bad_init(self):
+    def test_rank_loss_on_dependent_rows(self):
+        # rows 0 and 2 are equal and neither is active (i = 1 -> row 1)
+        y = BitMatrix([0b001, 0b010, 0b001], 3)
         with pytest.raises(RankLossError):
-            y_offline(2, 2, 0, FillBits(2, []), init=BitMatrix.zeros(2, 2))
+            y_iterate(y, 1, pipeline_poly(3), 0)
 
     def test_offline_k0_is_identity(self):
         y = y_offline(3, 2, 0, FillBits(3, []))
-        assert y.to_bitmatrix() == BitMatrix.identity(3)
+        assert y == BitMatrix.identity(3)
 
     def test_offline_needs_enough_fill(self):
         with pytest.raises(ValueError):
@@ -195,7 +197,7 @@ class TestQAndAssembly:
             cur = [companion_vec_mul(r, poly) for r in cur]
 
     def test_build_q_validates_degree(self):
-        y = YMatrix.from_bitmatrix(BitMatrix.identity(2))
+        y = BitMatrix.identity(2)
         with pytest.raises(DimensionError):
             build_q(y, pipeline_poly(4))
 
@@ -218,7 +220,7 @@ class TestQAndAssembly:
         # with random rows Q is often singular; both routes must then refuse it
         n = m * b
         p = pipeline_poly(n)
-        q = build_q(YMatrix(m, n, [rng.getrandbits(n) for _ in range(m)]), p)
+        q = build_q(BitMatrix([rng.getrandbits(n) for _ in range(m)], n), p)
         try:
             want = dense_assemble(q, p, m)
         except SingularMatrixError:
@@ -312,7 +314,7 @@ class TestGenerateConfig:
         rng = random.Random(dependent)
         r0 = rng.getrandbits(n)
         r1 = r0 if dependent == "equal" else companion_vec_mul(r0, p)
-        y = YMatrix(m, n, [r0, r1, rng.getrandbits(n), rng.getrandbits(n)])
+        y = BitMatrix([r0, r1, rng.getrandbits(n), rng.getrandbits(n)], n)
         with pytest.raises(SingularMatrixError):
             generate_config(m, b, p, y, FillBits(m, []))
 

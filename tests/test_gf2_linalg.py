@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import char_poly_sympy, gf2_matmul_numpy
+from oracles import (
+    char_poly_sympy,
+    companion_matrix,
+    gf2_matmul_numpy,
+    krylov_matrix,
+    linear_complexity,
+    solve_row,
+)
 
 from kdfc_snow.gf2.linalg import (
     BitMatrix,
@@ -15,16 +22,12 @@ from kdfc_snow.gf2.linalg import (
     SingularMatrixError,
     berlekamp_massey,
     char_poly,
-    companion_matrix,
     companion_vec_mul,
     determinant,
-    krylov_matrix,
-    linear_complexity,
     mat_inverse,
     mat_mul,
     mat_vec_mul,
     rank,
-    solve_row,
     vec_from_hex,
     vec_to_hex,
 )

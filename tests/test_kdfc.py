@@ -1,15 +1,17 @@
 """Key-dependent configuration cipher: derivation, provenance, keystream."""
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
 from conftest import KAT_IV, KAT_KEY
-from oracles import lfsr_step
+from oracles import lfsr_step, reciprocal
 
 from kdfc_snow.confgen import FillBits, pipeline_poly, y_iterate, y_offline
-from kdfc_snow.gf2.poly import is_irreducible, reciprocal
+from kdfc_snow.gf2.linalg import BitMatrix, rank
+from kdfc_snow.gf2.poly import is_irreducible
 from kdfc_snow.gf2.primtable import default_table
 from kdfc_snow.kdfc import (
     B,
@@ -39,6 +41,18 @@ KEYED_KAT = [
     0x4668F2B6, 0x8C1F8CC4, 0xB770CB47, 0x4CB1AF7A,
     0x99F903A7, 0x7DC2E350, 0xEB1F0C19, 0xEFE0DA38,
 ]
+
+
+def doc_for(y, k, checksum=None):
+    """A Y-init document for y, by default carrying the active table's checksum."""
+    return YInitDoc(
+        m=y.nrows,
+        k=k,
+        seed="test",
+        fill_label="test",
+        poly_table_sha256=checksum or default_table().checksum,
+        y=y,
+    )
 
 
 class TestTargetPoly:
@@ -72,8 +86,8 @@ class TestYInit:
         assert doc.m == M == 32 and doc.k == DEFAULT_K == 468
         assert doc.seed == "kdfc-snow-y-init-v1"
         assert doc.fill_label == "offline-fill"
-        assert doc.y.width == M + DEFAULT_K
-        assert doc.y.is_full_rank()
+        assert doc.y.ncols == M + DEFAULT_K
+        assert rank(doc.y) == M
         assert doc.poly_table_sha256 == default_table().checksum
 
     def test_json_roundtrip(self, tmp_path):
@@ -102,7 +116,7 @@ class TestYInit:
             poly_table_sha256="0" * 64,
             y=doc.y,
         )
-        params = KdfcParams(key=[0] * 8, iv=[0] * 4, _doc=tampered)
+        params = KdfcParams(key=[0] * 8, iv=[0] * 4, y_init=tampered)
         with pytest.raises(ProvenanceError):
             params.resolve()
 
@@ -155,11 +169,6 @@ class TestYInit:
         with pytest.raises(ValueError, match="JSON object"):
             YInitDoc.from_json([obj])
 
-    def test_k_file_mismatch(self):
-        params = KdfcParams(key=[0] * 8, iv=[0] * 4, k=460, _doc=load_y_init())
-        with pytest.raises(ValueError):
-            params.resolve()
-
 
 class TestParams:
     def test_constants(self):
@@ -169,26 +178,60 @@ class TestParams:
         assert 0 <= ONLINE_TOTAL - DEFAULT_K <= 32
 
     def test_k_window(self):
-        from kdfc_snow.confgen import YMatrix
-
         # resolve() checks the window before rank, so placeholder rows do
         rows = [1 << t for t in range(32)]
         ok = KdfcParams(
-            key=[0] * 8, iv=[0] * 4, k=480, y_init=YMatrix(32, 512, rows)
+            key=[0] * 8, iv=[0] * 4, y_init=doc_for(BitMatrix(rows, 512), 480)
         )
         ok.resolve()
         # fewer than 448 offline iterations would need more than the 32
         # captured words that exist
         bad = KdfcParams(
-            key=[0] * 8, iv=[0] * 4, k=447, y_init=YMatrix(32, 479, rows)
+            key=[0] * 8, iv=[0] * 4, y_init=doc_for(BitMatrix(rows, 479), 447)
         )
         with pytest.raises(ValueError):
             bad.resolve()
 
-    def test_bad_degree_p512(self):
-        params = KdfcParams(key=[0] * 8, iv=[0] * 4, p512=pipeline_poly(32))
+    def test_fields(self):
+        names = [f.name for f in dataclasses.fields(KdfcParams)]
+        assert names == ["key", "iv", "y_init", "discard", "verify_config"]
+
+    def test_bare_matrix_refused(self):
+        params = KdfcParams(key=[0] * 8, iv=[0] * 4, y_init=load_y_init().y)
+        with pytest.raises(TypeError, match="YInitDoc"):
+            kdfc_init(params)
+
+    def test_document_dimensions_enforced(self):
+        y = load_y_init().y
+        with pytest.raises(ValueError, match="expected 32x499"):
+            doc_for(y, DEFAULT_K - 1)
+        rows = BitMatrix(y.rows[:31], y.ncols)
+        with pytest.raises(ValueError, match="expected 31x499"):
+            doc_for(rows, DEFAULT_K)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param(dict(checksum="0" * 64), id="checksum"),
+            pytest.param(dict(k=447), id="k-below-window"),
+            pytest.param(dict(k=481), id="k-above-window"),
+            pytest.param(dict(m=31), id="m"),
+        ],
+    )
+    def test_unchecked_document_never_derives(self, monkeypatch, bad):
+        from kdfc_snow import confgen, kdfc
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("generate_config reached")
+
+        monkeypatch.setattr(kdfc, "generate_config", unreachable)
+        monkeypatch.setattr(confgen, "generate_config", unreachable)
+        m = bad.get("m", M)
+        k = bad.get("k", DEFAULT_K)
+        doc = doc_for(BitMatrix([1 << t for t in range(m)], m + k), k,
+                      checksum=bad.get("checksum"))
         with pytest.raises(ValueError):
-            params.resolve()
+            kdfc_init(KdfcParams(key=KAT_KEY, iv=KAT_IV, y_init=doc))
 
     def test_negative_discard(self):
         params = KdfcParams(key=[0] * 8, iv=[0] * 4, discard=-1)
@@ -245,8 +288,8 @@ class TestInit:
         for i in range(469, 481):
             fill = FillBits.from_seed(M, 1, "w", f"x{i}").vectors[0]
             y = y_iterate(y, i, pipeline_poly(M + i - 1), fill)
-        a_st = kdfc_init(KdfcParams(key=[0] * 8, iv=[0] * 4, k=480, y_init=y))
-        b_st = kdfc_init(KdfcParams(key=KAT_KEY, iv=KAT_IV, k=480, y_init=y))
+        a_st = kdfc_init(KdfcParams(key=[0] * 8, iv=[0] * 4, y_init=doc_for(y, 480)))
+        b_st = kdfc_init(KdfcParams(key=KAT_KEY, iv=KAT_IV, y_init=doc_for(y, 480)))
         assert a_st.cfg == b_st.cfg
         assert kdfc_keystream(a_st, 4) != kdfc_keystream(b_st, 4)
 

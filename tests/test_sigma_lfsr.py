@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import char_poly_sympy, dense_char_poly, lfsr_step, orbit_of
+from oracles import (
+    build_transition_matrix,
+    char_poly_sympy,
+    dense_char_poly,
+    extract_config,
+    lfsr_step,
+    orbit_of,
+)
 
 from kdfc_snow.gf2 import linalg
 from kdfc_snow.gf2.linalg import (
@@ -22,9 +29,7 @@ from kdfc_snow.sigma_lfsr import (
     PeriodGuardError,
     SigmaConfig,
     build_config_matrix,
-    build_transition_matrix,
     config_char_poly,
-    extract_config,
     period,
     step_stacked,
 )

@@ -16,6 +16,7 @@ from oracles import (
     Snow2Ref,
     clock_oracle,
     f32_mul,
+    gf8_mul,
     ref_alpha_inv_mul,
     ref_alpha_mul,
     ref_sbox,
@@ -24,6 +25,7 @@ from oracles import (
 )
 
 from kdfc_snow.gf2.linalg import BitMatrix, mat_mul, mat_vec_mul
+from kdfc_snow import snow2
 from kdfc_snow.snow2 import (
     _SR,
     CipherState,
@@ -91,6 +93,24 @@ class TestFieldArithmetic:
             assert mat_vec_mul(w, a) == alpha_mul(w)
             assert mat_vec_mul(w, a_inv) == alpha_inv_mul(w)
         assert mat_mul(a, a_inv) == BitMatrix.identity(32)
+
+
+class TestByteFields:
+    @pytest.mark.parametrize(
+        "exp,log,poly",
+        [
+            (snow2._BETA_EXP, snow2._BETA_LOG, 0x1A9),
+            (snow2._AES_EXP, snow2._AES_LOG, 0x11B),
+        ],
+        ids=["beta", "rijndael"],
+    )
+    def test_log_tables_multiply_like_the_oracle(self, exp, log, poly):
+        assert sorted(exp[:255]) == list(range(1, 256))  # a generator
+        assert exp[255:] == exp[:255]
+        rng = random.Random(poly)
+        for b in [0, 1, 2, 3, 0xFF] + [rng.randrange(256) for _ in range(27)]:
+            for a in range(256):
+                assert snow2._times(a, b, exp, log) == gf8_mul(a, b, poly)
 
 
 class TestSbox:

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from oracles import companion_matrix
+
 from kdfc_snow.gf2.linalg import (
     BitMatrix,
-    companion_matrix,
     companion_vec_mul,
     determinant,
     mat_inverse,
