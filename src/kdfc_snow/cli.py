@@ -45,6 +45,11 @@ from kdfc_snow.snow2 import (
 
 __all__ = ["main", "build_parser"]
 
+#: words per write of `snow2 stream` and `kdfc stream`: a multiple of 16,
+#: and at least JUMP_MIN so that every full chunk streams through the jump
+#: tables
+STREAM_CHUNK = 4096
+
 
 # ---------------------------------------------------------------------------
 # small codecs
@@ -89,8 +94,24 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _stream_words(words: list[int]) -> str:
-    return "\n".join(f"{w:08x}" for w in words)
+def _write_stream(state: CipherState, n: int, out: str | None) -> None:
+    """n keystream words, one hex line each, written STREAM_CHUNK at a time.
+
+    Memory stays bounded in n.  n = 0 writes nothing and creates no file.
+    """
+    if n < 0:
+        raise ValueError("need n >= 0")
+    if n == 0:
+        return
+    fh = sys.stdout if out is None or out == "-" else open(out, "w", encoding="utf-8")
+    try:
+        while n:
+            words = snow2_keystream(state, min(n, STREAM_CHUNK))
+            fh.write("".join(f"{w:08x}\n" for w in words))
+            n -= len(words)
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
 
 
 def _resolve_poly(args, degree: int) -> Gf2Poly:
@@ -118,10 +139,7 @@ def _seeded_config(m: int, b: int, k: int, seed: str, p: Gf2Poly) -> SigmaConfig
 def _cmd_snow2_stream(args) -> int:
     key = _words_from_hex(args.key, 8, "--key")
     iv = _words_from_hex(args.iv, 4, "--iv")
-    state = snow2_init(key, iv)
-    words = snow2_keystream(state, args.n)
-    if words:
-        _emit(_stream_words(words), args.out)
+    _write_stream(snow2_init(key, iv), args.n, args.out)
     return 0
 
 
@@ -182,9 +200,7 @@ def _cmd_kdfc_stream(args) -> int:
         if not (args.key and args.iv):
             raise ValueError("kdfc stream needs --key and --iv, or --state")
         state = _kdfc_state(args)
-    words = kdfc.kdfc_keystream(state, args.n)
-    if words:
-        _emit(_stream_words(words), args.out)
+    _write_stream(state, args.n, args.out)
     return 0
 
 

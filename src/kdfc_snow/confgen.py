@@ -359,12 +359,19 @@ def generate_config(
     return cfg
 
 
+def _check_dims(m: int, b: int) -> None:
+    for name, value in (("m", m), ("b", b)):
+        if value < 1:
+            raise ValueError(f"need {name} >= 1, got {name}={value}")
+
+
 def count_configurations(m: int, b: int) -> int:
     """Number of primitive feedback configurations for (m, b).
 
     |GL(m, F_2)| / (2^m - 1) * phi(2^mb - 1) / (mb) * 2^(m(m-1)(b-1)).
     Needs the factor table for 2^mb - 1, hence mb <= 64.
     """
+    _check_dims(m, b)
     n = m * b
     if n > 64:
         raise FactorTableMissError(f"phi(2^{n} - 1) needs factors beyond the table")
@@ -372,7 +379,8 @@ def count_configurations(m: int, b: int) -> int:
     for i in range(m):
         gl *= (1 << m) - (1 << i)
     phi = euler_phi_2n1(n) if n > 1 else 1
-    assert gl % ((1 << m) - 1) == 0 and phi % n == 0
+    if gl % ((1 << m) - 1) or phi % n:
+        raise RuntimeError(f"counting formula not integral at m={m}, b={b}")
     return gl // ((1 << m) - 1) * (phi // n) * (1 << (m * (m - 1) * (b - 1)))
 
 
@@ -387,6 +395,7 @@ def brute_force_count(m: int, b: int) -> int:
     from kdfc_snow.gf2.poly import is_primitive
     from kdfc_snow.sigma_lfsr import config_char_poly
 
+    _check_dims(m, b)
     nbits = m * m * b
     if nbits > 20:
         raise ValueError(

@@ -16,11 +16,22 @@ between the two layouts, so either may be fed to char_poly.
 Words use the package bit order: bit i of a word is its coefficient of 2^i,
 and stacked state vectors place block i at bit positions [i*m, (i+1)*m).
 
-The one stepping route is step_stacked on stacked states, through byte
-tables built only for the nonzero gains (SNOW 2.0 has 3 of 16, so 12
-lookups per step instead of 64; a dense configuration keeps all 16).  The
-per-object reference step it is tested against, the transition matrix and
-the read-back of gains from a configuration matrix live in tests/oracles.py.
+Stepping goes by one of two routes on stacked states:
+
+* step_stacked, one step, through byte tables built only for the nonzero
+  gains (SNOW 2.0 has 3 of 16, so 12 lookups per step instead of 64; a
+  dense configuration keeps all 16);
+* b steps at once, through jump_tables: byte-lane tables of T^b, T the
+  transition matrix, so v * T^b is mb/8 lookups.  The rows e_j * T^b come
+  from a recurrence over the blocks (see SigmaConfig.jump_tables) that
+  steps only the m top-block basis vectors b times, plus one step per
+  other row.  The tables hold 256 mb-bit ints per byte of the state, about
+  1.7 MB at mb = 512, so snow2 builds them only for a keystream call of at
+  least JUMP_MIN words and then keeps them on the configuration.
+
+The per-object reference step both are tested against, the transition
+matrix and the read-back of gains from a configuration matrix live in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -52,7 +63,7 @@ class PeriodGuardError(ValueError):
 class SigmaConfig:
     """Feedback configuration: word width m, block count b, gains B_0..B_{b-1}."""
 
-    __slots__ = ("m", "b", "gains", "_byte_tables")
+    __slots__ = ("m", "b", "gains", "_byte_tables", "_jump_tables")
 
     def __init__(self, m: int, b: int, gains: list[BitMatrix]):
         if m < 1 or b < 1:
@@ -68,6 +79,7 @@ class SigmaConfig:
         self.b = b
         self.gains = list(gains)
         self._byte_tables = None
+        self._jump_tables = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SigmaConfig):
@@ -98,25 +110,63 @@ class SigmaConfig:
         cached; gains are treated as immutable after construction.
         """
         if self._byte_tables is None:
-            m = self.m
-            lanes = (m + 7) // 8
-            all_tables = []
-            for i, g in enumerate(self.gains):
-                rows = g.rows
-                if not any(rows):
-                    continue
-                per_gain = []
-                for lane in range(lanes):
-                    base = 8 * lane
-                    width = min(8, m - base)
-                    table = [0] * (1 << width)
-                    for v in range(1, 1 << width):
-                        low = v & -v
-                        table[v] = table[v ^ low] ^ rows[base + low.bit_length() - 1]
-                    per_gain.append(table)
-                all_tables.append((i * m, per_gain))
-            self._byte_tables = all_tables
+            self._byte_tables = [
+                (i * self.m, _lane_tables(g.rows))
+                for i, g in enumerate(self.gains)
+                if any(g.rows)
+            ]
         return self._byte_tables
+
+    def jump_tables(self) -> list[list[int]]:
+        """Byte-lane lookup tables of T^b, T the transition matrix.
+
+        lanes[k][byte] = (byte << 8k) * T^b on the stacked state, so the
+        state b steps ahead (the next b words, as blocks) is the xor of
+        mb/8 lookups.  The rows R_j = e_j * T^b come from a recurrence, not
+        from stepping every basis vector b times: the m top-block rows are
+        stepped b times each, and for j = i*m + r below the top block,
+        e_{j+m} * T = e_j xor (B_{i+1}[r] << top) gives
+
+            R_j = step(R_{j+m}) xor sum of R_{top+s} over the bits s of B_{i+1}[r],
+
+        that sum being m/8 lookups in lane tables over the top rows.  Built
+        once, on the first call, and cached (about 1.7 MB at mb = 512).
+        """
+        if self._jump_tables is None:
+            m, b = self.m, self.b
+            top = (b - 1) * m
+            rows = [0] * (m * b)
+            for r in range(m):
+                v = 1 << (top + r)
+                for _ in range(b):
+                    v = step_stacked(self, v)
+                rows[top + r] = v
+            top_lanes = _lane_tables(rows[top:])
+            for j in range(top - 1, -1, -1):
+                v = step_stacked(self, rows[j + m])
+                w = self.gains[j // m + 1].rows[j % m]
+                for table in top_lanes:
+                    v ^= table[w & 0xFF]
+                    w >>= 8
+                rows[j] = v
+            self._jump_tables = _lane_tables(rows)
+        return self._jump_tables
+
+
+def _lane_tables(rows: list[int]) -> list[list[int]]:
+    """Per 8-bit lane of a selector word: table[byte] = xor of the selected rows.
+
+    rows[i] is the image of selector bit i; a lane of fewer than 8 rows
+    (the last, when len(rows) is not a multiple of 8) gets a shorter table.
+    Each row doubles its lane's table, one xor per new entry.
+    """
+    lanes = []
+    for base in range(0, len(rows), 8):
+        table = [0]
+        for row in rows[base : base + 8]:
+            table += [t ^ row for t in table]
+        lanes.append(table)
+    return lanes
 
 
 class LfsrState:

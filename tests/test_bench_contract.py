@@ -46,6 +46,7 @@ def test_byte_table_cache_slot():
     from kdfc_snow.snow2 import snow2_gains
 
     assert "_byte_tables" in SigmaConfig.__slots__
+    assert "_jump_tables" in SigmaConfig.__slots__
     cfg = snow2_gains()
     assert cfg._byte_tables is None
     cfg.byte_tables()
@@ -87,6 +88,43 @@ def test_traced_run_records_the_engine_spans(bench, monkeypatch):
     assert tracer.calls("sigma_lfsr.step_stacked") == 32 + 8 + 32
     assert snow2.step_stacked.__name__ == "step_stacked"
     assert not hasattr(snow2.step_stacked, "__wrapped__")
+
+
+def test_init_paths_build_no_jump_tables():
+    # a verified kdfc_init plus keyed-init's 8 words, and SNOW 2.0 set-ups
+    from kdfc_snow import kdfc, snow2
+
+    state = kdfc.kdfc_init(kdfc.KdfcParams(key=KAT_KEY, iv=KAT_IV))
+    assert len(kdfc.kdfc_keystream(state, 8)) == 8
+    assert state.cfg._jump_tables is None
+    cfg = snow2.snow2_gains()
+    snow2.snow2_keystream(snow2.snow2_init(KAT_KEY, KAT_IV, cfg=cfg), 8)
+    assert cfg._jump_tables is None
+
+
+def test_stream_chunks_build_the_jump_tables_once(bench):
+    # a perfbench chunk (4,096 words) builds the tables: m steps b times
+    # for the top-block rows and one step per other row, and no clock
+    # goes through fsm_step; the next chunk reuses them
+    spans, run = bench
+    from kdfc_snow import kdfc, snow2
+
+    state = kdfc.kdfc_init(kdfc.KdfcParams(key=KAT_KEY, iv=KAT_IV))
+    assert state.cfg._jump_tables is None
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        first = snow2.snow2_keystream(state, run.CHUNK_WORDS)
+        tables = state.cfg._jump_tables
+        steps = tracer.calls("sigma_lfsr.step_stacked")
+        second = snow2.snow2_keystream(state, run.CHUNK_WORDS)
+    finally:
+        tracer.uninstall()
+    assert len(first) == len(second) == run.CHUNK_WORDS
+    assert tables is not None and state.cfg._jump_tables is tables
+    assert steps == 32 * 16 + 15 * 32
+    assert tracer.calls("sigma_lfsr.step_stacked") == steps
+    assert tracer.calls("snow2.fsm_step") == 0
 
 
 def test_perfbench_call_shapes():

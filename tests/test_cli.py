@@ -15,6 +15,7 @@ import pytest
 
 from conftest import KAT_IV, KAT_KEY
 
+from kdfc_snow import cli
 from kdfc_snow.cli import main
 from kdfc_snow.confgen import pipeline_poly
 from kdfc_snow.gf2.linalg import BitMatrix
@@ -86,6 +87,54 @@ class TestSnow2Stream:
             "-n", "1",
         )
         assert code == 1 and "not valid hex" in err
+
+
+class TestChunkedStream:
+    """Streams are written STREAM_CHUNK words at a time, byte for byte as one."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        from kdfc_snow import kdfc, snow2
+
+        n = cli.STREAM_CHUNK + 17
+        return {
+            "snow2": snow2.snow2_keystream(snow2.snow2_init(KAT_KEY, KAT_IV), n),
+            "kdfc": snow2.snow2_keystream(
+                kdfc.kdfc_init(kdfc.KdfcParams(key=KAT_KEY, iv=KAT_IV)), n
+            ),
+        }
+
+    def test_chunk_size(self):
+        from kdfc_snow.snow2 import JUMP_MIN
+
+        assert cli.STREAM_CHUNK % 16 == 0 and cli.STREAM_CHUNK >= JUMP_MIN
+
+    @pytest.mark.parametrize("cipher", ["snow2", "kdfc"])
+    @pytest.mark.parametrize("n", [
+        0, 1, 15, 16, 17,
+        cli.STREAM_CHUNK - 1, cli.STREAM_CHUNK, cli.STREAM_CHUNK + 17,
+    ])
+    def test_stdout_and_out_file_match_one_call(
+        self, capsys, tmp_path, reference, cipher, n
+    ):
+        want = "".join(f"{w:08x}\n" for w in reference[cipher][:n])
+        args = (cipher, "stream", "--key", KAT_KEY_HEX, "--iv", KAT_IV_HEX,
+                "-n", str(n))
+        code, out, err = run(capsys, *args)
+        assert (code, out, err) == (0, want, "")
+        path = tmp_path / "ks.txt"
+        code, out, _ = run(capsys, *args, "--out", str(path))
+        assert (code, out) == (0, "")
+        if n == 0:
+            assert not path.exists()
+        else:
+            assert path.read_text() == want
+
+    def test_negative_n(self, capsys):
+        code, out, err = run(
+            capsys, "snow2", "stream", "--key", ZERO_KEY, "--iv", ZERO_IV, "-n", "-1",
+        )
+        assert code == 1 and out == "" and err.startswith("error:")
 
 
 class TestKdfc:
@@ -484,6 +533,15 @@ class TestVerify:
     def test_count_guard(self, capsys):
         code, _, err = run(capsys, "verify", "count", "--m", "3", "--b", "3")
         assert code == 1 and "error:" in err
+
+    @pytest.mark.parametrize("m,b,bad", [
+        ("0", "0", "m=0"), ("-1", "2", "m=-1"), ("2", "0", "b=0"), ("3", "-4", "b=-4"),
+    ])
+    def test_count_refuses_non_positive_dims(self, capsys, m, b, bad):
+        code, out, err = run(capsys, "verify", "count", "--m", m, "--b", b)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and bad in err
+        assert "Traceback" not in err
 
     def test_period(self, capsys):
         code, out, _ = run(

@@ -361,6 +361,12 @@ class TestCounting:
         with pytest.raises(ValueError):
             brute_force_count(3, 3)
 
+    @pytest.mark.parametrize("m,b,bad", [(0, 0, "m=0"), (-1, 2, "m=-1"), (2, 0, "b=0")])
+    def test_non_positive_dims_refused(self, m, b, bad):
+        for count in (count_configurations, brute_force_count):
+            with pytest.raises(ValueError, match=bad):
+                count(m, b)
+
     def test_rank_counts_against_orbits(self):
         # primitive configurations at (2,2) all reach the full period
         from kdfc_snow.gf2.poly import is_primitive

@@ -192,6 +192,48 @@ class TestStepping:
             LfsrState(2, [0, word])
 
 
+def jump_by_tables(cfg, v):
+    """v * T^b as the xor of one lookup per byte of v."""
+    out = 0
+    for k, table in enumerate(cfg.jump_tables()):
+        out ^= table[(v >> (8 * k)) & 0xFF]
+    return out
+
+
+class TestJumpTables:
+    @given(small_states(), st.data())
+    @settings(max_examples=80)
+    def test_tables_are_t_to_the_b(self, data, draw):
+        # random gains, a random subset zeroed; the recurrence against b
+        # products with the oracle's transition matrix
+        m, b, blocks, rng = data
+        zeroed = draw.draw(st.lists(st.booleans(), min_size=b, max_size=b))
+        gains = [
+            BitMatrix.zeros(m, m) if z else g
+            for z, g in zip(zeroed, random_config(rng, m, b).gains)
+        ]
+        cfg = SigmaConfig(m, b, gains)
+        t = build_transition_matrix(cfg)
+        for v in (LfsrState(m, blocks).stacked(), 1, (1 << (m * b)) - 1):
+            want = v
+            for _ in range(b):
+                want = mat_vec_mul(want, t)
+            assert jump_by_tables(cfg, v) == want
+
+    @pytest.mark.parametrize("m,b", [(32, 16), (16, 32), (9, 7)])
+    def test_lane_shapes_and_cache(self, m, b):
+        cfg = random_config(random.Random(m), m, b)
+        lanes = cfg.jump_tables()
+        assert cfg.jump_tables() is lanes
+        widths = [min(8, m * b - 8 * k) for k in range((m * b + 7) // 8)]
+        assert [len(table) for table in lanes] == [1 << w for w in widths]
+        v = random.Random(b).getrandbits(m * b)
+        want = v
+        for _ in range(b):
+            want = step_stacked(cfg, want)
+        assert jump_by_tables(cfg, v) == want
+
+
 class TestCharPoly:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_sympy(self, seed):

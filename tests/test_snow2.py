@@ -5,9 +5,12 @@ with word lists and explicit tower-field polynomial arithmetic instead of
 the package's bit-matrix stepping and byte-shift tables.
 """
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import KAT_IV, KAT_KEY
 from oracles import (
@@ -26,8 +29,10 @@ from oracles import (
 
 from kdfc_snow.gf2.linalg import BitMatrix, mat_mul, mat_vec_mul
 from kdfc_snow import snow2
+from kdfc_snow.sigma_lfsr import LfsrState, SigmaConfig
 from kdfc_snow.snow2 import (
     _SR,
+    JUMP_MIN,
     CipherState,
     FsmState,
     KeyError32,
@@ -269,3 +274,152 @@ class TestGains:
         tables = cfg.byte_tables()
         assert [shift for shift, _ in tables] == [0, 2 * 32, 11 * 32]
         assert all(len(lanes) == 4 for _, lanes in tables)
+
+
+# ---------------------------------------------------------------------------
+# the two keystream routes: one step at a time, and b words per jump-table pass
+
+
+def fresh_copy(state):
+    """The same running state on a configuration object of its own, no tables."""
+    cfg = SigmaConfig(state.cfg.m, state.cfg.b, state.cfg.gains)
+    return CipherState(state.lfsr.copy(), state.fsm.copy(), cfg)
+
+
+def one_step_words(state, n):
+    """n words through the one-step route: calls shorter than JUMP_MIN, no tables."""
+    assert state.cfg._jump_tables is None
+    words = []
+    while len(words) < n:
+        words += snow2_keystream(state, min(n - len(words), JUMP_MIN - 1))
+    assert state.cfg._jump_tables is None
+    return words
+
+
+def dense_config(rng, zeroed=()):
+    gains = [
+        BitMatrix.zeros(32, 32) if i in zeroed
+        else BitMatrix([rng.getrandbits(32) for _ in range(32)], 32)
+        for i in range(16)
+    ]
+    return SigmaConfig(32, 16, gains)
+
+
+# KDFC-SNOW's first words under KAT_KEY/KAT_IV (KEYED_KAT in test_kdfc.py)
+KDFC_KEYED_KAT = [
+    0x4668F2B6, 0x8C1F8CC4, 0xB770CB47, 0x4CB1AF7A,
+    0x99F903A7, 0x7DC2E350, 0xEB1F0C19, 0xEFE0DA38,
+]
+
+
+@pytest.fixture(scope="module")
+def kdfc_state():
+    from kdfc_snow.kdfc import KdfcParams, kdfc_init
+
+    return kdfc_init(KdfcParams(key=KAT_KEY, iv=KAT_IV))
+
+
+class TestJumpRoute:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.randoms(use_true_random=False),
+        st.sets(st.integers(0, 15)),
+        st.integers(16, 70),
+    )
+    def test_matches_object_clocks_on_dense_configs(self, rng, zeroed, n):
+        # random dense gains with a random subset zeroed; the tables are
+        # built first, so every full pass of b words goes through them
+        cfg = dense_config(rng, zeroed)
+        key = [rng.getrandbits(32) for _ in range(8)]
+        iv = [rng.getrandbits(32) for _ in range(4)]
+        state = snow2_init(key, iv, cfg=cfg)
+        cfg.jump_tables()
+        assert snow2_keystream(state, n) == clock_oracle(key, iv, cfg, n)[1]
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(16, 70))
+    def test_matches_object_clocks_on_snow2(self, rng, n):
+        cfg = snow2_gains()
+        key = [rng.getrandbits(32) for _ in range(rng.choice((4, 8)))]
+        iv = [rng.getrandbits(32) for _ in range(4)]
+        state = snow2_init(key, iv, cfg=cfg)
+        cfg.jump_tables()
+        assert snow2_keystream(state, n) == clock_oracle(key, iv, cfg, n)[1]
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, 15, 16, 17, JUMP_MIN - 1, JUMP_MIN, JUMP_MIN + 17]
+    )
+    @pytest.mark.parametrize("cipher", ["snow2", "kdfc"])
+    def test_route_choice_keeps_the_words(self, cipher, n, kdfc_state):
+        start = snow2_init(KAT_KEY, KAT_IV) if cipher == "snow2" else kdfc_state
+        state, ref = fresh_copy(start), fresh_copy(start)
+        assert snow2_keystream(state, n) == one_step_words(ref, n)
+        assert (state.lfsr, state.fsm) == (ref.lfsr, ref.fsm)
+        # the tables are built only by a call of at least JUMP_MIN words
+        assert (state.cfg._jump_tables is not None) == (n >= JUMP_MIN)
+
+    @pytest.mark.parametrize("cipher", ["snow2", "kdfc"])
+    def test_uneven_calls_across_the_route_boundary(self, cipher, kdfc_state):
+        start = snow2_init(KAT_KEY, KAT_IV) if cipher == "snow2" else kdfc_state
+        whole, split = fresh_copy(start), fresh_copy(start)
+        sizes = [5, 16, JUMP_MIN - 3, 1, JUMP_MIN + 9, 0, 17, 31, 3]
+        words = snow2_keystream(whole, sum(sizes))
+        pieces = []
+        for n in sizes:
+            pieces += snow2_keystream(split, n)
+        assert pieces == words
+        assert (split.lfsr, split.fsm) == (whole.lfsr, whole.fsm)
+
+    def test_kats_through_the_tables(self, kdfc_state):
+        for key, iv, kat in [
+            ([0] * 8, [0] * 4, ZERO_KAT),
+            (KAT_KEY, KAT_IV, KEYED_KAT),
+            (KAT_KEY[:4], KAT_IV, KEYED_KAT_128),
+        ]:
+            cfg = snow2_gains()
+            cfg.jump_tables()
+            assert snow2_keystream(snow2_init(key, iv, cfg=cfg), 16)[:8] == kat
+        state = fresh_copy(kdfc_state)
+        state.cfg.jump_tables()
+        assert snow2_keystream(state, 16)[:8] == KDFC_KEYED_KAT
+
+    @pytest.mark.parametrize("m,b", [(3, 1), (5, 2), (7, 5), (4, 6), (9, 7)])
+    def test_shapes_with_few_blocks_or_odd_widths(self, m, b):
+        # b <= 5: the one-step route reads s_{t+5} as zero; mb not a
+        # multiple of 8: the last byte lane is narrower
+        rng = random.Random(f"{m}x{b}")
+        cfg = SigmaConfig(m, b, [
+            BitMatrix([rng.getrandbits(m) for _ in range(m)], m) for _ in range(b)
+        ])
+        start = CipherState(
+            LfsrState(m, [rng.getrandbits(m) for _ in range(b)]),
+            FsmState(rng.getrandbits(32), rng.getrandbits(32)),
+            cfg,
+        )
+        state, ref = fresh_copy(start), fresh_copy(start)
+        state.cfg.jump_tables()
+        assert snow2_keystream(state, 7 * b + 2) == one_step_words(ref, 7 * b + 2)
+        assert (state.lfsr, state.fsm) == (ref.lfsr, ref.fsm)
+
+    def test_loadable_16x32_state(self, tmp_path, capsys):
+        # mb = 512 with m = 16, b = 32: a state `kdfc stream --state` loads;
+        # 32 words per pass, the FSM input s_{t+15} taken from block b - 1 = 31
+        from kdfc_snow import cli
+        from kdfc_snow.kdfc import target_poly
+
+        cfg = cli._seeded_config(16, 32, 400, "jump-16x32", target_poly())
+        rng = random.Random("16x32")
+        start = CipherState(
+            LfsrState(16, [rng.getrandbits(16) for _ in range(32)]),
+            FsmState(rng.getrandbits(32), rng.getrandbits(32)),
+            cfg,
+        )
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(cli._state_doc(start)))
+        loaded = cli._load_state(str(path))
+        n = JUMP_MIN + 40
+        words = snow2_keystream(loaded, n)
+        assert loaded.cfg._jump_tables is not None
+        assert words == one_step_words(fresh_copy(start), n)
+        assert cli.main(["kdfc", "stream", "--state", str(path), "-n", str(n)]) == 0
+        assert capsys.readouterr().out == "".join(f"{w:08x}\n" for w in words)
