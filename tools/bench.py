@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""Paired before/after runs of perfbench/run.py: a base commit against the working tree.
+"""Paired before/after runs of perfbench/run.py: HEAD against the working tree.
 
     python3 tools/bench.py --out BENCH_N.json --seed SEED [--pairs 10]
-        [--seconds S] [--base REV] [--workload NAME ...]
 
-Exports the base commit (default HEAD) with `git archive`, and copies the
-working tree's files (tracked and untracked, less what .gitignore lists),
-each into a new temporary directory, so that neither side starts with
-compiled bytecode or results the other lacks.  Then it runs
-`perfbench/run.py --workload W --seed S --seconds S` untraced, alternately
-in the two copies, --pairs times per workload.  Pair i runs the base first
+Exports HEAD, the parent of the uncommitted change, with `git archive`, and
+copies the working tree's files (tracked and untracked, less what
+.gitignore lists), each into a new temporary directory, so that neither
+side starts with compiled bytecode or results the other lacks.  Then it
+runs `perfbench/run.py --workload W --seed SEED` untraced, for every
+workload of BENCHMARK.json and for its run_seconds, alternately in the two
+copies, --pairs times per workload.  Pair i runs the base first
 when i is even and the working tree first when i is odd.  Both sides run
 the benchmark files of their own tree; a claim is fair only when
 perfbench/ is the same in both (the tool records whether it is).
@@ -142,19 +142,14 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seed", type=int, required=True,
                     help="workload seed; use one not used while writing the change")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=spec["run_seconds"],
-                    help="perfbench --seconds for every run (default: BENCHMARK.json)")
-    ap.add_argument("--base", default="HEAD", help="base commit (default HEAD)")
-    ap.add_argument("--workload", action="append", choices=names,
-                    help="workload to run (repeatable; default all)")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
-    workloads = args.workload or names
+    seconds = spec["run_seconds"]
 
-    base_sha = git("rev-parse", args.base)
+    base_sha = git("rev-parse", "HEAD")
     doc = {
-        "base": {"rev": args.base, "commit": base_sha},
+        "base": {"rev": "HEAD", "commit": base_sha},
         "change": {
             "tree": "working tree copy",
             "head": git("rev-parse", "HEAD"),
@@ -164,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
             ),
         },
         "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "pairs": args.pairs,
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
@@ -176,12 +171,12 @@ def main(argv: list[str] | None = None) -> int:
         trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
         export(base_sha, trees["base"])
         copy_working_tree(trees["change"])
-        for workload in workloads:
+        for workload in names:
             runs = {"base": [], "change": []}
             for i in range(args.pairs):
                 order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
                 for side in order:
-                    result = run_once(trees[side], workload, args.seed, args.seconds)
+                    result = run_once(trees[side], workload, args.seed, seconds)
                     runs[side].append(result)
                     failures += [f"{workload} {side} pair {i}: {what}"
                                  for what in result["failures"]]
