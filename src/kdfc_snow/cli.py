@@ -167,6 +167,12 @@ def _load_state(path: str) -> CipherState:
         raise ValueError(f"malformed state document: field {e} missing") from None
     except (TypeError, AttributeError) as e:
         raise ValueError(f"malformed state document: {e}") from None
+    if (cfg.m, cfg.b) != (kdfc.M, kdfc.B):
+        # the SNOW 2.0 FSM and the 8-digit output are defined on 16 words of 32 bits
+        raise ValueError(
+            f"state configuration is {cfg.m}x{cfg.b}, "
+            f"expected m={kdfc.M}, b={kdfc.B}"
+        )
     got = config_char_poly(cfg)
     if got != kdfc.target_poly():
         raise ValueError("state configuration lacks the target characteristic polynomial")

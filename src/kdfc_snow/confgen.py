@@ -30,9 +30,12 @@ F_2[x]/p by v -> XOR of floor(p / x^(i+1)) over set bits i makes the
 companion action multiplication by x, so Lambda is multiplication by one
 field element lambda = embed(active row)^{-1} (one modular inversion), and
 each row is updated as v * Lambda = embed^{-1}(embed(v) * lambda mod p).
-The Krylov-matrix route (solve y.K = e_1, Lambda = sum y_j A^j) gives the
-same unique solution; it lives in tests/oracles.py as the test oracle, next
-to the dense assembly Q * P * Q^{-1}.
+All m rows share lambda, so from width 32 on the products go through one
+table of lambda times every byte per iteration (gf2.poly._mulmod_by, a
+left-to-right method with 8-bit windows); narrower stages multiply each
+row with clmul.  The Krylov-matrix route (solve y.K = e_1, Lambda =
+sum y_j A^j) gives the same unique solution; it lives in tests/oracles.py
+as the test oracle, next to the dense assembly Q * P * Q^{-1}.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from kdfc_snow.gf2.linalg import (
 from kdfc_snow.gf2.poly import (
     FactorTableMissError,
     Gf2Poly,
-    _mulmod_int,
+    _mulmod_by,
     _sparse_tail,
     clmul,
     euler_phi_2n1,
@@ -204,7 +207,9 @@ def _lin_solve_coeffs(c: int, p: Gf2Poly) -> int:
 def y_iterate(y: BitMatrix, i: int, p: Gf2Poly, fill: int) -> BitMatrix:
     """One pipeline iteration: active row to e_1, then widen by one bit.
 
-    y has m rows of width w; p is the stage polynomial, of degree w.
+    y has m rows of width w; p is the stage polynomial, of degree w.  Every
+    embedded row is multiplied by the same lambda mod p (_mulmod_by: one
+    window table of lambda when w >= 32, clmul per row below).
     """
     m, w = y.nrows, y.ncols
     if p.degree != w:
@@ -216,10 +221,8 @@ def y_iterate(y: BitMatrix, i: int, p: Gf2Poly, fill: int) -> BitMatrix:
     pc = p.coeffs
     active = i % m
     lam = _lin_solve_coeffs(y.rows[active], p)
-    new_rows = [
-        _field_unembed(_mulmod_int(_field_embed(r, pc), lam, pc), pc)
-        for r in y.rows
-    ]
+    times_lam = _mulmod_by(lam, pc)
+    new_rows = [_field_unembed(times_lam(_field_embed(r, pc)), pc) for r in y.rows]
     if new_rows[active] != 1 << (w - 1):
         raise NoSolutionError("active row did not land on e_1")
     pos = 0
@@ -275,8 +278,9 @@ def assemble_config(q: BitMatrix, p: Gf2Poly, m: int) -> SigmaConfig:
     of Q times P is block j+1: then C * Q = Q * P makes block row j of C the
     identity at block column j+1, and the gain rows of C are the solutions
     x of x * Q = (last block of Q)[r] * P.  One forward elimination of Q
-    with an identity tracker serves those m solves; it is where a singular
-    Q (Y rows dependent over P) raises SingularMatrixError.
+    with an identity tracker (gf2.linalg._echelon, in Four-Russians blocks
+    at this size) serves those m solves; it is where a singular Q (Y rows
+    dependent over P) raises SingularMatrixError.
     """
     n = q.nrows
     if q.ncols != n:

@@ -8,12 +8,13 @@ packed ints (multiply, square, reduce); Gf2Poly, the modular helpers,
 linalg.char_poly, the pipeline in confgen and the byte fields of snow2
 all build on them.  _mod_int picks its route from the modulus: sparse
 moduli (see _sparse_tail) are reduced by folding, the rest by long
-division.
+division.  _mulmod_by multiplies many operands by one, through a byte
+window table of the shared factor once the modulus has degree 32 or more.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class Gf2Poly:
@@ -222,6 +223,33 @@ def _mod_int(a: int, m: int) -> int:
 
 def _mulmod_int(a: int, b: int, m: int) -> int:
     return _mod_int(clmul(a, b), m)
+
+
+def _mulmod_by(b: int, m: int) -> Callable[[int], int]:
+    """The function a -> a * b mod m, for many a and one b.
+
+    From degree 32 of m on, the products of b with every byte are tabled
+    once (tab[j] = j * b, built by doubling: one shift and one xor per
+    entry) and each a is multiplied a byte at a time from the top, one
+    lookup, shift and xor per byte: a left-to-right window method with
+    8-bit windows (Hankerson-Menezes-Vanstone, Guide to ECC, 2.3.3).
+    Below that degree the 256-entry table costs about what it saves and
+    each product goes through clmul.
+    """
+    if m.bit_length() <= 32:
+        return lambda a: _mod_int(clmul(a, b), m)
+    tab = [0, b]
+    for j in range(1, 128):
+        t = tab[j] << 1
+        tab += (t, t ^ b)
+
+    def mulmod(a: int) -> int:
+        acc = 0
+        for byte in a.to_bytes((a.bit_length() + 7) // 8, "big"):
+            acc = (acc << 8) ^ tab[byte]
+        return _mod_int(acc, m)
+
+    return mulmod
 
 
 def _sqmod_int(a: int, m: int) -> int:

@@ -38,6 +38,9 @@ route than the package:
 * dense_char_poly takes the characteristic polynomial of the built
   configuration matrix by elimination, instead of the package's
   Berlekamp-Massey certificate on a stepped sequence.
+* echelon_oracle eliminates one column at a time, xoring each pivot row
+  into the rows at once, instead of the package's _echelon, which clears
+  blocks of columns through a table of pivot-row combinations.
 
 The package has no production use for the matrix helpers at the end of
 this file (companion_matrix, krylov_matrix, solve_row, linear_complexity,
@@ -384,6 +387,40 @@ def clock_oracle(key, iv, cfg, n):
         s, out = lfsr_step(cfg, s)
         words.append(f ^ out)
     return init_f, words
+
+
+def echelon_oracle(rows: list[int], ncols: int, reduce_up: bool = True):
+    """Row echelon form one column at a time; the pivot list, as _echelon.
+
+    For each column left to right, the first remaining row with a set bit
+    in that column is swapped to the next rank position and xored into
+    every other row with that bit (every row below it; every row with
+    reduce_up).  Same pivot rule and same result as the package's
+    _echelon, without its Four-Russians blocks and column skipping.
+    """
+    pivots = []
+    nrows = len(rows)
+    rank_ = 0
+    for col in range(ncols):
+        bit = 1 << col
+        pivot = None
+        for i in range(rank_, nrows):
+            if rows[i] & bit:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[rank_], rows[pivot] = rows[pivot], rows[rank_]
+        prow = rows[rank_]
+        rng = range(nrows) if reduce_up else range(rank_ + 1, nrows)
+        for i in rng:
+            if i != rank_ and rows[i] & bit:
+                rows[i] ^= prow
+        pivots.append((col, rank_))
+        rank_ += 1
+        if rank_ == nrows:
+            break
+    return pivots
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,32 @@ class TestStateDocument:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "'r1' missing" in err
 
+    @pytest.mark.parametrize("m,b", [(64, 8), (16, 32), (32, 8)])
+    def test_shape_other_than_32x16(self, capsys, tmp_path, monkeypatch, m, b):
+        # refused before the char-poly check, whatever the gains are
+        import random
+
+        from kdfc_snow.sigma_lfsr import SigmaConfig
+
+        rng = random.Random(f"{m}x{b}")
+        gains = [BitMatrix([rng.getrandbits(m) for _ in range(m)], m) for _ in range(b)]
+        doc = {
+            "m": m,
+            "b": b,
+            "char_poly": [m * b, 0],
+            "config": SigmaConfig(m, b, gains).to_json(),
+            "lfsr": [rng.getrandbits(m) for _ in range(b)],
+            "fsm": {"r1": 1, "r2": 2},
+        }
+
+        def no_char_poly(_):
+            raise AssertionError("char poly computed for a refused shape")
+
+        monkeypatch.setattr(cli, "config_char_poly", no_char_poly)
+        code, out, err = self.stream(capsys, tmp_path, doc)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and f"{m}x{b}" in err
+
     def test_malformed_config(self, capsys, tmp_path, state_doc):
         doc = json.loads(json.dumps(state_doc))
         doc["config"]["gains"][0] = 7

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     char_poly_sympy,
     companion_matrix,
+    echelon_oracle,
     gf2_matmul_numpy,
     krylov_matrix,
     linear_complexity,
@@ -20,6 +21,7 @@ from kdfc_snow.gf2.linalg import (
     DimensionError,
     NoSolutionError,
     SingularMatrixError,
+    _echelon,
     berlekamp_massey,
     char_poly,
     companion_vec_mul,
@@ -164,6 +166,91 @@ class TestEliminationBased:
         a = BitMatrix([1, 1], 2)  # row space is {00, 01}
         with pytest.raises(NoSolutionError):
             solve_row(a, 0b10)
+
+
+@st.composite
+def elimination_cases(draw):
+    """Rows and a column count for _echelon, on both sides of 128 rows.
+
+    From 128 rows on _echelon clears blocks of k >= 5 columns through a
+    table.  The shapes are tall, wide or square; ncols is mostly not a
+    multiple of k; the rank is often short of full; a run of zeroed
+    columns leaves some block with fewer than k pivots; and an identity
+    tracker above ncols rides along in half of the cases.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    nrows = draw(st.sampled_from([1, 7, 40, 127, 128, 150, 256, 300]))
+    shape = draw(st.sampled_from(["tall", "wide", "square"]))
+    ncols = {
+        "tall": rng.randint(1, max(1, nrows // 2)),
+        "wide": rng.randint(nrows + 1, nrows + 140),
+        "square": nrows,
+    }[shape]
+    rank_ = draw(st.sampled_from(["full", "short", "low"]))
+    basis_size = {
+        "full": nrows,
+        "short": max(0, min(nrows, ncols) - rng.randint(1, 9)),
+        "low": rng.randint(0, 12),
+    }[rank_]
+    basis = [rng.getrandbits(ncols) for _ in range(basis_size)]
+    if draw(st.booleans()):
+        start = rng.randrange(ncols)
+        stop = min(ncols, start + rng.randint(1, 9))
+        keep = ((1 << ncols) - 1) ^ (((1 << stop) - 1) >> start << start)
+        basis = [r & keep for r in basis]
+    mix = BitMatrix([rng.getrandbits(basis_size) for _ in range(nrows)], basis_size)
+    rows = mat_mul(mix, BitMatrix(basis, ncols)).rows
+    if draw(st.booleans()):
+        rows = [r | 1 << (ncols + i) for i, r in enumerate(rows)]
+    return rows, ncols
+
+
+class TestFourRussians:
+    """_echelon against the one-column-at-a-time oracle."""
+
+    @given(elimination_cases(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_pivots_and_rows_match_oracle(self, case, reduce_up):
+        rows, ncols = case
+        got, want = list(rows), list(rows)
+        assert _echelon(got, ncols, reduce_up) == echelon_oracle(want, ncols, reduce_up)
+        assert got == want
+
+    @given(st.randoms(use_true_random=False), st.sampled_from([5, 64, 128, 200]))
+    @settings(max_examples=20, deadline=None)
+    def test_inverse_matches_oracle(self, rng, n):
+        a = random_matrix(rng, n, n)
+        work = [r | 1 << (n + i) for i, r in enumerate(a.rows)]
+        pivots = echelon_oracle(work, n)
+        if len(pivots) < n:
+            with pytest.raises(SingularMatrixError):
+                mat_inverse(a)
+            return
+        want = [0] * n
+        for col, i in pivots:
+            want[col] = work[i] >> n
+        inv = mat_inverse(a)
+        assert inv.rows == want
+        assert mat_mul(a, inv) == BitMatrix.identity(n)
+
+    def test_block_with_few_pivots(self):
+        # 512 rows (k = 7) of width 517: columns 70..79 zeroed, 200 a copy
+        # of 199, and rank at most 500, so some blocks hold fewer than k
+        # pivots and the last ones run short of rows
+        rng = random.Random(512)
+        basis = [rng.getrandbits(517) for _ in range(500)]
+        hole = ((1 << 80) - 1) ^ ((1 << 70) - 1)
+        basis = [v & ~hole for v in basis]
+        basis = [v & ~(1 << 200) | ((v >> 199) & 1) << 200 for v in basis]
+        mix = BitMatrix([rng.getrandbits(500) for _ in range(512)], 500)
+        rows = mat_mul(mix, BitMatrix(basis, 517)).rows
+        for reduce_up in (False, True):
+            got, want = list(rows), list(rows)
+            pivots = _echelon(got, 517, reduce_up)
+            assert pivots == echelon_oracle(want, 517, reduce_up)
+            assert got == want
+            cols = [c for c, _ in pivots]
+            assert not set(cols) & set(range(70, 80)) and 200 not in cols
 
 
 class TestCompanionAndCharPoly:

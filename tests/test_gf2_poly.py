@@ -4,7 +4,7 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import long_division_mod, sympy_mul, sympy_rem
@@ -13,6 +13,8 @@ from kdfc_snow.gf2.poly import (
     FactorTableMissError,
     Gf2Poly,
     _mod_int,
+    _mulmod_by,
+    _mulmod_int,
     _sparse_tail,
     clmul,
     clsquare,
@@ -153,6 +155,36 @@ class TestSparseReduction:
         low = data.draw(st.sets(st.integers(0, (d - 1) // 2), max_size=4))
         m = (1 << d) | sum(1 << e for e in low)
         assert _mod_int(a, m) == long_division_mod(a, m)
+
+
+class TestWindowedRows:
+    """_mulmod_by against _mulmod_int.
+
+    Moduli of degree 32 and up take the 8-bit window table, lower ones
+    clmul; the degrees sit on both sides of that threshold and include the
+    dense degree-512 target and the widths of the 4x4 and 32x16 pipelines.
+    """
+
+    @given(
+        st.sampled_from([4, 15, 16, 31, 32, 33, 40, 100, 255, 256, 257, 500, 511, 512]),
+        st.randoms(use_true_random=False),
+        st.integers(0, 32),
+    )
+    @settings(max_examples=120)
+    def test_matches_one_product_per_row(self, d, rng, nrows):
+        m = target_poly().coeffs if d == 512 else default_table()[d].coeffs
+        lam = rng.getrandbits(d)
+        rows = [0, 1, (1 << d) - 1] + [rng.getrandbits(d) for _ in range(nrows)]
+        times_lam = _mulmod_by(lam, m)
+        assert [times_lam(a) for a in rows] == [_mulmod_int(a, lam, m) for a in rows]
+
+    @given(st.integers(1, 80), st.data())
+    def test_dense_moduli_and_wide_operands(self, d, data):
+        m = (1 << d) | data.draw(st.integers(0, (1 << d) - 1))
+        lam = data.draw(st.integers(0, (1 << (2 * d)) - 1))
+        rows = data.draw(st.lists(st.integers(0, (1 << (2 * d)) - 1), max_size=6))
+        times_lam = _mulmod_by(lam, m)
+        assert [times_lam(a) for a in rows] == [_mulmod_int(a, lam, m) for a in rows]
 
 
 class TestAlgebraicProperties:

@@ -401,9 +401,11 @@ class TestJumpRoute:
         assert snow2_keystream(state, 7 * b + 2) == one_step_words(ref, 7 * b + 2)
         assert (state.lfsr, state.fsm) == (ref.lfsr, ref.fsm)
 
-    def test_loadable_16x32_state(self, tmp_path, capsys):
-        # mb = 512 with m = 16, b = 32: a state `kdfc stream --state` loads;
-        # 32 words per pass, the FSM input s_{t+15} taken from block b - 1 = 31
+    def test_loadable_16x32_state(self, tmp_path, capsys, monkeypatch):
+        # mb = 512 with m = 16, b = 32: the engine streams it, 32 words per
+        # pass, the FSM input s_{t+15} taken from block b - 1 = 31; but the
+        # FSM and the 8-digit output are defined on 32x16 only, so
+        # `kdfc stream --state` refuses it before the char-poly check
         from kdfc_snow import cli
         from kdfc_snow.kdfc import target_poly
 
@@ -416,10 +418,17 @@ class TestJumpRoute:
         )
         path = tmp_path / "state.json"
         path.write_text(json.dumps(cli._state_doc(start)))
-        loaded = cli._load_state(str(path))
+        state = fresh_copy(start)
         n = JUMP_MIN + 40
-        words = snow2_keystream(loaded, n)
-        assert loaded.cfg._jump_tables is not None
+        words = snow2_keystream(state, n)
+        assert state.cfg._jump_tables is not None
         assert words == one_step_words(fresh_copy(start), n)
-        assert cli.main(["kdfc", "stream", "--state", str(path), "-n", str(n)]) == 0
-        assert capsys.readouterr().out == "".join(f"{w:08x}\n" for w in words)
+
+        def no_char_poly(_):
+            raise AssertionError("char poly computed for a refused shape")
+
+        monkeypatch.setattr(cli, "config_char_poly", no_char_poly)
+        assert cli.main(["kdfc", "stream", "--state", str(path), "-n", str(n)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and "16x32" in err

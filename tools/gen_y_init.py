@@ -5,7 +5,7 @@ Runs the k = 468 offline iterations at m = 32 from the identity start,
 with fill bits drawn deterministically from a recorded seed, and writes
 src/kdfc_snow/data/y_init_m32_k468.json with provenance fields (seed,
 fill label, polynomial-table checksum) so the file can be regenerated
-and audited.  Runtime is about 1.5 s (1.3-1.8 s over three runs) with
+and audited.  Runtime is about 1.3 s (1.2-1.3 s over three runs) with
 Python 3.11 on a 2-CPU x86-64 machine, including the first-use
 irreducibility checks of the 467 table polynomials it draws.
 
