@@ -6,10 +6,29 @@ approximate-entropy, and linear-complexity.  Each returns a TestResult
 whose pass flag is exactly ``p_value >= 0.01``.
 
 Bits are handled as numpy uint8 arrays of 0/1.  Keystream words map to
-bits most-significant-bit first (matching the hex the CLI prints).  The
-regularized upper incomplete gamma function is implemented here (series
-plus continued fraction, 1e-12 relative target) so the module needs no
+bits most-significant-bit first (matching the hex the CLI prints), by one
+``np.unpackbits`` over the words' big-endian bytes.  The regularized upper
+incomplete gamma function is implemented here (series plus continued
+fraction, 1e-12 relative target) so the module needs no
 scientific-library dependency; erfc comes from the stdlib.
+
+The block tests work on whole arrays, never one block or one bit at a
+time:
+
+* linear-complexity runs Berlekamp-Massey on every block at once,
+  bit-sliced: bit i of 64 blocks shares one uint64 word, so each step's
+  discrepancy is one xor-reduce over the connection polynomial's rows
+  and the length change is a per-block bit mask (``_linear_complexities``);
+* binary-matrix-rank packs each matrix row into one unsigned word and
+  runs a single Gaussian elimination over all matrices, one column step
+  across every matrix (``_matrix_ranks``);
+* longest-run-of-ones ANDs each block with itself shifted, once per run
+  length up to the top class (``_longest_run_classes``).
+
+These kernels pack bits into words and never widen one bit to an
+integer, so none of their transient arrays is larger than the bit array
+(cumulative-sums, serial and approximate-entropy still build one int64
+per bit).  tests/oracles.py holds a per-block reference for each kernel.
 
 Class probabilities: the binary-matrix-rank and linear-complexity tests
 use exact closed forms evaluated at run time (rank-distribution product
@@ -21,11 +40,10 @@ probabilities.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from kdfc_snow.gf2.linalg import BitMatrix, berlekamp_massey, rank
 
 __all__ = [
     "TestResult",
@@ -113,12 +131,44 @@ def bits_from_hex(text: str) -> np.ndarray:
 
 
 def bits_from_words(words, width: int = 32) -> np.ndarray:
-    """Words to bits, most significant bit first within each word."""
-    out = np.zeros(len(words) * width, dtype=np.uint8)
-    for i, w in enumerate(words):
-        for j in range(width):
-            out[i * width + j] = (w >> (width - 1 - j)) & 1
-    return out
+    """Words to bits, most significant bit first within each word.
+
+    Every word must be an integer in [0, 2**width) and width at least 1;
+    anything else raises ValueError (TypeError for a non-integer word).
+    """
+    if width < 1:
+        raise ValueError(f"width must be at least 1, got {width}")
+    arr = np.asarray(words)
+    if arr.ndim != 1:
+        raise ValueError("words must be one-dimensional")
+    if arr.dtype.kind in "iu" and width <= 64:
+        if arr.size and (arr.min() < 0 or int(arr.max()) >> width):
+            raise ValueError(f"every word must be in [0, 2**{width})")
+        itemsize = next(k for k in (1, 2, 4, 8) if 8 * k >= width)
+        raw = arr.astype(f">u{itemsize}").view(np.uint8)
+    else:
+        # Python ints past 64 bits, or widths past 64: exact per-word bytes
+        vals = [operator.index(w) for w in words]
+        if any(w < 0 or w >> width for w in vals):
+            raise ValueError(f"every word must be in [0, 2**{width})")
+        itemsize = -(-width // 8)
+        raw = np.frombuffer(
+            b"".join(w.to_bytes(itemsize, "big") for w in vals), dtype=np.uint8
+        )
+    bits = np.unpackbits(raw).reshape(-1, 8 * itemsize)
+    return bits[:, 8 * itemsize - width :].reshape(-1)
+
+
+def _pack_rows(bits: np.ndarray, itemsize: int) -> np.ndarray:
+    """Pack each row of a 0/1 array into unsigned words of itemsize bytes.
+
+    Column j is bit j % w of word j // w (w = 8 * itemsize), on any host.
+    """
+    nrows, ncols = bits.shape
+    nwords = -(-ncols // (8 * itemsize))
+    out = np.zeros((nrows, nwords * itemsize), dtype=np.uint8)
+    out[:, : -(-ncols // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return out.view(f"<u{itemsize}")
 
 
 def _as_bits(bits) -> np.ndarray:
@@ -204,6 +254,8 @@ def monobit(bits) -> TestResult:
 
 
 def block_frequency(bits, block_size: int = 128) -> TestResult:
+    if block_size < 1:
+        raise ValueError(f"block_size must be at least 1, got {block_size}")
     x = _as_bits(bits)
     n = x.size
     if n < 100:
@@ -252,6 +304,27 @@ _LONGEST_RUN_TABLES = {
 }
 
 
+def _longest_run_classes(blocks: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """min(max(longest run of ones, lo), hi) - lo for each row of blocks.
+
+    The class counts the run lengths k in lo+1..hi that some run reaches;
+    run k is the row ANDed with itself shifted by 1..k-1 (with lo = 0 and
+    hi = row length the class is the longest run itself).
+    """
+    ones = blocks.view(bool)
+    run = ones
+    classes = np.zeros(len(blocks), dtype=np.intp)
+    for k in range(1, hi + 1):
+        if k > 1:
+            run = run[:, :-1] & ones[:, k - 1 :]
+        if k > lo:
+            reached = run.any(axis=1)
+            if not reached.any():
+                break
+            classes += reached
+    return classes
+
+
 def longest_run(bits) -> TestResult:
     x = _as_bits(bits)
     n = x.size
@@ -265,17 +338,9 @@ def longest_run(bits) -> TestResult:
         raise InsufficientDataError("longest-run-of-ones", 128, n)
     _, lo, hi, pis = _LONGEST_RUN_TABLES[m]
     nblocks = n // m
-    counts = [0] * len(pis)
     blocks = x[: nblocks * m].reshape(nblocks, m)
-    for row in blocks:
-        # longest run of ones in the block
-        best = cur = 0
-        for b in row:
-            cur = cur + 1 if b else 0
-            if cur > best:
-                best = cur
-        cls = min(max(best, lo), hi) - lo
-        counts[cls] += 1
+    classes = _longest_run_classes(blocks, lo, hi)
+    counts = np.bincount(classes, minlength=len(pis)).tolist()
     chi2 = sum(
         (counts[i] - nblocks * pis[i]) ** 2 / (nblocks * pis[i])
         for i in range(len(pis))
@@ -298,7 +363,40 @@ def _rank_probability(n_rows: int, n_cols: int, r: int) -> float:
     return prod * 2.0**log2p
 
 
+def _matrix_ranks(mats: np.ndarray) -> np.ndarray:
+    """GF(2) rank of every matrix in a (count, rows, cols) 0/1 array, cols <= 64.
+
+    Each row packs into one unsigned word; one Gaussian elimination then
+    runs over all matrices, a column at a time: the first unused row with
+    the column set becomes the pivot and is xored into the other unused
+    rows that have it.
+    """
+    count, nrows, ncols = mats.shape
+    if not 1 <= ncols <= 64:
+        raise ValueError(f"matrix width must be in 1..64, got {ncols}")
+    itemsize = next(k for k in (1, 2, 4, 8) if 8 * k >= ncols)
+    word = np.dtype(f"u{itemsize}").type
+    rows = _pack_rows(mats.reshape(count * nrows, ncols), itemsize)
+    rows = rows.reshape(count, nrows)
+    free = np.ones((count, nrows), dtype=bool)
+    ranks = np.zeros(count, dtype=np.intp)
+    at = np.arange(count)
+    zero = word(0)
+    for col in range(ncols):
+        cand = free & ((rows & word(1 << col)) != 0)
+        piv = cand.argmax(axis=1)
+        found = cand[at, piv]
+        pivot_rows = np.where(found, rows[at, piv], zero)
+        cand[at, piv] = False
+        rows ^= np.where(cand, pivot_rows[:, None], zero)
+        free[at, piv] &= ~found
+        ranks += found
+    return ranks
+
+
 def binary_matrix_rank(bits, size: int = 32) -> TestResult:
+    if not 2 <= size <= 64:
+        raise ValueError(f"size must be in 2..64, got {size}")
     x = _as_bits(bits)
     n = x.size
     need = 38 * size * size
@@ -308,18 +406,9 @@ def binary_matrix_rank(bits, size: int = 32) -> TestResult:
     full = _rank_probability(size, size, size)
     minus1 = _rank_probability(size, size, size - 1)
     rest = 1.0 - full - minus1
-    counts = [0, 0, 0]  # rank = size, size-1, <= size-2
     flat = x[: nmat * size * size].reshape(nmat, size, size)
-    weights = (1 << np.arange(size, dtype=np.uint64))
-    for mat in flat:
-        rows = [int((mat[i].astype(np.uint64) * weights).sum()) for i in range(size)]
-        r = rank(BitMatrix(rows, size))
-        if r == size:
-            counts[0] += 1
-        elif r == size - 1:
-            counts[1] += 1
-        else:
-            counts[2] += 1
+    deficit = np.minimum(size - _matrix_ranks(flat), 2)
+    counts = np.bincount(deficit, minlength=3).tolist()  # size, size-1, <= size-2
     expect = [nmat * full, nmat * minus1, nmat * rest]
     chi2 = sum((counts[i] - expect[i]) ** 2 / expect[i] for i in range(3))
     p = math.exp(-chi2 / 2.0)
@@ -364,6 +453,8 @@ def _psi_sq(x: np.ndarray, m: int) -> float:
 
 
 def serial_test(bits, m: int = 2) -> TestResult:
+    if m < 2:
+        raise ValueError(f"m must be at least 2, got {m}")
     x = _as_bits(bits)
     n = x.size
     if n < 100:
@@ -383,6 +474,8 @@ def serial_test(bits, m: int = 2) -> TestResult:
 
 
 def approximate_entropy(bits, m: int = 2) -> TestResult:
+    if m < 0:
+        raise ValueError(f"m must be at least 0, got {m}")
     x = _as_bits(bits)
     n = x.size
     if n < 100:
@@ -411,7 +504,48 @@ def approximate_entropy(bits, m: int = 2) -> TestResult:
 _LC_PI = [1 / 96, 1 / 32, 1 / 8, 1 / 2, 1 / 4, 1 / 16, 1 / 48]
 
 
+def _linear_complexities(blocks: np.ndarray) -> np.ndarray:
+    """Linear complexity of every row of a (count, length) 0/1 array.
+
+    Berlekamp-Massey (Massey 1969) on all rows at once, bit-sliced: row
+    j is lane j % 64 of word j // 64, so bit i of 64 blocks is one uint64
+    in seq[i].  The connection polynomial C(D) and B(D)*D^gap are arrays
+    of such words, one per coefficient.  Each step takes the discrepancy
+    as one xor-reduce of C's coefficients against the reversed sequence;
+    C gains B*D^gap in the lanes where it is 1, and in the lanes that
+    also change length, B*D^gap becomes the old C.  The gap grows by one
+    in every branch, so B*D^gap shifts one coefficient up per step: it is
+    a window into a fixed buffer whose start moves down by one.
+    """
+    count, length = blocks.shape
+    seq = _pack_rows(np.ascontiguousarray(blocks.T), 8)
+    lanes = seq.shape[1]
+    conn = np.zeros((length + 1, lanes), dtype=np.uint64)
+    conn[0] = ~np.uint64(0)
+    # coefficient i of B*D^gap is shifted[start + i]; B = 1, gap = 1 at n = 0
+    shifted = np.zeros((length + 2, lanes), dtype=np.uint64)
+    shifted[length + 1] = ~np.uint64(0)
+    lc = np.zeros(count, dtype=np.intp)
+    swap_bytes = np.zeros(lanes * 8, dtype=np.uint8)
+    for n in range(length):
+        start = length - n
+        d = np.bitwise_xor.reduce(conn[: n + 1] & seq[n::-1], axis=0)
+        d_lanes = np.unpackbits(
+            d.astype("<u8").view(np.uint8), count=count, bitorder="little"
+        )
+        change = d_lanes.view(bool) & (2 * lc <= n)
+        swap_bytes[: -(-count // 8)] = np.packbits(change, bitorder="little")
+        b_gap = shifted[start : start + n + 2]
+        to_old_conn = (b_gap ^ conn[: n + 2]) & swap_bytes.view("<u8")
+        conn[: n + 2] ^= b_gap & d
+        b_gap ^= to_old_conn
+        lc = np.where(change, n + 1 - lc, lc)
+    return lc
+
+
 def linear_complexity(bits, block_size: int = 500) -> TestResult:
+    if block_size < 1:
+        raise ValueError(f"block_size must be at least 1, got {block_size}")
     x = _as_bits(bits)
     n = x.size
     need = 200 * block_size
@@ -425,18 +559,12 @@ def linear_complexity(bits, block_size: int = 500) -> TestResult:
         + (9.0 + (-1.0) ** (m + 1)) / 36.0
         - (m / 3.0 + 2.0 / 9.0) / 2.0**m
     )
-    counts = [0] * 7
     blocks = x[: nblocks * m].reshape(nblocks, m)
-    for row in blocks:
-        lc = berlekamp_massey([int(b) for b in row]).degree
-        t = sign * (lc - mu) + 2.0 / 9.0
-        if t <= -2.5:
-            cls = 0
-        elif t > 2.5:
-            cls = 6
-        else:
-            cls = int(math.floor(t + 2.5)) + 1
-        counts[cls] += 1
+    t = sign * (_linear_complexities(blocks) - mu) + 2.0 / 9.0
+    classes = np.where(
+        t <= -2.5, 0, np.where(t > 2.5, 6, np.floor(t + 2.5).astype(np.intp) + 1)
+    )
+    counts = np.bincount(classes, minlength=7).tolist()
     chi2 = sum(
         (counts[i] - nblocks * _LC_PI[i]) ** 2 / (nblocks * _LC_PI[i])
         for i in range(7)

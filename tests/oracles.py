@@ -41,6 +41,12 @@ route than the package:
 * echelon_oracle eliminates one column at a time, xoring each pivot row
   into the rows at once, instead of the package's _echelon, which clears
   blocks of columns through a table of pivot-row combinations.
+* The randomness-battery oracles work one block or one bit at a time:
+  words_to_bits shifts out each bit of each word, block_linear_complexities
+  runs the single-sequence berlekamp_massey per block, longest_runs scans
+  each block bit by bit, and matrix_ranks sums each row's bits into a
+  Python int and takes rank per matrix, instead of the package's unpackbits,
+  bit-sliced Berlekamp-Massey, shifted-AND runs and batched elimination.
 
 The package has no production use for the matrix helpers at the end of
 this file (companion_matrix, krylov_matrix, solve_row, linear_complexity,
@@ -421,6 +427,44 @@ def echelon_oracle(rows: list[int], ncols: int, reduce_up: bool = True):
         if rank_ == nrows:
             break
     return pivots
+
+
+# ---------------------------------------------------------------------------
+# randomness-battery oracles, one block or one bit at a time
+
+def words_to_bits(words, width: int = 32) -> list[int]:
+    """Bits of each word, most significant first."""
+    return [(w >> (width - 1 - j)) & 1 for w in words for j in range(width)]
+
+
+def block_linear_complexities(blocks) -> list[int]:
+    """Berlekamp-Massey linear complexity of each row, one row at a time."""
+    from kdfc_snow.gf2.linalg import berlekamp_massey
+
+    return [berlekamp_massey([int(b) for b in row]).degree for row in blocks]
+
+
+def longest_runs(blocks) -> list[int]:
+    """Longest run of ones in each row, scanned bit by bit."""
+    out = []
+    for row in blocks:
+        best = cur = 0
+        for b in row:
+            cur = cur + 1 if b else 0
+            best = max(best, cur)
+        out.append(best)
+    return out
+
+
+def matrix_ranks(mats) -> list[int]:
+    """GF(2) rank of each matrix, its rows summed into Python ints."""
+    from kdfc_snow.gf2.linalg import BitMatrix, rank
+
+    ranks = []
+    for mat in mats:
+        rows = [sum(int(b) << j for j, b in enumerate(row)) for row in mat]
+        ranks.append(rank(BitMatrix(rows, len(mat[0]))))
+    return ranks
 
 
 # ---------------------------------------------------------------------------

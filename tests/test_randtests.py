@@ -5,8 +5,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdfc_snow import randtests as rt
+from oracles import block_linear_complexities, longest_runs, matrix_ranks, words_to_bits
 
 # 100-bit worked-example input shared by several published test write-ups
 EX100 = (
@@ -255,3 +258,158 @@ class TestBattery:
         for name in ["monobit", "runs", "serial", "cumulative-sums-forward"]:
             with pytest.raises(rt.InsufficientDataError):
                 rt.run_test(name, small)
+
+
+def random_blocks(seed, count, length, density=0.5):
+    """A (count, length) 0/1 array; density 0 or 1 gives all-zero/all-one."""
+    rng = np.random.default_rng(seed)
+    return (rng.random((count, length)) < density).astype(np.uint8)
+
+
+#: block densities: all zeros, sparse, uniform, dense, all ones
+DENSITIES = st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0])
+
+
+class TestBitsFromWords:
+    @given(st.integers(1, 80).flatmap(
+        lambda w: st.tuples(st.just(w), st.lists(st.integers(0, (1 << w) - 1), max_size=20))
+    ))
+    def test_matches_oracle(self, case):
+        width, words = case
+        got = rt.bits_from_words(words, width=width)
+        assert got.dtype == np.uint8
+        assert got.tolist() == words_to_bits(words, width)
+
+    def test_numpy_words_and_full_width(self):
+        words = np.array([0, 1, 0xFFFFFFFF, 0x80000000], dtype=np.uint32)
+        assert rt.bits_from_words(words).tolist() == words_to_bits(words.tolist())
+        assert rt.bits_from_words([(1 << 64) - 1], width=64).tolist() == [1] * 64
+        assert rt.bits_from_words([]).size == 0
+
+    @pytest.mark.parametrize("words,width", [
+        ([2**33 + 5], 32),
+        ([-1], 8),
+        ([256], 8),
+        ([32], 5),
+        ([1 << 64], 64),
+        ([1 << 70], 70),
+        ([-1, 2**63], 64),
+        (np.array([-3], dtype=np.int64), 32),
+    ])
+    def test_refuses_word_out_of_range(self, words, width):
+        with pytest.raises(ValueError, match="word"):
+            rt.bits_from_words(words, width=width)
+
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_refuses_width_below_one(self, width):
+        with pytest.raises(ValueError, match="width"):
+            rt.bits_from_words([0], width=width)
+
+
+class TestLinearComplexityKernel:
+    @given(st.integers(0, 2**32), st.integers(1, 130), st.integers(1, 80), DENSITIES)
+    @settings(max_examples=60)
+    def test_matches_per_block_berlekamp_massey(self, seed, count, length, density):
+        blocks = random_blocks(seed, count, length, density)
+        got = rt._linear_complexities(blocks)
+        assert got.tolist() == block_linear_complexities(blocks)
+
+    @pytest.mark.parametrize("length", [1, 2, 63, 64, 65, 500])
+    def test_block_sizes(self, length):
+        blocks = random_blocks(length, 200, length)
+        blocks[0] = 0
+        blocks[1] = 1
+        got = rt._linear_complexities(blocks).tolist()
+        assert got == block_linear_complexities(blocks)
+        assert got[0] == 0 and got[1] == 1
+
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 200, 2001])
+    def test_block_counts(self, count):
+        blocks = random_blocks(count, count, 65)
+        got = rt._linear_complexities(blocks)
+        assert got.tolist() == block_linear_complexities(blocks)
+
+    def test_battery_shape(self):
+        blocks = random_blocks(7, 2001, 500)
+        got = rt._linear_complexities(blocks)
+        assert got.tolist() == block_linear_complexities(blocks)
+
+
+class TestMatrixRankKernel:
+    @given(st.integers(0, 2**32), st.integers(1, 40), st.integers(1, 64), DENSITIES)
+    @settings(max_examples=60)
+    def test_matches_per_matrix_rank(self, seed, count, size, density):
+        mats = random_blocks(seed, count, size * size, density).reshape(count, size, size)
+        assert rt._matrix_ranks(mats).tolist() == matrix_ranks(mats)
+
+    @pytest.mark.parametrize("size", [1, 8, 32, 64])
+    def test_sizes(self, size):
+        mats = random_blocks(size, 100, size * size).reshape(100, size, size)
+        mats[0] = 0
+        mats[1] = 1
+        mats[2] = np.eye(size, dtype=np.uint8)
+        got = rt._matrix_ranks(mats).tolist()
+        assert got == matrix_ranks(mats)
+        assert got[:3] == [0, 1, size]
+
+    def test_refuses_wide_rows(self):
+        with pytest.raises(ValueError, match="width"):
+            rt._matrix_ranks(np.zeros((1, 65, 65), dtype=np.uint8))
+
+    @pytest.mark.parametrize("size", [65, 70])
+    def test_binary_matrix_rank_refuses_size_past_64(self, size):
+        # 64-bit packed row weights wrapped here and gave false FAILs
+        rng = np.random.default_rng(size)
+        x = rng.integers(0, 2, size=38 * size * size, dtype=np.uint8)
+        with pytest.raises(ValueError, match="size"):
+            rt.run_test("binary-matrix-rank", x, size=size)
+
+    def test_size_64_counts_match_oracle(self):
+        rng = np.random.default_rng(64)
+        x = rng.integers(0, 2, size=38 * 64 * 64, dtype=np.uint8)
+        r = rt.binary_matrix_rank(x, size=64)
+        deficits = [min(64 - k, 2) for k in matrix_ranks(x.reshape(38, 64, 64))]
+        assert r.stats["counts"] == [deficits.count(i) for i in range(3)]
+        assert r.passed
+
+
+class TestLongestRunKernel:
+    @given(st.integers(0, 2**32), st.integers(1, 60), st.integers(1, 200), DENSITIES)
+    @settings(max_examples=60)
+    def test_exact_runs_match_scan(self, seed, count, length, density):
+        blocks = random_blocks(seed, count, length, density)
+        got = rt._longest_run_classes(blocks, 0, length)
+        assert got.tolist() == longest_runs(blocks)
+
+    @pytest.mark.parametrize("length,lo,hi", [(8, 1, 4), (128, 4, 9), (10_000, 10, 16)])
+    @pytest.mark.parametrize("density", [0.0, 0.5, 0.8, 1.0])
+    def test_published_classes(self, length, lo, hi, density):
+        blocks = random_blocks(length, 30, length, density)
+        want = [min(max(best, lo), hi) - lo for best in longest_runs(blocks)]
+        assert rt._longest_run_classes(blocks, lo, hi).tolist() == want
+
+
+class TestParameterChecks:
+    @pytest.mark.parametrize("test,params", [
+        ("block_frequency", {"block_size": 0}),
+        ("block_frequency", {"block_size": -3}),
+        ("linear_complexity", {"block_size": 0}),
+        ("linear_complexity", {"block_size": -5}),
+        ("binary_matrix_rank", {"size": 0}),
+        ("binary_matrix_rank", {"size": 1}),
+        ("serial_test", {"m": 0}),
+        ("serial_test", {"m": 1}),
+        ("approximate_entropy", {"m": -1}),
+    ], ids=str)
+    def test_bad_parameter_is_a_value_error(self, test, params):
+        x = np.random.default_rng(3).integers(0, 2, size=200_000, dtype=np.uint8)
+        (name,) = params
+        with pytest.raises(ValueError, match=rf"\b{name} must"):
+            getattr(rt, test)(x, **params)
+
+    def test_through_run_test(self):
+        x = np.ones(1000, dtype=np.uint8)
+        with pytest.raises(ValueError, match="block_size"):
+            rt.run_test("block-frequency", x, block_size=0)
+        with pytest.raises(ValueError, match=r"\bm must"):
+            rt.run_test("serial", x, m=1)
