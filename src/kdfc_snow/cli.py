@@ -28,7 +28,7 @@ from kdfc_snow.confgen import (
     pipeline_poly,
     y_offline,
 )
-from kdfc_snow.gf2.poly import Gf2Poly
+from kdfc_snow.gf2.poly import Gf2Poly, is_irreducible
 from kdfc_snow.sigma_lfsr import (
     LfsrState,
     SigmaConfig,
@@ -119,6 +119,8 @@ def _resolve_poly(args, degree: int) -> Gf2Poly:
         p = _poly_from_exps(args.poly)
         if p.degree != degree:
             raise ValueError(f"--poly must have degree {degree}, got {p.degree}")
+        if not is_irreducible(p):
+            raise ValueError(f"--poly {args.poly} is reducible")
         return p
     return pipeline_poly(degree)
 

@@ -164,8 +164,8 @@ def _field_embed(v: int, pc: int) -> int:
     return clmul(pc, rev) >> w
 
 
-def _field_unembed(g: int, pc: int) -> int:
-    """Inverse of _field_embed.
+def _field_unembed(g: int, pc: int, tail: int | None) -> int:
+    """Inverse of _field_embed; tail is _sparse_tail(pc).
 
     With u = rev(v) and p = x^w + t, g = u + floor(u*t / x^w), so u is the
     fixed point of u -> g + floor(u*t / x^w).  For a sparse p (see
@@ -175,7 +175,6 @@ def _field_unembed(g: int, pc: int) -> int:
     degree w - 1 - i, so the top term of g names the next coordinate to set.
     """
     w = pc.bit_length() - 1
-    tail = _sparse_tail(pc)
     if tail is not None:
         u = g ^ (clmul(g, tail) >> w)
         return int(bin(u)[:1:-1], 2) << (w - u.bit_length())
@@ -221,8 +220,8 @@ def y_iterate(y: BitMatrix, i: int, p: Gf2Poly, fill: int) -> BitMatrix:
     pc = p.coeffs
     active = i % m
     lam = _lin_solve_coeffs(y.rows[active], p)
-    times_lam = _mulmod_by(lam, pc)
-    new_rows = [_field_unembed(times_lam(_field_embed(r, pc)), pc) for r in y.rows]
+    times_lam, tail = _mulmod_by(lam, pc), _sparse_tail(pc)
+    new_rows = [_field_unembed(times_lam(_field_embed(r, pc)), pc, tail) for r in y.rows]
     if new_rows[active] != 1 << (w - 1):
         raise NoSolutionError("active row did not land on e_1")
     pos = 0

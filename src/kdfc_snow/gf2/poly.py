@@ -202,13 +202,15 @@ def _sparse_tail(m: int) -> int | None:
     return None
 
 
-def _mod_int(a: int, m: int) -> int:
-    """a mod m: folding for a sparse m, shift-and-xor long division otherwise."""
+def _mod_int(a: int, m: int, tail: int | None = -1) -> int:
+    """a mod m: folding for a sparse m (tail = _sparse_tail(m), taken here
+    unless passed in), shift-and-xor long division otherwise."""
     ml = m.bit_length()
     al = a.bit_length()
     if al < ml:
         return a
-    tail = _sparse_tail(m)
+    if tail == -1:
+        tail = _sparse_tail(m)
     if tail is not None:
         d = ml - 1
         mask = (1 << d) - 1
@@ -236,8 +238,9 @@ def _mulmod_by(b: int, m: int) -> Callable[[int], int]:
     Below that degree the 256-entry table costs about what it saves and
     each product goes through clmul.
     """
+    tail = _sparse_tail(m)
     if m.bit_length() <= 32:
-        return lambda a: _mod_int(clmul(a, b), m)
+        return lambda a: _mod_int(clmul(a, b), m, tail)
     tab = [0, b]
     for j in range(1, 128):
         t = tab[j] << 1
@@ -247,7 +250,7 @@ def _mulmod_by(b: int, m: int) -> Callable[[int], int]:
         acc = 0
         for byte in a.to_bytes((a.bit_length() + 7) // 8, "big"):
             acc = (acc << 8) ^ tab[byte]
-        return _mod_int(acc, m)
+        return _mod_int(acc, m, tail)
 
     return mulmod
 

@@ -27,8 +27,9 @@ time:
 
 These kernels pack bits into words and never widen one bit to an
 integer, so none of their transient arrays is larger than the bit array
-(cumulative-sums, serial and approximate-entropy still build one int64
-per bit).  tests/oracles.py holds a per-block reference for each kernel.
+(cumulative-sums keeps one int32 per bit, serial and approximate-entropy
+one window index in the smallest unsigned type).  tests/oracles.py holds
+a per-block reference for each kernel.
 
 Class probabilities: the binary-matrix-rank and linear-complexity tests
 use exact closed forms evaluated at run time (rank-distribution product
@@ -425,10 +426,11 @@ def cumulative_sums(bits, reverse: bool = False) -> TestResult:
     n = x.size
     if n < 100:
         raise InsufficientDataError("cumulative-sums", 100, n)
-    steps = 2 * x.astype(np.int64) - 1
-    if reverse:
-        steps = steps[::-1]
-    z = int(np.abs(np.cumsum(steps)).max())
+    s = (x[::-1] if reverse else x).astype(np.int32 if n < 1 << 31 else np.int64)
+    s <<= 1
+    s -= 1  # the +-1 steps, summed in place
+    np.cumsum(s, out=s)
+    z = int(max(s.max(), -s.min()))
     sqrt_n = math.sqrt(n)
     total = 1.0
     for k in range(((-n // z) + 1) // 4, ((n // z) - 1) // 4 + 1):
@@ -439,17 +441,24 @@ def cumulative_sums(bits, reverse: bool = False) -> TestResult:
     return _result(name, total, {"z": z})
 
 
+def _window_counts(x: np.ndarray, m: int) -> np.ndarray:
+    """Counts of the 2^m overlapping m-bit windows of x, with wraparound."""
+    n = x.size
+    ext = np.concatenate([x, x[: m - 1]])
+    idx = np.zeros(n, dtype=np.min_scalar_type((1 << m) - 1))
+    for j in range(m):
+        idx <<= 1
+        idx |= ext[j : j + n]
+    chunk = 1 << 16  # bincount widens its input to intp
+    return sum(np.bincount(idx[i : i + chunk], minlength=1 << m) for i in range(0, n, chunk))
+
+
 def _psi_sq(x: np.ndarray, m: int) -> float:
     """psi^2_m with overlapping windows and wraparound (0 for m = 0)."""
-    n = x.size
     if m == 0:
         return 0.0
-    ext = np.concatenate([x, x[: m - 1]])
-    idx = np.zeros(n, dtype=np.int64)
-    for j in range(m):
-        idx = (idx << 1) | ext[j : j + n]
-    counts = np.bincount(idx, minlength=1 << m)
-    return float((1 << m) / n * (counts.astype(np.float64) ** 2).sum() - n)
+    counts = _window_counts(x, m)
+    return float((1 << m) / x.size * (counts.astype(np.float64) ** 2).sum() - x.size)
 
 
 def serial_test(bits, m: int = 2) -> TestResult:
@@ -484,11 +493,7 @@ def approximate_entropy(bits, m: int = 2) -> TestResult:
     def phi(mm: int) -> float:
         if mm == 0:
             return 0.0
-        ext = np.concatenate([x, x[: mm - 1]])
-        idx = np.zeros(n, dtype=np.int64)
-        for j in range(mm):
-            idx = (idx << 1) | ext[j : j + n]
-        counts = np.bincount(idx, minlength=1 << mm).astype(np.float64)
+        counts = _window_counts(x, mm).astype(np.float64)
         nz = counts[counts > 0] / n
         return float((nz * np.log(nz)).sum())
 

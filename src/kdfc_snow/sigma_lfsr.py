@@ -16,7 +16,7 @@ between the two layouts, so either may be fed to char_poly.
 Words use the package bit order: bit i of a word is its coefficient of 2^i,
 and stacked state vectors place block i at bit positions [i*m, (i+1)*m).
 
-Stepping goes by one of two routes on stacked states:
+Stepping goes by one of three routes on stacked states:
 
 * step_stacked, one step, through byte tables built only for the nonzero
   gains (SNOW 2.0 has 3 of 16, so 12 lookups per step instead of 64; a
@@ -27,11 +27,13 @@ Stepping goes by one of two routes on stacked states:
   steps only the m top-block basis vectors b times, plus one step per
   other row.  The tables hold 256 mb-bit ints per byte of the state, about
   1.7 MB at mb = 512, so snow2 builds them only for a keystream call of at
-  least JUMP_MIN words and then keeps them on the configuration.
+  least JUMP_MIN words and then keeps them on the configuration;
+* config_char_poly steps the transposed system z -> T z instead, m/8
+  lookups per step in lane tables of the gain columns, not kept.
 
-The per-object reference step both are tested against, the transition
-matrix and the read-back of gains from a configuration matrix live in
-tests/oracles.py.
+The per-object reference step, the row-stepped certificate sequence, the
+transition matrix and the read-back of gains from a configuration matrix
+live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -263,26 +265,34 @@ def period(cfg: SigmaConfig, s0: LfsrState) -> int:
 def config_char_poly(cfg: SigmaConfig) -> Gf2Poly:
     """Characteristic polynomial of the configuration matrix.
 
-    Certificate: the bits s_t = bit 0 of the stacked state e_0 * T^t, T the
-    transition matrix, obey every polynomial that annihilates T, so their
-    minimal polynomial f divides the minimal polynomial of T, which divides
-    the degree-n characteristic polynomial (n = mb).  The sequence has
-    linear complexity at most n, so Berlekamp-Massey on its first 2n terms
+    Certificate: the bits s_t = (T^t)_00, T the transition matrix, obey
+    every polynomial that annihilates T, so their minimal polynomial f
+    divides the minimal polynomial of T, which divides the degree-n
+    characteristic polynomial (n = mb).  The sequence has linear
+    complexity at most n, so Berlekamp-Massey on its first 2n terms
     returns f exactly (Massey 1969).  When f has degree n, the three are
     equal and f is the answer; this always holds when the characteristic
     polynomial is irreducible.  Otherwise (zero gains, a non-cyclic
     configuration, or e_0 not a cyclic vector) the dense char_poly of the
-    configuration matrix decides.  The stepping builds cfg's byte tables,
-    which stay cached on cfg for the keystream that follows.
+    configuration matrix decides.  s_t is bit 0 of T^t e_0 as well as of
+    e_0 T^t, so the bits come from the transposed step z -> T z, which
+    reads only the top block: m/8 lookups in lane tables of the gain
+    columns V_c (bit i*m + r is B_i[r][c]), however dense the gains are.
     """
     from kdfc_snow.gf2.linalg import berlekamp_massey, char_poly
 
-    n = cfg.m * cfg.b
-    bits = []
-    v = 1
+    m, n = cfg.m, cfg.m * cfg.b
+    top, mask = n - m, (1 << n) - 1
+    rows = "".join(format(r, f"0{m}b") for g in cfg.gains[::-1] for r in g.rows[::-1])
+    lanes = _lane_tables([int(rows[m - 1 - c :: m], 2) for c in range(m)])
+    bits, z = [], 1
     for _ in range(2 * n):
-        bits.append(v & 1)
-        v = step_stacked(cfg, v)
+        bits.append(z & 1)
+        w = z >> top
+        z = (z << m) & mask
+        for table in lanes:
+            z ^= table[w & 0xFF]
+            w >>= 8
     f = berlekamp_massey(bits)
     if f.degree == n:
         return f

@@ -38,6 +38,10 @@ route than the package:
 * dense_char_poly takes the characteristic polynomial of the built
   configuration matrix by elimination, instead of the package's
   Berlekamp-Massey certificate on a stepped sequence.
+* row_certificate_bits steps the certificate's sequence (T^t)_00 on row
+  vectors, e_0 T^t through step_stacked and the byte tables of the
+  gains, instead of config_char_poly's transposed step T^t e_0 through
+  lane tables of the gain columns.
 * echelon_oracle eliminates one column at a time, xoring each pivot row
   into the rows at once, instead of the package's _echelon, which clears
   blocks of columns through a table of pivot-row combinations.
@@ -342,6 +346,17 @@ def dense_char_poly(cfg):
     from kdfc_snow.sigma_lfsr import build_config_matrix
 
     return char_poly(build_config_matrix(cfg))
+
+
+def row_certificate_bits(cfg) -> list[int]:
+    """The 2mb bits (T^t)_00 config_char_poly certifies, as bit 0 of e_0 T^t."""
+    from kdfc_snow.sigma_lfsr import step_stacked
+
+    bits, v = [], 1
+    for _ in range(2 * cfg.m * cfg.b):
+        bits.append(v & 1)
+        v = step_stacked(cfg, v)
+    return bits
 
 
 # ---------------------------------------------------------------------------

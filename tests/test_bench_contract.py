@@ -102,6 +102,35 @@ def test_init_paths_build_no_jump_tables():
     assert cfg._jump_tables is None
 
 
+def test_verified_init_builds_its_row_tables_once(bench, monkeypatch):
+    # the char-poly certificate steps the transposed system through its own
+    # column tables: the only row-table build is the discard's, and the only
+    # step_stacked calls are the 32 init clocks and the 32 discarded words
+    spans, _ = bench
+    from kdfc_snow import kdfc, snow2, sigma_lfsr
+
+    snow2.snow2_init(KAT_KEY, KAT_IV)  # the shared SNOW 2.0 tables exist
+    certified = []
+    real = sigma_lfsr.config_char_poly
+
+    def certify(cfg):
+        p = real(cfg)
+        certified.append(cfg._byte_tables is None)
+        return p
+
+    monkeypatch.setattr(sigma_lfsr, "config_char_poly", certify)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        state = kdfc.kdfc_init(kdfc.KdfcParams(key=KAT_KEY, iv=KAT_IV))
+    finally:
+        tracer.uninstall()
+    assert certified == [True]
+    assert state.cfg._byte_tables is not None
+    assert tracer.calls("sigma_lfsr.byte_tables") == 1
+    assert tracer.calls("sigma_lfsr.step_stacked") == 32 + 32
+
+
 def test_stream_chunks_build_the_jump_tables_once(bench):
     # a perfbench chunk (4,096 words) builds the tables: m steps b times
     # for the top-block rows and one step per other row, and no clock

@@ -376,6 +376,24 @@ class TestGenConfig:
         )
         assert code == 1 and "degree" in err
 
+    @pytest.mark.parametrize("poly", ["16,0", "16,1,0", "16,8,0"])
+    def test_poly_reducible(self, capsys, poly):
+        # x^16 + 1 = (x + 1)^16 and x^16 + x^8 + 1 = (x^8 + x^4 + 1)^2; the
+        # trinomial x^16 + x + 1 has no root but factors too
+        code, out, err = run(
+            capsys, "gen-config", "--m", "4", "--b", "4", "--seed", "x",
+            "--poly", poly,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "reducible" in err
+
+    def test_poly_degree_mismatch_comes_first(self, capsys):
+        code, _, err = run(
+            capsys, "gen-config", "--m", "4", "--b", "4", "--seed", "x",
+            "--poly", "15,0",
+        )
+        assert code == 1 and "degree 16, got 15" in err
+
     def test_k_out_of_range(self, capsys):
         code, _, err = run(
             capsys, "gen-config", "--m", "2", "--b", "4", "--k", "7",

@@ -1,6 +1,7 @@
 """Statistical battery: published worked-example values, duals, edge cases."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -413,3 +414,40 @@ class TestParameterChecks:
             rt.run_test("block-frequency", x, block_size=0)
         with pytest.raises(ValueError, match=r"\bm must"):
             rt.run_test("serial", x, m=1)
+
+
+class TestNarrowTransients:
+    """cumulative-sums, serial and approximate-entropy keep no int64 per bit."""
+
+    @pytest.mark.parametrize("name", [
+        "cumulative-sums-forward", "cumulative-sums-reverse", "serial",
+        "approximate-entropy",
+    ])
+    def test_peak_on_a_million_bits(self, name):
+        x = np.random.default_rng(7).integers(0, 2, size=1_000_000, dtype=np.uint8)
+        rt.run_test(name, x)
+        tracemalloc.start()
+        try:
+            rt.run_test(name, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9_000_000, f"{name} peaked at {peak} bytes"
+
+    @pytest.mark.parametrize("density", [0.5, 0.9, 1.0])
+    def test_cumulative_sums_excursion(self, density):
+        # the largest |partial sum| of the +-1 steps, against int64 and abs
+        x = random_blocks(11, 1, 70_001, density)[0]
+        steps = 2 * x.astype(np.int64) - 1
+        for reverse, s in [(False, steps), (True, steps[::-1])]:
+            want = int(np.abs(np.cumsum(s)).max())
+            assert rt.cumulative_sums(x, reverse).stats["z"] == want
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 9, 17])
+    def test_window_counts(self, m):
+        # across the 2^16-window chunks and the uint8/uint16/uint32 indexes
+        x = random_blocks(m, 1, 70_001)[0]
+        ext = np.concatenate([x, x[: m - 1]]).astype(np.int64)
+        idx = sum(ext[j : j + x.size] << (m - 1 - j) for j in range(m))
+        want = np.bincount(idx, minlength=1 << m)
+        assert np.array_equal(rt._window_counts(x, m), want)

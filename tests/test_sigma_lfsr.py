@@ -13,11 +13,13 @@ from oracles import (
     extract_config,
     lfsr_step,
     orbit_of,
+    row_certificate_bits,
 )
 
 from kdfc_snow.gf2 import linalg
 from kdfc_snow.gf2.linalg import (
     BitMatrix,
+    berlekamp_massey,
     char_poly,
     mat_vec_mul,
 )
@@ -290,6 +292,68 @@ class TestCharPoly:
         for cfg, want in cases:
             assert config_char_poly(cfg) == want
         assert len(calls) == len(cases)
+
+
+def certificate_bits(cfg):
+    """The sequence config_char_poly hands to Berlekamp-Massey."""
+    seen = []
+    real = linalg.berlekamp_massey
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "berlekamp_massey", lambda bits: seen.append(bits) or real(bits))
+        config_char_poly(cfg)
+    assert len(seen) == 1
+    return seen[0]
+
+
+class TestTransposedCertificate:
+    """config_char_poly steps T z on columns; the oracle steps e_0 T on rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.sampled_from([1, 3, 4, 5, 12, 32]),
+        b=st.sampled_from([1, 2, 4, 16]),
+        seed=st.integers(0, 2**32),
+        zeroed=st.sets(st.integers(0, 15)),
+    )
+    def test_sequence_matches_row_stepping(self, m, b, seed, zeroed):
+        cfg = random_config(random.Random(seed), m, b)
+        for i in zeroed & set(range(b)):
+            cfg.gains[i] = BitMatrix.zeros(m, m)
+        bits = certificate_bits(cfg)
+        assert cfg._byte_tables is None  # the certificate builds no row tables
+        assert bits == row_certificate_bits(cfg)
+
+    @pytest.mark.parametrize("m,b", [(1, 1), (5, 2), (32, 16)])
+    def test_all_gains_zero(self, m, b):
+        cfg = SigmaConfig(m, b, [BitMatrix.zeros(m, m)] * b)
+        bits = certificate_bits(cfg)
+        assert bits == row_certificate_bits(cfg) == [1] + [0] * (2 * m * b - 1)
+
+    @pytest.mark.parametrize("which", ["snow2", "dense"])
+    def test_full_scale(self, which):
+        from kdfc_snow.snow2 import snow2_gains
+
+        cfg = snow2_gains() if which == "snow2" else random_config(random.Random(5), 32, 16)
+        assert certificate_bits(cfg) == row_certificate_bits(cfg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(2, 4),
+        cs=st.lists(st.booleans(), min_size=1, max_size=4),
+    )
+    def test_non_cyclic_configs_match_the_dense_oracle(self, m, cs):
+        # scalar gains c_i * I: every block coordinate is the scalar LFSR of
+        # f = x^b + sum c_i x^i, so the char poly is f^m and, for m >= 2, the
+        # minimal polynomial f is too short: the dense route decides
+        b = len(cs)
+        gains = [BitMatrix.identity(m) if c else BitMatrix.zeros(m, m) for c in cs]
+        cfg = SigmaConfig(m, b, gains)
+        f = Gf2Poly.from_exponents([b] + [i for i, c in enumerate(cs) if c])
+        want = Gf2Poly(1)
+        for _ in range(m):
+            want = want * f
+        assert config_char_poly(cfg) == dense_char_poly(cfg) == want
+        assert berlekamp_massey(certificate_bits(cfg)).degree < m * b
 
 
 class TestPeriod:
