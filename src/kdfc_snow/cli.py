@@ -28,7 +28,12 @@ from kdfc_snow.confgen import (
     pipeline_poly,
     y_offline,
 )
-from kdfc_snow.gf2.poly import Gf2Poly, is_irreducible
+from kdfc_snow.gf2.poly import (
+    FactorTableMissError,
+    Gf2Poly,
+    is_irreducible,
+    is_primitive,
+)
 from kdfc_snow.sigma_lfsr import (
     LfsrState,
     SigmaConfig,
@@ -45,9 +50,8 @@ from kdfc_snow.snow2 import (
 
 __all__ = ["main", "build_parser"]
 
-#: words per write of `snow2 stream` and `kdfc stream`: a multiple of 16,
-#: and at least JUMP_MIN so that every full chunk streams through the jump
-#: tables
+#: words per write of `snow2 stream` and `kdfc stream`: memory stays bounded
+#: in -n, and each call's rebuild of the Galois state (64 lookups) is negligible
 STREAM_CHUNK = 4096
 
 
@@ -121,6 +125,11 @@ def _resolve_poly(args, degree: int) -> Gf2Poly:
             raise ValueError(f"--poly must have degree {degree}, got {p.degree}")
         if not is_irreducible(p):
             raise ValueError(f"--poly {args.poly} is reducible")
+        try:
+            if not is_primitive(p):
+                raise ValueError(f"--poly {args.poly} is irreducible but not primitive")
+        except FactorTableMissError:
+            pass  # no shipped factorization of 2^d - 1: irreducibility is the check
         return p
     return pipeline_poly(degree)
 
@@ -158,6 +167,10 @@ def _load_state(path: str) -> CipherState:
     """Read a state document; refuse one whose configuration is not a KDFC one."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(
+            f"malformed state document: expected a JSON object, got {type(doc).__name__}"
+        )
     try:
         cfg = SigmaConfig.from_json(doc["config"])
         state = CipherState(
@@ -169,12 +182,6 @@ def _load_state(path: str) -> CipherState:
         raise ValueError(f"malformed state document: field {e} missing") from None
     except (TypeError, AttributeError) as e:
         raise ValueError(f"malformed state document: {e}") from None
-    if (cfg.m, cfg.b) != (kdfc.M, kdfc.B):
-        # the SNOW 2.0 FSM and the 8-digit output are defined on 16 words of 32 bits
-        raise ValueError(
-            f"state configuration is {cfg.m}x{cfg.b}, "
-            f"expected m={kdfc.M}, b={kdfc.B}"
-        )
     got = config_char_poly(cfg)
     if got != kdfc.target_poly():
         raise ValueError("state configuration lacks the target characteristic polynomial")

@@ -43,6 +43,7 @@ __all__ = [
     "B",
     "ONLINE_TOTAL",
     "DEFAULT_K",
+    "MAX_DISCARD",
     "TARGET_POLY_EXPONENTS",
     "target_poly",
     "YInitDoc",
@@ -60,6 +61,10 @@ B = 16
 ONLINE_TOTAL = M * B - M
 #: offline iteration count of the shipped matrix
 DEFAULT_K = 468
+
+#: upper bound on KdfcParams.discard; the discarded words are produced,
+#: and held, in one keystream call
+MAX_DISCARD = 1 << 16
 
 Y_INIT_FILE = "y_init_m32_k468.json"
 
@@ -173,7 +178,8 @@ class KdfcParams:
     y_init defaults to the shipped document.  Its k is the offline
     iteration count; the remaining ONLINE_TOTAL - k iterations draw their
     fill bits from captured FSM words, so they number at most 32.  discard
-    output vectors (default 32) are dropped after the configuration swap.
+    output vectors (default 32, at most MAX_DISCARD) are dropped after the
+    configuration swap.
     """
 
     key: list[int]
@@ -207,8 +213,8 @@ class KdfcParams:
                 f"y_init k={doc.k} leaves {online} online iterations; "
                 "need between 0 and 32"
             )
-        if self.discard < 0:
-            raise ValueError("discard must be non-negative")
+        if not 0 <= self.discard <= MAX_DISCARD:
+            raise ValueError(f"discard must be in [0, {MAX_DISCARD}], got {self.discard}")
         return doc
 
 
@@ -242,9 +248,4 @@ kdfc_keystream = snow2_keystream
 
 def reconfigure(state: CipherState, cfg: SigmaConfig) -> CipherState:
     """Swap the feedback configuration, keeping LFSR and FSM contents."""
-    if cfg.m != state.cfg.m or cfg.b != state.cfg.b:
-        raise ValueError(
-            f"configuration is {cfg.m}x{cfg.b} blocks, state needs "
-            f"{state.cfg.m}x{state.cfg.b}"
-        )
     return CipherState(state.lfsr.copy(), state.fsm.copy(), cfg)

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 import operator
+import string
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,9 +125,15 @@ def bits_from_hex(text: str) -> np.ndarray:
     digits = "".join(text.split())
     if not digits:
         return np.zeros(0, dtype=np.uint8)
-    vals = np.frombuffer(bytes.fromhex(
-        digits if len(digits) % 2 == 0 else digits + "0"
-    ), dtype=np.uint8)
+    try:
+        raw = bytes.fromhex(digits if len(digits) % 2 == 0 else digits + "0")
+    except ValueError:
+        # only on failure: name the first line with a non-hex character
+        for number, line in enumerate(text.splitlines(), 1):
+            if not set("".join(line.split())) <= set(string.hexdigits):
+                raise ValueError(f"line {number} is not hexadecimal: {line.strip()!r}") from None
+        raise
+    vals = np.frombuffer(raw, dtype=np.uint8)
     bits = np.unpackbits(vals)
     return bits[: 4 * len(digits)].astype(np.uint8)
 

@@ -16,24 +16,26 @@ between the two layouts, so either may be fed to char_poly.
 Words use the package bit order: bit i of a word is its coefficient of 2^i,
 and stacked state vectors place block i at bit positions [i*m, (i+1)*m).
 
-Stepping goes by one of three routes on stacked states:
+Stepping goes through the observer-form (Galois) realization of the same
+recurrence.  Its state z holds, in block k, the partial feedback
 
-* step_stacked, one step, through byte tables built only for the nonzero
-  gains (SNOW 2.0 has 3 of 16, so 12 lookups per step instead of 64; a
-  dense configuration keeps all 16);
-* b steps at once, through jump_tables: byte-lane tables of T^b, T the
-  transition matrix, so v * T^b is mb/8 lookups.  The rows e_j * T^b come
-  from a recurrence over the blocks (see SigmaConfig.jump_tables) that
-  steps only the m top-block basis vectors b times, plus one step per
-  other row.  The tables hold 256 mb-bit ints per byte of the state, about
-  1.7 MB at mb = 512, so snow2 builds them only for a keystream call of at
-  least JUMP_MIN words and then keeps them on the configuration;
-* config_char_poly steps the transposed system z -> T z instead, m/8
-  lookups per step in lane tables of the gain columns, not kept.
+    z_k = sum_{i <= b-1-k} x_{t+k+i} * B_i,
 
-The per-object reference step, the row-stepped certificate sequence, the
-transition matrix and the read-back of gains from a configuration matrix
-live in tests/oracles.py.
+so block 0 is the next word x_{t+b}.  One clock reads that word and feeds
+it back through every gain at once:
+
+    x = z & mask;  z = (z >> m) ^ L(x),  L(x) = sum_k (x * B_{b-1-k}) << km,
+
+which is ceil(m/8) lookups (4 at m = 32) in the byte-lane tables of L
+(SigmaConfig.byte_tables), however dense the gains are.  The Galois
+state of a window x_t..x_{t+b-1} is sum_j L(x_{t+j}) >> (b-1-j)m, the
+same clock fed with the window's words (galois_state).  The keystream
+(snow2), the one-step step_stacked and the char-poly certificate all
+use these tables.
+
+The per-object reference step, the certificate sequence stepped on the
+configuration matrix, the transition matrix and the read-back of gains
+from a configuration matrix live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
     "NotMCompanionError",
     "PeriodGuardError",
     "build_config_matrix",
+    "galois_state",
     "step_stacked",
     "period",
 ]
@@ -65,7 +68,7 @@ class PeriodGuardError(ValueError):
 class SigmaConfig:
     """Feedback configuration: word width m, block count b, gains B_0..B_{b-1}."""
 
-    __slots__ = ("m", "b", "gains", "_byte_tables", "_jump_tables")
+    __slots__ = ("m", "b", "gains", "_byte_tables")
 
     def __init__(self, m: int, b: int, gains: list[BitMatrix]):
         if m < 1 or b < 1:
@@ -81,7 +84,6 @@ class SigmaConfig:
         self.b = b
         self.gains = list(gains)
         self._byte_tables = None
-        self._jump_tables = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SigmaConfig):
@@ -103,72 +105,29 @@ class SigmaConfig:
         gains = [BitMatrix.from_json(g) for g in obj["gains"]]
         return cls(int(obj["m"]), int(obj["b"]), gains)
 
-    def byte_tables(self) -> list[tuple[int, list[list[int]]]]:
-        """Byte-lane lookup tables for the nonzero gains, keyed by block shift.
+    def byte_tables(self) -> list[list[int]]:
+        """Byte-lane lookup tables of the Galois feedback L.
 
-        Each entry is (i*m, lanes) for a nonzero gain B_i, with
-        lanes[lane][byte] = (byte << (8*lane) as a row selector) * B_i, so a
-        feedback term x*B_i is four (or m/8) table lookups.  Built once and
-        cached; gains are treated as immutable after construction.
+        lanes[lane][byte] = L(byte << 8*lane), where L(x) is the mb-bit
+        int holding x * B_{b-1-k} in block k, so L of an m-bit word is the
+        xor of ceil(m/8) lookups; the last lane is narrower when 8 does not
+        divide m.  Each row L(e_r) doubles its lane's table, one xor per new
+        entry.  Built once and cached; gains are treated as immutable after
+        construction.
         """
         if self._byte_tables is None:
-            self._byte_tables = [
-                (i * self.m, _lane_tables(g.rows))
-                for i, g in enumerate(self.gains)
-                if any(g.rows)
-            ]
+            m = self.m
+            rows = [0] * m
+            for k, g in enumerate(reversed(self.gains)):
+                for r, row in enumerate(g.rows):
+                    rows[r] |= row << (k * m)
+            self._byte_tables = []
+            for base in range(0, m, 8):
+                table = [0]
+                for row in rows[base : base + 8]:
+                    table += [t ^ row for t in table]
+                self._byte_tables.append(table)
         return self._byte_tables
-
-    def jump_tables(self) -> list[list[int]]:
-        """Byte-lane lookup tables of T^b, T the transition matrix.
-
-        lanes[k][byte] = (byte << 8k) * T^b on the stacked state, so the
-        state b steps ahead (the next b words, as blocks) is the xor of
-        mb/8 lookups.  The rows R_j = e_j * T^b come from a recurrence, not
-        from stepping every basis vector b times: the m top-block rows are
-        stepped b times each, and for j = i*m + r below the top block,
-        e_{j+m} * T = e_j xor (B_{i+1}[r] << top) gives
-
-            R_j = step(R_{j+m}) xor sum of R_{top+s} over the bits s of B_{i+1}[r],
-
-        that sum being m/8 lookups in lane tables over the top rows.  Built
-        once, on the first call, and cached (about 1.7 MB at mb = 512).
-        """
-        if self._jump_tables is None:
-            m, b = self.m, self.b
-            top = (b - 1) * m
-            rows = [0] * (m * b)
-            for r in range(m):
-                v = 1 << (top + r)
-                for _ in range(b):
-                    v = step_stacked(self, v)
-                rows[top + r] = v
-            top_lanes = _lane_tables(rows[top:])
-            for j in range(top - 1, -1, -1):
-                v = step_stacked(self, rows[j + m])
-                w = self.gains[j // m + 1].rows[j % m]
-                for table in top_lanes:
-                    v ^= table[w & 0xFF]
-                    w >>= 8
-                rows[j] = v
-            self._jump_tables = _lane_tables(rows)
-        return self._jump_tables
-
-
-def _lane_tables(rows: list[int]) -> list[list[int]]:
-    """Per 8-bit lane of a selector word: table[byte] = xor of the selected rows.
-
-    rows[i] is the image of selector bit i; a lane of fewer than 8 rows
-    (the last, when len(rows) is not a multiple of 8) gets a shorter table.
-    Each row doubles its lane's table, one xor per new entry.
-    """
-    lanes = []
-    for base in range(0, len(rows), 8):
-        table = [0]
-        for row in rows[base : base + 8]:
-            table += [t ^ row for t in table]
-        lanes.append(table)
-    return lanes
 
 
 class LfsrState:
@@ -232,18 +191,29 @@ def build_config_matrix(cfg: SigmaConfig) -> BitMatrix:
     return BitMatrix(rows, n)
 
 
-def step_stacked(cfg: SigmaConfig, v: int) -> int:
-    """One shift of a stacked mb-bit state, feedback via byte_tables."""
+def galois_state(cfg: SigmaConfig, words: list[int]) -> int:
+    """Galois state of the window x_t..x_{t+b-1}, words oldest first.
+
+    sum_j L(x_{t+j}) >> (b-1-j)m: the Galois clock from z = 0, fed the
+    window's words; its block 0 is the feedback word x_{t+b}.
+    """
     m = cfg.m
+    lanes = cfg.byte_tables()
+    z = 0
+    for w in words:
+        z >>= m
+        for table in lanes:
+            z ^= table[w & 0xFF]
+            w >>= 8
+    return z
+
+
+def step_stacked(cfg: SigmaConfig, v: int) -> int:
+    """One shift of a stacked mb-bit state, feedback via galois_state."""
+    m, b = cfg.m, cfg.b
     mask = (1 << m) - 1
-    feedback = 0
-    for shift, lanes in cfg.byte_tables():
-        w = (v >> shift) & mask
-        if w:
-            for table in lanes:
-                feedback ^= table[w & 0xFF]
-                w >>= 8
-    return (v >> m) | (feedback << ((cfg.b - 1) * m))
+    feedback = galois_state(cfg, [(v >> (i * m)) & mask for i in range(b)]) & mask
+    return (v >> m) | (feedback << ((b - 1) * m))
 
 
 def period(cfg: SigmaConfig, s0: LfsrState) -> int:
@@ -265,34 +235,33 @@ def period(cfg: SigmaConfig, s0: LfsrState) -> int:
 def config_char_poly(cfg: SigmaConfig) -> Gf2Poly:
     """Characteristic polynomial of the configuration matrix.
 
-    Certificate: the bits s_t = (T^t)_00, T the transition matrix, obey
-    every polynomial that annihilates T, so their minimal polynomial f
-    divides the minimal polynomial of T, which divides the degree-n
+    Certificate: the Galois map G, z -> (z >> m) ^ L(z & mask), is the
+    configuration matrix with its blocks in reverse order, so it has the
+    same characteristic polynomial.  The bits s_t = bit 0 of e_0 G^t obey
+    every polynomial that annihilates G, so their minimal polynomial f
+    divides the minimal polynomial of G, which divides the degree-n
     characteristic polynomial (n = mb).  The sequence has linear
     complexity at most n, so Berlekamp-Massey on its first 2n terms
     returns f exactly (Massey 1969).  When f has degree n, the three are
     equal and f is the answer; this always holds when the characteristic
     polynomial is irreducible.  Otherwise (zero gains, a non-cyclic
     configuration, or e_0 not a cyclic vector) the dense char_poly of the
-    configuration matrix decides.  s_t is bit 0 of T^t e_0 as well as of
-    e_0 T^t, so the bits come from the transposed step z -> T z, which
-    reads only the top block: m/8 lookups in lane tables of the gain
-    columns V_c (bit i*m + r is B_i[r][c]), however dense the gains are.
+    configuration matrix decides.  Each step is ceil(m/8) lookups in the
+    byte tables the keystream uses.
     """
     from kdfc_snow.gf2.linalg import berlekamp_massey, char_poly
 
     m, n = cfg.m, cfg.m * cfg.b
-    top, mask = n - m, (1 << n) - 1
-    rows = "".join(format(r, f"0{m}b") for g in cfg.gains[::-1] for r in g.rows[::-1])
-    lanes = _lane_tables([int(rows[m - 1 - c :: m], 2) for c in range(m)])
+    mask = (1 << m) - 1
+    lanes = cfg.byte_tables()
     bits, z = [], 1
     for _ in range(2 * n):
         bits.append(z & 1)
-        w = z >> top
-        z = (z << m) & mask
+        x = z & mask
+        z >>= m
         for table in lanes:
-            z ^= table[w & 0xFF]
-            w >>= 8
+            z ^= table[x & 0xFF]
+            x >>= 8
     f = berlekamp_massey(bits)
     if f.degree == n:
         return f

@@ -19,38 +19,28 @@ MixColumn matrix over the Rijndael byte field x^8 + x^4 + x^3 + x + 1
 Initialization loads the key/IV schedule, then clocks 32 times with F
 xored into the feedback and no output; the first keystream word is
 produced by the very next clock.  Both phases, and KDFC-SNOW after its
-configuration swap, run through the one clock loop _clock on the stacked
-LFSR state, by one of two routes:
-
-* one step at a time: fsm_step and step_stacked per clock.  The init
-  clocks take it (F feeds back, so the LFSR does not run on its own), as
-  do keystream calls shorter than JUMP_MIN words on a configuration with
-  no jump tables, and the n mod b tail of every call;
-* b words per pass (_jump): while it streams, the LFSR runs on its own,
-  so the next b words are v * T^b for the stacked state v.  One pass is
-  mb/8 byte-lane lookups in the configuration's jump tables
-  (SigmaConfig.jump_tables), then b FSM clocks on plain ints.
-
-The first keystream call of at least JUMP_MIN words builds the jump
-tables (about 1.7 MB at mb = 512, cached on the configuration), and every
-later call on that configuration uses them.  So kdfc_init's discard and
-other short calls never pay for the build.  One engine serves both
-ciphers: at 16 words per pass the table route wins for SNOW 2.0's three
-sparse gains as well as for KDFC-SNOW's sixteen dense ones.
+configuration swap, run through one loop, _clock.  It keeps the LFSR in
+its Galois form (see sigma_lfsr): the next word is the low block of z,
+and feeding it back is 4 lookups in the configuration's byte tables,
+sparse SNOW 2.0 gains or dense KDFC-SNOW ones alike.  Beside z it keeps
+the plain list of words, from which the FSM reads s_{t+5} and s_{t+15}
+and the output reads s_t.  A cipher state holds the last 16 words, so
+each call rebuilds z from them (galois_state, 64 lookups).  The FSM and
+the 8-hex-digit output are defined on 32-bit words and 16 blocks only,
+so CipherState refuses any other configuration shape.
 """
 
 from __future__ import annotations
 
 from kdfc_snow.gf2.linalg import BitMatrix
 from kdfc_snow.gf2.poly import _mulmod_int
-from kdfc_snow.sigma_lfsr import LfsrState, SigmaConfig, step_stacked
+from kdfc_snow.sigma_lfsr import LfsrState, SigmaConfig, galois_state
 
 __all__ = [
     "FsmState",
     "CipherState",
     "KeyError32",
     "MASK32",
-    "JUMP_MIN",
     "boxplus",
     "sbox_s",
     "alpha_mul",
@@ -64,15 +54,6 @@ __all__ = [
 ]
 
 MASK32 = 0xFFFFFFFF
-
-#: Keystream calls of at least this many words build the configuration's
-#: jump tables (SigmaConfig.jump_tables) and stream b words per table pass.
-#: Set from the break-even of SNOW 2.0, the cipher slower to pay the build
-#: back because its one-step route is the cheaper one: measured on one
-#: 2-CPU x86-64 host under CPython 3.11, a 2.6 ms build against 3.9 us per
-#: word one step at a time and 1.25 us per word through the tables, about
-#: 1,000 words (KDFC-SNOW: 7.8 ms, 9.5 us and 1.0 us, about 950 words).
-JUMP_MIN = 1024
 
 # ---------------------------------------------------------------------------
 # byte fields: F_{2^8} = F_2[beta] / (x^8 + x^7 + x^5 + x^3 + 1) for the LFSR,
@@ -248,6 +229,10 @@ class CipherState:
     __slots__ = ("lfsr", "fsm", "cfg")
 
     def __init__(self, lfsr: LfsrState, fsm: FsmState, cfg: SigmaConfig):
+        if (cfg.m, cfg.b) != (32, 16):
+            raise ValueError(
+                f"cipher configuration is {cfg.m}x{cfg.b}, expected m=32, b=16"
+            )
         if lfsr.m != cfg.m or lfsr.b != cfg.b:
             raise ValueError("LFSR state does not match configuration dimensions")
         self.lfsr = lfsr
@@ -315,84 +300,44 @@ def init_with_captures(
         if _snow2_cfg is None:
             _snow2_cfg = snow2_gains()
         cfg = _snow2_cfg
-    if cfg.m != 32 or cfg.b != 16:
-        raise ValueError("SNOW 2.0 initialization needs a 32x16 configuration")
-    v = LfsrState(32, load_state_words(key, iv)).stacked()
-    v, fsm, captures = _clock(cfg, v, FsmState(0, 0), 32, True)
-    return CipherState(LfsrState.from_stacked(32, 16, v), fsm, cfg), captures
+    state = CipherState(LfsrState(32, load_state_words(key, iv)), FsmState(0, 0), cfg)
+    return state, _clock(state, 32, True)
 
 
 def snow2_keystream(state: CipherState, n: int) -> list[int]:
     """Produce n keystream words, advancing the state in place."""
     if n < 0:
         raise ValueError("need n >= 0")
-    cfg = state.cfg
-    v, state.fsm, out = _clock(cfg, state.lfsr.stacked(), state.fsm, n, False)
-    state.lfsr = LfsrState.from_stacked(cfg.m, cfg.b, v)
-    return out
+    return _clock(state, n, False)
 
 
-def _clock(cfg: SigmaConfig, v: int, fsm: FsmState, n: int, init: bool):
-    """Clock n times from stacked LFSR state v; returns (v, fsm, words).
+def _clock(state: CipherState, n: int, init: bool) -> list[int]:
+    """Clock state n times in place; returns the n words.
 
-    With init set, F is xored into the new top block and the words are the
-    F values; otherwise the words are keystream F xor s_t.  Keystream calls
-    of at least JUMP_MIN words, and every keystream call on a configuration
-    whose jump tables exist, go b words at a time through _jump; the rest
-    (init clocks, short calls, the n mod b tail) clock one step at a time.
+    With init set, F is xored into the new word and the words are the F
+    values; otherwise the words are keystream F xor s_t.  seq holds
+    s_t, s_{t+1}, ... and z the Galois state whose low word is s_{t+16}.
     """
-    words = []
-    if not init and n >= cfg.b and (n >= JUMP_MIN or cfg._jump_tables is not None):
-        v, r1, r2 = _jump(cfg, v, fsm.r1, fsm.r2, n // cfg.b, words)
-        fsm = FsmState(r1, r2)
-        n -= len(words)
-    # module globals, read per call so that wrappers installed on them apply
-    fsm_clock, step = fsm_step, step_stacked
-    m = cfg.m
-    mask = (1 << m) - 1
-    d5_shift = 5 * m
-    top = (cfg.b - 1) * m
-    for _ in range(n):
-        fsm, f = fsm_clock(fsm, (v >> d5_shift) & mask, (v >> top) & mask)
-        if init:
-            words.append(f)
-            v = step(cfg, v) ^ (f << top)
-        else:
-            words.append(f ^ (v & mask))
-            v = step(cfg, v)
-    return v, fsm, words
-
-
-def _jump(cfg: SigmaConfig, v: int, r1: int, r2: int, passes: int, words: list[int]):
-    """passes * b keystream clocks appended to words; returns (v, r1, r2).
-
-    Each pass looks up the state b steps ahead, nv = v * T^b, in the jump
-    tables (one lookup per byte of v), then runs the b FSM clocks on plain
-    ints: clock t reads s_t, s_{t+5} and s_{t+b-1}, which are blocks t,
-    t+5 and t+b-1 of v | nv << mb.  Block t+5 is read only when b > 5,
-    because the one-step route reads block 5 of a b-block state, zero when
-    there is none.  Same words as fsm_step and step_stacked per clock.
-    """
-    lanes = cfg.jump_tables()
-    m, b = cfg.m, cfg.b
-    mask = (1 << m) - 1
-    shifts = range(0, m * b, m)
-    nbytes = len(lanes)
+    t0, t1, t2, t3 = state.cfg.byte_tables()
     s0, s1, s2, s3 = _STAB
-    cur = [(v >> sh) & mask for sh in shifts]
-    zeros = [0] * b
-    emit = words.append
-    for _ in range(passes):
-        nv = 0
-        for table, byte in zip(lanes, v.to_bytes(nbytes, "little")):
-            nv ^= table[byte]
-        nxt = [(nv >> sh) & mask for sh in shifts]
-        seq = cur + nxt
-        d5s = seq[5 : 5 + b] if b > 5 else zeros
-        for st, d5, d15 in zip(cur, d5s, seq[b - 1 :]):
-            emit((((d15 + r1) & MASK32) ^ r2) ^ st)
-            r1, r2 = (d5 + r2) & MASK32, (
-                s0[r1 & 0xFF] ^ s1[(r1 >> 8) & 0xFF] ^ s2[(r1 >> 16) & 0xFF] ^ s3[r1 >> 24]
-            )
-        v, cur = nv, nxt
-    return v, r1, r2
+    seq = list(state.lfsr.blocks)
+    z = galois_state(state.cfg, seq)
+    r1, r2 = state.fsm.r1, state.fsm.r2
+    words = []
+    emit, push = words.append, seq.append
+    for t in range(n):
+        f = ((seq[t + 15] + r1) & MASK32) ^ r2
+        r1, r2 = (seq[t + 5] + r2) & MASK32, (
+            s0[r1 & 0xFF] ^ s1[(r1 >> 8) & 0xFF] ^ s2[(r1 >> 16) & 0xFF] ^ s3[r1 >> 24]
+        )
+        x = z & MASK32
+        if init:
+            x ^= f
+            emit(f)
+        else:
+            emit(f ^ seq[t])
+        push(x)
+        z = (z >> 32) ^ t0[x & 0xFF] ^ t1[(x >> 8) & 0xFF] ^ t2[(x >> 16) & 0xFF] ^ t3[x >> 24]
+    state.lfsr = LfsrState(32, seq[-16:])
+    state.fsm = FsmState(r1, r2)
+    return words

@@ -21,14 +21,14 @@ route than the package:
   integer arithmetic mod 2.
 * lfsr_step steps a sigma-LFSR on its list of blocks with one matrix-vector
   product per gain, zero gains included, instead of the package's
-  step_stacked on a stacked integer through byte tables of the nonzero
-  gains.
+  step_stacked through the Galois byte-lane tables of all the gains.
 * orbit_of walks a seed's orbit by multiplying the stacked state with the
   transition matrix, instead of the package's step_stacked that period()
   uses.
-* clock_oracle runs SNOW 2.0's init and keystream clocks on LfsrState and
-  FsmState objects with lfsr_step, under any 32x16 configuration, instead
-  of the package's single loop on the stacked state.
+* clock_oracle and keystream_oracle run SNOW 2.0's clocks on LfsrState and
+  FsmState objects with lfsr_step and fsm_step, under any 32x16
+  configuration, instead of the package's single Galois-form loop on
+  plain ints.
 * long_division_mod and triangular_unembed reduce and un-embed bit by bit
   for any modulus, instead of the package's folding through the low terms
   of a sparse modulus.
@@ -38,10 +38,10 @@ route than the package:
 * dense_char_poly takes the characteristic polynomial of the built
   configuration matrix by elimination, instead of the package's
   Berlekamp-Massey certificate on a stepped sequence.
-* row_certificate_bits steps the certificate's sequence (T^t)_00 on row
-  vectors, e_0 T^t through step_stacked and the byte tables of the
-  gains, instead of config_char_poly's transposed step T^t e_0 through
-  lane tables of the gain columns.
+* row_certificate_bits steps the certificate's sequence on row vectors,
+  e_top C^t for the built configuration matrix C (top = (b-1)m), and
+  reads bit top, instead of config_char_poly's Galois step through the
+  byte-lane tables of L.
 * echelon_oracle eliminates one column at a time, xoring each pivot row
   into the rows at once, instead of the package's _echelon, which clears
   blocks of columns through a table of pivot-row combinations.
@@ -349,13 +349,20 @@ def dense_char_poly(cfg):
 
 
 def row_certificate_bits(cfg) -> list[int]:
-    """The 2mb bits (T^t)_00 config_char_poly certifies, as bit 0 of e_0 T^t."""
-    from kdfc_snow.sigma_lfsr import step_stacked
+    """The 2mb bits config_char_poly certifies: (C^t)_{top,top}, top = (b-1)m.
 
-    bits, v = [], 1
+    The Galois map is the configuration matrix C with its blocks in
+    reverse order, so bit 0 of e_0 G^t is bit top of e_top C^t.
+    """
+    from kdfc_snow.gf2.linalg import mat_vec_mul
+    from kdfc_snow.sigma_lfsr import build_config_matrix
+
+    c = build_config_matrix(cfg)
+    top = (cfg.b - 1) * cfg.m
+    bits, v = [], 1 << top
     for _ in range(2 * cfg.m * cfg.b):
-        bits.append(v & 1)
-        v = step_stacked(cfg, v)
+        bits.append((v >> top) & 1)
+        v = mat_vec_mul(v, c)
     return bits
 
 
@@ -402,12 +409,19 @@ def clock_oracle(key, iv, cfg, n):
         init_f.append(f)
         s, _ = lfsr_step(cfg, s)
         s.blocks[15] ^= f
+    return init_f, keystream_oracle(cfg, s, fsm, n)[0]
+
+
+def keystream_oracle(cfg, s, fsm, n):
+    """n keystream clocks on objects from LFSR s and FSM fsm: (words, s, fsm)."""
+    from kdfc_snow.snow2 import fsm_step
+
     words = []
     for _ in range(n):
         fsm, f = fsm_step(fsm, s.blocks[5], s.blocks[15])
         s, out = lfsr_step(cfg, s)
         words.append(f ^ out)
-    return init_f, words
+    return words, s, fsm
 
 
 def echelon_oracle(rows: list[int], ncols: int, reduce_up: bool = True):

@@ -45,8 +45,8 @@ def test_byte_table_cache_slot():
     from kdfc_snow.sigma_lfsr import SigmaConfig
     from kdfc_snow.snow2 import snow2_gains
 
-    assert "_byte_tables" in SigmaConfig.__slots__
-    assert "_jump_tables" in SigmaConfig.__slots__
+    # one table cache: the Galois lane tables that every stepping route uses
+    assert SigmaConfig.__slots__ == ("m", "b", "gains", "_byte_tables")
     cfg = snow2_gains()
     assert cfg._byte_tables is None
     cfg.byte_tables()
@@ -84,28 +84,46 @@ def test_traced_run_records_the_engine_spans(bench, monkeypatch):
     assert tracer.calls("snow2.init_with_captures") == 2
     assert tracer.calls("snow2.keystream") == 2
     assert tracer.calls("sigma_lfsr.byte_tables") == 1
-    assert tracer.calls("snow2.fsm_step") == 32 + 8 + 32
-    assert tracer.calls("sigma_lfsr.step_stacked") == 32 + 8 + 32
-    assert snow2.step_stacked.__name__ == "step_stacked"
-    assert not hasattr(snow2.step_stacked, "__wrapped__")
+    # the clock runs the FSM and the Galois feedback on plain ints
+    assert tracer.calls("snow2.fsm_step") == 0
+    assert tracer.calls("sigma_lfsr.step_stacked") == 0
+    from kdfc_snow import sigma_lfsr
+
+    assert not hasattr(sigma_lfsr.step_stacked, "__wrapped__")
+    assert not hasattr(snow2.fsm_step, "__wrapped__")
 
 
-def test_init_paths_build_no_jump_tables():
-    # a verified kdfc_init plus keyed-init's 8 words, and SNOW 2.0 set-ups
+def test_init_paths_build_the_tables_once(bench, monkeypatch):
+    # a verified and an unverified kdfc_init plus keyed-init's 8 words, and
+    # SNOW 2.0 set-ups on a new configuration: one lane-table build per
+    # configuration, the shared SNOW 2.0 one included
+    spans, _ = bench
+    from oracles import clock_oracle
+
     from kdfc_snow import kdfc, snow2
 
-    state = kdfc.kdfc_init(kdfc.KdfcParams(key=KAT_KEY, iv=KAT_IV))
-    assert len(kdfc.kdfc_keystream(state, 8)) == 8
-    assert state.cfg._jump_tables is None
-    cfg = snow2.snow2_gains()
-    snow2.snow2_keystream(snow2.snow2_init(KAT_KEY, KAT_IV, cfg=cfg), 8)
-    assert cfg._jump_tables is None
+    monkeypatch.setattr(snow2, "_snow2_cfg", None)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for verify in (True, False):
+            params = kdfc.KdfcParams(key=KAT_KEY, iv=KAT_IV, verify_config=verify)
+            assert len(kdfc.kdfc_keystream(kdfc.kdfc_init(params), 8)) == 8
+        cfg = snow2.snow2_gains()
+        words = [
+            snow2.snow2_keystream(snow2.snow2_init(KAT_KEY, [i, 0, 0, 0], cfg=cfg), 8)
+            for i in range(4)
+        ]
+    finally:
+        tracer.uninstall()
+    assert tracer.calls("sigma_lfsr.byte_tables") == 4
+    assert words == [clock_oracle(KAT_KEY, [i, 0, 0, 0], cfg, 8)[1] for i in range(4)]
 
 
 def test_verified_init_builds_its_row_tables_once(bench, monkeypatch):
-    # the char-poly certificate steps the transposed system through its own
-    # column tables: the only row-table build is the discard's, and the only
-    # step_stacked calls are the 32 init clocks and the 32 discarded words
+    # the char-poly certificate builds the derived configuration's lane
+    # tables, and the discard clocks reuse them; nothing steps through
+    # step_stacked or fsm_step
     spans, _ = bench
     from kdfc_snow import kdfc, snow2, sigma_lfsr
 
@@ -115,7 +133,7 @@ def test_verified_init_builds_its_row_tables_once(bench, monkeypatch):
 
     def certify(cfg):
         p = real(cfg)
-        certified.append(cfg._byte_tables is None)
+        certified.append(cfg._byte_tables)
         return p
 
     monkeypatch.setattr(sigma_lfsr, "config_char_poly", certify)
@@ -125,35 +143,34 @@ def test_verified_init_builds_its_row_tables_once(bench, monkeypatch):
         state = kdfc.kdfc_init(kdfc.KdfcParams(key=KAT_KEY, iv=KAT_IV))
     finally:
         tracer.uninstall()
-    assert certified == [True]
-    assert state.cfg._byte_tables is not None
+    assert len(certified) == 1 and certified[0] is not None
+    assert state.cfg._byte_tables is certified[0]
     assert tracer.calls("sigma_lfsr.byte_tables") == 1
-    assert tracer.calls("sigma_lfsr.step_stacked") == 32 + 32
+    assert tracer.calls("sigma_lfsr.step_stacked") == 0
+    assert tracer.calls("snow2.fsm_step") == 0
 
 
-def test_stream_chunks_build_the_jump_tables_once(bench):
-    # a perfbench chunk (4,096 words) builds the tables: m steps b times
-    # for the top-block rows and one step per other row, and no clock
-    # goes through fsm_step; the next chunk reuses them
+def test_stream_chunks_reuse_the_tables(bench):
+    # perfbench's 4,096-word chunks build nothing: the tables come with the
+    # state, and the words equal one call of twice the length
     spans, run = bench
     from kdfc_snow import kdfc, snow2
 
     state = kdfc.kdfc_init(kdfc.KdfcParams(key=KAT_KEY, iv=KAT_IV))
-    assert state.cfg._jump_tables is None
+    tables = state.cfg._byte_tables
+    again = run.copy_state(state)
     tracer = spans.Tracer()
     tracer.install()
     try:
         first = snow2.snow2_keystream(state, run.CHUNK_WORDS)
-        tables = state.cfg._jump_tables
-        steps = tracer.calls("sigma_lfsr.step_stacked")
         second = snow2.snow2_keystream(state, run.CHUNK_WORDS)
     finally:
         tracer.uninstall()
-    assert len(first) == len(second) == run.CHUNK_WORDS
-    assert tables is not None and state.cfg._jump_tables is tables
-    assert steps == 32 * 16 + 15 * 32
-    assert tracer.calls("sigma_lfsr.step_stacked") == steps
+    assert tables is not None and state.cfg._byte_tables is tables
+    assert tracer.calls("sigma_lfsr.byte_tables") == 0
+    assert tracer.calls("sigma_lfsr.step_stacked") == 0
     assert tracer.calls("snow2.fsm_step") == 0
+    assert first + second == snow2.snow2_keystream(again, 2 * run.CHUNK_WORDS)
 
 
 def test_perfbench_call_shapes():

@@ -104,10 +104,18 @@ class TestChunkedStream:
             ),
         }
 
-    def test_chunk_size(self):
-        from kdfc_snow.snow2 import JUMP_MIN
-
-        assert cli.STREAM_CHUNK % 16 == 0 and cli.STREAM_CHUNK >= JUMP_MIN
+    def test_chunk_size(self, capsys, monkeypatch):
+        # no keystream call asks for more than STREAM_CHUNK words
+        calls = []
+        real = cli.snow2_keystream
+        monkeypatch.setattr(
+            cli, "snow2_keystream", lambda st, n: calls.append(n) or real(st, n)
+        )
+        n = 2 * cli.STREAM_CHUNK + 5
+        code, out, _ = run(capsys, "snow2", "stream", "--key", ZERO_KEY, "--iv",
+                           ZERO_IV, "-n", str(n))
+        assert code == 0 and len(out.splitlines()) == n
+        assert calls == [cli.STREAM_CHUNK, cli.STREAM_CHUNK, 5]
 
     @pytest.mark.parametrize("cipher", ["snow2", "kdfc"])
     @pytest.mark.parametrize("n", [
@@ -178,6 +186,21 @@ class TestKdfc:
     def test_stream_needs_key_or_state(self, capsys):
         code, _, err = run(capsys, "kdfc", "stream", "-n", "4")
         assert code == 1 and "needs --key and --iv, or --state" in err
+
+    def test_huge_discard_refused(self, capsys, monkeypatch):
+        # refused before the key/IV set-up, so nothing runs for 10^11 words
+        from kdfc_snow import kdfc
+
+        def unreachable(*_):
+            raise AssertionError("kdfc_init reached its set-up")
+
+        monkeypatch.setattr(kdfc, "init_with_captures", unreachable)
+        code, out, err = run(
+            capsys, "kdfc", "stream", "--key", ZERO_KEY, "--iv", ZERO_IV,
+            "-n", "2", "--discard", "100000000000",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and str(kdfc.MAX_DISCARD) in err
 
     def test_dump_config(self, capsys):
         code, out, _ = run(
@@ -279,6 +302,12 @@ class TestStateDocument:
         code, out, err = self.stream(capsys, tmp_path, doc)
         assert code == 1 and out == ""
         assert err.startswith("error:") and f"{m}x{b}" in err
+
+    @pytest.mark.parametrize("doc", [[1], "state", 3, None])
+    def test_not_a_json_object(self, capsys, tmp_path, doc):
+        code, out, err = self.stream(capsys, tmp_path, doc)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "expected a JSON object" in err
 
     def test_malformed_config(self, capsys, tmp_path, state_doc):
         doc = json.loads(json.dumps(state_doc))
@@ -386,6 +415,15 @@ class TestGenConfig:
         )
         assert code == 1 and out == ""
         assert err.startswith("error:") and "reducible" in err
+
+    def test_poly_not_primitive(self, capsys):
+        # x^8 + x^4 + x^3 + x + 1 is irreducible, but x has order 51 mod it
+        code, out, err = run(
+            capsys, "gen-config", "--m", "2", "--b", "4", "--seed", "s",
+            "--poly", "8,4,3,1,0",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "not primitive" in err
 
     def test_poly_degree_mismatch_comes_first(self, capsys):
         code, _, err = run(
@@ -542,6 +580,12 @@ class TestRandtest:
         path.write_text("ab" * 100)
         code, _, err = run(capsys, "randtest", "--in", str(path))
         assert code == 1 and err.startswith("error:")
+
+    def test_non_hex_line_is_named(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("0000000a\nzz\n"))
+        code, out, err = run(capsys, "randtest", "--in", "-")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "line 2" in err and "'zz'" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "randtest", "--in", "/nonexistent.hex")

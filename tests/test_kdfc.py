@@ -238,6 +238,14 @@ class TestParams:
         with pytest.raises(ValueError):
             params.resolve()
 
+    def test_discard_bound(self):
+        from kdfc_snow.kdfc import MAX_DISCARD
+
+        KdfcParams(key=[0] * 8, iv=[0] * 4, discard=MAX_DISCARD).resolve()
+        params = KdfcParams(key=[0] * 8, iv=[0] * 4, discard=10**11)
+        with pytest.raises(ValueError, match="discard"):
+            params.resolve()
+
 
 class TestInit:
     def test_zero_key_kat(self):

@@ -32,6 +32,7 @@ from kdfc_snow.sigma_lfsr import (
     SigmaConfig,
     build_config_matrix,
     config_char_poly,
+    galois_state,
     period,
     step_stacked,
 )
@@ -139,8 +140,8 @@ class TestStepping:
     @given(small_states(), st.data())
     @settings(max_examples=80)
     def test_step_stacked_with_zero_gains(self, data, draw):
-        # a random subset of gains zeroed (possibly all): step_stacked skips
-        # them in its tables, the oracle multiplies by every gain
+        # a random subset of gains zeroed (possibly all): their blocks of
+        # the lane tables are zero, the oracle multiplies by every gain
         m, b, blocks, rng = data
         cfg = random_config(rng, m, b)
         zeroed = draw.draw(st.lists(st.booleans(), min_size=b, max_size=b))
@@ -148,9 +149,38 @@ class TestStepping:
             BitMatrix.zeros(m, m) if z else g for z, g in zip(zeroed, cfg.gains)
         ]
         cfg = SigmaConfig(m, b, gains)
-        assert len(cfg.byte_tables()) == sum(any(g.rows) for g in gains)
+        mask = (1 << m) - 1
+        for k, g in enumerate(reversed(gains)):
+            if not any(g.rows):
+                assert all((row >> (k * m)) & mask == 0 for row in lane_rows(cfg))
         s = LfsrState(m, blocks)
         assert step_stacked(cfg, s.stacked()) == lfsr_step(cfg, s)[0].stacked()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 13),
+        b=st.integers(1, 4),
+        seed=st.integers(0, 2**32),
+        zeroed=st.sets(st.integers(0, 3)),
+    )
+    def test_lane_tables_match_the_oracles(self, m, b, seed, zeroed):
+        # widths with a narrow last lane (m not a multiple of 8) and b = 1
+        # included: the Galois state, step_stacked and the certificate
+        # against per-gain products, lfsr_step and the dense char poly
+        rng = random.Random(seed)
+        cfg = random_config(rng, m, b)
+        for i in zeroed & set(range(b)):
+            cfg.gains[i] = BitMatrix.zeros(m, m)
+        s = LfsrState(m, [rng.getrandbits(m) for _ in range(b)])
+        z = galois_state(cfg, s.blocks)
+        for k in range(b):
+            want = 0
+            for i in range(b - k):
+                want ^= mat_vec_mul(s.blocks[k + i], cfg.gains[i])
+            assert (z >> (k * m)) & ((1 << m) - 1) == want
+        assert z >> (m * b) == 0
+        assert step_stacked(cfg, s.stacked()) == lfsr_step(cfg, s)[0].stacked()
+        assert config_char_poly(cfg) == dense_char_poly(cfg)
 
     @pytest.mark.parametrize("m", [1, 3, 8, 9, 32])
     def test_single_block(self, m):
@@ -164,7 +194,7 @@ class TestStepping:
 
     def test_all_zero_gains_shift_in_zeros(self):
         cfg = SigmaConfig(32, 16, [BitMatrix.zeros(32, 32)] * 16)
-        assert cfg.byte_tables() == []
+        assert not any(any(table) for table in cfg.byte_tables())
         v = random.Random(0).getrandbits(512)
         assert step_stacked(cfg, v) == v >> 32
 
@@ -194,19 +224,31 @@ class TestStepping:
             LfsrState(2, [0, word])
 
 
-def jump_by_tables(cfg, v):
-    """v * T^b as the xor of one lookup per byte of v."""
-    out = 0
-    for k, table in enumerate(cfg.jump_tables()):
-        out ^= table[(v >> (8 * k)) & 0xFF]
-    return out
+def lane_rows(cfg):
+    """L(e_r) for each bit r of a word, read from the lane tables."""
+    return [cfg.byte_tables()[r // 8][1 << (r % 8)] for r in range(cfg.m)]
+
+
+def galois_clocks(cfg, v, n):
+    """The Fibonacci window v after n Galois clocks through the lane tables."""
+    m, b = cfg.m, cfg.b
+    mask = (1 << m) - 1
+    words = [(v >> (i * m)) & mask for i in range(b)]
+    z = galois_state(cfg, words)
+    for _ in range(n):
+        x = z & mask
+        words.append(x)
+        z = (z >> m) ^ galois_state(cfg, [x])
+    return LfsrState(m, words[n:]).stacked()
 
 
 class TestJumpTables:
+    """The Galois lane tables: b clocks through them jump the window by T^b."""
+
     @given(small_states(), st.data())
     @settings(max_examples=80)
     def test_tables_are_t_to_the_b(self, data, draw):
-        # random gains, a random subset zeroed; the recurrence against b
+        # random gains, a random subset zeroed; b Galois clocks against b
         # products with the oracle's transition matrix
         m, b, blocks, rng = data
         zeroed = draw.draw(st.lists(st.booleans(), min_size=b, max_size=b))
@@ -220,20 +262,26 @@ class TestJumpTables:
             want = v
             for _ in range(b):
                 want = mat_vec_mul(want, t)
-            assert jump_by_tables(cfg, v) == want
+            assert galois_clocks(cfg, v, b) == want
 
     @pytest.mark.parametrize("m,b", [(32, 16), (16, 32), (9, 7)])
     def test_lane_shapes_and_cache(self, m, b):
+        # ceil(m/8) lanes, the last one narrower when 8 does not divide m;
+        # L(e_r) holds row r of B_{b-1-k} in block k
         cfg = random_config(random.Random(m), m, b)
-        lanes = cfg.jump_tables()
-        assert cfg.jump_tables() is lanes
-        widths = [min(8, m * b - 8 * k) for k in range((m * b + 7) // 8)]
+        lanes = cfg.byte_tables()
+        assert cfg.byte_tables() is lanes
+        widths = [min(8, m - 8 * k) for k in range((m + 7) // 8)]
         assert [len(table) for table in lanes] == [1 << w for w in widths]
+        assert lane_rows(cfg) == [
+            sum(g.rows[r] << (k * m) for k, g in enumerate(reversed(cfg.gains)))
+            for r in range(m)
+        ]
         v = random.Random(b).getrandbits(m * b)
-        want = v
+        want = LfsrState.from_stacked(m, b, v)
         for _ in range(b):
-            want = step_stacked(cfg, want)
-        assert jump_by_tables(cfg, v) == want
+            want, _ = lfsr_step(cfg, want)
+        assert galois_clocks(cfg, v, b) == want.stacked()
 
 
 class TestCharPoly:
@@ -279,7 +327,8 @@ class TestCharPoly:
     def test_zero_and_non_cyclic_configs_take_the_dense_route(self, monkeypatch):
         zero = SigmaConfig(3, 2, [BitMatrix.zeros(3, 3)] * 2)
         identity = SigmaConfig(2, 1, [BitMatrix.identity(2)])  # (x + 1)^2, non-cyclic
-        # a companion matrix of x (x^2 + x + 1), but the bits from e_0 are 1, 0, 0, ...
+        # a companion matrix of x (x^2 + x + 1), but the bits from e_0 repeat
+        # 1, 1, 0 and have minimal polynomial x^2 + x + 1
         blocks = SigmaConfig(1, 3, [BitMatrix([0], 1), BitMatrix([1], 1), BitMatrix([1], 1)])
         cases = [
             (zero, Gf2Poly.from_exponents([6])),
@@ -306,7 +355,8 @@ def certificate_bits(cfg):
 
 
 class TestTransposedCertificate:
-    """config_char_poly steps T z on columns; the oracle steps e_0 T on rows."""
+    """config_char_poly steps the Galois (transposed, observer-form) map;
+    the oracle steps e_top C^t on rows of the configuration matrix C."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -320,7 +370,7 @@ class TestTransposedCertificate:
         for i in zeroed & set(range(b)):
             cfg.gains[i] = BitMatrix.zeros(m, m)
         bits = certificate_bits(cfg)
-        assert cfg._byte_tables is None  # the certificate builds no row tables
+        assert cfg._byte_tables is not None  # the keystream's own tables
         assert bits == row_certificate_bits(cfg)
 
     @pytest.mark.parametrize("m,b", [(1, 1), (5, 2), (32, 16)])

@@ -20,6 +20,8 @@ from oracles import (
     clock_oracle,
     f32_mul,
     gf8_mul,
+    keystream_oracle,
+    lfsr_step,
     ref_alpha_inv_mul,
     ref_alpha_mul,
     ref_sbox,
@@ -29,10 +31,9 @@ from oracles import (
 
 from kdfc_snow.gf2.linalg import BitMatrix, mat_mul, mat_vec_mul
 from kdfc_snow import snow2
-from kdfc_snow.sigma_lfsr import LfsrState, SigmaConfig
+from kdfc_snow.sigma_lfsr import LfsrState, SigmaConfig, step_stacked
 from kdfc_snow.snow2 import (
     _SR,
-    JUMP_MIN,
     CipherState,
     FsmState,
     KeyError32,
@@ -270,14 +271,18 @@ class TestGains:
         assert cfg.gains[11] == a_inv
         for j in set(range(16)) - {0, 2, 11}:
             assert cfg.gains[j] == BitMatrix.zeros(32, 32)
-        # tables only for the three nonzero gains, keyed by block shift
-        tables = cfg.byte_tables()
-        assert [shift for shift, _ in tables] == [0, 2 * 32, 11 * 32]
-        assert all(len(lanes) == 4 for _, lanes in tables)
+        # four lanes of L: block k of L(e_r) is row r of B_{15-k}, so only
+        # blocks 15, 13 and 4 (B_0, B_2, B_11) are ever nonzero
+        lanes = cfg.byte_tables()
+        assert [len(table) for table in lanes] == [256] * 4
+        for r in range(32):
+            row = lanes[r // 8][1 << (r % 8)]
+            want = (a.rows[r] << 15 * 32) | (1 << (13 * 32 + r)) | (a_inv.rows[r] << 4 * 32)
+            assert row == want
 
 
 # ---------------------------------------------------------------------------
-# the two keystream routes: one step at a time, and b words per jump-table pass
+# the Galois-form clock against per-object clocks
 
 
 def fresh_copy(state):
@@ -286,14 +291,9 @@ def fresh_copy(state):
     return CipherState(state.lfsr.copy(), state.fsm.copy(), cfg)
 
 
-def one_step_words(state, n):
-    """n words through the one-step route: calls shorter than JUMP_MIN, no tables."""
-    assert state.cfg._jump_tables is None
-    words = []
-    while len(words) < n:
-        words += snow2_keystream(state, min(n - len(words), JUMP_MIN - 1))
-    assert state.cfg._jump_tables is None
-    return words
+def object_words(state, n):
+    """n words by per-object clocks from state: (words, lfsr, fsm)."""
+    return keystream_oracle(state.cfg, state.lfsr.copy(), state.fsm.copy(), n)
 
 
 def dense_config(rng, zeroed=()):
@@ -320,6 +320,8 @@ def kdfc_state():
 
 
 class TestJumpRoute:
+    """Keystream calls of every length, split or whole, and every shape."""
+
     @settings(max_examples=12, deadline=None)
     @given(
         st.randoms(use_true_random=False),
@@ -327,13 +329,11 @@ class TestJumpRoute:
         st.integers(16, 70),
     )
     def test_matches_object_clocks_on_dense_configs(self, rng, zeroed, n):
-        # random dense gains with a random subset zeroed; the tables are
-        # built first, so every full pass of b words goes through them
+        # random dense gains with a random subset zeroed
         cfg = dense_config(rng, zeroed)
         key = [rng.getrandbits(32) for _ in range(8)]
         iv = [rng.getrandbits(32) for _ in range(4)]
         state = snow2_init(key, iv, cfg=cfg)
-        cfg.jump_tables()
         assert snow2_keystream(state, n) == clock_oracle(key, iv, cfg, n)[1]
 
     @settings(max_examples=5, deadline=None)
@@ -343,32 +343,31 @@ class TestJumpRoute:
         key = [rng.getrandbits(32) for _ in range(rng.choice((4, 8)))]
         iv = [rng.getrandbits(32) for _ in range(4)]
         state = snow2_init(key, iv, cfg=cfg)
-        cfg.jump_tables()
         assert snow2_keystream(state, n) == clock_oracle(key, iv, cfg, n)[1]
 
-    @pytest.mark.parametrize(
-        "n", [0, 1, 15, 16, 17, JUMP_MIN - 1, JUMP_MIN, JUMP_MIN + 17]
-    )
+    @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 1023, 1024, 1041])
     @pytest.mark.parametrize("cipher", ["snow2", "kdfc"])
     def test_route_choice_keeps_the_words(self, cipher, n, kdfc_state):
+        # one call of n words, from a running state, against per-object clocks
         start = snow2_init(KAT_KEY, KAT_IV) if cipher == "snow2" else kdfc_state
-        state, ref = fresh_copy(start), fresh_copy(start)
-        assert snow2_keystream(state, n) == one_step_words(ref, n)
-        assert (state.lfsr, state.fsm) == (ref.lfsr, ref.fsm)
-        # the tables are built only by a call of at least JUMP_MIN words
-        assert (state.cfg._jump_tables is not None) == (n >= JUMP_MIN)
+        state = fresh_copy(start)
+        words, lfsr, fsm = object_words(start, n)
+        assert snow2_keystream(state, n) == words
+        assert (state.lfsr, state.fsm) == (lfsr, fsm)
 
     @pytest.mark.parametrize("cipher", ["snow2", "kdfc"])
     def test_uneven_calls_across_the_route_boundary(self, cipher, kdfc_state):
+        # each call rebuilds the Galois state from the last 16 words
         start = snow2_init(KAT_KEY, KAT_IV) if cipher == "snow2" else kdfc_state
         whole, split = fresh_copy(start), fresh_copy(start)
-        sizes = [5, 16, JUMP_MIN - 3, 1, JUMP_MIN + 9, 0, 17, 31, 3]
+        sizes = [5, 16, 1021, 1, 1033, 0, 17, 31, 3]
         words = snow2_keystream(whole, sum(sizes))
         pieces = []
         for n in sizes:
             pieces += snow2_keystream(split, n)
         assert pieces == words
         assert (split.lfsr, split.fsm) == (whole.lfsr, whole.fsm)
+        assert words[:100] == object_words(start, 100)[0]
 
     def test_kats_through_the_tables(self, kdfc_state):
         for key, iv, kat in [
@@ -377,58 +376,59 @@ class TestJumpRoute:
             (KAT_KEY[:4], KAT_IV, KEYED_KAT_128),
         ]:
             cfg = snow2_gains()
-            cfg.jump_tables()
             assert snow2_keystream(snow2_init(key, iv, cfg=cfg), 16)[:8] == kat
+            assert cfg._byte_tables is not None
         state = fresh_copy(kdfc_state)
-        state.cfg.jump_tables()
         assert snow2_keystream(state, 16)[:8] == KDFC_KEYED_KAT
 
     @pytest.mark.parametrize("m,b", [(3, 1), (5, 2), (7, 5), (4, 6), (9, 7)])
     def test_shapes_with_few_blocks_or_odd_widths(self, m, b):
-        # b <= 5: the one-step route reads s_{t+5} as zero; mb not a
-        # multiple of 8: the last byte lane is narrower
+        # the FSM needs 32x16, so a cipher state refuses these shapes; the
+        # generic one-step function still steps them through the lane tables
         rng = random.Random(f"{m}x{b}")
         cfg = SigmaConfig(m, b, [
             BitMatrix([rng.getrandbits(m) for _ in range(m)], m) for _ in range(b)
         ])
-        start = CipherState(
-            LfsrState(m, [rng.getrandbits(m) for _ in range(b)]),
-            FsmState(rng.getrandbits(32), rng.getrandbits(32)),
-            cfg,
-        )
-        state, ref = fresh_copy(start), fresh_copy(start)
-        state.cfg.jump_tables()
-        assert snow2_keystream(state, 7 * b + 2) == one_step_words(ref, 7 * b + 2)
-        assert (state.lfsr, state.fsm) == (ref.lfsr, ref.fsm)
+        s = LfsrState(m, [rng.getrandbits(m) for _ in range(b)])
+        with pytest.raises(ValueError, match=f"{m}x{b}"):
+            CipherState(s, FsmState(), cfg)
+        v = s.stacked()
+        for _ in range(7 * b + 2):
+            s, _ = lfsr_step(cfg, s)
+            v = step_stacked(cfg, v)
+            assert v == s.stacked()
 
-    def test_loadable_16x32_state(self, tmp_path, capsys, monkeypatch):
-        # mb = 512 with m = 16, b = 32: the engine streams it, 32 words per
-        # pass, the FSM input s_{t+15} taken from block b - 1 = 31; but the
-        # FSM and the 8-digit output are defined on 32x16 only, so
+    @pytest.mark.parametrize("m,b", [(16, 32), (4, 4)])
+    def test_cipher_state_refuses_other_shapes(self, m, b):
+        cfg = SigmaConfig(m, b, [BitMatrix.identity(m)] * b)
+        with pytest.raises(ValueError, match=f"{m}x{b}"):
+            CipherState(LfsrState(m, [1] * b), FsmState(), cfg)
+
+    def test_16x32_state_is_refused(self, tmp_path, capsys, monkeypatch):
+        # mb = 512 with m = 16, b = 32 has the target char poly, but the FSM
+        # and the 8-digit output are defined on 32x16 only, so
         # `kdfc stream --state` refuses it before the char-poly check
         from kdfc_snow import cli
         from kdfc_snow.kdfc import target_poly
 
-        cfg = cli._seeded_config(16, 32, 400, "jump-16x32", target_poly())
+        cfg = cli._seeded_config(16, 32, 400, "16x32", target_poly())
         rng = random.Random("16x32")
-        start = CipherState(
-            LfsrState(16, [rng.getrandbits(16) for _ in range(32)]),
-            FsmState(rng.getrandbits(32), rng.getrandbits(32)),
-            cfg,
-        )
+        doc = {
+            "m": 16,
+            "b": 32,
+            "char_poly": [e for e in range(512, -1, -1) if target_poly().coeff(e)],
+            "config": cfg.to_json(),
+            "lfsr": [rng.getrandbits(16) for _ in range(32)],
+            "fsm": {"r1": rng.getrandbits(32), "r2": rng.getrandbits(32)},
+        }
         path = tmp_path / "state.json"
-        path.write_text(json.dumps(cli._state_doc(start)))
-        state = fresh_copy(start)
-        n = JUMP_MIN + 40
-        words = snow2_keystream(state, n)
-        assert state.cfg._jump_tables is not None
-        assert words == one_step_words(fresh_copy(start), n)
+        path.write_text(json.dumps(doc))
 
         def no_char_poly(_):
             raise AssertionError("char poly computed for a refused shape")
 
         monkeypatch.setattr(cli, "config_char_poly", no_char_poly)
-        assert cli.main(["kdfc", "stream", "--state", str(path), "-n", str(n)]) == 1
+        assert cli.main(["kdfc", "stream", "--state", str(path), "-n", "8"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error:") and "16x32" in err
