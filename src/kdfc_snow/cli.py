@@ -163,6 +163,38 @@ def _kdfc_state(args) -> CipherState:
     )
 
 
+#: the JSON shape of a state document as `_state_doc` writes it; [x] is an
+#: array of x, and fields not named here are not read
+_STATE_SHAPE = {
+    "config": {"m": int, "b": int, "gains": [{"rows": int, "cols": int, "data": [str]}]},
+    "lfsr": [int],
+    "fsm": {"r1": int, "r2": int},
+}
+_JSON_TYPES = {
+    dict: "an object", list: "an array", int: "an integer", float: "a number",
+    str: "a string", bool: "a boolean", type(None): "null",
+}
+
+
+def _check_shape(value, shape, field: str) -> None:
+    """Refuse the first field of `value` that is missing or not of `shape`."""
+    kind = type(shape) if isinstance(shape, (dict, list)) else shape
+    if type(value) is not kind:
+        raise ValueError(
+            f"malformed state document: field {field!r} is not {_JSON_TYPES[kind]}"
+            f" (got {_JSON_TYPES[type(value)]})"
+        )
+    if kind is dict:
+        for key, sub in shape.items():
+            if key not in value:
+                where = f" from {field!r}" if field else ""
+                raise ValueError(f"malformed state document: field {key!r} missing{where}")
+            _check_shape(value[key], sub, f"{field}.{key}" if field else key)
+    elif kind is list:
+        for i, item in enumerate(value):
+            _check_shape(item, shape[0], f"{field}[{i}]")
+
+
 def _load_state(path: str) -> CipherState:
     """Read a state document; refuse one whose configuration is not a KDFC one."""
     with open(path, encoding="utf-8") as fh:
@@ -171,17 +203,13 @@ def _load_state(path: str) -> CipherState:
         raise ValueError(
             f"malformed state document: expected a JSON object, got {type(doc).__name__}"
         )
-    try:
-        cfg = SigmaConfig.from_json(doc["config"])
-        state = CipherState(
-            LfsrState(cfg.m, list(doc["lfsr"])),
-            FsmState(doc["fsm"]["r1"], doc["fsm"]["r2"]),
-            cfg,
-        )
-    except KeyError as e:
-        raise ValueError(f"malformed state document: field {e} missing") from None
-    except (TypeError, AttributeError) as e:
-        raise ValueError(f"malformed state document: {e}") from None
+    _check_shape(doc, _STATE_SHAPE, "")
+    cfg = SigmaConfig.from_json(doc["config"])
+    state = CipherState(
+        LfsrState(cfg.m, doc["lfsr"]),
+        FsmState(doc["fsm"]["r1"], doc["fsm"]["r2"]),
+        cfg,
+    )
     got = config_char_poly(cfg)
     if got != kdfc.target_poly():
         raise ValueError("state configuration lacks the target characteristic polynomial")

@@ -52,7 +52,6 @@ from kdfc_snow.gf2.linalg import (
     rank,
 )
 from kdfc_snow.gf2.poly import (
-    FactorTableMissError,
     Gf2Poly,
     _mulmod_by,
     _sparse_tail,
@@ -372,16 +371,15 @@ def count_configurations(m: int, b: int) -> int:
     """Number of primitive feedback configurations for (m, b).
 
     |GL(m, F_2)| / (2^m - 1) * phi(2^mb - 1) / (mb) * 2^(m(m-1)(b-1)).
-    Needs the factor table for 2^mb - 1, hence mb <= 64.
+    Needs the factor table for 2^mb - 1, hence mb <= 64 or mb = 512
+    (FactorTableMissError otherwise).
     """
     _check_dims(m, b)
     n = m * b
-    if n > 64:
-        raise FactorTableMissError(f"phi(2^{n} - 1) needs factors beyond the table")
+    phi = euler_phi_2n1(n) if n > 1 else 1  # first: a table miss raises at once
     gl = 1
     for i in range(m):
         gl *= (1 << m) - (1 << i)
-    phi = euler_phi_2n1(n) if n > 1 else 1
     if gl % ((1 << m) - 1) or phi % n:
         raise RuntimeError(f"counting formula not integral at m={m}, b={b}")
     return gl // ((1 << m) - 1) * (phi // n) * (1 << (m * (m - 1) * (b - 1)))

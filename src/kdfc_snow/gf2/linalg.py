@@ -43,8 +43,11 @@ def vec_from_hex(s: str, length: int) -> int:
     if len(s) != ndigits:
         raise ValueError(f"expected {ndigits} hex digits for {length} bits")
     v = 0
-    for k, ch in enumerate(s):
-        v |= int(ch, 16) << (4 * k)
+    try:
+        for k, ch in enumerate(s):
+            v |= int(ch, 16) << (4 * k)
+    except ValueError:
+        raise ValueError(f"not a hex string: {s!r}") from None
     if v >> length:
         raise ValueError("hex string has bits beyond the stated length")
     return v

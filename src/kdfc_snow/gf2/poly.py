@@ -314,10 +314,11 @@ def is_irreducible(p: Gf2Poly) -> bool:
     if p.coeffs.bit_count() % 2 == 0:
         return False  # p(1) = 0, divisible by x + 1
     pc = p.coeffs
+    tail = _sparse_tail(pc)
     checkpoints = {d // q for q in _prime_factors(d)}
     t = 2  # x
     for k in range(1, d + 1):
-        t = _sqmod_int(t, pc)
+        t = _mod_int(clsquare(t), pc, tail)
         if k in checkpoints:
             g = gcd(Gf2Poly(t ^ 2), p)
             if g.degree > 0:
@@ -340,27 +341,23 @@ def _prime_factors(n: int) -> list[int]:
 
 
 class FactorTableMissError(ValueError):
-    """2^d - 1 has no shipped factorization (degree above 64)."""
+    """2^d - 1 has no shipped factorization (d outside [2, 64] and not 512)."""
 
 
 def is_primitive(p: Gf2Poly) -> bool:
     """True iff p is primitive: irreducible with ord(x mod p) = 2^d - 1.
 
-    Requires the shipped factorization of 2^d - 1, available for d <= 64;
-    raises FactorTableMissError beyond that (callers fall back to the
-    vetted PrimitiveTable entries).
+    Requires the shipped factorization of 2^d - 1, available for d <= 64
+    and d = 512; raises FactorTableMissError at any other degree above 1
+    (callers fall back to the certified PrimitiveTable entries).  At
+    degree 1 only x + 1 is primitive: x is irreducible but no unit mod x.
     """
     d = p.degree
-    if d < 1:
-        return False
+    if d < 2:
+        return p.coeffs == 0b11
     from kdfc_snow.gf2.primtable import mersenne_factors
 
-    try:
-        factors = mersenne_factors(d)
-    except KeyError as exc:
-        raise FactorTableMissError(
-            f"no shipped factorization of 2^{d} - 1"
-        ) from exc
+    factors = mersenne_factors(d)  # raises FactorTableMissError on a miss
     if not is_irreducible(p):
         return False
     order = (1 << d) - 1
@@ -372,7 +369,7 @@ def is_primitive(p: Gf2Poly) -> bool:
 
 
 def euler_phi_2n1(d: int) -> int:
-    """Euler phi of 2^d - 1 via the shipped factor table (d <= 64)."""
+    """Euler phi of 2^d - 1 via the shipped factor table (d <= 64 or 512)."""
     from kdfc_snow.gf2.primtable import mersenne_factors
 
     n = (1 << d) - 1

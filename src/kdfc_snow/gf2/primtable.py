@@ -6,11 +6,14 @@ Formats:
 * factor table — ``d: p1^e1 p2 p3 ...`` (full factorization of 2^d - 1);
 * polynomial table — ``degree: e1,e2,...,ek`` (exponent list, descending).
 
-The polynomial table covers every degree in [2, 512].  Entries of degree
-<= 64 are certified primitive against the factor table by the test suite;
-higher-degree entries are trusted table data whose irreducibility is still
-verified (lazily, on first lookup).  The committed generator scripts under
-``tools/`` reproduce both files from scratch.
+The polynomial table covers every degree in [2, 512].  The shipped table
+is certified once, by the test suite, not in every process: every entry
+irreducible (Rabin), entries of degree <= 64 and 512 primitive against the
+factor table, and the file's sha256 equal to SHIPPED_POLY_SHA256.  A
+table with that checksum is used without further checks; any other table
+(the KDFC_SNOW_POLY_TABLE override, a test's own) has each entry's
+irreducibility verified lazily, on first lookup.  The committed generator
+scripts under ``tools/`` reproduce both files from scratch.
 """
 
 from __future__ import annotations
@@ -25,6 +28,10 @@ from kdfc_snow.gf2.poly import FactorTableMissError, Gf2Poly, is_irreducible
 POLY_TABLE_ENV = "KDFC_SNOW_POLY_TABLE"
 _FACTOR_FILE = "factors_2_pow_d_minus_1.txt"
 _POLY_FILE = "primitive_polys.txt"
+#: sha256 of the shipped primitive_polys.txt, whose every entry the test
+#: suite certifies; regenerating the table means re-certifying it and
+#: updating this pin
+SHIPPED_POLY_SHA256 = "6305887fe80a71d151a21a91315e73a3e4ec0687a6c9ac45a26d3a3b701ece0b"
 
 
 class TableFormatError(ValueError):
@@ -54,7 +61,7 @@ _factor_cache: dict[int, dict[int, int]] | None = None
 
 
 def mersenne_factors(d: int) -> dict[int, int]:
-    """Full factorization of 2^d - 1 as {prime: multiplicity}; d in [2, 64]."""
+    """Full factorization of 2^d - 1 as {prime: multiplicity}; d in [2, 64] or 512."""
     global _factor_cache
     if _factor_cache is None:
         table: dict[int, dict[int, int]] = {}
@@ -80,7 +87,6 @@ class PrimitiveTable:
 
     def __init__(self, text: str):
         self._entries: dict[int, Gf2Poly] = {}
-        self._checked: set[int] = set()
         self.checksum, lines = parse_checksummed(text, "primitive polynomial table")
         for line in lines:
             head, _, rest = line.partition(":")
@@ -92,6 +98,9 @@ class PrimitiveTable:
                     f"table entry for degree {degree} has degree {poly.degree}"
                 )
             self._entries[degree] = poly
+        # the shipped table's entries are certified by the test suite
+        pinned = self.checksum == SHIPPED_POLY_SHA256
+        self._checked: set[int] = set(self._entries) if pinned else set()
 
     @classmethod
     def load_default(cls) -> "PrimitiveTable":

@@ -309,6 +309,20 @@ class TestStateDocument:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "expected a JSON object" in err
 
+    @pytest.mark.parametrize("edit,field,expected", [
+        (lambda d: d.update(fsm=[1, 2]), "'fsm'", "an object"),
+        (lambda d: d["config"].update(gains=[[1]] * 16), "'config.gains[0]'", "an object"),
+    ], ids=["fsm-array", "gains-arrays"])
+    def test_ill_typed_nested_field_is_named(
+        self, capsys, tmp_path, state_doc, edit, field, expected
+    ):
+        doc = json.loads(json.dumps(state_doc))
+        edit(doc)
+        code, out, err = self.stream(capsys, tmp_path, doc)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and f"field {field} is not {expected}" in err
+        assert "indices" not in err and "Traceback" not in err
+
     def test_malformed_config(self, capsys, tmp_path, state_doc):
         doc = json.loads(json.dumps(state_doc))
         doc["config"]["gains"][0] = 7
@@ -424,6 +438,18 @@ class TestGenConfig:
         )
         assert code == 1 and out == ""
         assert err.startswith("error:") and "not primitive" in err
+
+    def test_degree_one(self, capsys):
+        # x is irreducible but not primitive; x + 1 is primitive
+        code, out, err = run(
+            capsys, "gen-config", "--m", "1", "--b", "1", "--seed", "s", "--poly", "1",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "not primitive" in err
+        code, out, _ = run(
+            capsys, "gen-config", "--m", "1", "--b", "1", "--seed", "s", "--poly", "1,0",
+        )
+        assert code == 0 and json.loads(out)["char_poly"] == [1, 0]
 
     def test_poly_degree_mismatch_comes_first(self, capsys):
         code, _, err = run(

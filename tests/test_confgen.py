@@ -32,7 +32,7 @@ from kdfc_snow.gf2.linalg import (
     mat_vec_mul,
     rank,
 )
-from kdfc_snow.gf2.poly import _sparse_tail
+from kdfc_snow.gf2.poly import FactorTableMissError, _sparse_tail, euler_phi_2n1
 from kdfc_snow.gf2.primtable import default_table, primitive_poly
 from kdfc_snow.sigma_lfsr import NotMCompanionError, SigmaConfig, config_char_poly
 
@@ -356,6 +356,15 @@ class TestCounting:
         # |GL(m)|/(2^m-1) * phi(2^mb-1)/(mb) * 2^(m(m-1)(b-1))
         assert count_configurations(1, 4) == 2  # phi(15)/4 = 2
         assert count_configurations(3, 1) == 48  # |GL(3)|/7 * phi(7)/3
+
+    def test_formula_exact_at_32x16(self):
+        # the KDFC-SNOW configuration space: log2 of the count is about 16,372.2
+        assert euler_phi_2n1(512) % 512 == 0
+        assert count_configurations(32, 16).bit_length() == 16373
+
+    def test_formula_needs_the_factor_table(self):
+        with pytest.raises(FactorTableMissError):
+            count_configurations(5, 13)
 
     def test_enumeration_guard(self):
         with pytest.raises(ValueError):

@@ -345,6 +345,10 @@ class TestHexCodec:
     def test_roundtrip(self, v):
         assert vec_from_hex(vec_to_hex(v, 32), 32) == v
 
+    def test_non_hex_digit_named(self):
+        with pytest.raises(ValueError, match="not a hex string: 'zz'"):
+            vec_from_hex("zz", 8)
+
     def test_fixed_width_lsn_first(self):
         assert vec_to_hex(1, 32) == "10000000"
         assert vec_to_hex(0x80000000, 32) == "00000008"

@@ -1,9 +1,11 @@
 """Shipped polynomial/factor tables: integrity, certification, overrides."""
 
 import hashlib
+from importlib import resources
 
 import pytest
 
+from kdfc_snow.gf2 import primtable
 from kdfc_snow.gf2.poly import (
     FactorTableMissError,
     Gf2Poly,
@@ -12,6 +14,7 @@ from kdfc_snow.gf2.poly import (
 )
 from kdfc_snow.gf2.primtable import (
     POLY_TABLE_ENV,
+    SHIPPED_POLY_SHA256,
     PrimitiveTable,
     TableFormatError,
     default_table,
@@ -51,9 +54,9 @@ class TestPrimitiveTable:
         assert p.degree == d
         assert is_irreducible(p)
 
-    @pytest.mark.parametrize("d", [2, 3, 8, 16, 24, 36, 48, 64])
+    @pytest.mark.parametrize("d", [2, 3, 8, 16, 24, 36, 48, 64, 512])
     def test_entries_are_primitive_where_certifiable(self, d):
-        # the factor table covers d <= 64, so order checks are exact there
+        # the factor table covers d <= 64 and 512, so order checks are exact there
         assert is_primitive(primitive_poly(d))
 
     @pytest.mark.parametrize("d", [0, 1, 513])
@@ -108,6 +111,50 @@ class TestIntegrity:
         t = PrimitiveTable.load_default()
         assert t.degrees() == [2]
         assert t[2] == Gf2Poly.from_exponents([2, 1, 0])
+
+
+def _shipped_text() -> str:
+    return resources.files("kdfc_snow").joinpath("data", "primitive_polys.txt").read_text()
+
+
+class TestShippedCertificate:
+    """The proof behind SHIPPED_POLY_SHA256, which lets a process skip Rabin."""
+
+    def test_shipped_table_is_certified_and_pinned(self):
+        text = _shipped_text()
+        checksum, _ = parse_checksummed(text, "shipped table")
+        table = PrimitiveTable(text)
+        for d in table.degrees():
+            assert is_irreducible(table[d]), f"degree {d} entry is reducible"
+        for d in [*range(2, 65), 512]:  # where the factor table covers 2^d - 1
+            assert is_primitive(table[d]), f"degree {d} entry is not primitive"
+        assert checksum == SHIPPED_POLY_SHA256, (
+            "primitive_polys.txt changed: once this test certifies it, "
+            f"update primtable.SHIPPED_POLY_SHA256 to {checksum}"
+        )
+
+    def test_pinned_table_skips_rabin(self, monkeypatch):
+        def no_rabin(_):
+            raise AssertionError("Rabin ran on the pinned table")
+
+        monkeypatch.setattr(primtable, "is_irreducible", no_rabin)
+        table = PrimitiveTable(_shipped_text())
+        assert table.checksum == SHIPPED_POLY_SHA256
+        assert all(table[d].degree == d for d in table.degrees())
+
+    def test_changed_override_is_checked_lazily(self, monkeypatch, tmp_path):
+        # one entry of the shipped table swapped for the reducible x^100 + 1
+        body = _shipped_text().split("\n", 1)[1].rstrip("\n")
+        assert "\n100: 100,37,0\n" in body
+        path = tmp_path / "table.txt"
+        body = body.replace("\n100: 100,37,0\n", "\n100: 100,0\n")
+        path.write_text(_table_text(body))
+        monkeypatch.setenv(POLY_TABLE_ENV, str(path))
+        t = PrimitiveTable.load_default()
+        assert t.checksum != SHIPPED_POLY_SHA256
+        assert t[99] == primitive_poly(99)
+        with pytest.raises(TableFormatError, match="degree 100"):
+            t[100]
 
 
 class TestDeterminism:

@@ -11,7 +11,7 @@ from oracles import lfsr_step, reciprocal
 
 from kdfc_snow.confgen import FillBits, pipeline_poly, y_iterate, y_offline
 from kdfc_snow.gf2.linalg import BitMatrix, rank
-from kdfc_snow.gf2.poly import is_irreducible
+from kdfc_snow.gf2.poly import is_irreducible, is_primitive
 from kdfc_snow.gf2.primtable import default_table
 from kdfc_snow.kdfc import (
     B,
@@ -75,6 +75,10 @@ class TestTargetPoly:
 
     def test_irreducible(self):
         assert is_irreducible(target_poly())
+
+    def test_primitive(self):
+        # the factor table holds the 13 prime factors of 2^512 - 1
+        assert is_primitive(target_poly())
 
     def test_is_reciprocal_of_public_config_char_poly(self):
         assert reciprocal(config_char_poly(snow2_gains())) == target_poly()

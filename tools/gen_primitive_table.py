@@ -18,7 +18,11 @@ passes:
 Candidates refuted by any order check are skipped, so every shipped entry
 is irreducible, has no known small-order witness, and is fully certified
 wherever the factorization is complete.  The script prints per-degree
-certification status.  Run from the repository root:
+certification status.  The package pins the sha256 of the shipped table
+(gf2.primtable.SHIPPED_POLY_SHA256) and skips per-process irreducibility
+checks for it; a regenerated table with a new checksum has to pass the
+test suite's certificate (tests/test_gf2_primtable.py) before that pin is
+updated to it.  Run from the repository root:
 
     python tools/gen_primitive_table.py
 """
