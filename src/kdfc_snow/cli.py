@@ -21,6 +21,7 @@ import sys
 
 from kdfc_snow import attacks, kdfc, randtests, symbolic
 from kdfc_snow.confgen import (
+    MAX_ENUMERATION_BITS,
     FillBits,
     brute_force_count,
     count_configurations,
@@ -391,8 +392,27 @@ def _cmd_verify_theorem1(args) -> int:
     return 0 if ok else 1
 
 
+def _decimal(n: int) -> str:
+    """n >= 0 in base 10, also beyond the interpreter's int-to-str digit
+    limit (4,300 digits by default): 500 digits at a time."""
+    chunks = []
+    while n >= 10**500:
+        n, low = divmod(n, 10**500)
+        chunks.append(f"{low:0500d}")
+    return str(n) + "".join(reversed(chunks))
+
+
 def _cmd_verify_count(args) -> int:
     formula = count_configurations(args.m, args.b)
+    nbits = args.m * args.m * args.b
+    if nbits > MAX_ENUMERATION_BITS:
+        _emit(
+            f"formula     = {_decimal(formula)}\n"
+            f"enumeration skipped: 2^{nbits} gain tuples exceed the limit of "
+            f"2^{MAX_ENUMERATION_BITS}",
+            args.out,
+        )
+        return 0
     brute = brute_force_count(args.m, args.b)
     ok = formula == brute
     _emit(

@@ -25,22 +25,27 @@ remainder (generate_config) lets most iterations be precomputed; fill bits
 are supplied explicitly, either from a seeded deterministic stream or from
 cipher-derived words.
 
-Lambda is never built as a matrix.  Mapping row vectors to the field
-F_2[x]/p by v -> XOR of floor(p / x^(i+1)) over set bits i makes the
-companion action multiplication by x, so Lambda is multiplication by one
-field element lambda = embed(active row)^{-1} (one modular inversion), and
-each row is updated as v * Lambda = embed^{-1}(embed(v) * lambda mod p).
-All m rows share lambda, so from width 32 on the products go through one
-table of lambda times every byte per iteration (gf2.poly._mulmod_by, a
-left-to-right method with 8-bit windows); narrower stages multiply each
-row with clmul.  The Krylov-matrix route (solve y.K = e_1, Lambda =
-sum y_j A^j) gives the same unique solution; it lives in tests/oracles.py
-as the test oracle, next to the dense assembly Q * P * Q^{-1}.
+Lambda is never built as a matrix.  A run (y_offline, or the online part
+of generate_config) keeps its rows reversed, bit j holding coordinate
+w-1-j, so e_1 is 1 and widening is u << 1 | fill.  Mapping u to F_2[x]/p
+by u -> floor(p * u / x^w) makes the companion action multiplication by
+x, so Lambda is multiplication by one field element
+lambda = embed(active row)^{-1}, and each row becomes
+embed^{-1}(embed(u) * lambda mod p).  Both maps are a product and a
+shift, by p and by floor(x^2w / p), which is p when the tail p - x^w has
+degree below w/2, as in the table's trinomials and pentanomials: one
+shift and xor per term.  The products by lambda go through
+gf2.poly._mulmod_by, a byte window table of lambda from width 32 on.
+y_iterate runs one iteration on a BitMatrix in standard coordinates.  The
+Krylov-matrix route (solve y.K = e_1, Lambda = sum y_j A^j) lives in
+tests/oracles.py as the test oracle, next to the standard-coordinate maps
+and the dense assembly Q * P * Q^{-1}.
 """
 
 from __future__ import annotations
 
 import hashlib
+from functools import cache
 
 from kdfc_snow.gf2.linalg import (
     BitMatrix,
@@ -54,7 +59,6 @@ from kdfc_snow.gf2.linalg import (
 from kdfc_snow.gf2.poly import (
     Gf2Poly,
     _mulmod_by,
-    _sparse_tail,
     clmul,
     euler_phi_2n1,
     inv_mod,
@@ -152,62 +156,75 @@ def pipeline_poly(degree: int) -> Gf2Poly:
     return primitive_poly(degree)
 
 
-def _field_embed(v: int, pc: int) -> int:
-    """Row vector -> element of F_2[x]/p under the companion-equivariant map.
+def _reversed_rows(rows: list[int], w: int) -> list[int]:
+    """Rows with their w coordinates in reverse order (an involution)."""
+    return [int(format(r, f"0{w}b")[::-1], 2) for r in rows]
 
-    e_i maps to floor(p / x^(i+1)), so v maps to floor(p * rev(v) / x^w),
-    where rev reverses the w coordinates of v.
+
+@cache
+def _shifts(c: int) -> tuple[int, ...] | None:
+    """deg c - e over the terms x^e of c, e > 0, if c has at most five terms."""
+    if c.bit_count() > 5:
+        return None
+    w = c.bit_length() - 1
+    return tuple(w - e for e in Gf2Poly(c).exponents() if e)
+
+
+def _over_xw(c: int, rows: list[int]) -> list[int]:
+    """floor(c * u / x^w) for every u of degree below w = deg c.
+
+    (u * x^e) >> w = u >> (w - e), so for c of at most five terms this is
+    one shift and xor per term; a denser c takes one clmul per row.
     """
-    w = pc.bit_length() - 1
-    rev = int(bin(v)[:1:-1], 2) << (w - v.bit_length())
-    return clmul(pc, rev) >> w
+    shifts = _shifts(c)
+    if shifts is None:
+        w = c.bit_length() - 1
+        return [clmul(c, u) >> w for u in rows]
+    out = []
+    for u in rows:
+        g = 0
+        for s in shifts:
+            g ^= u >> s
+        out.append(g)
+    return out
 
 
-def _field_unembed(g: int, pc: int, tail: int | None) -> int:
-    """Inverse of _field_embed; tail is _sparse_tail(pc).
+def _stage(rows: list[int], i: int, p: Gf2Poly, fill: int) -> list[int]:
+    """Iteration i on rows u of width w = deg p, bit j = coordinate w-1-j.
 
-    With u = rev(v) and p = x^w + t, g = u + floor(u*t / x^w), so u is the
-    fixed point of u -> g + floor(u*t / x^w).  For a sparse p (see
-    gf2.poly._sparse_tail) deg t < w/2, so floor(u*t / x^w) has degree
-    below deg t and its own correction term vanishes: the first step from
-    u = g is already the fixed point.  Otherwise the image of e_i has
-    degree w - 1 - i, so the top term of g names the next coordinate to set.
+    embed(u) = floor(p * u / x^w).  p * u = embed(u) * x^w + r, deg r < w,
+    so u = floor(embed(u) * x^w / p) = floor(mu * embed(u) / x^w) with
+    mu = floor(x^2w / p), Barrett's quotient, exact over GF(2)[x].  With
+    p = x^w + t, x^2w = p^2 + t^2, so mu is p when deg t^2 < w.
     """
-    w = pc.bit_length() - 1
-    if tail is not None:
-        u = g ^ (clmul(g, tail) >> w)
-        return int(bin(u)[:1:-1], 2) << (w - u.bit_length())
-    v = 0
-    while g:
-        i = w - g.bit_length()
-        v |= 1 << i
-        g ^= pc >> (i + 1)
-    return v
-
-
-def _lin_solve_coeffs(c: int, p: Gf2Poly) -> int:
-    """Bits y_j with c * (sum y_j A^j) = e_1 for A = companion(p).
-
-    Equals the unique solution of y.K = e_1 over the Krylov matrix of c
-    whenever that system is regular (always, for irreducible p and c != 0).
-    """
-    if c == 0:
-        raise NoSolutionError("zero row cannot reach e_1")
-    pc = p.coeffs
-    gamma = _field_embed(c, pc)
+    m, pc, w = len(rows), p.coeffs, p.degree
+    tail = pc ^ (1 << w)
+    mu = pc if 2 * tail.bit_length() <= w + 1 else (Gf2Poly(1 << 2 * w) // p).coeffs
+    active = i % m
+    g = _over_xw(pc, rows)
     try:
-        y = inv_mod(Gf2Poly(gamma), p)
+        lam = inv_mod(Gf2Poly(g[active]), p).coeffs
     except ZeroDivisionError as exc:
-        raise NoSolutionError(f"row not cyclic for this modulus: {exc}") from exc
-    return y.coeffs
+        raise NoSolutionError(f"active row is zero or not cyclic: {exc}") from exc
+    times_lam = _mulmod_by(lam, pc)
+    out = _over_xw(mu, [times_lam(h) for h in g])
+    if out[active] != 1:
+        raise NoSolutionError("active row did not land on e_1")
+    pos = 0
+    for t in range(m):
+        if t != active:
+            out[t] = (out[t] << 1) | ((fill >> pos) & 1)
+            pos += 1
+    if rank(BitMatrix(out, w + 1)) != m:
+        raise RankLossError(f"rank dropped below {m} at iteration {i}")
+    return out
 
 
 def y_iterate(y: BitMatrix, i: int, p: Gf2Poly, fill: int) -> BitMatrix:
     """One pipeline iteration: active row to e_1, then widen by one bit.
 
-    y has m rows of width w; p is the stage polynomial, of degree w.  Every
-    embedded row is multiplied by the same lambda mod p (_mulmod_by: one
-    window table of lambda when w >= 32, clmul per row below).
+    y has m rows of width w; p is the stage polynomial, of degree w.  The
+    rows are reversed, go through _stage and are reversed back.
     """
     m, w = y.nrows, y.ncols
     if p.degree != w:
@@ -216,24 +233,8 @@ def y_iterate(y: BitMatrix, i: int, p: Gf2Poly, fill: int) -> BitMatrix:
         )
     if m > 1 and (fill < 0 or fill >> (m - 1)):
         raise ValueError(f"fill needs exactly {m - 1} bits")
-    pc = p.coeffs
-    active = i % m
-    lam = _lin_solve_coeffs(y.rows[active], p)
-    times_lam, tail = _mulmod_by(lam, pc), _sparse_tail(pc)
-    new_rows = [_field_unembed(times_lam(_field_embed(r, pc)), pc, tail) for r in y.rows]
-    if new_rows[active] != 1 << (w - 1):
-        raise NoSolutionError("active row did not land on e_1")
-    pos = 0
-    for t in range(m):
-        if t == active:
-            new_rows[t] = 1 << w  # e_1 of the new width
-        else:
-            new_rows[t] |= ((fill >> pos) & 1) << w
-            pos += 1
-    out = BitMatrix(new_rows, w + 1)
-    if rank(out) != m:
-        raise RankLossError(f"rank dropped below {m} at iteration {i}")
-    return out
+    rows = _stage(_reversed_rows(y.rows, w), i, p, fill)
+    return BitMatrix(_reversed_rows(rows, w + 1), w + 1)
 
 
 def y_offline(m: int, b: int, k: int, fill: FillBits) -> BitMatrix:
@@ -242,10 +243,10 @@ def y_offline(m: int, b: int, k: int, fill: FillBits) -> BitMatrix:
         raise ValueError(f"k must lie in [0, {m * b - m}]")
     if fill.m != m or len(fill) < k:
         raise ValueError(f"fill must supply {k} vectors of {m - 1} bits")
-    y = BitMatrix.identity(m)
+    rows = [1 << (m - 1 - t) for t in range(m)]  # the identity, reversed
     for i in range(1, k + 1):
-        y = y_iterate(y, i, pipeline_poly(m + i - 1), fill.vectors[i - 1])
-    return y
+        rows = _stage(rows, i, pipeline_poly(m + i - 1), fill.vectors[i - 1])
+    return BitMatrix(_reversed_rows(rows, m + k), m + k)
 
 
 def build_q(y: BitMatrix, p: Gf2Poly) -> BitMatrix:
@@ -340,14 +341,13 @@ def generate_config(
         raise ValueError(f"y_init width {y_init.ncols} outside [m, mb]")
     if online_fill.m != m or len(online_fill) < total - k:
         raise ValueError(f"online fill must supply {total - k} vectors")
-    y = y_init
+    rows = _reversed_rows(y_init.rows, m + k)
     for i in range(k + 1, total + 1):
-        p_i = pipeline_poly(m + i - 1)
-        y = y_iterate(y, i, p_i, online_fill.vectors[i - k - 1])
+        rows = _stage(rows, i, pipeline_poly(m + i - 1), online_fill.vectors[i - k - 1])
     # rotate rows so the most recently active row (now e_1) is last
     last_active = total % m
     order = [(last_active + 1 + t) % m for t in range(m)]
-    y = BitMatrix([y.rows[t] for t in order], y.ncols)
+    y = BitMatrix(_reversed_rows([rows[t] for t in order], n), n)
     q = build_q(y, p)
     cfg = assemble_config(q, p, m)
     if verify:
@@ -385,6 +385,9 @@ def count_configurations(m: int, b: int) -> int:
     return gl // ((1 << m) - 1) * (phi // n) * (1 << (m * (m - 1) * (b - 1)))
 
 
+MAX_ENUMERATION_BITS = 20  # brute_force_count walks at most 2^20 gain tuples
+
+
 def brute_force_count(m: int, b: int) -> int:
     """Count primitive configurations by enumerating every gain tuple.
 
@@ -398,9 +401,10 @@ def brute_force_count(m: int, b: int) -> int:
 
     _check_dims(m, b)
     nbits = m * m * b
-    if nbits > 20:
+    if nbits > MAX_ENUMERATION_BITS:
         raise ValueError(
-            f"enumeration over 2^{nbits} gain tuples is too large (max 2^20)"
+            f"enumeration over 2^{nbits} gain tuples is too large "
+            f"(max 2^{MAX_ENUMERATION_BITS})"
         )
     mask = (1 << m) - 1
     count = 0

@@ -184,8 +184,8 @@ def clsquare(a: int) -> int:
     return int(format(a, "b"), 4)
 
 
-def _sparse_tail(m: int) -> int | None:
-    """m - x^deg(m) when m is sparse enough to reduce by folding, else None.
+def _sparse_tail(m: int) -> list[int] | None:
+    """Exponents of m - x^deg(m) when m is sparse enough to fold, else None.
 
     Sparse means at most five terms, every lower term of degree below
     deg(m)/2: every trinomial and pentanomial of the primitive table but
@@ -198,13 +198,13 @@ def _sparse_tail(m: int) -> int | None:
     d = m.bit_length() - 1
     tail = m ^ (1 << d)
     if m.bit_count() <= 5 and not tail >> ((d + 1) // 2):
-        return tail
+        return Gf2Poly(tail).exponents()
     return None
 
 
-def _mod_int(a: int, m: int, tail: int | None = -1) -> int:
-    """a mod m: folding for a sparse m (tail = _sparse_tail(m), taken here
-    unless passed in), shift-and-xor long division otherwise."""
+def _mod_int(a: int, m: int, tail: list[int] | None | int = -1) -> int:
+    """a mod m: folding, one shifted xor per exponent of tail = _sparse_tail(m)
+    (taken here unless passed in), for a sparse m, long division otherwise."""
     ml = m.bit_length()
     al = a.bit_length()
     if al < ml:
@@ -213,9 +213,10 @@ def _mod_int(a: int, m: int, tail: int | None = -1) -> int:
         tail = _sparse_tail(m)
     if tail is not None:
         d = ml - 1
-        mask = (1 << d) - 1
         while hi := a >> d:
-            a = (a & mask) ^ clmul(hi, tail)
+            a ^= hi << d
+            for e in tail:
+                a ^= hi << e
         return a
     while al >= ml:
         a ^= m << (al - ml)
@@ -236,7 +237,7 @@ def _mulmod_by(b: int, m: int) -> Callable[[int], int]:
     lookup, shift and xor per byte: a left-to-right window method with
     8-bit windows (Hankerson-Menezes-Vanstone, Guide to ECC, 2.3.3).
     Below that degree the 256-entry table costs about what it saves and
-    each product goes through clmul.
+    each product goes through clmul.  Folds use the tail taken here.
     """
     tail = _sparse_tail(m)
     if m.bit_length() <= 32:
@@ -253,10 +254,6 @@ def _mulmod_by(b: int, m: int) -> Callable[[int], int]:
         return _mod_int(acc, m, tail)
 
     return mulmod
-
-
-def _sqmod_int(a: int, m: int) -> int:
-    return _mod_int(clsquare(a), m)
 
 
 def inv_mod(a: Gf2Poly, mod: Gf2Poly) -> Gf2Poly:
@@ -282,19 +279,27 @@ def inv_mod(a: Gf2Poly, mod: Gf2Poly) -> Gf2Poly:
 
 
 def powmod(base: Gf2Poly, exp: int, mod: Gf2Poly) -> Gf2Poly:
-    """base^exp mod `mod` by square-and-multiply (exp is a plain integer)."""
+    """base^exp mod `mod` by left-to-right square-and-multiply (exp is a
+    plain integer).  The modulus's sparse tail is taken once per call; when
+    the base is x, each multiply is a shift and at most one xor of mod."""
     if exp < 0:
         raise ValueError("negative exponent")
-    if mod.coeffs == 0:
-        raise ZeroDivisionError("modulus is the zero polynomial")
-    result = _mod_int(1, mod.coeffs)
-    b = _mod_int(base.coeffs, mod.coeffs)
     m = mod.coeffs
-    while exp:
-        if exp & 1:
-            result = _mulmod_int(result, b, m)
-        b = _sqmod_int(b, m)
-        exp >>= 1
+    if m == 0:
+        raise ZeroDivisionError("modulus is the zero polynomial")
+    tail = _sparse_tail(m)
+    result = _mod_int(1, m, tail)
+    b = _mod_int(base.coeffs, m, tail)
+    top = 1 << (m.bit_length() - 1)
+    for bit in format(exp, "b"):
+        result = _mod_int(clsquare(result), m, tail)
+        if bit == "1":
+            if b == 2:
+                result <<= 1
+                if result & top:
+                    result ^= m
+            else:
+                result = _mod_int(clmul(result, b), m, tail)
     return Gf2Poly(result)
 
 

@@ -31,7 +31,11 @@ route than the package:
   plain ints.
 * long_division_mod and triangular_unembed reduce and un-embed bit by bit
   for any modulus, instead of the package's folding through the low terms
-  of a sparse modulus.
+  of a sparse modulus.  field_embed maps a row in standard coordinates to
+  the field by reversing it bit by bit and multiplying by one shifted copy
+  per coefficient of p, and long_division_quotient gives floor(a / m) bit
+  by bit, where the pipeline shifts reversed rows through the terms of the
+  modulus or of its Barrett factor.
 * dense_assemble forms C = Q * P * Q^{-1} with a full inverse and product
   and reads the gains back through extract_config, instead of the
   package's m row solves on one elimination of Q.
@@ -270,8 +274,37 @@ def long_division_mod(a: int, m: int) -> int:
     return a
 
 
+def reverse_coords(v: int, w: int) -> int:
+    """v with its w coordinates in reverse order, one bit at a time."""
+    return sum(((v >> j) & 1) << (w - 1 - j) for j in range(w))
+
+
+def field_embed(v: int, pc: int) -> int:
+    """The pipeline's field map on a row v in standard coordinates.
+
+    e_i maps to floor(p / x^(i+1)), so v maps to floor(p * rev(v) / x^w).
+    """
+    w = pc.bit_length() - 1
+    u = reverse_coords(v, w)
+    acc = 0
+    for j in range(w + 1):
+        if (pc >> j) & 1:
+            acc ^= u << j
+    return acc >> w
+
+
+def long_division_quotient(a: int, m: int) -> int:
+    """floor(a / m) in GF(2)[x], one quotient bit per leading bit of a."""
+    q = 0
+    while a.bit_length() >= m.bit_length():
+        shift = a.bit_length() - m.bit_length()
+        a ^= m << shift
+        q |= 1 << shift
+    return q
+
+
 def triangular_unembed(g: int, pc: int) -> int:
-    """Inverse of confgen._field_embed, one coordinate per top term of g."""
+    """Inverse of field_embed, one coordinate per top term of g."""
     w = pc.bit_length() - 1
     v = 0
     while g:

@@ -1,0 +1,67 @@
+"""tools/bench.py's verdict rules and its src/ line count, without running perfbench."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench.py"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    spec = importlib.util.spec_from_file_location("bench_tool", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+LOWER = {"unit": "s", "better": "lower", "bound": 0.1}
+HIGHER = {"unit": "1/s", "better": "higher", "bound": 0.1}
+
+
+@pytest.mark.parametrize("spec,base,change,verdict", [
+    # better in every pair, by more than the base quartile spread
+    (LOWER, [10.0] * 10, [8.0] * 10, "gain"),
+    (HIGHER, [10.0] * 10, [12.0] * 10, "gain"),
+    # worse in the median by more than the bound (10 % of the base median)
+    (LOWER, [10.0] * 10, [11.5] * 10, "worse"),
+    (HIGHER, [10.0] * 10, [8.5] * 10, "worse"),
+    # base runs spread wider than the bound, change not clearly better
+    (LOWER, [5.0, 15.0] * 5, [5.0, 15.0] * 5, "unresolved"),
+    # within the bound either way
+    (LOWER, [10.0] * 10, [10.5] * 10, "same"),
+    (LOWER, [10.0] * 10, [9.5] * 10, "gain"),
+])
+def test_summarize_verdicts(bench, spec, base, change, verdict):
+    s = bench.summarize(spec, base, change)
+    assert s["verdict"] == verdict
+    assert s["pairs"] == len(base)
+
+
+def test_gain_needs_nine_pairs_in_ten(bench):
+    # a median well below base, but won in only 8 of 10 pairs
+    base = [10.0] * 10
+    change = [8.0] * 8 + [12.0] * 2
+    s = bench.summarize(LOWER, base, change)
+    assert s["pairs_won"] == 8 and s["verdict"] == "same"
+    s = bench.summarize(LOWER, base, [8.0] * 9 + [12.0])
+    assert s["pairs_won"] == 9 and s["verdict"] == "gain"
+
+
+def test_gain_needs_more_than_the_base_spread(bench):
+    # every pair won, but by less than the base runs' interquartile range
+    base = [9.6, 10.4] * 5
+    change = [b - 0.5 for b in base]
+    s = bench.summarize(LOWER, base, change)
+    assert s["pairs_won"] == 10 and s["base"]["iqr"] == pytest.approx(0.8)
+    assert s["verdict"] == "same"
+
+
+def test_src_lines_skip_blanks_and_comments(bench, tmp_path):
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text('"""Doc."""\n\n# comment\nx = 1  # trailing\n    # indented\n')
+    (pkg / "b.py").write_text("def f():\n\n    return 2\n")
+    (tmp_path / "src" / "notes.txt").write_text("not python\n")
+    assert bench.src_lines(tmp_path) == 4

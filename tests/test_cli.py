@@ -17,7 +17,7 @@ from conftest import KAT_IV, KAT_KEY
 
 from kdfc_snow import cli
 from kdfc_snow.cli import main
-from kdfc_snow.confgen import pipeline_poly
+from kdfc_snow.confgen import count_configurations, pipeline_poly
 from kdfc_snow.gf2.linalg import BitMatrix
 from kdfc_snow.kdfc import TARGET_POLY_EXPONENTS, load_y_init
 
@@ -645,8 +645,29 @@ class TestVerify:
         assert "formula     = 16" in out and "PASS" in out
 
     def test_count_guard(self, capsys):
-        code, _, err = run(capsys, "verify", "count", "--m", "3", "--b", "3")
-        assert code == 1 and "error:" in err
+        # 2^27 gain tuples are beyond enumeration: the formula alone, exit 0
+        code, out, err = run(capsys, "verify", "count", "--m", "3", "--b", "3")
+        assert code == 0 and err == ""
+        assert out.splitlines() == [
+            "formula     = 4718592",
+            "enumeration skipped: 2^27 gain tuples exceed the limit of 2^20",
+        ]
+
+    def test_count_at_full_scale(self, capsys):
+        # the KDFC-SNOW configuration count has 4,929 decimal digits, more
+        # than the interpreter converts to str by default
+        code, out, err = run(capsys, "verify", "count", "--m", "32", "--b", "16")
+        assert code == 0 and err == ""
+        formula, skipped = out.splitlines()
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            want = str(count_configurations(32, 16))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(want) == 4929
+        assert formula == f"formula     = {want}"
+        assert skipped.startswith("enumeration skipped: 2^16384 gain tuples")
 
     @pytest.mark.parametrize("m,b,bad", [
         ("0", "0", "m=0"), ("-1", "2", "m=-1"), ("2", "0", "b=0"), ("3", "-4", "b=-4"),

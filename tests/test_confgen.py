@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import KAT_IV, KAT_KEY
-from oracles import companion_matrix, dense_assemble, krylov_lambda, triangular_unembed
+from oracles import (
+    companion_matrix,
+    dense_assemble,
+    field_embed,
+    krylov_lambda,
+    long_division_quotient,
+    reverse_coords,
+    triangular_unembed,
+)
 
 from kdfc_snow import confgen, kdfc
 from kdfc_snow.confgen import (
@@ -19,8 +27,9 @@ from kdfc_snow.confgen import (
     count_configurations,
     generate_config,
     pipeline_poly,
-    _field_embed,
-    _field_unembed,
+    _over_xw,
+    _reversed_rows,
+    _shifts,
     y_iterate,
     y_offline,
 )
@@ -32,7 +41,13 @@ from kdfc_snow.gf2.linalg import (
     mat_vec_mul,
     rank,
 )
-from kdfc_snow.gf2.poly import FactorTableMissError, _sparse_tail, euler_phi_2n1
+from kdfc_snow.gf2.poly import (
+    FactorTableMissError,
+    Gf2Poly,
+    _sparse_tail,
+    euler_phi_2n1,
+    is_irreducible,
+)
 from kdfc_snow.gf2.primtable import default_table, primitive_poly
 from kdfc_snow.sigma_lfsr import NotMCompanionError, SigmaConfig, config_char_poly
 
@@ -165,6 +180,61 @@ class TestIteration:
                 else:
                     assert out.rows[t] & low == mat_vec_mul(y.rows[t], lam_krylov)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(2, 5), st.text(max_size=4), st.data())
+    def test_runs_equal_stepwise_y_iterate(self, m, b, seed, data):
+        """y_offline and generate_config, which run the stages on reversed
+        rows, equal y_iterate step by step, and every step applies Lambda."""
+        n, total = m * b, m * b - m
+        k = data.draw(st.integers(0, total))
+        fills = FillBits.from_seed(m, total, seed, "online-fill")
+        offline = FillBits(m, fills.vectors[:k])
+        y = BitMatrix.identity(m)
+        stepwise = [y]
+        for i in range(1, total + 1):
+            w, active = m + i - 1, i % m
+            p = pipeline_poly(w)
+            lam = krylov_lambda(y.rows[active], companion_matrix(p), w)
+            out = y_iterate(y, i, p, fills.vectors[i - 1])
+            assert mat_vec_mul(y.rows[active], lam) == 1 << (w - 1)
+            assert out.rows[active] == 1 << w
+            for t in range(m):
+                if t != active:
+                    assert out.rows[t] & ((1 << w) - 1) == mat_vec_mul(y.rows[t], lam)
+            y = out
+            stepwise.append(y)
+        assert y_offline(m, b, k, offline) == stepwise[k]
+        p = pipeline_poly(n)
+        order = [(total % m + 1 + t) % m for t in range(m)]
+        want = assemble_config(build_q(BitMatrix([y.rows[t] for t in order], n), p), p, m)
+        online = FillBits(m, fills.vectors[k:])
+        assert generate_config(m, b, p, y_offline(m, b, k, offline), online) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.integers(2, 40), st.integers(0, 1 << 32))
+    def test_any_irreducible_stage_polynomial(self, m, w, seed):
+        """Dense or sparse, any irreducible p of degree w gives the Krylov
+        Lambda: the un-embedding factor floor(x^2w / p) is not always p."""
+        rng = random.Random(seed)
+        while not is_irreducible(p := Gf2Poly((1 << w) | rng.getrandbits(w) | 1)):
+            pass
+        while rank(y := BitMatrix([rng.getrandbits(w) for _ in range(m)], w)) < min(m, w):
+            pass
+        i = rng.randrange(1, 100)
+        active = i % m
+        if not y.rows[active]:
+            return
+        lam = krylov_lambda(y.rows[active], companion_matrix(p), w)
+        try:
+            out = y_iterate(y, i, p, rng.getrandbits(m - 1))
+        except RankLossError:
+            assert m > w  # more rows than columns: Y cannot have full rank
+            return
+        assert mat_vec_mul(y.rows[active], lam) == 1 << (w - 1)
+        for t in range(m):
+            if t != active:
+                assert out.rows[t] & ((1 << w) - 1) == mat_vec_mul(y.rows[t], lam)
+
     def test_stage_degree_must_match_width(self):
         y = BitMatrix.identity(3)
         with pytest.raises(DimensionError):
@@ -242,23 +312,35 @@ class TestQAndAssembly:
 
 
 class TestEmbedding:
-    """The sparse un-embedding against the triangular loop."""
+    """The reversed-coordinate field maps against the standard-coordinate oracles."""
 
     def test_every_table_degree_and_the_dense_moduli(self):
         table = default_table()
         moduli = [table[d].coeffs for d in range(2, 513)]
         moduli += [kdfc.target_poly().coeffs, 0x11B]
-        assert _sparse_tail(moduli[-1]) is None and _sparse_tail(moduli[-2]) is None
         rng = random.Random(11)
+        by_clmul = []
         for pc in moduli:
-            w, tail = pc.bit_length() - 1, _sparse_tail(pc)
-            for v in [0, 1, 1 << (w - 1), (1 << w) - 1] + [
-                rng.getrandbits(w) for _ in range(4)
-            ]:
-                g = _field_embed(v, pc)
-                assert _field_unembed(g, pc, tail) == triangular_unembed(g, pc) == v
+            w = pc.bit_length() - 1
+            # Barrett's mu = floor(x^2w / p) is p itself exactly when p is sparse
+            mu = long_division_quotient(1 << (2 * w), pc)
+            assert mu == (Gf2Poly(1 << (2 * w)) // Gf2Poly(pc)).coeffs
+            assert (mu == pc) == (_sparse_tail(pc) is not None)
+            if _shifts(pc) is None or _shifts(mu) is None:
+                by_clmul.append(pc)
+            vs = [0, 1, 1 << (w - 1), (1 << w) - 1] + [rng.getrandbits(w) for _ in range(4)]
+            us = _reversed_rows(vs, w)
+            assert us == [reverse_coords(v, w) for v in vs]
+            gs = _over_xw(pc, us)
+            assert gs == [field_embed(v, pc) for v in vs]
+            assert _over_xw(mu, gs) == us
+            # e_1 (the last coordinate) is the field's 1 in reversed coordinates
+            assert gs[2] == 1
             g = rng.getrandbits(w)
-            assert _field_unembed(g, pc, tail) == triangular_unembed(g, pc)
+            assert _reversed_rows(_over_xw(mu, [g]), w) == [triangular_unembed(g, pc)]
+        # both maps are shifts and xors at every table degree, 2, 8 and 12
+        # included (their mu has at most five terms); the dense target is not
+        assert by_clmul == [kdfc.target_poly().coeffs]
 
 
 class TestGenerateConfig:

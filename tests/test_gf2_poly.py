@@ -187,6 +187,27 @@ class TestWindowedRows:
         assert [times_lam(a) for a in rows] == [_mulmod_int(a, lam, m) for a in rows]
 
 
+    @given(
+        st.sampled_from([31, 32, 33, 511]),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=80)
+    def test_tail_folds_around_the_window_threshold(self, d, sparse, rng):
+        # the table entries of these degrees fold through their tail's
+        # exponents; a modulus with a term at x^(d-1) takes long division
+        if sparse:
+            m = default_table()[d].coeffs
+        else:
+            m = (1 << d) | (1 << (d - 1)) | rng.getrandbits(d) | 1
+        assert (_sparse_tail(m) is not None) == sparse
+        lam = rng.getrandbits(d)
+        rows = [0, 1, (1 << d) - 1, rng.getrandbits(2 * d)]
+        rows += [rng.getrandbits(d) for _ in range(8)]
+        times_lam = _mulmod_by(lam, m)
+        assert [times_lam(a) for a in rows] == [_mod_int(clmul(a, lam), m) for a in rows]
+
+
 class TestAlgebraicProperties:
     @given(polys, polys)
     def test_add_is_xor(self, a, b):
@@ -246,6 +267,33 @@ class TestModularArithmetic:
     def test_powmod_fermat(self):
         # x^(2^8) = x mod an irreducible degree-8 polynomial
         assert powmod(Gf2Poly.x(), 1 << 8, self.MOD) == Gf2Poly.x()
+
+
+    @given(st.integers(1, 80), st.booleans(), st.integers(0, 1 << 80), st.data())
+    @settings(max_examples=150)
+    def test_powmod_matches_the_generic_route(self, d, sparse, exp, data):
+        # base x takes the shift-and-xor multiply, any other base clmul; both
+        # against right-to-left square-and-multiply through _mulmod_int
+        if sparse and d >= 2:
+            m = default_table()[d].coeffs
+        else:
+            m = (1 << d) | data.draw(st.integers(0, (1 << d) - 1))
+        base = data.draw(st.sampled_from([2, 3, 2 | (1 << d), (1 << (d + 3)) - 1]))
+        acc, b, e = _mod_int(1, m), _mod_int(base, m), exp
+        while e:
+            if e & 1:
+                acc = _mulmod_int(acc, b, m)
+            b = _mulmod_int(b, b, m)
+            e >>= 1
+        assert powmod(Gf2Poly(base), exp, Gf2Poly(m)).coeffs == acc
+
+    @pytest.mark.parametrize("exp", [0, 1, 2, 3, (1 << 511) - 1, (1 << 512) - 2])
+    def test_powmod_x_modulo_the_dense_target(self, exp):
+        m = target_poly().coeffs
+        want = 1
+        for bit in format(exp, "b"):
+            want = long_division_mod(clmul(want, want) << int(bit), m)
+        assert powmod(Gf2Poly.x(), exp, target_poly()).coeffs == want
 
 
 class TestPrimitivity:

@@ -27,7 +27,10 @@ won (ties count for neither side), the ratio of the medians, and a verdict:
 * same: neither, within the bound.
 
 It also records the seed, the run length, the Python version, the CPU
-count and model, the base commit and whether the working tree had changes.
+count and model, the base commit, whether the working tree had changes,
+and the size of `src/` on both sides: its non-blank lines that are not
+comments (`src_lines`, comment lines start with `#`) and the difference,
+change minus base (`src_lines_net`), so that net lines sit next to speed.
 Each run's own failed checks are kept; a run with failures makes the tool
 exit 1 after writing the file.  Runs one process at a time.
 """
@@ -87,6 +90,16 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
                  f"{proc.stderr[-2000:]}")
     result = tree / "perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
     return json.loads(result.read_text())
+
+
+def src_lines(tree: Path) -> int:
+    """Non-blank lines of tree/src/**/*.py that are not `#` comments."""
+    return sum(
+        1
+        for path in (tree / "src").rglob("*.py")
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if line.strip() and not line.lstrip().startswith("#")
+    )
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -171,6 +184,9 @@ def main(argv: list[str] | None = None) -> int:
         trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
         export(base_sha, trees["base"])
         copy_working_tree(trees["change"])
+        for side, tree in trees.items():
+            doc[side]["src_lines"] = src_lines(tree)
+        doc["src_lines_net"] = doc["change"]["src_lines"] - doc["base"]["src_lines"]
         for workload in names:
             runs = {"base": [], "change": []}
             for i in range(args.pairs):
@@ -206,6 +222,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{workload:13s} {name:12s} base {s['base']['median']:10.4g} "
                   f"change {s['change']['median']:10.4g} won {s['pairs_won']}/"
                   f"{s['pairs']} {s['verdict']}")
+    print(f"src lines: base {doc['base']['src_lines']}, change "
+          f"{doc['change']['src_lines']}, net {doc['src_lines_net']:+d}")
     return 1 if failures else 0
 
 
