@@ -45,7 +45,6 @@ and the dense assembly Q * P * Q^{-1}.
 from __future__ import annotations
 
 import hashlib
-from functools import cache
 
 from kdfc_snow.gf2.linalg import (
     BitMatrix,
@@ -161,25 +160,16 @@ def _reversed_rows(rows: list[int], w: int) -> list[int]:
     return [int(format(r, f"0{w}b")[::-1], 2) for r in rows]
 
 
-@cache
-def _shifts(c: int) -> tuple[int, ...] | None:
-    """deg c - e over the terms x^e of c, e > 0, if c has at most five terms."""
-    if c.bit_count() > 5:
-        return None
-    w = c.bit_length() - 1
-    return tuple(w - e for e in Gf2Poly(c).exponents() if e)
-
-
 def _over_xw(c: int, rows: list[int]) -> list[int]:
     """floor(c * u / x^w) for every u of degree below w = deg c.
 
     (u * x^e) >> w = u >> (w - e), so for c of at most five terms this is
     one shift and xor per term; a denser c takes one clmul per row.
     """
-    shifts = _shifts(c)
-    if shifts is None:
-        w = c.bit_length() - 1
+    w = c.bit_length() - 1
+    if c.bit_count() > 5:
         return [clmul(c, u) >> w for u in rows]
+    shifts = [w - e for e in Gf2Poly(c).exponents() if e]
     out = []
     for u in rows:
         g = 0

@@ -280,8 +280,9 @@ def inv_mod(a: Gf2Poly, mod: Gf2Poly) -> Gf2Poly:
 
 def powmod(base: Gf2Poly, exp: int, mod: Gf2Poly) -> Gf2Poly:
     """base^exp mod `mod` by left-to-right square-and-multiply (exp is a
-    plain integer).  The modulus's sparse tail is taken once per call; when
-    the base is x, each multiply is a shift and at most one xor of mod."""
+    plain integer).  The multiplier stays the reduced base, so with base x
+    each multiply is one shift and one reduction step; the modulus's sparse
+    tail is taken once per call."""
     if exp < 0:
         raise ValueError("negative exponent")
     m = mod.coeffs
@@ -290,16 +291,10 @@ def powmod(base: Gf2Poly, exp: int, mod: Gf2Poly) -> Gf2Poly:
     tail = _sparse_tail(m)
     result = _mod_int(1, m, tail)
     b = _mod_int(base.coeffs, m, tail)
-    top = 1 << (m.bit_length() - 1)
     for bit in format(exp, "b"):
         result = _mod_int(clsquare(result), m, tail)
         if bit == "1":
-            if b == 2:
-                result <<= 1
-                if result & top:
-                    result ^= m
-            else:
-                result = _mod_int(clmul(result, b), m, tail)
+            result = _mod_int(clmul(result, b), m, tail)
     return Gf2Poly(result)
 
 

@@ -29,7 +29,6 @@ from kdfc_snow.confgen import (
     pipeline_poly,
     _over_xw,
     _reversed_rows,
-    _shifts,
     y_iterate,
     y_offline,
 )
@@ -326,7 +325,8 @@ class TestEmbedding:
             mu = long_division_quotient(1 << (2 * w), pc)
             assert mu == (Gf2Poly(1 << (2 * w)) // Gf2Poly(pc)).coeffs
             assert (mu == pc) == (_sparse_tail(pc) is not None)
-            if _shifts(pc) is None or _shifts(mu) is None:
+            # _over_xw takes the shift route for at most five terms
+            if pc.bit_count() > 5 or mu.bit_count() > 5:
                 by_clmul.append(pc)
             vs = [0, 1, 1 << (w - 1), (1 << w) - 1] + [rng.getrandbits(w) for _ in range(4)]
             us = _reversed_rows(vs, w)

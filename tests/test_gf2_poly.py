@@ -272,8 +272,8 @@ class TestModularArithmetic:
     @given(st.integers(1, 80), st.booleans(), st.integers(0, 1 << 80), st.data())
     @settings(max_examples=150)
     def test_powmod_matches_the_generic_route(self, d, sparse, exp, data):
-        # base x takes the shift-and-xor multiply, any other base clmul; both
-        # against right-to-left square-and-multiply through _mulmod_int
+        # left-to-right powmod against right-to-left square-and-multiply
+        # through _mulmod_int, for base x and denser bases
         if sparse and d >= 2:
             m = default_table()[d].coeffs
         else:
