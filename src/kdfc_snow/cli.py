@@ -34,6 +34,7 @@ from kdfc_snow.gf2.poly import (
     Gf2Poly,
     is_irreducible,
     is_primitive,
+    parse_exponents,
 )
 from kdfc_snow.sigma_lfsr import (
     LfsrState,
@@ -72,23 +73,6 @@ def _words_from_hex(text: str, nwords: int, what: str) -> list[int]:
         raise ValueError(f"{what} is not valid hex") from None
 
 
-def _poly_from_exps(text: str) -> Gf2Poly:
-    try:
-        exps = [int(t) for t in text.replace(",", " ").split()]
-    except ValueError:
-        raise ValueError(f"bad exponent list {text!r}") from None
-    if not exps or min(exps) < 0:
-        raise ValueError(f"bad exponent list {text!r}")
-    coeffs = 0
-    for e in exps:
-        coeffs |= 1 << e
-    return Gf2Poly(coeffs)
-
-
-def _exps_of(p: Gf2Poly) -> list[int]:
-    return [i for i in range(p.degree, -1, -1) if (p.coeffs >> i) & 1]
-
-
 def _emit(text: str, out: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
@@ -121,7 +105,10 @@ def _write_stream(state: CipherState, n: int, out: str | None) -> None:
 
 def _resolve_poly(args, degree: int) -> Gf2Poly:
     if getattr(args, "poly", None):
-        p = _poly_from_exps(args.poly)
+        try:
+            p = parse_exponents(args.poly)
+        except ValueError as e:
+            raise ValueError(f"--poly {args.poly}: {e}") from None
         if p.degree != degree:
             raise ValueError(f"--poly must have degree {degree}, got {p.degree}")
         if not is_irreducible(p):
@@ -142,7 +129,7 @@ def _seeded_config(m: int, b: int, k: int, seed: str, p: Gf2Poly) -> SigmaConfig
     offline = FillBits.from_seed(m, k, seed, "offline-fill")
     online = FillBits.from_seed(m, total - k, seed, "online-fill")
     y = y_offline(m, b, k, offline)
-    return generate_config(m, b, p, y, online)
+    return generate_config(m, b, p, y, online, verify=True)
 
 
 # ---------------------------------------------------------------------------
@@ -164,76 +151,45 @@ def _kdfc_state(args) -> CipherState:
     )
 
 
-#: the JSON shape of a state document as `_state_doc` writes it; [x] is an
-#: array of x, and fields not named here are not read
+#: the JSON shape of a state document as `kdfc init` writes it (see
+#: kdfc.check_shape); its m and b are not read
 _STATE_SHAPE = {
-    "config": {"m": int, "b": int, "gains": [{"rows": int, "cols": int, "data": [str]}]},
+    "char_poly": [int],
+    "config": {"m": int, "b": int, "gains": [kdfc.MATRIX_SHAPE]},
     "lfsr": [int],
     "fsm": {"r1": int, "r2": int},
 }
-_JSON_TYPES = {
-    dict: "an object", list: "an array", int: "an integer", float: "a number",
-    str: "a string", bool: "a boolean", type(None): "null",
-}
-
-
-def _check_shape(value, shape, field: str) -> None:
-    """Refuse the first field of `value` that is missing or not of `shape`."""
-    kind = type(shape) if isinstance(shape, (dict, list)) else shape
-    if type(value) is not kind:
-        raise ValueError(
-            f"malformed state document: field {field!r} is not {_JSON_TYPES[kind]}"
-            f" (got {_JSON_TYPES[type(value)]})"
-        )
-    if kind is dict:
-        for key, sub in shape.items():
-            if key not in value:
-                where = f" from {field!r}" if field else ""
-                raise ValueError(f"malformed state document: field {key!r} missing{where}")
-            _check_shape(value[key], sub, f"{field}.{key}" if field else key)
-    elif kind is list:
-        for i, item in enumerate(value):
-            _check_shape(item, shape[0], f"{field}[{i}]")
 
 
 def _load_state(path: str) -> CipherState:
     """Read a state document; refuse one whose configuration is not a KDFC one."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(
-            f"malformed state document: expected a JSON object, got {type(doc).__name__}"
-        )
-    _check_shape(doc, _STATE_SHAPE, "")
+    kdfc.check_shape(doc, _STATE_SHAPE, "state document")
     cfg = SigmaConfig.from_json(doc["config"])
     state = CipherState(
         LfsrState(cfg.m, doc["lfsr"]),
         FsmState(doc["fsm"]["r1"], doc["fsm"]["r2"]),
         cfg,
     )
-    got = config_char_poly(cfg)
-    if got != kdfc.target_poly():
+    if config_char_poly(cfg) != kdfc.target_poly():
         raise ValueError("state configuration lacks the target characteristic polynomial")
-    if doc.get("char_poly") != _exps_of(got):
+    if doc["char_poly"] != kdfc.target_poly().to_json():
         raise ValueError("state configuration does not match the document's char_poly")
     return state
 
 
-def _state_doc(state: CipherState) -> dict:
-    cfg = state.cfg
-    return {
-        "m": cfg.m,
-        "b": cfg.b,
-        "char_poly": _exps_of(config_char_poly(cfg)),
-        "config": cfg.to_json(),
-        "lfsr": list(state.lfsr.blocks),
-        "fsm": {"r1": state.fsm.r1, "r2": state.fsm.r2},
-    }
+def _config_doc(cfg: SigmaConfig, char_poly: Gf2Poly, **fields) -> dict:
+    """m, b, `fields`, then char_poly as generate_config(verify=True) certified it."""
+    return {"m": cfg.m, "b": cfg.b, **fields, "char_poly": char_poly.to_json(),
+            "config": cfg.to_json()}
 
 
 def _cmd_kdfc_init(args) -> int:
     state = _kdfc_state(args)
-    _emit(json.dumps(_state_doc(state), indent=2), args.out)
+    doc = {**_config_doc(state.cfg, kdfc.target_poly()), "lfsr": list(state.lfsr.blocks),
+           "fsm": {"r1": state.fsm.r1, "r2": state.fsm.r2}}
+    _emit(json.dumps(doc, indent=2), args.out)
     return 0
 
 
@@ -249,9 +205,7 @@ def _cmd_kdfc_stream(args) -> int:
 
 
 def _cmd_kdfc_dump_config(args) -> int:
-    state = _kdfc_state(args)
-    doc = _state_doc(state)
-    del doc["lfsr"], doc["fsm"]
+    doc = _config_doc(_kdfc_state(args).cfg, kdfc.target_poly())
     _emit(json.dumps(doc, indent=2), args.out)
     return 0
 
@@ -259,15 +213,7 @@ def _cmd_kdfc_dump_config(args) -> int:
 def _cmd_gen_config(args) -> int:
     p = _resolve_poly(args, args.m * args.b)
     cfg = _seeded_config(args.m, args.b, args.k, args.seed, p)
-    doc = {
-        "m": cfg.m,
-        "b": cfg.b,
-        "k": args.k,
-        "seed": args.seed,
-        "polynomial": _exps_of(p),
-        "char_poly": _exps_of(config_char_poly(cfg)),
-        "config": cfg.to_json(),
-    }
+    doc = _config_doc(cfg, p, k=args.k, seed=args.seed, polynomial=p.to_json())
     _emit(json.dumps(doc, indent=2), args.out)
     return 0
 
@@ -282,10 +228,10 @@ def _cmd_char_poly(args) -> int:
             raise ValueError(
                 "char-poly needs --snow2, --target, or --m/--b/--k/--seed"
             )
-        prescribed = _resolve_poly(args, args.m * args.b)
-        cfg = _seeded_config(args.m, args.b, args.k, args.seed, prescribed)
-        p = config_char_poly(cfg)
-    _emit(" ".join(str(e) for e in _exps_of(p)), args.out)
+        # the config's characteristic polynomial, certified by generate_config
+        p = _resolve_poly(args, args.m * args.b)
+        _seeded_config(args.m, args.b, args.k, args.seed, p)
+    _emit(" ".join(map(str, p.to_json())), args.out)
     return 0
 
 
@@ -310,25 +256,22 @@ def _cmd_analyze_gd(args) -> int:
         tables = attacks.build_snow2_tables()
     else:
         tables = attacks.build_kdfc_tables()
+    doc = {"cipher": args.cipher, "node_count": tables.node_count}
     try:
         path = attacks.gd_search(tables, args.max_stages)
-        doc = {
-            "cipher": args.cipher,
-            "node_count": tables.node_count,
-            "found": True,
-            "basis": list(path.nodes),
-            "basis_size": len(path),
-            "guess_complexity_log2": path.guess_complexity_log2(),
-        }
+        doc.update(
+            found=True,
+            basis=list(path.nodes),
+            basis_size=len(path),
+            guess_complexity_log2=path.guess_complexity_log2(),
+        )
     except attacks.NoCoverError as e:
-        doc = {
-            "cipher": args.cipher,
-            "node_count": tables.node_count,
-            "found": False,
-            "stages": args.max_stages,
-            "best_path": list(e.best.nodes),
-            "eliminated": e.eliminated,
-        }
+        doc.update(
+            found=False,
+            stages=args.max_stages,
+            best_path=list(e.best.nodes),
+            eliminated=e.eliminated,
+        )
     if args.json:
         _emit(json.dumps(doc, indent=2), args.out)
     else:

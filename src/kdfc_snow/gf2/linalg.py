@@ -154,6 +154,8 @@ class BitMatrix:
     @classmethod
     def from_json(cls, obj: dict) -> "BitMatrix":
         ncols = obj["cols"]
+        if ncols < 0:
+            raise DimensionError("negative column count")
         rows = [vec_from_hex(s, ncols) for s in obj["data"]]
         if len(rows) != obj["rows"]:
             raise ValueError("row count mismatch in serialized matrix")

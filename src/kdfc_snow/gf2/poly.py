@@ -14,7 +14,7 @@ window table of the shared factor once the modulus has degree 32 or more.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 
 class Gf2Poly:
@@ -144,11 +144,25 @@ class Gf2Poly:
         return f"Gf2Poly({self})"
 
     def to_json(self) -> list[int]:
-        return self.exponents()
+        """Exponents of the nonzero terms, descending, as documents write them."""
+        return self.exponents()[::-1]
 
-    @classmethod
-    def from_json(cls, exponents: Sequence[int]) -> "Gf2Poly":
-        return cls.from_exponents(exponents)
+
+def parse_exponents(text: str) -> Gf2Poly:
+    """The polynomial written as an exponent list, e.g. '8,4,3,2,0' (commas or
+    blanks, any order); refuses an empty list, a term that is not a decimal
+    integer >= 0 and a repeated exponent, which would cancel unseen."""
+    coeffs = 0
+    for tok in text.replace(",", " ").split():
+        if not (tok.isascii() and tok.isdigit()):
+            raise ValueError(f"exponent {tok!r} is not a non-negative integer")
+        term = 1 << int(tok)
+        if coeffs & term:
+            raise ValueError(f"exponent {int(tok)} is repeated")
+        coeffs |= term
+    if not coeffs:
+        raise ValueError("empty exponent list")
+    return Gf2Poly(coeffs)
 
 
 def weight(p: Gf2Poly) -> int:
@@ -266,11 +280,13 @@ def inv_mod(a: Gf2Poly, mod: Gf2Poly) -> Gf2Poly:
     while r1:
         # one long-division step: r0 = q*r1 + r, tracked on the s side
         r, s = r0, s0
-        shift_limit = r1.bit_length()
-        while r.bit_length() >= shift_limit:
-            k = r.bit_length() - shift_limit
+        dl = r1.bit_length()
+        rl = r.bit_length()
+        while rl >= dl:
+            k = rl - dl
             r ^= r1 << k
             s ^= s1 << k
+            rl = r.bit_length()
         r0, r1 = r1, r
         s0, s1 = s1, s
     if r0 != 1:

@@ -4,7 +4,8 @@ Both tables are versioned text files with a sha256 checksum header line.
 Formats:
 
 * factor table — ``d: p1^e1 p2 p3 ...`` (full factorization of 2^d - 1);
-* polynomial table — ``degree: e1,e2,...,ek`` (exponent list, descending).
+* polynomial table — ``degree: e1,e2,...,ek`` (exponent list, descending;
+  read by gf2.poly.parse_exponents, written by table_line).
 
 The polynomial table covers every degree in [2, 512].  The shipped table
 is certified once, by the test suite, not in every process: every entry
@@ -23,7 +24,12 @@ import os
 from importlib import resources
 from pathlib import Path
 
-from kdfc_snow.gf2.poly import FactorTableMissError, Gf2Poly, is_irreducible
+from kdfc_snow.gf2.poly import (
+    FactorTableMissError,
+    Gf2Poly,
+    is_irreducible,
+    parse_exponents,
+)
 
 POLY_TABLE_ENV = "KDFC_SNOW_POLY_TABLE"
 _FACTOR_FILE = "factors_2_pow_d_minus_1.txt"
@@ -90,14 +96,15 @@ class PrimitiveTable:
         self.checksum, lines = parse_checksummed(text, "primitive polynomial table")
         for line in lines:
             head, _, rest = line.partition(":")
-            degree = int(head)
-            exps = [int(tok) for tok in rest.replace(",", " ").split()]
-            poly = Gf2Poly.from_exponents(exps)
-            if poly.degree != degree:
-                raise TableFormatError(
-                    f"table entry for degree {degree} has degree {poly.degree}"
-                )
-            self._entries[degree] = poly
+            try:
+                poly = parse_exponents(rest)
+            except ValueError as e:
+                raise TableFormatError(f"table entry {line!r}: {e}") from None
+            if head.strip() != str(poly.degree):
+                raise TableFormatError(f"table entry {line!r} has degree {poly.degree}")
+            if poly.degree in self._entries:
+                raise TableFormatError(f"table entry {line!r} repeats degree {poly.degree}")
+            self._entries[poly.degree] = poly
         # the shipped table's entries are certified by the test suite
         pinned = self.checksum == SHIPPED_POLY_SHA256
         self._checked: set[int] = set(self._entries) if pinned else set()
@@ -126,6 +133,11 @@ class PrimitiveTable:
                 )
             self._checked.add(degree)
         return poly
+
+
+def table_line(poly: Gf2Poly) -> str:
+    """The polynomial table's line for poly, as PrimitiveTable reads it back."""
+    return f"{poly.degree}: " + ",".join(map(str, poly.to_json()))
 
 
 _default_table: PrimitiveTable | None = None

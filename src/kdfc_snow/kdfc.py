@@ -107,8 +107,38 @@ class ProvenanceError(ValueError):
     """A y_init document does not match the active polynomial table."""
 
 
-_YINIT_FIELDS = (("m", int), ("k", int), ("seed", str), ("fill_label", str),
-                 ("poly_table_sha256", str), ("y", dict))
+#: JSON type names for refusals
+_JSON_TYPES = {
+    dict: "an object", list: "an array", int: "an integer", float: "a number",
+    str: "a string", bool: "a boolean", type(None): "null",
+}
+
+#: the JSON shape of a BitMatrix as BitMatrix.to_json writes it; in a shape,
+#: [x] is an array of x, and object fields not named are not read
+MATRIX_SHAPE = {"rows": int, "cols": int, "data": [str]}
+
+_YINIT_SHAPE = {
+    "m": int, "k": int, "seed": str, "fill_label": str,
+    "poly_table_sha256": str, "y": MATRIX_SHAPE,
+}
+
+
+def check_shape(value, shape, what: str, field: str = "") -> None:
+    """Refuse the first field of `value` that is missing or not of `shape`;
+    `what` names the document, whose root must be an object."""
+    kind = type(shape) if isinstance(shape, (dict, list)) else shape
+    if type(value) is not kind:
+        want = f"field {field!r} is not {_JSON_TYPES[kind]}" if field else "expected a JSON object"
+        raise ValueError(f"malformed {what}: {want} (got {_JSON_TYPES[type(value)]})")
+    if kind is dict:
+        for key, sub in shape.items():
+            if key not in value:
+                where = f" from {field!r}" if field else ""
+                raise ValueError(f"malformed {what}: field {key!r} missing{where}")
+            check_shape(value[key], sub, what, f"{field}.{key}" if field else key)
+    elif kind is list:
+        for i, item in enumerate(value):
+            check_shape(item, shape[0], what, f"{field}[{i}]")
 
 
 @dataclass(frozen=True)
@@ -130,20 +160,13 @@ class YInitDoc:
             )
 
     @classmethod
-    def from_json(cls, obj: dict) -> "YInitDoc":
-        if not isinstance(obj, dict):
-            raise ValueError("y_init document must be a JSON object")
-        for name, kind in _YINIT_FIELDS:
-            if not isinstance(obj.get(name), kind) or isinstance(obj[name], bool):
-                raise ValueError(f"y_init field {name!r} missing or not {kind.__name__}")
-        try:
-            y = BitMatrix.from_json(obj["y"])
-        except (KeyError, TypeError) as e:
-            raise ValueError(f"y_init field 'y' is malformed: {e!r}") from None
-        return cls(y=y, **{name: obj[name] for name, _ in _YINIT_FIELDS[:-1]})
+    def from_json(cls, obj) -> "YInitDoc":
+        check_shape(obj, _YINIT_SHAPE, "y_init document")
+        fields = {name: obj[name] for name in _YINIT_SHAPE}
+        return cls(**{**fields, "y": BitMatrix.from_json(obj["y"])})
 
     def to_json(self) -> dict:
-        doc = {name: getattr(self, name) for name, _ in _YINIT_FIELDS[:-1]}
+        doc = {name: getattr(self, name) for name in _YINIT_SHAPE}
         return {**doc, "y": self.y.to_json()}
 
 

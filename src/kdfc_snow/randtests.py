@@ -40,6 +40,7 @@ probabilities.
 
 from __future__ import annotations
 
+import inspect
 import math
 import operator
 import string
@@ -69,20 +70,6 @@ __all__ = [
 ]
 
 ALPHA = 0.01
-
-TEST_NAMES = [
-    "monobit",
-    "block-frequency",
-    "runs",
-    "longest-run-of-ones",
-    "binary-matrix-rank",
-    "cumulative-sums-forward",
-    "cumulative-sums-reverse",
-    "serial",
-    "approximate-entropy",
-    "linear-complexity",
-]
-
 
 @dataclass
 class TestResult:
@@ -336,15 +323,11 @@ def _longest_run_classes(blocks: np.ndarray, lo: int, hi: int) -> np.ndarray:
 def longest_run(bits) -> TestResult:
     x = _as_bits(bits)
     n = x.size
-    if n >= 750000:
-        m = 10000
-    elif n >= 6272:
-        m = 128
-    elif n >= 128:
-        m = 8
+    for m, (min_bits, lo, hi, pis) in reversed(_LONGEST_RUN_TABLES.items()):
+        if n >= min_bits:
+            break
     else:
-        raise InsufficientDataError("longest-run-of-ones", 128, n)
-    _, lo, hi, pis = _LONGEST_RUN_TABLES[m]
+        raise InsufficientDataError("longest-run-of-ones", min_bits, n)
     nblocks = n // m
     blocks = x[: nblocks * m].reshape(nblocks, m)
     classes = _longest_run_classes(blocks, lo, hi)
@@ -606,22 +589,19 @@ _DISPATCH = {
 }
 
 
+#: the battery's test names, in the order run_battery runs them
+TEST_NAMES = list(_DISPATCH)
+
+
 def run_test(name: str, bits, **params) -> TestResult:
-    """Run one test by battery name (params forwarded where meaningful)."""
+    """Run one test by battery name; params go to its test function by name."""
     if name not in _DISPATCH:
         raise KeyError(f"unknown test {name!r}; choose from {TEST_NAMES}")
-    if params:
-        base = {
-            "block-frequency": block_frequency,
-            "binary-matrix-rank": binary_matrix_rank,
-            "serial": serial_test,
-            "approximate-entropy": approximate_entropy,
-            "linear-complexity": linear_complexity,
-        }.get(name)
-        if base is None:
-            raise ValueError(f"test {name!r} takes no parameters")
-        return base(bits, **params)
-    return _DISPATCH[name](bits)
+    test = _DISPATCH[name]
+    unknown = set(params).difference(list(inspect.signature(test).parameters)[1:])
+    if unknown:
+        raise ValueError(f"test {name!r} takes no parameter {', '.join(sorted(unknown))}")
+    return test(bits, **params)
 
 
 def run_battery(bits) -> list[TestResult]:

@@ -1,5 +1,7 @@
 """Command-line interface: outputs, exit codes, reproducibility."""
 
+import contextlib
+import hashlib
 import io
 import json
 import os
@@ -12,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import KAT_IV, KAT_KEY
 
@@ -19,7 +23,7 @@ from kdfc_snow import cli
 from kdfc_snow.cli import main
 from kdfc_snow.confgen import count_configurations, pipeline_poly
 from kdfc_snow.gf2.linalg import BitMatrix
-from kdfc_snow.kdfc import TARGET_POLY_EXPONENTS, load_y_init
+from kdfc_snow.kdfc import _YINIT_SHAPE, TARGET_POLY_EXPONENTS, load_y_init
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 ZERO_KEY = "0" * 64
@@ -363,7 +367,23 @@ class TestYInitDocument:
         doc["k"] = "468"
         code, out, err = self.stream(capsys, tmp_path, doc)
         assert code == 1 and out == ""
-        assert err.startswith("error:") and "'k' missing or not int" in err
+        assert err.startswith("error:")
+        assert "field 'k' is not an integer (got a string)" in err
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda y: y["data"].__setitem__(0, 1), "field 'y.data[0]' is not a string"),
+        (lambda y: y.pop("data"), "field 'data' missing from 'y'"),
+        (lambda y: y.update(cols=True), "field 'y.cols' is not an integer (got a boolean)"),
+        (lambda y: y.update(rows="32"), "field 'y.rows' is not an integer (got a string)"),
+        (lambda y: y.update(cols=-3, data=[""] * 32), "negative column count"),
+    ], ids=["int-row", "no-data", "bool-cols", "str-rows", "negative-cols"])
+    def test_ill_typed_matrix_field_is_named(self, capsys, tmp_path, edit, message):
+        doc = load_y_init().to_json()
+        edit(doc["y"])
+        code, out, err = self.stream(capsys, tmp_path, doc)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err
+        assert "Error(" not in err and "Traceback" not in err
 
     def test_k_outside_the_online_window(self, capsys, tmp_path):
         # the document's k is the only k; 447 would need 33 captured words
@@ -382,6 +402,131 @@ class TestYInitDocument:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+#: one value of each JSON type, keyed by the name refusals give it
+JSON_SAMPLES = {
+    "an object": {}, "an array": [], "an integer": 7, "a number": 1.5,
+    "a string": "7", "a boolean": True, "null": None,
+}
+
+
+def shape_paths(value, shape, path=()):
+    """Every field path below the root that `shape` declares in `value`."""
+    if isinstance(shape, dict):
+        items = list(shape.items())
+    elif isinstance(shape, list):
+        items = [(i, shape[0]) for i in range(len(value))]
+    else:
+        return
+    for key, sub in items:
+        yield path + (key,)
+        yield from shape_paths(value[key], sub, path + (key,))
+
+
+def path_name(path) -> str:
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:]
+
+
+def stream_doc(doc, tmp, flag):
+    """Run `kdfc stream` on doc given as --state or --y-init; (code, out, err)."""
+    path = tmp / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = ["kdfc", "stream", flag, str(path), "-n", "4"]
+    if flag == "--y-init":
+        argv += ["--key", KAT_KEY_HEX, "--iv", KAT_IV_HEX]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestDocumentFieldTypes:
+    """One field of a document, at any depth, replaced by each other JSON type."""
+
+    @pytest.mark.parametrize("flag", ["--state", "--y-init"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_ill_typed_field_is_refused_by_path(
+        self, tmp_path_factory, state_doc, flag, data
+    ):
+        if flag == "--state":
+            base, shape = state_doc, cli._STATE_SHAPE
+        else:
+            base, shape = load_y_init().to_json(), _YINIT_SHAPE
+        path = data.draw(st.sampled_from(list(shape_paths(base, shape))))
+        doc = json.loads(json.dumps(base))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        kind = data.draw(st.sampled_from([
+            name for name, v in JSON_SAMPLES.items() if type(v) is not type(parent[path[-1]])
+        ]))
+        parent[path[-1]] = JSON_SAMPLES[kind]
+        code, out, err = stream_doc(doc, tmp_path_factory.mktemp("doc"), flag)
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+        assert f"field {path_name(path)!r} is not" in err and f"(got {kind})" in err
+        assert "Traceback" not in err and "Error(" not in err
+
+
+GOLDEN_ARGV = {
+    "kdfc-init": ["kdfc", "init", "--key", KAT_KEY_HEX, "--iv", KAT_IV_HEX],
+    "kdfc-dump-config": ["kdfc", "dump-config", "--key", KAT_KEY_HEX, "--iv", KAT_IV_HEX],
+    "gen-config-4x4-k3": ["gen-config", "--m", "4", "--b", "4", "--k", "3", "--seed", "x"],
+    "gen-config-32x16": ["gen-config", "--m", "32", "--b", "16", "--seed", "x"],
+    "gen-config-poly": [
+        "gen-config", "--m", "2", "--b", "4", "--seed", "s", "--poly", "8,4,3,2,0",
+    ],
+    "char-poly-seeded": ["char-poly", "--m", "4", "--b", "4", "--k", "3", "--seed", "x"],
+    "char-poly-snow2": ["char-poly", "--snow2"],
+    "char-poly-target": ["char-poly", "--target"],
+}
+#: sha256 of each command's stdout, recorded before the document writers
+#: were merged into one; the outputs must stay byte-identical
+GOLDEN_SHA256 = {
+    "kdfc-init": "b37310702c5ed9e8a54f58e535a54dfc591f733754655adfa501459b704ce4c9",
+    "kdfc-dump-config": "399f03949a33c39cda9f91f65cab4e4b8df7c4ba471dcc0c37469610b497d0ee",
+    "gen-config-4x4-k3": "49b473492bdba879448e5a496a07d1ad93adb53a2f44a30e23dbea3ec027bfcc",
+    "gen-config-32x16": "f6bfac4d6000bff4fc36e2db2a38a91d2bc369478a2ff3f305e836a51e3fdf9c",
+    "gen-config-poly": "f83faf45bb1e161680a82ebca733d899ccbfd635a0b9fa1fff22013d34788837",
+    "char-poly-seeded": "0485cd8fcc239a13b0fe3054cb7688706e88c735f4ad929c5901a3673a122822",
+    "char-poly-snow2": "2ec993b907b068dc3b726a57646684f3ce040848ce83dfa445db7641abf132b0",
+    "char-poly-target": "7fc367c2e489e180f985b223d0706acf619e3cc3d2d7d4e16ae42ef7acd6f5ed",
+    "kdfc-stream-state": "b4a7a911ec9b2a00ff99cebb1e87e1a19f2ee395016a5ccc929fc811ccc2126f",
+}
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("name", list(GOLDEN_ARGV))
+    def test_output_is_byte_identical(self, capsys, name):
+        code, out, _ = run(capsys, *GOLDEN_ARGV[name])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[name]
+
+    def test_stream_from_state_is_byte_identical(self, capsys, tmp_path):
+        state = tmp_path / "state.json"
+        run(capsys, *GOLDEN_ARGV["kdfc-init"], "--out", str(state))
+        code, out, _ = run(capsys, "kdfc", "stream", "--state", str(state), "-n", "64")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256["kdfc-stream-state"]
+
+    def test_writers_do_not_recompute_the_char_poly(self, capsys, monkeypatch):
+        # the written char_poly is the one generate_config(verify=True) certified
+        from kdfc_snow import sigma_lfsr
+
+        calls = []
+        real = sigma_lfsr.config_char_poly
+        monkeypatch.setattr(cli, "config_char_poly", lambda cfg: calls.append(cfg))
+        monkeypatch.setattr(
+            sigma_lfsr, "config_char_poly", lambda cfg: calls.append(cfg) or real(cfg)
+        )
+        for name in ("kdfc-init", "kdfc-dump-config", "gen-config-4x4-k3", "char-poly-seeded"):
+            calls.clear()
+            code, out, _ = run(capsys, *GOLDEN_ARGV[name])
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[name]
+            assert len(calls) == 1  # the verify inside generate_config
 
 
 class TestGenConfig:
@@ -450,6 +595,21 @@ class TestGenConfig:
             capsys, "gen-config", "--m", "1", "--b", "1", "--seed", "s", "--poly", "1,0",
         )
         assert code == 0 and json.loads(out)["char_poly"] == [1, 0]
+
+    @pytest.mark.parametrize("poly,message", [
+        ("8,8,4,3,2,0", "exponent 8 is repeated"),
+        ("8,4,3,2,0,0", "exponent 0 is repeated"),
+        ("8,4,x,2,0", "exponent 'x' is not a non-negative integer"),
+        ("8,4,3,2,-1", "exponent '-1' is not a non-negative integer"),
+        (",", "empty exponent list"),
+    ])
+    def test_poly_is_refused_not_folded(self, capsys, poly, message):
+        # a repeated term used to be ORed away: 8,8,4,3,2,0 read as x^8+x^4+x^3+x^2+1
+        code, out, err = run(
+            capsys, "gen-config", "--m", "2", "--b", "4", "--seed", "s", "--poly", poly,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and f"--poly {poly}: {message}" in err
 
     def test_poly_degree_mismatch_comes_first(self, capsys):
         code, _, err = run(

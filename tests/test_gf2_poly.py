@@ -18,6 +18,7 @@ from kdfc_snow.gf2.poly import (
     _sparse_tail,
     clmul,
     clsquare,
+    parse_exponents,
     euler_phi_2n1,
     gcd,
     inv_mod,
@@ -69,7 +70,35 @@ class TestBasics:
         assert p.exponents() == sorted(exps)
         assert p.degree == max(exps)
         assert weight(p) == len(exps)
-        assert Gf2Poly.from_json(p.to_json()) == p
+        assert Gf2Poly.from_exponents(p.to_json()) == p
+
+    def test_json_is_descending(self):
+        assert Gf2Poly.from_exponents([0, 3, 8, 4, 2]).to_json() == [8, 4, 3, 2, 0]
+
+    @pytest.mark.parametrize("text", ["8,4,3,2,0", "8 4 3 2 0", " 0, 2,3 ,4,8 "])
+    def test_parse_exponents(self, text):
+        assert parse_exponents(text) == Gf2Poly.from_exponents([8, 4, 3, 2, 0])
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty exponent list"),
+        (" , ", "empty exponent list"),
+        ("8,4,3,2,0,0", "exponent 0 is repeated"),
+        ("3,1,1,0", "exponent 1 is repeated"),
+        ("8,-1", "'-1' is not a non-negative integer"),
+        ("8,x", "'x' is not a non-negative integer"),
+        ("8,2.0", "'2.0' is not a non-negative integer"),
+        ("8,1_0", "'1_0' is not a non-negative integer"),
+        ("8,+1", "'\\+1' is not a non-negative integer"),
+        ("8,\u00b2", "is not a non-negative integer"),
+    ])
+    def test_parse_exponents_refusals(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_exponents(text)
+
+    @given(st.integers(1, 1 << 600))
+    def test_parse_exponents_reads_to_json(self, c):
+        p = Gf2Poly(c)
+        assert parse_exponents(",".join(map(str, p.to_json()))) == p
 
     def test_coeff_and_evaluate(self):
         p = Gf2Poly.from_exponents([4, 1, 0])

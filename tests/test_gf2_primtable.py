@@ -11,6 +11,7 @@ from kdfc_snow.gf2.poly import (
     Gf2Poly,
     is_irreducible,
     is_primitive,
+    parse_exponents,
 )
 from kdfc_snow.gf2.primtable import (
     POLY_TABLE_ENV,
@@ -21,6 +22,7 @@ from kdfc_snow.gf2.primtable import (
     mersenne_factors,
     parse_checksummed,
     primitive_poly,
+    table_line,
 )
 
 
@@ -98,6 +100,21 @@ class TestIntegrity:
         with pytest.raises(TableFormatError):
             PrimitiveTable(_table_text("3: 2 1 0"))
 
+    @pytest.mark.parametrize("line,message", [
+        ("3: 3,1,1,0", "exponent 1 is repeated"),
+        ("3: 3,x,0", "'x' is not a non-negative integer"),
+        ("3:", "empty exponent list"),
+        ("x: 2,1,0", "has degree 2"),
+        ("2: 2,1,0\n2: 2,1,0", "repeats degree 2"),
+    ], ids=["repeated-exponent", "non-integer", "empty", "non-integer-degree",
+            "repeated-degree"])
+    def test_malformed_entry_is_named(self, line, message):
+        # 3,1,1,0 used to be read as x^3 + 1 and x: as an int() ValueError
+        entry = line.splitlines()[-1]
+        with pytest.raises(TableFormatError, match=message) as exc:
+            PrimitiveTable(_table_text(line))
+        assert f"table entry {entry!r}" in str(exc.value)
+
     def test_reducible_entry_rejected_lazily(self):
         # x^4 + 1 = (x + 1)^4 is reducible; construction succeeds, use fails
         t = PrimitiveTable(_table_text("4: 4 0"))
@@ -132,6 +149,18 @@ class TestShippedCertificate:
             "primitive_polys.txt changed: once this test certifies it, "
             f"update primtable.SHIPPED_POLY_SHA256 to {checksum}"
         )
+
+    def test_shipped_lines_round_trip_through_the_codec(self):
+        # every line reads through parse_exponents and writes back through
+        # table_line byte for byte, and the body rewritten by the writer
+        # (as tools/gen_primitive_table.py writes it) has the pinned checksum
+        _, lines = parse_checksummed(_shipped_text(), "shipped table")
+        for line in lines:
+            assert table_line(parse_exponents(line.partition(":")[2])) == line
+        comment = _shipped_text().splitlines()[1]
+        table = PrimitiveTable(_shipped_text())
+        body = "\n".join([comment, *(table_line(table[d]) for d in table.degrees())])
+        assert hashlib.sha256(body.encode()).hexdigest() == SHIPPED_POLY_SHA256
 
     def test_pinned_table_skips_rabin(self, monkeypatch):
         def no_rabin(_):

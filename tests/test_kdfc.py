@@ -164,13 +164,13 @@ class TestYInit:
             short = {k: v for k, v in obj.items() if k != name}
             with pytest.raises(ValueError, match=f"field '{name}' missing"):
                 YInitDoc.from_json(short)
-        with pytest.raises(ValueError, match="'seed' missing or not str"):
+        with pytest.raises(ValueError, match="field 'seed' is not a string"):
             YInitDoc.from_json({**obj, "seed": 3})
-        with pytest.raises(ValueError, match="'m' missing or not int"):
+        with pytest.raises(ValueError, match="field 'm' is not an integer"):
             YInitDoc.from_json({**obj, "m": True})
-        with pytest.raises(ValueError, match="'y' is malformed"):
+        with pytest.raises(ValueError, match="field 'cols' missing from 'y'"):
             YInitDoc.from_json({**obj, "y": {"rows": 32}})
-        with pytest.raises(ValueError, match="JSON object"):
+        with pytest.raises(ValueError, match="expected a JSON object"):
             YInitDoc.from_json([obj])
 
 

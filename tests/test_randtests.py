@@ -200,7 +200,8 @@ class TestMatrixRank:
 
 class TestLongestRunRegimes:
     @pytest.mark.parametrize(
-        "n,block", [(128, 8), (7000, 128), (800_000, 10_000)]
+        "n,block", [(128, 8), (6271, 8), (6272, 128), (7000, 128),
+                    (749_999, 128), (750_000, 10_000), (800_000, 10_000)]
     )
     def test_regime_selection(self, n, block):
         rng = np.random.default_rng(n)
@@ -253,6 +254,11 @@ class TestBattery:
             rt.run_test("nosuch", x)
         with pytest.raises(ValueError):
             rt.run_test("monobit", x, block_size=10)
+        with pytest.raises(ValueError, match="reverse"):
+            rt.run_test("cumulative-sums-forward", x, reverse=True)
+        with pytest.raises(ValueError, match="size"):
+            rt.run_test("block-frequency", x, size=10)
+        assert rt.TEST_NAMES == list(rt._DISPATCH)
 
     def test_insufficient_surface(self):
         small = np.ones(64, dtype=np.uint8)

@@ -39,7 +39,7 @@ import sympy
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from kdfc_snow.gf2.poly import Gf2Poly, is_irreducible, is_primitive, powmod
-from kdfc_snow.gf2.primtable import mersenne_factors
+from kdfc_snow.gf2.primtable import mersenne_factors, table_line
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "kdfc_snow" / "data" / "primitive_polys.txt"
 
@@ -123,10 +123,9 @@ def main() -> None:
                 found = cand
                 break
         assert found is not None, f"no candidate found for degree {d}"
-        exps = ",".join(str(e) for e in sorted(found.exponents(), reverse=True))
-        body.append(f"{d}: {exps}")
+        body.append(table_line(found))
         status = "certified" if (d <= CERTIFIED_MAX or complete[d]) else "partial"
-        print(f"degree {d:3d}: weight {weight_of(found)} [{status}] {exps}")
+        print(f"{body[-1]}  (weight {weight_of(found)}, {status})")
 
     text = "\n".join(body)
     digest = hashlib.sha256(text.encode()).hexdigest()

@@ -26,6 +26,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from kdfc_snow.confgen import FillBits, y_offline
 from kdfc_snow.gf2.linalg import rank
 from kdfc_snow.gf2.primtable import default_table
+from kdfc_snow.kdfc import YInitDoc
 
 M = 32
 B = 16
@@ -41,25 +42,15 @@ OUT = (
 )
 
 
-def table_sha256() -> str:
-    return default_table().checksum
-
-
 def main() -> None:
     t0 = time.time()
     fill = FillBits.from_seed(M, K, SEED, label=LABEL)
     y = y_offline(M, B, K, fill)
     assert y.ncols == M + K == 500
     assert rank(y) == M
-    doc = {
-        "m": M,
-        "k": K,
-        "seed": SEED,
-        "fill_label": LABEL,
-        "poly_table_sha256": table_sha256(),
-        "y": y.to_json(),
-    }
-    OUT.write_text(json.dumps(doc, indent=1) + "\n")
+    doc = YInitDoc(m=M, k=K, seed=SEED, fill_label=LABEL,
+                   poly_table_sha256=default_table().checksum, y=y)
+    OUT.write_text(json.dumps(doc.to_json(), indent=1) + "\n")
     print(f"wrote {OUT} ({OUT.stat().st_size} bytes) in {time.time() - t0:.1f}s")
 
 
