@@ -30,6 +30,7 @@ from kdfc_snow.confgen import (
     y_offline,
 )
 from kdfc_snow.gf2.poly import (
+    DegreeError,
     FactorTableMissError,
     Gf2Poly,
     is_irreducible,
@@ -106,11 +107,13 @@ def _write_stream(state: CipherState, n: int, out: str | None) -> None:
 def _resolve_poly(args, degree: int) -> Gf2Poly:
     if getattr(args, "poly", None):
         try:
-            p = parse_exponents(args.poly)
+            p = parse_exponents(args.poly, degree)
+            if p.degree != degree:
+                raise DegreeError(p.degree)
+        except DegreeError as e:
+            raise ValueError(f"--poly must have degree {degree}, got {e.got}") from None
         except ValueError as e:
             raise ValueError(f"--poly {args.poly}: {e}") from None
-        if p.degree != degree:
-            raise ValueError(f"--poly must have degree {degree}, got {p.degree}")
         if not is_irreducible(p):
             raise ValueError(f"--poly {args.poly} is reducible")
         try:
@@ -327,7 +330,7 @@ def _cmd_verify_theorem1(args) -> int:
     entry, ok = symbolic.theorem1_check(args.m, args.b, p)
     want = args.m * args.b - args.b
     _emit(
-        f"corner entry degree = {symbolic.degree(entry)}\n"
+        f"corner entry degree = {entry.degree}\n"
         f"expected degree     = {want}\n"
         f"{'PASS' if ok else 'FAIL'}",
         args.out,

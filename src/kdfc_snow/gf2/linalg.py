@@ -12,7 +12,7 @@ is ``1 << (n - 1)`` in this packing.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from kdfc_snow.gf2.poly import Gf2Poly, clmul
 
@@ -80,47 +80,16 @@ class BitMatrix:
     def zeros(cls, nrows: int, ncols: int) -> "BitMatrix":
         return cls([0] * nrows, ncols)
 
-    @classmethod
-    def from_bits(cls, bits: Sequence[Sequence[int]]) -> "BitMatrix":
-        """Build from a list of 0/1 rows (row[i][j] = entry i,j)."""
-        ncols = len(bits[0]) if bits else 0
-        rows = []
-        for row in bits:
-            if len(row) != ncols:
-                raise DimensionError("ragged rows")
-            rows.append(sum((bit & 1) << j for j, bit in enumerate(row)))
-        return cls(rows, ncols)
-
     # -- basic access ------------------------------------------------------
 
     def get(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
-
-    def to_bits(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.ncols)] for r in self.rows]
 
     def copy(self) -> "BitMatrix":
         return BitMatrix(self.rows, self.ncols)
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
-
-    def transpose(self) -> "BitMatrix":
-        cols = [0] * self.ncols
-        for i, r in enumerate(self.rows):
-            while r:
-                j = (r & -r).bit_length() - 1
-                cols[j] |= 1 << i
-                r &= r - 1
-        return BitMatrix(cols, self.nrows)
-
-    def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "BitMatrix":
-        cols = list(col_idx)
-        out = []
-        for i in row_idx:
-            r = self.rows[i]
-            out.append(sum(((r >> j) & 1) << k for k, j in enumerate(cols)))
-        return BitMatrix(out, len(cols))
 
     # -- dunder ------------------------------------------------------------
 

@@ -60,9 +60,6 @@ class Gf2Poly:
         """Highest exponent with nonzero coefficient; -1 for the zero poly."""
         return self.coeffs.bit_length() - 1
 
-    def is_zero(self) -> bool:
-        return self.coeffs == 0
-
     def coeff(self, i: int) -> int:
         return (self.coeffs >> i) & 1
 
@@ -108,12 +105,6 @@ class Gf2Poly:
         """Squaring = bit spreading over GF(2)."""
         return Gf2Poly(clsquare(self.coeffs))
 
-    def evaluate(self, x: int) -> int:
-        """Evaluate at a GF(2) point (0 or 1)."""
-        if x == 0:
-            return self.coeffs & 1
-        return self.coeffs.bit_count() & 1
-
     # -- dunder -------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -148,21 +139,31 @@ class Gf2Poly:
         return self.exponents()[::-1]
 
 
-def parse_exponents(text: str) -> Gf2Poly:
+class DegreeError(ValueError):
+    """An exponent list whose top exponent ``got`` exceeds the degree asked for."""
+
+    def __init__(self, got: int):
+        super().__init__(f"degree {got}")
+        self.got = got
+
+
+def parse_exponents(text: str, degree: int) -> Gf2Poly:
     """The polynomial written as an exponent list, e.g. '8,4,3,2,0' (commas or
     blanks, any order); refuses an empty list, a term that is not a decimal
-    integer >= 0 and a repeated exponent, which would cancel unseen."""
-    coeffs = 0
+    integer >= 0, a repeated exponent, which would cancel unseen, and, with
+    DegreeError, a top exponent above ``degree``, before any term is built."""
+    exps: set[int] = set()
     for tok in text.replace(",", " ").split():
         if not (tok.isascii() and tok.isdigit()):
             raise ValueError(f"exponent {tok!r} is not a non-negative integer")
-        term = 1 << int(tok)
-        if coeffs & term:
+        if int(tok) in exps:
             raise ValueError(f"exponent {int(tok)} is repeated")
-        coeffs |= term
-    if not coeffs:
+        exps.add(int(tok))
+    if not exps:
         raise ValueError("empty exponent list")
-    return Gf2Poly(coeffs)
+    if max(exps) > degree:
+        raise DegreeError(max(exps))
+    return Gf2Poly.from_exponents(exps)
 
 
 def weight(p: Gf2Poly) -> int:

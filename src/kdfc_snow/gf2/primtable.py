@@ -25,6 +25,7 @@ from importlib import resources
 from pathlib import Path
 
 from kdfc_snow.gf2.poly import (
+    DegreeError,
     FactorTableMissError,
     Gf2Poly,
     is_irreducible,
@@ -96,12 +97,17 @@ class PrimitiveTable:
         self.checksum, lines = parse_checksummed(text, "primitive polynomial table")
         for line in lines:
             head, _, rest = line.partition(":")
+            label = head.strip()
+            # the label bounds the exponents before any term is built
+            bound = int(label) if label.isascii() and label.isdigit() else 0
             try:
-                poly = parse_exponents(rest)
+                poly = parse_exponents(rest, bound)
+                if label != str(poly.degree):
+                    raise DegreeError(poly.degree)
+            except DegreeError as e:
+                raise TableFormatError(f"table entry {line!r} has degree {e.got}") from None
             except ValueError as e:
                 raise TableFormatError(f"table entry {line!r}: {e}") from None
-            if head.strip() != str(poly.degree):
-                raise TableFormatError(f"table entry {line!r} has degree {poly.degree}")
             if poly.degree in self._entries:
                 raise TableFormatError(f"table entry {line!r} repeats degree {poly.degree}")
             self._entries[poly.degree] = poly

@@ -158,11 +158,6 @@ class LfsrState:
             acc |= w << (i * self.m)
         return acc
 
-    @classmethod
-    def from_stacked(cls, m: int, b: int, v: int) -> "LfsrState":
-        mask = (1 << m) - 1
-        return cls(m, [(v >> (i * m)) & mask for i in range(b)])
-
     def copy(self) -> "LfsrState":
         return LfsrState(self.m, self.blocks)
 

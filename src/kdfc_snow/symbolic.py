@@ -4,10 +4,17 @@ The pipeline's change-of-basis matrix Q is rebuilt here with the free
 entries of Y kept as boolean unknowns: one designated row of Y is the
 unit vector e_1 and the other m-1 rows are fully symbolic.  Row blocks
 of Q are [e_1*P^j, v_1*P^j, ..., v_{m-1}*P^j] for j = 0..b-1, where P is
-the companion matrix of the prescribed degree-mb polynomial.  Because
-det Q = 1 over GF(2), the inverse equals the adjugate, i.e. transposed
-minors, so algebraic-degree claims about Q^{-1} and about the derived
-configuration C = Q*P*Q^{-1} reduce to statements about minors.
+the companion matrix of the prescribed degree-mb polynomial.
+
+Every claim is read off determinants, all taken by one memoized
+expansion (_det_memo).  The minor-degree claims are about minors of the
+row-permuted Q.  Theorem 1 is about one entry of C = Q*P*adj(Q): by
+Laplace expansion along row c, entry (r, c) of Q*P*adj(Q) equals det of
+Q with row c replaced by row r of Q*P, so it costs one determinant.  The
+identity needs no det Q = 1, and symbolically det Q is not 1 (at m = 2,
+b = 4 it has degree 4 and 10 terms); at every specialization where Q is
+invertible, adj(Q) = Q^{-1} over GF(2) and the entry specializes to the
+entry of Q*P*Q^{-1}.
 
 Variable naming: v_{i,j} (free row i = 1..m-1, coordinate j = 1..mb)
 maps to the flat 1-based index (i-1)*mb + j, printed as "x<index>".
@@ -31,15 +38,10 @@ __all__ = [
     "AnfPoly",
     "SymMatrix",
     "GuardError",
-    "degree",
     "var_index",
     "build_symbolic_q",
     "build_symbolic_qp",
-    "sym_mat_mul",
     "sym_det",
-    "all_minors",
-    "sym_adjugate_inverse",
-    "compute_symbolic_config",
     "verify_minor_lemmas",
     "format_report",
     "theorem1_check",
@@ -53,21 +55,42 @@ class GuardError(ValueError):
     """Requested size exceeds what the symbolic routines should attempt."""
 
 
+def _monomial(indices) -> int:
+    """Bit mask of a monomial: bit v-1 for each 1-based variable index v."""
+    mask = 0
+    for v in indices:
+        if v < 1:
+            raise ValueError("variable indices are 1-based")
+        mask |= 1 << (v - 1)
+    return mask
+
+
+def _indices(mask: int) -> list[int]:
+    """Ascending 1-based variable indices of a monomial mask."""
+    return [v + 1 for v in range(mask.bit_length()) if (mask >> v) & 1]
+
+
 class AnfPoly:
     """Boolean polynomial in algebraic normal form over GF(2).
 
-    Stored as a frozenset of monomials, each monomial a frozenset of
-    1-based variable indices; the empty monomial is the constant 1.
-    Addition is symmetric difference; multiplication distributes with
-    idempotent variables (x^2 = x) and parity cancellation.
+    Stored as a frozenset of monomials, each monomial an int with bit v-1
+    set for the variable x_v; the monomial 0 is the constant 1.  Addition
+    is symmetric difference; the product of two monomials is their OR
+    (idempotent variables, x^2 = x), and products that arise an even
+    number of times cancel.  The constructor takes tuples of 1-based
+    variable indices.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        self.terms: frozenset[frozenset[int]] = frozenset(
-            frozenset(t) for t in terms
-        )
+        self.terms: frozenset[int] = frozenset(_monomial(t) for t in terms)
+
+    @classmethod
+    def _of(cls, terms) -> "AnfPoly":
+        out = cls()
+        out.terms = frozenset(terms)
+        return out
 
     @classmethod
     def zero(cls) -> "AnfPoly":
@@ -79,8 +102,6 @@ class AnfPoly:
 
     @classmethod
     def var(cls, i: int) -> "AnfPoly":
-        if i < 1:
-            raise ValueError("variable indices are 1-based")
         return cls([(i,)])
 
     def __bool__(self) -> bool:
@@ -95,47 +116,37 @@ class AnfPoly:
         return hash(self.terms)
 
     def __add__(self, other: "AnfPoly") -> "AnfPoly":
-        out = AnfPoly()
-        out.terms = self.terms ^ other.terms
-        return out
+        return AnfPoly._of(self.terms ^ other.terms)
 
     def __mul__(self, other: "AnfPoly") -> "AnfPoly":
-        if not self.terms or not other.terms:
-            return AnfPoly()
-        if self.terms == _ONE_TERMS:
-            return other
-        if other.terms == _ONE_TERMS:
-            return self
-        acc: set[frozenset[int]] = set()
+        acc: set[int] = set()
         for s in self.terms:
             for t in other.terms:
                 u = s | t
                 if u in acc:
-                    acc.discard(u)
+                    acc.remove(u)
                 else:
                     acc.add(u)
-        out = AnfPoly()
-        out.terms = frozenset(acc)
-        return out
+        return AnfPoly._of(acc)
 
     @property
     def degree(self):
         """Max monomial size; 0 for constant 1, -inf for the zero poly."""
         if not self.terms:
             return NEG_INF
-        return max(len(t) for t in self.terms)
+        return max(t.bit_count() for t in self.terms)
 
     def variables(self) -> set[int]:
-        out: set[int] = set()
+        mask = 0
         for t in self.terms:
-            out |= t
-        return out
+            mask |= t
+        return set(_indices(mask))
 
     def eval(self, bits: int) -> int:
         """Evaluate with variable x_v taken from bit v-1 of ``bits``."""
         acc = 0
         for t in self.terms:
-            if all((bits >> (v - 1)) & 1 for v in t):
+            if t & bits == t:
                 acc ^= 1
         return acc
 
@@ -143,23 +154,16 @@ class AnfPoly:
         if not self.terms:
             return "0"
         parts = []
-        for t in sorted(self.terms, key=lambda t: tuple(sorted(t))):
-            parts.append(" ".join(f"x{v}" for v in sorted(t)) if t else "1")
+        for idx in sorted(_indices(t) for t in self.terms):
+            parts.append(" ".join(f"x{v}" for v in idx) if idx else "1")
         return " + ".join(parts)
 
     def __repr__(self) -> str:
         return f"AnfPoly({self})"
 
 
-_ONE_TERMS = frozenset([frozenset()])
-
 _ZERO = AnfPoly.zero()
 _ONE = AnfPoly.one()
-
-
-def degree(p: AnfPoly):
-    """Algebraic degree of p (module-level alias of AnfPoly.degree)."""
-    return p.degree
 
 
 class SymMatrix:
@@ -175,30 +179,6 @@ class SymMatrix:
                 raise ValueError("ragged symbolic matrix")
         self.rows = [list(r) for r in rows]
 
-    def __getitem__(self, ij: tuple[int, int]) -> AnfPoly:
-        i, j = ij
-        return self.rows[i][j]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    @classmethod
-    def identity(cls, n: int) -> "SymMatrix":
-        return cls(
-            [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-        )
-
-    @classmethod
-    def from_bitmatrix(cls, a: BitMatrix) -> "SymMatrix":
-        return cls(
-            [
-                [_ONE if (r >> j) & 1 else _ZERO for j in range(a.ncols)]
-                for r in a.rows
-            ]
-        )
-
     def eval(self, bits: int) -> BitMatrix:
         """Numeric specialization: column c maps to bit c-1 of each row."""
         out = []
@@ -208,16 +188,6 @@ class SymMatrix:
                 word |= entry.eval(bits) << j
             out.append(word)
         return BitMatrix(out, self.ncols)
-
-    def max_degree(self):
-        """Largest entry degree (the Theta measure); -inf if all zero."""
-        best = NEG_INF
-        for r in self.rows:
-            for entry in r:
-                d = entry.degree
-                if d > best:
-                    best = d
-        return best
 
 
 def var_index(i: int, j: int, n: int) -> int:
@@ -278,23 +248,6 @@ def build_symbolic_qp(m: int, b: int, p: Gf2Poly) -> SymMatrix:
     return SymMatrix([q.rows[r] for r in order])
 
 
-def sym_mat_mul(a: SymMatrix, b: SymMatrix) -> SymMatrix:
-    if a.ncols != b.nrows:
-        raise ValueError("inner dimensions differ")
-    bt = list(zip(*b.rows))
-    out = []
-    for ar in a.rows:
-        row = []
-        for bc in bt:
-            acc = _ZERO
-            for x, y in zip(ar, bc):
-                if x.terms and y.terms:
-                    acc = acc + x * y
-            row.append(acc)
-        out.append(row)
-    return SymMatrix(out)
-
-
 def _det_memo(
     rows: list[list[AnfPoly]],
     rowmask: int,
@@ -330,39 +283,6 @@ def sym_det(q: SymMatrix) -> AnfPoly:
     return _det_memo(q.rows, full, full, {})
 
 
-def all_minors(q: SymMatrix) -> SymMatrix:
-    """Matrix of minors: entry (i, j) = det of q with row i, column j removed."""
-    if q.nrows != q.ncols:
-        raise ValueError("minors need a square matrix")
-    n = q.nrows
-    full = (1 << n) - 1
-    memo: dict[tuple[int, int], AnfPoly] = {}
-    out = [
-        [
-            _det_memo(q.rows, full ^ (1 << i), full ^ (1 << j), memo)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return SymMatrix(out)
-
-
-def sym_adjugate_inverse(q: SymMatrix) -> SymMatrix:
-    """Inverse of a unimodular boolean matrix: transposed minors."""
-    minors = all_minors(q)
-    return SymMatrix(
-        [[minors.rows[j][i] for j in range(q.nrows)] for i in range(q.nrows)]
-    )
-
-
-def compute_symbolic_config(m: int, b: int, p: Gf2Poly) -> SymMatrix:
-    """Symbolic C = Q * P * Q^{-1} in the block order of build_symbolic_q."""
-    n = _check_guard(m, b, 10)
-    q = build_symbolic_q(m, b, p)
-    qp_rows = [_sym_companion_row_mul(r, p) for r in q.rows]
-    return sym_mat_mul(SymMatrix(qp_rows), sym_adjugate_inverse(q))
-
-
 def verify_minor_lemmas(m: int, b: int, p: Gf2Poly) -> dict:
     """Check the four minor-degree claims on the permuted symbolic Q.
 
@@ -379,89 +299,55 @@ def verify_minor_lemmas(m: int, b: int, p: Gf2Poly) -> dict:
     """
     n = _check_guard(m, b, 10)
     qp = build_symbolic_qp(m, b, p)
-    minors = all_minors(qp)
-    q3 = SymMatrix([r[: n - b] for r in qp.rows[b:]])
-    det_q3 = sym_det(q3)
-    lemmas = []
+    full = (1 << n) - 1
+    memo: dict[tuple[int, int], AnfPoly] = {}
 
-    def region(lemma: int, name: str, checks: list[dict]) -> None:
-        bad = [c for c in checks if not c["ok"]]
+    def minor(i: int, j: int) -> AnfPoly:
+        return _det_memo(qp.rows, full ^ (1 << (i - 1)), full ^ (1 << (j - 1)), memo)
+
+    def degree_is(want: int):
+        def check(i: int, j: int) -> dict:
+            got = minor(i, j).degree
+            return {
+                "entry": [i, j],
+                "expected_degree": want,
+                "computed_degree": "-inf" if got == NEG_INF else got,
+                "ok": got == want,
+            }
+        return check
+
+    def equals(want: AnfPoly, label: str):
+        def check(i: int, j: int) -> dict:
+            return {"entry": [i, j], "expected": label, "ok": minor(i, j) == want}
+        return check
+
+    det_q3 = sym_det(SymMatrix([r[: n - b] for r in qp.rows[b:]]))
+    on_anti, zero = equals(det_q3, "det(bottom-left block)"), equals(_ZERO, "0")
+    row_b, lower = degree_is(n - b), degree_is(n - b - 1)
+    top, bottom = range(1, b + 1), range(b + 1, n + 1)
+    left, right = range(1, n - b + 1), range(n - b + 1, n + 1)
+    regions = [
+        (f"row {b}, columns 1..{n - b}",
+         [(b, j, row_b) for j in left]),
+        ("anti-diagonal and below in the top-right block",
+         [(i, j, on_anti if i + j == n + 1 else zero)
+          for i in top for j in range(n + 1 - i, n + 1)]),
+        (f"rows {b + 1}..{n}, columns 1..{n - b}",
+         [(i, j, lower) for i in bottom for j in left]),
+        (f"rows {b + 1}..{n}, columns {n - b + 1}..{n}",
+         [(i, j, zero) for i in bottom for j in right]),
+    ]
+    lemmas = []
+    for lemma, (name, cells) in enumerate(regions, 1):
+        checks = [check(i, j) for i, j, check in cells]
         lemmas.append(
             {
                 "lemma": lemma,
                 "region": name,
                 "checked": len(checks),
-                "violations": bad,
+                "violations": [c for c in checks if not c["ok"]],
             }
         )
-
-    def fmt_deg(d):
-        return "-inf" if d == NEG_INF else d
-
-    checks = []
-    want = n - b
-    for j in range(1, n - b + 1):
-        got = minors.rows[b - 1][j - 1].degree
-        checks.append(
-            {
-                "entry": [b, j],
-                "expected_degree": want,
-                "computed_degree": fmt_deg(got),
-                "ok": got == want,
-            }
-        )
-    region(1, f"row {b}, columns 1..{n - b}", checks)
-
-    checks = []
-    for i in range(1, b + 1):
-        j = n + 1 - i
-        got = minors.rows[i - 1][j - 1]
-        checks.append(
-            {
-                "entry": [i, j],
-                "expected": "det(bottom-left block)",
-                "ok": got == det_q3,
-            }
-        )
-        for j in range(n + 2 - i, n + 1):
-            got = minors.rows[i - 1][j - 1]
-            checks.append(
-                {
-                    "entry": [i, j],
-                    "expected": "0",
-                    "ok": not got.terms,
-                }
-            )
-    region(2, "anti-diagonal and below in the top-right block", checks)
-
-    checks = []
-    want = n - b - 1
-    for i in range(b + 1, n + 1):
-        for j in range(1, n - b + 1):
-            got = minors.rows[i - 1][j - 1].degree
-            checks.append(
-                {
-                    "entry": [i, j],
-                    "expected_degree": want,
-                    "computed_degree": fmt_deg(got),
-                    "ok": got == want,
-                }
-            )
-    region(3, f"rows {b + 1}..{n}, columns 1..{n - b}", checks)
-
-    checks = []
-    for i in range(b + 1, n + 1):
-        for j in range(n - b + 1, n + 1):
-            got = minors.rows[i - 1][j - 1]
-            checks.append(
-                {
-                    "entry": [i, j],
-                    "expected": "0",
-                    "ok": not got.terms,
-                }
-            )
-    region(4, f"rows {b + 1}..{n}, columns {n - b + 1}..{n}", checks)
-
     return {
         "m": m,
         "b": b,
@@ -496,11 +382,14 @@ def theorem1_check(m: int, b: int, p: Gf2Poly) -> tuple[AnfPoly, bool]:
     """Degree witness in the derived configuration matrix.
 
     Returns the entry C[n-m+1, n-m+1] (1-indexed, n = mb) of the symbolic
-    configuration and whether its algebraic degree equals n-b, which
-    witnesses max-entry degree >= n-b.  With m = 1 there are no unknowns
-    and the bound is vacuous (entry is constant, returns False).
+    configuration C = Q*P*adj(Q), taken as det of Q with row n-m+1
+    replaced by the same row of Q*P, and whether its algebraic degree
+    equals n-b, which witnesses max-entry degree >= n-b.  With m = 1
+    there are no unknowns and the bound is vacuous (entry is constant,
+    returns False).
     """
     n = _check_guard(m, b, 10)
-    c = compute_symbolic_config(m, b, p)
-    entry = c.rows[n - m][n - m]
+    rows = build_symbolic_q(m, b, p).rows
+    rows[n - m] = _sym_companion_row_mul(rows[n - m], p)
+    entry = sym_det(SymMatrix(rows))
     return entry, entry.degree == n - b

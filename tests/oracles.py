@@ -49,6 +49,11 @@ route than the package:
 * echelon_oracle eliminates one column at a time, xoring each pivot row
   into the rows at once, instead of the package's _echelon, which clears
   blocks of columns through a table of pivot-row combinations.
+* compute_symbolic_config forms the whole symbolic C = Q * P * adj(Q)
+  from all n^2 minors (sym_adjugate_inverse) and a symbolic matrix
+  product (sym_mat_mul), instead of the package's theorem1_check, which
+  takes the one entry it reads as a single replaced-row determinant;
+  verify_minor_lemmas takes only the minors it checks.
 * The randomness-battery oracles work one block or one bit at a time:
   words_to_bits shifts out each bit of each word, block_linear_complexities
   runs the single-sequence berlekamp_massey per block, longest_runs scans
@@ -58,8 +63,9 @@ route than the package:
 
 The package has no production use for the matrix helpers at the end of
 this file (companion_matrix, krylov_matrix, solve_row, linear_complexity,
-reciprocal, build_transition_matrix, extract_config); they serve the
-oracles above and the tests.
+reciprocal, build_transition_matrix, extract_config, from_bits, to_bits,
+state_from_stacked, sym_from_bitmatrix); they serve the oracles above and
+the tests.
 """
 
 from __future__ import annotations
@@ -492,6 +498,52 @@ def echelon_oracle(rows: list[int], ncols: int, reduce_up: bool = True):
 
 
 # ---------------------------------------------------------------------------
+# symbolic configuration in full
+
+def sym_mat_mul(a, b):
+    """Product of two SymMatrix grids, entry by entry."""
+    from kdfc_snow.symbolic import AnfPoly, SymMatrix
+
+    if a.ncols != b.nrows:
+        raise ValueError("inner dimensions differ")
+    bt = list(zip(*b.rows))
+    out = []
+    for ar in a.rows:
+        row = []
+        for bc in bt:
+            acc = AnfPoly.zero()
+            for x, y in zip(ar, bc):
+                acc = acc + x * y
+            row.append(acc)
+        out.append(row)
+    return SymMatrix(out)
+
+
+def sym_adjugate_inverse(q):
+    """adj(q): entry (i, j) is the minor of q without row j and column i
+    (the inverse wherever det q = 1)."""
+    from kdfc_snow.symbolic import SymMatrix, _det_memo
+
+    full = (1 << q.nrows) - 1
+    memo = {}
+    return SymMatrix(
+        [
+            [_det_memo(q.rows, full ^ (1 << j), full ^ (1 << i), memo) for j in range(q.nrows)]
+            for i in range(q.nrows)
+        ]
+    )
+
+
+def compute_symbolic_config(m: int, b: int, p):
+    """Symbolic C = Q * P * adj(Q) in the block order of build_symbolic_q."""
+    from kdfc_snow.symbolic import SymMatrix, _sym_companion_row_mul, build_symbolic_q
+
+    q = build_symbolic_q(m, b, p)
+    qp = SymMatrix([_sym_companion_row_mul(r, p) for r in q.rows])
+    return sym_mat_mul(qp, sym_adjugate_inverse(q))
+
+
+# ---------------------------------------------------------------------------
 # randomness-battery oracles, one block or one bit at a time
 
 def words_to_bits(words, width: int = 32) -> list[int]:
@@ -531,6 +583,36 @@ def matrix_ranks(mats) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # matrix helpers used only by the oracles above and the tests
+
+def from_bits(bits):
+    """BitMatrix from a list of 0/1 rows (bits[i][j] = entry i, j)."""
+    from kdfc_snow.gf2.linalg import BitMatrix
+
+    ncols = len(bits[0]) if bits else 0
+    return BitMatrix([sum((bit & 1) << j for j, bit in enumerate(row)) for row in bits], ncols)
+
+
+def to_bits(a) -> list[list[int]]:
+    """The 0/1 rows of a BitMatrix, from_bits' inverse."""
+    return [[(r >> j) & 1 for j in range(a.ncols)] for r in a.rows]
+
+
+def state_from_stacked(m: int, b: int, v: int):
+    """LfsrState whose stacked() is v: block i from bits [i*m, (i+1)*m)."""
+    from kdfc_snow.sigma_lfsr import LfsrState
+
+    mask = (1 << m) - 1
+    return LfsrState(m, [(v >> (i * m)) & mask for i in range(b)])
+
+
+def sym_from_bitmatrix(a):
+    """SymMatrix of constant entries, column c from bit c-1 of each row."""
+    from kdfc_snow.symbolic import AnfPoly, SymMatrix
+
+    return SymMatrix(
+        [[AnfPoly.one() if (r >> j) & 1 else AnfPoly.zero() for j in range(a.ncols)] for r in a.rows]
+    )
+
 
 def companion_matrix(p):
     """Companion matrix P of a monic polynomial, row-vector convention.

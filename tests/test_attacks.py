@@ -124,13 +124,6 @@ class TestIndexTables:
         with pytest.raises(ValueError):
             IndexTables(rows=[[0]], node_count=0)
 
-    def test_json_roundtrip(self):
-        t = build_snow2_tables()
-        again = IndexTables.from_json(t.to_json())
-        assert again.rows == t.rows
-        assert again.node_count == t.node_count
-        assert again.family_sizes == t.family_sizes
-
     def test_recurrence_support_must_touch_zero(self):
         with pytest.raises(ValueError):
             recurrence_row_tables([1, 2], stages=3, fsm_stages=0)
@@ -255,3 +248,13 @@ class TestSearch:
     def test_stage_validation(self):
         with pytest.raises(ValueError):
             gd_search(build_snow2_tables(), 0)
+
+    def test_search_size_is_bounded(self):
+        # n + (max_stages - 1) * n^2 scored paths: 56 + 334 * 56^2 is within
+        # 2^20 (and the search stops at its 9-node cover), one more stage is not
+        t = build_snow2_tables()
+        assert gd_search(t, 335).nodes == SNOW_BASIS
+        with pytest.raises(ValueError, match="1050616 paths exceed the 2\\^20 guard"):
+            gd_search(t, 336)
+        with pytest.raises(ValueError, match="guard"):
+            gd_search(build_kdfc_tables(), 2)

@@ -10,6 +10,7 @@ import site
 import subprocess
 import sys
 import sysconfig
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -497,6 +498,32 @@ GOLDEN_SHA256 = {
 }
 
 
+#: the symbolic analyses' outputs, recorded before theorem1_check read its
+#: entry as one replaced-row determinant and AnfPoly monomials became ints
+SYMBOLIC_GOLDEN_ARGV = {
+    "lemmas-2x2": ["verify", "lemmas", "--m", "2", "--b", "2", "--json"],
+    "lemmas-2x4": ["verify", "lemmas", "--m", "2", "--b", "4", "--json"],
+    "lemmas-3x2": ["verify", "lemmas", "--m", "3", "--b", "2", "--json"],
+    "lemmas-2x5": ["verify", "lemmas", "--m", "2", "--b", "5", "--json"],
+    "lemmas-3x3": ["verify", "lemmas", "--m", "3", "--b", "3", "--json"],
+    "lemmas-4x2": ["verify", "lemmas", "--m", "4", "--b", "2", "--json"],
+    "theorem1-2x4-poly": ["verify", "theorem1", "--m", "2", "--b", "4", "--poly", "8,4,3,2,0"],
+    "theorem1-3x2": ["verify", "theorem1", "--m", "3", "--b", "2"],
+    "theorem1-4x2": ["verify", "theorem1", "--m", "4", "--b", "2"],
+}
+SYMBOLIC_GOLDEN_SHA256 = {
+    "lemmas-2x2": "a96f2b3d140730bd3e77b3a8ee136632e9c8b46d40ee6b52a4cd5acee95eb7a7",
+    "lemmas-2x4": "e2194aada40dd7310b475ddf5d0ce0cf992f9a60003679a326179a33e075b6b6",
+    "lemmas-3x2": "105917061ffb8b4d08d8fba9e29483d3ce5e3b132c6cc0001a6cde4d67fefb2e",
+    "lemmas-2x5": "6ec705b86492ff9a2e859129244e74954edf377d9fffcd9df2400de29b6f670f",
+    "lemmas-3x3": "47992b222c5349962593638f83db2c3e31a60150e16217cc8c7a83269e8a1cad",
+    "lemmas-4x2": "e589a7e7734ba4063cf1d2827c2c6a05709cd683e8af9fd013817c9a4f690a2b",
+    "theorem1-2x4-poly": "4b216ae95b43d6b3ab87370613d082986612974888dde3b076c96015c5aa30c2",
+    "theorem1-3x2": "4b216ae95b43d6b3ab87370613d082986612974888dde3b076c96015c5aa30c2",
+    "theorem1-4x2": "9a7fca2ae782b5e4ed996ff89de93acc0d180e9fb6a82e381f607a6bdb24c0b2",
+}
+
+
 class TestGoldenOutputs:
     @pytest.mark.parametrize("name", list(GOLDEN_ARGV))
     def test_output_is_byte_identical(self, capsys, name):
@@ -510,6 +537,12 @@ class TestGoldenOutputs:
         code, out, _ = run(capsys, "kdfc", "stream", "--state", str(state), "-n", "64")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256["kdfc-stream-state"]
+
+    @pytest.mark.parametrize("name", list(SYMBOLIC_GOLDEN_ARGV))
+    def test_symbolic_output_is_byte_identical(self, capsys, name):
+        code, out, _ = run(capsys, *SYMBOLIC_GOLDEN_ARGV[name])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SYMBOLIC_GOLDEN_SHA256[name]
 
     def test_writers_do_not_recompute_the_char_poly(self, capsys, monkeypatch):
         # the written char_poly is the one generate_config(verify=True) certified
@@ -618,6 +651,21 @@ class TestGenConfig:
         )
         assert code == 1 and "degree 16, got 15" in err
 
+    def test_huge_exponent_is_refused_before_it_is_built(self, capsys):
+        # x^100000000 is a 12.5 MB int; the degree m*b bounds the parser first
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                capsys, "gen-config", "--m", "2", "--b", "4", "--seed", "s",
+                "--poly", "100000000,0",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and out == ""
+        assert err == "error: --poly must have degree 8, got 100000000\n"
+        assert peak < 2 << 20
+
     def test_k_out_of_range(self, capsys):
         code, _, err = run(
             capsys, "gen-config", "--m", "2", "--b", "4", "--k", "7",
@@ -720,6 +768,18 @@ class TestAnalyze:
     def test_gd_text_mode(self, capsys):
         code, out, _ = run(capsys, "analyze", "gd")
         assert code == 0 and "found = True" in out
+
+    def test_gd_work_is_bounded(self):
+        # in a child process, so that an unbounded search fails on the timeout:
+        # four stages over 1,542 nodes would score 7.1 M paths
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "kdfc_snow.cli", "analyze", "gd",
+             "--cipher", "kdfc", "--max-stages", "4"],
+            capture_output=True, text=True, env=env, timeout=5,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "guard" in proc.stderr
 
 
 def _hex_stream(nbits, seed=20260825):

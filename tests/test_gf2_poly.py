@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import long_division_mod, sympy_mul, sympy_rem
 
 from kdfc_snow.gf2.poly import (
+    DegreeError,
     FactorTableMissError,
     Gf2Poly,
     _mod_int,
@@ -56,7 +57,7 @@ class TestBasics:
             Gf2Poly(-1)
 
     def test_zero_one_x(self):
-        assert Gf2Poly.zero().is_zero()
+        assert not Gf2Poly.zero()
         assert Gf2Poly.one().coeffs == 1
         assert Gf2Poly.x().coeffs == 2
         assert Gf2Poly.zero().degree == -1
@@ -77,7 +78,9 @@ class TestBasics:
 
     @pytest.mark.parametrize("text", ["8,4,3,2,0", "8 4 3 2 0", " 0, 2,3 ,4,8 "])
     def test_parse_exponents(self, text):
-        assert parse_exponents(text) == Gf2Poly.from_exponents([8, 4, 3, 2, 0])
+        assert parse_exponents(text, 8) == Gf2Poly.from_exponents([8, 4, 3, 2, 0])
+        # the degree bounds the top exponent; a lower top is the caller's to refuse
+        assert parse_exponents(text, 9).degree == 8
 
     @pytest.mark.parametrize("text,message", [
         ("", "empty exponent list"),
@@ -93,18 +96,25 @@ class TestBasics:
     ])
     def test_parse_exponents_refusals(self, text, message):
         with pytest.raises(ValueError, match=message):
-            parse_exponents(text)
+            parse_exponents(text, 8)
+
+    @pytest.mark.parametrize("text,got", [("9,0", 9), ("0,100000000", 100000000)])
+    def test_parse_exponents_refuses_a_top_above_the_degree(self, text, got):
+        with pytest.raises(DegreeError) as exc:
+            parse_exponents(text, 8)
+        assert exc.value.got == got
 
     @given(st.integers(1, 1 << 600))
     def test_parse_exponents_reads_to_json(self, c):
         p = Gf2Poly(c)
-        assert parse_exponents(",".join(map(str, p.to_json()))) == p
+        assert parse_exponents(",".join(map(str, p.to_json())), p.degree) == p
 
     def test_coeff_and_evaluate(self):
         p = Gf2Poly.from_exponents([4, 1, 0])
         assert [p.coeff(i) for i in range(6)] == [1, 1, 0, 0, 1, 0]
-        assert p.evaluate(0) == 1  # constant term
-        assert p.evaluate(1) == weight(p) % 2
+        # p(a) = p mod (x + a): the constant term at 0, the parity of the weight at 1
+        assert p % Gf2Poly.x() == Gf2Poly(p.coeff(0))
+        assert p % Gf2Poly.from_exponents([1, 0]) == Gf2Poly(weight(p) % 2)
 
     def test_str(self):
         assert str(Gf2Poly.from_exponents([4, 1, 0])) == "x^4 + x + 1"
@@ -241,7 +251,7 @@ class TestAlgebraicProperties:
     @given(polys, polys)
     def test_add_is_xor(self, a, b):
         assert (a + b).coeffs == a.coeffs ^ b.coeffs
-        assert (a + a).is_zero()
+        assert not a + a
 
     @given(polys, polys, polys)
     def test_mul_distributes(self, a, b, c):
@@ -264,10 +274,10 @@ class TestAlgebraicProperties:
     @given(polys, polys)
     def test_gcd_divides_both(self, a, b):
         g = gcd(a, b)
-        if g.is_zero():
-            assert a.is_zero() and b.is_zero()
+        if not g:
+            assert not a and not b
         else:
-            assert (a % g).is_zero() and (b % g).is_zero()
+            assert not a % g and not b % g
 
 
 class TestModularArithmetic:

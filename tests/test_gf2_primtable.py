@@ -1,6 +1,7 @@
 """Shipped polynomial/factor tables: integrity, certification, overrides."""
 
 import hashlib
+import tracemalloc
 from importlib import resources
 
 import pytest
@@ -129,6 +130,20 @@ class TestIntegrity:
         assert t.degrees() == [2]
         assert t[2] == Gf2Poly.from_exponents([2, 1, 0])
 
+    def test_huge_exponent_is_refused_before_it_is_built(self, monkeypatch, tmp_path):
+        # x^100000000 is a 12.5 MB int; the line's label bounds the parser first
+        path = tmp_path / "table.txt"
+        path.write_text(_table_text("8: 100000000,0"))
+        monkeypatch.setenv(POLY_TABLE_ENV, str(path))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TableFormatError, match="has degree 100000000"):
+                PrimitiveTable.load_default()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
 
 def _shipped_text() -> str:
     return resources.files("kdfc_snow").joinpath("data", "primitive_polys.txt").read_text()
@@ -156,7 +171,8 @@ class TestShippedCertificate:
         # (as tools/gen_primitive_table.py writes it) has the pinned checksum
         _, lines = parse_checksummed(_shipped_text(), "shipped table")
         for line in lines:
-            assert table_line(parse_exponents(line.partition(":")[2])) == line
+            label, _, rest = line.partition(":")
+            assert table_line(parse_exponents(rest, int(label))) == line
         comment = _shipped_text().splitlines()[1]
         table = PrimitiveTable(_shipped_text())
         body = "\n".join([comment, *(table_line(table[d]) for d in table.degrees())])

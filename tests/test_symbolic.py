@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from oracles import companion_matrix
+from oracles import (
+    companion_matrix,
+    compute_symbolic_config,
+    dense_assemble,
+    sym_adjugate_inverse,
+    sym_from_bitmatrix,
+    sym_mat_mul,
+)
 
 from kdfc_snow.gf2.linalg import (
     BitMatrix,
@@ -18,14 +25,11 @@ from kdfc_snow.symbolic import (
     AnfPoly,
     GuardError,
     SymMatrix,
+    _sym_companion_row_mul,
     build_symbolic_q,
     build_symbolic_qp,
-    compute_symbolic_config,
-    degree,
     format_report,
-    sym_adjugate_inverse,
     sym_det,
-    sym_mat_mul,
     theorem1_check,
     var_index,
     verify_minor_lemmas,
@@ -91,12 +95,22 @@ class TestAnfAlgebra:
     def test_var_validation(self):
         with pytest.raises(ValueError):
             AnfPoly.var(0)
+        with pytest.raises(ValueError):
+            AnfPoly([(2, 0)])
+
+    def test_monomials_are_sets_of_indices(self):
+        # repeated indices collapse, duplicate monomials collapse, and the
+        # printed order sorts monomials as ascending index tuples
+        assert anf((3, 1, 3)) == anf((1, 3))
+        assert anf((2,), (2,)) == AnfPoly.var(2)
+        assert str(anf((9,), (2, 10), (), (2, 3))) == "1 + x2 x3 + x2 x10 + x9"
 
     def test_degrees(self):
-        assert degree(AnfPoly.zero()) == NEG_INF
-        assert degree(AnfPoly.one()) == 0
-        assert degree(AnfPoly.var(5)) == 1
-        assert degree(P4) == 4
+        assert AnfPoly.zero().degree == NEG_INF
+        assert AnfPoly.one().degree == 0
+        assert AnfPoly.var(5).degree == 1
+        assert P4.degree == 4
+        assert (AnfPoly.var(40) * AnfPoly.var(3)).degree == 2
 
     def test_eval_is_ring_homomorphism(self):
         rng = random.Random(17)
@@ -115,13 +129,13 @@ class TestAnfAlgebra:
 
 class TestSymMatrix:
     def test_identity_and_eval(self):
-        i3 = SymMatrix.identity(3)
+        i3 = sym_from_bitmatrix(BitMatrix.identity(3))
         assert i3.eval(0) == BitMatrix.identity(3)
 
     def test_bitmatrix_roundtrip(self):
         rng = random.Random(5)
         m = BitMatrix([rng.getrandbits(4) for _ in range(4)], 4)
-        assert SymMatrix.from_bitmatrix(m).eval(0) == m
+        assert sym_from_bitmatrix(m).eval(0) == m
 
     def test_eval_column_convention(self):
         # column c reads variable bit c-1 and lands on bit c-1
@@ -138,12 +152,8 @@ class TestSymMatrix:
         rng = random.Random(11)
         a = BitMatrix([rng.getrandbits(3) for _ in range(3)], 3)
         b = BitMatrix([rng.getrandbits(3) for _ in range(3)], 3)
-        sym = sym_mat_mul(SymMatrix.from_bitmatrix(a), SymMatrix.from_bitmatrix(b))
+        sym = sym_mat_mul(sym_from_bitmatrix(a), sym_from_bitmatrix(b))
         assert sym.eval(0) == mat_mul(a, b)
-
-    def test_max_degree(self):
-        assert SymMatrix([[AnfPoly.zero()]]).max_degree() == NEG_INF
-        assert SymMatrix([[P1, AnfPoly.one()]]).max_degree() == 4
 
 
 class TestVarIndex:
@@ -250,10 +260,49 @@ class TestNumericSpecialization:
             stepped = build_symbolic_qp(2, 4, P8)  # any symbolic rows work
             row = stepped.rows[5]
             packed = SymMatrix([row]).eval(bits).rows[0]
-            from kdfc_snow.symbolic import _sym_companion_row_mul
-
             sym_next = SymMatrix([_sym_companion_row_mul(row, P8)])
             assert sym_next.eval(bits).rows[0] == companion_vec_mul(packed, P8)
+
+
+def replaced_row_entry(q, p, r, c):
+    """Entry (r, c) of Q*P*adj(Q): det of Q with row c replaced by row r of Q*P."""
+    rows = list(q.rows)
+    rows[c] = _sym_companion_row_mul(q.rows[r], p)
+    return sym_det(SymMatrix(rows))
+
+
+class TestReplacedRowIdentity:
+    @pytest.mark.parametrize("m,b,hexpoly", [(2, 3, 0x43), (3, 2, 0x43)])
+    def test_last_block_row_matches_full_product(self, m, b, hexpoly):
+        p = Gf2Poly(hexpoly)
+        n = m * b
+        q = build_symbolic_q(m, b, p)
+        full = compute_symbolic_config(m, b, p)
+        for r in range(n - m, n):
+            for c in range(n):
+                assert replaced_row_entry(q, p, r, c) == full.rows[r][c], (r, c)
+        assert theorem1_check(m, b, p)[0] == full.rows[n - m][n - m]
+
+    def test_det_q_is_not_one(self):
+        # the identity needs no det Q = 1: symbolically det Q is not 1
+        d = sym_det(build_symbolic_q(2, 4, P8))
+        assert d.degree == 4 and len(d.terms) == 10
+
+    def test_5x2_corner_specializes_to_dense_route(self):
+        m, b, p = 5, 2, Gf2Poly.from_exponents([10, 3, 0])
+        entry, ok = theorem1_check(m, b, p)
+        assert ok and entry.degree == 8
+        q = build_symbolic_q(m, b, p)
+        rng = random.Random(41)
+        found = 0
+        while found < 10:
+            bits = rng.getrandbits(40)
+            qn = q.eval(bits)
+            if determinant(qn) == 0:
+                continue
+            found += 1
+            # corner (n-m, n-m) is bit 0 of the last gain's first row
+            assert entry.eval(bits) == dense_assemble(qn, p, m).gains[b - 1].rows[0] & 1
 
 
 class TestClaims:
@@ -289,8 +338,9 @@ class TestGuards:
             build_symbolic_q(4, 4, Gf2Poly(0x13))
 
     def test_config_guard(self):
+        # mb = 12 passes build_symbolic_q's guard but not theorem1_check's
         with pytest.raises(GuardError):
-            compute_symbolic_config(4, 3, Gf2Poly(0x13))
+            theorem1_check(4, 3, Gf2Poly(0x13))
 
     def test_lemma_guard(self):
         with pytest.raises(GuardError):
