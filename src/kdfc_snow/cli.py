@@ -106,6 +106,8 @@ def _write_stream(state: CipherState, n: int, out: str | None) -> None:
 
 def _resolve_poly(args, degree: int) -> Gf2Poly:
     if getattr(args, "poly", None):
+        if degree > 513:  # the stages reach degree m*b - 1, the table 512
+            raise ValueError(f"m*b = {degree} is above 513, the largest the table serves")
         try:
             p = parse_exponents(args.poly, degree)
             if p.degree != degree:

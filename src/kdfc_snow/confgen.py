@@ -18,7 +18,8 @@ C = Q * P * Q^{-1}, which is always block-companion with characteristic
 polynomial equal to the prescribed degree-mb polynomial.  C is never
 formed: block j of Q times P is block j+1 of Q, so every block row of C
 but the last is an identity shift by construction, and assemble_config
-solves only the m gain rows from one elimination of Q.
+solves the m gain rows as rows appended to the one elimination of Q.  No
+stage loses rank (see _stage): Y's rank is checked once, at a run's input.
 
 The split into an offline prefix (y_offline, publishable) and an online
 remainder (generate_config) lets most iterations be precomputed; fill bits
@@ -80,7 +81,7 @@ __all__ = [
 
 
 class RankLossError(RuntimeError):
-    """Y lost full row rank — indicates a pipeline bug, not bad input."""
+    """A run's input Y lacks full row rank, or the verified char poly is wrong."""
 
 
 class FillBits:
@@ -186,6 +187,11 @@ def _stage(rows: list[int], i: int, p: Gf2Poly, fill: int) -> list[int]:
     so u = floor(embed(u) * x^w / p) = floor(mu * embed(u) / x^w) with
     mu = floor(x^2w / p), Barrett's quotient, exact over GF(2)[x].  With
     p = x^w + t, x^2w = p^2 + t^2, so mu is p when deg t^2 < w.
+
+    Rank m in gives rank m out, so no stage checks it.  embed (0 only at
+    u = 0, as deg p = w), the product by lambda != 0 mod the irreducible p
+    and un-embedding are linear bijections; the active row ends as 1, and
+    1 with the widened u << 1 | fill is dependent only if the u sum to 0.
     """
     m, pc, w = len(rows), p.coeffs, p.degree
     tail = pc ^ (1 << w)
@@ -205,8 +211,6 @@ def _stage(rows: list[int], i: int, p: Gf2Poly, fill: int) -> list[int]:
         if t != active:
             out[t] = (out[t] << 1) | ((fill >> pos) & 1)
             pos += 1
-    if rank(BitMatrix(out, w + 1)) != m:
-        raise RankLossError(f"rank dropped below {m} at iteration {i}")
     return out
 
 
@@ -214,7 +218,8 @@ def y_iterate(y: BitMatrix, i: int, p: Gf2Poly, fill: int) -> BitMatrix:
     """One pipeline iteration: active row to e_1, then widen by one bit.
 
     y has m rows of width w; p is the stage polynomial, of degree w.  The
-    rows are reversed, go through _stage and are reversed back.
+    rows are reversed, go through _stage and are reversed back.  A y
+    without full row rank raises RankLossError.
     """
     m, w = y.nrows, y.ncols
     if p.degree != w:
@@ -223,6 +228,8 @@ def y_iterate(y: BitMatrix, i: int, p: Gf2Poly, fill: int) -> BitMatrix:
         )
     if m > 1 and (fill < 0 or fill >> (m - 1)):
         raise ValueError(f"fill needs exactly {m - 1} bits")
+    if rank(y) != m:
+        raise RankLossError(f"rank dropped below {m} at iteration {i}")
     rows = _stage(_reversed_rows(y.rows, w), i, p, fill)
     return BitMatrix(_reversed_rows(rows, w + 1), w + 1)
 
@@ -266,10 +273,11 @@ def assemble_config(q: BitMatrix, p: Gf2Poly, m: int) -> SigmaConfig:
     Q must stack successive P-multiples (as build_q does), so that block j
     of Q times P is block j+1: then C * Q = Q * P makes block row j of C the
     identity at block column j+1, and the gain rows of C are the solutions
-    x of x * Q = (last block of Q)[r] * P.  One forward elimination of Q
-    with an identity tracker (gf2.linalg._echelon, in Four-Russians blocks
-    at this size) serves those m solves; it is where a singular Q (Y rows
-    dependent over P) raises SingularMatrixError.
+    x of x * Q = v_r = (last block of Q)[r] * P.  One forward elimination
+    (gf2.linalg._echelon) of Q's rows, with an identity tracker, above the
+    v_r, with a zero tracker and a flag bit at 2n, solves all m: every column
+    of an invertible Q pivots on a Q row, so each v_r's tracker ends as x.  Q is
+    singular (SingularMatrixError) iff under n columns pivot or one on a v_r.
     """
     n = q.nrows
     if q.ncols != n:
@@ -281,29 +289,16 @@ def assemble_config(q: BitMatrix, p: Gf2Poly, m: int) -> SigmaConfig:
     rows = q.rows
     if any(companion_vec_mul(rows[i], p) != rows[i + m] for i in range(n - m)):
         raise NotMCompanionError("Q blocks are not successive multiples by P")
+    flag = 1 << 2 * n
     work = [r | (1 << (n + i)) for i, r in enumerate(rows)]
+    work += [companion_vec_mul(r, p) | flag for r in rows[n - m:]]
     pivots = _echelon(work, n, reduce_up=False)
-    if len(pivots) != n:
+    if len(pivots) != n or any(work[i] & flag for _, i in pivots):
         raise SingularMatrixError("Q is singular: Y rows are not independent over P")
-    # full rank: the pivot row of column c has no set bit below c
-    by_col = [0] * n
-    for col, i in pivots:
-        by_col[col] = work[i]
-    low = (1 << n) - 1
-    b = n // m
     mask = (1 << m) - 1
-    gain_rows: list[list[int]] = [[] for _ in range(b)]
-    for r in rows[n - m:]:
-        v = companion_vec_mul(r, p)
-        x = 0
-        while v:
-            row = by_col[(v & -v).bit_length() - 1]
-            v ^= row & low
-            x ^= row
-        x >>= n
-        for i in range(b):
-            gain_rows[i].append((x >> (i * m)) & mask)
-    return SigmaConfig(m, b, [BitMatrix(g, m) for g in gain_rows])
+    xs = [(v ^ flag) >> n for v in work[n:]]
+    gains = [BitMatrix([x >> i * m & mask for x in xs], m) for i in range(n // m)]
+    return SigmaConfig(m, n // m, gains)
 
 
 def generate_config(
@@ -317,8 +312,9 @@ def generate_config(
     """Finish the pipeline from a (possibly empty) offline prefix.
 
     y_init has width m + k after k offline iterations; online_fill supplies
-    the remaining mb - m - k fill vectors.  The result is block-companion
-    with characteristic polynomial p (rechecked when verify is set).
+    the remaining mb - m - k fill vectors.  A rank-deficient y_init raises
+    RankLossError (SingularMatrixError with no stage left).  The result is
+    block-companion with characteristic polynomial p, rechecked if verify.
     """
     n = m * b
     if p.degree != n:
@@ -331,6 +327,8 @@ def generate_config(
         raise ValueError(f"y_init width {y_init.ncols} outside [m, mb]")
     if online_fill.m != m or len(online_fill) < total - k:
         raise ValueError(f"online fill must supply {total - k} vectors")
+    if k < total and rank(y_init) != m:
+        raise RankLossError(f"rank dropped below {m} at iteration {k + 1}")
     rows = _reversed_rows(y_init.rows, m + k)
     for i in range(k + 1, total + 1):
         rows = _stage(rows, i, pipeline_poly(m + i - 1), online_fill.vectors[i - k - 1])

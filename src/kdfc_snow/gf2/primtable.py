@@ -98,8 +98,11 @@ class PrimitiveTable:
         for line in lines:
             head, _, rest = line.partition(":")
             label = head.strip()
+            decimal = label.isascii() and label.isdigit()
+            if decimal and (len(label) > 3 or not 2 <= int(label) <= 512):
+                raise TableFormatError(f"table entry {line!r}: label {label} is not in 2..512")
             # the label bounds the exponents before any term is built
-            bound = int(label) if label.isascii() and label.isdigit() else 0
+            bound = int(label) if decimal else 0
             try:
                 poly = parse_exponents(rest, bound)
                 if label != str(poly.degree):

@@ -395,6 +395,20 @@ class TestYInitDocument:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "k=447" in err
 
+    def test_rank_deficient_y_init_is_refused(self, capsys, tmp_path):
+        # row 21 is active at iteration 469; a copy of row 0 there is dependent
+        doc = load_y_init()
+        rows = list(doc.y.rows)
+        rows[(doc.k + 1) % doc.m] = rows[0]
+        path = tmp_path / "y.json"
+        path.write_text(json.dumps({**doc.to_json(), "y": BitMatrix(rows, doc.y.ncols).to_json()}))
+        code, out, err = run(
+            capsys, "kdfc", "init", "--key", KAT_KEY_HEX, "--iv", KAT_IV_HEX,
+            "--y-init", str(path),
+        )
+        assert code == 1 and out == ""
+        assert err == "error: rank dropped below 32 at iteration 469\n"
+
     @pytest.mark.parametrize("sub", ["init", "stream", "dump-config"])
     def test_kdfc_commands_take_no_k(self, capsys, sub):
         argv = ["kdfc", sub, "--key", KAT_KEY_HEX, "--iv", KAT_IV_HEX, "--k", "468"]
@@ -665,6 +679,23 @@ class TestGenConfig:
         assert code == 1 and out == ""
         assert err == "error: --poly must have degree 8, got 100000000\n"
         assert peak < 2 << 20
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-config", "--seed", "s"],
+        ["char-poly", "--seed", "s"],
+        ["verify", "lemmas"],
+        ["verify", "theorem1"],
+        ["verify", "period", "--seed", "s"],
+    ], ids=["gen-config", "char-poly", "verify-lemmas", "verify-theorem1", "verify-period"])
+    def test_poly_degree_above_the_table_is_refused_first(self, capsys, monkeypatch, argv):
+        # m*b = 100000 used to reach Rabin's test on a degree-100000 --poly
+        for name in ("parse_exponents", "is_irreducible"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
+        code, out, err = run(
+            capsys, *argv, "--m", "1000", "--b", "100", "--poly", "100000,1,0",
+        )
+        assert code == 1 and out == ""
+        assert err == "error: m*b = 100000 is above 513, the largest the table serves\n"
 
     def test_k_out_of_range(self, capsys):
         code, _, err = run(

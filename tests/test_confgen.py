@@ -29,6 +29,7 @@ from kdfc_snow.confgen import (
     pipeline_poly,
     _over_xw,
     _reversed_rows,
+    _stage,
     y_iterate,
     y_offline,
 )
@@ -245,6 +246,21 @@ class TestIteration:
         with pytest.raises(RankLossError):
             y_iterate(y, 1, pipeline_poly(3), 0)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6), st.integers(2, 40), st.booleans(), st.integers(0, 1 << 32))
+    def test_stage_keeps_full_rank(self, m, w, dense, seed):
+        """No stage checks rank, because rank m in gives rank m out: for any
+        irreducible p, sparse (the table's) or dense."""
+        rng = random.Random(seed)
+        w = max(w, m)
+        p = pipeline_poly(w)
+        while dense and not is_irreducible(p := Gf2Poly((1 << w) | rng.getrandbits(w) | 1)):
+            pass
+        while rank(BitMatrix(rows := [rng.getrandbits(w) for _ in range(m)], w)) < m:
+            pass
+        out = _stage(rows, rng.randrange(1, 100), p, rng.getrandbits(m - 1))
+        assert rank(BitMatrix(out, w + 1)) == m
+
     def test_offline_k0_is_identity(self):
         y = y_offline(3, 2, 0, FillBits(3, []))
         assert y == BitMatrix.identity(3)
@@ -303,6 +319,25 @@ class TestQAndAssembly:
         y = final_y(32, 16, "full-scale", y=kdfc.load_y_init().y, k=kdfc.DEFAULT_K)
         q = build_q(y, p)
         assert assemble_config(q, p, 32) == dense_assemble(q, p, 32)
+
+    def test_singular_q_whose_appended_row_pivots(self, monkeypatch):
+        # Y = [y0, y0 P]: Q has rank 3, but with v_r = (last block of Q)[r] * P
+        # appended the span is all of F_2^4, so n columns pivot, one on a v_r
+        m, n = 2, 4
+        p = pipeline_poly(n)
+        y = BitMatrix([0b0011, companion_vec_mul(0b0011, p)], n)
+        q = build_q(y, p)
+        real, pivots = confgen._echelon, []
+
+        def echelon(*args, **kwargs):
+            pivots.extend(real(*args, **kwargs))
+            return pivots
+
+        monkeypatch.setattr(confgen, "_echelon", echelon)
+        assert rank(q) == n - 1
+        with pytest.raises(SingularMatrixError):
+            assemble_config(q, p, m)
+        assert len(pivots) == n
 
     def test_q_must_stack_p_multiples(self):
         p = pipeline_poly(4)
@@ -399,6 +434,18 @@ class TestGenerateConfig:
         y = BitMatrix([r0, r1, rng.getrandbits(n), rng.getrandbits(n)], n)
         with pytest.raises(SingularMatrixError):
             generate_config(m, b, p, y, FillBits(m, []))
+
+    @pytest.mark.parametrize("rows", [[0b11, 0b11], [0b011, 0b101, 0b110]])
+    def test_dependent_y_init_raises_rank_loss_before_any_stage(self, monkeypatch, rows):
+        # the dependency involves the active row: its stage would map it to e_1
+        # and widen the others, so the stage output can have full rank again
+        m, b = len(rows), 2
+        monkeypatch.setattr(confgen, "_stage", lambda *a: pytest.fail("a stage ran"))
+        with pytest.raises(RankLossError, match=f"rank dropped below {m} at iteration 1"):
+            generate_config(
+                m, b, pipeline_poly(m * b), BitMatrix(rows, m),
+                FillBits.from_seed(m, m * b - m, "s"),
+            )
 
     @pytest.mark.parametrize("gain,row,bit", [(0, 0, 0), (1, 2, 3), (3, 3, 3)])
     def test_flipped_gain_bit_fails_the_verify(self, monkeypatch, gain, row, bit):

@@ -107,8 +107,9 @@ class TestIntegrity:
         ("3:", "empty exponent list"),
         ("x: 2,1,0", "has degree 2"),
         ("2: 2,1,0\n2: 2,1,0", "repeats degree 2"),
+        ("100000000: 100000000,0", "label 100000000 is not in 2..512"),
     ], ids=["repeated-exponent", "non-integer", "empty", "non-integer-degree",
-            "repeated-degree"])
+            "repeated-degree", "label-out-of-range"])
     def test_malformed_entry_is_named(self, line, message):
         # 3,1,1,0 used to be read as x^3 + 1 and x: as an int() ValueError
         entry = line.splitlines()[-1]
@@ -131,18 +132,23 @@ class TestIntegrity:
         assert t[2] == Gf2Poly.from_exponents([2, 1, 0])
 
     def test_huge_exponent_is_refused_before_it_is_built(self, monkeypatch, tmp_path):
-        # x^100000000 is a 12.5 MB int; the line's label bounds the parser first
+        # x^100000000 is a 12.5 MB int; the line's label bounds the parser
+        # first, and the table's range 2..512 bounds the label
         path = tmp_path / "table.txt"
-        path.write_text(_table_text("8: 100000000,0"))
         monkeypatch.setenv(POLY_TABLE_ENV, str(path))
-        tracemalloc.start()
-        try:
-            with pytest.raises(TableFormatError, match="has degree 100000000"):
-                PrimitiveTable.load_default()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 << 20
+        for line, message in [
+            ("8: 100000000,0", "has degree 100000000"),
+            ("100000000: 100000000,0", "label 100000000 is not in 2..512"),
+        ]:
+            path.write_text(_table_text(line))
+            tracemalloc.start()
+            try:
+                with pytest.raises(TableFormatError, match=message):
+                    PrimitiveTable.load_default()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 << 20, line
 
 
 def _shipped_text() -> str:
