@@ -35,8 +35,12 @@ lambda = embed(active row)^{-1}, and each row becomes
 embed^{-1}(embed(u) * lambda mod p).  Both maps are a product and a
 shift, by p and by floor(x^2w / p), which is p when the tail p - x^w has
 degree below w/2, as in the table's trinomials and pentanomials: one
-shift and xor per term.  The products by lambda go through
-gf2.poly._mulmod_by, a byte window table of lambda from width 32 on.
+shift and xor per term.  A stage takes its constants once, from the one
+exponent list of p (_stage_constants): both maps' shifts, floor(x^2w / p)
+and the fold tail.  The products by lambda go through one list kernel,
+gf2.poly._mulmod_rows: a byte window table of lambda from width 32 on, a
+shifted copy per term of lambda below, and the reduction folded inline,
+so no row goes through a call or an object of its own.
 y_iterate runs one iteration on a BitMatrix in standard coordinates.  The
 Krylov-matrix route (solve y.K = e_1, Lambda = sum y_j A^j) lives in
 tests/oracles.py as the test oracle, next to the standard-coordinate maps
@@ -58,7 +62,9 @@ from kdfc_snow.gf2.linalg import (
 )
 from kdfc_snow.gf2.poly import (
     Gf2Poly,
-    _mulmod_by,
+    _divmod_int,
+    _exponents,
+    _mulmod_rows,
     clmul,
     euler_phi_2n1,
     inv_mod,
@@ -161,16 +167,16 @@ def _reversed_rows(rows: list[int], w: int) -> list[int]:
     return [int(format(r, f"0{w}b")[::-1], 2) for r in rows]
 
 
-def _over_xw(c: int, rows: list[int]) -> list[int]:
+def _over_xw(c: int, shifts: list[int] | None, rows: list[int]) -> list[int]:
     """floor(c * u / x^w) for every u of degree below w = deg c.
 
-    (u * x^e) >> w = u >> (w - e), so for c of at most five terms this is
-    one shift and xor per term; a denser c takes one clmul per row.
+    (u * x^e) >> w = u >> (w - e), so for c of at most five terms, given
+    its shifts w - e over the terms x^e, e > 0 (_shifts), this is one shift
+    and xor per term; a denser c (shifts None) takes one clmul per row.
     """
-    w = c.bit_length() - 1
-    if c.bit_count() > 5:
+    if shifts is None:
+        w = c.bit_length() - 1
         return [clmul(c, u) >> w for u in rows]
-    shifts = [w - e for e in Gf2Poly(c).exponents() if e]
     out = []
     for u in rows:
         g = 0
@@ -178,6 +184,27 @@ def _over_xw(c: int, rows: list[int]) -> list[int]:
             g ^= u >> s
         out.append(g)
     return out
+
+
+def _shifts(exps: list[int]) -> list[int] | None:
+    """_over_xw's shifts for the polynomial with ascending exponents exps,
+    or None past five terms."""
+    w = exps[-1]
+    return [w - e for e in exps if e] if len(exps) <= 5 else None
+
+
+def _stage_constants(pc: int) -> tuple:
+    """A stage's constants from the one exponent list of its polynomial p:
+    the embedding's shifts, mu = floor(x^2w / p) and its shifts, and the
+    fold tail of gf2.poly._mulmod_rows, which is _sparse_tail(p): p's lower
+    exponents when mu is p and p has at most five terms, else None."""
+    exps = _exponents(pc)
+    w = exps[-1]
+    shifts = _shifts(exps)
+    if 2 * (pc ^ (1 << w)).bit_length() <= w + 1:
+        return shifts, pc, shifts, exps[:-1] if shifts is not None else None
+    mu = _divmod_int(1 << 2 * w, pc)[0]
+    return shifts, mu, _shifts(_exponents(mu)), None
 
 
 def _stage(rows: list[int], i: int, p: Gf2Poly, fill: int) -> list[int]:
@@ -188,22 +215,23 @@ def _stage(rows: list[int], i: int, p: Gf2Poly, fill: int) -> list[int]:
     mu = floor(x^2w / p), Barrett's quotient, exact over GF(2)[x].  With
     p = x^w + t, x^2w = p^2 + t^2, so mu is p when deg t^2 < w.
 
+    The stage's constants are taken once, by _stage_constants; the rows
+    then go through integer loops, with no call or object per row.
+
     Rank m in gives rank m out, so no stage checks it.  embed (0 only at
     u = 0, as deg p = w), the product by lambda != 0 mod the irreducible p
     and un-embedding are linear bijections; the active row ends as 1, and
     1 with the widened u << 1 | fill is dependent only if the u sum to 0.
     """
-    m, pc, w = len(rows), p.coeffs, p.degree
-    tail = pc ^ (1 << w)
-    mu = pc if 2 * tail.bit_length() <= w + 1 else (Gf2Poly(1 << 2 * w) // p).coeffs
+    m, pc = len(rows), p.coeffs
+    shifts, mu, mu_shifts, tail = _stage_constants(pc)
     active = i % m
-    g = _over_xw(pc, rows)
+    g = _over_xw(pc, shifts, rows)
     try:
         lam = inv_mod(Gf2Poly(g[active]), p).coeffs
     except ZeroDivisionError as exc:
         raise NoSolutionError(f"active row is zero or not cyclic: {exc}") from exc
-    times_lam = _mulmod_by(lam, pc)
-    out = _over_xw(mu, [times_lam(h) for h in g])
+    out = _over_xw(mu, mu_shifts, _mulmod_rows(g, lam, pc, tail))
     if out[active] != 1:
         raise NoSolutionError("active row did not land on e_1")
     pos = 0
@@ -226,7 +254,7 @@ def y_iterate(y: BitMatrix, i: int, p: Gf2Poly, fill: int) -> BitMatrix:
         raise DimensionError(
             f"stage polynomial degree {p.degree} does not match Y width {w}"
         )
-    if m > 1 and (fill < 0 or fill >> (m - 1)):
+    if fill < 0 or fill >> (m - 1):
         raise ValueError(f"fill needs exactly {m - 1} bits")
     if rank(y) != m:
         raise RankLossError(f"rank dropped below {m} at iteration {i}")
@@ -257,13 +285,9 @@ def build_q(y: BitMatrix, p: Gf2Poly) -> BitMatrix:
         raise DimensionError(f"Y width {n} is not a multiple of m={m}")
     if p.degree != n:
         raise DimensionError(f"polynomial degree {p.degree} != Y width {n}")
-    b = n // m
-    rows = []
-    cur = list(y.rows)
-    for j in range(b):
-        rows.extend(cur)
-        if j + 1 < b:
-            cur = [companion_vec_mul(r, p) for r in cur]
+    rows = list(y.rows)
+    for _ in range(n // m - 1):
+        rows += [companion_vec_mul(r, p) for r in rows[-m:]]
     return BitMatrix(rows, n)
 
 

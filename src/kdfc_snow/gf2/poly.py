@@ -8,13 +8,16 @@ packed ints (multiply, square, reduce); Gf2Poly, the modular helpers,
 linalg.char_poly, the pipeline in confgen and the byte fields of snow2
 all build on them.  _mod_int picks its route from the modulus: sparse
 moduli (see _sparse_tail) are reduced by folding, the rest by long
-division.  _mulmod_by multiplies many operands by one, through a byte
-window table of the shared factor once the modulus has degree 32 or more.
+division.  _mulmod_rows multiplies a list of operands by one factor and
+reduces each in the same loop: through a byte window table of the factor
+once the modulus has degree 32 or more, one shifted copy per term of the
+factor below; the reduction folds through the sparse tail its caller
+passes in, or takes long division.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Iterable
 
 
 class Gf2Poly:
@@ -65,12 +68,7 @@ class Gf2Poly:
 
     def exponents(self) -> list[int]:
         """Sorted (ascending) exponents of the nonzero terms."""
-        out = []
-        c = self.coeffs
-        while c:
-            out.append((c & -c).bit_length() - 1)
-            c &= c - 1
-        return out
+        return _exponents(self.coeffs)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -85,14 +83,7 @@ class Gf2Poly:
     def __divmod__(self, other: "Gf2Poly") -> tuple["Gf2Poly", "Gf2Poly"]:
         if other.coeffs == 0:
             raise ZeroDivisionError("division by the zero polynomial")
-        r = self.coeffs
-        d = other.coeffs
-        dl = d.bit_length()
-        q = 0
-        while r.bit_length() >= dl:
-            shift = r.bit_length() - dl
-            r ^= d << shift
-            q |= 1 << shift
+        q, r = _divmod_int(self.coeffs, other.coeffs)
         return Gf2Poly(q), Gf2Poly(r)
 
     def __mod__(self, other: "Gf2Poly") -> "Gf2Poly":
@@ -182,6 +173,16 @@ def gcd(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
 # -- packed-int kernel ----------------------------------------------------
 
 
+def _exponents(c: int) -> list[int]:
+    """Ascending exponents of the nonzero terms of packed c."""
+    out = []
+    while c:
+        low = c & -c
+        out.append(low.bit_length() - 1)
+        c ^= low
+    return out
+
+
 def clmul(a: int, b: int) -> int:
     """Carry-less product a * b, one shifted copy per term of the sparser factor."""
     if a.bit_count() > b.bit_count():
@@ -213,7 +214,7 @@ def _sparse_tail(m: int) -> list[int] | None:
     d = m.bit_length() - 1
     tail = m ^ (1 << d)
     if m.bit_count() <= 5 and not tail >> ((d + 1) // 2):
-        return Gf2Poly(tail).exponents()
+        return _exponents(tail)
     return None
 
 
@@ -239,40 +240,69 @@ def _mod_int(a: int, m: int, tail: list[int] | None | int = -1) -> int:
     return a
 
 
+def _divmod_int(a: int, d: int) -> tuple[int, int]:
+    """Quotient and remainder of a by d != 0, by long division."""
+    dl = d.bit_length()
+    q = 0
+    while (al := a.bit_length()) >= dl:
+        a ^= d << (al - dl)
+        q |= 1 << (al - dl)
+    return q, a
+
+
 def _mulmod_int(a: int, b: int, m: int) -> int:
     return _mod_int(clmul(a, b), m)
 
 
-def _mulmod_by(b: int, m: int) -> Callable[[int], int]:
-    """The function a -> a * b mod m, for many a and one b.
+def _mulmod_rows(rows: list[int], b: int, m: int, tail: list[int] | None) -> list[int]:
+    """[a * b mod m for a in rows], tail = _sparse_tail(m) taken by the caller.
 
     From degree 32 of m on, the products of b with every byte are tabled
     once (tab[j] = j * b, built by doubling: one shift and one xor per
     entry) and each a is multiplied a byte at a time from the top, one
     lookup, shift and xor per byte: a left-to-right window method with
     8-bit windows (Hankerson-Menezes-Vanstone, Guide to ECC, 2.3.3).
-    Below that degree the 256-entry table costs about what it saves and
-    each product goes through clmul.  Folds use the tail taken here.
+    Below that degree the 256-entry table costs about what it saves, and
+    each product is one shifted copy of a per term of b.  Every product
+    then folds through tail's exponents, or for a dense m (tail None)
+    takes long division, in the same loop.
     """
-    tail = _sparse_tail(m)
-    if m.bit_length() <= 32:
-        return lambda a: _mod_int(clmul(a, b), m, tail)
-    tab = [0, b]
-    for j in range(1, 128):
-        t = tab[j] << 1
-        tab += (t, t ^ b)
-
-    def mulmod(a: int) -> int:
+    d = m.bit_length() - 1
+    tab = None
+    if d < 32:
+        shifts = _exponents(b)
+    else:
+        tab = [0, b]
+        for j in range(1, 128):
+            t = tab[j] << 1
+            tab += (t, t ^ b)
+    out = []
+    for a in rows:
         acc = 0
-        for byte in a.to_bytes((a.bit_length() + 7) // 8, "big"):
-            acc = (acc << 8) ^ tab[byte]
-        return _mod_int(acc, m, tail)
-
-    return mulmod
+        if tab is None:
+            for s in shifts:
+                acc ^= a << s
+        else:
+            for byte in a.to_bytes((a.bit_length() + 7) // 8, "big"):
+                acc = (acc << 8) ^ tab[byte]
+        if tail is not None:
+            while hi := acc >> d:
+                acc ^= hi << d
+                for e in tail:
+                    acc ^= hi << e
+        else:
+            while (al := acc.bit_length()) > d:
+                acc ^= m << (al - d - 1)
+        out.append(acc)
+    return out
 
 
 def inv_mod(a: Gf2Poly, mod: Gf2Poly) -> Gf2Poly:
-    """Inverse of a modulo `mod` by extended Euclid; raises if not coprime."""
+    """Inverse of a modulo `mod` by extended Euclid; raises if not coprime.
+
+    The result needs no final reduction: with a reduced first, every
+    Bezout coefficient s_k has degree deg(mod) - deg(r_(k-1)), so the one
+    paired with the gcd 1 has degree below deg(mod)."""
     m = mod.coeffs
     if m == 0:
         raise ZeroDivisionError("modulus is the zero polynomial")
@@ -292,7 +322,7 @@ def inv_mod(a: Gf2Poly, mod: Gf2Poly) -> Gf2Poly:
         s0, s1 = s1, s
     if r0 != 1:
         raise ZeroDivisionError(f"not invertible: gcd has degree {r0.bit_length() - 1}")
-    return Gf2Poly(_mod_int(s0, m))
+    return Gf2Poly(s0)
 
 
 def powmod(base: Gf2Poly, exp: int, mod: Gf2Poly) -> Gf2Poly:

@@ -19,9 +19,12 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 @pytest.fixture
 def bench(monkeypatch):
-    """perfbench's spans and run modules, with sys.path restored afterwards."""
+    """perfbench's spans and run modules, with sys.path restored afterwards,
+    and every traced module imported, as Tracer.install needs them loaded."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spans = importlib.import_module("spans")
+    for modname, _, _ in spans.TRACED:
+        importlib.import_module(modname)
     spec = importlib.util.spec_from_file_location(
         "perfbench_run", PERFBENCH / "run.py"
     )
@@ -171,6 +174,32 @@ def test_stream_chunks_reuse_the_tables(bench):
     assert tracer.calls("sigma_lfsr.step_stacked") == 0
     assert tracer.calls("snow2.fsm_step") == 0
     assert first + second == snow2.snow2_keystream(again, 2 * run.CHUNK_WORDS)
+
+
+def test_every_stage_inversion_and_table_lookup_is_traced(bench):
+    # the gf2.poly.inv_mod and gf2.primtable.lookup spans see each pipeline
+    # stage: one inversion and one table polynomial per stage, 12 in a 4x4
+    # gen-config (k = 0) and 12 in a keyed init (the online iterations)
+    spans, _ = bench
+    from kdfc_snow import confgen, kdfc
+
+    p16 = confgen.pipeline_poly(16)
+    y = confgen.y_offline(4, 4, 0, confgen.FillBits(4, []))
+    online = confgen.FillBits.from_seed(4, 12, "spans", "online-fill")
+    params = kdfc.KdfcParams(key=KAT_KEY, iv=KAT_IV)
+    kdfc.kdfc_init(params)  # y_init and the shared SNOW 2.0 tables exist
+    for run in (
+        lambda: confgen.generate_config(4, 4, p16, y, online),
+        lambda: kdfc.kdfc_init(params),
+    ):
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            run()
+        finally:
+            tracer.uninstall()
+        assert tracer.calls("gf2.poly.inv_mod") == 12
+        assert tracer.calls("gf2.primtable.lookup") == 12
 
 
 def test_perfbench_call_shapes():

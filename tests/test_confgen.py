@@ -29,7 +29,9 @@ from kdfc_snow.confgen import (
     pipeline_poly,
     _over_xw,
     _reversed_rows,
+    _shifts,
     _stage,
+    _stage_constants,
     y_iterate,
     y_offline,
 )
@@ -44,6 +46,7 @@ from kdfc_snow.gf2.linalg import (
 from kdfc_snow.gf2.poly import (
     FactorTableMissError,
     Gf2Poly,
+    _exponents,
     _sparse_tail,
     euler_phi_2n1,
     is_irreducible,
@@ -235,6 +238,18 @@ class TestIteration:
             if t != active:
                 assert out.rows[t] & ((1 << w) - 1) == mat_vec_mul(y.rows[t], lam)
 
+    @pytest.mark.parametrize("m,fill", [(1, 1), (1, 7), (1, -3), (2, 2), (3, -1), (3, 4)])
+    def test_fill_wider_than_m_minus_1_bits_is_refused(self, m, fill):
+        # at m = 1 the fill has no bit to carry, as FillBits(1, [1]) refuses
+        y = BitMatrix.identity(m)
+        with pytest.raises(ValueError, match=f"fill needs exactly {m - 1} bits"):
+            y_iterate(y, 1, pipeline_poly(m), fill)
+        with pytest.raises(ValueError):
+            FillBits(m, [fill])
+
+    def test_single_row_stage_takes_the_empty_fill(self):
+        assert y_iterate(BitMatrix([1], 1), 1, pipeline_poly(1), 0) == BitMatrix([0b10], 2)
+
     def test_stage_degree_must_match_width(self):
         y = BitMatrix.identity(3)
         with pytest.raises(DimensionError):
@@ -356,23 +371,31 @@ class TestEmbedding:
         by_clmul = []
         for pc in moduli:
             w = pc.bit_length() - 1
-            # Barrett's mu = floor(x^2w / p) is p itself exactly when p is sparse
-            mu = long_division_quotient(1 << (2 * w), pc)
+            shifts, mu, mu_shifts, tail = _stage_constants(pc)
+            # Barrett's mu = floor(x^2w / p) is p itself exactly when p is sparse,
+            # and then the fold tail of the products by lambda is p's own
+            assert mu == long_division_quotient(1 << (2 * w), pc)
             assert mu == (Gf2Poly(1 << (2 * w)) // Gf2Poly(pc)).coeffs
             assert (mu == pc) == (_sparse_tail(pc) is not None)
+            assert tail == _sparse_tail(pc)
+            assert shifts == _shifts(_exponents(pc)) and mu_shifts == _shifts(_exponents(mu))
             # _over_xw takes the shift route for at most five terms
-            if pc.bit_count() > 5 or mu.bit_count() > 5:
+            assert (shifts is None) == (pc.bit_count() > 5)
+            assert (mu_shifts is None) == (mu.bit_count() > 5)
+            if shifts is None or mu_shifts is None:
                 by_clmul.append(pc)
             vs = [0, 1, 1 << (w - 1), (1 << w) - 1] + [rng.getrandbits(w) for _ in range(4)]
             us = _reversed_rows(vs, w)
             assert us == [reverse_coords(v, w) for v in vs]
-            gs = _over_xw(pc, us)
+            gs = _over_xw(pc, shifts, us)
             assert gs == [field_embed(v, pc) for v in vs]
-            assert _over_xw(mu, gs) == us
+            assert _over_xw(mu, mu_shifts, gs) == us
+            # the clmul route gives the same maps
+            assert _over_xw(pc, None, us) == gs and _over_xw(mu, None, gs) == us
             # e_1 (the last coordinate) is the field's 1 in reversed coordinates
             assert gs[2] == 1
             g = rng.getrandbits(w)
-            assert _reversed_rows(_over_xw(mu, [g]), w) == [triangular_unembed(g, pc)]
+            assert _reversed_rows(_over_xw(mu, mu_shifts, [g]), w) == [triangular_unembed(g, pc)]
         # both maps are shifts and xors at every table degree, 2, 8 and 12
         # included (their mu has at most five terms); the dense target is not
         assert by_clmul == [kdfc.target_poly().coeffs]

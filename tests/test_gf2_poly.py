@@ -14,8 +14,8 @@ from kdfc_snow.gf2.poly import (
     FactorTableMissError,
     Gf2Poly,
     _mod_int,
-    _mulmod_by,
     _mulmod_int,
+    _mulmod_rows,
     _sparse_tail,
     clmul,
     clsquare,
@@ -197,11 +197,12 @@ class TestSparseReduction:
 
 
 class TestWindowedRows:
-    """_mulmod_by against _mulmod_int.
+    """_mulmod_rows against _mulmod_int.
 
-    Moduli of degree 32 and up take the 8-bit window table, lower ones
-    clmul; the degrees sit on both sides of that threshold and include the
-    dense degree-512 target and the widths of the 4x4 and 32x16 pipelines.
+    Moduli of degree 32 and up take the 8-bit window table, lower ones one
+    shifted copy per term of the factor; the degrees sit on both sides of
+    that threshold and include the dense degree-512 target and the widths
+    of the 4x4 and 32x16 pipelines.
     """
 
     @given(
@@ -214,17 +215,17 @@ class TestWindowedRows:
         m = target_poly().coeffs if d == 512 else default_table()[d].coeffs
         lam = rng.getrandbits(d)
         rows = [0, 1, (1 << d) - 1] + [rng.getrandbits(d) for _ in range(nrows)]
-        times_lam = _mulmod_by(lam, m)
-        assert [times_lam(a) for a in rows] == [_mulmod_int(a, lam, m) for a in rows]
+        got = _mulmod_rows(rows, lam, m, _sparse_tail(m))
+        assert got == [_mulmod_int(a, lam, m) for a in rows]
+        assert _mulmod_rows([], lam, m, _sparse_tail(m)) == []
 
     @given(st.integers(1, 80), st.data())
     def test_dense_moduli_and_wide_operands(self, d, data):
         m = (1 << d) | data.draw(st.integers(0, (1 << d) - 1))
         lam = data.draw(st.integers(0, (1 << (2 * d)) - 1))
         rows = data.draw(st.lists(st.integers(0, (1 << (2 * d)) - 1), max_size=6))
-        times_lam = _mulmod_by(lam, m)
-        assert [times_lam(a) for a in rows] == [_mulmod_int(a, lam, m) for a in rows]
-
+        got = _mulmod_rows(rows, lam, m, _sparse_tail(m))
+        assert got == [_mulmod_int(a, lam, m) for a in rows]
 
     @given(
         st.sampled_from([31, 32, 33, 511]),
@@ -234,7 +235,8 @@ class TestWindowedRows:
     @settings(max_examples=80)
     def test_tail_folds_around_the_window_threshold(self, d, sparse, rng):
         # the table entries of these degrees fold through their tail's
-        # exponents; a modulus with a term at x^(d-1) takes long division
+        # exponents; a modulus with a term at x^(d-1) takes long division,
+        # as a sparse one does when its caller passes no tail
         if sparse:
             m = default_table()[d].coeffs
         else:
@@ -243,8 +245,9 @@ class TestWindowedRows:
         lam = rng.getrandbits(d)
         rows = [0, 1, (1 << d) - 1, rng.getrandbits(2 * d)]
         rows += [rng.getrandbits(d) for _ in range(8)]
-        times_lam = _mulmod_by(lam, m)
-        assert [times_lam(a) for a in rows] == [_mod_int(clmul(a, lam), m) for a in rows]
+        want = [_mod_int(clmul(a, lam), m) for a in rows]
+        assert _mulmod_rows(rows, lam, m, _sparse_tail(m)) == want
+        assert _mulmod_rows(rows, lam, m, None) == want
 
 
 class TestAlgebraicProperties:
@@ -289,6 +292,28 @@ class TestModularArithmetic:
         a = Gf2Poly(rng.getrandbits(8) | 1)
         inv = inv_mod(a, self.MOD)
         assert (a * inv) % self.MOD == Gf2Poly.one()
+
+    @given(st.integers(2, 513), st.data())
+    @settings(max_examples=150)
+    def test_inv_mod_is_reduced(self, d, data):
+        # moduli: every table degree and (as 513) the dense target; a may
+        # reach past deg mod, and the inverse needs no reduction after Euclid
+        m = target_poly() if d == 513 else default_table()[d]
+        a = data.draw(st.integers(1, (1 << (2 * m.degree + 1)) - 1))
+        if _mod_int(a, m.coeffs) == 0:
+            return
+        inv = inv_mod(Gf2Poly(a), m)
+        assert inv.degree < m.degree
+        assert _mulmod_int(a, inv.coeffs, m.coeffs) == 1
+
+    def test_inv_mod_is_reduced_at_every_table_degree(self):
+        table, rng = default_table(), random.Random(17)
+        for m in [table[d] for d in range(2, 513)] + [target_poly()]:
+            d = m.degree
+            for a in (1, m.coeffs ^ 1, rng.getrandbits(d), rng.getrandbits(2 * d) | 1 << 2 * d):
+                if _mod_int(a, m.coeffs):
+                    inv = inv_mod(Gf2Poly(a), m)
+                    assert inv.degree < d and _mulmod_int(a, inv.coeffs, m.coeffs) == 1
 
     def test_inv_mod_rejects_noninvertible(self):
         # shares the factor x with a reducible modulus
