@@ -116,13 +116,15 @@ def _resolve_poly(args, degree: int) -> Gf2Poly:
             raise ValueError(f"--poly must have degree {degree}, got {e.got}") from None
         except ValueError as e:
             raise ValueError(f"--poly {args.poly}: {e}") from None
-        if not is_irreducible(p):
-            raise ValueError(f"--poly {args.poly} is reducible")
         try:
-            if not is_primitive(p):
-                raise ValueError(f"--poly {args.poly} is irreducible but not primitive")
+            primitive = is_primitive(p)  # runs Rabin's test itself
         except FactorTableMissError:
-            pass  # no shipped factorization of 2^d - 1: irreducibility is the check
+            primitive = None  # no shipped factorization of 2^d - 1: irreducibility is the check
+        if not primitive:
+            if not is_irreducible(p):
+                raise ValueError(f"--poly {args.poly} is reducible")
+            if primitive is False:
+                raise ValueError(f"--poly {args.poly} is irreducible but not primitive")
         return p
     return pipeline_poly(degree)
 

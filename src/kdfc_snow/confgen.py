@@ -56,7 +56,7 @@ from kdfc_snow.gf2.linalg import (
     DimensionError,
     NoSolutionError,
     SingularMatrixError,
-    _echelon,
+    _solve_rows,
     companion_vec_mul,
     rank,
 )
@@ -297,11 +297,9 @@ def assemble_config(q: BitMatrix, p: Gf2Poly, m: int) -> SigmaConfig:
     Q must stack successive P-multiples (as build_q does), so that block j
     of Q times P is block j+1: then C * Q = Q * P makes block row j of C the
     identity at block column j+1, and the gain rows of C are the solutions
-    x of x * Q = v_r = (last block of Q)[r] * P.  One forward elimination
-    (gf2.linalg._echelon) of Q's rows, with an identity tracker, above the
-    v_r, with a zero tracker and a flag bit at 2n, solves all m: every column
-    of an invertible Q pivots on a Q row, so each v_r's tracker ends as x.  Q is
-    singular (SingularMatrixError) iff under n columns pivot or one on a v_r.
+    x of x * Q = v_r = (last block of Q)[r] * P.  gf2.linalg._solve_rows
+    solves all m on one forward elimination of Q's rows with the v_r
+    appended, and refuses a singular Q (SingularMatrixError).
     """
     n = q.nrows
     if q.ncols != n:
@@ -313,14 +311,11 @@ def assemble_config(q: BitMatrix, p: Gf2Poly, m: int) -> SigmaConfig:
     rows = q.rows
     if any(companion_vec_mul(rows[i], p) != rows[i + m] for i in range(n - m)):
         raise NotMCompanionError("Q blocks are not successive multiples by P")
-    flag = 1 << 2 * n
-    work = [r | (1 << (n + i)) for i, r in enumerate(rows)]
-    work += [companion_vec_mul(r, p) | flag for r in rows[n - m:]]
-    pivots = _echelon(work, n, reduce_up=False)
-    if len(pivots) != n or any(work[i] & flag for _, i in pivots):
-        raise SingularMatrixError("Q is singular: Y rows are not independent over P")
+    try:
+        xs = _solve_rows(rows, [companion_vec_mul(r, p) for r in rows[n - m:]])
+    except SingularMatrixError:
+        raise SingularMatrixError("Q is singular: Y rows are not independent over P") from None
     mask = (1 << m) - 1
-    xs = [(v ^ flag) >> n for v in work[n:]]
     gains = [BitMatrix([x >> i * m & mask for x in xs], m) for i in range(n // m)]
     return SigmaConfig(m, n // m, gains)
 

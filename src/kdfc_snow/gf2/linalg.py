@@ -145,51 +145,42 @@ def mat_vec_mul(v: int, m: BitMatrix) -> int:
 
 
 def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """GF(2) matrix product."""
+    """GF(2) matrix product: each row of a times b."""
     if a.ncols != b.nrows:
         raise DimensionError(f"cannot multiply {a.ncols}-col by {b.nrows}-row")
-    brows = b.rows
-    out = []
-    for r in a.rows:
-        acc = 0
-        while r:
-            i = (r & -r).bit_length() - 1
-            acc ^= brows[i]
-            r &= r - 1
-        out.append(acc)
-    return BitMatrix(out, b.ncols)
+    return BitMatrix([mat_vec_mul(r, b) for r in a.rows], b.ncols)
 
 
-def _echelon(rows: list[int], ncols: int, reduce_up: bool = True):
-    """In-place row echelon form; returns list of (pivot_col, row_index).
+def _echelon(rows: list[int], ncols: int):
+    """In-place forward row echelon form; returns list of (pivot_col, row_index).
 
     Deterministic pivoting: for each column left to right, the first
     remaining row with a set bit in that column, once reduced by the pivots
     before it, becomes the pivot row and is swapped to the next rank
     position.  Only columns < ncols are eliminated; bits above them (an
     identity tracker, say) ride along.  Pivot rows end reduced by the
-    earlier pivots; with reduce_up they are also reduced by the later ones
-    (reduced row echelon form).
+    earlier pivots, and every row below the last pivot ends cleared of all
+    pivot columns.
 
     Elimination runs in blocks of k columns (the method of Four Russians,
     as in M4RI: Albrecht, Bard & Hart, ACM TOMS 2010).  A block's pivots are
     found as above, each candidate row reduced lazily by the block's earlier
-    pivots only; then the block's pivot rows are reduced against each other,
-    a table of all 2^k combinations is built, and every other row is
-    cleared of the block's columns with one lookup and one xor.  k comes
-    from the row count: 1 below 128 rows, where a table costs more than it
-    saves and a pivot row is xored straight into the rows with its bit (the
-    plain column-by-column loop), and bit_length(nrows) - 3 from there
-    (7 for a 512-row matrix).  The pivot list and the rows are the same
-    for every k.  A column that no remaining row has is skipped, up to the
-    next column that one of them has.
+    pivots only; then a table of all 2^k combinations of the block's pivot
+    rows is built, and every row below them is cleared of the block's
+    columns with one lookup and one xor.  k comes from the row count: 1
+    below 128 rows, where a table costs more than it saves and a pivot row
+    is xored straight into the rows below with its bit (the plain
+    column-by-column loop), and bit_length(nrows) - 3 from there (7 for a
+    512-row matrix).  The pivot list and the rows are the same for every k.
+    A column that no remaining row has is skipped, up to the next column
+    that one of them has.
     """
     nrows = len(rows)
     k = 1 if nrows < 128 else nrows.bit_length() - 3
     pivots = []
     rank_ = 0
-    block = []  # (bit, row): pivots of the open block, not yet cleared elsewhere
-    c0 = first = 0  # the open block's first column and first pivot position
+    block = []  # (bit, row): pivots of the open block, not yet cleared below
+    c0 = 0  # the open block's first column
     col = 0
     while col < ncols:
         bit = 1 << col
@@ -218,16 +209,12 @@ def _echelon(rows: list[int], ncols: int, reduce_up: bool = True):
             for i in range(rank_ + 1, nrows):
                 if rows[i] & bit:
                     rows[i] ^= r
-            if reduce_up:
-                for i in range(rank_):
-                    if rows[i] & bit:
-                        rows[i] ^= r
         else:
             if block and col - c0 >= k:
-                _clear_block(rows, block, c0, c0 + k, first, rank_, reduce_up)
+                _clear_block(rows, block, c0, c0 + k, rank_)
                 block = []
             if not block:
-                c0, first = col, rank_
+                c0 = col
             block.append((bit, r))
         pivots.append((col, rank_))
         rank_ += 1
@@ -235,17 +222,16 @@ def _echelon(rows: list[int], ncols: int, reduce_up: bool = True):
             break
         col += 1
     if block:
-        _clear_block(rows, block, c0, min(c0 + k, ncols), first, rank_, reduce_up)
+        _clear_block(rows, block, c0, min(c0 + k, ncols), rank_)
     return pivots
 
 
-def _clear_block(rows, block, c0, c1, first, end, reduce_up):
-    """Clear the pivot columns of one block, columns c0..c1-1, from other rows.
+def _clear_block(rows, block, c0, c1, end):
+    """Clear the pivot columns of one block, columns c0..c1-1, from rows end on.
 
-    block holds the (bit, row) pivots at positions first..end-1, each
-    reduced by the ones before it.  Rows from end on are cleared; with
-    reduce_up so are the rows before first, and the pivot rows themselves
-    are replaced by their forms reduced against each other.
+    block holds the (bit, row) pivots just above end, each reduced by the
+    ones before it.  They are reduced against each other into a table of
+    their combinations; the pivot rows themselves are left as they are.
     """
     reduced = [r for _, r in block]
     for t in range(len(block) - 1, 0, -1):
@@ -253,8 +239,6 @@ def _clear_block(rows, block, c0, c1, first, end, reduce_up):
         for s in range(t):
             if reduced[s] & bit:
                 reduced[s] ^= r
-    if reduce_up:
-        rows[first:end] = reduced
     # tab[j]: the reduced pivot rows whose column is set in window j, xored
     tab = [0]
     t = 0
@@ -266,19 +250,35 @@ def _clear_block(rows, block, c0, c1, first, end, reduce_up):
         else:
             tab += tab
     mask = (1 << (c1 - c0)) - 1
-    others = range(end, len(rows))
-    if reduce_up:
-        others = [*range(first), *others]
-    for i in others:
+    for i in range(end, len(rows)):
         j = rows[i] >> c0 & mask
         if j:
             rows[i] ^= tab[j]
 
 
+def _solve_rows(rows: Sequence[int], targets: Sequence[int]) -> list[int]:
+    """The x with x * A = v for each target v, A the n x n matrix of rows.
+
+    One forward elimination (_echelon) of A's rows, each with an identity
+    tracker at bits n..2n-1, above the targets, each with a zero tracker
+    and a flag bit at 2n.  When every column pivots on a row of A, each
+    target ends cleared of all n columns with its tracker as x.  A is
+    singular (SingularMatrixError) iff under n columns pivot or one pivots
+    on a target.
+    """
+    n = len(rows)
+    flag = 1 << 2 * n
+    work = [r | 1 << (n + i) for i, r in enumerate(rows)]
+    work += [v | flag for v in targets]
+    pivots = _echelon(work, n)
+    if len(pivots) != n or any(work[i] & flag for _, i in pivots):
+        raise SingularMatrixError("matrix is singular")
+    return [(v ^ flag) >> n for v in work[n:]]
+
+
 def rank(a: BitMatrix) -> int:
     """GF(2) row rank."""
-    rows = list(a.rows)
-    return len(_echelon(rows, a.ncols, reduce_up=False))
+    return len(_echelon(list(a.rows), a.ncols))
 
 
 def determinant(a: BitMatrix) -> int:
@@ -289,20 +289,15 @@ def determinant(a: BitMatrix) -> int:
 
 
 def mat_inverse(a: BitMatrix) -> BitMatrix:
-    """Inverse of a square matrix; raises SingularMatrixError if singular."""
+    """Inverse of a square matrix; raises SingularMatrixError if singular.
+
+    Row i of the inverse is the x with x * a = e_i, all n solved by
+    _solve_rows on one elimination.
+    """
     if not a.is_square():
         raise DimensionError("inverse of a non-square matrix")
     n = a.nrows
-    # Augment each row with an identity tracker in the high bits.
-    work = [a.rows[i] | (1 << (n + i)) for i in range(n)]
-    pivots = _echelon(work, n)
-    if len(pivots) != n:
-        raise SingularMatrixError("matrix is singular")
-    # After full reduction the low part is a permutation of identity rows.
-    inv = [0] * n
-    for col, i in pivots:
-        inv[col] = work[i] >> n
-    return BitMatrix(inv, n)
+    return BitMatrix(_solve_rows(a.rows, [1 << i for i in range(n)]), n)
 
 
 def companion_vec_mul(v: int, p: Gf2Poly) -> int:

@@ -36,18 +36,6 @@ class Gf2Poly:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "Gf2Poly":
-        return cls(0)
-
-    @classmethod
-    def one(cls) -> "Gf2Poly":
-        return cls(1)
-
-    @classmethod
-    def x(cls) -> "Gf2Poly":
-        return cls(2)
-
-    @classmethod
     def from_exponents(cls, exponents: Iterable[int]) -> "Gf2Poly":
         c = 0
         for e in exponents:
@@ -62,9 +50,6 @@ class Gf2Poly:
     def degree(self) -> int:
         """Highest exponent with nonzero coefficient; -1 for the zero poly."""
         return self.coeffs.bit_length() - 1
-
-    def coeff(self, i: int) -> int:
-        return (self.coeffs >> i) & 1
 
     def exponents(self) -> list[int]:
         """Sorted (ascending) exponents of the nonzero terms."""
@@ -91,10 +76,6 @@ class Gf2Poly:
 
     def __floordiv__(self, other: "Gf2Poly") -> "Gf2Poly":
         return divmod(self, other)[0]
-
-    def square(self) -> "Gf2Poly":
-        """Squaring = bit spreading over GF(2)."""
-        return Gf2Poly(clsquare(self.coeffs))
 
     # -- dunder -------------------------------------------------------------
 

@@ -36,9 +36,11 @@ route than the package:
   per coefficient of p, and long_division_quotient gives floor(a / m) bit
   by bit, where the pipeline shifts reversed rows through the terms of the
   modulus or of its Barrett factor.
-* dense_assemble forms C = Q * P * Q^{-1} with a full inverse and product
-  and reads the gains back through extract_config, instead of the
-  package's m row solves on one elimination of Q.
+* dense_assemble forms C = Q * P * Q^{-1} with a full inverse, read off
+  echelon_oracle's reduced form, and a full product, and reads the gains
+  back through extract_config, instead of the package's m row solves on
+  one forward elimination of Q.  solve_row likewise solves on
+  echelon_oracle's reduced form, not on the package's _solve_rows.
 * dense_char_poly takes the characteristic polynomial of the built
   configuration matrix by elimination, instead of the package's
   Berlekamp-Massey certificate on a stepped sequence.
@@ -372,11 +374,28 @@ def krylov_lambda(c_row: int, a, n: int):
 
 
 def dense_assemble(q, p, m: int):
-    """Gains of C = Q * companion(p) * Q^{-1}, with C formed in full."""
-    from kdfc_snow.gf2.linalg import BitMatrix, companion_vec_mul, mat_inverse, mat_mul
+    """Gains of C = Q * companion(p) * Q^{-1}, with C formed in full.
 
-    qp = BitMatrix([companion_vec_mul(r, p) for r in q.rows], q.nrows)
-    return extract_config(mat_mul(qp, mat_inverse(q)), m)
+    Q^{-1} is read off echelon_oracle's reduced row echelon form of Q with
+    an identity tracker: the low part ends a permutation of identity rows.
+    """
+    from kdfc_snow.gf2.linalg import (
+        BitMatrix,
+        SingularMatrixError,
+        companion_vec_mul,
+        mat_mul,
+    )
+
+    n = q.nrows
+    work = [r | 1 << (n + i) for i, r in enumerate(q.rows)]
+    pivots = echelon_oracle(work, n)
+    if len(pivots) < n:
+        raise SingularMatrixError("Q is singular")
+    inv = [0] * n
+    for col, i in pivots:
+        inv[col] = work[i] >> n
+    qp = BitMatrix([companion_vec_mul(r, p) for r in q.rows], n)
+    return extract_config(mat_mul(qp, BitMatrix(inv, n)), m)
 
 
 def dense_char_poly(cfg):
@@ -659,13 +678,13 @@ def solve_row(m, v: int) -> int:
     uses pivot rows only).  Raises NoSolutionError when v is outside the
     row space of m.
     """
-    from kdfc_snow.gf2.linalg import DimensionError, NoSolutionError, _echelon
+    from kdfc_snow.gf2.linalg import DimensionError, NoSolutionError
 
     if v >> m.ncols:
         raise DimensionError("right-hand side longer than matrix column count")
     n = m.nrows
     work = [m.rows[i] | (1 << (m.ncols + i)) for i in range(n)]
-    pivots = _echelon(work, m.ncols)
+    pivots = echelon_oracle(work, m.ncols)
     lowmask = (1 << m.ncols) - 1
     target = v
     y = 0
@@ -694,7 +713,7 @@ def reciprocal(p):
     from kdfc_snow.gf2.poly import Gf2Poly
 
     d = p.degree
-    if d < 0 or not p.coeff(0):
+    if d < 0 or not p.coeffs & 1:
         raise ValueError("reciprocal needs a nonzero constant term")
     return Gf2Poly.from_exponents(d - e for e in p.exponents())
 

@@ -583,7 +583,7 @@ class TestGenConfig:
         )
         assert code == 0
         doc = json.loads(out)
-        want = [e for e in range(8, -1, -1) if pipeline_poly(8).coeff(e)]
+        want = [e for e in range(8, -1, -1) if pipeline_poly(8).coeffs >> e & 1]
         assert doc["polynomial"] == want
         assert doc["char_poly"] == want
         assert doc["m"] == 2 and doc["b"] == 4 and doc["seed"] == "demo"
@@ -603,6 +603,26 @@ class TestGenConfig:
         doc = json.loads(out)
         assert doc["polynomial"] == [8, 4, 3, 2, 0]
         assert doc["char_poly"] == [8, 4, 3, 2, 0]
+
+    def test_poly_runs_rabin_once(self, capsys, monkeypatch):
+        # is_primitive runs Rabin's test itself; a second is_irreducible
+        # call on --poly is spent only to word a refusal
+        from kdfc_snow.gf2 import poly
+
+        real, calls = poly.is_irreducible, []
+
+        def counted(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(poly, "is_irreducible", counted)
+        monkeypatch.setattr(cli, "is_irreducible", counted)
+        code, _, _ = run(
+            capsys, "gen-config", "--m", "2", "--b", "4", "--seed", "s",
+            "--poly", "8,4,3,2,0",
+        )
+        assert code == 0
+        assert calls == [poly.Gf2Poly.from_exponents([8, 4, 3, 2, 0])]
 
     def test_poly_degree_mismatch(self, capsys):
         code, _, err = run(
@@ -724,7 +744,7 @@ class TestCharPoly:
             capsys, "char-poly", "--m", "2", "--b", "2", "--seed", "s",
         )
         assert code == 0
-        want = [e for e in range(4, -1, -1) if pipeline_poly(4).coeff(e)]
+        want = [e for e in range(4, -1, -1) if pipeline_poly(4).coeffs >> e & 1]
         assert [int(t) for t in out.split()] == want
 
     def test_needs_a_mode(self, capsys):

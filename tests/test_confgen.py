@@ -35,6 +35,7 @@ from kdfc_snow.confgen import (
     y_iterate,
     y_offline,
 )
+from kdfc_snow.gf2 import linalg
 from kdfc_snow.gf2.linalg import (
     BitMatrix,
     DimensionError,
@@ -342,14 +343,15 @@ class TestQAndAssembly:
         p = pipeline_poly(n)
         y = BitMatrix([0b0011, companion_vec_mul(0b0011, p)], n)
         q = build_q(y, p)
-        real, pivots = confgen._echelon, []
+        assert rank(q) == n - 1
+        real, pivots = linalg._echelon, []
 
         def echelon(*args, **kwargs):
             pivots.extend(real(*args, **kwargs))
             return pivots
 
-        monkeypatch.setattr(confgen, "_echelon", echelon)
-        assert rank(q) == n - 1
+        # patched after rank(q), whose pivots would join the count
+        monkeypatch.setattr(linalg, "_echelon", echelon)
         with pytest.raises(SingularMatrixError):
             assemble_config(q, p, m)
         assert len(pivots) == n

@@ -18,12 +18,14 @@ from oracles import (
     to_bits,
 )
 
+from kdfc_snow.gf2 import linalg
 from kdfc_snow.gf2.linalg import (
     BitMatrix,
     DimensionError,
     NoSolutionError,
     SingularMatrixError,
     _echelon,
+    _solve_rows,
     berlekamp_massey,
     char_poly,
     companion_vec_mul,
@@ -197,12 +199,12 @@ def elimination_cases(draw):
 class TestFourRussians:
     """_echelon against the one-column-at-a-time oracle."""
 
-    @given(elimination_cases(), st.booleans())
+    @given(elimination_cases())
     @settings(max_examples=80, deadline=None)
-    def test_pivots_and_rows_match_oracle(self, case, reduce_up):
+    def test_pivots_and_rows_match_oracle(self, case):
         rows, ncols = case
         got, want = list(rows), list(rows)
-        assert _echelon(got, ncols, reduce_up) == echelon_oracle(want, ncols, reduce_up)
+        assert _echelon(got, ncols) == echelon_oracle(want, ncols, reduce_up=False)
         assert got == want
 
     @given(st.randoms(use_true_random=False), st.sampled_from([5, 64, 128, 200]))
@@ -233,13 +235,63 @@ class TestFourRussians:
         basis = [v & ~(1 << 200) | ((v >> 199) & 1) << 200 for v in basis]
         mix = BitMatrix([rng.getrandbits(500) for _ in range(512)], 500)
         rows = mat_mul(mix, BitMatrix(basis, 517)).rows
-        for reduce_up in (False, True):
-            got, want = list(rows), list(rows)
-            pivots = _echelon(got, 517, reduce_up)
-            assert pivots == echelon_oracle(want, 517, reduce_up)
-            assert got == want
-            cols = [c for c, _ in pivots]
-            assert not set(cols) & set(range(70, 80)) and 200 not in cols
+        got, want = list(rows), list(rows)
+        pivots = _echelon(got, 517)
+        assert pivots == echelon_oracle(want, 517, reduce_up=False)
+        assert got == want
+        cols = [c for c, _ in pivots]
+        assert not set(cols) & set(range(70, 80)) and 200 not in cols
+
+
+@st.composite
+def solve_cases(draw):
+    """A square A and up to 4 targets, on both sides of 128 working rows.
+
+    A comes from the identity by random row additions and a shuffle, so it
+    is invertible, unless one of its rows is then replaced by a sum of the
+    others (possibly none).
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.sampled_from([1, 7, 40, 126, 127, 128, 150, 200]))
+    rows = [1 << i for i in range(n)]
+    for _ in range(4 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            rows[i] ^= rows[j]
+    rng.shuffle(rows)
+    if draw(st.booleans()):
+        k = rng.randrange(n)
+        rows[k] = mat_vec_mul(rng.getrandbits(n) & ~(1 << k), BitMatrix(rows, n))
+    targets = [rng.getrandbits(n) for _ in range(draw(st.sampled_from([0, 1, 2, 4])))]
+    return BitMatrix(rows, n), targets
+
+
+class TestSolveRows:
+    """_solve_rows, the one solver on _echelon, against the reduced-form oracle."""
+
+    @given(solve_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracle(self, case):
+        a, targets = case
+        if len(echelon_oracle(list(a.rows), a.ncols)) < a.nrows:
+            with pytest.raises(SingularMatrixError):
+                _solve_rows(a.rows, targets)
+        else:
+            assert _solve_rows(a.rows, targets) == [solve_row(a, v) for v in targets]
+
+    def test_inverse_refuses_a_pivot_on_an_appended_row(self, monkeypatch):
+        # A = [e_0, e_0]: both columns pivot, column 1 on the appended e_1,
+        # so only the flag bit tells the singular A apart
+        real, pivots = linalg._echelon, []
+
+        def echelon(*args):
+            pivots.extend(real(*args))
+            return pivots
+
+        monkeypatch.setattr(linalg, "_echelon", echelon)
+        with pytest.raises(SingularMatrixError, match="matrix is singular"):
+            mat_inverse(BitMatrix([1, 1], 2))
+        assert [c for c, _ in pivots] == [0, 1]
 
 
 class TestCompanionAndCharPoly:
@@ -272,7 +324,7 @@ class TestCompanionAndCharPoly:
         acc = BitMatrix.zeros(n, n)
         power = BitMatrix.identity(n)
         for i in range(p.degree + 1):
-            if p.coeff(i):
+            if p.coeffs >> i & 1:
                 acc = BitMatrix(
                     [x ^ y for x, y in zip(acc.rows, power.rows)], n
                 )
@@ -302,7 +354,7 @@ class TestBerlekampMassey:
         for _ in range(2 * d):
             nxt = 0
             for j in range(d):
-                if p.coeff(j):
+                if p.coeffs >> j & 1:
                     nxt ^= bits[-d + j]
             bits.append(nxt)
         assert berlekamp_massey(bits) == p
@@ -321,7 +373,7 @@ class TestBerlekampMassey:
         for k in range(len(bits) - d):
             acc = 0
             for j in range(d + 1):
-                if f.coeff(j):
+                if f.coeffs >> j & 1:
                     acc ^= bits[k + j]
             assert acc == 0
         lcs = [linear_complexity(bits[:i]) for i in range(1, len(bits) + 1)]

@@ -38,7 +38,7 @@ import sympy
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from kdfc_snow.gf2.poly import Gf2Poly, is_irreducible, is_primitive, powmod
+from kdfc_snow.gf2.poly import Gf2Poly, is_irreducible, is_primitive, powmod, weight
 from kdfc_snow.gf2.primtable import mersenne_factors, table_line
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "kdfc_snow" / "data" / "primitive_polys.txt"
@@ -125,16 +125,12 @@ def main() -> None:
         assert found is not None, f"no candidate found for degree {d}"
         body.append(table_line(found))
         status = "certified" if (d <= CERTIFIED_MAX or complete[d]) else "partial"
-        print(f"{body[-1]}  (weight {weight_of(found)}, {status})")
+        print(f"{body[-1]}  (weight {weight(found)}, {status})")
 
     text = "\n".join(body)
     digest = hashlib.sha256(text.encode()).hexdigest()
     OUT.write_text(f"# sha256: {digest}\n{text}\n")
     print(f"wrote {OUT} ({len(body) - 1} entries, {time.time() - t0:.1f}s total)")
-
-
-def weight_of(p: Gf2Poly) -> int:
-    return p.coeffs.bit_count()
 
 
 if __name__ == "__main__":
