@@ -18,7 +18,8 @@ time:
 * linear-complexity runs Berlekamp-Massey on every block at once,
   bit-sliced: bit i of 64 blocks shares one uint64 word, so each step's
   discrepancy is one xor-reduce over the connection polynomial's rows
-  and the length change is a per-block bit mask (``_linear_complexities``);
+  up to the largest length, and the blocks' lengths are Python-int lane
+  masks grouped by length (``_linear_complexities``);
 * binary-matrix-rank packs each matrix row into one unsigned word and
   runs a single Gaussian elimination over all matrices, one column step
   across every matrix (``_matrix_ranks``);
@@ -30,6 +31,10 @@ integer, so none of their transient arrays is larger than the bit array
 (cumulative-sums keeps one int32 per bit, serial and approximate-entropy
 one window index in the smallest unsigned type).  tests/oracles.py holds
 a per-block reference for each kernel.
+
+serial and approximate-entropy count the overlapping m-bit windows once,
+at the largest m each needs, and take every smaller m by merging
+adjacent bins (``_fold``); both refuse 2^m > n before counting.
 
 Class probabilities: the binary-matrix-rank and linear-complexity tests
 use exact closed forms evaluated at run time (rank-distribution product
@@ -443,12 +448,26 @@ def _window_counts(x: np.ndarray, m: int) -> np.ndarray:
     return sum(np.bincount(idx[i : i + chunk], minlength=1 << m) for i in range(0, n, chunk))
 
 
-def _psi_sq(x: np.ndarray, m: int) -> float:
-    """psi^2_m with overlapping windows and wraparound (0 for m = 0)."""
-    if m == 0:
+def _fold(counts: np.ndarray) -> np.ndarray:
+    """_window_counts(x, m - 1) from _window_counts(x, m), exactly.
+
+    A window's first bit is its index's most significant, so bins 2v and
+    2v + 1 differ only in the last bit, which the (m-1)-bit window drops.
+    """
+    return counts[0::2] + counts[1::2]
+
+
+def _check_window_bits(m: int, n: int) -> None:
+    """Refuse 2^m > n before any count: the bins would outnumber the bits."""
+    if m > n.bit_length() - 1:
+        raise ValueError(f"m must be at most {n.bit_length() - 1} for {n} bits, got {m}")
+
+
+def _psi_sq(counts: np.ndarray, n: int) -> float:
+    """psi^2_m from the 2^m window counts of n bits (0 for m = 0)."""
+    if counts.size == 1:
         return 0.0
-    counts = _window_counts(x, m)
-    return float((1 << m) / x.size * (counts.astype(np.float64) ** 2).sum() - x.size)
+    return float(counts.size / n * (counts.astype(np.float64) ** 2).sum() - n)
 
 
 def serial_test(bits, m: int = 2) -> TestResult:
@@ -458,9 +477,12 @@ def serial_test(bits, m: int = 2) -> TestResult:
     n = x.size
     if n < 100:
         raise InsufficientDataError("serial", 100, n)
-    psi_m = _psi_sq(x, m)
-    psi_m1 = _psi_sq(x, m - 1)
-    psi_m2 = _psi_sq(x, m - 2)
+    _check_window_bits(m, n)
+    counts_m = _window_counts(x, m)
+    counts_m1 = _fold(counts_m)
+    psi_m = _psi_sq(counts_m, n)
+    psi_m1 = _psi_sq(counts_m1, n)
+    psi_m2 = _psi_sq(_fold(counts_m1), n)
     d1 = psi_m - psi_m1
     d2 = psi_m - 2 * psi_m1 + psi_m2
     p1 = igamc(2.0 ** (m - 2), d1 / 2.0)
@@ -479,15 +501,15 @@ def approximate_entropy(bits, m: int = 2) -> TestResult:
     n = x.size
     if n < 100:
         raise InsufficientDataError("approximate-entropy", 100, n)
+    _check_window_bits(m, n)
 
-    def phi(mm: int) -> float:
-        if mm == 0:
-            return 0.0
-        counts = _window_counts(x, mm).astype(np.float64)
+    def phi(counts: np.ndarray) -> float:
+        counts = counts.astype(np.float64)
         nz = counts[counts > 0] / n
         return float((nz * np.log(nz)).sum())
 
-    apen = phi(m) - phi(m + 1)
+    counts = _window_counts(x, m + 1)
+    apen = phi(_fold(counts)) - phi(counts)
     chi2 = 2.0 * n * (math.log(2.0) - apen)
     p = igamc(2.0 ** (m - 1), chi2 / 2.0)
     return _result(
@@ -502,39 +524,70 @@ _LC_PI = [1 / 96, 1 / 32, 1 / 8, 1 / 2, 1 / 4, 1 / 16, 1 / 48]
 def _linear_complexities(blocks: np.ndarray) -> np.ndarray:
     """Linear complexity of every row of a (count, length) 0/1 array.
 
-    Berlekamp-Massey (Massey 1969) on all rows at once, bit-sliced: row
-    j is lane j % 64 of word j // 64, so bit i of 64 blocks is one uint64
-    in seq[i].  The connection polynomial C(D) and B(D)*D^gap are arrays
-    of such words, one per coefficient.  Each step takes the discrepancy
-    as one xor-reduce of C's coefficients against the reversed sequence;
-    C gains B*D^gap in the lanes where it is 1, and in the lanes that
-    also change length, B*D^gap becomes the old C.  The gap grows by one
-    in every branch, so B*D^gap shifts one coefficient up per step: it is
-    a window into a fixed buffer whose start moves down by one.
+    Berlekamp-Massey (Massey 1969) on all rows at once, bit-sliced: row j
+    is lane j % 64 of word j // 64, and rev[length - 1 - i] holds bit i of
+    every block, reversed once so that step n reads one forward slice.
+    C(D) and B(D)*D^gap are arrays of such words, one per coefficient;
+    the gap grows by one in every branch, so B*D^gap is a window into a
+    fixed buffer that moves down one row per step.  Where the discrepancy
+    d is 1, C ^= B*D^gap; where also 2L <= n, L becomes n + 1 - L and
+    B*D^gap the old C.
+
+    A lane at length L has deg C <= L, and deg B*D^gap <= n + 1 - L: B is
+    the C from before the change at step k to L = k + 1 - L', of degree
+    at most L', and gap = n - k (B*D^gap = D^(n+1) before any change).
+    So d reads rows 0..max L and the update rows 0..max(max L, n + 1 - min L).
+
+    The lengths are Python ints: groups maps each L to its lanes as a bit
+    mask, bit j for block j.  d is read once into an int; the lanes that
+    change length are d's lanes in the groups with 2L <= n, they move to
+    group n + 1 - L, and their mask returns as one np.frombuffer.  A step
+    with d = 0 in every lane does nothing more; one group per distinct
+    length (a single 1 at every position) is the slowest input.
     """
     count, length = blocks.shape
-    seq = _pack_rows(np.ascontiguousarray(blocks.T), 8)
-    lanes = seq.shape[1]
-    conn = np.zeros((length + 1, lanes), dtype=np.uint64)
+    # rev[length - 1 - i] is bit i of every block
+    rev = _pack_rows(np.ascontiguousarray(blocks.T[::-1]), 8)
+    lanes = rev.shape[1]
+    nbytes = 8 * lanes
+    conn = np.zeros((length + 1, lanes), dtype=rev.dtype)
     conn[0] = ~np.uint64(0)
-    # coefficient i of B*D^gap is shifted[start + i]; B = 1, gap = 1 at n = 0
-    shifted = np.zeros((length + 2, lanes), dtype=np.uint64)
+    # coefficient i of B*D^gap is shifted[length - n + i]; B = 1, gap = 1 at n = 0
+    shifted = np.zeros((length + 2, lanes), dtype=rev.dtype)
     shifted[length + 1] = ~np.uint64(0)
-    lc = np.zeros(count, dtype=np.intp)
-    swap_bytes = np.zeros(lanes * 8, dtype=np.uint8)
+    tmp = np.empty_like(shifted)
+    d = np.empty(lanes, dtype=rev.dtype)
+    groups = {0: (1 << count) - 1}  # length L -> lanes at L, bit j = block j
     for n in range(length):
-        start = length - n
-        d = np.bitwise_xor.reduce(conn[: n + 1] & seq[n::-1], axis=0)
-        d_lanes = np.unpackbits(
-            d.astype("<u8").view(np.uint8), count=count, bitorder="little"
-        )
-        change = d_lanes.view(bool) & (2 * lc <= n)
-        swap_bytes[: -(-count // 8)] = np.packbits(change, bitorder="little")
-        b_gap = shifted[start : start + n + 2]
-        to_old_conn = (b_gap ^ conn[: n + 2]) & swap_bytes.view("<u8")
-        conn[: n + 2] ^= b_gap & d
-        b_gap ^= to_old_conn
-        lc = np.where(change, n + 1 - lc, lc)
+        lo, hi = min(groups), max(groups)
+        at = length - 1 - n
+        np.bitwise_and(conn[: hi + 1], rev[at : at + hi + 1], out=tmp[: hi + 1])
+        np.bitwise_xor.reduce(tmp[: hi + 1], axis=0, out=d)
+        d_int = int.from_bytes(d.tobytes(), "little")
+        if not d_int:
+            continue
+        rows = max(hi, n + 1 - lo) + 1
+        b_gap = shifted[length - n : length - n + rows]
+        t = tmp[:rows]
+        np.bitwise_and(b_gap, d, out=t)
+        conn[:rows] ^= t
+        change = 0
+        for size, moved in [(s, g & d_int) for s, g in groups.items() if 2 * s <= n]:
+            if moved:
+                change |= moved
+                groups[size] ^= moved
+                if not groups[size]:
+                    del groups[size]
+                groups[n + 1 - size] = groups.get(n + 1 - size, 0) | moved
+        if change:
+            # in the lanes that changed length, B*D^gap ^ new C = old C
+            mask = np.frombuffer(change.to_bytes(nbytes, "little"), "<u8")
+            np.bitwise_and(conn[:rows], mask, out=t)
+            b_gap ^= t
+    lc = np.zeros(count, dtype=np.intp)
+    for size, lanes_at in groups.items():
+        mask = np.frombuffer(lanes_at.to_bytes(nbytes, "little"), np.uint8)
+        lc[np.unpackbits(mask, count=count, bitorder="little").view(bool)] = size
     return lc
 
 

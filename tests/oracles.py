@@ -62,6 +62,9 @@ route than the package:
   each block bit by bit, and matrix_ranks sums each row's bits into a
   Python int and takes rank per matrix, instead of the package's unpackbits,
   bit-sliced Berlekamp-Massey, shifted-AND runs and batched elimination.
+* serial_stats and apen_stats count the windows afresh for every m the
+  statistic needs (psi_sq and apen_phi), instead of the package's one
+  count at the largest m folded down to the smaller ones.
 
 The package has no production use for the matrix helpers at the end of
 this file (companion_matrix, krylov_matrix, solve_row, linear_complexity,
@@ -598,6 +601,49 @@ def matrix_ranks(mats) -> list[int]:
         rows = [sum(int(b) << j for j, b in enumerate(row)) for row in mat]
         ranks.append(rank(BitMatrix(rows, len(mat[0]))))
     return ranks
+
+
+def psi_sq(x, m: int) -> float:
+    """psi^2_m of the serial test from a fresh m-bit window count (0 for m = 0)."""
+    import numpy as np
+
+    from kdfc_snow.randtests import _window_counts
+
+    if m == 0:
+        return 0.0
+    counts = _window_counts(x, m)
+    return float((1 << m) / x.size * (counts.astype(np.float64) ** 2).sum() - x.size)
+
+
+def serial_stats(x, m: int) -> dict:
+    """The serial test's del1, del2 and p_value2, one window count per m."""
+    from kdfc_snow.randtests import igamc
+
+    psi_m, psi_m1, psi_m2 = (psi_sq(x, m - k) for k in range(3))
+    d1 = psi_m - psi_m1
+    d2 = psi_m - 2 * psi_m1 + psi_m2
+    return {"del1": d1, "del2": d2, "p_value2": igamc(2.0 ** (m - 3), d2 / 2.0)}
+
+
+def apen_phi(x, m: int) -> float:
+    """sum of p log p over the m-bit window frequencies p (0 for m = 0)."""
+    import numpy as np
+
+    from kdfc_snow.randtests import _window_counts
+
+    if m == 0:
+        return 0.0
+    counts = _window_counts(x, m).astype(np.float64)
+    nz = counts[counts > 0] / x.size
+    return float((nz * np.log(nz)).sum())
+
+
+def apen_stats(x, m: int) -> dict:
+    """Approximate entropy's ApEn and chi2, one window count per m."""
+    import math
+
+    apen = apen_phi(x, m) - apen_phi(x, m + 1)
+    return {"ApEn": apen, "chi2": 2.0 * x.size * (math.log(2.0) - apen)}
 
 
 # ---------------------------------------------------------------------------

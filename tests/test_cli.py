@@ -888,6 +888,23 @@ class TestRandtest:
         code, _, err = run(capsys, "randtest", "--in", "/nonexistent.hex")
         assert code == 1 and err.startswith("error:")
 
+    @given(st.lists(st.sampled_from([
+        b"0", b"7", b"a", b"F", b" ", b"\t", b"\n", b"\r\n", b"g", b"z", b"-",
+        b"0x", b"\x00", b"\xff", "\u00e9".encode(), "\u0663".encode(),
+    ]), max_size=40))
+    @settings(max_examples=60)
+    def test_short_text_is_refused_cleanly(self, tmp_path_factory, pieces):
+        # too short for the battery, or not hex, or not UTF-8: each one an
+        # error line and exit 1
+        path = tmp_path_factory.mktemp("hex") / "in.hex"
+        path.write_bytes(b"".join(pieces))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["randtest", "--in", str(path)])
+        assert code == 1 and out.getvalue() == ""
+        assert err.getvalue().splitlines()[0].startswith("error:")
+        assert "Traceback" not in err.getvalue()
+
 
 class TestVerify:
     def test_lemmas_pass(self, capsys):

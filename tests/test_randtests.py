@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdfc_snow import randtests as rt
-from oracles import block_linear_complexities, longest_runs, matrix_ranks, words_to_bits
+from oracles import (
+    apen_stats,
+    block_linear_complexities,
+    longest_runs,
+    matrix_ranks,
+    psi_sq,
+    serial_stats,
+    words_to_bits,
+)
 
 # 100-bit worked-example input shared by several published test write-ups
 EX100 = (
@@ -156,7 +164,17 @@ class TestSerial:
             w = ext[i : i + m]
             counts[w] = counts.get(w, 0) + 1
         want = (1 << m) / 1000 * sum(v * v for v in counts.values()) - 1000
-        assert rt._psi_sq(x, m) == pytest.approx(want, abs=1e-9)
+        assert psi_sq(x, m) == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 5])
+    def test_folded_counts_match_per_m_route(self, m):
+        # one count at the largest m, folded down, gives the same floats
+        x = np.random.default_rng(m).integers(0, 2, size=70_001, dtype=np.uint8)
+        if m >= 2:
+            stats = rt.serial_test(x, m).stats
+            assert {k: stats[k] for k in ("del1", "del2", "p_value2")} == serial_stats(x, m)
+        stats = rt.approximate_entropy(x, m).stats
+        assert {k: stats[k] for k in ("ApEn", "chi2")} == apen_stats(x, m)
 
 
 class TestMatrixRank:
@@ -341,6 +359,37 @@ class TestLinearComplexityKernel:
         got = rt._linear_complexities(blocks)
         assert got.tolist() == block_linear_complexities(blocks)
 
+    @pytest.mark.parametrize("count", [1, 64, 500, 2001])
+    def test_single_one_at_every_position(self, count):
+        # block j is 0...01 with its 1 at j % 500: L = j % 500 + 1, one
+        # length group per position
+        blocks = np.zeros((count, 500), dtype=np.uint8)
+        blocks[np.arange(count), np.arange(count) % 500] = 1
+        got = rt._linear_complexities(blocks).tolist()
+        assert got == block_linear_complexities(blocks)
+        assert got == [j % 500 + 1 for j in range(count)]
+
+    @pytest.mark.parametrize("count", [1, 64, 2001])
+    def test_constant_lanes_among_random(self, count):
+        blocks = random_blocks(count, count, 500)
+        pick = np.random.default_rng(count).permutation(count)
+        blocks[pick[: count // 3]] = 0
+        blocks[pick[count // 3 : 2 * count // 3]] = 1
+        got = rt._linear_complexities(blocks).tolist()
+        assert got == block_linear_complexities(blocks)
+        assert all(got[j] == 0 for j in pick[: count // 3])
+        assert all(got[j] == 1 for j in pick[count // 3 : 2 * count // 3])
+
+    @pytest.mark.parametrize("length", [65, 500])
+    def test_zero_prefixes_of_every_length(self, length):
+        # block p starts with p zeros, then random bits
+        blocks = random_blocks(length, length + 1, length)
+        for p in range(length + 1):
+            blocks[p, :p] = 0
+        got = rt._linear_complexities(blocks).tolist()
+        assert got == block_linear_complexities(blocks)
+        assert got[length] == 0
+
 
 class TestMatrixRankKernel:
     @given(st.integers(0, 2**32), st.integers(1, 40), st.integers(1, 64), DENSITIES)
@@ -407,6 +456,8 @@ class TestParameterChecks:
         ("serial_test", {"m": 0}),
         ("serial_test", {"m": 1}),
         ("approximate_entropy", {"m": -1}),
+        ("serial_test", {"m": 30}),
+        ("approximate_entropy", {"m": 30}),
     ], ids=str)
     def test_bad_parameter_is_a_value_error(self, test, params):
         x = np.random.default_rng(3).integers(0, 2, size=200_000, dtype=np.uint8)
@@ -420,6 +471,22 @@ class TestParameterChecks:
             rt.run_test("block-frequency", x, block_size=0)
         with pytest.raises(ValueError, match=r"\bm must"):
             rt.run_test("serial", x, m=1)
+
+    @pytest.mark.parametrize("test", [rt.serial_test, rt.approximate_entropy])
+    def test_window_bits_bounded_before_counting(self, test):
+        # 2^30 bins per chunk would be 8 GiB; the refusal comes first
+        x = np.random.default_rng(30).integers(0, 2, size=1_000_000, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"\bm must be at most 19 for 1000000 bits"):
+                test(x, m=30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert test(x[:128], m=7).stats["m"] == 7
+        with pytest.raises(ValueError, match=r"\bm must be at most 7 for 128 bits"):
+            test(x[:128], m=8)
 
 
 class TestNarrowTransients:
@@ -457,3 +524,14 @@ class TestNarrowTransients:
         idx = sum(ext[j : j + x.size] << (m - 1 - j) for j in range(m))
         want = np.bincount(idx, minlength=1 << m)
         assert np.array_equal(rt._window_counts(x, m), want)
+
+    @given(
+        st.integers(1, 17),
+        st.one_of(st.integers(17, 300), st.integers((1 << 16) - 40, (1 << 16) + 40)),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=40)
+    def test_fold_is_the_next_smaller_count(self, m, n, seed):
+        x = random_blocks(seed, 1, n)[0]
+        folded = rt._fold(rt._window_counts(x, m))
+        assert np.array_equal(folded, rt._window_counts(x, m - 1))
