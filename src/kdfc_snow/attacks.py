@@ -35,7 +35,6 @@ __all__ = [
     "recurrence_row_tables",
     "build_snow2_tables",
     "build_kdfc_tables",
-    "gd_closure",
     "gd_search",
 ]
 
@@ -255,12 +254,6 @@ class _Solver:
         for c in counts:
             hist[c] += 1
         return (size, *hist[2:]), size
-
-
-def gd_closure(tables: IndexTables, known: set[int]) -> set[int]:
-    """Least fixed point: a row with one unknown determines that node."""
-    member, _, _ = _Solver(tables).run(known)
-    return {v for v in range(tables.node_count) if member[v]}
 
 
 def gd_search(tables: IndexTables, max_stages: int) -> GdPath:

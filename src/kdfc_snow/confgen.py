@@ -18,7 +18,7 @@ C = Q * P * Q^{-1}, which is always block-companion with characteristic
 polynomial equal to the prescribed degree-mb polynomial.  C is never
 formed: block j of Q times P is block j+1 of Q, so every block row of C
 but the last is an identity shift by construction, and assemble_config
-solves the m gain rows as rows appended to the one elimination of Q.  No
+solves the m feedback rows as rows appended to the one elimination of Q.  No
 stage loses rank (see _stage): Y's rank is checked once, at a run's input.
 
 The split into an offline prefix (y_offline, publishable) and an online
@@ -35,9 +35,9 @@ lambda = embed(active row)^{-1}, and each row becomes
 embed^{-1}(embed(u) * lambda mod p).  Both maps are a product and a
 shift, by p and by floor(x^2w / p), which is p when the tail p - x^w has
 degree below w/2, as in the table's trinomials and pentanomials: one
-shift and xor per term.  A stage takes its constants once, from the one
-exponent list of p (_stage_constants): both maps' shifts, floor(x^2w / p)
-and the fold tail.  The products by lambda go through one list kernel,
+shift and xor per term of the factor, whatever its weight.  A stage takes
+its constants once (_stage_constants): both maps' shifts and the fold
+tail.  The products by lambda go through one list kernel,
 gf2.poly._mulmod_rows: a byte window table of lambda from width 32 on, a
 shifted copy per term of lambda below, and the reduction folded inline,
 so no row goes through a call or an object of its own.
@@ -50,6 +50,7 @@ and the dense assembly Q * P * Q^{-1}.
 from __future__ import annotations
 
 import hashlib
+from itertools import product
 
 from kdfc_snow.gf2.linalg import (
     BitMatrix,
@@ -65,7 +66,7 @@ from kdfc_snow.gf2.poly import (
     _divmod_int,
     _exponents,
     _mulmod_rows,
-    clmul,
+    _sparse_tail,
     euler_phi_2n1,
     inv_mod,
 )
@@ -167,16 +168,13 @@ def _reversed_rows(rows: list[int], w: int) -> list[int]:
     return [int(format(r, f"0{w}b")[::-1], 2) for r in rows]
 
 
-def _over_xw(c: int, shifts: list[int] | None, rows: list[int]) -> list[int]:
+def _over_xw(shifts: list[int], rows: list[int]) -> list[int]:
     """floor(c * u / x^w) for every u of degree below w = deg c.
 
-    (u * x^e) >> w = u >> (w - e), so for c of at most five terms, given
-    its shifts w - e over the terms x^e, e > 0 (_shifts), this is one shift
-    and xor per term; a denser c (shifts None) takes one clmul per row.
+    (u * x^e) >> w = u >> (w - e), so given c's shifts w - e over its
+    terms x^e, e > 0 (_shifts), this is one shift and xor per term, for c
+    of any weight.
     """
-    if shifts is None:
-        w = c.bit_length() - 1
-        return [clmul(c, u) >> w for u in rows]
     out = []
     for u in rows:
         g = 0
@@ -186,25 +184,23 @@ def _over_xw(c: int, shifts: list[int] | None, rows: list[int]) -> list[int]:
     return out
 
 
-def _shifts(exps: list[int]) -> list[int] | None:
-    """_over_xw's shifts for the polynomial with ascending exponents exps,
-    or None past five terms."""
+def _shifts(exps: list[int]) -> list[int]:
+    """_over_xw's shifts for the polynomial with ascending exponents exps."""
     w = exps[-1]
-    return [w - e for e in exps if e] if len(exps) <= 5 else None
+    return [w - e for e in exps if e]
 
 
 def _stage_constants(pc: int) -> tuple:
-    """A stage's constants from the one exponent list of its polynomial p:
-    the embedding's shifts, mu = floor(x^2w / p) and its shifts, and the
-    fold tail of gf2.poly._mulmod_rows, which is _sparse_tail(p): p's lower
-    exponents when mu is p and p has at most five terms, else None."""
+    """A stage's constants: the shifts of its polynomial p and of
+    mu = floor(x^2w / p) (p itself when deg(p - x^w) < w/2), and the fold
+    tail _sparse_tail(p) of gf2.poly._mulmod_rows."""
     exps = _exponents(pc)
     w = exps[-1]
-    shifts = _shifts(exps)
     if 2 * (pc ^ (1 << w)).bit_length() <= w + 1:
-        return shifts, pc, shifts, exps[:-1] if shifts is not None else None
-    mu = _divmod_int(1 << 2 * w, pc)[0]
-    return shifts, mu, _shifts(_exponents(mu)), None
+        mu_exps = exps
+    else:
+        mu_exps = _exponents(_divmod_int(1 << 2 * w, pc)[0])
+    return _shifts(exps), _shifts(mu_exps), _sparse_tail(pc)
 
 
 def _stage(rows: list[int], i: int, p: Gf2Poly, fill: int) -> list[int]:
@@ -224,14 +220,14 @@ def _stage(rows: list[int], i: int, p: Gf2Poly, fill: int) -> list[int]:
     1 with the widened u << 1 | fill is dependent only if the u sum to 0.
     """
     m, pc = len(rows), p.coeffs
-    shifts, mu, mu_shifts, tail = _stage_constants(pc)
+    shifts, mu_shifts, tail = _stage_constants(pc)
     active = i % m
-    g = _over_xw(pc, shifts, rows)
+    g = _over_xw(shifts, rows)
     try:
         lam = inv_mod(Gf2Poly(g[active]), p).coeffs
     except ZeroDivisionError as exc:
         raise NoSolutionError(f"active row is zero or not cyclic: {exc}") from exc
-    out = _over_xw(mu, mu_shifts, _mulmod_rows(g, lam, pc, tail))
+    out = _over_xw(mu_shifts, _mulmod_rows(g, lam, pc, tail))
     if out[active] != 1:
         raise NoSolutionError("active row did not land on e_1")
     pos = 0
@@ -296,7 +292,7 @@ def assemble_config(q: BitMatrix, p: Gf2Poly, m: int) -> SigmaConfig:
 
     Q must stack successive P-multiples (as build_q does), so that block j
     of Q times P is block j+1: then C * Q = Q * P makes block row j of C the
-    identity at block column j+1, and the gain rows of C are the solutions
+    identity at block column j+1, and the feedback rows of C are the solutions
     x of x * Q = v_r = (last block of Q)[r] * P.  gf2.linalg._solve_rows
     solves all m on one forward elimination of Q's rows with the v_r
     appended, and refuses a singular Q (SingularMatrixError).
@@ -315,9 +311,7 @@ def assemble_config(q: BitMatrix, p: Gf2Poly, m: int) -> SigmaConfig:
         xs = _solve_rows(rows, [companion_vec_mul(r, p) for r in rows[n - m:]])
     except SingularMatrixError:
         raise SingularMatrixError("Q is singular: Y rows are not independent over P") from None
-    mask = (1 << m) - 1
-    gains = [BitMatrix([x >> i * m & mask for x in xs], m) for i in range(n // m)]
-    return SigmaConfig(m, n // m, gains)
+    return SigmaConfig(m, n // m, xs)
 
 
 def generate_config(
@@ -392,14 +386,15 @@ def count_configurations(m: int, b: int) -> int:
     return gl // ((1 << m) - 1) * (phi // n) * (1 << (m * (m - 1) * (b - 1)))
 
 
-MAX_ENUMERATION_BITS = 20  # brute_force_count walks at most 2^20 gain tuples
+MAX_ENUMERATION_BITS = 20  # brute_force_count walks at most 2^20 row tuples
 
 
 def brute_force_count(m: int, b: int) -> int:
-    """Count primitive configurations by enumerating every gain tuple.
+    """Count primitive configurations by enumerating every feedback-row tuple.
 
-    Walks all 2^(m*m*b) assignments of the b gain matrices, keeping those
-    whose configuration matrix has a primitive characteristic polynomial.
+    Walks all 2^(m*m*b) tuples of m feedback rows of mb bits (every gain
+    tuple, once each), keeping those whose configuration matrix has a
+    primitive characteristic polynomial.
     Exponential, so guarded to at most 2^20 candidates; cross-checks
     count_configurations at small sizes.
     """
@@ -410,18 +405,10 @@ def brute_force_count(m: int, b: int) -> int:
     nbits = m * m * b
     if nbits > MAX_ENUMERATION_BITS:
         raise ValueError(
-            f"enumeration over 2^{nbits} gain tuples is too large "
+            f"enumeration over 2^{nbits} row tuples is too large "
             f"(max 2^{MAX_ENUMERATION_BITS})"
         )
-    mask = (1 << m) - 1
-    count = 0
-    for enc in range(1 << nbits):
-        gains = []
-        for j in range(b):
-            base = j * m * m
-            rows = [(enc >> (base + i * m)) & mask for i in range(m)]
-            gains.append(BitMatrix(rows, m))
-        p = config_char_poly(SigmaConfig(m, b, gains))
-        if is_primitive(p):
-            count += 1
-    return count
+    return sum(
+        is_primitive(config_char_poly(SigmaConfig(m, b, list(rows))))
+        for rows in product(range(1 << (m * b)), repeat=m)
+    )

@@ -70,23 +70,10 @@ class BitMatrix:
         self.nrows = len(rows)
         self.ncols = ncols
 
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls([1 << i for i in range(n)], n)
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "BitMatrix":
-        return cls([0] * nrows, ncols)
-
     # -- basic access ------------------------------------------------------
 
     def get(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
-
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(self.rows, self.ncols)
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols

@@ -15,6 +15,9 @@ between the two layouts, so either may be fed to char_poly.
 
 Words use the package bit order: bit i of a word is its coefficient of 2^i,
 and stacked state vectors place block i at bit positions [i*m, (i+1)*m).
+A SigmaConfig is the last block row of its configuration matrix, m
+feedback rows of mb bits, row r holding row r of B_i in block i; gain
+matrices appear only in its JSON form.
 
 Stepping goes through the observer-form (Galois) realization of the same
 recurrence.  Its state z holds, in block k, the partial feedback
@@ -40,7 +43,7 @@ from a configuration matrix live in tests/oracles.py.
 
 from __future__ import annotations
 
-from kdfc_snow.gf2.linalg import BitMatrix, DimensionError
+from kdfc_snow.gf2.linalg import BitMatrix, DimensionError, rank
 from kdfc_snow.gf2.poly import Gf2Poly
 
 __all__ = [
@@ -49,6 +52,7 @@ __all__ = [
     "NotMCompanionError",
     "PeriodGuardError",
     "build_config_matrix",
+    "config_char_poly",
     "galois_state",
     "step_stacked",
     "period",
@@ -66,13 +70,35 @@ class PeriodGuardError(ValueError):
 
 
 class SigmaConfig:
-    """Feedback configuration: word width m, block count b, gains B_0..B_{b-1}."""
+    """Feedback configuration: word width m, block count b, and the m
+    feedback rows, the last block row of the configuration matrix.
 
-    __slots__ = ("m", "b", "gains", "_byte_tables")
+    Row r holds row r of gain B_i at bits [i*m, (i+1)*m).  Gain matrices
+    appear only in the JSON documents: gains() splits the rows into them
+    and from_gains joins them back.
+    """
 
-    def __init__(self, m: int, b: int, gains: list[BitMatrix]):
+    __slots__ = ("m", "b", "rows", "_byte_tables")
+
+    def __init__(self, m: int, b: int, rows: list[int]):
         if m < 1 or b < 1:
             raise DimensionError(f"need m, b >= 1, got m={m} b={b}")
+        if len(rows) != m:
+            raise DimensionError(f"expected {m} feedback rows, got {len(rows)}")
+        n = m * b
+        for r, row in enumerate(rows):
+            if type(row) is not int:
+                raise ValueError(f"feedback row {r} is not an integer: {row!r}")
+            if row < 0 or row >> n:
+                raise DimensionError(f"feedback row {r} is not an {n}-bit row")
+        self.m = m
+        self.b = b
+        self.rows = list(rows)
+        self._byte_tables = None
+
+    @classmethod
+    def from_gains(cls, m: int, b: int, gains: list[BitMatrix]) -> "SigmaConfig":
+        """The configuration of b m x m gains B_0..B_{b-1}."""
         if len(gains) != b:
             raise DimensionError(f"expected {b} gain matrices, got {len(gains)}")
         for i, g in enumerate(gains):
@@ -80,15 +106,24 @@ class SigmaConfig:
                 raise DimensionError(
                     f"gain B_{i} is {g.nrows}x{g.ncols}, expected {m}x{m}"
                 )
-        self.m = m
-        self.b = b
-        self.gains = list(gains)
-        self._byte_tables = None
+        rows = [0] * m
+        for i, g in enumerate(gains):
+            for r, row in enumerate(g.rows):
+                rows[r] |= row << (i * m)
+        return cls(m, b, rows)
+
+    def gains(self) -> list[BitMatrix]:
+        """The gain matrices B_0..B_{b-1}, B_i from block i of every row."""
+        m, mask = self.m, (1 << self.m) - 1
+        return [
+            BitMatrix([row >> (i * m) & mask for row in self.rows], m)
+            for i in range(self.b)
+        ]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SigmaConfig):
             return NotImplemented
-        return self.m == other.m and self.b == other.b and self.gains == other.gains
+        return self.m == other.m and self.b == other.b and self.rows == other.rows
 
     def __repr__(self) -> str:
         return f"SigmaConfig(m={self.m}, b={self.b})"
@@ -97,13 +132,13 @@ class SigmaConfig:
         return {
             "m": self.m,
             "b": self.b,
-            "gains": [g.to_json() for g in self.gains],
+            "gains": [g.to_json() for g in self.gains()],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "SigmaConfig":
         gains = [BitMatrix.from_json(g) for g in obj["gains"]]
-        return cls(int(obj["m"]), int(obj["b"]), gains)
+        return cls.from_gains(int(obj["m"]), int(obj["b"]), gains)
 
     def byte_tables(self) -> list[list[int]]:
         """Byte-lane lookup tables of the Galois feedback L.
@@ -111,16 +146,20 @@ class SigmaConfig:
         lanes[lane][byte] = L(byte << 8*lane), where L(x) is the mb-bit
         int holding x * B_{b-1-k} in block k, so L of an m-bit word is the
         xor of ceil(m/8) lookups; the last lane is narrower when 8 does not
-        divide m.  Each row L(e_r) doubles its lane's table, one xor per new
-        entry.  Built once and cached; gains are treated as immutable after
-        construction.
+        divide m.  L(e_r) is feedback row r with its blocks reversed, and
+        each L(e_r) doubles its lane's table, one xor per new entry.  Built
+        once and cached; rows are treated as immutable after construction.
         """
         if self._byte_tables is None:
-            m = self.m
-            rows = [0] * m
-            for k, g in enumerate(reversed(self.gains)):
-                for r, row in enumerate(g.rows):
-                    rows[r] |= row << (k * m)
+            m, b = self.m, self.b
+            mask = (1 << m) - 1
+            rows = []
+            for row in self.rows:
+                acc = 0
+                for _ in range(b):
+                    acc = acc << m | row & mask
+                    row >>= m
+                rows.append(acc)
             self._byte_tables = []
             for base in range(0, m, 8):
                 table = [0]
@@ -168,22 +207,10 @@ class LfsrState:
 
 
 def build_config_matrix(cfg: SigmaConfig) -> BitMatrix:
-    """mb x mb block matrix: identity super-diagonal, gains in last block row."""
-    m, b = cfg.m, cfg.b
-    n = m * b
-    if b == 1:
-        return cfg.gains[0].copy()
-    rows = []
-    for j in range(b - 1):
-        # block row j: identity at block column j+1
-        shift = (j + 1) * m
-        rows.extend(1 << (shift + r) for r in range(m))
-    for r in range(m):
-        acc = 0
-        for i, g in enumerate(cfg.gains):
-            acc |= g.rows[r] << (i * m)
-        rows.append(acc)
-    return BitMatrix(rows, n)
+    """mb x mb block matrix: identity super-diagonal, feedback rows last."""
+    n = cfg.m * cfg.b
+    # block row j: identity at block column j+1
+    return BitMatrix([1 << (cfg.m + i) for i in range(n - cfg.m)] + cfg.rows, n)
 
 
 def galois_state(cfg: SigmaConfig, words: list[int]) -> int:
@@ -212,13 +239,20 @@ def step_stacked(cfg: SigmaConfig, v: int) -> int:
 
 
 def period(cfg: SigmaConfig, s0: LfsrState) -> int:
-    """Least t > 0 returning to the seed state; guarded to mb <= 24."""
-    n = cfg.m * cfg.b
+    """Least t > 0 returning to the seed state; guarded to mb <= 24.
+
+    The step is a bijection exactly when B_0 is invertible; otherwise a
+    seed need not recur, so a singular B_0 is refused before stepping.
+    """
+    m, n = cfg.m, cfg.m * cfg.b
     if n > PERIOD_GUARD_BITS:
         raise PeriodGuardError(f"state space 2^{n} exceeds the 2^{PERIOD_GUARD_BITS} guard")
     start = s0.stacked()
     if start == 0:
         raise PeriodGuardError("zero seed is a fixed point; period undefined")
+    mask = (1 << m) - 1
+    if rank(BitMatrix([row & mask for row in cfg.rows], m)) < m:
+        raise PeriodGuardError("B_0 is singular: the step is not a bijection")
     v = step_stacked(cfg, start)
     t = 1
     while v != start:

@@ -32,7 +32,6 @@ so CipherState refuses any other configuration shape.
 
 from __future__ import annotations
 
-from kdfc_snow.gf2.linalg import BitMatrix
 from kdfc_snow.gf2.poly import _mulmod_int
 from kdfc_snow.sigma_lfsr import LfsrState, SigmaConfig, galois_state
 
@@ -45,7 +44,6 @@ __all__ = [
     "sbox_s",
     "alpha_mul",
     "alpha_inv_mul",
-    "build_alpha_matrices",
     "snow2_gains",
     "fsm_step",
     "load_state_words",
@@ -129,24 +127,18 @@ def alpha_inv_mul(w: int) -> int:
     return (w >> 8) ^ _MUL_AINV[w & 0xFF]
 
 
-def build_alpha_matrices() -> tuple[BitMatrix, BitMatrix]:
-    """Row-action matrices of alpha and alpha^{-1}: v*A = alpha*v."""
-    a = BitMatrix([alpha_mul(1 << r) for r in range(32)], 32)
-    a_inv = BitMatrix([alpha_inv_mul(1 << r) for r in range(32)], 32)
-    return a, a_inv
-
-
 def snow2_gains() -> SigmaConfig:
     """The fixed SNOW 2.0 configuration: B_0 = alpha, B_2 = I, B_11 = alpha^{-1}.
 
-    Returns a new object on every call; the key/IV set-ups share one copy.
+    Feedback row r is alpha * e_r in block 0, e_r in block 2 and
+    alpha^{-1} * e_r in block 11.  Returns a new object on every call; the
+    key/IV set-ups share one copy.
     """
-    a, a_inv = build_alpha_matrices()
-    gains = [BitMatrix.zeros(32, 32) for _ in range(16)]
-    gains[0] = a
-    gains[2] = BitMatrix.identity(32)
-    gains[11] = a_inv
-    return SigmaConfig(32, 16, gains)
+    rows = [
+        alpha_mul(1 << r) | 1 << (r + 64) | alpha_inv_mul(1 << r) << 352
+        for r in range(32)
+    ]
+    return SigmaConfig(32, 16, rows)
 
 
 # ---------------------------------------------------------------------------

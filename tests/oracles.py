@@ -37,8 +37,8 @@ route than the package:
   by bit, where the pipeline shifts reversed rows through the terms of the
   modulus or of its Barrett factor.
 * dense_assemble forms C = Q * P * Q^{-1} with a full inverse, read off
-  echelon_oracle's reduced form, and a full product, and reads the gains
-  back through extract_config, instead of the package's m row solves on
+  echelon_oracle's reduced form, and a full product, and reads the feedback
+  rows back through extract_config, instead of the package's m row solves on
   one forward elimination of Q.  solve_row likewise solves on
   echelon_oracle's reduced form, not on the package's _solve_rows.
 * dense_char_poly takes the characteristic polynomial of the built
@@ -68,9 +68,9 @@ route than the package:
 
 The package has no production use for the matrix helpers at the end of
 this file (companion_matrix, krylov_matrix, solve_row, linear_complexity,
-reciprocal, build_transition_matrix, extract_config, from_bits, to_bits,
-state_from_stacked, sym_from_bitmatrix); they serve the oracles above and
-the tests.
+reciprocal, build_transition_matrix, extract_config, identity, zeros,
+build_alpha_matrices, gd_closure, from_bits, to_bits, state_from_stacked,
+sym_from_bitmatrix); they serve the oracles above and the tests.
 """
 
 from __future__ import annotations
@@ -368,7 +368,7 @@ def krylov_lambda(c_row: int, a, n: int):
         v = mat_vec_mul(v, a)
     y = solve_row(BitMatrix(rows, n), 1 << (n - 1))
     lam_rows = [0] * n
-    power = BitMatrix.identity(n)
+    power = identity(n)
     for j in range(n):
         if (y >> j) & 1:
             lam_rows = [lr ^ pr for lr, pr in zip(lam_rows, power.rows)]
@@ -377,7 +377,7 @@ def krylov_lambda(c_row: int, a, n: int):
 
 
 def dense_assemble(q, p, m: int):
-    """Gains of C = Q * companion(p) * Q^{-1}, with C formed in full.
+    """The configuration C = Q * companion(p) * Q^{-1}, with C formed in full.
 
     Q^{-1} is read off echelon_oracle's reduced row echelon form of Q with
     an identity tracker: the low part ends a permutation of identity rows.
@@ -438,7 +438,7 @@ def lfsr_step(cfg, s):
     if s.m != cfg.m or s.b != cfg.b:
         raise DimensionError("state and configuration dimensions differ")
     feedback = 0
-    for w, g in zip(s.blocks, cfg.gains):
+    for w, g in zip(s.blocks, cfg.gains()):
         feedback ^= mat_vec_mul(w, g)
     return LfsrState(s.m, s.blocks[1:] + [feedback]), s.blocks[0]
 
@@ -771,9 +771,9 @@ def build_transition_matrix(cfg):
     m, b = cfg.m, cfg.b
     n = m * b
     rows = [0] * n
-    for i in range(b):
+    for i, g in enumerate(cfg.gains()):
         for r in range(m):
-            acc = cfg.gains[i].rows[r] << ((b - 1) * m)
+            acc = g.rows[r] << ((b - 1) * m)
             if i > 0:
                 # identity on the block sub-diagonal: block i shifts to i-1
                 acc ^= 1 << ((i - 1) * m + r)
@@ -782,8 +782,7 @@ def build_transition_matrix(cfg):
 
 
 def extract_config(c, m: int):
-    """Recover gains from a configuration matrix; reject other structures."""
-    from kdfc_snow.gf2.linalg import BitMatrix
+    """Read the feedback rows off a configuration matrix; reject other structures."""
     from kdfc_snow.sigma_lfsr import NotMCompanionError, SigmaConfig
 
     if not c.is_square():
@@ -800,9 +799,36 @@ def extract_config(c, m: int):
                     raise NotMCompanionError(
                         f"block row {j} is not a super-diagonal identity block"
                     )
-    gains = []
-    mask = (1 << m) - 1
-    for i in range(b):
-        rows = [(c.rows[(b - 1) * m + r] >> (i * m)) & mask for r in range(m)]
-        gains.append(BitMatrix(rows, m))
-    return SigmaConfig(m, b, gains)
+    return SigmaConfig(m, b, c.rows[n - m:])
+
+
+def identity(n: int):
+    """The n x n identity BitMatrix."""
+    from kdfc_snow.gf2.linalg import BitMatrix
+
+    return BitMatrix([1 << i for i in range(n)], n)
+
+
+def zeros(nrows: int, ncols: int):
+    """The nrows x ncols zero BitMatrix."""
+    from kdfc_snow.gf2.linalg import BitMatrix
+
+    return BitMatrix([0] * nrows, ncols)
+
+
+def build_alpha_matrices():
+    """Row-action matrices of alpha and alpha^{-1}: v*A = alpha*v."""
+    from kdfc_snow.gf2.linalg import BitMatrix
+    from kdfc_snow.snow2 import alpha_inv_mul, alpha_mul
+
+    a = BitMatrix([alpha_mul(1 << r) for r in range(32)], 32)
+    a_inv = BitMatrix([alpha_inv_mul(1 << r) for r in range(32)], 32)
+    return a, a_inv
+
+
+def gd_closure(tables, known: set[int]) -> set[int]:
+    """Least fixed point: a row with one unknown determines that node."""
+    from kdfc_snow.attacks import _Solver
+
+    member, _, _ = _Solver(tables).run(known)
+    return {v for v in range(tables.node_count) if member[v]}

@@ -11,11 +11,17 @@ from contextlib import contextmanager
 import pytest
 
 from conftest import KAT_IV, KAT_KEY
-from oracles import char_poly_sympy, lfsr_step, orbit_of, reciprocal, sym_adjugate_inverse
+from oracles import (
+    char_poly_sympy,
+    gd_closure,
+    lfsr_step,
+    orbit_of,
+    reciprocal,
+    sym_adjugate_inverse,
+)
 
 from kdfc_snow.attacks import (
     build_snow2_tables,
-    gd_closure,
     gd_search,
     keystream_needed,
     linearization_log2,
@@ -289,7 +295,7 @@ def test_10_period_property():
                 BitMatrix([(enc >> (4 * j)) & 3, (enc >> (4 * j + 2)) & 3], 2)
                 for j in range(2)
             ]
-            cfg = SigmaConfig(2, 2, gains)
+            cfg = SigmaConfig.from_gains(2, 2, gains)
             if is_primitive(config_char_poly(cfg)):
                 primitive_cfgs.append(cfg)
         assert len(primitive_cfgs) == 16

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import gd_closure
+
 from kdfc_snow.attacks import (
     GdPath,
     IndexTables,
     NoCoverError,
     build_kdfc_tables,
     build_snow2_tables,
-    gd_closure,
     gd_search,
     keystream_needed,
     linearization_log2,

@@ -49,7 +49,7 @@ def test_byte_table_cache_slot():
     from kdfc_snow.snow2 import snow2_gains
 
     # one table cache: the Galois lane tables that every stepping route uses
-    assert SigmaConfig.__slots__ == ("m", "b", "gains", "_byte_tables")
+    assert SigmaConfig.__slots__ == ("m", "b", "rows", "_byte_tables")
     cfg = snow2_gains()
     assert cfg._byte_tables is None
     cfg.byte_tables()

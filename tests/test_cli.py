@@ -295,7 +295,7 @@ class TestStateDocument:
             "m": m,
             "b": b,
             "char_poly": [m * b, 0],
-            "config": SigmaConfig(m, b, gains).to_json(),
+            "config": SigmaConfig.from_gains(m, b, gains).to_json(),
             "lfsr": [rng.getrandbits(m) for _ in range(b)],
             "fsm": {"r1": 1, "r2": 2},
         }

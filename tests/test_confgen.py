@@ -11,6 +11,7 @@ from oracles import (
     companion_matrix,
     dense_assemble,
     field_embed,
+    identity,
     krylov_lambda,
     long_division_quotient,
     reverse_coords,
@@ -83,11 +84,9 @@ def flip_gain_bit(monkeypatch, gain, row, bit):
 
     def flipped(q, p, m):
         cfg = real(q, p, m)
-        gains = list(cfg.gains)
-        rows = list(gains[gain].rows)
-        rows[row] ^= 1 << bit
-        gains[gain] = BitMatrix(rows, m)
-        return SigmaConfig(m, cfg.b, gains)
+        rows = list(cfg.rows)
+        rows[row] ^= 1 << (gain * m + bit)
+        return SigmaConfig(m, cfg.b, rows)
 
     monkeypatch.setattr(confgen, "assemble_config", flipped)
 
@@ -193,7 +192,7 @@ class TestIteration:
         k = data.draw(st.integers(0, total))
         fills = FillBits.from_seed(m, total, seed, "online-fill")
         offline = FillBits(m, fills.vectors[:k])
-        y = BitMatrix.identity(m)
+        y = identity(m)
         stepwise = [y]
         for i in range(1, total + 1):
             w, active = m + i - 1, i % m
@@ -242,7 +241,7 @@ class TestIteration:
     @pytest.mark.parametrize("m,fill", [(1, 1), (1, 7), (1, -3), (2, 2), (3, -1), (3, 4)])
     def test_fill_wider_than_m_minus_1_bits_is_refused(self, m, fill):
         # at m = 1 the fill has no bit to carry, as FillBits(1, [1]) refuses
-        y = BitMatrix.identity(m)
+        y = identity(m)
         with pytest.raises(ValueError, match=f"fill needs exactly {m - 1} bits"):
             y_iterate(y, 1, pipeline_poly(m), fill)
         with pytest.raises(ValueError):
@@ -252,7 +251,7 @@ class TestIteration:
         assert y_iterate(BitMatrix([1], 1), 1, pipeline_poly(1), 0) == BitMatrix([0b10], 2)
 
     def test_stage_degree_must_match_width(self):
-        y = BitMatrix.identity(3)
+        y = identity(3)
         with pytest.raises(DimensionError):
             y_iterate(y, 1, pipeline_poly(4), 0)
 
@@ -279,7 +278,7 @@ class TestIteration:
 
     def test_offline_k0_is_identity(self):
         y = y_offline(3, 2, 0, FillBits(3, []))
-        assert y == BitMatrix.identity(3)
+        assert y == identity(3)
 
     def test_offline_needs_enough_fill(self):
         with pytest.raises(ValueError):
@@ -298,7 +297,7 @@ class TestQAndAssembly:
             cur = [companion_vec_mul(r, poly) for r in cur]
 
     def test_build_q_validates_degree(self):
-        y = BitMatrix.identity(2)
+        y = identity(2)
         with pytest.raises(DimensionError):
             build_q(y, pipeline_poly(4))
 
@@ -359,7 +358,7 @@ class TestQAndAssembly:
     def test_q_must_stack_p_multiples(self):
         p = pipeline_poly(4)
         with pytest.raises(NotMCompanionError):
-            assemble_config(BitMatrix.identity(4), p, 2)
+            assemble_config(identity(4), p, 2)
 
 
 class TestEmbedding:
@@ -370,37 +369,33 @@ class TestEmbedding:
         moduli = [table[d].coeffs for d in range(2, 513)]
         moduli += [kdfc.target_poly().coeffs, 0x11B]
         rng = random.Random(11)
-        by_clmul = []
+        dense = []
         for pc in moduli:
             w = pc.bit_length() - 1
-            shifts, mu, mu_shifts, tail = _stage_constants(pc)
+            shifts, mu_shifts, tail = _stage_constants(pc)
             # Barrett's mu = floor(x^2w / p) is p itself exactly when p is sparse,
             # and then the fold tail of the products by lambda is p's own
-            assert mu == long_division_quotient(1 << (2 * w), pc)
+            mu = long_division_quotient(1 << (2 * w), pc)
             assert mu == (Gf2Poly(1 << (2 * w)) // Gf2Poly(pc)).coeffs
             assert (mu == pc) == (_sparse_tail(pc) is not None)
             assert tail == _sparse_tail(pc)
             assert shifts == _shifts(_exponents(pc)) and mu_shifts == _shifts(_exponents(mu))
-            # _over_xw takes the shift route for at most five terms
-            assert (shifts is None) == (pc.bit_count() > 5)
-            assert (mu_shifts is None) == (mu.bit_count() > 5)
-            if shifts is None or mu_shifts is None:
-                by_clmul.append(pc)
+            if len(shifts) > 4 or len(mu_shifts) > 4:
+                dense.append(pc)
+            # _over_xw is one shift and xor per term, whatever the weight
             vs = [0, 1, 1 << (w - 1), (1 << w) - 1] + [rng.getrandbits(w) for _ in range(4)]
             us = _reversed_rows(vs, w)
             assert us == [reverse_coords(v, w) for v in vs]
-            gs = _over_xw(pc, shifts, us)
+            gs = _over_xw(shifts, us)
             assert gs == [field_embed(v, pc) for v in vs]
-            assert _over_xw(mu, mu_shifts, gs) == us
-            # the clmul route gives the same maps
-            assert _over_xw(pc, None, us) == gs and _over_xw(mu, None, gs) == us
+            assert _over_xw(mu_shifts, gs) == us
             # e_1 (the last coordinate) is the field's 1 in reversed coordinates
             assert gs[2] == 1
             g = rng.getrandbits(w)
-            assert _reversed_rows(_over_xw(mu, mu_shifts, [g]), w) == [triangular_unembed(g, pc)]
-        # both maps are shifts and xors at every table degree, 2, 8 and 12
-        # included (their mu has at most five terms); the dense target is not
-        assert by_clmul == [kdfc.target_poly().coeffs]
+            assert _reversed_rows(_over_xw(mu_shifts, [g]), w) == [triangular_unembed(g, pc)]
+        # p and mu have at most five terms at every table degree, 2, 8 and 12
+        # included; the dense target is the one modulus past that
+        assert dense == [kdfc.target_poly().coeffs]
 
 
 class TestGenerateConfig:
@@ -542,7 +537,7 @@ class TestCounting:
                 BitMatrix([(enc >> (j * 4 + i * 2)) & mask for i in range(2)], 2)
                 for j in range(2)
             ]
-            cfg = SigmaConfig(2, 2, gains)
+            cfg = SigmaConfig.from_gains(2, 2, gains)
             if is_primitive(config_char_poly(cfg)):
                 hits += 1
                 assert period(cfg, LfsrState(2, [1, 0])) == 15

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from conftest import KAT_IV, KAT_KEY
-from oracles import lfsr_step, reciprocal
+from oracles import identity, lfsr_step, reciprocal
 
 from kdfc_snow.confgen import FillBits, pipeline_poly, y_iterate, y_offline
 from kdfc_snow.gf2.linalg import BitMatrix, rank
@@ -324,11 +324,10 @@ class TestReconfigure:
         assert swapped.cfg == snow2_gains()
 
     def test_dimension_mismatch(self):
-        from kdfc_snow.gf2.linalg import BitMatrix
         from kdfc_snow.sigma_lfsr import SigmaConfig
 
         st = kdfc_init(KdfcParams(key=KAT_KEY, iv=KAT_IV))
-        small = SigmaConfig(2, 2, [BitMatrix.identity(2)] * 2)
+        small = SigmaConfig.from_gains(2, 2, [identity(2)] * 2)
         with pytest.raises(ValueError):
             reconfigure(st, small)
 

@@ -1,6 +1,7 @@
 """Word-oriented LFSR: structure, stepping equivalence, periods."""
 
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +13,12 @@ from oracles import (
     dense_char_poly,
     extract_config,
     from_bits,
+    identity,
     lfsr_step,
     orbit_of,
     row_certificate_bits,
     state_from_stacked,
+    zeros,
 )
 
 from kdfc_snow.gf2 import linalg
@@ -42,9 +45,16 @@ from kdfc_snow.snow2 import CipherState, FsmState
 
 
 def random_config(rng, m, b):
-    return SigmaConfig(
+    return SigmaConfig.from_gains(
         m, b, [BitMatrix([rng.getrandbits(m) for _ in range(m)], m) for _ in range(b)]
     )
+
+
+def zero_gains(cfg, zeroed):
+    """cfg with the gains B_i, i in zeroed, replaced by zero matrices."""
+    m = cfg.m
+    gains = [zeros(m, m) if i in zeroed else g for i, g in enumerate(cfg.gains())]
+    return SigmaConfig.from_gains(m, cfg.b, gains)
 
 
 def primitive_config(m, b, seed="period-check"):
@@ -68,9 +78,37 @@ def small_states(draw):
 class TestSigmaConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            SigmaConfig(2, 2, [BitMatrix.identity(2)])  # wrong gain count
+            SigmaConfig.from_gains(2, 2, [identity(2)])  # wrong gain count
         with pytest.raises(ValueError):
-            SigmaConfig(2, 1, [BitMatrix.identity(3)])  # wrong gain size
+            SigmaConfig.from_gains(2, 1, [identity(3)])  # wrong gain size
+
+    @pytest.mark.parametrize("m,b,rows", [
+        (0, 1, []),
+        (2, 0, [0, 0]),
+        (2, 2, [0]),  # too few rows
+        (2, 2, [0, 0, 0]),  # too many
+        (2, 2, [0, 16]),  # wider than mb = 4 bits
+        (2, 2, [-1, 0]),
+        (1, 1, [True]),
+        (1, 1, [1.0]),
+        (1, 1, ["1"]),
+    ])
+    def test_rows_validation(self, m, b, rows):
+        with pytest.raises(ValueError):
+            SigmaConfig(m, b, rows)
+
+    def test_rows_hold_the_gain_blocks(self):
+        # row r holds row r of B_i at bits [i*m, (i+1)*m)
+        b0, b1 = BitMatrix([0b01, 0b11], 2), BitMatrix([0b10, 0b00], 2)
+        cfg = SigmaConfig.from_gains(2, 2, [b0, b1])
+        assert cfg.rows == [0b1001, 0b0011]
+        assert cfg.gains() == [b0, b1]
+        assert SigmaConfig(2, 2, [0b1001, 0b0011]) == cfg
+
+    @pytest.mark.parametrize("m,b", [(1, 1), (3, 2), (5, 3), (32, 16)])
+    def test_gains_split_and_join(self, m, b):
+        cfg = random_config(random.Random(m + b), m, b)
+        assert SigmaConfig.from_gains(m, b, cfg.gains()) == cfg
 
     def test_json_roundtrip(self):
         rng = random.Random(0)
@@ -90,10 +128,11 @@ class TestMatrices:
             for r in range(m):
                 assert c.rows[j * m + r] == 1 << ((j + 1) * m + r)
         # gains across the last block row
+        gains = cfg.gains()
         for i in range(b):
             for r in range(m):
                 got = (c.rows[(b - 1) * m + r] >> (i * m)) & ((1 << m) - 1)
-                assert got == cfg.gains[i].rows[r]
+                assert got == gains[i].rows[r]
 
     @pytest.mark.parametrize("m,b", [(2, 2), (3, 3), (2, 4)])
     def test_extract_roundtrip(self, m, b):
@@ -103,11 +142,11 @@ class TestMatrices:
 
     def test_extract_rejects_non_companion(self):
         with pytest.raises(NotMCompanionError):
-            extract_config(BitMatrix.zeros(4, 4), 2)
+            extract_config(zeros(4, 4), 2)
         with pytest.raises(NotMCompanionError):
-            extract_config(BitMatrix.identity(4), 2)
+            extract_config(identity(4), 2)
         with pytest.raises(NotMCompanionError):
-            extract_config(BitMatrix.identity(4), 3)  # 4 not divisible by 3
+            extract_config(identity(4), 3)  # 4 not divisible by 3
 
     @pytest.mark.parametrize("m,b", [(2, 2), (2, 4), (4, 2)])
     def test_transition_is_config_action_on_stacked_states(self, m, b):
@@ -147,12 +186,9 @@ class TestStepping:
         m, b, blocks, rng = data
         cfg = random_config(rng, m, b)
         zeroed = draw.draw(st.lists(st.booleans(), min_size=b, max_size=b))
-        gains = [
-            BitMatrix.zeros(m, m) if z else g for z, g in zip(zeroed, cfg.gains)
-        ]
-        cfg = SigmaConfig(m, b, gains)
+        cfg = zero_gains(cfg, {i for i, z in enumerate(zeroed) if z})
         mask = (1 << m) - 1
-        for k, g in enumerate(reversed(gains)):
+        for k, g in enumerate(reversed(cfg.gains())):
             if not any(g.rows):
                 assert all((row >> (k * m)) & mask == 0 for row in lane_rows(cfg))
         s = LfsrState(m, blocks)
@@ -170,15 +206,14 @@ class TestStepping:
         # included: the Galois state, step_stacked and the certificate
         # against per-gain products, lfsr_step and the dense char poly
         rng = random.Random(seed)
-        cfg = random_config(rng, m, b)
-        for i in zeroed & set(range(b)):
-            cfg.gains[i] = BitMatrix.zeros(m, m)
+        cfg = zero_gains(random_config(rng, m, b), zeroed)
         s = LfsrState(m, [rng.getrandbits(m) for _ in range(b)])
         z = galois_state(cfg, s.blocks)
+        gains = cfg.gains()
         for k in range(b):
             want = 0
             for i in range(b - k):
-                want ^= mat_vec_mul(s.blocks[k + i], cfg.gains[i])
+                want ^= mat_vec_mul(s.blocks[k + i], gains[i])
             assert (z >> (k * m)) & ((1 << m) - 1) == want
         assert z >> (m * b) == 0
         assert step_stacked(cfg, s.stacked()) == lfsr_step(cfg, s)[0].stacked()
@@ -188,14 +223,14 @@ class TestStepping:
     def test_single_block(self, m):
         # b = 1: the new block is x * B_0, or 0 when B_0 is zero
         rng = random.Random(m)
-        for gain in (random_config(rng, m, 1).gains[0], BitMatrix.zeros(m, m)):
-            cfg = SigmaConfig(m, 1, [gain])
+        for gain in (random_config(rng, m, 1).gains()[0], zeros(m, m)):
+            cfg = SigmaConfig.from_gains(m, 1, [gain])
             for _ in range(10):
                 s = LfsrState(m, [rng.getrandbits(m)])
                 assert step_stacked(cfg, s.stacked()) == lfsr_step(cfg, s)[0].stacked()
 
     def test_all_zero_gains_shift_in_zeros(self):
-        cfg = SigmaConfig(32, 16, [BitMatrix.zeros(32, 32)] * 16)
+        cfg = SigmaConfig(32, 16, [0] * 32)
         assert not any(any(table) for table in cfg.byte_tables())
         v = random.Random(0).getrandbits(512)
         assert step_stacked(cfg, v) == v >> 32
@@ -217,7 +252,7 @@ class TestStepping:
     def test_dimension_mismatch(self):
         # step_stacked takes a bare integer; the state/config guard is
         # CipherState's
-        cfg = SigmaConfig(2, 2, [BitMatrix.identity(2)] * 2)
+        cfg = SigmaConfig.from_gains(2, 2, [identity(2)] * 2)
         with pytest.raises(ValueError):
             CipherState(LfsrState(2, [1, 2, 3]), FsmState(), cfg)
 
@@ -255,11 +290,7 @@ class TestJumpTables:
         # products with the oracle's transition matrix
         m, b, blocks, rng = data
         zeroed = draw.draw(st.lists(st.booleans(), min_size=b, max_size=b))
-        gains = [
-            BitMatrix.zeros(m, m) if z else g
-            for z, g in zip(zeroed, random_config(rng, m, b).gains)
-        ]
-        cfg = SigmaConfig(m, b, gains)
+        cfg = zero_gains(random_config(rng, m, b), {i for i, z in enumerate(zeroed) if z})
         t = build_transition_matrix(cfg)
         for v in (LfsrState(m, blocks).stacked(), 1, (1 << (m * b)) - 1):
             want = v
@@ -277,7 +308,7 @@ class TestJumpTables:
         widths = [min(8, m - 8 * k) for k in range((m + 7) // 8)]
         assert [len(table) for table in lanes] == [1 << w for w in widths]
         assert lane_rows(cfg) == [
-            sum(g.rows[r] << (k * m) for k, g in enumerate(reversed(cfg.gains)))
+            sum(g.rows[r] << (k * m) for k, g in enumerate(reversed(cfg.gains())))
             for r in range(m)
         ]
         v = random.Random(b).getrandbits(m * b)
@@ -299,7 +330,7 @@ class TestCharPoly:
     def test_known_single_block(self):
         # b = 1: the configuration matrix is the gain itself
         g = from_bits([[0, 1], [1, 1]])
-        cfg = SigmaConfig(2, 1, [g])
+        cfg = SigmaConfig.from_gains(2, 1, [g])
         assert config_char_poly(cfg) == Gf2Poly.from_exponents([2, 1, 0])
 
     @settings(max_examples=80, deadline=None)
@@ -310,8 +341,8 @@ class TestCharPoly:
         rows = st.lists(st.integers(0, (1 << m) - 1), min_size=m, max_size=m)
         gains = [BitMatrix(data.draw(rows), m) for _ in range(b)]
         for i in data.draw(st.sets(st.integers(0, b - 1))):
-            gains[i] = BitMatrix.zeros(m, m)
-        cfg = SigmaConfig(m, b, gains)
+            gains[i] = zeros(m, m)
+        cfg = SigmaConfig.from_gains(m, b, gains)
         assert config_char_poly(cfg) == dense_char_poly(cfg)
 
     def test_cyclic_configs_skip_the_dense_route(self, monkeypatch):
@@ -328,14 +359,16 @@ class TestCharPoly:
         assert [config_char_poly(cfg) for cfg in cfgs] == want
 
     def test_zero_and_non_cyclic_configs_take_the_dense_route(self, monkeypatch):
-        zero = SigmaConfig(3, 2, [BitMatrix.zeros(3, 3)] * 2)
-        identity = SigmaConfig(2, 1, [BitMatrix.identity(2)])  # (x + 1)^2, non-cyclic
+        zero = SigmaConfig.from_gains(3, 2, [zeros(3, 3)] * 2)
+        eye = SigmaConfig.from_gains(2, 1, [identity(2)])  # (x + 1)^2, non-cyclic
         # a companion matrix of x (x^2 + x + 1), but the bits from e_0 repeat
         # 1, 1, 0 and have minimal polynomial x^2 + x + 1
-        blocks = SigmaConfig(1, 3, [BitMatrix([0], 1), BitMatrix([1], 1), BitMatrix([1], 1)])
+        blocks = SigmaConfig.from_gains(
+            1, 3, [BitMatrix([0], 1), BitMatrix([1], 1), BitMatrix([1], 1)]
+        )
         cases = [
             (zero, Gf2Poly.from_exponents([6])),
-            (identity, Gf2Poly.from_exponents([2, 0])),
+            (eye, Gf2Poly.from_exponents([2, 0])),
             (blocks, Gf2Poly.from_exponents([3, 2, 1])),
         ]
         calls = []
@@ -369,16 +402,14 @@ class TestTransposedCertificate:
         zeroed=st.sets(st.integers(0, 15)),
     )
     def test_sequence_matches_row_stepping(self, m, b, seed, zeroed):
-        cfg = random_config(random.Random(seed), m, b)
-        for i in zeroed & set(range(b)):
-            cfg.gains[i] = BitMatrix.zeros(m, m)
+        cfg = zero_gains(random_config(random.Random(seed), m, b), zeroed)
         bits = certificate_bits(cfg)
         assert cfg._byte_tables is not None  # the keystream's own tables
         assert bits == row_certificate_bits(cfg)
 
     @pytest.mark.parametrize("m,b", [(1, 1), (5, 2), (32, 16)])
     def test_all_gains_zero(self, m, b):
-        cfg = SigmaConfig(m, b, [BitMatrix.zeros(m, m)] * b)
+        cfg = SigmaConfig.from_gains(m, b, [zeros(m, m)] * b)
         bits = certificate_bits(cfg)
         assert bits == row_certificate_bits(cfg) == [1] + [0] * (2 * m * b - 1)
 
@@ -399,8 +430,8 @@ class TestTransposedCertificate:
         # f = x^b + sum c_i x^i, so the char poly is f^m and, for m >= 2, the
         # minimal polynomial f is too short: the dense route decides
         b = len(cs)
-        gains = [BitMatrix.identity(m) if c else BitMatrix.zeros(m, m) for c in cs]
-        cfg = SigmaConfig(m, b, gains)
+        gains = [identity(m) if c else zeros(m, m) for c in cs]
+        cfg = SigmaConfig.from_gains(m, b, gains)
         f = Gf2Poly.from_exponents([b] + [i for i, c in enumerate(cs) if c])
         want = Gf2Poly(1)
         for _ in range(m):
@@ -430,7 +461,7 @@ class TestPeriod:
 
     def test_non_primitive_short_period(self):
         # x^4 + 1 = (x+1)^4: nilpotent-plus-identity dynamics, period 4 orbits
-        cfg = SigmaConfig(1, 4, [BitMatrix([1], 1)] + [BitMatrix([0], 1)] * 3)
+        cfg = SigmaConfig.from_gains(1, 4, [BitMatrix([1], 1)] + [BitMatrix([0], 1)] * 3)
         assert config_char_poly(cfg) == Gf2Poly.from_exponents([4, 0])
         assert period(cfg, LfsrState(1, [1, 0, 0, 0])) < 15
 
@@ -438,9 +469,33 @@ class TestPeriod:
         cfg = primitive_config(2, 2)
         with pytest.raises(PeriodGuardError):
             period(cfg, LfsrState(2, [0, 0]))
-        big = SigmaConfig(32, 16, [BitMatrix.zeros(32, 32)] * 16)
+        big = SigmaConfig.from_gains(32, 16, [zeros(32, 32)] * 16)
         with pytest.raises(PeriodGuardError):
             period(big, LfsrState(32, [1] + [0] * 15))
+
+    @pytest.mark.parametrize("m,b,gains", [
+        # B_0 = 0 at m = 1: the seed [1, 0] steps to [0, 0] and stays there
+        (1, 2, [BitMatrix([0], 1), BitMatrix([1], 1)]),
+        # B_0 of rank 1 at m = 2, with dense B_1
+        (2, 2, [BitMatrix([0b11, 0b11], 2), BitMatrix([0b10, 0b01], 2)]),
+        (3, 1, [BitMatrix([0b001, 0b010, 0b011], 3)]),
+    ])
+    def test_singular_step_refused_before_stepping(self, m, b, gains):
+        # a singular B_0 makes the step non-injective, so the seed need not
+        # recur; stepping would never return
+        cfg = SigmaConfig.from_gains(m, b, gains)
+
+        def expire(signum, frame):
+            raise TimeoutError("period did not return within 1 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            with pytest.raises(PeriodGuardError, match="singular"):
+                period(cfg, LfsrState(m, [1] + [0] * (b - 1)))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestFullScalePeriodEvidence:

@@ -17,9 +17,11 @@ from oracles import (
     AES_SBOX,
     ALPHA_INV,
     Snow2Ref,
+    build_alpha_matrices,
     clock_oracle,
     f32_mul,
     gf8_mul,
+    identity,
     keystream_oracle,
     lfsr_step,
     ref_alpha_inv_mul,
@@ -27,6 +29,7 @@ from oracles import (
     ref_sbox,
     vec_to_word,
     word_to_vec,
+    zeros,
 )
 
 from kdfc_snow.gf2.linalg import BitMatrix, mat_mul, mat_vec_mul
@@ -40,7 +43,6 @@ from kdfc_snow.snow2 import (
     alpha_inv_mul,
     alpha_mul,
     boxplus,
-    build_alpha_matrices,
     fsm_step,
     init_with_captures,
     load_state_words,
@@ -98,7 +100,7 @@ class TestFieldArithmetic:
         for w in sample_words("matrix", 40):
             assert mat_vec_mul(w, a) == alpha_mul(w)
             assert mat_vec_mul(w, a_inv) == alpha_inv_mul(w)
-        assert mat_mul(a, a_inv) == BitMatrix.identity(32)
+        assert mat_mul(a, a_inv) == identity(32)
 
 
 class TestByteFields:
@@ -199,7 +201,7 @@ class TestInit:
     def test_wrong_size_config_rejected(self):
         from kdfc_snow.sigma_lfsr import SigmaConfig
 
-        small = SigmaConfig(2, 2, [BitMatrix.identity(2)] * 2)
+        small = SigmaConfig.from_gains(2, 2, [identity(2)] * 2)
         with pytest.raises(ValueError):
             snow2_init([0] * 8, [0] * 4, cfg=small)
 
@@ -243,7 +245,7 @@ class TestKeystream:
         from kdfc_snow.sigma_lfsr import SigmaConfig
 
         rng = random.Random(seed)
-        cfg = SigmaConfig(32, 16, [
+        cfg = SigmaConfig.from_gains(32, 16, [
             BitMatrix([rng.getrandbits(32) for _ in range(32)], 32)
             for _ in range(16)
         ])
@@ -266,11 +268,12 @@ class TestGains:
         cfg = snow2_gains()
         a, a_inv = build_alpha_matrices()
         assert cfg.m == 32 and cfg.b == 16
-        assert cfg.gains[0] == a
-        assert cfg.gains[2] == BitMatrix.identity(32)
-        assert cfg.gains[11] == a_inv
+        gains = cfg.gains()
+        assert gains[0] == a
+        assert gains[2] == identity(32)
+        assert gains[11] == a_inv
         for j in set(range(16)) - {0, 2, 11}:
-            assert cfg.gains[j] == BitMatrix.zeros(32, 32)
+            assert gains[j] == zeros(32, 32)
         # four lanes of L: block k of L(e_r) is row r of B_{15-k}, so only
         # blocks 15, 13 and 4 (B_0, B_2, B_11) are ever nonzero
         lanes = cfg.byte_tables()
@@ -287,7 +290,7 @@ class TestGains:
 
 def fresh_copy(state):
     """The same running state on a configuration object of its own, no tables."""
-    cfg = SigmaConfig(state.cfg.m, state.cfg.b, state.cfg.gains)
+    cfg = SigmaConfig(state.cfg.m, state.cfg.b, state.cfg.rows)
     return CipherState(state.lfsr.copy(), state.fsm.copy(), cfg)
 
 
@@ -298,11 +301,11 @@ def object_words(state, n):
 
 def dense_config(rng, zeroed=()):
     gains = [
-        BitMatrix.zeros(32, 32) if i in zeroed
+        zeros(32, 32) if i in zeroed
         else BitMatrix([rng.getrandbits(32) for _ in range(32)], 32)
         for i in range(16)
     ]
-    return SigmaConfig(32, 16, gains)
+    return SigmaConfig.from_gains(32, 16, gains)
 
 
 # KDFC-SNOW's first words under KAT_KEY/KAT_IV (KEYED_KAT in test_kdfc.py)
@@ -386,7 +389,7 @@ class TestJumpRoute:
         # the FSM needs 32x16, so a cipher state refuses these shapes; the
         # generic one-step function still steps them through the lane tables
         rng = random.Random(f"{m}x{b}")
-        cfg = SigmaConfig(m, b, [
+        cfg = SigmaConfig.from_gains(m, b, [
             BitMatrix([rng.getrandbits(m) for _ in range(m)], m) for _ in range(b)
         ])
         s = LfsrState(m, [rng.getrandbits(m) for _ in range(b)])
@@ -400,7 +403,7 @@ class TestJumpRoute:
 
     @pytest.mark.parametrize("m,b", [(16, 32), (4, 4)])
     def test_cipher_state_refuses_other_shapes(self, m, b):
-        cfg = SigmaConfig(m, b, [BitMatrix.identity(m)] * b)
+        cfg = SigmaConfig.from_gains(m, b, [identity(m)] * b)
         with pytest.raises(ValueError, match=f"{m}x{b}"):
             CipherState(LfsrState(m, [1] * b), FsmState(), cfg)
 
