@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from kdfc_snow import attacks, kdfc, randtests, symbolic
+from kdfc_snow import attacks, kdfc, symbolic
 from kdfc_snow.confgen import (
     MAX_ENUMERATION_BITS,
     FillBits,
@@ -37,12 +37,7 @@ from kdfc_snow.gf2.poly import (
     is_primitive,
     parse_exponents,
 )
-from kdfc_snow.sigma_lfsr import (
-    LfsrState,
-    SigmaConfig,
-    config_char_poly,
-    period,
-)
+from kdfc_snow.sigma_lfsr import SigmaConfig, config_char_poly, period
 from kdfc_snow.snow2 import (
     CipherState,
     FsmState,
@@ -174,11 +169,7 @@ def _load_state(path: str) -> CipherState:
         doc = json.load(fh)
     kdfc.check_shape(doc, _STATE_SHAPE, "state document")
     cfg = SigmaConfig.from_json(doc["config"])
-    state = CipherState(
-        LfsrState(cfg.m, doc["lfsr"]),
-        FsmState(doc["fsm"]["r1"], doc["fsm"]["r2"]),
-        cfg,
-    )
+    state = CipherState(doc["lfsr"], FsmState(doc["fsm"]["r1"], doc["fsm"]["r2"]), cfg)
     if config_char_poly(cfg) != kdfc.target_poly():
         raise ValueError("state configuration lacks the target characteristic polynomial")
     if doc["char_poly"] != kdfc.target_poly().to_json():
@@ -194,7 +185,7 @@ def _config_doc(cfg: SigmaConfig, char_poly: Gf2Poly, **fields) -> dict:
 
 def _cmd_kdfc_init(args) -> int:
     state = _kdfc_state(args)
-    doc = {**_config_doc(state.cfg, kdfc.target_poly()), "lfsr": list(state.lfsr.blocks),
+    doc = {**_config_doc(state.cfg, kdfc.target_poly()), "lfsr": state.lfsr,
            "fsm": {"r1": state.fsm.r1, "r2": state.fsm.r2}}
     _emit(json.dumps(doc, indent=2), args.out)
     return 0
@@ -288,6 +279,8 @@ def _cmd_analyze_gd(args) -> int:
 
 
 def _cmd_randtest(args) -> int:
+    from kdfc_snow import randtests  # numpy: only this command pays its import
+
     if args.infile == "-":
         text = sys.stdin.read()
     else:
@@ -377,8 +370,7 @@ def _cmd_verify_count(args) -> int:
 def _cmd_verify_period(args) -> int:
     p = _resolve_poly(args, args.m * args.b)
     cfg = _seeded_config(args.m, args.b, args.k, args.seed, p)
-    blocks = [1] + [0] * (args.b - 1)
-    got = period(cfg, LfsrState(args.m, blocks))
+    got = period(cfg, [1] + [0] * (args.b - 1))
     want = (1 << (args.m * args.b)) - 1
     ok = got == want
     _emit(

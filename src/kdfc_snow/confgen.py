@@ -71,7 +71,7 @@ from kdfc_snow.gf2.poly import (
     inv_mod,
 )
 from kdfc_snow.gf2.primtable import primitive_poly
-from kdfc_snow.sigma_lfsr import NotMCompanionError, SigmaConfig
+from kdfc_snow.sigma_lfsr import SigmaConfig
 
 __all__ = [
     "FillBits",
@@ -273,8 +273,8 @@ def y_offline(m: int, b: int, k: int, fill: FillBits) -> BitMatrix:
 def build_q(y: BitMatrix, p: Gf2Poly) -> BitMatrix:
     """Stack Y * P^j for j = 0..b-1 into the mb x mb change-of-basis Q.
 
-    Q is not checked for singularity here: assemble_config eliminates Q
-    once for its row solves and raises SingularMatrixError there.
+    Q is not checked for singularity here: assemble_config builds Q and
+    eliminates it once for its row solves, raising SingularMatrixError there.
     """
     m, n = y.nrows, y.ncols
     if n % m:
@@ -287,26 +287,19 @@ def build_q(y: BitMatrix, p: Gf2Poly) -> BitMatrix:
     return BitMatrix(rows, n)
 
 
-def assemble_config(q: BitMatrix, p: Gf2Poly, m: int) -> SigmaConfig:
-    """The configuration C = Q * companion(p) * Q^{-1}, without forming C.
+def assemble_config(y: BitMatrix, p: Gf2Poly) -> SigmaConfig:
+    """The configuration C = Q * companion(p) * Q^{-1} of Q = build_q(y, p),
+    without forming C.
 
-    Q must stack successive P-multiples (as build_q does), so that block j
-    of Q times P is block j+1: then C * Q = Q * P makes block row j of C the
-    identity at block column j+1, and the feedback rows of C are the solutions
-    x of x * Q = v_r = (last block of Q)[r] * P.  gf2.linalg._solve_rows
-    solves all m on one forward elimination of Q's rows with the v_r
-    appended, and refuses a singular Q (SingularMatrixError).
+    Block j of Q times P is block j+1, so C * Q = Q * P makes block row j
+    of C the identity at block column j+1, and the feedback rows of C are
+    the solutions x of x * Q = v_r = (last block of Q)[r] * P.
+    gf2.linalg._solve_rows solves all m on one forward elimination of Q's
+    rows with the v_r appended, and refuses a singular Q
+    (SingularMatrixError).
     """
-    n = q.nrows
-    if q.ncols != n:
-        raise DimensionError(f"Q is {n}x{q.ncols}, expected square")
-    if p.degree != n:
-        raise DimensionError(f"polynomial degree {p.degree} != Q size {n}")
-    if m < 1 or n % m:
-        raise DimensionError(f"Q size {n} is not a multiple of m={m}")
-    rows = q.rows
-    if any(companion_vec_mul(rows[i], p) != rows[i + m] for i in range(n - m)):
-        raise NotMCompanionError("Q blocks are not successive multiples by P")
+    m, n = y.nrows, y.ncols
+    rows = build_q(y, p).rows
     try:
         xs = _solve_rows(rows, [companion_vec_mul(r, p) for r in rows[n - m:]])
     except SingularMatrixError:
@@ -349,8 +342,7 @@ def generate_config(
     last_active = total % m
     order = [(last_active + 1 + t) % m for t in range(m)]
     y = BitMatrix(_reversed_rows([rows[t] for t in order], n), n)
-    q = build_q(y, p)
-    cfg = assemble_config(q, p, m)
+    cfg = assemble_config(y, p)
     if verify:
         from kdfc_snow.sigma_lfsr import config_char_poly
 

@@ -72,9 +72,6 @@ class BitMatrix:
 
     # -- basic access ------------------------------------------------------
 
-    def get(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
@@ -91,9 +88,6 @@ class BitMatrix:
 
     def __hash__(self) -> int:
         return hash((tuple(self.rows), self.ncols))
-
-    def __mul__(self, other: "BitMatrix") -> "BitMatrix":
-        return mat_mul(self, other)
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.nrows}x{self.ncols})"

@@ -125,9 +125,6 @@ class PrimitiveTable:
             return cls(Path(override).read_text())
         return cls(_default_data_text(_POLY_FILE))
 
-    def degrees(self) -> list[int]:
-        return sorted(self._entries)
-
     def __contains__(self, degree: int) -> bool:
         return degree in self._entries
 

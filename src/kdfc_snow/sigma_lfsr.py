@@ -48,8 +48,6 @@ from kdfc_snow.gf2.poly import Gf2Poly
 
 __all__ = [
     "SigmaConfig",
-    "LfsrState",
-    "NotMCompanionError",
     "PeriodGuardError",
     "build_config_matrix",
     "config_char_poly",
@@ -59,10 +57,6 @@ __all__ = [
 ]
 
 PERIOD_GUARD_BITS = 24
-
-
-class NotMCompanionError(ValueError):
-    """A matrix lacks the block-companion structure of a sigma-LFSR."""
 
 
 class PeriodGuardError(ValueError):
@@ -169,41 +163,19 @@ class SigmaConfig:
         return self._byte_tables
 
 
-class LfsrState:
-    """Delay-block contents x_n..x_{n+b-1}, each an m-bit word."""
-
-    __slots__ = ("m", "blocks")
-
-    def __init__(self, m: int, blocks: list[int]):
-        if m < 1:
-            raise DimensionError("need m >= 1")
-        mask = (1 << m) - 1
-        for i, w in enumerate(blocks):
-            if type(w) is not int:
-                raise ValueError(f"block {i} is not an integer: {w!r}")
-            if w < 0 or w & ~mask:
-                raise ValueError(f"block {i} not an {m}-bit word: {w:#x}")
-        self.m = m
-        self.blocks = list(blocks)
-
-    @property
-    def b(self) -> int:
-        return len(self.blocks)
-
-    def stacked(self) -> int:
-        """All blocks as one mb-bit integer, block i at bits [i*m, (i+1)*m)."""
-        acc = 0
-        for i, w in enumerate(self.blocks):
-            acc |= w << (i * self.m)
-        return acc
-
-    def copy(self) -> "LfsrState":
-        return LfsrState(self.m, self.blocks)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LfsrState):
-            return NotImplemented
-        return self.m == other.m and self.blocks == other.blocks
+def _check_words(words: list[int], m: int, b: int) -> int:
+    """Refuse anything but b m-bit int words x_0..x_{b-1} (a bool is not
+    an int here); return them stacked, x_i at bits [i*m, (i+1)*m)."""
+    if len(words) != b:
+        raise ValueError("LFSR state does not match configuration dimensions")
+    acc = 0
+    for i, w in enumerate(words):
+        if type(w) is not int:
+            raise ValueError(f"block {i} is not an integer: {w!r}")
+        if w < 0 or w >> m:
+            raise ValueError(f"block {i} not an {m}-bit word: {w:#x}")
+        acc |= w << (i * m)
+    return acc
 
 
 def build_config_matrix(cfg: SigmaConfig) -> BitMatrix:
@@ -238,16 +210,17 @@ def step_stacked(cfg: SigmaConfig, v: int) -> int:
     return (v >> m) | (feedback << ((b - 1) * m))
 
 
-def period(cfg: SigmaConfig, s0: LfsrState) -> int:
-    """Least t > 0 returning to the seed state; guarded to mb <= 24.
+def period(cfg: SigmaConfig, words: list[int]) -> int:
+    """Least t > 0 returning to the seed x_0..x_{b-1}; guarded to mb <= 24.
 
-    The step is a bijection exactly when B_0 is invertible; otherwise a
-    seed need not recur, so a singular B_0 is refused before stepping.
+    The seed is b m-bit words, oldest first.  The step is a bijection
+    exactly when B_0 is invertible; otherwise a seed need not recur, so a
+    singular B_0 is refused before stepping.
     """
     m, n = cfg.m, cfg.m * cfg.b
     if n > PERIOD_GUARD_BITS:
         raise PeriodGuardError(f"state space 2^{n} exceeds the 2^{PERIOD_GUARD_BITS} guard")
-    start = s0.stacked()
+    start = _check_words(words, m, cfg.b)
     if start == 0:
         raise PeriodGuardError("zero seed is a fixed point; period undefined")
     mask = (1 << m) - 1

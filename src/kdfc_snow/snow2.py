@@ -33,7 +33,7 @@ so CipherState refuses any other configuration shape.
 from __future__ import annotations
 
 from kdfc_snow.gf2.poly import _mulmod_int
-from kdfc_snow.sigma_lfsr import LfsrState, SigmaConfig, galois_state
+from kdfc_snow.sigma_lfsr import SigmaConfig, _check_words, galois_state
 
 __all__ = [
     "FsmState",
@@ -216,18 +216,18 @@ class FsmState:
 
 
 class CipherState:
-    """LFSR blocks + FSM registers + the active feedback configuration."""
+    """The 16 LFSR words s_t..s_{t+15} (a list, oldest first), the FSM
+    registers and the active feedback configuration."""
 
     __slots__ = ("lfsr", "fsm", "cfg")
 
-    def __init__(self, lfsr: LfsrState, fsm: FsmState, cfg: SigmaConfig):
+    def __init__(self, lfsr: list[int], fsm: FsmState, cfg: SigmaConfig):
         if (cfg.m, cfg.b) != (32, 16):
             raise ValueError(
                 f"cipher configuration is {cfg.m}x{cfg.b}, expected m=32, b=16"
             )
-        if lfsr.m != cfg.m or lfsr.b != cfg.b:
-            raise ValueError("LFSR state does not match configuration dimensions")
-        self.lfsr = lfsr
+        _check_words(lfsr, 32, 16)
+        self.lfsr = list(lfsr)
         self.fsm = fsm
         self.cfg = cfg
 
@@ -292,7 +292,7 @@ def init_with_captures(
         if _snow2_cfg is None:
             _snow2_cfg = snow2_gains()
         cfg = _snow2_cfg
-    state = CipherState(LfsrState(32, load_state_words(key, iv)), FsmState(0, 0), cfg)
+    state = CipherState(load_state_words(key, iv), FsmState(0, 0), cfg)
     return state, _clock(state, 32, True)
 
 
@@ -312,7 +312,7 @@ def _clock(state: CipherState, n: int, init: bool) -> list[int]:
     """
     t0, t1, t2, t3 = state.cfg.byte_tables()
     s0, s1, s2, s3 = _STAB
-    seq = list(state.lfsr.blocks)
+    seq = list(state.lfsr)
     z = galois_state(state.cfg, seq)
     r1, r2 = state.fsm.r1, state.fsm.r2
     words = []
@@ -330,6 +330,6 @@ def _clock(state: CipherState, n: int, init: bool) -> list[int]:
             emit(f ^ seq[t])
         push(x)
         z = (z >> 32) ^ t0[x & 0xFF] ^ t1[(x >> 8) & 0xFF] ^ t2[(x >> 16) & 0xFF] ^ t3[x >> 24]
-    state.lfsr = LfsrState(32, seq[-16:])
+    state.lfsr = seq[-16:]
     state.fsm = FsmState(r1, r2)
     return words

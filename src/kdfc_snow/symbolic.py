@@ -136,12 +136,6 @@ class AnfPoly:
             return NEG_INF
         return max(t.bit_count() for t in self.terms)
 
-    def variables(self) -> set[int]:
-        mask = 0
-        for t in self.terms:
-            mask |= t
-        return set(_indices(mask))
-
     def eval(self, bits: int) -> int:
         """Evaluate with variable x_v taken from bit v-1 of ``bits``."""
         acc = 0

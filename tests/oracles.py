@@ -19,14 +19,14 @@ route than the package:
   elimination, instead of the package's field-embedding inversion.
 * gf2_matmul_numpy checks bit-packed matrix products against numpy
   integer arithmetic mod 2.
-* lfsr_step steps a sigma-LFSR on its list of blocks with one matrix-vector
+* lfsr_step steps a sigma-LFSR on its list of words with one matrix-vector
   product per gain, zero gains included, instead of the package's
   step_stacked through the Galois byte-lane tables of all the gains.
 * orbit_of walks a seed's orbit by multiplying the stacked state with the
   transition matrix, instead of the package's step_stacked that period()
   uses.
-* clock_oracle and keystream_oracle run SNOW 2.0's clocks on LfsrState and
-  FsmState objects with lfsr_step and fsm_step, under any 32x16
+* clock_oracle and keystream_oracle run SNOW 2.0's clocks on word lists
+  and FsmState objects with lfsr_step and fsm_step, under any 32x16
   configuration, instead of the package's single Galois-form loop on
   plain ints.
 * long_division_mod and triangular_unembed reduce and un-embed bit by bit
@@ -69,8 +69,8 @@ route than the package:
 The package has no production use for the matrix helpers at the end of
 this file (companion_matrix, krylov_matrix, solve_row, linear_complexity,
 reciprocal, build_transition_matrix, extract_config, identity, zeros,
-build_alpha_matrices, gd_closure, from_bits, to_bits, state_from_stacked,
-sym_from_bitmatrix); they serve the oracles above and the tests.
+build_alpha_matrices, gd_closure, from_bits, to_bits, stacked,
+state_from_stacked, sym_from_bitmatrix); they serve the oracles above and the tests.
 """
 
 from __future__ import annotations
@@ -430,25 +430,25 @@ def row_certificate_bits(cfg) -> list[int]:
 # ---------------------------------------------------------------------------
 # sigma-LFSR stepping oracles
 
-def lfsr_step(cfg, s):
-    """One shift: returns (new state, output word = the oldest block x_n)."""
+def lfsr_step(gains, words):
+    """One shift of words x_n..x_{n+b-1} under gains B_0..B_{b-1}, as split
+    once per configuration by cfg.gains(): (new words, output word x_n)."""
     from kdfc_snow.gf2.linalg import DimensionError, mat_vec_mul
-    from kdfc_snow.sigma_lfsr import LfsrState
 
-    if s.m != cfg.m or s.b != cfg.b:
+    if len(words) != len(gains):
         raise DimensionError("state and configuration dimensions differ")
     feedback = 0
-    for w, g in zip(s.blocks, cfg.gains()):
+    for w, g in zip(words, gains):
         feedback ^= mat_vec_mul(w, g)
-    return LfsrState(s.m, s.blocks[1:] + [feedback]), s.blocks[0]
+    return words[1:] + [feedback], words[0]
 
 
-def orbit_of(cfg, s0) -> list[int]:
-    """Stacked states visited from s0 until it recurs, via the transition matrix."""
+def orbit_of(cfg, words) -> list[int]:
+    """Stacked states visited from seed words until they recur, via the transition matrix."""
     from kdfc_snow.gf2.linalg import mat_vec_mul
 
     t = build_transition_matrix(cfg)
-    start = s0.stacked()
+    start = stacked(words, cfg.m)
     orbit = [start]
     v = mat_vec_mul(start, t)
     while v != start:
@@ -458,29 +458,30 @@ def orbit_of(cfg, s0) -> list[int]:
 
 
 def clock_oracle(key, iv, cfg, n):
-    """SNOW 2.0 clocks on objects: (32 init F words, first n keystream words)."""
-    from kdfc_snow.sigma_lfsr import LfsrState
+    """SNOW 2.0 clocks on word lists: (32 init F words, first n keystream words)."""
     from kdfc_snow.snow2 import FsmState, fsm_step, load_state_words
 
-    s = LfsrState(32, load_state_words(key, iv))
+    gains = cfg.gains()
+    s = load_state_words(key, iv)
     fsm = FsmState(0, 0)
     init_f = []
     for _ in range(32):
-        fsm, f = fsm_step(fsm, s.blocks[5], s.blocks[15])
+        fsm, f = fsm_step(fsm, s[5], s[15])
         init_f.append(f)
-        s, _ = lfsr_step(cfg, s)
-        s.blocks[15] ^= f
+        s, _ = lfsr_step(gains, s)
+        s[15] ^= f
     return init_f, keystream_oracle(cfg, s, fsm, n)[0]
 
 
 def keystream_oracle(cfg, s, fsm, n):
-    """n keystream clocks on objects from LFSR s and FSM fsm: (words, s, fsm)."""
+    """n keystream clocks from LFSR words s and FSM fsm: (words, s, fsm)."""
     from kdfc_snow.snow2 import fsm_step
 
+    gains = cfg.gains()
     words = []
     for _ in range(n):
-        fsm, f = fsm_step(fsm, s.blocks[5], s.blocks[15])
-        s, out = lfsr_step(cfg, s)
+        fsm, f = fsm_step(fsm, s[5], s[15])
+        s, out = lfsr_step(gains, s)
         words.append(f ^ out)
     return words, s, fsm
 
@@ -662,12 +663,15 @@ def to_bits(a) -> list[list[int]]:
     return [[(r >> j) & 1 for j in range(a.ncols)] for r in a.rows]
 
 
-def state_from_stacked(m: int, b: int, v: int):
-    """LfsrState whose stacked() is v: block i from bits [i*m, (i+1)*m)."""
-    from kdfc_snow.sigma_lfsr import LfsrState
+def stacked(words, m: int) -> int:
+    """Words as one int, word i at bits [i*m, (i+1)*m)."""
+    return sum(w << (i * m) for i, w in enumerate(words))
 
+
+def state_from_stacked(m: int, b: int, v: int) -> list[int]:
+    """The b words whose stacked(words, m) is v: word i from bits [i*m, (i+1)*m)."""
     mask = (1 << m) - 1
-    return LfsrState(m, [(v >> (i * m)) & mask for i in range(b)])
+    return [(v >> (i * m)) & mask for i in range(b)]
 
 
 def sym_from_bitmatrix(a):
@@ -781,9 +785,13 @@ def build_transition_matrix(cfg):
     return BitMatrix(rows, n)
 
 
+class NotMCompanionError(ValueError):
+    """A matrix lacks the block-companion structure of a sigma-LFSR."""
+
+
 def extract_config(c, m: int):
     """Read the feedback rows off a configuration matrix; reject other structures."""
-    from kdfc_snow.sigma_lfsr import NotMCompanionError, SigmaConfig
+    from kdfc_snow.sigma_lfsr import SigmaConfig
 
     if not c.is_square():
         raise NotMCompanionError("matrix is not square")

@@ -246,6 +246,21 @@ class TestStateDocument:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "not an integer" in err
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda words: words.__setitem__(3, 1 << 32), "block 3 not an 32-bit word"),
+        (lambda words: words.__setitem__(0, -1), "block 0 not an 32-bit word"),
+        (lambda words: words.pop(), "does not match configuration dimensions"),
+        (lambda words: words.append(0), "does not match configuration dimensions"),
+    ], ids=["wide", "negative", "missing", "extra"])
+    def test_lfsr_word_out_of_range_or_miscounted(
+        self, capsys, tmp_path, state_doc, edit, message
+    ):
+        doc = json.loads(json.dumps(state_doc))
+        edit(doc["lfsr"])
+        code, out, err = self.stream(capsys, tmp_path, doc)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err
+
     def test_non_integer_fsm_register(self, capsys, tmp_path, state_doc):
         doc = json.loads(json.dumps(state_doc))
         doc["fsm"]["r2"] = "0"
@@ -989,6 +1004,31 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["snow2", "stream", "--key", ZERO_KEY, "-n", "1"])
         assert exc.value.code == 2
+
+
+class TestImports:
+    def test_only_randtest_imports_numpy(self):
+        # in a child interpreter, whose modules this test run cannot preload
+        script = "\n".join([
+            "import contextlib, io, sys",
+            "from kdfc_snow.cli import main",
+            "key, iv = '00' * 32, '00' * 16",
+            "for argv in (",
+            "    ['kdfc', 'init', '--key', key, '--iv', iv],",
+            "    ['kdfc', 'stream', '--key', key, '--iv', iv, '-n', '4'],",
+            "    ['snow2', 'stream', '--key', key, '--iv', iv, '-n', '4'],",
+            "    ['gen-config', '--m', '4', '--b', '4', '--k', '3', '--seed', 'x'],",
+            "):",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert main(argv) == 0, argv",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestConsoleScript:

@@ -54,7 +54,7 @@ from kdfc_snow.gf2.poly import (
     is_irreducible,
 )
 from kdfc_snow.gf2.primtable import default_table, primitive_poly
-from kdfc_snow.sigma_lfsr import NotMCompanionError, SigmaConfig, config_char_poly
+from kdfc_snow.sigma_lfsr import SigmaConfig, config_char_poly
 
 
 def seeded_pipeline(m, b, seed, k=0):
@@ -82,11 +82,11 @@ def flip_gain_bit(monkeypatch, gain, row, bit):
     """Make generate_config's assembly hand back one gain bit flipped."""
     real = confgen.assemble_config
 
-    def flipped(q, p, m):
-        cfg = real(q, p, m)
+    def flipped(y, p):
+        cfg = real(y, p)
         rows = list(cfg.rows)
-        rows[row] ^= 1 << (gain * m + bit)
-        return SigmaConfig(m, cfg.b, rows)
+        rows[row] ^= 1 << (gain * cfg.m + bit)
+        return SigmaConfig(cfg.m, cfg.b, rows)
 
     monkeypatch.setattr(confgen, "assemble_config", flipped)
 
@@ -209,7 +209,7 @@ class TestIteration:
         assert y_offline(m, b, k, offline) == stepwise[k]
         p = pipeline_poly(n)
         order = [(total % m + 1 + t) % m for t in range(m)]
-        want = assemble_config(build_q(BitMatrix([y.rows[t] for t in order], n), p), p, m)
+        want = assemble_config(BitMatrix([y.rows[t] for t in order], n), p)
         online = FillBits(m, fills.vectors[k:])
         assert generate_config(m, b, p, y_offline(m, b, k, offline), online) == want
 
@@ -311,8 +311,8 @@ class TestQAndAssembly:
     @given(st.integers(1, 4), st.integers(1, 5), st.text(max_size=6))
     def test_matches_dense_assembly(self, m, b, seed):
         p = pipeline_poly(m * b)
-        q = build_q(final_y(m, b, seed), p)
-        assert assemble_config(q, p, m) == dense_assemble(q, p, m)
+        y = final_y(m, b, seed)
+        assert assemble_config(y, p) == dense_assemble(build_q(y, p), p, m)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 5), st.randoms(use_true_random=False))
@@ -320,20 +320,19 @@ class TestQAndAssembly:
         # with random rows Q is often singular; both routes must then refuse it
         n = m * b
         p = pipeline_poly(n)
-        q = build_q(BitMatrix([rng.getrandbits(n) for _ in range(m)], n), p)
+        y = BitMatrix([rng.getrandbits(n) for _ in range(m)], n)
         try:
-            want = dense_assemble(q, p, m)
+            want = dense_assemble(build_q(y, p), p, m)
         except SingularMatrixError:
             with pytest.raises(SingularMatrixError):
-                assemble_config(q, p, m)
+                assemble_config(y, p)
         else:
-            assert assemble_config(q, p, m) == want
+            assert assemble_config(y, p) == want
 
     def test_full_scale_matches_dense_assembly(self):
         p = kdfc.target_poly()
         y = final_y(32, 16, "full-scale", y=kdfc.load_y_init().y, k=kdfc.DEFAULT_K)
-        q = build_q(y, p)
-        assert assemble_config(q, p, 32) == dense_assemble(q, p, 32)
+        assert assemble_config(y, p) == dense_assemble(build_q(y, p), p, 32)
 
     def test_singular_q_whose_appended_row_pivots(self, monkeypatch):
         # Y = [y0, y0 P]: Q has rank 3, but with v_r = (last block of Q)[r] * P
@@ -341,24 +340,18 @@ class TestQAndAssembly:
         m, n = 2, 4
         p = pipeline_poly(n)
         y = BitMatrix([0b0011, companion_vec_mul(0b0011, p)], n)
-        q = build_q(y, p)
-        assert rank(q) == n - 1
+        assert rank(build_q(y, p)) == n - 1
         real, pivots = linalg._echelon, []
 
         def echelon(*args, **kwargs):
             pivots.extend(real(*args, **kwargs))
             return pivots
 
-        # patched after rank(q), whose pivots would join the count
+        # patched after rank(Q), whose pivots would join the count
         monkeypatch.setattr(linalg, "_echelon", echelon)
         with pytest.raises(SingularMatrixError):
-            assemble_config(q, p, m)
+            assemble_config(y, p)
         assert len(pivots) == n
-
-    def test_q_must_stack_p_multiples(self):
-        p = pipeline_poly(4)
-        with pytest.raises(NotMCompanionError):
-            assemble_config(identity(4), p, 2)
 
 
 class TestEmbedding:
@@ -528,7 +521,7 @@ class TestCounting:
     def test_rank_counts_against_orbits(self):
         # primitive configurations at (2,2) all reach the full period
         from kdfc_snow.gf2.poly import is_primitive
-        from kdfc_snow.sigma_lfsr import LfsrState, SigmaConfig, period
+        from kdfc_snow.sigma_lfsr import SigmaConfig, period
 
         mask = 3
         hits = 0
@@ -540,5 +533,5 @@ class TestCounting:
             cfg = SigmaConfig.from_gains(2, 2, gains)
             if is_primitive(config_char_poly(cfg)):
                 hits += 1
-                assert period(cfg, LfsrState(2, [1, 0])) == 15
+                assert period(cfg, [1, 0]) == 15
         assert hits == 16

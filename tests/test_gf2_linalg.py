@@ -68,10 +68,12 @@ class TestBitMatrix:
 
     @given(matrices())
     def test_bits_roundtrip(self, a):
-        # the oracles' 0/1-row view reads entry (i, j) as get(i, j)
+        # the oracles' 0/1-row view reads entry (i, j) as bit j of row i
         bits = to_bits(a)
         assert from_bits(bits) == a
-        assert all(bits[i][j] == a.get(i, j) for i in range(a.nrows) for j in range(a.ncols))
+        assert all(
+            bits[i][j] == (a.rows[i] >> j) & 1 for i in range(a.nrows) for j in range(a.ncols)
+        )
 
     def test_json_roundtrip(self):
         a = from_bits([[1, 0], [1, 1]])

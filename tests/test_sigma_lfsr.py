@@ -12,11 +12,13 @@ from oracles import (
     char_poly_sympy,
     dense_char_poly,
     extract_config,
+    NotMCompanionError,
     from_bits,
     identity,
     lfsr_step,
     orbit_of,
     row_certificate_bits,
+    stacked,
     state_from_stacked,
     zeros,
 )
@@ -31,8 +33,6 @@ from kdfc_snow.gf2.linalg import (
 from kdfc_snow.gf2.poly import Gf2Poly, is_primitive
 from kdfc_snow.gf2.primtable import primitive_poly
 from kdfc_snow.sigma_lfsr import (
-    LfsrState,
-    NotMCompanionError,
     PeriodGuardError,
     SigmaConfig,
     build_config_matrix,
@@ -41,7 +41,7 @@ from kdfc_snow.sigma_lfsr import (
     period,
     step_stacked,
 )
-from kdfc_snow.snow2 import CipherState, FsmState
+from kdfc_snow.snow2 import CipherState, FsmState, snow2_gains
 
 
 def random_config(rng, m, b):
@@ -153,10 +153,11 @@ class TestMatrices:
         rng = random.Random(5 * m + b)
         cfg = random_config(rng, m, b)
         t = build_transition_matrix(cfg)
+        gains = cfg.gains()
         for _ in range(10):
-            s = LfsrState(m, [rng.getrandbits(m) for _ in range(b)])
-            stepped, _ = lfsr_step(cfg, s)
-            assert mat_vec_mul(s.stacked(), t) == stepped.stacked()
+            s = [rng.getrandbits(m) for _ in range(b)]
+            stepped, _ = lfsr_step(gains, s)
+            assert mat_vec_mul(stacked(s, m), t) == stacked(stepped, m)
 
     @pytest.mark.parametrize("m,b", [(2, 2), (3, 2), (2, 3)])
     def test_config_and_transition_share_char_poly(self, m, b):
@@ -173,10 +174,9 @@ class TestStepping:
     def test_step_stacked_matches_lfsr_step(self, data):
         m, b, blocks, rng = data
         cfg = random_config(rng, m, b)
-        s = LfsrState(m, blocks)
-        stepped, out = lfsr_step(cfg, s)
+        stepped, out = lfsr_step(cfg.gains(), blocks)
         assert out == blocks[0]
-        assert step_stacked(cfg, s.stacked()) == stepped.stacked()
+        assert step_stacked(cfg, stacked(blocks, m)) == stacked(stepped, m)
 
     @given(small_states(), st.data())
     @settings(max_examples=80)
@@ -191,8 +191,8 @@ class TestStepping:
         for k, g in enumerate(reversed(cfg.gains())):
             if not any(g.rows):
                 assert all((row >> (k * m)) & mask == 0 for row in lane_rows(cfg))
-        s = LfsrState(m, blocks)
-        assert step_stacked(cfg, s.stacked()) == lfsr_step(cfg, s)[0].stacked()
+        want = stacked(lfsr_step(cfg.gains(), blocks)[0], m)
+        assert step_stacked(cfg, stacked(blocks, m)) == want
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -207,16 +207,16 @@ class TestStepping:
         # against per-gain products, lfsr_step and the dense char poly
         rng = random.Random(seed)
         cfg = zero_gains(random_config(rng, m, b), zeroed)
-        s = LfsrState(m, [rng.getrandbits(m) for _ in range(b)])
-        z = galois_state(cfg, s.blocks)
+        s = [rng.getrandbits(m) for _ in range(b)]
+        z = galois_state(cfg, s)
         gains = cfg.gains()
         for k in range(b):
             want = 0
             for i in range(b - k):
-                want ^= mat_vec_mul(s.blocks[k + i], gains[i])
+                want ^= mat_vec_mul(s[k + i], gains[i])
             assert (z >> (k * m)) & ((1 << m) - 1) == want
         assert z >> (m * b) == 0
-        assert step_stacked(cfg, s.stacked()) == lfsr_step(cfg, s)[0].stacked()
+        assert step_stacked(cfg, stacked(s, m)) == stacked(lfsr_step(gains, s)[0], m)
         assert config_char_poly(cfg) == dense_char_poly(cfg)
 
     @pytest.mark.parametrize("m", [1, 3, 8, 9, 32])
@@ -226,8 +226,8 @@ class TestStepping:
         for gain in (random_config(rng, m, 1).gains()[0], zeros(m, m)):
             cfg = SigmaConfig.from_gains(m, 1, [gain])
             for _ in range(10):
-                s = LfsrState(m, [rng.getrandbits(m)])
-                assert step_stacked(cfg, s.stacked()) == lfsr_step(cfg, s)[0].stacked()
+                x = rng.getrandbits(m)
+                assert step_stacked(cfg, x) == lfsr_step([gain], [x])[0][0]
 
     def test_all_zero_gains_shift_in_zeros(self):
         cfg = SigmaConfig(32, 16, [0] * 32)
@@ -240,26 +240,24 @@ class TestStepping:
     def test_state_vector_equiv(self, data):
         m, b, blocks, rng = data
         cfg = random_config(rng, m, b)
-        s = LfsrState(m, blocks)
-        via_matrix = mat_vec_mul(s.stacked(), build_transition_matrix(cfg))
-        assert via_matrix == lfsr_step(cfg, s)[0].stacked()
+        via_matrix = mat_vec_mul(stacked(blocks, m), build_transition_matrix(cfg))
+        assert via_matrix == stacked(lfsr_step(cfg.gains(), blocks)[0], m)
 
     def test_stacked_roundtrip(self):
-        s = LfsrState(3, [5, 0, 7])
-        assert s.stacked() == 5 | 7 << 6
-        assert state_from_stacked(3, 3, s.stacked()) == s
+        assert stacked([5, 0, 7], 3) == 5 | 7 << 6
+        assert state_from_stacked(3, 3, 5 | 7 << 6) == [5, 0, 7]
 
     def test_dimension_mismatch(self):
-        # step_stacked takes a bare integer; the state/config guard is
+        # step_stacked takes a bare integer; the word-count guard is
         # CipherState's
-        cfg = SigmaConfig.from_gains(2, 2, [identity(2)] * 2)
-        with pytest.raises(ValueError):
-            CipherState(LfsrState(2, [1, 2, 3]), FsmState(), cfg)
+        for count in (0, 15, 17):
+            with pytest.raises(ValueError, match="does not match configuration dimensions"):
+                CipherState([1] * count, FsmState(), snow2_gains())
 
     @pytest.mark.parametrize("word", [1.0, "1", None, True, [1]])
     def test_non_integer_word_rejected(self, word):
-        with pytest.raises(ValueError, match="not an integer"):
-            LfsrState(2, [0, word])
+        with pytest.raises(ValueError, match="block 3 is not an integer"):
+            CipherState([0, 0, 0, word] + [0] * 12, FsmState(), snow2_gains())
 
 
 def lane_rows(cfg):
@@ -271,13 +269,13 @@ def galois_clocks(cfg, v, n):
     """The Fibonacci window v after n Galois clocks through the lane tables."""
     m, b = cfg.m, cfg.b
     mask = (1 << m) - 1
-    words = [(v >> (i * m)) & mask for i in range(b)]
+    words = state_from_stacked(m, b, v)
     z = galois_state(cfg, words)
     for _ in range(n):
         x = z & mask
         words.append(x)
         z = (z >> m) ^ galois_state(cfg, [x])
-    return LfsrState(m, words[n:]).stacked()
+    return stacked(words[n:], m)
 
 
 class TestJumpTables:
@@ -292,7 +290,7 @@ class TestJumpTables:
         zeroed = draw.draw(st.lists(st.booleans(), min_size=b, max_size=b))
         cfg = zero_gains(random_config(rng, m, b), {i for i, z in enumerate(zeroed) if z})
         t = build_transition_matrix(cfg)
-        for v in (LfsrState(m, blocks).stacked(), 1, (1 << (m * b)) - 1):
+        for v in (stacked(blocks, m), 1, (1 << (m * b)) - 1):
             want = v
             for _ in range(b):
                 want = mat_vec_mul(want, t)
@@ -312,10 +310,10 @@ class TestJumpTables:
             for r in range(m)
         ]
         v = random.Random(b).getrandbits(m * b)
-        want = state_from_stacked(m, b, v)
+        want, gains = state_from_stacked(m, b, v), cfg.gains()
         for _ in range(b):
-            want, _ = lfsr_step(cfg, want)
-        assert galois_clocks(cfg, v, b) == want.stacked()
+            want, _ = lfsr_step(gains, want)
+        assert galois_clocks(cfg, v, b) == stacked(want, m)
 
 
 class TestCharPoly:
@@ -447,7 +445,7 @@ class TestPeriod:
         assert is_primitive(config_char_poly(cfg))
         n = m * b
         want = (1 << n) - 1
-        s0 = LfsrState(m, [1] + [0] * (b - 1))
+        s0 = [1] + [0] * (b - 1)
         assert period(cfg, s0) == want
         orbit = orbit_of(cfg, s0)
         assert len(orbit) == want
@@ -463,15 +461,28 @@ class TestPeriod:
         # x^4 + 1 = (x+1)^4: nilpotent-plus-identity dynamics, period 4 orbits
         cfg = SigmaConfig.from_gains(1, 4, [BitMatrix([1], 1)] + [BitMatrix([0], 1)] * 3)
         assert config_char_poly(cfg) == Gf2Poly.from_exponents([4, 0])
-        assert period(cfg, LfsrState(1, [1, 0, 0, 0])) < 15
+        assert period(cfg, [1, 0, 0, 0]) < 15
 
     def test_guards(self):
         cfg = primitive_config(2, 2)
-        with pytest.raises(PeriodGuardError):
-            period(cfg, LfsrState(2, [0, 0]))
+        with pytest.raises(PeriodGuardError, match="zero seed"):
+            period(cfg, [0, 0])
         big = SigmaConfig.from_gains(32, 16, [zeros(32, 32)] * 16)
         with pytest.raises(PeriodGuardError):
-            period(big, LfsrState(32, [1] + [0] * 15))
+            period(big, [1] + [0] * 15)
+
+    @pytest.mark.parametrize("words,match", [
+        ([1], "does not match configuration dimensions"),
+        ([1, 0, 0], "does not match configuration dimensions"),
+        ([4, 0], "block 0 not an 2-bit word"),
+        ([1, -1], "block 1 not an 2-bit word"),
+        ([1, True], "block 1 is not an integer"),
+        ([1.0, 0], "block 0 is not an integer"),
+    ])
+    def test_seed_words_are_checked(self, words, match):
+        # m = 2, b = 2: two words of two bits each, refused before stepping
+        with pytest.raises(ValueError, match=match):
+            period(primitive_config(2, 2), words)
 
     @pytest.mark.parametrize("m,b,gains", [
         # B_0 = 0 at m = 1: the seed [1, 0] steps to [0, 0] and stays there
@@ -492,7 +503,7 @@ class TestPeriod:
         signal.setitimer(signal.ITIMER_REAL, 1.0)
         try:
             with pytest.raises(PeriodGuardError, match="singular"):
-                period(cfg, LfsrState(m, [1] + [0] * (b - 1)))
+                period(cfg, [1] + [0] * (b - 1))
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
@@ -504,6 +515,6 @@ class TestFullScalePeriodEvidence:
     @pytest.mark.parametrize("m,b", [(2, 8), (4, 4)])
     def test_orbit_covers_state_space(self, m, b):
         cfg = primitive_config(m, b)
-        orbit = orbit_of(cfg, LfsrState(m, [1] + [0] * (b - 1)))
+        orbit = orbit_of(cfg, [1] + [0] * (b - 1))
         assert len(orbit) == 65535
         assert len(set(orbit)) == 65535

@@ -27,6 +27,7 @@ from oracles import (
     ref_alpha_inv_mul,
     ref_alpha_mul,
     ref_sbox,
+    stacked,
     vec_to_word,
     word_to_vec,
     zeros,
@@ -34,7 +35,7 @@ from oracles import (
 
 from kdfc_snow.gf2.linalg import BitMatrix, mat_mul, mat_vec_mul
 from kdfc_snow import snow2
-from kdfc_snow.sigma_lfsr import LfsrState, SigmaConfig, step_stacked
+from kdfc_snow.sigma_lfsr import SigmaConfig, step_stacked
 from kdfc_snow.snow2 import (
     _SR,
     CipherState,
@@ -206,10 +207,15 @@ class TestInit:
             snow2_init([0] * 8, [0] * 4, cfg=small)
 
     def test_state_dimension_check(self):
-        from kdfc_snow.sigma_lfsr import LfsrState
+        with pytest.raises(ValueError, match="does not match configuration dimensions"):
+            CipherState([0, 0], FsmState(), snow2_gains())
 
-        with pytest.raises(ValueError):
-            CipherState(LfsrState(2, [0, 0]), FsmState(), snow2_gains())
+    def test_state_holds_its_16_words(self):
+        words = load_state_words(KAT_KEY, KAT_IV)
+        state = CipherState(words, FsmState(), snow2_gains())
+        assert state.lfsr == words and state.lfsr is not words
+        snow2_keystream(state, 17)
+        assert type(state.lfsr) is list and len(state.lfsr) == 16
 
 
 class TestKeystream:
@@ -392,20 +398,20 @@ class TestJumpRoute:
         cfg = SigmaConfig.from_gains(m, b, [
             BitMatrix([rng.getrandbits(m) for _ in range(m)], m) for _ in range(b)
         ])
-        s = LfsrState(m, [rng.getrandbits(m) for _ in range(b)])
+        s = [rng.getrandbits(m) for _ in range(b)]
         with pytest.raises(ValueError, match=f"{m}x{b}"):
             CipherState(s, FsmState(), cfg)
-        v = s.stacked()
+        v, gains = stacked(s, m), cfg.gains()
         for _ in range(7 * b + 2):
-            s, _ = lfsr_step(cfg, s)
+            s, _ = lfsr_step(gains, s)
             v = step_stacked(cfg, v)
-            assert v == s.stacked()
+            assert v == stacked(s, m)
 
     @pytest.mark.parametrize("m,b", [(16, 32), (4, 4)])
     def test_cipher_state_refuses_other_shapes(self, m, b):
         cfg = SigmaConfig.from_gains(m, b, [identity(m)] * b)
         with pytest.raises(ValueError, match=f"{m}x{b}"):
-            CipherState(LfsrState(m, [1] * b), FsmState(), cfg)
+            CipherState([1] * b, FsmState(), cfg)
 
     def test_16x32_state_is_refused(self, tmp_path, capsys, monkeypatch):
         # mb = 512 with m = 16, b = 32 has the target char poly, but the FSM

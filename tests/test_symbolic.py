@@ -123,9 +123,9 @@ class TestAnfAlgebra:
             assert (p * q).eval(bits) == p.eval(bits) & q.eval(bits)
 
     def test_variables(self):
-        assert (AnfPoly.var(2) * AnfPoly.var(7) + AnfPoly.var(3)).variables() == {
-            2, 3, 7,
-        }
+        # bit v-1 of a term mask is x_v
+        poly = AnfPoly.var(2) * AnfPoly.var(7) + AnfPoly.var(3)
+        assert poly.terms == {1 << 1 | 1 << 6, 1 << 2}
 
 
 class TestSymMatrix:
