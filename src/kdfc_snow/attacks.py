@@ -20,9 +20,7 @@ Tables for the fixed 16-block cipher use nodes 0..34 (LFSR outputs) and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-from kdfc_snow.gf2.poly import Gf2Poly
+from dataclasses import dataclass
 
 __all__ = [
     "IndexTables",
@@ -111,7 +109,6 @@ class IndexTables:
 
     rows: list[list[int]]
     node_count: int
-    family_sizes: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
         if self.node_count < 1:
@@ -139,9 +136,9 @@ class GdPath:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def guess_complexity_log2(self, bits_per_node: int = 32) -> int:
-        """log2 of the guessing work: bits_per_node * path length."""
-        return bits_per_node * len(self.nodes)
+    def guess_complexity_log2(self) -> int:
+        """log2 of the guessing work: 32 bits per guessed node."""
+        return 32 * len(self.nodes)
 
 
 class NoCoverError(RuntimeError):
@@ -178,11 +175,7 @@ def recurrence_row_tables(
     fam1 = [[e + t for e in exponents] for t in range(stages)]
     fam2 = [[4 + t, r + t, r + 2 + t] for t in range(fsm_stages)]
     fam3 = [[t, 15 + t, r + 1 + t, r + 2 + t] for t in range(fsm_stages)]
-    return IndexTables(
-        rows=fam1 + fam2 + fam3,
-        node_count=node_count,
-        family_sizes=(stages, fsm_stages, fsm_stages),
-    )
+    return IndexTables(rows=fam1 + fam2 + fam3, node_count=node_count)
 
 
 def build_snow2_tables() -> IndexTables:
@@ -190,14 +183,12 @@ def build_snow2_tables() -> IndexTables:
     return recurrence_row_tables([0, 2, 11, 16], stages=19)
 
 
-def build_kdfc_tables(p: Gf2Poly | None = None) -> IndexTables:
+def build_kdfc_tables() -> IndexTables:
     """The 1542-node tables for the degree-512 recurrence (514-row families)."""
-    if p is None:
-        from kdfc_snow.kdfc import target_poly
+    from kdfc_snow.kdfc import target_poly
 
-        p = target_poly()
     return recurrence_row_tables(
-        sorted(p.exponents(), reverse=True), stages=514
+        sorted(target_poly().exponents(), reverse=True), stages=514
     )
 
 

@@ -4,9 +4,11 @@ A polynomial is packed into a Python int: bit i is the coefficient of x^i.
 The zero polynomial has degree -1 (sentinel).
 
 clmul, clsquare and _mod_int are the package's one GF(2)[x] kernel on
-packed ints (multiply, square, reduce); Gf2Poly, the modular helpers,
+packed ints (multiply, square, reduce); the modular helpers,
 linalg.char_poly, the pipeline in confgen and the byte fields of snow2
-all build on them.  _mod_int picks its route from the modulus: sparse
+all build on them.  Gf2Poly is the typed value the API passes around; it
+has no arithmetic operators, and callers compute on its coeffs through
+the kernel.  _mod_int picks its route from the modulus: sparse
 moduli (see _sparse_tail) are reduced by folding, the rest by long
 division.  _mulmod_rows multiplies a list of operands by one factor and
 reduces each in the same loop: through a byte window table of the factor
@@ -54,28 +56,6 @@ class Gf2Poly:
     def exponents(self) -> list[int]:
         """Sorted (ascending) exponents of the nonzero terms."""
         return _exponents(self.coeffs)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "Gf2Poly") -> "Gf2Poly":
-        return Gf2Poly(self.coeffs ^ other.coeffs)
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "Gf2Poly") -> "Gf2Poly":
-        return Gf2Poly(clmul(self.coeffs, other.coeffs))
-
-    def __divmod__(self, other: "Gf2Poly") -> tuple["Gf2Poly", "Gf2Poly"]:
-        if other.coeffs == 0:
-            raise ZeroDivisionError("division by the zero polynomial")
-        q, r = _divmod_int(self.coeffs, other.coeffs)
-        return Gf2Poly(q), Gf2Poly(r)
-
-    def __mod__(self, other: "Gf2Poly") -> "Gf2Poly":
-        return divmod(self, other)[1]
-
-    def __floordiv__(self, other: "Gf2Poly") -> "Gf2Poly":
-        return divmod(self, other)[0]
 
     # -- dunder -------------------------------------------------------------
 

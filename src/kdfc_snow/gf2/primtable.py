@@ -19,6 +19,7 @@ scripts under ``tools/`` reproduce both files from scratch.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from importlib import resources
@@ -64,29 +65,29 @@ def parse_checksummed(text: str, what: str) -> tuple[str, list[str]]:
     return stated, [ln for ln in body if ln and not ln.startswith("#")]
 
 
-_factor_cache: dict[int, dict[int, int]] | None = None
+@functools.cache
+def _factor_table() -> dict[int, dict[int, int]]:
+    """The shipped factor table, d -> {prime: multiplicity}, parsed once."""
+    table: dict[int, dict[int, int]] = {}
+    _, lines = parse_checksummed(_default_data_text(_FACTOR_FILE), _FACTOR_FILE)
+    for line in lines:
+        head, _, rest = line.partition(":")
+        factors: dict[int, int] = {}
+        for term in rest.split():
+            p, _, e = term.partition("^")
+            factors[int(p)] = int(e) if e else 1
+        table[int(head)] = factors
+    return table
 
 
 def mersenne_factors(d: int) -> dict[int, int]:
     """Full factorization of 2^d - 1 as {prime: multiplicity}; d in [2, 64] or 512."""
-    global _factor_cache
-    if _factor_cache is None:
-        table: dict[int, dict[int, int]] = {}
-        _, lines = parse_checksummed(_default_data_text(_FACTOR_FILE), _FACTOR_FILE)
-        for line in lines:
-            head, _, rest = line.partition(":")
-            deg = int(head)
-            factors: dict[int, int] = {}
-            for term in rest.split():
-                p, _, e = term.partition("^")
-                factors[int(p)] = int(e) if e else 1
-            table[deg] = factors
-        _factor_cache = table
-    if d not in _factor_cache:
+    table = _factor_table()
+    if d not in table:
         raise FactorTableMissError(
             f"no factorization of 2^{d} - 1 in the shipped table"
         )
-    return _factor_cache[d]
+    return table[d]
 
 
 class PrimitiveTable:
@@ -146,14 +147,10 @@ def table_line(poly: Gf2Poly) -> str:
     return f"{poly.degree}: " + ",".join(map(str, poly.to_json()))
 
 
-_default_table: PrimitiveTable | None = None
-
-
+@functools.cache
 def default_table() -> PrimitiveTable:
-    global _default_table
-    if _default_table is None:
-        _default_table = PrimitiveTable.load_default()
-    return _default_table
+    """The process's primitive polynomial table, loaded on first use."""
+    return PrimitiveTable.load_default()
 
 
 def primitive_poly(degree: int) -> Gf2Poly:

@@ -23,6 +23,7 @@ regeneration, not re-derived.  After the swap the cipher clocks as SNOW
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -92,15 +93,10 @@ TARGET_POLY_EXPONENTS: tuple[int, ...] = (
     16, 5, 0,
 )
 
-_target: Gf2Poly | None = None
-
-
+@functools.cache
 def target_poly() -> Gf2Poly:
     """The degree-512 target polynomial as a Gf2Poly (cached)."""
-    global _target
-    if _target is None:
-        _target = Gf2Poly.from_exponents(TARGET_POLY_EXPONENTS)
-    return _target
+    return Gf2Poly.from_exponents(TARGET_POLY_EXPONENTS)
 
 
 class ProvenanceError(ValueError):
@@ -170,28 +166,19 @@ class YInitDoc:
         return {**doc, "y": self.y.to_json()}
 
 
-_shipped: YInitDoc | None = None
+@functools.cache
+def _shipped() -> YInitDoc:
+    """The shipped y_init document, parsed once per process."""
+    text = resources.files("kdfc_snow").joinpath("data").joinpath(Y_INIT_FILE).read_text()
+    return YInitDoc.from_json(json.loads(text))
 
 
 def load_y_init(path: str | None = None) -> YInitDoc:
     """Load a y_init document (default: the shipped file, parsed once)."""
-    global _shipped
-    if path is None and _shipped is not None:
-        return _shipped
     if path is None:
-        text = (
-            resources.files("kdfc_snow")
-            .joinpath("data")
-            .joinpath(Y_INIT_FILE)
-            .read_text()
-        )
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    doc = YInitDoc.from_json(json.loads(text))
-    if path is None:
-        _shipped = doc
-    return doc
+        return _shipped()
+    with open(path, encoding="utf-8") as fh:
+        return YInitDoc.from_json(json.load(fh))
 
 
 @dataclass

@@ -45,9 +45,7 @@ probabilities.
 
 from __future__ import annotations
 
-import inspect
 import math
-import operator
 import string
 from dataclasses import dataclass, field
 
@@ -130,33 +128,24 @@ def bits_from_hex(text: str) -> np.ndarray:
     return bits[: 4 * len(digits)].astype(np.uint8)
 
 
-def bits_from_words(words, width: int = 32) -> np.ndarray:
-    """Words to bits, most significant bit first within each word.
+def bits_from_words(words) -> np.ndarray:
+    """32-bit words to bits, most significant bit first within each word.
 
-    Every word must be an integer in [0, 2**width) and width at least 1;
-    anything else raises ValueError (TypeError for a non-integer word).
+    Every word must be an integer in [0, 2**32); anything else raises
+    ValueError (TypeError for a non-integer word, bools included) before
+    any word is converted.
     """
-    if width < 1:
-        raise ValueError(f"width must be at least 1, got {width}")
     arr = np.asarray(words)
     if arr.ndim != 1:
         raise ValueError("words must be one-dimensional")
-    if arr.dtype.kind in "iu" and width <= 64:
-        if arr.size and (arr.min() < 0 or int(arr.max()) >> width):
-            raise ValueError(f"every word must be in [0, 2**{width})")
-        itemsize = next(k for k in (1, 2, 4, 8) if 8 * k >= width)
-        raw = arr.astype(f">u{itemsize}").view(np.uint8)
-    else:
-        # Python ints past 64 bits, or widths past 64: exact per-word bytes
-        vals = [operator.index(w) for w in words]
-        if any(w < 0 or w >> width for w in vals):
-            raise ValueError(f"every word must be in [0, 2**{width})")
-        itemsize = -(-width // 8)
-        raw = np.frombuffer(
-            b"".join(w.to_bytes(itemsize, "big") for w in vals), dtype=np.uint8
-        )
-    bits = np.unpackbits(raw).reshape(-1, 8 * itemsize)
-    return bits[:, 8 * itemsize - width :].reshape(-1)
+    if arr.size and arr.dtype.kind not in "iu":
+        # numpy holds Python ints past 64 bits as objects or floats
+        if all(type(w) is int for w in words):
+            raise ValueError("every word must be in [0, 2**32)")
+        raise TypeError(f"words must be integers, got {arr.dtype}")
+    if arr.size and (arr.min() < 0 or int(arr.max()) >> 32):
+        raise ValueError("every word must be in [0, 2**32)")
+    return np.unpackbits(arr.astype(">u4").view(np.uint8))
 
 
 def _pack_rows(bits: np.ndarray, itemsize: int) -> np.ndarray:
@@ -646,15 +635,11 @@ _DISPATCH = {
 TEST_NAMES = list(_DISPATCH)
 
 
-def run_test(name: str, bits, **params) -> TestResult:
-    """Run one test by battery name; params go to its test function by name."""
+def run_test(name: str, bits) -> TestResult:
+    """Run one test by battery name, with its default parameters."""
     if name not in _DISPATCH:
         raise KeyError(f"unknown test {name!r}; choose from {TEST_NAMES}")
-    test = _DISPATCH[name]
-    unknown = set(params).difference(list(inspect.signature(test).parameters)[1:])
-    if unknown:
-        raise ValueError(f"test {name!r} takes no parameter {', '.join(sorted(unknown))}")
-    return test(bits, **params)
+    return _DISPATCH[name](bits)
 
 
 def run_battery(bits) -> list[TestResult]:

@@ -32,6 +32,8 @@ so CipherState refuses any other configuration shape.
 
 from __future__ import annotations
 
+import functools
+
 from kdfc_snow.gf2.poly import _mulmod_int
 from kdfc_snow.sigma_lfsr import SigmaConfig, _check_words, galois_state
 
@@ -233,7 +235,7 @@ class CipherState:
 
 
 class KeyError32(ValueError):
-    """Key/IV material has the wrong shape."""
+    """Key/IV material has the wrong shape, or a word that is not a 32-bit int."""
 
 
 def fsm_step(fsm: FsmState, d5: int, d15: int) -> tuple[FsmState, int]:
@@ -246,9 +248,12 @@ def load_state_words(key: list[int], iv: list[int]) -> list[int]:
     """Key/IV schedule: returns s_0..s_15 (s_15 = newest block)."""
     if len(iv) != 4:
         raise KeyError32(f"IV must be 4 words, got {len(iv)}")
-    for w in key + iv:
-        if not 0 <= w <= MASK32:
-            raise KeyError32("key/IV entries must be 32-bit words")
+    for what, words in (("key", key), ("IV", iv)):
+        for i, w in enumerate(words):
+            if type(w) is not int:  # a bool is not a word either
+                raise KeyError32(f"{what} word {i} is not an integer: {w!r}")
+            if not 0 <= w <= MASK32:
+                raise KeyError32(f"{what} word {i} is not a 32-bit word: {w:#x}")
     inv = [w ^ MASK32 for w in key]
     iv0, iv1, iv2, iv3 = iv
     if len(key) == 8:
@@ -266,7 +271,8 @@ def load_state_words(key: list[int], iv: list[int]) -> list[int]:
     raise KeyError32(f"key must be 4 or 8 words, got {len(key)}")
 
 
-_snow2_cfg: SigmaConfig | None = None
+#: the SNOW 2.0 configuration, built once per process and shared
+_snow2_cfg = functools.cache(snow2_gains)
 
 
 def snow2_init(key: list[int], iv: list[int], cfg: SigmaConfig | None = None) -> CipherState:
@@ -287,11 +293,8 @@ def init_with_captures(
     Without cfg, the SNOW 2.0 configuration is built once per process and
     shared, byte tables included, by every state it initializes.
     """
-    global _snow2_cfg
     if cfg is None:
-        if _snow2_cfg is None:
-            _snow2_cfg = snow2_gains()
-        cfg = _snow2_cfg
+        cfg = _snow2_cfg()
     state = CipherState(load_state_words(key, iv), FsmState(0, 0), cfg)
     return state, _clock(state, 32, True)
 

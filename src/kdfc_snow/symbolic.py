@@ -21,22 +21,22 @@ maps to the flat 1-based index (i-1)*mb + j, printed as "x<index>".
 With m = 2 this makes v_{1,j} print as xj, matching the worked 8x8
 instance reproduced in the tests.
 
-Row vectors are displayed left-to-right as columns 1..n; column c of a
-displayed row corresponds to bit c-1 of the packed-integer convention
-used by gf2.linalg, so e_1 = (0, ..., 0, 1) evaluates to 1 << (n-1) and
-the symbolic companion action mirrors companion_vec_mul exactly:
+A symbolic matrix is its list of rows, each row a list of AnfPoly
+entries.  Row vectors are displayed left-to-right as columns 1..n;
+column c of a displayed row corresponds to bit c-1 of the packed-integer
+convention used by gf2.linalg, so e_1 = (0, ..., 0, 1) evaluates to
+1 << (n-1) and the symbolic companion action mirrors companion_vec_mul
+exactly:
 (q_1, ..., q_n) * P = (q_2, ..., q_n, sum of q_{e+1} over exponents e
 of p below n).
 """
 
 from __future__ import annotations
 
-from kdfc_snow.gf2.linalg import BitMatrix
 from kdfc_snow.gf2.poly import Gf2Poly
 
 __all__ = [
     "AnfPoly",
-    "SymMatrix",
     "GuardError",
     "var_index",
     "build_symbolic_q",
@@ -160,30 +160,6 @@ _ZERO = AnfPoly.zero()
 _ONE = AnfPoly.one()
 
 
-class SymMatrix:
-    """A rectangular grid of AnfPoly entries."""
-
-    __slots__ = ("rows", "nrows", "ncols")
-
-    def __init__(self, rows: list[list[AnfPoly]]):
-        self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != self.ncols:
-                raise ValueError("ragged symbolic matrix")
-        self.rows = [list(r) for r in rows]
-
-    def eval(self, bits: int) -> BitMatrix:
-        """Numeric specialization: column c maps to bit c-1 of each row."""
-        out = []
-        for r in self.rows:
-            word = 0
-            for j, entry in enumerate(r):
-                word |= entry.eval(bits) << j
-            out.append(word)
-        return BitMatrix(out, self.ncols)
-
-
 def var_index(i: int, j: int, n: int) -> int:
     """Flat 1-based variable index of v_{i,j} with coordinates 1..n."""
     if not (i >= 1 and 1 <= j <= n):
@@ -210,7 +186,7 @@ def _check_guard(m: int, b: int, limit: int) -> int:
     return n
 
 
-def build_symbolic_q(m: int, b: int, p: Gf2Poly) -> SymMatrix:
+def build_symbolic_q(m: int, b: int, p: Gf2Poly) -> list[list[AnfPoly]]:
     """Symbolic Q: blocks [e_1*P^j, v_1*P^j, ..., v_{m-1}*P^j], j = 0..b-1."""
     n = _check_guard(m, b, 12)
     if p.degree != n:
@@ -225,10 +201,10 @@ def build_symbolic_q(m: int, b: int, p: Gf2Poly) -> SymMatrix:
         rows.extend(block)
         if j + 1 < b:
             block = [_sym_companion_row_mul(r, p) for r in block]
-    return SymMatrix(rows)
+    return rows
 
 
-def build_symbolic_qp(m: int, b: int, p: Gf2Poly) -> SymMatrix:
+def build_symbolic_qp(m: int, b: int, p: Gf2Poly) -> list[list[AnfPoly]]:
     """Row-permuted Q: all e_1*P^j rows first, then each v_i's power rows.
 
     In this order the top-left b x (mb-b) block is zero, the top-right
@@ -239,7 +215,7 @@ def build_symbolic_qp(m: int, b: int, p: Gf2Poly) -> SymMatrix:
     order = [j * m for j in range(b)]
     for i in range(1, m):
         order.extend(j * m + i for j in range(b))
-    return SymMatrix([q.rows[r] for r in order])
+    return [q[r] for r in order]
 
 
 def _det_memo(
@@ -269,12 +245,13 @@ def _det_memo(
     return acc
 
 
-def sym_det(q: SymMatrix) -> AnfPoly:
-    """Symbolic determinant (signs are trivial over GF(2))."""
-    if q.nrows != q.ncols:
+def sym_det(rows: list[list[AnfPoly]]) -> AnfPoly:
+    """Symbolic determinant of a square matrix given by its rows (signs are
+    trivial over GF(2))."""
+    if any(len(r) != len(rows) for r in rows):
         raise ValueError("determinant needs a square matrix")
-    full = (1 << q.nrows) - 1
-    return _det_memo(q.rows, full, full, {})
+    full = (1 << len(rows)) - 1
+    return _det_memo(rows, full, full, {})
 
 
 def verify_minor_lemmas(m: int, b: int, p: Gf2Poly) -> dict:
@@ -297,7 +274,7 @@ def verify_minor_lemmas(m: int, b: int, p: Gf2Poly) -> dict:
     memo: dict[tuple[int, int], AnfPoly] = {}
 
     def minor(i: int, j: int) -> AnfPoly:
-        return _det_memo(qp.rows, full ^ (1 << (i - 1)), full ^ (1 << (j - 1)), memo)
+        return _det_memo(qp, full ^ (1 << (i - 1)), full ^ (1 << (j - 1)), memo)
 
     def degree_is(want: int):
         def check(i: int, j: int) -> dict:
@@ -315,7 +292,7 @@ def verify_minor_lemmas(m: int, b: int, p: Gf2Poly) -> dict:
             return {"entry": [i, j], "expected": label, "ok": minor(i, j) == want}
         return check
 
-    det_q3 = sym_det(SymMatrix([r[: n - b] for r in qp.rows[b:]]))
+    det_q3 = sym_det([r[: n - b] for r in qp[b:]])
     on_anti, zero = equals(det_q3, "det(bottom-left block)"), equals(_ZERO, "0")
     row_b, lower = degree_is(n - b), degree_is(n - b - 1)
     top, bottom = range(1, b + 1), range(b + 1, n + 1)
@@ -383,7 +360,7 @@ def theorem1_check(m: int, b: int, p: Gf2Poly) -> tuple[AnfPoly, bool]:
     returns False).
     """
     n = _check_guard(m, b, 10)
-    rows = build_symbolic_q(m, b, p).rows
+    rows = build_symbolic_q(m, b, p)
     rows[n - m] = _sym_companion_row_mul(rows[n - m], p)
-    entry = sym_det(SymMatrix(rows))
+    entry = sym_det(rows)
     return entry, entry.degree == n - b

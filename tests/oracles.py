@@ -70,7 +70,7 @@ The package has no production use for the matrix helpers at the end of
 this file (companion_matrix, krylov_matrix, solve_row, linear_complexity,
 reciprocal, build_transition_matrix, extract_config, identity, zeros,
 build_alpha_matrices, gd_closure, from_bits, to_bits, stacked,
-state_from_stacked, sym_from_bitmatrix); they serve the oracles above and the tests.
+state_from_stacked, sym_from_bitmatrix, sym_eval); they serve the oracles above and the tests.
 """
 
 from __future__ import annotations
@@ -524,54 +524,63 @@ def echelon_oracle(rows: list[int], ncols: int, reduce_up: bool = True):
 # symbolic configuration in full
 
 def sym_mat_mul(a, b):
-    """Product of two SymMatrix grids, entry by entry."""
-    from kdfc_snow.symbolic import AnfPoly, SymMatrix
+    """Product of two symbolic matrices (lists of AnfPoly rows), entry by entry."""
+    from kdfc_snow.symbolic import AnfPoly
 
-    if a.ncols != b.nrows:
+    if len(a[0]) != len(b):
         raise ValueError("inner dimensions differ")
-    bt = list(zip(*b.rows))
     out = []
-    for ar in a.rows:
+    for ar in a:
         row = []
-        for bc in bt:
+        for bc in zip(*b):
             acc = AnfPoly.zero()
             for x, y in zip(ar, bc):
                 acc = acc + x * y
             row.append(acc)
         out.append(row)
-    return SymMatrix(out)
+    return out
 
 
 def sym_adjugate_inverse(q):
     """adj(q): entry (i, j) is the minor of q without row j and column i
     (the inverse wherever det q = 1)."""
-    from kdfc_snow.symbolic import SymMatrix, _det_memo
+    from kdfc_snow.symbolic import _det_memo
 
-    full = (1 << q.nrows) - 1
+    n = len(q)
+    full = (1 << n) - 1
     memo = {}
-    return SymMatrix(
-        [
-            [_det_memo(q.rows, full ^ (1 << j), full ^ (1 << i), memo) for j in range(q.nrows)]
-            for i in range(q.nrows)
-        ]
-    )
+    return [
+        [_det_memo(q, full ^ (1 << j), full ^ (1 << i), memo) for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def compute_symbolic_config(m: int, b: int, p):
     """Symbolic C = Q * P * adj(Q) in the block order of build_symbolic_q."""
-    from kdfc_snow.symbolic import SymMatrix, _sym_companion_row_mul, build_symbolic_q
+    from kdfc_snow.symbolic import _sym_companion_row_mul, build_symbolic_q
 
     q = build_symbolic_q(m, b, p)
-    qp = SymMatrix([_sym_companion_row_mul(r, p) for r in q.rows])
+    qp = [_sym_companion_row_mul(r, p) for r in q]
     return sym_mat_mul(qp, sym_adjugate_inverse(q))
+
+
+def sym_eval(rows, bits: int):
+    """Numeric specialization of a symbolic matrix at the variable bits:
+    column c of each row maps to bit c-1 of its BitMatrix row."""
+    from kdfc_snow.gf2.linalg import BitMatrix
+
+    return BitMatrix(
+        [sum(entry.eval(bits) << j for j, entry in enumerate(r)) for r in rows],
+        len(rows[0]),
+    )
 
 
 # ---------------------------------------------------------------------------
 # randomness-battery oracles, one block or one bit at a time
 
-def words_to_bits(words, width: int = 32) -> list[int]:
-    """Bits of each word, most significant first."""
-    return [(w >> (width - 1 - j)) & 1 for w in words for j in range(width)]
+def words_to_bits(words) -> list[int]:
+    """Bits of each 32-bit word, most significant first."""
+    return [(w >> (31 - j)) & 1 for w in words for j in range(32)]
 
 
 def block_linear_complexities(blocks) -> list[int]:
@@ -675,12 +684,13 @@ def state_from_stacked(m: int, b: int, v: int) -> list[int]:
 
 
 def sym_from_bitmatrix(a):
-    """SymMatrix of constant entries, column c from bit c-1 of each row."""
-    from kdfc_snow.symbolic import AnfPoly, SymMatrix
+    """Symbolic rows of constant entries, column c from bit c-1 of each row."""
+    from kdfc_snow.symbolic import AnfPoly
 
-    return SymMatrix(
-        [[AnfPoly.one() if (r >> j) & 1 else AnfPoly.zero() for j in range(a.ncols)] for r in a.rows]
-    )
+    return [
+        [AnfPoly.one() if (r >> j) & 1 else AnfPoly.zero() for j in range(a.ncols)]
+        for r in a.rows
+    ]
 
 
 def companion_matrix(p):

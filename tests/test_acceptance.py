@@ -179,10 +179,10 @@ WORKED_P4 = AnfPoly([
 def test_04_symbolic_pipeline_reproduction():
     with budget("check 04 (symbolic pipeline)", 120):
         q = build_symbolic_q(2, 4, P8)
-        assert q.rows[0] == [AnfPoly.zero()] * 7 + [AnfPoly.one()]
-        assert q.rows[1] == [AnfPoly.var(j) for j in range(1, 9)]
+        assert q[0] == [AnfPoly.zero()] * 7 + [AnfPoly.one()]
+        assert q[1] == [AnfPoly.var(j) for j in range(1, 9)]
         inv = sym_adjugate_inverse(q)
-        col = [inv.rows[i][6] for i in range(8)]
+        col = [inv[i][6] for i in range(8)]
         assert col[:4] == [WORKED_P1, WORKED_P2, WORKED_P3, WORKED_P4]
         assert col[5:] == [AnfPoly.zero()] * 3
         cases = [(2, 2, Gf2Poly(0x13)), (2, 4, P8), (3, 2, Gf2Poly(0x43))]

@@ -68,12 +68,12 @@ def test_copy_state_gives_an_independent_state(bench):
     assert copy.lfsr != state.lfsr
 
 
-def test_traced_run_records_the_engine_spans(bench, monkeypatch):
+def test_traced_run_records_the_engine_spans(bench):
     spans, _ = bench
     from kdfc_snow import kdfc, snow2
 
     # the first set-up in a process builds the shared SNOW 2.0 config
-    monkeypatch.setattr(snow2, "_snow2_cfg", None)
+    snow2._snow2_cfg.cache_clear()
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -96,7 +96,7 @@ def test_traced_run_records_the_engine_spans(bench, monkeypatch):
     assert not hasattr(snow2.fsm_step, "__wrapped__")
 
 
-def test_init_paths_build_the_tables_once(bench, monkeypatch):
+def test_init_paths_build_the_tables_once(bench):
     # a verified and an unverified kdfc_init plus keyed-init's 8 words, and
     # SNOW 2.0 set-ups on a new configuration: one lane-table build per
     # configuration, the shared SNOW 2.0 one included
@@ -105,7 +105,7 @@ def test_init_paths_build_the_tables_once(bench, monkeypatch):
 
     from kdfc_snow import kdfc, snow2
 
-    monkeypatch.setattr(snow2, "_snow2_cfg", None)
+    snow2._snow2_cfg.cache_clear()
     tracer = spans.Tracer()
     tracer.install()
     try:

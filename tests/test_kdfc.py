@@ -141,7 +141,7 @@ class TestYInit:
             reads.append(package)
             return real_files(package)
 
-        monkeypatch.setattr(kdfc, "_shipped", None)
+        kdfc._shipped.cache_clear()
         monkeypatch.setattr(kdfc, "resources", types.SimpleNamespace(files=files))
         a = kdfc_init(KdfcParams(key=[0] * 8, iv=[0] * 4, verify_config=False))
         b = kdfc_init(KdfcParams(key=KAT_KEY, iv=KAT_IV, verify_config=False))
@@ -153,7 +153,7 @@ class TestYInit:
         from kdfc_snow import kdfc
 
         # the cached shipped document is still checked against the table
-        assert load_y_init() is kdfc._shipped is not None
+        assert load_y_init() is kdfc._shipped()
         monkeypatch.setattr(default_table(), "checksum", "0" * 64)
         with pytest.raises(ProvenanceError):
             KdfcParams(key=[0] * 8, iv=[0] * 4).resolve()

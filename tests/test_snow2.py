@@ -187,6 +187,15 @@ class TestSchedule:
         with pytest.raises(KeyError32):
             load_state_words([1 << 32] + [0] * 7, [0] * 4)
 
+    @pytest.mark.parametrize("key,iv,message", [
+        ([1.5] * 8, [0] * 4, "key word 0 is not an integer: 1.5"),
+        ([0] * 7 + [True], [0] * 4, "key word 7 is not an integer: True"),
+        ([0] * 8, [0, 0, 2.0, 0], "IV word 2 is not an integer: 2.0"),
+    ])
+    def test_non_int_words_refused_before_the_schedule(self, key, iv, message):
+        with pytest.raises(KeyError32, match=message):
+            snow2_init(key, iv)
+
 
 class TestInit:
     @pytest.mark.parametrize("key,iv", [

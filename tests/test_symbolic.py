@@ -10,6 +10,7 @@ from oracles import (
     dense_assemble,
     identity,
     sym_adjugate_inverse,
+    sym_eval,
     sym_from_bitmatrix,
     sym_mat_mul,
 )
@@ -25,7 +26,6 @@ from kdfc_snow.gf2.poly import Gf2Poly
 from kdfc_snow.symbolic import (
     AnfPoly,
     GuardError,
-    SymMatrix,
     _sym_companion_row_mul,
     build_symbolic_q,
     build_symbolic_qp,
@@ -129,32 +129,35 @@ class TestAnfAlgebra:
 
 
 class TestSymMatrix:
+    """Symbolic matrices are lists of AnfPoly rows; sym_eval specializes them."""
+
     def test_identity_and_eval(self):
         i3 = sym_from_bitmatrix(identity(3))
-        assert i3.eval(0) == identity(3)
+        assert sym_eval(i3, 0) == identity(3)
 
     def test_bitmatrix_roundtrip(self):
         rng = random.Random(5)
         m = BitMatrix([rng.getrandbits(4) for _ in range(4)], 4)
-        assert sym_from_bitmatrix(m).eval(0) == m
+        assert sym_eval(sym_from_bitmatrix(m), 0) == m
 
     def test_eval_column_convention(self):
         # column c reads variable bit c-1 and lands on bit c-1
         row = [AnfPoly.var(1), AnfPoly.var(2)]
-        m = SymMatrix([row])
-        assert m.eval(0b01).rows == [0b01]
-        assert m.eval(0b10).rows == [0b10]
+        assert sym_eval([row], 0b01).rows == [0b01]
+        assert sym_eval([row], 0b10).rows == [0b10]
 
     def test_ragged_rejected(self):
-        with pytest.raises(ValueError):
-            SymMatrix([[AnfPoly.one()], [AnfPoly.one(), AnfPoly.zero()]])
+        with pytest.raises(ValueError, match="square"):
+            sym_det([[AnfPoly.one()], [AnfPoly.one(), AnfPoly.zero()]])
+        with pytest.raises(ValueError, match="square"):
+            sym_det([[AnfPoly.one(), AnfPoly.zero()]])
 
     def test_mul_matches_numeric(self):
         rng = random.Random(11)
         a = BitMatrix([rng.getrandbits(3) for _ in range(3)], 3)
         b = BitMatrix([rng.getrandbits(3) for _ in range(3)], 3)
         sym = sym_mat_mul(sym_from_bitmatrix(a), sym_from_bitmatrix(b))
-        assert sym.eval(0) == mat_mul(a, b)
+        assert sym_eval(sym, 0) == mat_mul(a, b)
 
 
 class TestVarIndex:
@@ -173,41 +176,41 @@ class TestVarIndex:
 class TestWorkedInstance:
     def test_q_structure(self):
         q = build_symbolic_q(2, 4, P8)
-        assert q.nrows == q.ncols == 8
+        assert len(q) == 8 and all(len(r) == 8 for r in q)
         # even rows are shifted unit rows, odd rows are shifted variables
-        assert q.rows[0] == [AnfPoly.zero()] * 7 + [AnfPoly.one()]
-        assert q.rows[1] == [AnfPoly.var(j) for j in range(1, 9)]
+        assert q[0] == [AnfPoly.zero()] * 7 + [AnfPoly.one()]
+        assert q[1] == [AnfPoly.var(j) for j in range(1, 9)]
         # one companion step: the unit row moves left one column
-        assert q.rows[2][6] == AnfPoly.one()
-        assert all(not q.rows[2][c] for c in range(8) if c != 6)
+        assert q[2][6] == AnfPoly.one()
+        assert all(not q[2][c] for c in range(8) if c != 6)
 
     def test_permuted_block_structure(self):
         qp = build_symbolic_qp(2, 4, P8)
         # top-left 4x4 zero, top-right anti-diagonal identity
         for i in range(4):
-            assert all(not qp.rows[i][j] for j in range(4))
+            assert all(not qp[i][j] for j in range(4))
             for j in range(4, 8):
                 want = AnfPoly.one() if i + (j - 4) == 3 else AnfPoly.zero()
-                assert qp.rows[i][j] == want
+                assert qp[i][j] == want
         # bottom-left block is Hankel in x1..x7
         for i in range(4):
             for j in range(4):
-                assert qp.rows[4 + i][j] == AnfPoly.var(i + j + 1)
+                assert qp[4 + i][j] == AnfPoly.var(i + j + 1)
 
     def test_inverse_column_polynomials(self):
         q = build_symbolic_q(2, 4, P8)
         inv = sym_adjugate_inverse(q)
-        col = [inv.rows[i][6] for i in range(8)]
+        col = [inv[i][6] for i in range(8)]
         assert col[:4] == [P1, P2, P3, P4]
         qp = build_symbolic_qp(2, 4, P8)
-        q3 = SymMatrix([r[:4] for r in qp.rows[4:]])
+        q3 = [r[:4] for r in qp[4:]]
         assert col[4] == sym_det(q3)
         assert col[5:] == [AnfPoly.zero()] * 3
 
     def test_det_equals_bottom_left_det(self):
         q = build_symbolic_q(2, 4, P8)
         qp = build_symbolic_qp(2, 4, P8)
-        q3 = SymMatrix([r[:4] for r in qp.rows[4:]])
+        q3 = [r[:4] for r in qp[4:]]
         assert sym_det(q) == sym_det(q3)
 
     def test_config_corner_entry(self):
@@ -223,7 +226,7 @@ class TestNumericSpecialization:
         rng = random.Random(23)
         for _ in range(30):
             bits = rng.getrandbits(8)
-            assert d.eval(bits) == determinant(q.eval(bits))
+            assert d.eval(bits) == determinant(sym_eval(q, bits))
 
     def test_adjugate_inverse_specializes(self):
         q = build_symbolic_q(2, 4, P8)
@@ -232,11 +235,11 @@ class TestNumericSpecialization:
         found = 0
         while found < 10:
             bits = rng.getrandbits(8)
-            qn = q.eval(bits)
+            qn = sym_eval(q, bits)
             if determinant(qn) == 0:
                 continue
             found += 1
-            assert mat_mul(qn, inv.eval(bits)) == identity(8)
+            assert mat_mul(qn, sym_eval(inv, bits)) == identity(8)
 
     def test_config_specializes_to_numeric_similarity(self):
         c = compute_symbolic_config(2, 4, P8)
@@ -246,12 +249,12 @@ class TestNumericSpecialization:
         found = 0
         while found < 10:
             bits = rng.getrandbits(8)
-            qn = q.eval(bits)
+            qn = sym_eval(q, bits)
             if determinant(qn) == 0:
                 continue
             found += 1
             want = mat_mul(mat_mul(qn, comp), mat_inverse(qn))
-            assert c.eval(bits) == want
+            assert sym_eval(c, bits) == want
 
     def test_companion_row_action_matches_packed(self):
         q = build_symbolic_q(2, 4, P8)
@@ -259,17 +262,17 @@ class TestNumericSpecialization:
         for _ in range(20):
             bits = rng.getrandbits(8)
             stepped = build_symbolic_qp(2, 4, P8)  # any symbolic rows work
-            row = stepped.rows[5]
-            packed = SymMatrix([row]).eval(bits).rows[0]
-            sym_next = SymMatrix([_sym_companion_row_mul(row, P8)])
-            assert sym_next.eval(bits).rows[0] == companion_vec_mul(packed, P8)
+            row = stepped[5]
+            packed = sym_eval([row], bits).rows[0]
+            sym_next = sym_eval([_sym_companion_row_mul(row, P8)], bits).rows[0]
+            assert sym_next == companion_vec_mul(packed, P8)
 
 
 def replaced_row_entry(q, p, r, c):
     """Entry (r, c) of Q*P*adj(Q): det of Q with row c replaced by row r of Q*P."""
-    rows = list(q.rows)
-    rows[c] = _sym_companion_row_mul(q.rows[r], p)
-    return sym_det(SymMatrix(rows))
+    rows = list(q)
+    rows[c] = _sym_companion_row_mul(q[r], p)
+    return sym_det(rows)
 
 
 class TestReplacedRowIdentity:
@@ -281,8 +284,8 @@ class TestReplacedRowIdentity:
         full = compute_symbolic_config(m, b, p)
         for r in range(n - m, n):
             for c in range(n):
-                assert replaced_row_entry(q, p, r, c) == full.rows[r][c], (r, c)
-        assert theorem1_check(m, b, p)[0] == full.rows[n - m][n - m]
+                assert replaced_row_entry(q, p, r, c) == full[r][c], (r, c)
+        assert theorem1_check(m, b, p)[0] == full[n - m][n - m]
 
     def test_det_q_is_not_one(self):
         # the identity needs no det Q = 1: symbolically det Q is not 1
@@ -298,7 +301,7 @@ class TestReplacedRowIdentity:
         found = 0
         while found < 10:
             bits = rng.getrandbits(40)
-            qn = q.eval(bits)
+            qn = sym_eval(q, bits)
             if determinant(qn) == 0:
                 continue
             found += 1
