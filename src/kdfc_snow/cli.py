@@ -23,6 +23,7 @@ from kdfc_snow import attacks, kdfc, symbolic
 from kdfc_snow.confgen import (
     MAX_ENUMERATION_BITS,
     FillBits,
+    _check_dims,
     brute_force_count,
     count_configurations,
     generate_config,
@@ -99,29 +100,34 @@ def _write_stream(state: CipherState, n: int, out: str | None) -> None:
             fh.close()
 
 
-def _resolve_poly(args, degree: int) -> Gf2Poly:
-    if getattr(args, "poly", None):
-        if degree > 513:  # the stages reach degree m*b - 1, the table 512
-            raise ValueError(f"m*b = {degree} is above 513, the largest the table serves")
-        try:
-            p = parse_exponents(args.poly, degree)
-            if p.degree != degree:
-                raise DegreeError(p.degree)
-        except DegreeError as e:
-            raise ValueError(f"--poly must have degree {degree}, got {e.got}") from None
-        except ValueError as e:
-            raise ValueError(f"--poly {args.poly}: {e}") from None
-        try:
-            primitive = is_primitive(p)  # runs Rabin's test itself
-        except FactorTableMissError:
-            primitive = None  # no shipped factorization of 2^d - 1: irreducibility is the check
-        if not primitive:
-            if not is_irreducible(p):
-                raise ValueError(f"--poly {args.poly} is reducible")
-            if primitive is False:
-                raise ValueError(f"--poly {args.poly} is irreducible but not primitive")
-        return p
-    return pipeline_poly(degree)
+def _dims(args) -> tuple[int, int, Gf2Poly]:
+    """(m, b, p) of a command that reads --m, --b and --poly: m and b are
+    checked before any table lookup, then p is --poly or the table's."""
+    m, b = args.m, args.b
+    _check_dims(m, b)
+    degree = m * b
+    if args.poly is None:
+        return m, b, pipeline_poly(degree)
+    if degree > 513:  # the stages reach degree m*b - 1, the table 512
+        raise ValueError(f"m*b = {degree} is above 513, the largest the table serves")
+    try:
+        p = parse_exponents(args.poly, degree)
+        if p.degree != degree:
+            raise DegreeError(p.degree)
+    except DegreeError as e:
+        raise ValueError(f"--poly must have degree {degree}, got {e.got}") from None
+    except ValueError as e:
+        raise ValueError(f"--poly {args.poly}: {e}") from None
+    try:
+        primitive = is_primitive(p)  # runs Rabin's test itself
+    except FactorTableMissError:
+        primitive = None  # no shipped factorization of 2^d - 1: irreducibility is the check
+    if not primitive:
+        if not is_irreducible(p):
+            raise ValueError(f"--poly {args.poly} is reducible")
+        if primitive is False:
+            raise ValueError(f"--poly {args.poly} is irreducible but not primitive")
+    return m, b, p
 
 
 def _seeded_config(m: int, b: int, k: int, seed: str, p: Gf2Poly) -> SigmaConfig:
@@ -209,8 +215,8 @@ def _cmd_kdfc_dump_config(args) -> int:
 
 
 def _cmd_gen_config(args) -> int:
-    p = _resolve_poly(args, args.m * args.b)
-    cfg = _seeded_config(args.m, args.b, args.k, args.seed, p)
+    m, b, p = _dims(args)
+    cfg = _seeded_config(m, b, args.k, args.seed, p)
     doc = _config_doc(cfg, p, k=args.k, seed=args.seed, polynomial=p.to_json())
     _emit(json.dumps(doc, indent=2), args.out)
     return 0
@@ -227,8 +233,8 @@ def _cmd_char_poly(args) -> int:
                 "char-poly needs --snow2, --target, or --m/--b/--k/--seed"
             )
         # the config's characteristic polynomial, certified by generate_config
-        p = _resolve_poly(args, args.m * args.b)
-        _seeded_config(args.m, args.b, args.k, args.seed, p)
+        m, b, p = _dims(args)
+        _seeded_config(m, b, args.k, args.seed, p)
     _emit(" ".join(map(str, p.to_json())), args.out)
     return 0
 
@@ -313,8 +319,7 @@ def _cmd_randtest(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
-    p = _resolve_poly(args, args.m * args.b)
-    report = symbolic.verify_minor_lemmas(args.m, args.b, p)
+    report = symbolic.verify_minor_lemmas(*_dims(args))
     if args.json:
         _emit(json.dumps(report, indent=2), args.out)
     else:
@@ -323,9 +328,9 @@ def _cmd_verify_lemmas(args) -> int:
 
 
 def _cmd_verify_theorem1(args) -> int:
-    p = _resolve_poly(args, args.m * args.b)
-    entry, ok = symbolic.theorem1_check(args.m, args.b, p)
-    want = args.m * args.b - args.b
+    m, b, p = _dims(args)
+    entry, ok = symbolic.theorem1_check(m, b, p)
+    want = m * b - b
     _emit(
         f"corner entry degree = {entry.degree}\n"
         f"expected degree     = {want}\n"
@@ -368,10 +373,9 @@ def _cmd_verify_count(args) -> int:
 
 
 def _cmd_verify_period(args) -> int:
-    p = _resolve_poly(args, args.m * args.b)
-    cfg = _seeded_config(args.m, args.b, args.k, args.seed, p)
-    got = period(cfg, [1] + [0] * (args.b - 1))
-    want = (1 << (args.m * args.b)) - 1
+    m, b, p = _dims(args)
+    got = period(_seeded_config(m, b, args.k, args.seed, p), [1] + [0] * (b - 1))
+    want = (1 << (m * b)) - 1
     ok = got == want
     _emit(
         f"period   = {got}\n"
@@ -385,21 +389,42 @@ def _cmd_verify_period(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_out(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default=None, help="output file (default stdout)")
+#: every option that more than one command takes, declared once
+_SHARED = {
+    "--key": dict(required=True, help="64 hex digits (256-bit key)"),
+    "--iv": dict(required=True, help="32 hex digits (128-bit IV)"),
+    "-n": dict(type=int, required=True, help="number of 32-bit words"),
+    "--discard": dict(type=int, default=32,
+                      help="output words discarded after reconfiguration"),
+    "--y-init": dict(default=None,
+                     help="path to an offline-matrix JSON document "
+                          "(its k sets the offline iteration count)"),
+    "--m": dict(type=int, required=True, help="word width in bits"),
+    "--b": dict(type=int, required=True, help="number of delay blocks"),
+    "--k": dict(type=int, default=0, help="offline iteration count"),
+    "--seed": dict(required=True, help="fill-bit seed string"),
+    "--poly": dict(default=None,
+                   help="prescribed polynomial as exponent list, e.g. '8,4,3,2,0'"),
+    "--json": dict(action="store_true", help="print the report as JSON"),
+    "--out": dict(default=None, help="output file (default stdout)"),
+}
+
+_KDFC = ("--key", "--iv", "--discard", "--y-init")
+_SEEDED = ("--m", "--b", "--k", "--seed", "--poly")
 
 
-def _add_key_iv(p: argparse.ArgumentParser, required: bool = True) -> None:
-    p.add_argument("--key", required=required, help="64 hex digits (256-bit key)")
-    p.add_argument("--iv", required=required, help="32 hex digits (128-bit IV)")
-
-
-def _add_kdfc_knobs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--discard", type=int, default=32,
-                   help="output words discarded after reconfiguration")
-    p.add_argument("--y-init", default=None,
-                   help="path to an offline-matrix JSON document "
-                        "(its k sets the offline iteration count)")
+def _leaf(group, name: str, func, help: str, shared=(), own=None, optional=()) -> None:
+    """Command `name` of `group`: the shared options it names, its own
+    options (flag -> add_argument keywords), then --out; a flag in
+    `optional` is not required.  No command reads an abbreviated flag, so
+    --k is never taken for --key.
+    """
+    q = group.add_parser(name, help=help, allow_abbrev=False)
+    options = {**{flag: _SHARED[flag] for flag in shared}, **(own or {}),
+               "--out": _SHARED["--out"]}
+    for flag, kw in options.items():
+        q.add_argument(flag, **(kw | {"required": False} if flag in optional else kw))
+    q.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,121 +432,61 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kdfc-snow",
         description="keystream generation, configuration tooling, and analysis",
     )
-    sub = top.add_subparsers(dest="cmd", required=True)
+    commands = top.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("snow2", help="SNOW 2.0 with the public configuration")
-    s2 = p.add_subparsers(dest="sub", required=True)
-    q = s2.add_parser("stream", help="print keystream words as hex lines")
-    _add_key_iv(q)
-    q.add_argument("-n", type=int, required=True, help="number of 32-bit words")
-    _add_out(q)
-    q.set_defaults(func=_cmd_snow2_stream)
+    def group(name: str, help: str):
+        return commands.add_parser(name, help=help).add_subparsers(dest="sub", required=True)
 
-    p = sub.add_parser("kdfc", help="key-dependent-configuration cipher")
-    s2 = p.add_subparsers(dest="sub", required=True)
-    # no abbreviations: the removed --k must not be read as --key
-    q = s2.add_parser("init", allow_abbrev=False,
-                      help="initialize and print the full state as JSON")
-    _add_key_iv(q)
-    _add_kdfc_knobs(q)
-    _add_out(q)
-    q.set_defaults(func=_cmd_kdfc_init)
-    q = s2.add_parser("stream", allow_abbrev=False,
-                      help="print keystream words as hex lines")
-    _add_key_iv(q, required=False)
-    _add_kdfc_knobs(q)
-    q.add_argument("--state", default=None, help="resume from a state JSON file")
-    q.add_argument("-n", type=int, required=True, help="number of 32-bit words")
-    _add_out(q)
-    q.set_defaults(func=_cmd_kdfc_stream)
-    q = s2.add_parser("dump-config", allow_abbrev=False,
-                      help="print the derived configuration as JSON")
-    _add_key_iv(q)
-    _add_kdfc_knobs(q)
-    _add_out(q)
-    q.set_defaults(func=_cmd_kdfc_dump_config)
+    snow2 = group("snow2", "SNOW 2.0 with the public configuration")
+    _leaf(snow2, "stream", _cmd_snow2_stream, "print keystream words as hex lines",
+          ("--key", "--iv", "-n"))
 
-    q = sub.add_parser("gen-config", help="seeded configuration generation")
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--b", type=int, required=True)
-    q.add_argument("--k", type=int, default=0, help="offline iteration count")
-    q.add_argument("--seed", required=True, help="fill-bit seed string")
-    q.add_argument("--poly", default=None,
-                   help="prescribed polynomial as exponent list, e.g. '8,4,3,2,0'")
-    _add_out(q)
-    q.set_defaults(func=_cmd_gen_config)
+    kd = group("kdfc", "key-dependent-configuration cipher")
+    _leaf(kd, "init", _cmd_kdfc_init, "initialize and print the full state as JSON", _KDFC)
+    _leaf(kd, "stream", _cmd_kdfc_stream, "print keystream words as hex lines",
+          (*_KDFC, "-n"), optional=("--key", "--iv"),
+          own={"--state": dict(default=None, help="resume from a state JSON file")})
+    _leaf(kd, "dump-config", _cmd_kdfc_dump_config,
+          "print the derived configuration as JSON", _KDFC)
 
-    q = sub.add_parser("char-poly",
-                       help="characteristic polynomial as an exponent list")
-    q.add_argument("--snow2", action="store_true",
-                   help="the SNOW 2.0 configuration matrix")
-    q.add_argument("--target", action="store_true",
-                   help="the degree-512 generation target")
-    q.add_argument("--m", type=int)
-    q.add_argument("--b", type=int)
-    q.add_argument("--k", type=int, default=0)
-    q.add_argument("--seed")
-    q.add_argument("--poly", default=None)
-    _add_out(q)
-    q.set_defaults(func=_cmd_char_poly)
+    _leaf(commands, "gen-config", _cmd_gen_config, "seeded configuration generation", _SEEDED)
+    _leaf(commands, "char-poly", _cmd_char_poly,
+          "characteristic polynomial as an exponent list", _SEEDED,
+          optional=("--m", "--b", "--seed"), own={
+              "--snow2": dict(action="store_true", help="the SNOW 2.0 configuration matrix"),
+              "--target": dict(action="store_true", help="the degree-512 generation target"),
+          })
 
-    p = sub.add_parser("analyze", help="attack-cost arithmetic and search")
-    s2 = p.add_subparsers(dest="sub", required=True)
-    q = s2.add_parser("bias", help="pile up a linear-mask bias")
-    q.add_argument("--eps-log2", type=float, required=True,
-                   help="log2 of the single-approximation bias (negative)")
-    q.add_argument("--taps", type=int, required=True,
-                   help="number of XORed approximations")
-    _add_out(q)
-    q.set_defaults(func=_cmd_analyze_bias)
-    q = s2.add_parser("linearization", help="monomial count for linearization")
-    q.add_argument("--n", type=int, required=True, help="variable count")
-    q.add_argument("--degree", type=int, required=True, help="max degree")
-    q.add_argument("--exact", action="store_true", help="also print the integer")
-    _add_out(q)
-    q.set_defaults(func=_cmd_analyze_linearization)
-    q = s2.add_parser("gd", help="guess-and-determine basis search")
-    q.add_argument("--cipher", choices=["snow2", "kdfc"], default="snow2")
-    q.add_argument("--max-stages", type=int, default=16)
-    q.add_argument("--json", action="store_true")
-    _add_out(q)
-    q.set_defaults(func=_cmd_analyze_gd)
+    an = group("analyze", "attack-cost arithmetic and search")
+    _leaf(an, "bias", _cmd_analyze_bias, "pile up a linear-mask bias", own={
+        "--eps-log2": dict(type=float, required=True,
+                           help="log2 of the single-approximation bias (negative)"),
+        "--taps": dict(type=int, required=True, help="number of XORed approximations"),
+    })
+    _leaf(an, "linearization", _cmd_analyze_linearization,
+          "monomial count for linearization", own={
+              "--n": dict(type=int, required=True, help="variable count"),
+              "--degree": dict(type=int, required=True, help="max degree"),
+              "--exact": dict(action="store_true", help="also print the integer"),
+          })
+    _leaf(an, "gd", _cmd_analyze_gd, "guess-and-determine basis search", ("--json",), own={
+        "--cipher": dict(choices=["snow2", "kdfc"], default="snow2"),
+        "--max-stages": dict(type=int, default=16),
+    })
 
-    q = sub.add_parser("randtest", help="statistical battery over hex input")
-    q.add_argument("--in", dest="infile", required=True,
-                   help="hex file ('-' for stdin)")
-    q.add_argument("--report", choices=["text", "json"], default="text")
-    _add_out(q)
-    q.set_defaults(func=_cmd_randtest)
+    _leaf(commands, "randtest", _cmd_randtest, "statistical battery over hex input", own={
+        "--in": dict(dest="infile", required=True, help="hex file ('-' for stdin)"),
+        "--report": dict(choices=["text", "json"], default="text"),
+    })
 
-    p = sub.add_parser("verify", help="structure and counting checks")
-    s2 = p.add_subparsers(dest="sub", required=True)
-    q = s2.add_parser("lemmas", help="minor degree/zero regions of symbolic Q")
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--b", type=int, required=True)
-    q.add_argument("--poly", default=None)
-    q.add_argument("--json", action="store_true")
-    _add_out(q)
-    q.set_defaults(func=_cmd_verify_lemmas)
-    q = s2.add_parser("theorem1", help="corner-entry degree of the symbolic config")
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--b", type=int, required=True)
-    q.add_argument("--poly", default=None)
-    _add_out(q)
-    q.set_defaults(func=_cmd_verify_theorem1)
-    q = s2.add_parser("count", help="enumeration vs counting formula")
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--b", type=int, required=True)
-    _add_out(q)
-    q.set_defaults(func=_cmd_verify_count)
-    q = s2.add_parser("period", help="maximal period from a seeded configuration")
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--b", type=int, required=True)
-    q.add_argument("--k", type=int, default=0)
-    q.add_argument("--seed", required=True)
-    q.add_argument("--poly", default=None)
-    _add_out(q)
-    q.set_defaults(func=_cmd_verify_period)
+    ve = group("verify", "structure and counting checks")
+    _leaf(ve, "lemmas", _cmd_verify_lemmas, "minor degree/zero regions of symbolic Q",
+          ("--m", "--b", "--poly", "--json"))
+    _leaf(ve, "theorem1", _cmd_verify_theorem1,
+          "corner-entry degree of the symbolic config", ("--m", "--b", "--poly"))
+    _leaf(ve, "count", _cmd_verify_count, "enumeration vs counting formula", ("--m", "--b"))
+    _leaf(ve, "period", _cmd_verify_period,
+          "maximal period from a seeded configuration", _SEEDED)
 
     return top
 

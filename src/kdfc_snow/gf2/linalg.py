@@ -29,25 +29,29 @@ class NoSolutionError(ValueError):
     """A linear system has no solution."""
 
 
+_HEX = frozenset("0123456789abcdefABCDEF")
+
+
 def vec_to_hex(v: int, length: int) -> str:
     """Serialize a bit vector to hex, least significant nibble first."""
     if v < 0 or v >> length:
         raise ValueError("vector has bits beyond its length")
     ndigits = (length + 3) // 4
-    return "".join(format((v >> (4 * k)) & 0xF, "x") for k in range(ndigits))
+    return format(v, f"0{ndigits}x")[::-1] if ndigits else ""
 
 
 def vec_from_hex(s: str, length: int) -> int:
-    """Inverse of :func:`vec_to_hex`."""
+    """Inverse of :func:`vec_to_hex`.
+
+    Only hex digits are read: int() would also take a sign, blanks, '_'
+    and a '0x' prefix, which reversed is the suffix 'x0'.
+    """
     ndigits = (length + 3) // 4
     if len(s) != ndigits:
         raise ValueError(f"expected {ndigits} hex digits for {length} bits")
-    v = 0
-    try:
-        for k, ch in enumerate(s):
-            v |= int(ch, 16) << (4 * k)
-    except ValueError:
-        raise ValueError(f"not a hex string: {s!r}") from None
+    if not _HEX.issuperset(s):
+        raise ValueError(f"not a hex string: {s!r}")
+    v = int(s[::-1], 16) if s else 0
     if v >> length:
         raise ValueError("hex string has bits beyond the stated length")
     return v
@@ -62,9 +66,8 @@ class BitMatrix:
         rows = list(rows)
         if ncols < 0:
             raise DimensionError("negative column count")
-        mask = (1 << ncols) - 1
         for r in rows:
-            if r < 0 or r & ~mask:
+            if r < 0 or r >> ncols:
                 raise DimensionError("row has bits beyond the column count")
         self.rows = rows
         self.nrows = len(rows)

@@ -33,8 +33,8 @@ which is ceil(m/8) lookups (4 at m = 32) in the byte-lane tables of L
 (SigmaConfig.byte_tables), however dense the gains are.  The Galois
 state of a window x_t..x_{t+b-1} is sum_j L(x_{t+j}) >> (b-1-j)m, the
 same clock fed with the window's words (galois_state).  The keystream
-(snow2), the one-step step_stacked and the char-poly certificate all
-use these tables.
+(snow2), period, the one-step step_stacked and the char-poly certificate
+all use these tables.
 
 The per-object reference step, the certificate sequence stepped on the
 configuration matrix, the transition matrix and the read-back of gains
@@ -42,6 +42,8 @@ from a configuration matrix live in tests/oracles.py.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from kdfc_snow.gf2.linalg import BitMatrix, DimensionError, rank
 from kdfc_snow.gf2.poly import Gf2Poly
@@ -202,6 +204,19 @@ def galois_state(cfg: SigmaConfig, words: list[int]) -> int:
     return z
 
 
+def _galois_clock(cfg: SigmaConfig, z: int):
+    """The Galois states that follow z, one per clock, without end."""
+    m, lanes = cfg.m, cfg.byte_tables()
+    mask = (1 << m) - 1
+    while True:
+        x = z & mask
+        z >>= m
+        for table in lanes:
+            z ^= table[x & 0xFF]
+            x >>= 8
+        yield z
+
+
 def step_stacked(cfg: SigmaConfig, v: int) -> int:
     """One shift of a stacked mb-bit state, feedback via galois_state."""
     m, b = cfg.m, cfg.b
@@ -215,23 +230,25 @@ def period(cfg: SigmaConfig, words: list[int]) -> int:
 
     The seed is b m-bit words, oldest first.  The step is a bijection
     exactly when B_0 is invertible; otherwise a seed need not recur, so a
-    singular B_0 is refused before stepping.
+    singular B_0 is refused before stepping.  The Galois state
+    z = galois_state(cfg, seed) is clocked until it returns, and its
+    period is the seed's: block k of z is sum_i x_{t+k+i} * B_i over the
+    window's words from x_{t+k} on, so the map from a window to z is
+    block-triangular with B_0 on its diagonal, a bijection exactly when
+    B_0 is invertible, and one clock of z is one step of the window.
     """
     m, n = cfg.m, cfg.m * cfg.b
     if n > PERIOD_GUARD_BITS:
         raise PeriodGuardError(f"state space 2^{n} exceeds the 2^{PERIOD_GUARD_BITS} guard")
-    start = _check_words(words, m, cfg.b)
-    if start == 0:
+    if _check_words(words, m, cfg.b) == 0:
         raise PeriodGuardError("zero seed is a fixed point; period undefined")
     mask = (1 << m) - 1
     if rank(BitMatrix([row & mask for row in cfg.rows], m)) < m:
         raise PeriodGuardError("B_0 is singular: the step is not a bijection")
-    v = step_stacked(cfg, start)
-    t = 1
-    while v != start:
-        v = step_stacked(cfg, v)
-        t += 1
-    return t
+    start = galois_state(cfg, words)
+    for t, z in enumerate(_galois_clock(cfg, start), 1):
+        if z == start:
+            return t
 
 
 def config_char_poly(cfg: SigmaConfig) -> Gf2Poly:
@@ -253,18 +270,8 @@ def config_char_poly(cfg: SigmaConfig) -> Gf2Poly:
     """
     from kdfc_snow.gf2.linalg import berlekamp_massey, char_poly
 
-    m, n = cfg.m, cfg.m * cfg.b
-    mask = (1 << m) - 1
-    lanes = cfg.byte_tables()
-    bits, z = [], 1
-    for _ in range(2 * n):
-        bits.append(z & 1)
-        x = z & mask
-        z >>= m
-        for table in lanes:
-            z ^= table[x & 0xFF]
-            x >>= 8
-    f = berlekamp_massey(bits)
+    n = cfg.m * cfg.b
+    f = berlekamp_massey([1] + [z & 1 for z in islice(_galois_clock(cfg, 1), 2 * n - 1)])
     if f.degree == n:
         return f
     return char_poly(build_config_matrix(cfg))

@@ -23,8 +23,11 @@ route than the package:
   product per gain, zero gains included, instead of the package's
   step_stacked through the Galois byte-lane tables of all the gains.
 * orbit_of walks a seed's orbit by multiplying the stacked state with the
-  transition matrix, instead of the package's step_stacked that period()
-  uses.
+  transition matrix, instead of the package's period(), which clocks the
+  Galois state through the byte-lane tables.
+* nibble_hex and nibble_from_hex write and read a row one nibble at a
+  time, instead of the package's vec_to_hex and vec_from_hex, which
+  convert the whole row at once.
 * clock_oracle and keystream_oracle run SNOW 2.0's clocks on word lists
   and FsmState objects with lfsr_step and fsm_step, under any 32x16
   configuration, instead of the package's single Galois-form loop on
@@ -455,6 +458,19 @@ def orbit_of(cfg, words) -> list[int]:
         orbit.append(v)
         v = mat_vec_mul(v, t)
     return orbit
+
+
+def nibble_hex(v: int, length: int) -> str:
+    """v as ceil(length/4) hex digits, least significant nibble first."""
+    return "".join("0123456789abcdef"[v >> 4 * k & 0xF] for k in range((length + 3) // 4))
+
+
+def nibble_from_hex(s: str) -> int:
+    """Inverse of nibble_hex: digit k is nibble k."""
+    v = 0
+    for k, ch in enumerate(s):
+        v |= "0123456789abcdef".index(ch.lower()) << 4 * k
+    return v
 
 
 def clock_oracle(key, iv, cfg, n):

@@ -58,6 +58,21 @@ def test_gain_needs_more_than_the_base_spread(bench):
     assert s["verdict"] == "same"
 
 
+def test_gain_needs_a_tenth_of_the_bound(bench):
+    # BENCH_22.json, config-gen peak_rss_mb: 9 of 10 pairs won and a median
+    # 0.05 MB lower, above the base IQR of 0.02 MB, but below a tenth of the
+    # 10 % bound (0.40 MB)
+    spec = {"unit": "MB", "better": "lower", "bound": 0.1}
+    base = [39.85546875, 39.94921875, 39.828125, 39.8515625, 39.95703125,
+            39.87109375, 39.86328125, 39.875, 39.86328125, 39.78515625]
+    change = [39.8203125, 39.85546875, 39.82421875, 39.8359375, 39.84765625,
+              39.77734375, 39.6796875, 39.75, 39.80078125, 39.80859375]
+    s = bench.summarize(spec, base, change)
+    assert s["pairs_won"] == 9 and s["base"]["iqr"] == pytest.approx(0.0215, abs=1e-4)
+    assert s["base"]["median"] - s["change"]["median"] == pytest.approx(0.0488, abs=1e-4)
+    assert s["verdict"] == "same"
+
+
 def test_src_lines_skip_blanks_and_comments(bench, tmp_path):
     pkg = tmp_path / "src" / "pkg"
     pkg.mkdir(parents=True)

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, reproducibility."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -684,6 +685,7 @@ class TestGenConfig:
         ("8,4,x,2,0", "exponent 'x' is not a non-negative integer"),
         ("8,4,3,2,-1", "exponent '-1' is not a non-negative integer"),
         (",", "empty exponent list"),
+        ("", "empty exponent list"),  # not the table's polynomial
     ])
     def test_poly_is_refused_not_folded(self, capsys, poly, message):
         # a repeated term used to be ORed away: 8,8,4,3,2,0 read as x^8+x^4+x^3+x^2+1
@@ -1004,6 +1006,95 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["snow2", "stream", "--key", ZERO_KEY, "-n", "1"])
         assert exc.value.code == 2
+
+
+def leaves(parser, path=()):
+    """(command words, parser) of every command that takes no subcommand."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield path, parser
+    for group in groups:
+        for name, sub in group.choices.items():
+            yield from leaves(sub, path + (name,))
+
+
+#: the options that more than one command takes
+SHARED_FLAGS = ["--key", "--iv", "-n", "--discard", "--y-init", "--m", "--b",
+                "--k", "--seed", "--poly", "--json", "--out"]
+
+
+class TestParser:
+    def test_every_command_refuses_abbreviations(self):
+        found = dict(leaves(cli.build_parser()))
+        assert len(found) == 14
+        assert [" ".join(path) for path, p in found.items() if p.allow_abbrev] == []
+
+    def test_one_help_text_per_shared_flag(self):
+        helps = {flag: [] for flag in SHARED_FLAGS}
+        for _, parser in leaves(cli.build_parser()):
+            for action in parser._actions:
+                for flag in set(action.option_strings) & helps.keys():
+                    helps[flag].append(action.help)
+        for flag, texts in helps.items():
+            assert len(texts) >= 2, flag
+            assert None not in texts and len(set(texts)) == 1, (flag, texts)
+
+    def test_k_is_not_read_as_key(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["snow2", "stream", "--k", ZERO_KEY, "--iv", ZERO_IV, "-n", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestDimensions:
+    """m or b below 1 gets one message, before any table lookup."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-config", "--seed", "s"],
+        ["char-poly", "--seed", "s"],
+        ["verify", "lemmas"],
+        ["verify", "theorem1"],
+        ["verify", "period", "--seed", "s"],
+    ], ids=["gen-config", "char-poly", "verify-lemmas", "verify-theorem1", "verify-period"])
+    @pytest.mark.parametrize("m,b,bad", [
+        ("0", "4", "m=0"), ("2", "0", "b=0"), ("-2", "-2", "m=-2"),
+    ])
+    def test_non_positive_dims_refused_first(self, capsys, monkeypatch, argv, m, b, bad):
+        monkeypatch.setattr(cli, "pipeline_poly", lambda *a: pytest.fail("table lookup"))
+        code, out, err = run(capsys, *argv, "--m", m, "--b", b)
+        assert code == 1 and out == ""
+        assert err == f"error: need {bad[0]} >= 1, got {bad}\n"
+
+
+class TestDeclaredColumnCount:
+    """A matrix's declared column count is not allocated before it is checked."""
+
+    def test_y_init_document(self, capsys, tmp_path):
+        doc = load_y_init().to_json()
+        doc["y"] = {"rows": 0, "cols": 10**8, "data": []}
+        self.refused(capsys, tmp_path, doc, "--y-init", "y_init matrix is 0x100000000")
+
+    def test_state_document(self, capsys, tmp_path, state_doc):
+        doc = json.loads(json.dumps(state_doc))
+        doc["config"]["gains"][0] = {"rows": 0, "cols": 10**8, "data": []}
+        self.refused(capsys, tmp_path, doc, "--state", "gain B_0 is 0x100000000")
+
+    @staticmethod
+    def refused(capsys, tmp_path, doc, flag, message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = ["kdfc", "stream", flag, str(path), "-n", "4"]
+        if flag == "--y-init":
+            argv += ["--key", KAT_KEY_HEX, "--iv", KAT_IV_HEX]
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err
+        assert peak < 2 << 20
 
 
 class TestImports:

@@ -15,6 +15,8 @@ from oracles import (
     identity,
     krylov_matrix,
     linear_complexity,
+    nibble_from_hex,
+    nibble_hex,
     solve_row,
     to_bits,
     zeros,
@@ -397,3 +399,26 @@ class TestHexCodec:
     def test_fixed_width_lsn_first(self):
         assert vec_to_hex(1, 32) == "10000000"
         assert vec_to_hex(0x80000000, 32) == "00000008"
+
+    @given(st.integers(0, 300).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+    def test_matches_the_per_nibble_oracle(self, case):
+        length, v = case
+        text = vec_to_hex(v, length)
+        assert text == nibble_hex(v, length)
+        assert vec_from_hex(text, length) == nibble_from_hex(text) == v
+        assert vec_from_hex(text.upper(), length) == v
+
+    @pytest.mark.parametrize("text,length", [
+        ("1_23", 16),  # a digit separator
+        ("123 ", 16),  # blanks, which int() strips
+        ("12\n", 12),
+        ("123+", 16),  # a sign, last since the digits are read reversed
+        ("123-", 16),
+        ("1x0", 12),  # the prefix 0x, least significant nibble first
+    ])
+    def test_refuses_what_int_would_read(self, text, length):
+        # each of these reads as an int once reversed
+        int(text[::-1], 16)
+        with pytest.raises(ValueError, match="not a hex string"):
+            vec_from_hex(text, length)

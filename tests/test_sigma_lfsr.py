@@ -463,6 +463,22 @@ class TestPeriod:
         assert config_char_poly(cfg) == Gf2Poly.from_exponents([4, 0])
         assert period(cfg, [1, 0, 0, 0]) < 15
 
+    @pytest.mark.parametrize("m,b", [(2, 2), (1, 4), (3, 2)])
+    def test_every_seed_matches_the_orbit_oracle(self, m, b):
+        # non-primitive configurations with B_0 invertible, whose seeds lie
+        # on orbits of several lengths
+        rng = random.Random(f"period {m}x{b}")
+        checked = 0
+        while checked < 3:
+            cfg = SigmaConfig(m, b, [rng.getrandbits(m * b) for _ in range(m)])
+            b0 = BitMatrix([row & (1 << m) - 1 for row in cfg.rows], m)
+            if linalg.rank(b0) < m or is_primitive(config_char_poly(cfg)):
+                continue
+            for v in range(1, 1 << (m * b)):
+                seed = state_from_stacked(m, b, v)
+                assert period(cfg, seed) == len(orbit_of(cfg, seed)), (cfg.rows, v)
+            checked += 1
+
     def test_guards(self):
         cfg = primitive_config(2, 2)
         with pytest.raises(PeriodGuardError, match="zero seed"):

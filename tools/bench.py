@@ -20,7 +20,8 @@ distance between the quartiles (IQR), the number of pairs the working tree
 won (ties count for neither side), the ratio of the medians, and a verdict:
 
 * gain: the working tree won at least 9 of every 10 pairs and its median
-  is better than the base median by more than the base IQR;
+  is better than the base median by more than the base IQR and by more
+  than a tenth of the metric's bound times the base median;
 * worse: its median is worse than the base median by more than the
   metric's bound;
 * unresolved: neither, and the base runs spread wider than the bound;
@@ -115,7 +116,7 @@ def summarize(spec: dict, base: list[float], change: list[float]) -> dict:
     c1, cmed, c3 = quartiles(change)
     won = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
     gain = (bmed - cmed) if lower else (cmed - bmed)
-    if won * 10 >= 9 * len(base) and gain > b3 - b1:
+    if won * 10 >= 9 * len(base) and gain > max(b3 - b1, spec["bound"] / 10 * bmed):
         verdict = "gain"
     elif -gain > spec["bound"] * bmed:
         verdict = "worse"
