@@ -185,11 +185,10 @@ def build_snow2_tables() -> IndexTables:
 
 def build_kdfc_tables() -> IndexTables:
     """The 1542-node tables for the degree-512 recurrence (514-row families)."""
+    from kdfc_snow.gf2.poly import exponent_list
     from kdfc_snow.kdfc import target_poly
 
-    return recurrence_row_tables(
-        sorted(target_poly().exponents(), reverse=True), stages=514
-    )
+    return recurrence_row_tables(exponent_list(target_poly()), stages=514)
 
 
 class _Solver:

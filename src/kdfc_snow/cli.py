@@ -33,7 +33,7 @@ from kdfc_snow.confgen import (
 from kdfc_snow.gf2.poly import (
     DegreeError,
     FactorTableMissError,
-    Gf2Poly,
+    exponent_list,
     is_irreducible,
     is_primitive,
     parse_exponents,
@@ -100,7 +100,7 @@ def _write_stream(state: CipherState, n: int, out: str | None) -> None:
             fh.close()
 
 
-def _dims(args) -> tuple[int, int, Gf2Poly]:
+def _dims(args) -> tuple[int, int, int]:
     """(m, b, p) of a command that reads --m, --b and --poly: m and b are
     checked before any table lookup, then p is --poly or the table's."""
     m, b = args.m, args.b
@@ -112,8 +112,8 @@ def _dims(args) -> tuple[int, int, Gf2Poly]:
         raise ValueError(f"m*b = {degree} is above 513, the largest the table serves")
     try:
         p = parse_exponents(args.poly, degree)
-        if p.degree != degree:
-            raise DegreeError(p.degree)
+        if p.bit_length() - 1 != degree:
+            raise DegreeError(p.bit_length() - 1)
     except DegreeError as e:
         raise ValueError(f"--poly must have degree {degree}, got {e.got}") from None
     except ValueError as e:
@@ -130,7 +130,7 @@ def _dims(args) -> tuple[int, int, Gf2Poly]:
     return m, b, p
 
 
-def _seeded_config(m: int, b: int, k: int, seed: str, p: Gf2Poly) -> SigmaConfig:
+def _seeded_config(m: int, b: int, k: int, seed: str, p: int) -> SigmaConfig:
     total = m * b - m
     if not 0 <= k <= total:
         raise ValueError(f"--k must be in [0, {total}] for m={m}, b={b}")
@@ -178,14 +178,14 @@ def _load_state(path: str) -> CipherState:
     state = CipherState(doc["lfsr"], FsmState(doc["fsm"]["r1"], doc["fsm"]["r2"]), cfg)
     if config_char_poly(cfg) != kdfc.target_poly():
         raise ValueError("state configuration lacks the target characteristic polynomial")
-    if doc["char_poly"] != kdfc.target_poly().to_json():
+    if doc["char_poly"] != exponent_list(kdfc.target_poly()):
         raise ValueError("state configuration does not match the document's char_poly")
     return state
 
 
-def _config_doc(cfg: SigmaConfig, char_poly: Gf2Poly, **fields) -> dict:
+def _config_doc(cfg: SigmaConfig, char_poly: int, **fields) -> dict:
     """m, b, `fields`, then char_poly as generate_config(verify=True) certified it."""
-    return {"m": cfg.m, "b": cfg.b, **fields, "char_poly": char_poly.to_json(),
+    return {"m": cfg.m, "b": cfg.b, **fields, "char_poly": exponent_list(char_poly),
             "config": cfg.to_json()}
 
 
@@ -217,7 +217,7 @@ def _cmd_kdfc_dump_config(args) -> int:
 def _cmd_gen_config(args) -> int:
     m, b, p = _dims(args)
     cfg = _seeded_config(m, b, args.k, args.seed, p)
-    doc = _config_doc(cfg, p, k=args.k, seed=args.seed, polynomial=p.to_json())
+    doc = _config_doc(cfg, p, k=args.k, seed=args.seed, polynomial=exponent_list(p))
     _emit(json.dumps(doc, indent=2), args.out)
     return 0
 
@@ -235,7 +235,7 @@ def _cmd_char_poly(args) -> int:
         # the config's characteristic polynomial, certified by generate_config
         m, b, p = _dims(args)
         _seeded_config(m, b, args.k, args.seed, p)
-    _emit(" ".join(map(str, p.to_json())), args.out)
+    _emit(" ".join(map(str, exponent_list(p))), args.out)
     return 0
 
 

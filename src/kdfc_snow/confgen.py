@@ -62,12 +62,11 @@ from kdfc_snow.gf2.linalg import (
     rank,
 )
 from kdfc_snow.gf2.poly import (
-    Gf2Poly,
     _divmod_int,
-    _exponents,
     _mulmod_rows,
     _sparse_tail,
     euler_phi_2n1,
+    exponents,
     inv_mod,
 )
 from kdfc_snow.gf2.primtable import primitive_poly
@@ -156,10 +155,10 @@ class FillBits:
         return cls(m, vectors)
 
 
-def pipeline_poly(degree: int) -> Gf2Poly:
+def pipeline_poly(degree: int) -> int:
     """Table polynomial for a pipeline stage (degree 1 handled inline)."""
     if degree == 1:
-        return Gf2Poly(0b11)  # x + 1, the unique degree-1 primitive
+        return 0b11  # x + 1, the unique degree-1 primitive
     return primitive_poly(degree)
 
 
@@ -190,20 +189,20 @@ def _shifts(exps: list[int]) -> list[int]:
     return [w - e for e in exps if e]
 
 
-def _stage_constants(pc: int) -> tuple:
+def _stage_constants(p: int) -> tuple:
     """A stage's constants: the shifts of its polynomial p and of
     mu = floor(x^2w / p) (p itself when deg(p - x^w) < w/2), and the fold
     tail _sparse_tail(p) of gf2.poly._mulmod_rows."""
-    exps = _exponents(pc)
+    exps = exponents(p)
     w = exps[-1]
-    if 2 * (pc ^ (1 << w)).bit_length() <= w + 1:
+    if 2 * (p ^ (1 << w)).bit_length() <= w + 1:
         mu_exps = exps
     else:
-        mu_exps = _exponents(_divmod_int(1 << 2 * w, pc)[0])
-    return _shifts(exps), _shifts(mu_exps), _sparse_tail(pc)
+        mu_exps = exponents(_divmod_int(1 << 2 * w, p)[0])
+    return _shifts(exps), _shifts(mu_exps), _sparse_tail(p)
 
 
-def _stage(rows: list[int], i: int, p: Gf2Poly, fill: int) -> list[int]:
+def _stage(rows: list[int], i: int, p: int, fill: int) -> list[int]:
     """Iteration i on rows u of width w = deg p, bit j = coordinate w-1-j.
 
     embed(u) = floor(p * u / x^w).  p * u = embed(u) * x^w + r, deg r < w,
@@ -219,15 +218,15 @@ def _stage(rows: list[int], i: int, p: Gf2Poly, fill: int) -> list[int]:
     and un-embedding are linear bijections; the active row ends as 1, and
     1 with the widened u << 1 | fill is dependent only if the u sum to 0.
     """
-    m, pc = len(rows), p.coeffs
-    shifts, mu_shifts, tail = _stage_constants(pc)
+    m = len(rows)
+    shifts, mu_shifts, tail = _stage_constants(p)
     active = i % m
     g = _over_xw(shifts, rows)
     try:
-        lam = inv_mod(Gf2Poly(g[active]), p).coeffs
+        lam = inv_mod(g[active], p)
     except ZeroDivisionError as exc:
         raise NoSolutionError(f"active row is zero or not cyclic: {exc}") from exc
-    out = _over_xw(mu_shifts, _mulmod_rows(g, lam, pc, tail))
+    out = _over_xw(mu_shifts, _mulmod_rows(g, lam, p, tail))
     if out[active] != 1:
         raise NoSolutionError("active row did not land on e_1")
     pos = 0
@@ -238,7 +237,7 @@ def _stage(rows: list[int], i: int, p: Gf2Poly, fill: int) -> list[int]:
     return out
 
 
-def y_iterate(y: BitMatrix, i: int, p: Gf2Poly, fill: int) -> BitMatrix:
+def y_iterate(y: BitMatrix, i: int, p: int, fill: int) -> BitMatrix:
     """One pipeline iteration: active row to e_1, then widen by one bit.
 
     y has m rows of width w; p is the stage polynomial, of degree w.  The
@@ -246,9 +245,9 @@ def y_iterate(y: BitMatrix, i: int, p: Gf2Poly, fill: int) -> BitMatrix:
     without full row rank raises RankLossError.
     """
     m, w = y.nrows, y.ncols
-    if p.degree != w:
+    if p.bit_length() - 1 != w:
         raise DimensionError(
-            f"stage polynomial degree {p.degree} does not match Y width {w}"
+            f"stage polynomial degree {p.bit_length() - 1} does not match Y width {w}"
         )
     if fill < 0 or fill >> (m - 1):
         raise ValueError(f"fill needs exactly {m - 1} bits")
@@ -270,7 +269,7 @@ def y_offline(m: int, b: int, k: int, fill: FillBits) -> BitMatrix:
     return BitMatrix(_reversed_rows(rows, m + k), m + k)
 
 
-def build_q(y: BitMatrix, p: Gf2Poly) -> BitMatrix:
+def build_q(y: BitMatrix, p: int) -> BitMatrix:
     """Stack Y * P^j for j = 0..b-1 into the mb x mb change-of-basis Q.
 
     Q is not checked for singularity here: assemble_config builds Q and
@@ -279,15 +278,15 @@ def build_q(y: BitMatrix, p: Gf2Poly) -> BitMatrix:
     m, n = y.nrows, y.ncols
     if n % m:
         raise DimensionError(f"Y width {n} is not a multiple of m={m}")
-    if p.degree != n:
-        raise DimensionError(f"polynomial degree {p.degree} != Y width {n}")
+    if p.bit_length() - 1 != n:
+        raise DimensionError(f"polynomial degree {p.bit_length() - 1} != Y width {n}")
     rows = list(y.rows)
     for _ in range(n // m - 1):
         rows += [companion_vec_mul(r, p) for r in rows[-m:]]
     return BitMatrix(rows, n)
 
 
-def assemble_config(y: BitMatrix, p: Gf2Poly) -> SigmaConfig:
+def assemble_config(y: BitMatrix, p: int) -> SigmaConfig:
     """The configuration C = Q * companion(p) * Q^{-1} of Q = build_q(y, p),
     without forming C.
 
@@ -310,7 +309,7 @@ def assemble_config(y: BitMatrix, p: Gf2Poly) -> SigmaConfig:
 def generate_config(
     m: int,
     b: int,
-    p: Gf2Poly,
+    p: int,
     y_init: BitMatrix,
     online_fill: FillBits,
     verify: bool = True,
@@ -323,8 +322,8 @@ def generate_config(
     block-companion with characteristic polynomial p, rechecked if verify.
     """
     n = m * b
-    if p.degree != n:
-        raise DimensionError(f"target degree {p.degree} != mb = {n}")
+    if p.bit_length() - 1 != n:
+        raise DimensionError(f"target degree {p.bit_length() - 1} != mb = {n}")
     if y_init.nrows != m:
         raise DimensionError("y_init row count != m")
     k = y_init.ncols - m
@@ -349,7 +348,7 @@ def generate_config(
         got = config_char_poly(cfg)
         if got != p:
             raise RankLossError(
-                f"characteristic polynomial mismatch: got degree {got.degree}"
+                f"characteristic polynomial mismatch: got degree {got.bit_length() - 1}"
             )
     return cfg
 
@@ -386,12 +385,15 @@ def brute_force_count(m: int, b: int) -> int:
 
     Walks all 2^(m*m*b) tuples of m feedback rows of mb bits (every gain
     tuple, once each), keeping those whose configuration matrix has a
-    primitive characteristic polynomial.
+    primitive characteristic polynomial.  Only the Berlekamp-Massey
+    certificate of config_char_poly is taken: one of degree below mb
+    means the characteristic polynomial is reducible (see
+    sigma_lfsr._certificate), so no tuple needs the dense char_poly.
     Exponential, so guarded to at most 2^20 candidates; cross-checks
     count_configurations at small sizes.
     """
     from kdfc_snow.gf2.poly import is_primitive
-    from kdfc_snow.sigma_lfsr import config_char_poly
+    from kdfc_snow.sigma_lfsr import _certificate
 
     _check_dims(m, b)
     nbits = m * m * b
@@ -400,7 +402,8 @@ def brute_force_count(m: int, b: int) -> int:
             f"enumeration over 2^{nbits} row tuples is too large "
             f"(max 2^{MAX_ENUMERATION_BITS})"
         )
-    return sum(
-        is_primitive(config_char_poly(SigmaConfig(m, b, list(rows))))
-        for rows in product(range(1 << (m * b)), repeat=m)
-    )
+    count = 0
+    for rows in product(range(1 << (m * b)), repeat=m):
+        f = _certificate(SigmaConfig(m, b, list(rows)))
+        count += f.bit_length() - 1 == m * b and is_primitive(f)
+    return count

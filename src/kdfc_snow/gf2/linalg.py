@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from kdfc_snow.gf2.poly import Gf2Poly, clmul
+from kdfc_snow.gf2.poly import clmul
 
 
 class DimensionError(ValueError):
@@ -44,13 +44,15 @@ def vec_from_hex(s: str, length: int) -> int:
     """Inverse of :func:`vec_to_hex`.
 
     Only hex digits are read: int() would also take a sign, blanks, '_'
-    and a '0x' prefix, which reversed is the suffix 'x0'.
+    and a '0x' prefix, which reversed is the suffix 'x0'.  A refused
+    string is echoed up to its first 32 characters, then by its length.
     """
     ndigits = (length + 3) // 4
     if len(s) != ndigits:
         raise ValueError(f"expected {ndigits} hex digits for {length} bits")
     if not _HEX.issuperset(s):
-        raise ValueError(f"not a hex string: {s!r}")
+        shown = repr(s) if len(s) <= 32 else f"{s[:32]!r}... ({len(s)} characters)"
+        raise ValueError(f"not a hex string: {shown}")
     v = int(s[::-1], 16) if s else 0
     if v >> length:
         raise ValueError("hex string has bits beyond the stated length")
@@ -284,19 +286,19 @@ def mat_inverse(a: BitMatrix) -> BitMatrix:
     return BitMatrix(_solve_rows(a.rows, [1 << i for i in range(n)]), n)
 
 
-def companion_vec_mul(v: int, p: Gf2Poly) -> int:
+def companion_vec_mul(v: int, p: int) -> int:
     """Row vector times the companion matrix P of monic p, without forming P.
 
     P has ones on the subdiagonal (P[j+1, j] = 1) and last column
     (c_0, ..., c_{b-1}) where p(x) = x^b + sum c_j x^j, so that
     (x_n, ..., x_{n+b-1}) * P = (x_{n+1}, ..., x_{n+b}).
     """
-    b = p.degree
-    tail = (v & p.coeffs & ((1 << b) - 1)).bit_count() & 1
+    b = p.bit_length() - 1
+    tail = (v & p & ((1 << b) - 1)).bit_count() & 1
     return (v >> 1) | (tail << (b - 1))
 
 
-def char_poly(a: BitMatrix) -> Gf2Poly:
+def char_poly(a: BitMatrix) -> int:
     """Characteristic polynomial of a square matrix over GF(2).
 
     Deterministic O(n^3): builds a filtration of Krylov-invariant subspaces;
@@ -352,10 +354,10 @@ def char_poly(a: BitMatrix) -> Gf2Poly:
                 span_pivots.append(x.bit_length() - 1)
                 span.append(x)
                 dim += 1
-    return Gf2Poly(result)
+    return result
 
 
-def berlekamp_massey(bits: Sequence[int]) -> Gf2Poly:
+def berlekamp_massey(bits: Sequence[int]) -> int:
     """Shortest LFSR recurrence generating a bit sequence.
 
     Returns the characteristic polynomial f of degree L (the linear
@@ -387,4 +389,4 @@ def berlekamp_massey(bits: Sequence[int]) -> Gf2Poly:
     for j in range(ln + 1):
         if (conn >> (ln - j)) & 1:
             f |= 1 << j
-    return Gf2Poly(f)
+    return f

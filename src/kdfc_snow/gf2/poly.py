@@ -1,16 +1,21 @@
 """Univariate polynomial arithmetic over GF(2).
 
-A polynomial is packed into a Python int: bit i is the coefficient of x^i.
-The zero polynomial has degree -1 (sentinel).
+A polynomial is a non-negative Python int whose bit i is the coefficient
+of x^i (Hankerson-Menezes-Vanstone, Guide to ECC, 2.3), everywhere in the
+package: the table entries, the stage and target polynomials, the
+characteristic polynomials and every function here take and return it.
+Its degree is p.bit_length() - 1, so the zero polynomial has degree -1,
+and its weight is p.bit_count().  from_exponents and exponents convert
+from and to exponent lists; documents, the char-poly output and the
+polynomial table write the descending list of exponent_list and read it
+back through parse_exponents.
 
-clmul, clsquare and _mod_int are the package's one GF(2)[x] kernel on
-packed ints (multiply, square, reduce); the modular helpers,
-linalg.char_poly, the pipeline in confgen and the byte fields of snow2
-all build on them.  Gf2Poly is the typed value the API passes around; it
-has no arithmetic operators, and callers compute on its coeffs through
-the kernel.  _mod_int picks its route from the modulus: sparse
-moduli (see _sparse_tail) are reduced by folding, the rest by long
-division.  _mulmod_rows multiplies a list of operands by one factor and
+clmul, clsquare and _mod_int are the package's one GF(2)[x] kernel
+(multiply, square, reduce); the modular helpers, linalg.char_poly, the
+pipeline in confgen and the byte fields of snow2 all build on them.
+_mod_int picks its route from the modulus: sparse moduli (see
+_sparse_tail) are reduced by folding, the rest by long division.
+_mulmod_rows multiplies a list of operands by one factor and
 reduces each in the same loop: through a byte window table of the factor
 once the modulus has degree 32 or more, one shifted copy per term of the
 factor below; the reduction folds through the sparse tail its caller
@@ -22,73 +27,31 @@ from __future__ import annotations
 from typing import Iterable
 
 
-class Gf2Poly:
-    """Immutable univariate polynomial over GF(2)."""
+def from_exponents(exps: Iterable[int]) -> int:
+    """The polynomial with a term x^e for each e in exps; repeated exponents
+    cancel over GF(2)."""
+    c = 0
+    for e in exps:
+        if e < 0:
+            raise ValueError("negative exponent")
+        c ^= 1 << e
+    return c
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: int):
-        if coeffs < 0:
-            raise ValueError("negative coefficient packing")
-        object.__setattr__(self, "coeffs", coeffs)
+def exponents(p: int) -> list[int]:
+    """Ascending exponents of the nonzero terms of p."""
+    out = []
+    while p:
+        low = p & -p
+        out.append(low.bit_length() - 1)
+        p ^= low
+    return out
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Gf2Poly is immutable")
 
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def from_exponents(cls, exponents: Iterable[int]) -> "Gf2Poly":
-        c = 0
-        for e in exponents:
-            if e < 0:
-                raise ValueError("negative exponent")
-            c ^= 1 << e  # repeated exponents cancel over GF(2)
-        return cls(c)
-
-    # -- structure ---------------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        """Highest exponent with nonzero coefficient; -1 for the zero poly."""
-        return self.coeffs.bit_length() - 1
-
-    def exponents(self) -> list[int]:
-        """Sorted (ascending) exponents of the nonzero terms."""
-        return _exponents(self.coeffs)
-
-    # -- dunder -------------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Gf2Poly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("Gf2Poly", self.coeffs))
-
-    def __bool__(self) -> bool:
-        return self.coeffs != 0
-
-    def __str__(self) -> str:
-        if self.coeffs == 0:
-            return "0"
-        terms = []
-        for e in reversed(self.exponents()):
-            if e == 0:
-                terms.append("1")
-            elif e == 1:
-                terms.append("x")
-            else:
-                terms.append(f"x^{e}")
-        return " + ".join(terms)
-
-    def __repr__(self) -> str:
-        return f"Gf2Poly({self})"
-
-    def to_json(self) -> list[int]:
-        """Exponents of the nonzero terms, descending, as documents write them."""
-        return self.exponents()[::-1]
+def exponent_list(p: int) -> list[int]:
+    """Exponents of the nonzero terms, descending: the form the JSON
+    documents, the char-poly output and the polynomial table write."""
+    return exponents(p)[::-1]
 
 
 class DegreeError(ValueError):
@@ -99,7 +62,7 @@ class DegreeError(ValueError):
         self.got = got
 
 
-def parse_exponents(text: str, degree: int) -> Gf2Poly:
+def parse_exponents(text: str, degree: int) -> int:
     """The polynomial written as an exponent list, e.g. '8,4,3,2,0' (commas or
     blanks, any order); refuses an empty list, a term that is not a decimal
     integer >= 0, a repeated exponent, which would cancel unseen, and, with
@@ -115,33 +78,17 @@ def parse_exponents(text: str, degree: int) -> Gf2Poly:
         raise ValueError("empty exponent list")
     if max(exps) > degree:
         raise DegreeError(max(exps))
-    return Gf2Poly.from_exponents(exps)
+    return from_exponents(exps)
 
 
-def weight(p: Gf2Poly) -> int:
-    """Number of nonzero coefficients."""
-    return p.coeffs.bit_count()
-
-
-def gcd(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
+def gcd(a: int, b: int) -> int:
     """Euclidean GCD in GF(2)[x] (monic by construction)."""
-    x, y = a.coeffs, b.coeffs
-    while y:
-        x, y = y, _mod_int(x, y)
-    return Gf2Poly(x)
+    while b:
+        a, b = b, _mod_int(a, b)
+    return a
 
 
-# -- packed-int kernel ----------------------------------------------------
-
-
-def _exponents(c: int) -> list[int]:
-    """Ascending exponents of the nonzero terms of packed c."""
-    out = []
-    while c:
-        low = c & -c
-        out.append(low.bit_length() - 1)
-        c ^= low
-    return out
+# -- kernel ----------------------------------------------------------------
 
 
 def clmul(a: int, b: int) -> int:
@@ -175,7 +122,7 @@ def _sparse_tail(m: int) -> list[int] | None:
     d = m.bit_length() - 1
     tail = m ^ (1 << d)
     if m.bit_count() <= 5 and not tail >> ((d + 1) // 2):
-        return _exponents(tail)
+        return exponents(tail)
     return None
 
 
@@ -231,7 +178,7 @@ def _mulmod_rows(rows: list[int], b: int, m: int, tail: list[int] | None) -> lis
     d = m.bit_length() - 1
     tab = None
     if d < 32:
-        shifts = _exponents(b)
+        shifts = exponents(b)
     else:
         tab = [0, b]
         for j in range(1, 128):
@@ -258,16 +205,15 @@ def _mulmod_rows(rows: list[int], b: int, m: int, tail: list[int] | None) -> lis
     return out
 
 
-def inv_mod(a: Gf2Poly, mod: Gf2Poly) -> Gf2Poly:
-    """Inverse of a modulo `mod` by extended Euclid; raises if not coprime.
+def inv_mod(a: int, m: int) -> int:
+    """Inverse of a modulo m by extended Euclid; raises if not coprime.
 
     The result needs no final reduction: with a reduced first, every
-    Bezout coefficient s_k has degree deg(mod) - deg(r_(k-1)), so the one
-    paired with the gcd 1 has degree below deg(mod)."""
-    m = mod.coeffs
+    Bezout coefficient s_k has degree deg(m) - deg(r_(k-1)), so the one
+    paired with the gcd 1 has degree below deg(m)."""
     if m == 0:
         raise ZeroDivisionError("modulus is the zero polynomial")
-    r0, r1 = m, _mod_int(a.coeffs, m)
+    r0, r1 = m, _mod_int(a, m)
     s0, s1 = 0, 1  # Bezout coefficients for the second argument
     while r1:
         # one long-division step: r0 = q*r1 + r, tracked on the s side
@@ -283,54 +229,50 @@ def inv_mod(a: Gf2Poly, mod: Gf2Poly) -> Gf2Poly:
         s0, s1 = s1, s
     if r0 != 1:
         raise ZeroDivisionError(f"not invertible: gcd has degree {r0.bit_length() - 1}")
-    return Gf2Poly(s0)
+    return s0
 
 
-def powmod(base: Gf2Poly, exp: int, mod: Gf2Poly) -> Gf2Poly:
-    """base^exp mod `mod` by left-to-right square-and-multiply (exp is a
-    plain integer).  The multiplier stays the reduced base, so with base x
+def powmod(base: int, exp: int, m: int) -> int:
+    """base^exp mod m by left-to-right square-and-multiply (exp is a
+    plain integer, not a polynomial).  The multiplier stays the reduced base, so with base x
     each multiply is one shift and one reduction step; the modulus's sparse
     tail is taken once per call."""
     if exp < 0:
         raise ValueError("negative exponent")
-    m = mod.coeffs
     if m == 0:
         raise ZeroDivisionError("modulus is the zero polynomial")
     tail = _sparse_tail(m)
     result = _mod_int(1, m, tail)
-    b = _mod_int(base.coeffs, m, tail)
+    b = _mod_int(base, m, tail)
     for bit in format(exp, "b"):
         result = _mod_int(clsquare(result), m, tail)
         if bit == "1":
             result = _mod_int(clmul(result, b), m, tail)
-    return Gf2Poly(result)
+    return result
 
 
-def is_irreducible(p: Gf2Poly) -> bool:
+def is_irreducible(p: int) -> bool:
     """Rabin irreducibility test.
 
     p of degree d is irreducible over GF(2) iff x^(2^d) = x (mod p) and
     gcd(x^(2^(d/q)) - x, p) = 1 for every prime q dividing d.
     """
-    d = p.degree
+    d = p.bit_length() - 1
     if d < 1:
         return False
     if d == 1:
         return True
-    if not (p.coeffs & 1):
+    if not (p & 1):
         return False  # divisible by x
-    if p.coeffs.bit_count() % 2 == 0:
+    if p.bit_count() % 2 == 0:
         return False  # p(1) = 0, divisible by x + 1
-    pc = p.coeffs
-    tail = _sparse_tail(pc)
+    tail = _sparse_tail(p)
     checkpoints = {d // q for q in _prime_factors(d)}
     t = 2  # x
     for k in range(1, d + 1):
-        t = _mod_int(clsquare(t), pc, tail)
-        if k in checkpoints:
-            g = gcd(Gf2Poly(t ^ 2), p)
-            if g.degree > 0:
-                return False
+        t = _mod_int(clsquare(t), p, tail)
+        if k in checkpoints and gcd(t ^ 2, p) != 1:
+            return False
     return t == 2  # x^(2^d) == x (mod p)
 
 
@@ -352,7 +294,7 @@ class FactorTableMissError(ValueError):
     """2^d - 1 has no shipped factorization (d outside [2, 64] and not 512)."""
 
 
-def is_primitive(p: Gf2Poly) -> bool:
+def is_primitive(p: int) -> bool:
     """True iff p is primitive: irreducible with ord(x mod p) = 2^d - 1.
 
     Requires the shipped factorization of 2^d - 1, available for d <= 64
@@ -360,18 +302,17 @@ def is_primitive(p: Gf2Poly) -> bool:
     (callers fall back to the certified PrimitiveTable entries).  At
     degree 1 only x + 1 is primitive: x is irreducible but no unit mod x.
     """
-    d = p.degree
+    d = p.bit_length() - 1
     if d < 2:
-        return p.coeffs == 0b11
+        return p == 0b11
     from kdfc_snow.gf2.primtable import mersenne_factors
 
     factors = mersenne_factors(d)  # raises FactorTableMissError on a miss
     if not is_irreducible(p):
         return False
     order = (1 << d) - 1
-    x = Gf2Poly(2)
     for q in sorted(set(factors)):
-        if powmod(x, order // q, p).coeffs == 1:
+        if powmod(2, order // q, p) == 1:  # x^(order/q) = 1
             return False
     return True
 

@@ -28,7 +28,7 @@ from pathlib import Path
 from kdfc_snow.gf2.poly import (
     DegreeError,
     FactorTableMissError,
-    Gf2Poly,
+    exponent_list,
     is_irreducible,
     parse_exponents,
 )
@@ -94,7 +94,7 @@ class PrimitiveTable:
     """Degree -> primitive polynomial, for every degree in [2, 512]."""
 
     def __init__(self, text: str):
-        self._entries: dict[int, Gf2Poly] = {}
+        self._entries: dict[int, int] = {}
         self.checksum, lines = parse_checksummed(text, "primitive polynomial table")
         for line in lines:
             head, _, rest = line.partition(":")
@@ -106,15 +106,16 @@ class PrimitiveTable:
             bound = int(label) if decimal else 0
             try:
                 poly = parse_exponents(rest, bound)
-                if label != str(poly.degree):
-                    raise DegreeError(poly.degree)
+                degree = poly.bit_length() - 1
+                if label != str(degree):
+                    raise DegreeError(degree)
             except DegreeError as e:
                 raise TableFormatError(f"table entry {line!r} has degree {e.got}") from None
             except ValueError as e:
                 raise TableFormatError(f"table entry {line!r}: {e}") from None
-            if poly.degree in self._entries:
-                raise TableFormatError(f"table entry {line!r} repeats degree {poly.degree}")
-            self._entries[poly.degree] = poly
+            if degree in self._entries:
+                raise TableFormatError(f"table entry {line!r} repeats degree {degree}")
+            self._entries[degree] = poly
         # the shipped table's entries are certified by the test suite
         pinned = self.checksum == SHIPPED_POLY_SHA256
         self._checked: set[int] = set(self._entries) if pinned else set()
@@ -129,7 +130,7 @@ class PrimitiveTable:
     def __contains__(self, degree: int) -> bool:
         return degree in self._entries
 
-    def __getitem__(self, degree: int) -> Gf2Poly:
+    def __getitem__(self, degree: int) -> int:
         if degree not in self._entries:
             raise KeyError(f"no table entry for degree {degree} (range is 2..512)")
         poly = self._entries[degree]
@@ -142,9 +143,10 @@ class PrimitiveTable:
         return poly
 
 
-def table_line(poly: Gf2Poly) -> str:
+def table_line(poly: int) -> str:
     """The polynomial table's line for poly, as PrimitiveTable reads it back."""
-    return f"{poly.degree}: " + ",".join(map(str, poly.to_json()))
+    exps = exponent_list(poly)
+    return f"{exps[0]}: " + ",".join(map(str, exps))
 
 
 @functools.cache
@@ -153,7 +155,7 @@ def default_table() -> PrimitiveTable:
     return PrimitiveTable.load_default()
 
 
-def primitive_poly(degree: int) -> Gf2Poly:
+def primitive_poly(degree: int) -> int:
     """The shipped primitive polynomial of the given degree (2..512)."""
     if not 2 <= degree <= 512:
         raise ValueError(f"degree {degree} outside the table range 2..512")

@@ -30,7 +30,7 @@ from importlib import resources
 
 from kdfc_snow.confgen import FillBits, generate_config
 from kdfc_snow.gf2.linalg import BitMatrix
-from kdfc_snow.gf2.poly import Gf2Poly
+from kdfc_snow.gf2.poly import from_exponents
 from kdfc_snow.gf2.primtable import default_table
 from kdfc_snow.sigma_lfsr import SigmaConfig
 from kdfc_snow.snow2 import (
@@ -94,9 +94,9 @@ TARGET_POLY_EXPONENTS: tuple[int, ...] = (
 )
 
 @functools.cache
-def target_poly() -> Gf2Poly:
-    """The degree-512 target polynomial as a Gf2Poly (cached)."""
-    return Gf2Poly.from_exponents(TARGET_POLY_EXPONENTS)
+def target_poly() -> int:
+    """The degree-512 target polynomial, packed (cached)."""
+    return from_exponents(TARGET_POLY_EXPONENTS)
 
 
 class ProvenanceError(ValueError):

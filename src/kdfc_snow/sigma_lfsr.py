@@ -46,7 +46,6 @@ from __future__ import annotations
 from itertools import islice
 
 from kdfc_snow.gf2.linalg import BitMatrix, DimensionError, rank
-from kdfc_snow.gf2.poly import Gf2Poly
 
 __all__ = [
     "SigmaConfig",
@@ -251,27 +250,38 @@ def period(cfg: SigmaConfig, words: list[int]) -> int:
             return t
 
 
-def config_char_poly(cfg: SigmaConfig) -> Gf2Poly:
-    """Characteristic polynomial of the configuration matrix.
+def _certificate(cfg: SigmaConfig) -> int:
+    """The minimal polynomial f of the bits s_t = bit 0 of e_0 G^t.
 
-    Certificate: the Galois map G, z -> (z >> m) ^ L(z & mask), is the
-    configuration matrix with its blocks in reverse order, so it has the
-    same characteristic polynomial.  The bits s_t = bit 0 of e_0 G^t obey
-    every polynomial that annihilates G, so their minimal polynomial f
-    divides the minimal polynomial of G, which divides the degree-n
-    characteristic polynomial (n = mb).  The sequence has linear
-    complexity at most n, so Berlekamp-Massey on its first 2n terms
-    returns f exactly (Massey 1969).  When f has degree n, the three are
-    equal and f is the answer; this always holds when the characteristic
-    polynomial is irreducible.  Otherwise (zero gains, a non-cyclic
-    configuration, or e_0 not a cyclic vector) the dense char_poly of the
-    configuration matrix decides.  Each step is ceil(m/8) lookups in the
-    byte tables the keystream uses.
+    The Galois map G, z -> (z >> m) ^ L(z & mask), is the configuration
+    matrix with its blocks in reverse order, so it has the same
+    characteristic polynomial.  The s_t obey every polynomial that
+    annihilates G, so f divides the minimal polynomial of G, which
+    divides the degree-n characteristic polynomial (n = mb).  The
+    sequence has linear complexity at most n, so Berlekamp-Massey on its
+    first 2n terms returns f exactly (Massey 1969).  When f has degree n,
+    the three are equal.  This always holds when the characteristic
+    polynomial is irreducible: s_0 = 1, so f is a nonconstant factor of
+    it.  Each step is ceil(m/8) lookups in the byte tables the keystream
+    uses.
     """
-    from kdfc_snow.gf2.linalg import berlekamp_massey, char_poly
+    from kdfc_snow.gf2.linalg import berlekamp_massey
 
     n = cfg.m * cfg.b
-    f = berlekamp_massey([1] + [z & 1 for z in islice(_galois_clock(cfg, 1), 2 * n - 1)])
-    if f.degree == n:
+    return berlekamp_massey([1] + [z & 1 for z in islice(_galois_clock(cfg, 1), 2 * n - 1)])
+
+
+def config_char_poly(cfg: SigmaConfig) -> int:
+    """Characteristic polynomial of the configuration matrix.
+
+    The certificate (_certificate) is the answer when it has degree mb.
+    Otherwise (zero gains, a non-cyclic configuration, or e_0 not a
+    cyclic vector) the dense char_poly of the configuration matrix
+    decides.
+    """
+    from kdfc_snow.gf2.linalg import char_poly
+
+    f = _certificate(cfg)
+    if f.bit_length() - 1 == cfg.m * cfg.b:
         return f
     return char_poly(build_config_matrix(cfg))

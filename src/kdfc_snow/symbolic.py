@@ -33,7 +33,7 @@ of p below n).
 
 from __future__ import annotations
 
-from kdfc_snow.gf2.poly import Gf2Poly
+from kdfc_snow.gf2.poly import exponents
 
 __all__ = [
     "AnfPoly",
@@ -167,11 +167,11 @@ def var_index(i: int, j: int, n: int) -> int:
     return (i - 1) * n + j
 
 
-def _sym_companion_row_mul(row: list[AnfPoly], p: Gf2Poly) -> list[AnfPoly]:
+def _sym_companion_row_mul(row: list[AnfPoly], p: int) -> list[AnfPoly]:
     """Symbolic row * companion(p): shift left, feedback in the last column."""
     n = len(row)
     fb = _ZERO
-    for e in p.exponents():
+    for e in exponents(p):
         if e < n:
             fb = fb + row[e]
     return row[1:] + [fb]
@@ -186,11 +186,11 @@ def _check_guard(m: int, b: int, limit: int) -> int:
     return n
 
 
-def build_symbolic_q(m: int, b: int, p: Gf2Poly) -> list[list[AnfPoly]]:
+def build_symbolic_q(m: int, b: int, p: int) -> list[list[AnfPoly]]:
     """Symbolic Q: blocks [e_1*P^j, v_1*P^j, ..., v_{m-1}*P^j], j = 0..b-1."""
     n = _check_guard(m, b, 12)
-    if p.degree != n:
-        raise ValueError(f"polynomial degree {p.degree} != mb = {n}")
+    if p.bit_length() - 1 != n:
+        raise ValueError(f"polynomial degree {p.bit_length() - 1} != mb = {n}")
     e1 = [_ZERO] * (n - 1) + [_ONE]
     block = [e1] + [
         [AnfPoly.var(var_index(i, j, n)) for j in range(1, n + 1)]
@@ -204,7 +204,7 @@ def build_symbolic_q(m: int, b: int, p: Gf2Poly) -> list[list[AnfPoly]]:
     return rows
 
 
-def build_symbolic_qp(m: int, b: int, p: Gf2Poly) -> list[list[AnfPoly]]:
+def build_symbolic_qp(m: int, b: int, p: int) -> list[list[AnfPoly]]:
     """Row-permuted Q: all e_1*P^j rows first, then each v_i's power rows.
 
     In this order the top-left b x (mb-b) block is zero, the top-right
@@ -254,7 +254,7 @@ def sym_det(rows: list[list[AnfPoly]]) -> AnfPoly:
     return _det_memo(rows, full, full, {})
 
 
-def verify_minor_lemmas(m: int, b: int, p: Gf2Poly) -> dict:
+def verify_minor_lemmas(m: int, b: int, p: int) -> dict:
     """Check the four minor-degree claims on the permuted symbolic Q.
 
     Regions use 1-indexed (i, j) over the n x n permuted matrix, n = mb:
@@ -323,7 +323,7 @@ def verify_minor_lemmas(m: int, b: int, p: Gf2Poly) -> dict:
         "m": m,
         "b": b,
         "n": n,
-        "polynomial_exponents": p.exponents(),
+        "polynomial_exponents": exponents(p),
         "lemmas": lemmas,
         "all_hold": all(not item["violations"] for item in lemmas),
     }
@@ -349,7 +349,7 @@ def format_report(report: dict) -> str:
     return "\n".join(lines)
 
 
-def theorem1_check(m: int, b: int, p: Gf2Poly) -> tuple[AnfPoly, bool]:
+def theorem1_check(m: int, b: int, p: int) -> tuple[AnfPoly, bool]:
     """Degree witness in the derived configuration matrix.
 
     Returns the entry C[n-m+1, n-m+1] (1-indexed, n = mb) of the symbolic

@@ -603,7 +603,7 @@ def block_linear_complexities(blocks) -> list[int]:
     """Berlekamp-Massey linear complexity of each row, one row at a time."""
     from kdfc_snow.gf2.linalg import berlekamp_massey
 
-    return [berlekamp_massey([int(b) for b in row]).degree for row in blocks]
+    return [berlekamp_massey([int(b) for b in row]).bit_length() - 1 for row in blocks]
 
 
 def longest_runs(blocks) -> list[int]:
@@ -718,14 +718,14 @@ def companion_matrix(p):
     """
     from kdfc_snow.gf2.linalg import BitMatrix
 
-    b = p.degree
+    b = p.bit_length() - 1
     if b < 1:
         raise ValueError("companion matrix needs degree >= 1")
     top = 1 << (b - 1)
     rows = []
     for i in range(b):
         r = (1 << (i - 1)) if i >= 1 else 0
-        if (p.coeffs >> i) & 1:
+        if (p >> i) & 1:
             r |= top
         rows.append(r)
     return BitMatrix(rows, b)
@@ -777,7 +777,7 @@ def linear_complexity(bits) -> int:
     """Length of the shortest LFSR generating the sequence (0 when empty)."""
     from kdfc_snow.gf2.linalg import berlekamp_massey
 
-    return berlekamp_massey(bits).degree if len(bits) else 0
+    return berlekamp_massey(bits).bit_length() - 1 if len(bits) else 0
 
 
 def reciprocal(p):
@@ -786,12 +786,9 @@ def reciprocal(p):
     Requires a nonzero constant term so the degree is preserved (otherwise
     the reversal would silently drop leading zeros).
     """
-    from kdfc_snow.gf2.poly import Gf2Poly
-
-    d = p.degree
-    if d < 0 or not p.coeffs & 1:
+    if not p & 1:
         raise ValueError("reciprocal needs a nonzero constant term")
-    return Gf2Poly.from_exponents(d - e for e in p.exponents())
+    return int(format(p, "b")[::-1], 2)
 
 
 def build_transition_matrix(cfg):

@@ -402,6 +402,17 @@ class TestYInitDocument:
         assert err.startswith("error:") and message in err
         assert "Error(" not in err and "Traceback" not in err
 
+    def test_bad_digit_in_a_long_row_is_named_briefly(self, capsys, tmp_path):
+        # one non-hex digit in a 100,000-digit row: the error line names the
+        # row by its first 32 characters and its length, not in full
+        doc = load_y_init().to_json()
+        doc["y"] = {"rows": 1, "cols": 400_000, "data": ["0" * 99_999 + "g"]}
+        code, out, err = self.stream(capsys, tmp_path, doc)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "not a hex string" in err
+        assert "(100000 characters)" in err
+        assert len(err.encode()) < 200 and "Traceback" not in err
+
     def test_k_outside_the_online_window(self, capsys, tmp_path):
         # the document's k is the only k; 447 would need 33 captured words
         doc = load_y_init().to_json()
@@ -599,7 +610,7 @@ class TestGenConfig:
         )
         assert code == 0
         doc = json.loads(out)
-        want = [e for e in range(8, -1, -1) if pipeline_poly(8).coeffs >> e & 1]
+        want = [e for e in range(8, -1, -1) if pipeline_poly(8) >> e & 1]
         assert doc["polynomial"] == want
         assert doc["char_poly"] == want
         assert doc["m"] == 2 and doc["b"] == 4 and doc["seed"] == "demo"
@@ -638,7 +649,7 @@ class TestGenConfig:
             "--poly", "8,4,3,2,0",
         )
         assert code == 0
-        assert calls == [poly.Gf2Poly.from_exponents([8, 4, 3, 2, 0])]
+        assert calls == [0x11D]  # x^8 + x^4 + x^3 + x^2 + 1
 
     def test_poly_degree_mismatch(self, capsys):
         code, _, err = run(
@@ -761,7 +772,7 @@ class TestCharPoly:
             capsys, "char-poly", "--m", "2", "--b", "2", "--seed", "s",
         )
         assert code == 0
-        want = [e for e in range(4, -1, -1) if pipeline_poly(4).coeffs >> e & 1]
+        want = [e for e in range(4, -1, -1) if pipeline_poly(4) >> e & 1]
         assert [int(t) for t in out.split()] == want
 
     def test_needs_a_mode(self, capsys):

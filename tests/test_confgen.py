@@ -47,11 +47,10 @@ from kdfc_snow.gf2.linalg import (
 )
 from kdfc_snow.gf2.poly import (
     FactorTableMissError,
-    Gf2Poly,
     _divmod_int,
-    _exponents,
     _sparse_tail,
     euler_phi_2n1,
+    exponents,
     is_irreducible,
 )
 from kdfc_snow.gf2.primtable import default_table, primitive_poly
@@ -220,7 +219,7 @@ class TestIteration:
         """Dense or sparse, any irreducible p of degree w gives the Krylov
         Lambda: the un-embedding factor floor(x^2w / p) is not always p."""
         rng = random.Random(seed)
-        while not is_irreducible(p := Gf2Poly((1 << w) | rng.getrandbits(w) | 1)):
+        while not is_irreducible(p := (1 << w) | rng.getrandbits(w) | 1):
             pass
         while rank(y := BitMatrix([rng.getrandbits(w) for _ in range(m)], w)) < min(m, w):
             pass
@@ -270,7 +269,7 @@ class TestIteration:
         rng = random.Random(seed)
         w = max(w, m)
         p = pipeline_poly(w)
-        while dense and not is_irreducible(p := Gf2Poly((1 << w) | rng.getrandbits(w) | 1)):
+        while dense and not is_irreducible(p := (1 << w) | rng.getrandbits(w) | 1):
             pass
         while rank(BitMatrix(rows := [rng.getrandbits(w) for _ in range(m)], w)) < m:
             pass
@@ -360,8 +359,7 @@ class TestEmbedding:
 
     def test_every_table_degree_and_the_dense_moduli(self):
         table = default_table()
-        moduli = [table[d].coeffs for d in range(2, 513)]
-        moduli += [kdfc.target_poly().coeffs, 0x11B]
+        moduli = [table[d] for d in range(2, 513)] + [kdfc.target_poly(), 0x11B]
         rng = random.Random(11)
         dense = []
         for pc in moduli:
@@ -373,7 +371,7 @@ class TestEmbedding:
             assert mu == _divmod_int(1 << (2 * w), pc)[0]
             assert (mu == pc) == (_sparse_tail(pc) is not None)
             assert tail == _sparse_tail(pc)
-            assert shifts == _shifts(_exponents(pc)) and mu_shifts == _shifts(_exponents(mu))
+            assert shifts == _shifts(exponents(pc)) and mu_shifts == _shifts(exponents(mu))
             if len(shifts) > 4 or len(mu_shifts) > 4:
                 dense.append(pc)
             # _over_xw is one shift and xor per term, whatever the weight
@@ -389,7 +387,7 @@ class TestEmbedding:
             assert _reversed_rows(_over_xw(mu_shifts, [g]), w) == [triangular_unembed(g, pc)]
         # p and mu have at most five terms at every table degree, 2, 8 and 12
         # included; the dense target is the one modulus past that
-        assert dense == [kdfc.target_poly().coeffs]
+        assert dense == [kdfc.target_poly()]
 
 
 class TestGenerateConfig:
@@ -494,6 +492,16 @@ class TestCounting:
     def test_formula_matches_enumeration(self, m, b, expected):
         assert count_configurations(m, b) == expected
         assert brute_force_count(m, b) == expected
+
+    @pytest.mark.parametrize("m,b", [(2, 2), (1, 4), (3, 1)])
+    def test_enumeration_takes_no_dense_char_poly(self, m, b, monkeypatch):
+        # a certificate below degree mb means a reducible char poly, so the
+        # count needs no dense fallback
+        def dense(a):
+            raise AssertionError("dense char_poly called")
+
+        monkeypatch.setattr(linalg, "char_poly", dense)
+        assert brute_force_count(m, b) == count_configurations(m, b)
 
     def test_formula_spot_values(self):
         # |GL(m)|/(2^m-1) * phi(2^mb-1)/(mb) * 2^(m(m-1)(b-1))

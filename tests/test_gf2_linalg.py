@@ -41,7 +41,7 @@ from kdfc_snow.gf2.linalg import (
     vec_from_hex,
     vec_to_hex,
 )
-from kdfc_snow.gf2.poly import Gf2Poly
+from kdfc_snow.gf2.poly import from_exponents
 
 
 def random_matrix(rng, nrows, ncols):
@@ -305,12 +305,12 @@ class TestCompanionAndCharPoly:
         "exps", [[2, 1, 0], [3, 1, 0], [8, 4, 3, 2, 0], [16, 5, 3, 2, 0]]
     )
     def test_companion_char_poly_roundtrip(self, exps):
-        p = Gf2Poly.from_exponents(exps)
+        p = from_exponents(exps)
         assert char_poly(companion_matrix(p)) == p
 
     @given(st.integers(0, 255), st.integers(0, 255))
     def test_companion_vec_mul_matches_matrix(self, coeffs_low, v):
-        p = Gf2Poly((1 << 8) | coeffs_low)
+        p = (1 << 8) | coeffs_low
         v &= 0xFF
         assert companion_vec_mul(v, p) == mat_vec_mul(v, companion_matrix(p))
 
@@ -319,7 +319,7 @@ class TestCompanionAndCharPoly:
         rng = random.Random(300 + seed)
         n = rng.randint(1, 8)
         a = random_matrix(rng, n, n)
-        assert char_poly(a).coeffs == char_poly_sympy(a.rows, n)
+        assert char_poly(a) == char_poly_sympy(a.rows, n)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_cayley_hamilton(self, seed):
@@ -329,8 +329,8 @@ class TestCompanionAndCharPoly:
         p = char_poly(a)
         acc = zeros(n, n)
         power = identity(n)
-        for i in range(p.degree + 1):
-            if p.coeffs >> i & 1:
+        for i in range(p.bit_length()):
+            if p >> i & 1:
                 acc = BitMatrix(
                     [x ^ y for x, y in zip(acc.rows, power.rows)], n
                 )
@@ -353,14 +353,14 @@ class TestBerlekampMassey:
         "exps", [[2, 1, 0], [3, 1, 0], [4, 1, 0], [8, 4, 3, 2, 0]]
     )
     def test_recovers_primitive_poly(self, exps):
-        p = Gf2Poly.from_exponents(exps)
-        d = p.degree
+        p = from_exponents(exps)
+        d = p.bit_length() - 1
         # drive the single-bit LFSR x_{t+d} = sum p_j x_{t+j}
         bits = [0] * (d - 1) + [1]
         for _ in range(2 * d):
             nxt = 0
             for j in range(d):
-                if p.coeffs >> j & 1:
+                if p >> j & 1:
                     nxt ^= bits[-d + j]
             bits.append(nxt)
         assert berlekamp_massey(bits) == p
@@ -375,11 +375,11 @@ class TestBerlekampMassey:
         rng = random.Random(seed)
         bits = [rng.getrandbits(1) for _ in range(48)]
         f = berlekamp_massey(bits)
-        d = f.degree
+        d = f.bit_length() - 1
         for k in range(len(bits) - d):
             acc = 0
             for j in range(d + 1):
-                if f.coeffs >> j & 1:
+                if f >> j & 1:
                     acc ^= bits[k + j]
             assert acc == 0
         lcs = [linear_complexity(bits[:i]) for i in range(1, len(bits) + 1)]
@@ -395,6 +395,14 @@ class TestHexCodec:
     def test_non_hex_digit_named(self):
         with pytest.raises(ValueError, match="not a hex string: 'zz'"):
             vec_from_hex("zz", 8)
+        # up to 32 characters the string is echoed whole, past that its
+        # first 32 and its length
+        with pytest.raises(ValueError) as exc:
+            vec_from_hex("g" * 32, 128)
+        assert str(exc.value) == f"not a hex string: {'g' * 32!r}"
+        with pytest.raises(ValueError) as exc:
+            vec_from_hex("0" * 99_999 + "g", 400_000)
+        assert str(exc.value) == f"not a hex string: {'0' * 32!r}... (100000 characters)"
 
     def test_fixed_width_lsn_first(self):
         assert vec_to_hex(1, 32) == "10000000"

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from oracles import long_division_mod, sympy_mul, sympy_rem
 
+from kdfc_snow.gf2.linalg import BitMatrix, berlekamp_massey, char_poly
 from kdfc_snow.gf2.poly import (
     DegreeError,
     FactorTableMissError,
-    Gf2Poly,
     _divmod_int,
     _mod_int,
     _mulmod_int,
@@ -20,6 +20,9 @@ from kdfc_snow.gf2.poly import (
     _sparse_tail,
     clmul,
     clsquare,
+    exponent_list,
+    exponents,
+    from_exponents,
     parse_exponents,
     euler_phi_2n1,
     gcd,
@@ -27,61 +30,71 @@ from kdfc_snow.gf2.poly import (
     is_irreducible,
     is_primitive,
     powmod,
-    weight,
 )
-from kdfc_snow.gf2.primtable import default_table
+from kdfc_snow.gf2.primtable import default_table, primitive_poly
 from kdfc_snow.kdfc import target_poly
+from kdfc_snow.sigma_lfsr import SigmaConfig, config_char_poly
+from kdfc_snow.snow2 import snow2_gains
 
 ints = st.integers(min_value=0, max_value=(1 << 40) - 1)
 nonzero_ints = st.integers(min_value=1, max_value=(1 << 40) - 1)
-polys = ints.map(Gf2Poly)
 
 
-def sympy_poly(p: Gf2Poly):
+def sympy_poly(p: int):
     x = sympy.Symbol("x")
     return sympy.Poly.from_list(
-        [(p.coeffs >> i) & 1 for i in range(p.degree, -1, -1)] or [0],
+        [(p >> i) & 1 for i in range(p.bit_length() - 1, -1, -1)] or [0],
         x,
         modulus=2,
     )
 
 
-def from_sympy(sp) -> Gf2Poly:
+def from_sympy(sp) -> int:
     coeffs = 0
     for c in sp.all_coeffs():
         coeffs = (coeffs << 1) | (int(c) % 2)
-    return Gf2Poly(coeffs)
+    return coeffs
 
 
 class TestBasics:
-    def test_constructor_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Gf2Poly(-1)
-
     def test_zero_one_x(self):
-        # 0, 1 and x are Gf2Poly(0), Gf2Poly(1) and Gf2Poly(2)
-        assert not Gf2Poly(0) and Gf2Poly(1) and Gf2Poly(2)
-        assert [Gf2Poly(c).degree for c in (0, 1, 2)] == [-1, 0, 1]
-        assert Gf2Poly(clmul(2, 2)) == Gf2Poly.from_exponents([2])
+        # 0, 1 and x are 0, 1 and 2, of degrees -1, 0 and 1
+        assert [c.bit_length() - 1 for c in (0, 1, 2)] == [-1, 0, 1]
+        assert from_exponents([]) == 0 and from_exponents([0]) == 1
+        assert clmul(2, 2) == from_exponents([2])
+        with pytest.raises(ValueError, match="negative exponent"):
+            from_exponents([3, -1])
+
+    def test_polynomials_are_ints(self):
+        # every polynomial the package hands out is a plain int
+        table_8 = primitive_poly(8)
+        got = [
+            target_poly(), table_8, parse_exponents("8,4,3,2,0", 8),
+            inv_mod(3, table_8), char_poly(BitMatrix([2, 1], 2)),
+            berlekamp_massey([1, 0, 1, 1]), config_char_poly(snow2_gains()),
+            config_char_poly(SigmaConfig(1, 2, [0])),  # the dense fallback
+        ]
+        assert [type(p) for p in got] == [int] * len(got)
 
     @pytest.mark.parametrize(
         "exps", [[0], [3, 1, 0], [8, 4, 3, 2, 0], [512, 2, 0]]
     )
     def test_exponent_roundtrip(self, exps):
-        p = Gf2Poly.from_exponents(exps)
-        assert p.exponents() == sorted(exps)
-        assert p.degree == max(exps)
-        assert weight(p) == len(exps)
-        assert Gf2Poly.from_exponents(p.to_json()) == p
+        p = from_exponents(exps)
+        assert exponents(p) == sorted(exps)
+        assert p.bit_length() - 1 == max(exps)
+        assert p.bit_count() == len(exps)
+        assert from_exponents(exponent_list(p)) == p
 
     def test_json_is_descending(self):
-        assert Gf2Poly.from_exponents([0, 3, 8, 4, 2]).to_json() == [8, 4, 3, 2, 0]
+        assert exponent_list(from_exponents([0, 3, 8, 4, 2])) == [8, 4, 3, 2, 0]
+        assert exponent_list(0) == []
 
     @pytest.mark.parametrize("text", ["8,4,3,2,0", "8 4 3 2 0", " 0, 2,3 ,4,8 "])
     def test_parse_exponents(self, text):
-        assert parse_exponents(text, 8) == Gf2Poly.from_exponents([8, 4, 3, 2, 0])
+        assert parse_exponents(text, 8) == from_exponents([8, 4, 3, 2, 0]) == 0x11D
         # the degree bounds the top exponent; a lower top is the caller's to refuse
-        assert parse_exponents(text, 9).degree == 8
+        assert parse_exponents(text, 9).bit_length() - 1 == 8
 
     @pytest.mark.parametrize("text,message", [
         ("", "empty exponent list"),
@@ -106,41 +119,36 @@ class TestBasics:
         assert exc.value.got == got
 
     @given(st.integers(1, 1 << 600))
-    def test_parse_exponents_reads_to_json(self, c):
-        p = Gf2Poly(c)
-        assert parse_exponents(",".join(map(str, p.to_json())), p.degree) == p
+    def test_parse_exponents_reads_to_json(self, p):
+        assert parse_exponents(",".join(map(str, exponent_list(p))), p.bit_length() - 1) == p
 
     def test_coeff_and_evaluate(self):
-        p = Gf2Poly.from_exponents([4, 1, 0])
-        assert [p.coeffs >> i & 1 for i in range(6)] == [1, 1, 0, 0, 1, 0]
+        p = from_exponents([4, 1, 0])
+        assert [p >> i & 1 for i in range(6)] == [1, 1, 0, 0, 1, 0]
         # p(a) = p mod (x + a): the constant term at 0, the parity of the weight at 1
-        assert _mod_int(p.coeffs, 0b10) == p.coeffs & 1
-        assert _mod_int(p.coeffs, 0b11) == weight(p) % 2
-
-    def test_str(self):
-        assert str(Gf2Poly.from_exponents([4, 1, 0])) == "x^4 + x + 1"
-        assert str(Gf2Poly(0)) == "0"
+        assert _mod_int(p, 0b10) == p & 1
+        assert _mod_int(p, 0b11) == p.bit_count() % 2
 
 
 class TestArithmeticVsSympy:
     @pytest.mark.parametrize("seed", range(6))
     def test_divmod_matches_sympy(self, seed):
         rng = random.Random(100 + seed)
-        a = Gf2Poly(rng.getrandbits(64))
-        b = Gf2Poly(rng.getrandbits(24) | 1)
-        q, r = _divmod_int(a.coeffs, b.coeffs)
+        a = rng.getrandbits(64)
+        b = rng.getrandbits(24) | 1
+        q, r = _divmod_int(a, b)
         sq, sr = sympy.div(sympy_poly(a), sympy_poly(b), domain=sympy.GF(2))
-        assert Gf2Poly(q) == from_sympy(sq) and Gf2Poly(r) == from_sympy(sr)
+        assert q == from_sympy(sq) and r == from_sympy(sr)
 
     @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
     def test_irreducibility_matches_sympy_exhaustive(self, degree):
         x = sympy.Symbol("x")
         for low in range(1 << degree):
-            p = Gf2Poly((1 << degree) | low)
+            p = (1 << degree) | low
             sp = sympy_poly(p)
             factors = sp.factor_list()[1]
             sympy_irr = len(factors) == 1 and factors[0][1] == 1
-            assert is_irreducible(p) == sympy_irr, str(p)
+            assert is_irreducible(p) == sympy_irr, bin(p)
 
 
 class TestKernelVsSympy:
@@ -162,7 +170,7 @@ class TestKernelVsSympy:
 def route_moduli() -> list[int]:
     """Every table polynomial (degrees 2..512), then dense moduli."""
     table = default_table()
-    return [table[d].coeffs for d in range(2, 513)] + [target_poly().coeffs, 0x11B, 0x1A9]
+    return [table[d] for d in range(2, 513)] + [target_poly(), 0x11B, 0x1A9]
 
 
 class TestSparseReduction:
@@ -171,7 +179,7 @@ class TestSparseReduction:
     def test_route_follows_the_modulus(self):
         sparse = [m for m in route_moduli() if _sparse_tail(m) is not None]
         assert len(sparse) == 511 - 3  # the table but degrees 2, 8 and 12
-        for dense in (target_poly().coeffs, 0x11B, 0x1A9):
+        for dense in (target_poly(), 0x11B, 0x1A9):
             assert _sparse_tail(dense) is None
 
     def test_every_table_degree_and_the_dense_moduli(self):
@@ -206,7 +214,7 @@ class TestWindowedRows:
     )
     @settings(max_examples=120)
     def test_matches_one_product_per_row(self, d, rng, nrows):
-        m = target_poly().coeffs if d == 512 else default_table()[d].coeffs
+        m = target_poly() if d == 512 else default_table()[d]
         lam = rng.getrandbits(d)
         rows = [0, 1, (1 << d) - 1] + [rng.getrandbits(d) for _ in range(nrows)]
         got = _mulmod_rows(rows, lam, m, _sparse_tail(m))
@@ -232,7 +240,7 @@ class TestWindowedRows:
         # exponents; a modulus with a term at x^(d-1) takes long division,
         # as a sparse one does when its caller passes no tail
         if sparse:
-            m = default_table()[d].coeffs
+            m = default_table()[d]
         else:
             m = (1 << d) | (1 << (d - 1)) | rng.getrandbits(d) | 1
         assert (_sparse_tail(m) is not None) == sparse
@@ -271,24 +279,24 @@ class TestAlgebraicProperties:
         assert r.bit_length() < b.bit_length()
         assert r == _mod_int(a, b)
 
-    @given(polys, polys)
+    @given(ints, ints)
     def test_gcd_divides_both(self, a, b):
         g = gcd(a, b)
         if not g:
             assert not a and not b
         else:
-            assert not _mod_int(a.coeffs, g.coeffs) and not _mod_int(b.coeffs, g.coeffs)
+            assert not _mod_int(a, g) and not _mod_int(b, g)
 
 
 class TestModularArithmetic:
-    MOD = Gf2Poly.from_exponents([8, 4, 3, 2, 0])
+    MOD = from_exponents([8, 4, 3, 2, 0])
 
     @pytest.mark.parametrize("seed", range(8))
     def test_inv_mod(self, seed):
         rng = random.Random(seed)
-        a = Gf2Poly(rng.getrandbits(8) | 1)
+        a = rng.getrandbits(8) | 1
         inv = inv_mod(a, self.MOD)
-        assert long_division_mod(clmul(a.coeffs, inv.coeffs), self.MOD.coeffs) == 1
+        assert long_division_mod(clmul(a, inv), self.MOD) == 1
 
     @given(st.integers(2, 513), st.data())
     @settings(max_examples=150)
@@ -296,38 +304,38 @@ class TestModularArithmetic:
         # moduli: every table degree and (as 513) the dense target; a may
         # reach past deg mod, and the inverse needs no reduction after Euclid
         m = target_poly() if d == 513 else default_table()[d]
-        a = data.draw(st.integers(1, (1 << (2 * m.degree + 1)) - 1))
-        if _mod_int(a, m.coeffs) == 0:
+        a = data.draw(st.integers(1, (1 << (2 * m.bit_length() - 1)) - 1))
+        if _mod_int(a, m) == 0:
             return
-        inv = inv_mod(Gf2Poly(a), m)
-        assert inv.degree < m.degree
-        assert _mulmod_int(a, inv.coeffs, m.coeffs) == 1
+        inv = inv_mod(a, m)
+        assert inv.bit_length() < m.bit_length()
+        assert _mulmod_int(a, inv, m) == 1
 
     def test_inv_mod_is_reduced_at_every_table_degree(self):
         table, rng = default_table(), random.Random(17)
         for m in [table[d] for d in range(2, 513)] + [target_poly()]:
-            d = m.degree
-            for a in (1, m.coeffs ^ 1, rng.getrandbits(d), rng.getrandbits(2 * d) | 1 << 2 * d):
-                if _mod_int(a, m.coeffs):
-                    inv = inv_mod(Gf2Poly(a), m)
-                    assert inv.degree < d and _mulmod_int(a, inv.coeffs, m.coeffs) == 1
+            d = m.bit_length() - 1
+            for a in (1, m ^ 1, rng.getrandbits(d), rng.getrandbits(2 * d) | 1 << 2 * d):
+                if _mod_int(a, m):
+                    inv = inv_mod(a, m)
+                    assert inv.bit_length() - 1 < d and _mulmod_int(a, inv, m) == 1
 
     def test_inv_mod_rejects_noninvertible(self):
         # shares the factor x with a reducible modulus
         with pytest.raises(ZeroDivisionError):
-            inv_mod(Gf2Poly(2), Gf2Poly.from_exponents([3, 1]))
+            inv_mod(2, from_exponents([3, 1]))
 
     @pytest.mark.parametrize("exp", [0, 1, 2, 7, 255, 256])
     def test_powmod_matches_naive(self, exp):
-        base = Gf2Poly.from_exponents([3, 1])
+        base = from_exponents([3, 1])
         acc = 1
         for _ in range(exp):
-            acc = long_division_mod(clmul(acc, base.coeffs), self.MOD.coeffs)
-        assert powmod(base, exp, self.MOD) == Gf2Poly(acc)
+            acc = long_division_mod(clmul(acc, base), self.MOD)
+        assert powmod(base, exp, self.MOD) == acc
 
     def test_powmod_fermat(self):
         # x^(2^8) = x mod an irreducible degree-8 polynomial
-        assert powmod(Gf2Poly(2), 1 << 8, self.MOD) == Gf2Poly(2)
+        assert powmod(2, 1 << 8, self.MOD) == 2
 
 
     @given(st.integers(1, 80), st.booleans(), st.integers(0, 1 << 80), st.data())
@@ -336,7 +344,7 @@ class TestModularArithmetic:
         # left-to-right powmod against right-to-left square-and-multiply
         # through _mulmod_int, for base x and denser bases
         if sparse and d >= 2:
-            m = default_table()[d].coeffs
+            m = default_table()[d]
         else:
             m = (1 << d) | data.draw(st.integers(0, (1 << d) - 1))
         base = data.draw(st.sampled_from([2, 3, 2 | (1 << d), (1 << (d + 3)) - 1]))
@@ -346,15 +354,15 @@ class TestModularArithmetic:
                 acc = _mulmod_int(acc, b, m)
             b = _mulmod_int(b, b, m)
             e >>= 1
-        assert powmod(Gf2Poly(base), exp, Gf2Poly(m)).coeffs == acc
+        assert powmod(base, exp, m) == acc
 
     @pytest.mark.parametrize("exp", [0, 1, 2, 3, (1 << 511) - 1, (1 << 512) - 2])
     def test_powmod_x_modulo_the_dense_target(self, exp):
-        m = target_poly().coeffs
+        m = target_poly()
         want = 1
         for bit in format(exp, "b"):
             want = long_division_mod(clmul(want, want) << int(bit), m)
-        assert powmod(Gf2Poly(2), exp, target_poly()).coeffs == want
+        assert powmod(2, exp, m) == want
 
 
 class TestPrimitivity:
@@ -362,21 +370,21 @@ class TestPrimitivity:
         "exps", [[2, 1, 0], [3, 1, 0], [4, 1, 0], [8, 4, 3, 2, 0]]
     )
     def test_known_primitives(self, exps):
-        assert is_primitive(Gf2Poly.from_exponents(exps))
+        assert is_primitive(from_exponents(exps))
 
     def test_irreducible_but_not_primitive(self):
         # all-ones degree-4 polynomial: its root has order 5, not 15
-        p = Gf2Poly.from_exponents([4, 3, 2, 1, 0])
+        p = from_exponents([4, 3, 2, 1, 0])
         assert is_irreducible(p)
         assert not is_primitive(p)
 
     def test_reducible_is_not_primitive(self):
-        assert not is_primitive(Gf2Poly.from_exponents([4, 0]))
+        assert not is_primitive(from_exponents([4, 0]))
 
     def test_order_counting(self):
         # number of primitive degree-d polynomials is phi(2^d - 1) / d
         count = sum(
-            is_primitive(Gf2Poly((1 << 4) | low)) for low in range(16)
+            is_primitive((1 << 4) | low) for low in range(16)
         )
         assert count == euler_phi_2n1(4) // 4 == 2
 

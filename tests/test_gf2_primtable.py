@@ -1,15 +1,17 @@
 """Shipped polynomial/factor tables: integrity, certification, overrides."""
 
 import hashlib
+import importlib.util
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from kdfc_snow.gf2 import primtable
 from kdfc_snow.gf2.poly import (
     FactorTableMissError,
-    Gf2Poly,
+    from_exponents,
     is_irreducible,
     is_primitive,
     parse_exponents,
@@ -25,6 +27,8 @@ from kdfc_snow.gf2.primtable import (
     primitive_poly,
     table_line,
 )
+
+GENERATOR = Path(__file__).resolve().parents[1] / "tools" / "gen_primitive_table.py"
 
 
 class TestFactorTable:
@@ -54,7 +58,7 @@ class TestPrimitiveTable:
     @pytest.mark.parametrize("d", [2, 3, 8, 16, 31, 64, 128, 257, 512])
     def test_entries_are_irreducible_of_right_degree(self, d):
         p = primitive_poly(d)
-        assert p.degree == d
+        assert p.bit_length() - 1 == d
         assert is_irreducible(p)
 
     @pytest.mark.parametrize("d", [2, 3, 8, 16, 24, 36, 48, 64, 512])
@@ -129,7 +133,7 @@ class TestIntegrity:
         monkeypatch.setenv(POLY_TABLE_ENV, str(path))
         t = PrimitiveTable.load_default()
         assert [d for d in range(2, 513) if d in t] == [2]
-        assert t[2] == Gf2Poly.from_exponents([2, 1, 0])
+        assert t[2] == from_exponents([2, 1, 0])
 
     def test_huge_exponent_is_refused_before_it_is_built(self, monkeypatch, tmp_path):
         # x^100000000 is a 12.5 MB int; the line's label bounds the parser
@@ -184,6 +188,19 @@ class TestShippedCertificate:
         body = "\n".join([comment, *(table_line(table[d]) for d in range(2, 513))])
         assert hashlib.sha256(body.encode()).hexdigest() == SHIPPED_POLY_SHA256
 
+    def test_generator_picks_the_shipped_entries(self):
+        """tools/gen_primitive_table.py chooses every entry of degree 2..64
+        as the shipped table has it: the first candidate that is_primitive
+        accepts.  Degrees above 64 are left out: their order checks need
+        the tool's sweep over the primes below 10^6."""
+        spec = importlib.util.spec_from_file_location("gen_primitive_table", GENERATOR)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        table = PrimitiveTable(_shipped_text())
+        assert [tool.first_candidate(d, set()) for d in range(2, 65)] == [
+            table[d] for d in range(2, 65)
+        ]
+
     def test_pinned_table_skips_rabin(self, monkeypatch):
         def no_rabin(_):
             raise AssertionError("Rabin ran on the pinned table")
@@ -191,7 +208,7 @@ class TestShippedCertificate:
         monkeypatch.setattr(primtable, "is_irreducible", no_rabin)
         table = PrimitiveTable(_shipped_text())
         assert table.checksum == SHIPPED_POLY_SHA256
-        assert all(table[d].degree == d for d in range(2, 513))
+        assert all(table[d].bit_length() - 1 == d for d in range(2, 513))
 
     def test_changed_override_is_checked_lazily(self, monkeypatch, tmp_path):
         # one entry of the shipped table swapped for the reducible x^100 + 1
@@ -216,4 +233,4 @@ class TestDeterminism:
         # every degree the generation pipeline can ask for must be present
         t = default_table()
         for d in (2, 33, 467, 499, 500, 511, 512):
-            assert t[d].degree == d
+            assert t[d].bit_length() - 1 == d

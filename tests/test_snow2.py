@@ -434,7 +434,7 @@ class TestJumpRoute:
         doc = {
             "m": 16,
             "b": 32,
-            "char_poly": [e for e in range(512, -1, -1) if target_poly().coeffs >> e & 1],
+            "char_poly": [e for e in range(512, -1, -1) if target_poly() >> e & 1],
             "config": cfg.to_json(),
             "lfsr": [rng.getrandbits(16) for _ in range(32)],
             "fsm": {"r1": rng.getrandbits(32), "r2": rng.getrandbits(32)},

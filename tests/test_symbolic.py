@@ -22,7 +22,7 @@ from kdfc_snow.gf2.linalg import (
     mat_inverse,
     mat_mul,
 )
-from kdfc_snow.gf2.poly import Gf2Poly
+from kdfc_snow.gf2.poly import from_exponents
 from kdfc_snow.symbolic import (
     AnfPoly,
     GuardError,
@@ -39,7 +39,7 @@ from kdfc_snow.symbolic import (
 NEG_INF = float("-inf")
 
 # the worked 8x8 instance: m = 2, b = 4, p = x^8 + x^4 + x^3 + x^2 + 1
-P8 = Gf2Poly(0x11D)
+P8 = 0x11D
 
 
 def anf(*terms):
@@ -278,8 +278,7 @@ def replaced_row_entry(q, p, r, c):
 class TestReplacedRowIdentity:
     @pytest.mark.parametrize("m,b,hexpoly", [(2, 3, 0x43), (3, 2, 0x43)])
     def test_last_block_row_matches_full_product(self, m, b, hexpoly):
-        p = Gf2Poly(hexpoly)
-        n = m * b
+        p, n = hexpoly, m * b
         q = build_symbolic_q(m, b, p)
         full = compute_symbolic_config(m, b, p)
         for r in range(n - m, n):
@@ -293,7 +292,7 @@ class TestReplacedRowIdentity:
         assert d.degree == 4 and len(d.terms) == 10
 
     def test_5x2_corner_specializes_to_dense_route(self):
-        m, b, p = 5, 2, Gf2Poly.from_exponents([10, 3, 0])
+        m, b, p = 5, 2, from_exponents([10, 3, 0])
         entry, ok = theorem1_check(m, b, p)
         assert ok and entry.degree == 8
         q = build_symbolic_q(m, b, p)
@@ -312,10 +311,10 @@ class TestReplacedRowIdentity:
 class TestClaims:
     @pytest.mark.parametrize("m,b", [(2, 2), (2, 4), (3, 2)])
     def test_minor_claims_hold(self, m, b):
-        p = Gf2Poly(0x13) if (m, b) == (2, 2) else (
-            P8 if (m, b) == (2, 4) else Gf2Poly(0x43)
+        p = 0x13 if (m, b) == (2, 2) else (
+            P8 if (m, b) == (2, 4) else 0x43
         )
-        assert p.degree == m * b
+        assert p.bit_length() - 1 == m * b
         report = verify_minor_lemmas(m, b, p)
         assert report["all_hold"]
         assert [item["lemma"] for item in report["lemmas"]] == [1, 2, 3, 4]
@@ -326,12 +325,12 @@ class TestClaims:
 
     def test_theorem_degree_small_sizes(self):
         for m, b, hexpoly in [(2, 2, 0x13), (3, 2, 0x43)]:
-            entry, ok = theorem1_check(m, b, Gf2Poly(hexpoly))
+            entry, ok = theorem1_check(m, b, hexpoly)
             assert ok
             assert entry.degree == m * b - b
 
     def test_theorem_vacuous_for_m1(self):
-        entry, ok = theorem1_check(1, 4, Gf2Poly(0x13))
+        entry, ok = theorem1_check(1, 4, 0x13)
         assert not ok
         assert entry.degree in (0, 1, NEG_INF)
 
@@ -339,16 +338,16 @@ class TestClaims:
 class TestGuards:
     def test_build_guard(self):
         with pytest.raises(GuardError):
-            build_symbolic_q(4, 4, Gf2Poly(0x13))
+            build_symbolic_q(4, 4, 0x13)
 
     def test_config_guard(self):
         # mb = 12 passes build_symbolic_q's guard but not theorem1_check's
         with pytest.raises(GuardError):
-            theorem1_check(4, 3, Gf2Poly(0x13))
+            theorem1_check(4, 3, 0x13)
 
     def test_lemma_guard(self):
         with pytest.raises(GuardError):
-            verify_minor_lemmas(2, 6, Gf2Poly(0x13))
+            verify_minor_lemmas(2, 6, 0x13)
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):

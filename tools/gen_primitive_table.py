@@ -38,7 +38,7 @@ import sympy
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from kdfc_snow.gf2.poly import Gf2Poly, is_irreducible, is_primitive, powmod, weight
+from kdfc_snow.gf2.poly import is_irreducible, is_primitive, powmod
 from kdfc_snow.gf2.primtable import mersenne_factors, table_line
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "kdfc_snow" / "data" / "primitive_polys.txt"
@@ -89,18 +89,29 @@ def candidates(d: int):
     """Trinomials then pentanomials of degree d, lexicographic within weight."""
     top = (1 << d) | 1
     for a in range(1, d):
-        yield Gf2Poly(top | (1 << a))
+        yield top | (1 << a)
     for a in range(3, d):
         for b in range(2, a):
             for c in range(1, b):
-                yield Gf2Poly(top | (1 << a) | (1 << b) | (1 << c))
+                yield top | (1 << a) | (1 << b) | (1 << c)
 
 
-def passes_order_checks(p: Gf2Poly, primes: set[int]) -> bool:
-    d = p.degree
-    order = (1 << d) - 1
-    x = Gf2Poly(2)
-    return all(powmod(x, order // q, p).coeffs != 1 for q in primes)
+def passes_order_checks(p: int, primes: set[int]) -> bool:
+    order = (1 << (p.bit_length() - 1)) - 1
+    return all(powmod(2, order // q, p) != 1 for q in primes)  # x^(order/q) != 1
+
+
+def first_candidate(d: int, primes: set[int]) -> int:
+    """The table entry of degree d: the first candidate that is_primitive
+    accepts up to CERTIFIED_MAX, above it the first that is irreducible and
+    passes the order checks against the known prime factors `primes`."""
+    for cand in candidates(d):
+        if d <= CERTIFIED_MAX:
+            if is_primitive(cand):
+                return cand
+        elif is_irreducible(cand) and passes_order_checks(cand, primes):
+            return cand
+    raise RuntimeError(f"no candidate found for degree {d}")
 
 
 def main() -> None:
@@ -113,19 +124,10 @@ def main() -> None:
 
     body = ["# one primitive polynomial per degree, 'degree: e1,e2,...,ek'"]
     for d in range(2, MAX_DEGREE + 1):
-        found = None
-        for cand in candidates(d):
-            if d <= CERTIFIED_MAX:
-                if is_primitive(cand):
-                    found = cand
-                    break
-            elif is_irreducible(cand) and passes_order_checks(cand, factors[d]):
-                found = cand
-                break
-        assert found is not None, f"no candidate found for degree {d}"
+        found = first_candidate(d, factors[d])
         body.append(table_line(found))
         status = "certified" if (d <= CERTIFIED_MAX or complete[d]) else "partial"
-        print(f"{body[-1]}  (weight {weight(found)}, {status})")
+        print(f"{body[-1]}  (weight {found.bit_count()}, {status})")
 
     text = "\n".join(body)
     digest = hashlib.sha256(text.encode()).hexdigest()
