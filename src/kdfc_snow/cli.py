@@ -41,7 +41,6 @@ from kdfc_snow.gf2.poly import (
 from kdfc_snow.sigma_lfsr import SigmaConfig, config_char_poly, period
 from kdfc_snow.snow2 import (
     CipherState,
-    FsmState,
     snow2_gains,
     snow2_init,
     snow2_keystream,
@@ -175,7 +174,7 @@ def _load_state(path: str) -> CipherState:
         doc = json.load(fh)
     kdfc.check_shape(doc, _STATE_SHAPE, "state document")
     cfg = SigmaConfig.from_json(doc["config"])
-    state = CipherState(doc["lfsr"], FsmState(doc["fsm"]["r1"], doc["fsm"]["r2"]), cfg)
+    state = CipherState(doc["lfsr"], [doc["fsm"]["r1"], doc["fsm"]["r2"]], cfg)
     if config_char_poly(cfg) != kdfc.target_poly():
         raise ValueError("state configuration lacks the target characteristic polynomial")
     if doc["char_poly"] != exponent_list(kdfc.target_poly()):
@@ -192,7 +191,7 @@ def _config_doc(cfg: SigmaConfig, char_poly: int, **fields) -> dict:
 def _cmd_kdfc_init(args) -> int:
     state = _kdfc_state(args)
     doc = {**_config_doc(state.cfg, kdfc.target_poly()), "lfsr": state.lfsr,
-           "fsm": {"r1": state.fsm.r1, "r2": state.fsm.r2}}
+           "fsm": {"r1": state.fsm[0], "r2": state.fsm[1]}}
     _emit(json.dumps(doc, indent=2), args.out)
     return 0
 

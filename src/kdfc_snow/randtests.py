@@ -3,7 +3,7 @@
 Implemented tests: monobit, block-frequency, runs, longest-run-of-ones,
 binary-matrix-rank, cumulative-sums (forward and reverse), serial,
 approximate-entropy, and linear-complexity.  Each returns a TestResult
-whose pass flag is exactly ``p_value >= 0.01``.
+whose ``passed`` is computed from its p-value, ``p_value >= 0.01``.
 
 Bits are handled as numpy uint8 arrays of 0/1.  Keystream words map to
 bits most-significant-bit first (matching the hex the CLI prints), by one
@@ -76,23 +76,23 @@ ALPHA = 0.01
 
 @dataclass
 class TestResult:
-    """One test outcome; passed is always p_value >= ALPHA."""
+    """One test outcome; passed is p_value >= ALPHA."""
 
     name: str
     p_value: float
-    passed: bool
     stats: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 0.0 <= self.p_value <= 1.0:
+        if not 0.0 <= self.p_value <= 1.0:  # NaN fails this too
             raise ValueError(f"p-value {self.p_value} outside [0, 1]")
-        if self.passed != (self.p_value >= ALPHA):
-            raise ValueError("pass flag must equal p_value >= 0.01")
+
+    @property
+    def passed(self) -> bool:
+        return self.p_value >= ALPHA
 
 
 def _result(name: str, p: float, stats: dict) -> TestResult:
-    p = min(max(p, 0.0), 1.0)
-    return TestResult(name, p, p >= ALPHA, stats)
+    return TestResult(name, min(max(p, 0.0), 1.0), stats)
 
 
 class InsufficientDataError(ValueError):
@@ -169,6 +169,14 @@ def _as_bits(bits) -> np.ndarray:
     return arr
 
 
+def _at_least(bits, name: str, required: int) -> np.ndarray:
+    """bits as a 0/1 array, refused if shorter than required."""
+    x = _as_bits(bits)
+    if x.size < required:
+        raise InsufficientDataError(name, required, x.size)
+    return x
+
+
 # ---------------------------------------------------------------------------
 # special functions
 
@@ -232,10 +240,8 @@ def _phi(x: float) -> float:
 # individual tests
 
 def monobit(bits) -> TestResult:
-    x = _as_bits(bits)
+    x = _at_least(bits, "monobit", 100)
     n = x.size
-    if n < 100:
-        raise InsufficientDataError("monobit", 100, n)
     s = int(2 * int(x.sum()) - n)
     s_obs = abs(s) / math.sqrt(n)
     p = math.erfc(s_obs / math.sqrt(2.0))
@@ -245,10 +251,8 @@ def monobit(bits) -> TestResult:
 def block_frequency(bits, block_size: int = 128) -> TestResult:
     if block_size < 1:
         raise ValueError(f"block_size must be at least 1, got {block_size}")
-    x = _as_bits(bits)
+    x = _at_least(bits, "block-frequency", 100)
     n = x.size
-    if n < 100:
-        raise InsufficientDataError("block-frequency", 100, n)
     nblocks = n // block_size
     if nblocks < 1:
         raise InsufficientDataError("block-frequency", block_size, n)
@@ -264,10 +268,8 @@ def block_frequency(bits, block_size: int = 128) -> TestResult:
 
 
 def runs_test(bits) -> TestResult:
-    x = _as_bits(bits)
+    x = _at_least(bits, "runs", 100)
     n = x.size
-    if n < 100:
-        raise InsufficientDataError("runs", 100, n)
     pi = float(x.mean())
     tau = 2.0 / math.sqrt(n)
     if abs(pi - 0.5) >= tau:
@@ -382,11 +384,8 @@ def _matrix_ranks(mats: np.ndarray) -> np.ndarray:
 def binary_matrix_rank(bits, size: int = 32) -> TestResult:
     if not 2 <= size <= 64:
         raise ValueError(f"size must be in 2..64, got {size}")
-    x = _as_bits(bits)
+    x = _at_least(bits, "binary-matrix-rank", 38 * size * size)
     n = x.size
-    need = 38 * size * size
-    if n < need:
-        raise InsufficientDataError("binary-matrix-rank", need, n)
     nmat = n // (size * size)
     full = _rank_probability(size, size, size)
     minus1 = _rank_probability(size, size, size - 1)
@@ -406,10 +405,8 @@ def binary_matrix_rank(bits, size: int = 32) -> TestResult:
 
 
 def cumulative_sums(bits, reverse: bool = False) -> TestResult:
-    x = _as_bits(bits)
+    x = _at_least(bits, "cumulative-sums", 100)
     n = x.size
-    if n < 100:
-        raise InsufficientDataError("cumulative-sums", 100, n)
     s = (x[::-1] if reverse else x).astype(np.int32 if n < 1 << 31 else np.int64)
     s <<= 1
     s -= 1  # the +-1 steps, summed in place
@@ -462,10 +459,8 @@ def _psi_sq(counts: np.ndarray, n: int) -> float:
 def serial_test(bits, m: int = 2) -> TestResult:
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
-    x = _as_bits(bits)
+    x = _at_least(bits, "serial", 100)
     n = x.size
-    if n < 100:
-        raise InsufficientDataError("serial", 100, n)
     _check_window_bits(m, n)
     counts_m = _window_counts(x, m)
     counts_m1 = _fold(counts_m)
@@ -486,10 +481,8 @@ def serial_test(bits, m: int = 2) -> TestResult:
 def approximate_entropy(bits, m: int = 2) -> TestResult:
     if m < 0:
         raise ValueError(f"m must be at least 0, got {m}")
-    x = _as_bits(bits)
+    x = _at_least(bits, "approximate-entropy", 100)
     n = x.size
-    if n < 100:
-        raise InsufficientDataError("approximate-entropy", 100, n)
     _check_window_bits(m, n)
 
     def phi(counts: np.ndarray) -> float:
@@ -583,11 +576,8 @@ def _linear_complexities(blocks: np.ndarray) -> np.ndarray:
 def linear_complexity(bits, block_size: int = 500) -> TestResult:
     if block_size < 1:
         raise ValueError(f"block_size must be at least 1, got {block_size}")
-    x = _as_bits(bits)
+    x = _at_least(bits, "linear-complexity", 200 * block_size)
     n = x.size
-    need = 200 * block_size
-    if n < need:
-        raise InsufficientDataError("linear-complexity", need, n)
     nblocks = n // block_size
     m = block_size
     sign = 1.0 if m % 2 == 0 else -1.0

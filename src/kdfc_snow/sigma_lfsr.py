@@ -64,6 +64,14 @@ class PeriodGuardError(ValueError):
     """Period search refused: state space too large or seed zero."""
 
 
+def _check_dims(m: int, b: int) -> None:
+    """Refuse a shape other than two positive ints (a bool is not an int here)."""
+    if type(m) is not int or type(b) is not int:
+        raise ValueError(f"m and b must be integers, got m={m!r} b={b!r}")
+    if m < 1 or b < 1:
+        raise DimensionError(f"need m, b >= 1, got m={m} b={b}")
+
+
 class SigmaConfig:
     """Feedback configuration: word width m, block count b, and the m
     feedback rows, the last block row of the configuration matrix.
@@ -76,8 +84,7 @@ class SigmaConfig:
     __slots__ = ("m", "b", "rows", "_byte_tables")
 
     def __init__(self, m: int, b: int, rows: list[int]):
-        if m < 1 or b < 1:
-            raise DimensionError(f"need m, b >= 1, got m={m} b={b}")
+        _check_dims(m, b)
         if len(rows) != m:
             raise DimensionError(f"expected {m} feedback rows, got {len(rows)}")
         n = m * b
@@ -94,6 +101,7 @@ class SigmaConfig:
     @classmethod
     def from_gains(cls, m: int, b: int, gains: list[BitMatrix]) -> "SigmaConfig":
         """The configuration of b m x m gains B_0..B_{b-1}."""
+        _check_dims(m, b)
         if len(gains) != b:
             raise DimensionError(f"expected {b} gain matrices, got {len(gains)}")
         for i, g in enumerate(gains):
@@ -133,7 +141,7 @@ class SigmaConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "SigmaConfig":
         gains = [BitMatrix.from_json(g) for g in obj["gains"]]
-        return cls.from_gains(int(obj["m"]), int(obj["b"]), gains)
+        return cls.from_gains(obj["m"], obj["b"], gains)
 
     def byte_tables(self) -> list[list[int]]:
         """Byte-lane lookup tables of the Galois feedback L.

@@ -11,7 +11,8 @@ LFSR recurrence is s_{t+16} = alpha^{-1} s_{t+11} + s_{t+2} + alpha s_t,
 realized here by gain matrices B_0 = mult-by-alpha, B_2 = I,
 B_11 = mult-by-alpha^{-1} acting on row vectors.
 
-FSM.  F = (s_{t+15} boxplus R1) xor R2; R1' = s_{t+5} boxplus R2;
+FSM.  Two 32-bit registers, held as the list [R1, R2].
+F = (s_{t+15} boxplus R1) xor R2; R1' = s_{t+5} boxplus R2;
 R2' = S(R1), where S applies the AES S-box to each byte and then the AES
 MixColumn matrix over the Rijndael byte field x^8 + x^4 + x^3 + x + 1
 (low byte = first MixColumn row).
@@ -38,7 +39,6 @@ from kdfc_snow.gf2.poly import _mulmod_int
 from kdfc_snow.sigma_lfsr import SigmaConfig, _check_words, galois_state
 
 __all__ = [
-    "FsmState",
     "CipherState",
     "KeyError32",
     "MASK32",
@@ -196,41 +196,23 @@ def boxplus(x: int, y: int) -> int:
 # FSM / cipher state
 
 
-class FsmState:
-    """The two FSM registers."""
-
-    __slots__ = ("r1", "r2")
-
-    def __init__(self, r1: int = 0, r2: int = 0):
-        ints = type(r1) is type(r2) is int
-        if not (ints and 0 <= r1 <= MASK32 and 0 <= r2 <= MASK32):
-            raise ValueError("FSM registers must be 32-bit words")
-        self.r1 = r1
-        self.r2 = r2
-
-    def copy(self) -> "FsmState":
-        return FsmState(self.r1, self.r2)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FsmState):
-            return NotImplemented
-        return (self.r1, self.r2) == (other.r1, other.r2)
-
-
 class CipherState:
     """The 16 LFSR words s_t..s_{t+15} (a list, oldest first), the FSM
-    registers and the active feedback configuration."""
+    registers [R1, R2] and the active feedback configuration."""
 
     __slots__ = ("lfsr", "fsm", "cfg")
 
-    def __init__(self, lfsr: list[int], fsm: FsmState, cfg: SigmaConfig):
+    def __init__(self, lfsr: list[int], fsm: list[int], cfg: SigmaConfig):
         if (cfg.m, cfg.b) != (32, 16):
             raise ValueError(
                 f"cipher configuration is {cfg.m}x{cfg.b}, expected m=32, b=16"
             )
         _check_words(lfsr, 32, 16)
+        if not (isinstance(fsm, list) and len(fsm) == 2
+                and all(type(r) is int and 0 <= r <= MASK32 for r in fsm)):
+            raise ValueError("FSM registers must be two 32-bit words")
         self.lfsr = list(lfsr)
-        self.fsm = fsm
+        self.fsm = list(fsm)
         self.cfg = cfg
 
 
@@ -238,10 +220,10 @@ class KeyError32(ValueError):
     """Key/IV material has the wrong shape, or a word that is not a 32-bit int."""
 
 
-def fsm_step(fsm: FsmState, d5: int, d15: int) -> tuple[FsmState, int]:
-    """One FSM clock: returns (new registers, output F)."""
-    f = (boxplus(d15, fsm.r1)) ^ fsm.r2
-    return FsmState(boxplus(d5, fsm.r2), sbox_s(fsm.r1)), f
+def fsm_step(fsm: list[int], d5: int, d15: int) -> tuple[list[int], int]:
+    """One FSM clock of [R1, R2]: returns (new registers, output F)."""
+    r1, r2 = fsm
+    return [boxplus(d5, r2), sbox_s(r1)], boxplus(d15, r1) ^ r2
 
 
 def load_state_words(key: list[int], iv: list[int]) -> list[int]:
@@ -295,7 +277,7 @@ def init_with_captures(
     """
     if cfg is None:
         cfg = _snow2_cfg()
-    state = CipherState(load_state_words(key, iv), FsmState(0, 0), cfg)
+    state = CipherState(load_state_words(key, iv), [0, 0], cfg)
     return state, _clock(state, 32, True)
 
 
@@ -317,7 +299,7 @@ def _clock(state: CipherState, n: int, init: bool) -> list[int]:
     s0, s1, s2, s3 = _STAB
     seq = list(state.lfsr)
     z = galois_state(state.cfg, seq)
-    r1, r2 = state.fsm.r1, state.fsm.r2
+    r1, r2 = state.fsm
     words = []
     emit, push = words.append, seq.append
     for t in range(n):
@@ -334,5 +316,5 @@ def _clock(state: CipherState, n: int, init: bool) -> list[int]:
         push(x)
         z = (z >> 32) ^ t0[x & 0xFF] ^ t1[(x >> 8) & 0xFF] ^ t2[(x >> 16) & 0xFF] ^ t3[x >> 24]
     state.lfsr = seq[-16:]
-    state.fsm = FsmState(r1, r2)
+    state.fsm = [r1, r2]
     return words

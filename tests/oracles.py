@@ -29,7 +29,7 @@ route than the package:
   time, instead of the package's vec_to_hex and vec_from_hex, which
   convert the whole row at once.
 * clock_oracle and keystream_oracle run SNOW 2.0's clocks on word lists
-  and FsmState objects with lfsr_step and fsm_step, under any 32x16
+  and [R1, R2] register pairs with lfsr_step and fsm_step, under any 32x16
   configuration, instead of the package's single Galois-form loop on
   plain ints.
 * long_division_mod and triangular_unembed reduce and un-embed bit by bit
@@ -475,11 +475,11 @@ def nibble_from_hex(s: str) -> int:
 
 def clock_oracle(key, iv, cfg, n):
     """SNOW 2.0 clocks on word lists: (32 init F words, first n keystream words)."""
-    from kdfc_snow.snow2 import FsmState, fsm_step, load_state_words
+    from kdfc_snow.snow2 import fsm_step, load_state_words
 
     gains = cfg.gains()
     s = load_state_words(key, iv)
-    fsm = FsmState(0, 0)
+    fsm = [0, 0]
     init_f = []
     for _ in range(32):
         fsm, f = fsm_step(fsm, s[5], s[15])
@@ -490,7 +490,7 @@ def clock_oracle(key, iv, cfg, n):
 
 
 def keystream_oracle(cfg, s, fsm, n):
-    """n keystream clocks from LFSR words s and FSM fsm: (words, s, fsm)."""
+    """n keystream clocks from LFSR words s and FSM pair fsm: (words, s, fsm)."""
     from kdfc_snow.snow2 import fsm_step
 
     gains = cfg.gains()

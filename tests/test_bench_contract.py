@@ -64,8 +64,11 @@ def test_copy_state_gives_an_independent_state(bench):
     copy = run.copy_state(state)
     assert isinstance(copy, CipherState) and copy.cfg is state.cfg
     assert snow2_keystream(copy, 4) == snow2_keystream(state, 4)
+    assert copy.lfsr is not state.lfsr and copy.fsm is not state.fsm
+    fsm = state.fsm.copy()
     snow2_keystream(copy, 1)
     assert copy.lfsr != state.lfsr
+    assert state.fsm == fsm and copy.fsm != fsm
 
 
 def test_traced_run_records_the_engine_spans(bench):

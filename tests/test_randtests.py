@@ -78,16 +78,17 @@ class TestIgamc:
 
 class TestResultInvariants:
     def test_p_range(self):
-        with pytest.raises(ValueError):
-            rt.TestResult("monobit", 1.5, True)
+        for p in (1.5, -0.5, float("nan")):
+            with pytest.raises(ValueError, match="outside"):
+                rt.TestResult("monobit", p)
 
     def test_pass_flag_consistency(self):
-        with pytest.raises(ValueError):
-            rt.TestResult("monobit", 0.5, False)
-        with pytest.raises(ValueError):
-            rt.TestResult("monobit", 0.001, True)
-        ok = rt.TestResult("monobit", 0.001, False)
-        assert not ok.passed
+        # passed is computed from p, so only the boundary is left to pin
+        assert rt.ALPHA == 0.01
+        assert rt.TestResult("monobit", 0.01).passed
+        assert not rt.TestResult("monobit", math.nextafter(0.01, 0.0)).passed
+        assert rt.TestResult("monobit", 1.0).passed
+        assert not rt.TestResult("monobit", 0.0).passed
 
 
 class TestWorkedExamples:
@@ -279,6 +280,31 @@ class TestBattery:
                 rt.run_test(name, small)
 
 
+class TestInputGate:
+    @pytest.mark.parametrize("name,test,required", [
+        ("monobit", rt.monobit, 100),
+        ("block-frequency", rt.block_frequency, 100),
+        ("runs", rt.runs_test, 100),
+        ("binary-matrix-rank", rt.binary_matrix_rank, 38 * 32 * 32),
+        ("cumulative-sums", rt.cumulative_sums, 100),
+        ("serial", rt.serial_test, 100),
+        ("approximate-entropy", rt.approximate_entropy, 100),
+        ("linear-complexity", rt.linear_complexity, 200 * 500),
+    ])
+    def test_short_input_is_refused(self, name, test, required):
+        short = np.zeros(required - 1, dtype=np.uint8)
+        message = f"^{name}: need at least {required} bits, got {required - 1}$"
+        with pytest.raises(rt.InsufficientDataError, match=message) as exc:
+            test(short)
+        assert (exc.value.name, exc.value.required, exc.value.got) == (
+            name, required, required - 1)
+
+    def test_block_frequency_refuses_too_few_blocks(self):
+        with pytest.raises(rt.InsufficientDataError) as exc:
+            rt.block_frequency(np.zeros(200, dtype=np.uint8), block_size=300)
+        assert (exc.value.required, exc.value.got) == (300, 200)
+
+
 def random_blocks(seed, count, length, density=0.5):
     """A (count, length) 0/1 array; density 0 or 1 gives all-zero/all-one."""
     rng = np.random.default_rng(seed)
@@ -462,11 +488,17 @@ class TestParameterChecks:
 
     def test_bad_parameter_on_a_short_input(self):
         # the parameter is refused before the input's length is
-        x = np.ones(1000, dtype=np.uint8)
-        with pytest.raises(ValueError, match="block_size"):
-            rt.block_frequency(x, block_size=0)
-        with pytest.raises(ValueError, match=r"\bm must"):
-            rt.serial_test(x, m=1)
+        x = np.ones(0, dtype=np.uint8)
+        for test, params, message in [
+            (rt.block_frequency, {"block_size": 0}, "block_size must"),
+            (rt.binary_matrix_rank, {"size": 1}, "size must"),
+            (rt.serial_test, {"m": 1}, r"\bm must"),
+            (rt.approximate_entropy, {"m": -1}, r"\bm must"),
+            (rt.linear_complexity, {"block_size": 0}, "block_size must"),
+        ]:
+            with pytest.raises(ValueError, match=message) as exc:
+                test(x, **params)
+            assert not isinstance(exc.value, rt.InsufficientDataError)
 
     @pytest.mark.parametrize("test", [rt.serial_test, rt.approximate_entropy])
     def test_window_bits_bounded_before_counting(self, test):

@@ -41,7 +41,7 @@ from kdfc_snow.sigma_lfsr import (
     period,
     step_stacked,
 )
-from kdfc_snow.snow2 import CipherState, FsmState, snow2_gains
+from kdfc_snow.snow2 import CipherState, snow2_gains
 
 
 def random_config(rng, m, b):
@@ -109,6 +109,20 @@ class TestSigmaConfig:
     def test_gains_split_and_join(self, m, b):
         cfg = random_config(random.Random(m + b), m, b)
         assert SigmaConfig.from_gains(m, b, cfg.gains()) == cfg
+
+    @pytest.mark.parametrize("m,b", [(2.9, 2), (2, "2"), (True, 1), (1, True), (2.0, 2)])
+    def test_shape_must_be_ints(self, m, b):
+        with pytest.raises(ValueError, match="m and b must be integers"):
+            SigmaConfig(m, b, [0] * 2)
+        with pytest.raises(ValueError, match="m and b must be integers"):
+            SigmaConfig.from_gains(m, b, [identity(2)] * 2)
+
+    @pytest.mark.parametrize("m,b,n", [(2.9, "2", 2), (True, 1, 1), (2, 2.0, 2)])
+    def test_from_json_refuses_a_non_int_shape(self, m, b, n):
+        # n identity gains of n x n: the shape that int(m), int(b) would give
+        doc = {"m": m, "b": b, "gains": [identity(n).to_json()] * n}
+        with pytest.raises(ValueError, match="m and b must be integers"):
+            SigmaConfig.from_json(doc)
 
     def test_json_roundtrip(self):
         rng = random.Random(0)
@@ -252,12 +266,12 @@ class TestStepping:
         # CipherState's
         for count in (0, 15, 17):
             with pytest.raises(ValueError, match="does not match configuration dimensions"):
-                CipherState([1] * count, FsmState(), snow2_gains())
+                CipherState([1] * count, [0, 0], snow2_gains())
 
     @pytest.mark.parametrize("word", [1.0, "1", None, True, [1]])
     def test_non_integer_word_rejected(self, word):
         with pytest.raises(ValueError, match="block 3 is not an integer"):
-            CipherState([0, 0, 0, word] + [0] * 12, FsmState(), snow2_gains())
+            CipherState([0, 0, 0, word] + [0] * 12, [0, 0], snow2_gains())
 
 
 def lane_rows(cfg):

@@ -39,7 +39,6 @@ from kdfc_snow.sigma_lfsr import SigmaConfig, step_stacked
 from kdfc_snow.snow2 import (
     _SR,
     CipherState,
-    FsmState,
     KeyError32,
     alpha_inv_mul,
     alpha_mul,
@@ -143,19 +142,32 @@ class TestFsm:
         assert boxplus(3, 4) == 7
 
     def test_single_step_known(self):
-        fsm, f = fsm_step(FsmState(0, 0), d5=7, d15=9)
+        fsm, f = fsm_step([0, 0], d5=7, d15=9)
         assert f == 9
-        assert fsm.r1 == 7
-        assert fsm.r2 == sbox_s(0)
+        assert fsm == [7, sbox_s(0)]
 
     def test_register_validation(self):
-        with pytest.raises(ValueError):
-            FsmState(1 << 32, 0)
+        # the registers are checked where the cipher state is built
+        words = [0] * 16
+        with pytest.raises(ValueError, match="FSM registers"):
+            CipherState(words, [1 << 32, 0], snow2_gains())
         for bad in (1.0, "1", None, True):
-            with pytest.raises(ValueError):
-                FsmState(bad, 0)
-            with pytest.raises(ValueError):
-                FsmState(0, bad)
+            with pytest.raises(ValueError, match="FSM registers"):
+                CipherState(words, [bad, 0], snow2_gains())
+            with pytest.raises(ValueError, match="FSM registers"):
+                CipherState(words, [0, bad], snow2_gains())
+
+    @pytest.mark.parametrize("fsm", [
+        None, [0], [0, 0, 0], [True, 0], [1.0, 0], [1 << 32, 0], [0, -1],
+    ])
+    def test_cipher_state_refuses_a_bad_register_pair(self, fsm):
+        with pytest.raises(ValueError, match="FSM registers must be two 32-bit words"):
+            CipherState([0] * 16, fsm, snow2_gains())
+
+    def test_cipher_state_keeps_its_own_pair(self):
+        regs = [3, 0xFFFFFFFF]
+        state = CipherState([0] * 16, regs, snow2_gains())
+        assert state.fsm == regs and state.fsm is not regs
 
 
 class TestSchedule:
@@ -217,14 +229,15 @@ class TestInit:
 
     def test_state_dimension_check(self):
         with pytest.raises(ValueError, match="does not match configuration dimensions"):
-            CipherState([0, 0], FsmState(), snow2_gains())
+            CipherState([0, 0], [0, 0], snow2_gains())
 
     def test_state_holds_its_16_words(self):
         words = load_state_words(KAT_KEY, KAT_IV)
-        state = CipherState(words, FsmState(), snow2_gains())
+        state = CipherState(words, [0, 0], snow2_gains())
         assert state.lfsr == words and state.lfsr is not words
         snow2_keystream(state, 17)
         assert type(state.lfsr) is list and len(state.lfsr) == 16
+        assert type(state.fsm) is list and len(state.fsm) == 2
 
 
 class TestKeystream:
@@ -409,7 +422,7 @@ class TestJumpRoute:
         ])
         s = [rng.getrandbits(m) for _ in range(b)]
         with pytest.raises(ValueError, match=f"{m}x{b}"):
-            CipherState(s, FsmState(), cfg)
+            CipherState(s, [0, 0], cfg)
         v, gains = stacked(s, m), cfg.gains()
         for _ in range(7 * b + 2):
             s, _ = lfsr_step(gains, s)
@@ -420,7 +433,7 @@ class TestJumpRoute:
     def test_cipher_state_refuses_other_shapes(self, m, b):
         cfg = SigmaConfig.from_gains(m, b, [identity(m)] * b)
         with pytest.raises(ValueError, match=f"{m}x{b}"):
-            CipherState([1] * b, FsmState(), cfg)
+            CipherState([1] * b, [0, 0], cfg)
 
     def test_16x32_state_is_refused(self, tmp_path, capsys, monkeypatch):
         # mb = 512 with m = 16, b = 32 has the target char poly, but the FSM
