@@ -35,12 +35,18 @@ lambda = embed(active row)^{-1}, and each row becomes
 embed^{-1}(embed(u) * lambda mod p).  Both maps are a product and a
 shift, by p and by floor(x^2w / p), which is p when the tail p - x^w has
 degree below w/2, as in the table's trinomials and pentanomials: one
-shift and xor per term of the factor, whatever its weight.  A stage takes
-its constants once (_stage_constants): both maps' shifts and the fold
-tail.  The products by lambda go through one list kernel,
-gf2.poly._mulmod_rows: a byte window table of lambda from width 32 on, a
-shifted copy per term of lambda below, and the reduction folded inline,
-so no row goes through a call or an object of its own.
+shift and xor per term of the factor, whatever its weight.  A stage's
+constants are taken once per process and polynomial (_stage_constants):
+both maps' shifts and the fold tail.  The products by lambda go through
+one list kernel, gf2.poly._mulmod_rows: a byte window table of lambda
+from width 32 on, a shifted copy per term of lambda below, and the
+reduction folded inline, so no row goes through a call or an object of
+its own.  Up to width LOG_TABLE_MAX_WIDTH = 12, where x generates the
+units mod p (every table polynomial, and x + 1), a stage skips the field
+arithmetic: _log_tables holds log_x(embed(u)) for every row u and
+unembed(x^k) for every k, built once per process and polynomial, so each
+row is one table lookup (log/antilog tables, Lidl-Niederreiter, Finite
+Fields).
 y_iterate runs one iteration on a BitMatrix in standard coordinates.  The
 Krylov-matrix route (solve y.K = e_1, Lambda = sum y_j A^j) lives in
 tests/oracles.py as the test oracle, next to the standard-coordinate maps
@@ -49,6 +55,7 @@ and the dense assembly Q * P * Q^{-1}.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from itertools import product
 
@@ -68,9 +75,10 @@ from kdfc_snow.gf2.poly import (
     euler_phi_2n1,
     exponents,
     inv_mod,
+    is_primitive,
 )
 from kdfc_snow.gf2.primtable import primitive_poly
-from kdfc_snow.sigma_lfsr import SigmaConfig
+from kdfc_snow.sigma_lfsr import SigmaConfig, _certificate, config_char_poly
 
 __all__ = [
     "FillBits",
@@ -141,17 +149,11 @@ class FillBits:
         """Pack m-bit words into fill vectors for iterations starting at
         first_iteration (1-based): bit t of word -> row t, skipping the
         active row l = i mod m."""
+        low = (1 << max(m - 1, 0)) - 1
         vectors = []
         for offset, w in enumerate(words):
-            active = (first_iteration + offset) % m
-            v = 0
-            pos = 0
-            for t in range(m):
-                if t == active:
-                    continue
-                v |= ((w >> t) & 1) << pos
-                pos += 1
-            vectors.append(v)
+            a = (first_iteration + offset) % m
+            vectors.append(((w & ((1 << a) - 1)) | (w >> (a + 1) << a)) & low)
         return cls(m, vectors)
 
 
@@ -189,17 +191,72 @@ def _shifts(exps: list[int]) -> list[int]:
     return [w - e for e in exps if e]
 
 
+@functools.cache
 def _stage_constants(p: int) -> tuple:
     """A stage's constants: the shifts of its polynomial p and of
     mu = floor(x^2w / p) (p itself when deg(p - x^w) < w/2), and the fold
-    tail _sparse_tail(p) of gf2.poly._mulmod_rows."""
+    tail _sparse_tail(p) of gf2.poly._mulmod_rows, kept per polynomial
+    for the life of the process (when mu = p, one list serves both)."""
     exps = exponents(p)
     w = exps[-1]
+    shifts = _shifts(exps)
     if 2 * (p ^ (1 << w)).bit_length() <= w + 1:
-        mu_exps = exps
-    else:
-        mu_exps = exponents(_divmod_int(1 << 2 * w, p)[0])
-    return _shifts(exps), _shifts(mu_exps), _sparse_tail(p)
+        return shifts, shifts, _sparse_tail(p)
+    return shifts, _shifts(exponents(_divmod_int(1 << 2 * w, p)[0])), _sparse_tail(p)
+
+
+LOG_TABLE_MAX_WIDTH = 12  # stages up to this width take _log_tables
+
+
+def _u16(n: int) -> memoryview:
+    """n zeroed 16-bit entries: as compact as array('H'), without
+    importing the array module into every process."""
+    return memoryview(bytearray(2 * n)).cast("H")
+
+
+def _linear_table(shifts: list[int], w: int) -> memoryview:
+    """_over_xw(shifts, [u]) for every u of w bits, indexed by u: the map
+    is linear, so the table doubles once per unit row 1 << j."""
+    tab = _u16(1 << w)
+    for j in range(w):
+        e = _over_xw(shifts, [1 << j])[0]
+        for v in range(1 << j):
+            tab[v | 1 << j] = tab[v] ^ e
+    return tab
+
+
+@functools.cache
+def _log_tables(p: int) -> tuple[memoryview, memoryview] | None:
+    """Discrete logs to the base x in F_2[x]/p, through the stage maps:
+    to_log[u] = log_x(embed(u)) for u != 0 and from_log[k] = unembed(x^k).
+
+    None when deg p exceeds LOG_TABLE_MAX_WIDTH, or when the powers of x
+    do not run through all 2^w - 1 units: x^k = 1 before k = 2^w - 1 (p
+    irreducible but not primitive), or never (p reducible).
+    """
+    w = p.bit_length() - 1
+    if w > LOG_TABLE_MAX_WIDTH:
+        return None
+    shifts, mu_shifts, _ = _stage_constants(p)
+    unembed = _linear_table(mu_shifts, w)
+    order = (1 << w) - 1
+    log = _u16(order + 1)
+    from_log = _u16(order)
+    t = 1
+    for k in range(order):
+        if k and t == 1:
+            return None
+        log[t] = k
+        from_log[k] = unembed[t]
+        t <<= 1
+        if t >> w:
+            t ^= p
+    if t != 1:
+        return None
+    to_log = _u16(order + 1)
+    for u, g in enumerate(_linear_table(shifts, w)):
+        to_log[u] = log[g]
+    return to_log, from_log
 
 
 def _stage(rows: list[int], i: int, p: int, fill: int) -> list[int]:
@@ -210,8 +267,11 @@ def _stage(rows: list[int], i: int, p: int, fill: int) -> list[int]:
     mu = floor(x^2w / p), Barrett's quotient, exact over GF(2)[x].  With
     p = x^w + t, x^2w = p^2 + t^2, so mu is p when deg t^2 < w.
 
-    The stage's constants are taken once, by _stage_constants; the rows
-    then go through integer loops, with no call or object per row.
+    The stage's constants are taken once per process, by _stage_constants;
+    the rows then go through integer loops, with no call or object per row.
+    Where _log_tables has tables for p, embed(u) * lambda is
+    x^(log u - log u_active), so each row is one lookup; a zero active
+    row takes the general route, which refuses it.
 
     Rank m in gives rank m out, so no stage checks it.  embed (0 only at
     u = 0, as deg p = w), the product by lambda != 0 mod the irreducible p
@@ -219,14 +279,21 @@ def _stage(rows: list[int], i: int, p: int, fill: int) -> list[int]:
     1 with the widened u << 1 | fill is dependent only if the u sum to 0.
     """
     m = len(rows)
-    shifts, mu_shifts, tail = _stage_constants(p)
     active = i % m
-    g = _over_xw(shifts, rows)
-    try:
-        lam = inv_mod(g[active], p)
-    except ZeroDivisionError as exc:
-        raise NoSolutionError(f"active row is zero or not cyclic: {exc}") from exc
-    out = _over_xw(mu_shifts, _mulmod_rows(g, lam, p, tail))
+    tables = _log_tables(p)
+    if tables is not None and rows[active]:
+        to_log, from_log = tables
+        order = len(from_log)
+        la = to_log[rows[active]]
+        out = [from_log[(to_log[u] - la) % order] if u else 0 for u in rows]
+    else:
+        shifts, mu_shifts, tail = _stage_constants(p)
+        g = _over_xw(shifts, rows)
+        try:
+            lam = inv_mod(g[active], p)
+        except ZeroDivisionError as exc:
+            raise NoSolutionError(f"active row is zero or not cyclic: {exc}") from exc
+        out = _over_xw(mu_shifts, _mulmod_rows(g, lam, p, tail))
     if out[active] != 1:
         raise NoSolutionError("active row did not land on e_1")
     pos = 0
@@ -343,8 +410,6 @@ def generate_config(
     y = BitMatrix(_reversed_rows([rows[t] for t in order], n), n)
     cfg = assemble_config(y, p)
     if verify:
-        from kdfc_snow.sigma_lfsr import config_char_poly
-
         got = config_char_poly(cfg)
         if got != p:
             raise RankLossError(
@@ -392,9 +457,6 @@ def brute_force_count(m: int, b: int) -> int:
     Exponential, so guarded to at most 2^20 candidates; cross-checks
     count_configurations at small sizes.
     """
-    from kdfc_snow.gf2.poly import is_primitive
-    from kdfc_snow.sigma_lfsr import _certificate
-
     _check_dims(m, b)
     nbits = m * m * b
     if nbits > MAX_ENUMERATION_BITS:

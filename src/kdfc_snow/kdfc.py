@@ -257,5 +257,6 @@ kdfc_keystream = snow2_keystream
 
 
 def reconfigure(state: CipherState, cfg: SigmaConfig) -> CipherState:
-    """Swap the feedback configuration, keeping LFSR and FSM contents."""
-    return CipherState(state.lfsr.copy(), state.fsm.copy(), cfg)
+    """Swap the feedback configuration, keeping LFSR and FSM contents
+    (CipherState copies the registers, so the states share no list)."""
+    return CipherState(state.lfsr, state.fsm, cfg)

@@ -39,6 +39,8 @@ route than the package:
   per coefficient of p, and long_division_quotient gives floor(a / m) bit
   by bit, where the pipeline shifts reversed rows through the terms of the
   modulus or of its Barrett factor.
+* fill_from_words packs each word into its fill vector one bit at a time,
+  skipping the active row, instead of FillBits.from_words's two masks.
 * dense_assemble forms C = Q * P * Q^{-1} with a full inverse, read off
   echelon_oracle's reduced form, and a full product, and reads the feedback
   rows back through extract_config, instead of the package's m row solves on
@@ -326,6 +328,23 @@ def triangular_unembed(g: int, pc: int) -> int:
         v |= 1 << i
         g ^= pc >> (i + 1)
     return v
+
+
+def fill_from_words(m: int, words: list[int], first_iteration: int) -> list[int]:
+    """FillBits.from_words's vectors: bit t of each word goes to the next
+    fill position unless t is the active row (first_iteration + offset) % m."""
+    vectors = []
+    for offset, w in enumerate(words):
+        active = (first_iteration + offset) % m
+        v = 0
+        pos = 0
+        for t in range(m):
+            if t == active:
+                continue
+            v |= ((w >> t) & 1) << pos
+            pos += 1
+        vectors.append(v)
+    return vectors
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,7 @@ def test_verified_init_builds_its_row_tables_once(bench, monkeypatch):
     # tables, and the discard clocks reuse them; nothing steps through
     # step_stacked or fsm_step
     spans, _ = bench
-    from kdfc_snow import kdfc, snow2, sigma_lfsr
+    from kdfc_snow import confgen, kdfc, snow2, sigma_lfsr
 
     snow2.snow2_init(KAT_KEY, KAT_IV)  # the shared SNOW 2.0 tables exist
     certified = []
@@ -142,7 +142,8 @@ def test_verified_init_builds_its_row_tables_once(bench, monkeypatch):
         certified.append(cfg._byte_tables)
         return p
 
-    monkeypatch.setattr(sigma_lfsr, "config_char_poly", certify)
+    # generate_config's verify looks the name up in confgen
+    monkeypatch.setattr(confgen, "config_char_poly", certify)
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -180,9 +181,11 @@ def test_stream_chunks_reuse_the_tables(bench):
 
 
 def test_every_stage_inversion_and_table_lookup_is_traced(bench):
-    # the gf2.poly.inv_mod and gf2.primtable.lookup spans see each pipeline
-    # stage: one inversion and one table polynomial per stage, 12 in a 4x4
-    # gen-config (k = 0) and 12 in a keyed init (the online iterations)
+    # the gf2.primtable.lookup span sees one table polynomial per pipeline
+    # stage, 12 in a 4x4 gen-config (k = 0) and 12 in a keyed init (the
+    # online iterations); gf2.poly.inv_mod sees one inversion per stage
+    # wider than confgen.LOG_TABLE_MAX_WIDTH: the 4x4 stages of widths
+    # 13..15, and every keyed stage (widths 500..511)
     spans, _ = bench
     from kdfc_snow import confgen, kdfc
 
@@ -191,9 +194,9 @@ def test_every_stage_inversion_and_table_lookup_is_traced(bench):
     online = confgen.FillBits.from_seed(4, 12, "spans", "online-fill")
     params = kdfc.KdfcParams(key=KAT_KEY, iv=KAT_IV)
     kdfc.kdfc_init(params)  # y_init and the shared SNOW 2.0 tables exist
-    for run in (
-        lambda: confgen.generate_config(4, 4, p16, y, online),
-        lambda: kdfc.kdfc_init(params),
+    for run, inversions in (
+        (lambda: confgen.generate_config(4, 4, p16, y, online), 3),
+        (lambda: kdfc.kdfc_init(params), 12),
     ):
         tracer = spans.Tracer()
         tracer.install()
@@ -201,7 +204,7 @@ def test_every_stage_inversion_and_table_lookup_is_traced(bench):
             run()
         finally:
             tracer.uninstall()
-        assert tracer.calls("gf2.poly.inv_mod") == 12
+        assert tracer.calls("gf2.poly.inv_mod") == inversions
         assert tracer.calls("gf2.primtable.lookup") == 12
 
 

@@ -587,13 +587,13 @@ class TestGoldenOutputs:
 
     def test_writers_do_not_recompute_the_char_poly(self, capsys, monkeypatch):
         # the written char_poly is the one generate_config(verify=True) certified
-        from kdfc_snow import sigma_lfsr
+        from kdfc_snow import confgen, sigma_lfsr
 
         calls = []
         real = sigma_lfsr.config_char_poly
         monkeypatch.setattr(cli, "config_char_poly", lambda cfg: calls.append(cfg))
         monkeypatch.setattr(
-            sigma_lfsr, "config_char_poly", lambda cfg: calls.append(cfg) or real(cfg)
+            confgen, "config_char_poly", lambda cfg: calls.append(cfg) or real(cfg)
         )
         for name in ("kdfc-init", "kdfc-dump-config", "gen-config-4x4-k3", "char-poly-seeded"):
             calls.clear()

@@ -11,6 +11,7 @@ from oracles import (
     companion_matrix,
     dense_assemble,
     field_embed,
+    fill_from_words,
     identity,
     krylov_lambda,
     long_division_quotient,
@@ -28,6 +29,7 @@ from kdfc_snow.confgen import (
     count_configurations,
     generate_config,
     pipeline_poly,
+    _log_tables,
     _over_xw,
     _reversed_rows,
     _shifts,
@@ -40,6 +42,7 @@ from kdfc_snow.gf2 import linalg
 from kdfc_snow.gf2.linalg import (
     BitMatrix,
     DimensionError,
+    NoSolutionError,
     SingularMatrixError,
     companion_vec_mul,
     mat_vec_mul,
@@ -52,6 +55,7 @@ from kdfc_snow.gf2.poly import (
     euler_phi_2n1,
     exponents,
     is_irreducible,
+    is_primitive,
 )
 from kdfc_snow.gf2.primtable import default_table, primitive_poly
 from kdfc_snow.sigma_lfsr import SigmaConfig, config_char_poly
@@ -119,6 +123,16 @@ class TestFillBits:
 
     def test_m1_needs_no_bits(self):
         assert FillBits.from_seed(1, 5, "s").vectors == [0] * 5
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 32])
+    def test_from_words_equals_the_bit_loop(self, m):
+        # words up to 3m bits: the bits above m are dropped like the loop drops them
+        rng = random.Random(m)
+        for first in range(1, 2 * m + 2):
+            words = [rng.getrandbits(rng.choice([m, m + 1, 3 * m])) for _ in range(20)]
+            words += [0, (1 << m) - 1, (1 << (3 * m)) - 1]
+            got = FillBits.from_words(m, words, first_iteration=first).vectors
+            assert got == fill_from_words(m, words, first)
 
 
 class TestYMatrix:
@@ -283,6 +297,77 @@ class TestIteration:
     def test_offline_needs_enough_fill(self):
         with pytest.raises(ValueError):
             y_offline(2, 4, 3, FillBits.from_seed(2, 2, "s"))
+
+
+def assert_stage_applies_krylov_lambda(p, m, seed):
+    """y_iterate on random full-rank Y sends the active row to e_1 and every
+    other row through the Krylov-matrix Lambda of tests/oracles.py."""
+    w = p.bit_length() - 1
+    rng = random.Random(seed)
+    for i in range(1, m + 1):
+        while rank(y := BitMatrix([rng.getrandbits(w) for _ in range(m)], w)) < m:
+            pass
+        active = i % m
+        lam = krylov_lambda(y.rows[active], companion_matrix(p), w)
+        out = y_iterate(y, i, p, rng.getrandbits(m - 1))
+        assert mat_vec_mul(y.rows[active], lam) == 1 << (w - 1)
+        assert out.rows[active] == 1 << w
+        for t in range(m):
+            if t != active:
+                assert out.rows[t] & ((1 << w) - 1) == mat_vec_mul(y.rows[t], lam)
+
+
+class TestLogTables:
+    """Stages of width <= 12 whose x generates the field's units take the
+    discrete-log tables; the others keep the field-arithmetic route."""
+
+    @pytest.mark.parametrize("w", range(1, confgen.LOG_TABLE_MAX_WIDTH + 1))
+    def test_every_table_degree_matches_krylov_lambda(self, w):
+        p = pipeline_poly(w)
+        to_log, from_log = _log_tables(p)
+        order = (1 << w) - 1
+        assert len(to_log) == order + 1 and len(from_log) == order
+        # from_log runs through every nonzero row once; to_log undoes it
+        assert sorted(from_log) == list(range(1, order + 1))
+        assert all(to_log[u] == k for k, u in enumerate(from_log))
+        assert_stage_applies_krylov_lambda(p, min(w, 4), w)
+
+    def test_tables_are_keyed_on_the_polynomial(self):
+        # x^4 + x^3 + 1 is primitive but not the table's x^4 + x + 1
+        p = 0b11001
+        assert p != pipeline_poly(4) and is_primitive(p)
+        assert _log_tables(p) != _log_tables(pipeline_poly(4))
+        assert_stage_applies_krylov_lambda(p, 3, "keyed")
+
+    @pytest.mark.parametrize("p", [0b11111, 0b1001001, 0b100011011])
+    def test_non_primitive_irreducible_takes_the_general_route(self, p):
+        # x^4+x^3+x^2+x+1, x^6+x^3+1 and x^8+x^4+x^3+x+1: x has order 5, 9, 51
+        assert is_irreducible(p) and not is_primitive(p)
+        assert _log_tables(p) is None
+        assert_stage_applies_krylov_lambda(p, 3, p)
+
+    def test_wide_and_reducible_moduli_have_no_tables(self):
+        assert _log_tables(pipeline_poly(confgen.LOG_TABLE_MAX_WIDTH + 1)) is None
+        assert _log_tables(0b10110) is None  # x^4 + x^2 + x: x is no unit
+        assert _log_tables(0b10101) is None  # (x^2 + x + 1)^2
+
+    @pytest.mark.parametrize("w", [5, 40])
+    def test_zero_active_row_is_refused_on_either_route(self, w):
+        # the table route (w = 5) hands a zero active row to the general one
+        p = pipeline_poly(w)
+        assert (_log_tables(p) is not None) == (w <= confgen.LOG_TABLE_MAX_WIDTH)
+        msg = f"active row is zero or not cyclic: not invertible: gcd has degree {w}"
+        with pytest.raises(NoSolutionError, match=f"^{msg}$"):
+            _stage([0b11, 0, 0b101], 1, p, 0b10)
+
+    def test_a_second_small_config_hits_the_tables(self):
+        seeded_pipeline(4, 4, "tables-first")
+        before = _log_tables.cache_info()
+        seeded_pipeline(4, 4, "tables-second")
+        after = _log_tables.cache_info()
+        # one lookup per stage, widths 4..15, none of them a new entry
+        assert after.misses == before.misses
+        assert after.hits - before.hits == 12
 
 
 class TestQAndAssembly:

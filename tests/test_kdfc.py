@@ -320,7 +320,7 @@ class TestReconfigure:
         st = kdfc_init(KdfcParams(key=KAT_KEY, iv=KAT_IV))
         swapped = reconfigure(st, snow2_gains())
         assert swapped.lfsr == st.lfsr and swapped.lfsr is not st.lfsr
-        assert swapped.fsm == st.fsm
+        assert swapped.fsm == st.fsm and swapped.fsm is not st.fsm
         assert swapped.cfg == snow2_gains()
 
     def test_dimension_mismatch(self):
