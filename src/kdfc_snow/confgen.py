@@ -37,16 +37,16 @@ shift, by p and by floor(x^2w / p), which is p when the tail p - x^w has
 degree below w/2, as in the table's trinomials and pentanomials: one
 shift and xor per term of the factor, whatever its weight.  A stage's
 constants are taken once per process and polynomial (_stage_constants):
-both maps' shifts and the fold tail.  The products by lambda go through
-one list kernel, gf2.poly._mulmod_rows: a byte window table of lambda
-from width 32 on, a shifted copy per term of lambda below, and the
-reduction folded inline, so no row goes through a call or an object of
-its own.  Up to width LOG_TABLE_MAX_WIDTH = 12, where x generates the
-units mod p (every table polynomial, and x + 1), a stage skips the field
-arithmetic: _log_tables holds log_x(embed(u)) for every row u and
-unembed(x^k) for every k, built once per process and polynomial, so each
-row is one table lookup (log/antilog tables, Lidl-Niederreiter, Finite
-Fields).
+both maps' shifts and the exponents of p - x^w.  Up to width
+LOG_TABLE_MAX_WIDTH = 12, where x generates the units mod p (every table
+polynomial, and x + 1), a stage skips the field arithmetic: _log_tables
+holds log_x(embed(u)) for every row u and unembed(x^k) for every k,
+built once per process and polynomial, so each row is one table lookup
+(log/antilog tables, Lidl-Niederreiter, Finite Fields).  Every other
+stage (_stage) runs on the m rows packed into one int, row t in bits
+[t*S, (t+1)*S), S = 64 * ceil(2w / 64) (SIMD within a register, Lamport,
+CACM 1975), so each map, the product by lambda and its Barrett reduction
+is a few shifts, xors and masks for all the rows at once.
 y_iterate runs one iteration on a BitMatrix in standard coordinates.  The
 Krylov-matrix route (solve y.K = e_1, Lambda = sum y_j A^j) lives in
 tests/oracles.py as the test oracle, next to the standard-coordinate maps
@@ -70,8 +70,6 @@ from kdfc_snow.gf2.linalg import (
 )
 from kdfc_snow.gf2.poly import (
     _divmod_int,
-    _mulmod_rows,
-    _sparse_tail,
     euler_phi_2n1,
     exponents,
     inv_mod,
@@ -114,6 +112,8 @@ class FillBits:
             raise DimensionError("need m >= 1")
         limit = 1 << max(m - 1, 0)
         for i, v in enumerate(vectors):
+            if type(v) is not int:
+                raise ValueError(f"fill vector {i} is not an int: {type(v).__name__}")
             if v < 0 or v >= limit:
                 raise ValueError(f"fill vector {i} wider than {m - 1} bits")
         self.m = m
@@ -169,20 +169,18 @@ def _reversed_rows(rows: list[int], w: int) -> list[int]:
     return [int(format(r, f"0{w}b")[::-1], 2) for r in rows]
 
 
-def _over_xw(shifts: list[int], rows: list[int]) -> list[int]:
-    """floor(c * u / x^w) for every u of degree below w = deg c.
+def _over_xw(shifts: list[int], u: int) -> int:
+    """floor(c * u / x^w) for u of degree below w = deg c.
 
     (u * x^e) >> w = u >> (w - e), so given c's shifts w - e over its
     terms x^e, e > 0 (_shifts), this is one shift and xor per term, for c
-    of any weight.
+    of any weight.  On packed rows it maps every slot at once: s <= w
+    moves bits only into bits >= w of the slot below, which callers mask.
     """
-    out = []
-    for u in rows:
-        g = 0
-        for s in shifts:
-            g ^= u >> s
-        out.append(g)
-    return out
+    g = 0
+    for s in shifts:
+        g ^= u >> s
+    return g
 
 
 def _shifts(exps: list[int]) -> list[int]:
@@ -194,18 +192,19 @@ def _shifts(exps: list[int]) -> list[int]:
 @functools.cache
 def _stage_constants(p: int) -> tuple:
     """A stage's constants: the shifts of its polynomial p and of
-    mu = floor(x^2w / p) (p itself when deg(p - x^w) < w/2), and the fold
-    tail _sparse_tail(p) of gf2.poly._mulmod_rows, kept per polynomial
-    for the life of the process (when mu = p, one list serves both)."""
+    mu = floor(x^2w / p) (p itself when deg(p - x^w) < w/2), and the
+    exponents of p - x^w, kept per polynomial for the life of the process
+    (when mu = p, one list serves both)."""
     exps = exponents(p)
     w = exps[-1]
     shifts = _shifts(exps)
     if 2 * (p ^ (1 << w)).bit_length() <= w + 1:
-        return shifts, shifts, _sparse_tail(p)
-    return shifts, _shifts(exponents(_divmod_int(1 << 2 * w, p)[0])), _sparse_tail(p)
+        return shifts, shifts, exps[:-1]
+    return shifts, _shifts(exponents(_divmod_int(1 << 2 * w, p)[0])), exps[:-1]
 
 
 LOG_TABLE_MAX_WIDTH = 12  # stages up to this width take _log_tables
+WINDOW_BITS = 6  # bits of lambda per table lookup in a packed product
 
 
 def _u16(n: int) -> memoryview:
@@ -215,11 +214,11 @@ def _u16(n: int) -> memoryview:
 
 
 def _linear_table(shifts: list[int], w: int) -> memoryview:
-    """_over_xw(shifts, [u]) for every u of w bits, indexed by u: the map
+    """_over_xw(shifts, u) for every u of w bits, indexed by u: the map
     is linear, so the table doubles once per unit row 1 << j."""
     tab = _u16(1 << w)
     for j in range(w):
-        e = _over_xw(shifts, [1 << j])[0]
+        e = _over_xw(shifts, 1 << j)
         for v in range(1 << j):
             tab[v | 1 << j] = tab[v] ^ e
     return tab
@@ -259,56 +258,135 @@ def _log_tables(p: int) -> tuple[memoryview, memoryview] | None:
     return to_log, from_log
 
 
-def _stage(rows: list[int], i: int, p: int, fill: int) -> list[int]:
-    """Iteration i on rows u of width w = deg p, bit j = coordinate w-1-j.
+def _pack(rows: list[int], slot: int) -> int:
+    """The rows in one int, row t in bits [t * slot, (t + 1) * slot); 8 divides slot."""
+    size = slot // 8
+    return int.from_bytes(b"".join(u.to_bytes(size, "little") for u in rows), "little")
+
+
+def _unpack(packed: int, m: int, slot: int) -> list[int]:
+    """The m rows of a _pack'ed int."""
+    low = (1 << slot) - 1
+    return [packed >> t * slot & low for t in range(m)]
+
+
+def _mulmod_packed(g: int, lam: int, p: int, mask: int) -> int:
+    """u * lam mod p for every row u (deg u < w = deg p) of the packed g,
+    in slots of at least 2w bits, so each product c (deg c <= 2w - 2)
+    stays in its slot; mask has the low w bits of every slot set.
+
+    From width 32 on, c is taken left to right with WINDOW_BITS-bit
+    windows of lam through a table of g's multiples, one shift and xor of
+    the packed int per window (Hankerson-Menezes-Vanstone, Guide to ECC,
+    2.3.3); below, where the table costs about what it saves, one shifted
+    copy of g per term of lam.  Barrett's q = floor(mu * floor(c / x^w) /
+    x^w) is floor(c / p) for deg c < 2w, so c mod p is the low w bits of
+    c + q * (p - x^w), for sparse and dense p alike.
+    """
+    w = p.bit_length() - 1
+    _, mu_shifts, low = _stage_constants(p)
+    acc = 0
+    if w < 32:
+        while lam:
+            bit = lam & -lam
+            acc ^= g << (bit.bit_length() - 1)
+            lam ^= bit
+    else:
+        tab = [0, g]
+        for j in range(1, WINDOW_BITS):
+            top = g << j
+            tab += [top ^ t for t in tab]
+        digit = (1 << WINDOW_BITS) - 1
+        for k in range((w - 1) // WINDOW_BITS * WINDOW_BITS, -1, -WINDOW_BITS):
+            acc = (acc << WINDOW_BITS) ^ tab[lam >> k & digit]
+    q = _over_xw(mu_shifts, acc >> w & mask) & mask
+    for e in low:
+        acc ^= q << e
+    return acc & mask
+
+
+def _stage(packed: int, active: int, p: int, slot: int, ones: int, fill: int) -> int:
+    """One field stage on packed rows u of width w = deg p, bit j =
+    coordinate w-1-j, row t in bits [t * slot, (t + 1) * slot), slot >= 2w.
+
+    ones has bit t * slot set for every row t and fill has the fill bits
+    at the same places (none at the active row).  Every map works on all
+    rows at once, masked to w bits per slot.
 
     embed(u) = floor(p * u / x^w).  p * u = embed(u) * x^w + r, deg r < w,
     so u = floor(embed(u) * x^w / p) = floor(mu * embed(u) / x^w) with
     mu = floor(x^2w / p), Barrett's quotient, exact over GF(2)[x].  With
     p = x^w + t, x^2w = p^2 + t^2, so mu is p when deg t^2 < w.
 
-    The stage's constants are taken once per process, by _stage_constants;
-    the rows then go through integer loops, with no call or object per row.
-    Where _log_tables has tables for p, embed(u) * lambda is
-    x^(log u - log u_active), so each row is one lookup; a zero active
-    row takes the general route, which refuses it.
-
     Rank m in gives rank m out, so no stage checks it.  embed (0 only at
     u = 0, as deg p = w), the product by lambda != 0 mod the irreducible p
     and un-embedding are linear bijections; the active row ends as 1, and
     1 with the widened u << 1 | fill is dependent only if the u sum to 0.
     """
-    m = len(rows)
-    active = i % m
-    tables = _log_tables(p)
-    if tables is not None and rows[active]:
-        to_log, from_log = tables
-        order = len(from_log)
-        la = to_log[rows[active]]
-        out = [from_log[(to_log[u] - la) % order] if u else 0 for u in rows]
-    else:
-        shifts, mu_shifts, tail = _stage_constants(p)
-        g = _over_xw(shifts, rows)
-        try:
-            lam = inv_mod(g[active], p)
-        except ZeroDivisionError as exc:
-            raise NoSolutionError(f"active row is zero or not cyclic: {exc}") from exc
-        out = _over_xw(mu_shifts, _mulmod_rows(g, lam, p, tail))
-    if out[active] != 1:
+    w = p.bit_length() - 1
+    shifts, mu_shifts, _ = _stage_constants(p)
+    mask = (ones << w) - ones
+    at = active * slot
+    g = _over_xw(shifts, packed) & mask
+    try:
+        lam = inv_mod(g >> at & (1 << w) - 1, p)
+    except ZeroDivisionError as exc:
+        raise NoSolutionError(f"active row is zero or not cyclic: {exc}") from exc
+    out = _over_xw(mu_shifts, _mulmod_packed(g, lam, p, mask)) & mask
+    if out >> at & (1 << w) - 1 != 1:
         raise NoSolutionError("active row did not land on e_1")
-    pos = 0
-    for t in range(m):
-        if t != active:
-            out[t] = (out[t] << 1) | ((fill >> pos) & 1)
-            pos += 1
-    return out
+    return (out << 1) ^ (3 << at) ^ fill
+
+
+def _run(rows: list[int], first: int, polys: list[int], fills: list[int]) -> list[int]:
+    """Iterations first, first + 1, ... on the reversed rows, one per
+    stage polynomial in polys, with the fill vectors fills.
+
+    Until the rows are packed, where _log_tables has tables for p,
+    embed(u) * lambda is x^(log u - log u_active), so each row is one
+    lookup; a zero active row takes _stage, which refuses it.  The other
+    stages run on one packed int (_stage): the rows are packed at the
+    first of them, in slots of 64 * ceil(2w / 64) bits, repacked when the
+    slot must grow and unpacked once, at the end of the run.  The fill
+    vector gets a 0 at the active row, then bit t widens row t; on packed
+    rows, its copies at a stride of slot - 1 (fill * step) put bit t at
+    bit t * slot.
+    """
+    m = len(rows)  # m <= w < slot: the rows have full rank
+    packed = slot = 0  # slot 0: the rows are the list
+    for i, (p, fill) in enumerate(zip(polys, fills), first):
+        active = i % m
+        fill = (fill & ((1 << active) - 1)) | (fill >> active << (active + 1))
+        tables = _log_tables(p)
+        if tables is not None and not slot and rows[active]:
+            to_log, from_log = tables
+            order = len(from_log)
+            la = to_log[rows[active]]
+            rows = [
+                (from_log[(to_log[u] - la) % order] if u else 0) << 1 | (fill >> t & 1)
+                for t, u in enumerate(rows)
+            ]
+            if rows[active] != 2:
+                raise NoSolutionError("active row did not land on e_1")
+            rows[active] = 1
+            continue
+        w = p.bit_length() - 1
+        if slot < 2 * w:
+            if slot:
+                rows = _unpack(packed, m, slot)
+            slot = -(-w // 32) * 64
+            packed = _pack(rows, slot)
+            ones = int.from_bytes((b"\1" + bytes(slot // 8 - 1)) * m, "little")
+            step = sum(1 << t * (slot - 1) for t in range(m))
+        packed = _stage(packed, active, p, slot, ones, fill * step & ones)
+    return _unpack(packed, m, slot) if slot else rows
 
 
 def y_iterate(y: BitMatrix, i: int, p: int, fill: int) -> BitMatrix:
     """One pipeline iteration: active row to e_1, then widen by one bit.
 
     y has m rows of width w; p is the stage polynomial, of degree w.  The
-    rows are reversed, go through _stage and are reversed back.  A y
+    rows are reversed, go through _run and are reversed back.  A y
     without full row rank raises RankLossError.
     """
     m, w = y.nrows, y.ncols
@@ -320,7 +398,7 @@ def y_iterate(y: BitMatrix, i: int, p: int, fill: int) -> BitMatrix:
         raise ValueError(f"fill needs exactly {m - 1} bits")
     if rank(y) != m:
         raise RankLossError(f"rank dropped below {m} at iteration {i}")
-    rows = _stage(_reversed_rows(y.rows, w), i, p, fill)
+    rows = _run(_reversed_rows(y.rows, w), i, [p], [fill])
     return BitMatrix(_reversed_rows(rows, w + 1), w + 1)
 
 
@@ -331,8 +409,7 @@ def y_offline(m: int, b: int, k: int, fill: FillBits) -> BitMatrix:
     if fill.m != m or len(fill) < k:
         raise ValueError(f"fill must supply {k} vectors of {m - 1} bits")
     rows = [1 << (m - 1 - t) for t in range(m)]  # the identity, reversed
-    for i in range(1, k + 1):
-        rows = _stage(rows, i, pipeline_poly(m + i - 1), fill.vectors[i - 1])
+    rows = _run(rows, 1, [pipeline_poly(w) for w in range(m, m + k)], fill.vectors)
     return BitMatrix(_reversed_rows(rows, m + k), m + k)
 
 
@@ -401,9 +478,8 @@ def generate_config(
         raise ValueError(f"online fill must supply {total - k} vectors")
     if k < total and rank(y_init) != m:
         raise RankLossError(f"rank dropped below {m} at iteration {k + 1}")
-    rows = _reversed_rows(y_init.rows, m + k)
-    for i in range(k + 1, total + 1):
-        rows = _stage(rows, i, pipeline_poly(m + i - 1), online_fill.vectors[i - k - 1])
+    polys = [pipeline_poly(w) for w in range(m + k, n)]
+    rows = _run(_reversed_rows(y_init.rows, m + k), k + 1, polys, online_fill.vectors)
     # rotate rows so the most recently active row (now e_1) is last
     last_active = total % m
     order = [(last_active + 1 + t) % m for t in range(m)]

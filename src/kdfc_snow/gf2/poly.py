@@ -15,11 +15,6 @@ clmul, clsquare and _mod_int are the package's one GF(2)[x] kernel
 pipeline in confgen and the byte fields of snow2 all build on them.
 _mod_int picks its route from the modulus: sparse moduli (see
 _sparse_tail) are reduced by folding, the rest by long division.
-_mulmod_rows multiplies a list of operands by one factor and
-reduces each in the same loop: through a byte window table of the factor
-once the modulus has degree 32 or more, one shifted copy per term of the
-factor below; the reduction folds through the sparse tail its caller
-passes in, or takes long division.
 """
 
 from __future__ import annotations
@@ -160,49 +155,6 @@ def _divmod_int(a: int, d: int) -> tuple[int, int]:
 
 def _mulmod_int(a: int, b: int, m: int) -> int:
     return _mod_int(clmul(a, b), m)
-
-
-def _mulmod_rows(rows: list[int], b: int, m: int, tail: list[int] | None) -> list[int]:
-    """[a * b mod m for a in rows], tail = _sparse_tail(m) taken by the caller.
-
-    From degree 32 of m on, the products of b with every byte are tabled
-    once (tab[j] = j * b, built by doubling: one shift and one xor per
-    entry) and each a is multiplied a byte at a time from the top, one
-    lookup, shift and xor per byte: a left-to-right window method with
-    8-bit windows (Hankerson-Menezes-Vanstone, Guide to ECC, 2.3.3).
-    Below that degree the 256-entry table costs about what it saves, and
-    each product is one shifted copy of a per term of b.  Every product
-    then folds through tail's exponents, or for a dense m (tail None)
-    takes long division, in the same loop.
-    """
-    d = m.bit_length() - 1
-    tab = None
-    if d < 32:
-        shifts = exponents(b)
-    else:
-        tab = [0, b]
-        for j in range(1, 128):
-            t = tab[j] << 1
-            tab += (t, t ^ b)
-    out = []
-    for a in rows:
-        acc = 0
-        if tab is None:
-            for s in shifts:
-                acc ^= a << s
-        else:
-            for byte in a.to_bytes((a.bit_length() + 7) // 8, "big"):
-                acc = (acc << 8) ^ tab[byte]
-        if tail is not None:
-            while hi := acc >> d:
-                acc ^= hi << d
-                for e in tail:
-                    acc ^= hi << e
-        else:
-            while (al := acc.bit_length()) > d:
-                acc ^= m << (al - d - 1)
-        out.append(acc)
-    return out
 
 
 def inv_mod(a: int, m: int) -> int:

@@ -223,6 +223,8 @@ class KdfcParams:
                 f"y_init k={doc.k} leaves {online} online iterations; "
                 "need between 0 and 32"
             )
+        if type(self.discard) is not int:
+            raise ValueError(f"discard must be an int, got {type(self.discard).__name__}")
         if not 0 <= self.discard <= MAX_DISCARD:
             raise ValueError(f"discard must be in [0, {MAX_DISCARD}], got {self.discard}")
         return doc

@@ -283,6 +283,8 @@ def init_with_captures(
 
 def snow2_keystream(state: CipherState, n: int) -> list[int]:
     """Produce n keystream words, advancing the state in place."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {type(n).__name__}")
     if n < 0:
         raise ValueError("need n >= 0")
     return _clock(state, n, False)

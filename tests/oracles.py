@@ -39,6 +39,10 @@ route than the package:
   per coefficient of p, and long_division_quotient gives floor(a / m) bit
   by bit, where the pipeline shifts reversed rows through the terms of the
   modulus or of its Barrett factor.
+* over_xw_rows, mulmod_rows and row_stage run a pipeline stage one row
+  at a time, each product through its own byte window table and folded
+  through the sparse tail or by long division, instead of the package's
+  one packed int for all the rows, reduced by Barrett's quotient.
 * fill_from_words packs each word into its fill vector one bit at a time,
   skipping the active row, instead of FillBits.from_words's two masks.
 * dense_assemble forms C = Q * P * Q^{-1} with a full inverse, read off
@@ -328,6 +332,85 @@ def triangular_unembed(g: int, pc: int) -> int:
         v |= 1 << i
         g ^= pc >> (i + 1)
     return v
+
+
+def over_xw_rows(shifts: list[int], rows: list[int]) -> list[int]:
+    """floor(c * u / x^w) for every u of degree below w = deg c, one row
+    at a time: one shift and xor per shift w - e of c's terms x^e, e > 0."""
+    out = []
+    for u in rows:
+        g = 0
+        for s in shifts:
+            g ^= u >> s
+        out.append(g)
+    return out
+
+
+def mulmod_rows(rows: list[int], b: int, m: int) -> list[int]:
+    """[a * b mod m for a in rows], one row at a time: a byte window
+    table of b from degree 32 of m on, one shifted copy of a per term of b
+    below, then folding through the low terms of a sparse m
+    (gf2.poly._sparse_tail) or long division."""
+    from kdfc_snow.gf2.poly import _sparse_tail, exponents
+
+    d = m.bit_length() - 1
+    tail = _sparse_tail(m)
+    tab = None
+    if d < 32:
+        shifts = exponents(b)
+    else:
+        tab = [0, b]
+        for j in range(1, 128):
+            t = tab[j] << 1
+            tab += (t, t ^ b)
+    out = []
+    for a in rows:
+        acc = 0
+        if tab is None:
+            for s in shifts:
+                acc ^= a << s
+        else:
+            for byte in a.to_bytes((a.bit_length() + 7) // 8, "big"):
+                acc = (acc << 8) ^ tab[byte]
+        if tail is not None:
+            while hi := acc >> d:
+                acc ^= hi << d
+                for e in tail:
+                    acc ^= hi << e
+        else:
+            while (al := acc.bit_length()) > d:
+                acc ^= m << (al - d - 1)
+        out.append(acc)
+    return out
+
+
+def row_stage(rows: list[int], i: int, p: int, fill: int) -> list[int]:
+    """One pipeline stage on a list of reversed rows, each row through
+    over_xw_rows and mulmod_rows on its own, then widened bit by bit:
+    the per-row field route of confgen's packed stages."""
+    from kdfc_snow.gf2.linalg import NoSolutionError
+    from kdfc_snow.gf2.poly import inv_mod
+
+    m = len(rows)
+    active = i % m
+    w = p.bit_length() - 1
+    mu = long_division_quotient(1 << (2 * w), p)
+    shifts = [w - e for e in range(1, w + 1) if p >> e & 1]
+    mu_shifts = [w - e for e in range(1, w + 1) if mu >> e & 1]
+    g = over_xw_rows(shifts, rows)
+    try:
+        lam = inv_mod(g[active], p)
+    except ZeroDivisionError as exc:
+        raise NoSolutionError(f"active row is zero or not cyclic: {exc}") from exc
+    out = over_xw_rows(mu_shifts, mulmod_rows(g, lam, p))
+    if out[active] != 1:
+        raise NoSolutionError("active row did not land on e_1")
+    pos = 0
+    for t in range(m):
+        if t != active:
+            out[t] = (out[t] << 1) | ((fill >> pos) & 1)
+            pos += 1
+    return out
 
 
 def fill_from_words(m: int, words: list[int], first_iteration: int) -> list[int]:

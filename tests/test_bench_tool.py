@@ -32,6 +32,10 @@ HIGHER = {"unit": "1/s", "better": "higher", "bound": 0.1}
     # within the bound either way
     (LOWER, [10.0] * 10, [10.5] * 10, "same"),
     (LOWER, [10.0] * 10, [9.5] * 10, "gain"),
+    # the same spread, but every change run beats every base run: not a
+    # gain (the median moved less than the base IQR), yet not unresolved
+    (LOWER, [5.0, 15.0] * 5, [4.0] * 10, "same"),
+    (HIGHER, [5.0, 15.0] * 5, [16.0] * 10, "same"),
 ])
 def test_summarize_verdicts(bench, spec, base, change, verdict):
     s = bench.summarize(spec, base, change)

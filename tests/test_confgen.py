@@ -15,7 +15,9 @@ from oracles import (
     identity,
     krylov_lambda,
     long_division_quotient,
+    over_xw_rows,
     reverse_coords,
+    row_stage,
     triangular_unembed,
 )
 
@@ -31,10 +33,12 @@ from kdfc_snow.confgen import (
     pipeline_poly,
     _log_tables,
     _over_xw,
+    _pack,
     _reversed_rows,
+    _run,
     _shifts,
-    _stage,
     _stage_constants,
+    _unpack,
     y_iterate,
     y_offline,
 )
@@ -110,6 +114,12 @@ class TestFillBits:
         with pytest.raises(ValueError):
             FillBits(3, [4])  # needs at most 2 bits
         FillBits(3, [3])  # fine
+
+    @pytest.mark.parametrize("v", [1.5, True, "1", None])
+    def test_fill_vector_that_is_no_int_is_refused(self, v):
+        # a float would fail only deep inside a stage, and True pass as 1
+        with pytest.raises(ValueError, match="^fill vector 1 is not an int"):
+            FillBits(4, [0, v])
 
     def test_from_words_placement(self):
         # iteration 5 with m=4: active row 1; word bits 0,2,3 fill rows 0,2,3
@@ -287,7 +297,7 @@ class TestIteration:
             pass
         while rank(BitMatrix(rows := [rng.getrandbits(w) for _ in range(m)], w)) < m:
             pass
-        out = _stage(rows, rng.randrange(1, 100), p, rng.getrandbits(m - 1))
+        out = _run(rows, rng.randrange(1, 100), [p], [rng.getrandbits(m - 1)])
         assert rank(BitMatrix(out, w + 1)) == m
 
     def test_offline_k0_is_identity(self):
@@ -358,7 +368,9 @@ class TestLogTables:
         assert (_log_tables(p) is not None) == (w <= confgen.LOG_TABLE_MAX_WIDTH)
         msg = f"active row is zero or not cyclic: not invertible: gcd has degree {w}"
         with pytest.raises(NoSolutionError, match=f"^{msg}$"):
-            _stage([0b11, 0, 0b101], 1, p, 0b10)
+            _run([0b11, 0, 0b101], 1, [p], [0b10])
+        with pytest.raises(NoSolutionError, match=f"^{msg}$"):
+            row_stage([0b11, 0, 0b101], 1, p, 0b10)
 
     def test_a_second_small_config_hits_the_tables(self):
         seeded_pipeline(4, 4, "tables-first")
@@ -368,6 +380,71 @@ class TestLogTables:
         # one lookup per stage, widths 4..15, none of them a new entry
         assert after.misses == before.misses
         assert after.hits - before.hits == 12
+
+
+def full_rank_rows(rng, m, w):
+    while rank(BitMatrix(rows := [rng.getrandbits(w) for _ in range(m)], w)) < m:
+        pass
+    return rows
+
+
+class TestPackedStages:
+    """Stages on packed rows (confgen._run, _stage) against the per-row
+    field route of tests/oracles.py (row_stage).
+
+    Widths 13..80 lie past the log tables; the product switches to the
+    window table at width 32, and the slot grows from 64 to 128 bits at 33
+    and to 192 at 65.
+    """
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 32])
+    def test_single_stages_match_the_row_oracle(self, m):
+        rng = random.Random(m)
+        for w in range(max(13, m), 81):
+            p = pipeline_poly(w)
+            rows = full_rank_rows(rng, m, w)
+            i = rng.randrange(1, 2 * m + 1)
+            fill = rng.getrandbits(m - 1)
+            assert _run(rows, i, [p], [fill]) == row_stage(rows, i, p, fill)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 32])
+    def test_one_run_across_the_slot_and_window_changes(self, m):
+        rng = random.Random(100 + m)
+        first = max(13, m)
+        rows = full_rank_rows(rng, m, first)
+        polys = [pipeline_poly(w) for w in range(first, 81)]
+        fills = [rng.getrandbits(m - 1) for _ in polys]
+        want = rows
+        for i, (p, fill) in enumerate(zip(polys, fills), 7):
+            want = row_stage(want, i, p, fill)
+        assert _run(rows, 7, polys, fills) == want
+
+    def test_dense_modulus(self):
+        # weight above 5 and a term at x^39, so mu = floor(x^80 / p) is not p
+        rng = random.Random(40)
+        while True:
+            p = (1 << 40) | (1 << 39) | (rng.getrandbits(38) << 1) | 1
+            if p.bit_count() > 5 and is_irreducible(p):
+                break
+        shifts, mu_shifts, _ = _stage_constants(p)
+        assert mu_shifts != shifts
+        for m in (1, 2, 3, 5, 32):
+            rows = full_rank_rows(rng, m, 40)
+            for i in range(1, m + 1):
+                fill = rng.getrandbits(m - 1)
+                assert _run(rows, i, [p], [fill]) == row_stage(rows, i, p, fill)
+
+    def test_table_widths_after_a_packed_stage(self):
+        # x^6 + x^3 + 1 is irreducible, but x has order 9: no tables, so the
+        # rows are packed for it and stay packed for the table widths after it
+        p6 = 0b1001001
+        rng = random.Random(6)
+        rows = full_rank_rows(rng, 3, 6)
+        polys, fills = [p6, pipeline_poly(7), pipeline_poly(8)], [0b01, 0b10, 0b11]
+        want = rows
+        for i, (p, fill) in enumerate(zip(polys, fills), 1):
+            want = row_stage(want, i, p, fill)
+        assert _run(rows, 1, polys, fills) == want
 
 
 class TestQAndAssembly:
@@ -449,27 +526,32 @@ class TestEmbedding:
         dense = []
         for pc in moduli:
             w = pc.bit_length() - 1
-            shifts, mu_shifts, tail = _stage_constants(pc)
-            # Barrett's mu = floor(x^2w / p) is p itself exactly when p is sparse,
-            # and then the fold tail of the products by lambda is p's own
+            shifts, mu_shifts, low = _stage_constants(pc)
+            # Barrett's mu = floor(x^2w / p) is p itself exactly when p is sparse
             mu = long_division_quotient(1 << (2 * w), pc)
             assert mu == _divmod_int(1 << (2 * w), pc)[0]
             assert (mu == pc) == (_sparse_tail(pc) is not None)
-            assert tail == _sparse_tail(pc)
+            assert low == exponents(pc ^ (1 << w))
             assert shifts == _shifts(exponents(pc)) and mu_shifts == _shifts(exponents(mu))
             if len(shifts) > 4 or len(mu_shifts) > 4:
                 dense.append(pc)
-            # _over_xw is one shift and xor per term, whatever the weight
+            # the maps, one shift and xor per term whatever the weight, on
+            # each row (the oracle) and on all rows packed in one int
             vs = [0, 1, 1 << (w - 1), (1 << w) - 1] + [rng.getrandbits(w) for _ in range(4)]
             us = _reversed_rows(vs, w)
             assert us == [reverse_coords(v, w) for v in vs]
-            gs = _over_xw(shifts, us)
+            gs = over_xw_rows(shifts, us)
             assert gs == [field_embed(v, pc) for v in vs]
-            assert _over_xw(mu_shifts, gs) == us
+            assert over_xw_rows(mu_shifts, gs) == us
+            slot = -(-w // 32) * 64
+            ones = _pack([1] * len(us), slot)
+            mask = (ones << w) - ones
+            assert _unpack(_over_xw(shifts, _pack(us, slot)) & mask, len(us), slot) == gs
+            assert _unpack(_over_xw(mu_shifts, _pack(gs, slot)) & mask, len(gs), slot) == us
             # e_1 (the last coordinate) is the field's 1 in reversed coordinates
             assert gs[2] == 1
             g = rng.getrandbits(w)
-            assert _reversed_rows(_over_xw(mu_shifts, [g]), w) == [triangular_unembed(g, pc)]
+            assert _reversed_rows([_over_xw(mu_shifts, g)], w) == [triangular_unembed(g, pc)]
         # p and mu have at most five terms at every table degree, 2, 8 and 12
         # included; the dense target is the one modulus past that
         assert dense == [kdfc.target_poly()]
@@ -537,7 +619,7 @@ class TestGenerateConfig:
         # the dependency involves the active row: its stage would map it to e_1
         # and widen the others, so the stage output can have full rank again
         m, b = len(rows), 2
-        monkeypatch.setattr(confgen, "_stage", lambda *a: pytest.fail("a stage ran"))
+        monkeypatch.setattr(confgen, "_run", lambda *a: pytest.fail("a stage ran"))
         with pytest.raises(RankLossError, match=f"rank dropped below {m} at iteration 1"):
             generate_config(
                 m, b, pipeline_poly(m * b), BitMatrix(rows, m),

@@ -7,8 +7,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import long_division_mod, sympy_mul, sympy_rem
+from oracles import long_division_mod, mulmod_rows, sympy_mul, sympy_rem
 
+from kdfc_snow.confgen import _mulmod_packed, _pack, _stage_constants, _unpack
 from kdfc_snow.gf2.linalg import BitMatrix, berlekamp_massey, char_poly
 from kdfc_snow.gf2.poly import (
     DegreeError,
@@ -16,7 +17,6 @@ from kdfc_snow.gf2.poly import (
     _divmod_int,
     _mod_int,
     _mulmod_int,
-    _mulmod_rows,
     _sparse_tail,
     clmul,
     clsquare,
@@ -198,17 +198,29 @@ class TestSparseReduction:
         assert _mod_int(a, m) == long_division_mod(a, m)
 
 
-class TestWindowedRows:
-    """_mulmod_rows against _mulmod_int.
+def packed_products(rows: list[int], lam: int, m: int) -> list[int]:
+    """confgen._mulmod_packed on the rows packed one to a slot of
+    64 * ceil(2d / 64) bits, d = deg m, as the pipeline packs them."""
+    d = m.bit_length() - 1
+    slot = -(-d // 32) * 64
+    ones = _pack([1] * len(rows), slot)
+    packed = _mulmod_packed(_pack(rows, slot), lam, m, (ones << d) - ones)
+    return _unpack(packed, len(rows), slot)
 
-    Moduli of degree 32 and up take the 8-bit window table, lower ones one
+
+class TestWindowedRows:
+    """confgen._mulmod_packed, every row in one packed int, against the
+    per-row oracle mulmod_rows and _mulmod_int.
+
+    Moduli of degree 32 and up take the 6-bit window table, lower ones one
     shifted copy per term of the factor; the degrees sit on both sides of
-    that threshold and include the dense degree-512 target and the widths
-    of the 4x4 and 32x16 pipelines.
+    that threshold and of the slot changes at 32 -> 33 and 64 -> 65, and
+    include the dense degree-512 target and the widths of the 4x4 and
+    32x16 pipelines.
     """
 
     @given(
-        st.sampled_from([4, 15, 16, 31, 32, 33, 40, 100, 255, 256, 257, 500, 511, 512]),
+        st.sampled_from([4, 15, 16, 31, 32, 33, 40, 64, 65, 100, 255, 256, 257, 500, 511, 512]),
         st.randoms(use_true_random=False),
         st.integers(0, 32),
     )
@@ -217,17 +229,18 @@ class TestWindowedRows:
         m = target_poly() if d == 512 else default_table()[d]
         lam = rng.getrandbits(d)
         rows = [0, 1, (1 << d) - 1] + [rng.getrandbits(d) for _ in range(nrows)]
-        got = _mulmod_rows(rows, lam, m, _sparse_tail(m))
+        got = packed_products(rows, lam, m)
+        assert got == mulmod_rows(rows, lam, m)
         assert got == [_mulmod_int(a, lam, m) for a in rows]
-        assert _mulmod_rows([], lam, m, _sparse_tail(m)) == []
 
     @given(st.integers(1, 80), st.data())
     def test_dense_moduli_and_wide_operands(self, d, data):
+        # any modulus of degree d, reducible or not, with operands of up to
+        # d bits: Barrett's quotient needs only deg(product) < 2d
         m = (1 << d) | data.draw(st.integers(0, (1 << d) - 1))
-        lam = data.draw(st.integers(0, (1 << (2 * d)) - 1))
-        rows = data.draw(st.lists(st.integers(0, (1 << (2 * d)) - 1), max_size=6))
-        got = _mulmod_rows(rows, lam, m, _sparse_tail(m))
-        assert got == [_mulmod_int(a, lam, m) for a in rows]
+        lam = data.draw(st.integers(0, (1 << d) - 1))
+        rows = data.draw(st.lists(st.integers(0, (1 << d) - 1), min_size=1, max_size=6))
+        assert packed_products(rows, lam, m) == mulmod_rows(rows, lam, m)
 
     @given(
         st.sampled_from([31, 32, 33, 511]),
@@ -236,20 +249,22 @@ class TestWindowedRows:
     )
     @settings(max_examples=80)
     def test_tail_folds_around_the_window_threshold(self, d, sparse, rng):
-        # the table entries of these degrees fold through their tail's
-        # exponents; a modulus with a term at x^(d-1) takes long division,
-        # as a sparse one does when its caller passes no tail
+        # the table entries of these degrees have mu = floor(x^2d / m) = m
+        # and the oracle folds them through their tail; a modulus with a
+        # term at x^(d-1) has mu != m and the oracle takes long division;
+        # the packed products take Barrett's quotient for both
         if sparse:
             m = default_table()[d]
         else:
             m = (1 << d) | (1 << (d - 1)) | rng.getrandbits(d) | 1
         assert (_sparse_tail(m) is not None) == sparse
+        shifts, mu_shifts, _ = _stage_constants(m)
+        assert (mu_shifts == shifts) == sparse
         lam = rng.getrandbits(d)
-        rows = [0, 1, (1 << d) - 1, rng.getrandbits(2 * d)]
-        rows += [rng.getrandbits(d) for _ in range(8)]
+        rows = [0, 1, (1 << d) - 1] + [rng.getrandbits(d) for _ in range(8)]
         want = [_mod_int(clmul(a, lam), m) for a in rows]
-        assert _mulmod_rows(rows, lam, m, _sparse_tail(m)) == want
-        assert _mulmod_rows(rows, lam, m, None) == want
+        assert packed_products(rows, lam, m) == want
+        assert mulmod_rows(rows, lam, m) == want
 
 
 class TestAlgebraicProperties:

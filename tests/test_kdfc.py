@@ -242,6 +242,14 @@ class TestParams:
         with pytest.raises(ValueError):
             params.resolve()
 
+    @pytest.mark.parametrize("discard", [1.5, "3", True, None])
+    def test_non_int_discard_is_refused_by_resolve(self, discard):
+        # before the derivation: 1.5 used to fail in range() after it, and
+        # True to discard one word
+        params = KdfcParams(key=[0] * 8, iv=[0] * 4, discard=discard)
+        with pytest.raises(ValueError, match="^discard must be an int"):
+            params.resolve()
+
     def test_discard_bound(self):
         from kdfc_snow.kdfc import MAX_DISCARD
 

@@ -290,6 +290,15 @@ class TestKeystream:
         with pytest.raises(ValueError):
             snow2_keystream(st, -1)
 
+    @pytest.mark.parametrize("n", [True, 2.0, "3", None])
+    def test_non_int_n_is_refused_before_any_clock(self, n):
+        # True would stream one word and 2.0 fail inside the clock loop
+        st = snow2_init(KAT_KEY, KAT_IV)
+        before = (list(st.lfsr), list(st.fsm))
+        with pytest.raises(ValueError, match="^n must be an int"):
+            snow2_keystream(st, n)
+        assert (list(st.lfsr), list(st.fsm)) == before
+
 
 class TestGains:
     def test_placement(self):

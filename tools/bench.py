@@ -24,8 +24,9 @@ won (ties count for neither side), the ratio of the medians, and a verdict:
   than a tenth of the metric's bound times the base median;
 * worse: its median is worse than the base median by more than the
   metric's bound;
-* unresolved: neither, and the base runs spread wider than the bound;
-* same: neither, within the bound.
+* unresolved: neither, and the base runs spread wider than the bound,
+  unless every working-tree run is better than every base run;
+* same: otherwise.
 
 It also records the seed, the run length, the Python version, the CPU
 count and model, the base commit, whether the working tree had changes,
@@ -115,12 +116,13 @@ def summarize(spec: dict, base: list[float], change: list[float]) -> dict:
     b1, bmed, b3 = quartiles(base)
     c1, cmed, c3 = quartiles(change)
     won = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
+    beats_all = max(change) < min(base) if lower else min(change) > max(base)
     gain = (bmed - cmed) if lower else (cmed - bmed)
     if won * 10 >= 9 * len(base) and gain > max(b3 - b1, spec["bound"] / 10 * bmed):
         verdict = "gain"
     elif -gain > spec["bound"] * bmed:
         verdict = "worse"
-    elif b3 - b1 > spec["bound"] * bmed:
+    elif b3 - b1 > spec["bound"] * bmed and not beats_all:
         verdict = "unresolved"
     else:
         verdict = "same"
