@@ -38,12 +38,12 @@ degree below w/2, as in the table's trinomials and pentanomials: one
 shift and xor per term of the factor, whatever its weight.  A stage's
 constants are taken once per process and polynomial (_stage_constants):
 both maps' shifts and the exponents of p - x^w.  Up to width
-LOG_TABLE_MAX_WIDTH = 12, where x generates the units mod p (every table
+LOG_TABLE_MAX_WIDTH = 16, where x generates the units mod p (every table
 polynomial, and x + 1), a stage skips the field arithmetic: _log_tables
 holds log_x(embed(u)) for every row u and unembed(x^k) for every k,
-built once per process and polynomial, so each row is one table lookup
-(log/antilog tables, Lidl-Niederreiter, Finite Fields).  Every other
-stage (_stage) runs on the m rows packed into one int, row t in bits
+built whole once per process and polynomial, so each row is one table
+lookup (log/antilog tables, Lidl-Niederreiter, Finite Fields).  Every
+other stage (_stage) runs on the m rows packed into one int, row t in bits
 [t*S, (t+1)*S), S = 64 * ceil(2w / 64) (SIMD within a register, Lamport,
 CACM 1975), so each map, the product by lambda and its Barrett reduction
 is a few shifts, xors and masks for all the rows at once.
@@ -96,6 +96,19 @@ class RankLossError(RuntimeError):
     """A run's input Y lacks full row rank, or the verified char poly is wrong."""
 
 
+def _check_int(name: str, value: int, least: int) -> None:
+    """Refuse a value that is not an int (a bool is not one here) or is below least."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {type(value).__name__}")
+    if value < least:
+        raise ValueError(f"need {name} >= {least}, got {name}={value}")
+
+
+def _check_dims(m: int, b: int) -> None:
+    _check_int("m", m, 1)
+    _check_int("b", b, 1)
+
+
 class FillBits:
     """Per-iteration fill vectors of m-1 bits each.
 
@@ -108,9 +121,8 @@ class FillBits:
     __slots__ = ("m", "vectors")
 
     def __init__(self, m: int, vectors: list[int]):
-        if m < 1:
-            raise DimensionError("need m >= 1")
-        limit = 1 << max(m - 1, 0)
+        _check_int("m", m, 1)
+        limit = 1 << (m - 1)
         for i, v in enumerate(vectors):
             if type(v) is not int:
                 raise ValueError(f"fill vector {i} is not an int: {type(v).__name__}")
@@ -125,7 +137,9 @@ class FillBits:
     @classmethod
     def from_seed(cls, m: int, count: int, seed: str, label: str = "fill") -> "FillBits":
         """Deterministic fill stream: SHA-256(label || seed || counter) bits."""
-        need = max(m - 1, 0)
+        _check_int("m", m, 1)
+        _check_int("count", count, 0)
+        need = m - 1
         vectors = []
         pool = 0
         pool_bits = 0
@@ -139,7 +153,7 @@ class FillBits:
                 pool |= int.from_bytes(block, "little") << pool_bits
                 pool_bits += 256
                 continue
-            vectors.append(pool & ((1 << need) - 1) if need else 0)
+            vectors.append(pool & ((1 << need) - 1))
             pool >>= need
             pool_bits -= need
         return cls(m, vectors)
@@ -148,8 +162,12 @@ class FillBits:
     def from_words(cls, m: int, words: list[int], first_iteration: int) -> "FillBits":
         """Pack m-bit words into fill vectors for iterations starting at
         first_iteration (1-based): bit t of word -> row t, skipping the
-        active row l = i mod m."""
-        low = (1 << max(m - 1, 0)) - 1
+        active row l = i mod m; a word that is not an m-bit int is refused."""
+        _check_int("m", m, 1)
+        for i, w in enumerate(words):
+            if type(w) is not int or w < 0 or w >> m:
+                raise ValueError(f"fill word {i} is not a {m}-bit int: {w!r}")
+        low = (1 << (m - 1)) - 1
         vectors = []
         for offset, w in enumerate(words):
             a = (first_iteration + offset) % m
@@ -203,7 +221,7 @@ def _stage_constants(p: int) -> tuple:
     return shifts, _shifts(exponents(_divmod_int(1 << 2 * w, p)[0])), exps[:-1]
 
 
-LOG_TABLE_MAX_WIDTH = 12  # stages up to this width take _log_tables
+LOG_TABLE_MAX_WIDTH = 16  # stages up to this width take _log_tables
 WINDOW_BITS = 6  # bits of lambda per table lookup in a packed product
 
 
@@ -211,51 +229,6 @@ def _u16(n: int) -> memoryview:
     """n zeroed 16-bit entries: as compact as array('H'), without
     importing the array module into every process."""
     return memoryview(bytearray(2 * n)).cast("H")
-
-
-def _linear_table(shifts: list[int], w: int) -> memoryview:
-    """_over_xw(shifts, u) for every u of w bits, indexed by u: the map
-    is linear, so the table doubles once per unit row 1 << j."""
-    tab = _u16(1 << w)
-    for j in range(w):
-        e = _over_xw(shifts, 1 << j)
-        for v in range(1 << j):
-            tab[v | 1 << j] = tab[v] ^ e
-    return tab
-
-
-@functools.cache
-def _log_tables(p: int) -> tuple[memoryview, memoryview] | None:
-    """Discrete logs to the base x in F_2[x]/p, through the stage maps:
-    to_log[u] = log_x(embed(u)) for u != 0 and from_log[k] = unembed(x^k).
-
-    None when deg p exceeds LOG_TABLE_MAX_WIDTH, or when the powers of x
-    do not run through all 2^w - 1 units: x^k = 1 before k = 2^w - 1 (p
-    irreducible but not primitive), or never (p reducible).
-    """
-    w = p.bit_length() - 1
-    if w > LOG_TABLE_MAX_WIDTH:
-        return None
-    shifts, mu_shifts, _ = _stage_constants(p)
-    unembed = _linear_table(mu_shifts, w)
-    order = (1 << w) - 1
-    log = _u16(order + 1)
-    from_log = _u16(order)
-    t = 1
-    for k in range(order):
-        if k and t == 1:
-            return None
-        log[t] = k
-        from_log[k] = unembed[t]
-        t <<= 1
-        if t >> w:
-            t ^= p
-    if t != 1:
-        return None
-    to_log = _u16(order + 1)
-    for u, g in enumerate(_linear_table(shifts, w)):
-        to_log[u] = log[g]
-    return to_log, from_log
 
 
 def _pack(rows: list[int], slot: int) -> int:
@@ -303,6 +276,47 @@ def _mulmod_packed(g: int, lam: int, p: int, mask: int) -> int:
     for e in low:
         acc ^= q << e
     return acc & mask
+
+
+@functools.cache
+def _log_tables(p: int) -> tuple[memoryview, memoryview] | None:
+    """Discrete logs to the base x in F_2[x]/p, through the stage maps:
+    to_log[u] = log_x(embed(u)) for u != 0 and from_log[k] = unembed(x^k).
+
+    Both tables are built whole.  x^k sits in lane k of one int, lanes of
+    32 bits (a product, of degree <= 2w - 2, stays in its lane): from
+    lane 0 = 1, each doubling makes lanes [h, 2h) as lanes [0, h) times
+    x^h mod p, one _mulmod_packed.  from_log is unembed of every lane at
+    once, mu's shifts and one mask; unembed inverts embed, so
+    to_log[from_log[k]] = k, and to_log is from_log's inverse permutation,
+    built in one pass.  LOG_TABLE_MAX_WIDTH is 16, the widest field whose
+    logs and rows fit the 16-bit entries.
+
+    None when deg p exceeds LOG_TABLE_MAX_WIDTH, or when x does not
+    generate the 2^w - 1 units: x divides p (x is no unit), or x^d = 1
+    for some 0 < d < 2^w - 1 (p irreducible but not primitive, or
+    reducible), which leaves the largest multiple of d below 2^w - 1, not
+    0, at to_log[unembed(1)].
+    """
+    w = p.bit_length() - 1
+    if w > LOG_TABLE_MAX_WIDTH or not p & 1:
+        return None
+    _, mu_shifts, _ = _stage_constants(p)
+    low = order = (1 << w) - 1
+    mask = int.from_bytes(low.to_bytes(4, "little") * (order + 1), "little")
+    lanes, xh = 1, 2 if w > 1 else 1  # x mod p; x = 1 mod x + 1
+    for j in range(w):
+        lanes |= _mulmod_packed(lanes, xh, p, mask) << (32 << j)
+        xh = _mulmod_packed(xh, xh, p, low)
+    raw = (_over_xw(mu_shifts, lanes) & mask).to_bytes(4 << w, "little")
+    from_log = _u16(order)
+    from_log[:] = memoryview(raw).cast("H")[: 2 * order : 2]  # each lane's low half
+    to_log = _u16(order + 1)
+    for k, u in enumerate(from_log):
+        to_log[u] = k
+    if to_log[from_log[0]]:
+        return None
+    return to_log, from_log
 
 
 def _stage(packed: int, active: int, p: int, slot: int, ones: int, fill: int) -> int:
@@ -404,6 +418,8 @@ def y_iterate(y: BitMatrix, i: int, p: int, fill: int) -> BitMatrix:
 
 def y_offline(m: int, b: int, k: int, fill: FillBits) -> BitMatrix:
     """Run the first k iterations from the m x m identity."""
+    _check_dims(m, b)
+    _check_int("k", k, 0)
     if not 0 <= k <= m * b - m:
         raise ValueError(f"k must lie in [0, {m * b - m}]")
     if fill.m != m or len(fill) < k:
@@ -492,12 +508,6 @@ def generate_config(
                 f"characteristic polynomial mismatch: got degree {got.bit_length() - 1}"
             )
     return cfg
-
-
-def _check_dims(m: int, b: int) -> None:
-    for name, value in (("m", m), ("b", b)):
-        if value < 1:
-            raise ValueError(f"need {name} >= 1, got {name}={value}")
 
 
 def count_configurations(m: int, b: int) -> int:

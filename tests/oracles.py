@@ -43,6 +43,10 @@ route than the package:
   at a time, each product through its own byte window table and folded
   through the sparse tail or by long division, instead of the package's
   one packed int for all the rows, reduced by Barrett's quotient.
+* log_tables_per_entry builds the discrete-log tables one entry at a
+  time, walking x's powers by one multiplication by x each, instead of
+  confgen._log_tables's doublings on lanes of one int and its inverse
+  permutation.
 * fill_from_words packs each word into its fill vector one bit at a time,
   skipping the active row, instead of FillBits.from_words's two masks.
 * dense_assemble forms C = Q * P * Q^{-1} with a full inverse, read off
@@ -411,6 +415,41 @@ def row_stage(rows: list[int], i: int, p: int, fill: int) -> list[int]:
             out[t] = (out[t] << 1) | ((fill >> pos) & 1)
             pos += 1
     return out
+
+
+def log_tables_per_entry(p: int):
+    """confgen._log_tables one entry at a time, as lists: embed and
+    unembed tabled by doubling over the unit rows, x's powers walked one
+    multiplication by x at a time, and to_log read through the embedding's
+    table.  None where the walk returns to 1 early or not at all."""
+    w = p.bit_length() - 1
+    mu = long_division_quotient(1 << (2 * w), p)
+
+    def linear_table(c: int) -> list[int]:
+        """floor(c * u / x^w) for every u of w bits."""
+        tab = [0] * (1 << w)
+        for j in range(w):
+            e = over_xw_rows([w - s for s in range(1, w + 1) if c >> s & 1], [1 << j])[0]
+            for v in range(1 << j):
+                tab[v | 1 << j] = tab[v] ^ e
+        return tab
+
+    unembed = linear_table(mu)
+    order = (1 << w) - 1
+    log = [0] * (order + 1)
+    from_log = [0] * order
+    t = 1
+    for k in range(order):
+        if k and t == 1:
+            return None
+        log[t] = k
+        from_log[k] = unembed[t]
+        t <<= 1
+        if t >> w:
+            t ^= p
+    if t != 1:
+        return None
+    return [log[g] for g in linear_table(p)], from_log
 
 
 def fill_from_words(m: int, words: list[int], first_iteration: int) -> list[int]:

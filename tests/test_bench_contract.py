@@ -184,8 +184,9 @@ def test_every_stage_inversion_and_table_lookup_is_traced(bench):
     # the gf2.primtable.lookup span sees one table polynomial per pipeline
     # stage, 12 in a 4x4 gen-config (k = 0) and 12 in a keyed init (the
     # online iterations); gf2.poly.inv_mod sees one inversion per stage
-    # wider than confgen.LOG_TABLE_MAX_WIDTH: the 4x4 stages of widths
-    # 13..15, and every keyed stage (widths 500..511)
+    # wider than confgen.LOG_TABLE_MAX_WIDTH = 16: none of the 4x4 stages
+    # (widths 4..15, all on the log tables), and every keyed stage
+    # (widths 500..511)
     spans, _ = bench
     from kdfc_snow import confgen, kdfc
 
@@ -195,7 +196,7 @@ def test_every_stage_inversion_and_table_lookup_is_traced(bench):
     params = kdfc.KdfcParams(key=KAT_KEY, iv=KAT_IV)
     kdfc.kdfc_init(params)  # y_init and the shared SNOW 2.0 tables exist
     for run, inversions in (
-        (lambda: confgen.generate_config(4, 4, p16, y, online), 3),
+        (lambda: confgen.generate_config(4, 4, p16, y, online), 0),
         (lambda: kdfc.kdfc_init(params), 12),
     ):
         tracer = spans.Tracer()

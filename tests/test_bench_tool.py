@@ -1,6 +1,7 @@
 """tools/bench.py's verdict rules and its src/ line count, without running perfbench."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -84,3 +85,28 @@ def test_src_lines_skip_blanks_and_comments(bench, tmp_path):
     (pkg / "b.py").write_text("def f():\n\n    return 2\n")
     (tmp_path / "src" / "notes.txt").write_text("not python\n")
     assert bench.src_lines(tmp_path) == 4
+
+
+def test_untracked_perfbench_file_marks_the_benchmark_changed(bench, tmp_path, monkeypatch):
+    # git diff does not see an untracked file, but copy_working_tree copies it
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=b", "-c", "user.email=b@b",
+                        "-c", "commit.gpgsign=false", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    (tmp_path / "perfbench" / "results").mkdir(parents=True)
+    (tmp_path / "perfbench" / "run.py").write_text("x = 1\n")
+    (tmp_path / ".gitignore").write_text("perfbench/results/\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-qm", "base")
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    base = bench.git("rev-parse", "HEAD")
+    (tmp_path / "perfbench" / "results" / "r.json").write_text("{}\n")  # ignored
+    (tmp_path / "notes.txt").write_text("outside perfbench/\n")
+    assert not bench.perfbench_differs(base)
+    (tmp_path / "perfbench" / "extra.py").write_text("y = 2\n")
+    assert bench.perfbench_differs(base)
+    (tmp_path / "perfbench" / "extra.py").unlink()
+    (tmp_path / "perfbench" / "run.py").write_text("x = 2\n")
+    assert bench.perfbench_differs(base)

@@ -14,6 +14,7 @@ from oracles import (
     fill_from_words,
     identity,
     krylov_lambda,
+    log_tables_per_entry,
     long_division_quotient,
     over_xw_rows,
     reverse_coords,
@@ -136,13 +137,37 @@ class TestFillBits:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 32])
     def test_from_words_equals_the_bit_loop(self, m):
-        # words up to 3m bits: the bits above m are dropped like the loop drops them
         rng = random.Random(m)
         for first in range(1, 2 * m + 2):
-            words = [rng.getrandbits(rng.choice([m, m + 1, 3 * m])) for _ in range(20)]
-            words += [0, (1 << m) - 1, (1 << (3 * m)) - 1]
+            words = [rng.getrandbits(m) for _ in range(20)] + [0, (1 << m) - 1]
             got = FillBits.from_words(m, words, first_iteration=first).vectors
             assert got == fill_from_words(m, words, first)
+
+    @pytest.mark.parametrize("word", [-1, 16, 1 << 40, True, 1.0, "1", None])
+    def test_from_words_refuses_a_word_that_is_no_m_bit_int(self, word):
+        # -1 gave [7] and 1 << 40 gave [0]: the bits past m were dropped
+        with pytest.raises(ValueError, match="^fill word 1 is not a 4-bit int: "):
+            FillBits.from_words(4, [0b1011, word], 1)
+
+    @pytest.mark.parametrize("m", [True, 2.0, "2", None])
+    def test_non_int_m_is_refused_before_any_work(self, m):
+        for make in (
+            lambda: FillBits(m, []),
+            lambda: FillBits.from_seed(m, 2, "s"),
+            lambda: FillBits.from_words(m, [1], 1),
+        ):
+            with pytest.raises(ValueError, match=f"^m must be an int, got {type(m).__name__}$"):
+                make()
+
+    @pytest.mark.parametrize("count", [2.5, True, "3", None])
+    def test_non_int_count_is_refused(self, count):
+        # 2.5 gave 3 vectors and True gave 1
+        with pytest.raises(ValueError, match=f"^count must be an int, got {type(count).__name__}$"):
+            FillBits.from_seed(4, count, "s")
+
+    def test_negative_count_is_refused(self):
+        with pytest.raises(ValueError, match="^need count >= 0, got count=-1$"):
+            FillBits.from_seed(4, -1, "s")
 
 
 class TestYMatrix:
@@ -308,6 +333,17 @@ class TestIteration:
         with pytest.raises(ValueError):
             y_offline(2, 4, 3, FillBits.from_seed(2, 2, "s"))
 
+    @pytest.mark.parametrize("m,b,k,name", [
+        (4, 4, True, "k"), (4, 4, 2.0, "k"), (4, 4, "1", "k"),
+        (4.0, 4, 1, "m"), (True, 4, 1, "m"), (4, 4.0, 1, "b"), (4, False, 1, "b"),
+    ])
+    def test_offline_refuses_non_int_dims_and_k(self, m, b, k, name):
+        # k = True ran one stage, and 2.0 ended in range()'s TypeError
+        fill = FillBits.from_seed(4, 4, "s")
+        bad = {"m": m, "b": b, "k": k}[name]
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got {type(bad).__name__}$"):
+            y_offline(m, b, k, fill)
+
 
 def assert_stage_applies_krylov_lambda(p, m, seed):
     """y_iterate on random full-rank Y sends the active row to e_1 and every
@@ -327,8 +363,27 @@ def assert_stage_applies_krylov_lambda(p, m, seed):
                 assert out.rows[t] & ((1 << w) - 1) == mat_vec_mul(y.rows[t], lam)
 
 
+def full_rank_rows(rng, m, w):
+    while rank(BitMatrix(rows := [rng.getrandbits(w) for _ in range(m)], w)) < m:
+        pass
+    return rows
+
+
+def outcome(stage, *args):
+    """A stage's rows, or the text of the NoSolutionError it raised."""
+    try:
+        return stage(*args)
+    except NoSolutionError as exc:
+        return str(exc)
+
+
+# irreducible, but x has order (2^w - 1) / 3, / 7 and / 3 (found by search);
+# 2^13 - 1 is prime, so every irreducible polynomial of degree 13 is primitive
+NON_PRIMITIVE_IRREDUCIBLE = [0b100000000100001, 0b1000000010110001, 0b10000000000101011]
+
+
 class TestLogTables:
-    """Stages of width <= 12 whose x generates the field's units take the
+    """Stages of width <= 16 whose x generates the field's units take the
     discrete-log tables; the others keep the field-arithmetic route."""
 
     @pytest.mark.parametrize("w", range(1, confgen.LOG_TABLE_MAX_WIDTH + 1))
@@ -356,6 +411,35 @@ class TestLogTables:
         assert _log_tables(p) is None
         assert_stage_applies_krylov_lambda(p, 3, p)
 
+    @pytest.mark.parametrize("p", [pipeline_poly(w) for w in range(1, 17)] + [0b11001])
+    def test_whole_tables_equal_the_per_entry_reference(self, p):
+        to_log, from_log = _log_tables(p)
+        want_to_log, want_from_log = log_tables_per_entry(p)
+        assert list(to_log) == want_to_log and list(from_log) == want_from_log
+
+    @pytest.mark.parametrize("p", NON_PRIMITIVE_IRREDUCIBLE + [
+        0b11111, 0b1001001, 0b100011011, 0b10110, 0b10101, 0b10,
+        (1 << 13) | 1, (1 << 16) | 1, (1 << 13) | 0b10, (1 << 16) | 0b1010,
+    ])
+    def test_refusals_equal_the_per_entry_reference(self, p):
+        assert log_tables_per_entry(p) is None and _log_tables(p) is None
+
+    @pytest.mark.parametrize("w", range(13, 17))
+    def test_wide_non_table_moduli_take_the_packed_route(self, w):
+        # x^w + 1 = (x + 1)(x^(w-1) + ... + 1) is reducible; some active rows
+        # share its factor and are refused on both routes alike
+        polys = [(1 << w) | 1] + [p for p in NON_PRIMITIVE_IRREDUCIBLE if p >> w == 1]
+        rng = random.Random(w)
+        for p in polys:
+            assert is_irreducible(p) == (p != (1 << w) | 1) and not is_primitive(p)
+            assert _log_tables(p) is None
+            for m in (1, 3, 4):
+                rows = full_rank_rows(rng, m, w)
+                for i in range(1, m + 1):
+                    fill = rng.getrandbits(m - 1)
+                    want = outcome(row_stage, rows, i, p, fill)
+                    assert outcome(_run, rows, i, [p], [fill]) == want
+
     def test_wide_and_reducible_moduli_have_no_tables(self):
         assert _log_tables(pipeline_poly(confgen.LOG_TABLE_MAX_WIDTH + 1)) is None
         assert _log_tables(0b10110) is None  # x^4 + x^2 + x: x is no unit
@@ -382,23 +466,20 @@ class TestLogTables:
         assert after.hits - before.hits == 12
 
 
-def full_rank_rows(rng, m, w):
-    while rank(BitMatrix(rows := [rng.getrandbits(w) for _ in range(m)], w)) < m:
-        pass
-    return rows
-
-
 class TestPackedStages:
     """Stages on packed rows (confgen._run, _stage) against the per-row
     field route of tests/oracles.py (row_stage).
 
-    Widths 13..80 lie past the log tables; the product switches to the
-    window table at width 32, and the slot grows from 64 to 128 bits at 33
-    and to 192 at 65.
+    Table polynomials take the packed route from width 17 on, past the
+    log tables; the first two tests turn the tables off, so that _stage
+    also runs the table polynomials of widths 13..16.  The product
+    switches to the window table at width 32, and the slot grows from 64
+    to 128 bits at 33 and to 192 at 65.
     """
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 32])
-    def test_single_stages_match_the_row_oracle(self, m):
+    def test_single_stages_match_the_row_oracle(self, m, monkeypatch):
+        monkeypatch.setattr(confgen, "_log_tables", lambda p: None)
         rng = random.Random(m)
         for w in range(max(13, m), 81):
             p = pipeline_poly(w)
@@ -408,7 +489,8 @@ class TestPackedStages:
             assert _run(rows, i, [p], [fill]) == row_stage(rows, i, p, fill)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 32])
-    def test_one_run_across_the_slot_and_window_changes(self, m):
+    def test_one_run_across_the_slot_and_window_changes(self, m, monkeypatch):
+        monkeypatch.setattr(confgen, "_log_tables", lambda p: None)
         rng = random.Random(100 + m)
         first = max(13, m)
         rows = full_rank_rows(rng, m, first)
@@ -692,6 +774,16 @@ class TestCounting:
     def test_non_positive_dims_refused(self, m, b, bad):
         for count in (count_configurations, brute_force_count):
             with pytest.raises(ValueError, match=bad):
+                count(m, b)
+
+    @pytest.mark.parametrize("m,b,name", [
+        (True, 2, "m"), (2.0, 2, "m"), ("2", 2, "m"), (2, 1.5, "b"), (2, True, "b"),
+    ])
+    def test_non_int_dims_refused(self, m, b, name):
+        # count_configurations(True, 2) returned 1; 2.0 and 1.5 ended in a TypeError
+        bad = {"m": m, "b": b}[name]
+        for count in (count_configurations, brute_force_count):
+            with pytest.raises(ValueError, match=f"^{name} must be an int, got {type(bad).__name__}$"):
                 count(m, b)
 
     def test_rank_counts_against_orbits(self):

@@ -12,7 +12,8 @@ workload of BENCHMARK.json and for its run_seconds, alternately in the two
 copies, --pairs times per workload.  Pair i runs the base first
 when i is even and the working tree first when i is odd.  Both sides run
 the benchmark files of their own tree; a claim is fair only when
-perfbench/ is the same in both (the tool records whether it is).
+perfbench/ is the same in both (the tool records whether it is: a change
+to a tracked file, or an untracked file that the copy takes along).
 
 The output file holds, for each workload and each end-to-end metric of
 BENCHMARK.json: both sides' per-run values, medians and quartiles, the
@@ -80,6 +81,17 @@ def copy_working_tree(dest: Path) -> None:
         if src.is_file():  # a tracked file deleted in the working tree is skipped
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(src, dest / name)
+
+
+def perfbench_differs(base_sha: str) -> bool:
+    """Whether the working tree's perfbench/ or BENCHMARK.json differs from
+    base_sha: a tracked change, or an untracked, non-ignored file, which
+    copy_working_tree copies into the change tree."""
+    paths = ("perfbench", "BENCHMARK.json")
+    return bool(
+        git("diff", base_sha, "--", *paths)
+        or git("ls-files", "--others", "--exclude-standard", "--", *paths)
+    )
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -170,9 +182,7 @@ def main(argv: list[str] | None = None) -> int:
             "tree": "working tree copy",
             "head": git("rev-parse", "HEAD"),
             "uncommitted_changes": bool(git("status", "--porcelain")),
-            "perfbench_differs_from_base": bool(
-                git("diff", base_sha, "--", "perfbench", "BENCHMARK.json")
-            ),
+            "perfbench_differs_from_base": perfbench_differs(base_sha),
         },
         "seed": args.seed,
         "seconds": seconds,
