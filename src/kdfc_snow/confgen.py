@@ -96,11 +96,12 @@ class RankLossError(RuntimeError):
     """A run's input Y lacks full row rank, or the verified char poly is wrong."""
 
 
-def _check_int(name: str, value: int, least: int) -> None:
-    """Refuse a value that is not an int (a bool is not one here) or is below least."""
+def _check_int(name: str, value: int, least: int | None) -> None:
+    """Refuse a value that is not an int (a bool is not one here) or is below
+    least (no bound if None)."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {type(value).__name__}")
-    if value < least:
+    if least is not None and value < least:
         raise ValueError(f"need {name} >= {least}, got {name}={value}")
 
 
@@ -403,6 +404,8 @@ def y_iterate(y: BitMatrix, i: int, p: int, fill: int) -> BitMatrix:
     rows are reversed, go through _run and are reversed back.  A y
     without full row rank raises RankLossError.
     """
+    _check_int("i", i, 1)
+    _check_int("fill", fill, None)  # its width is checked below, with m's
     m, w = y.nrows, y.ncols
     if p.bit_length() - 1 != w:
         raise DimensionError(
@@ -481,6 +484,7 @@ def generate_config(
     RankLossError (SingularMatrixError with no stage left).  The result is
     block-companion with characteristic polynomial p, rechecked if verify.
     """
+    _check_dims(m, b)
     n = m * b
     if p.bit_length() - 1 != n:
         raise DimensionError(f"target degree {p.bit_length() - 1} != mb = {n}")

@@ -15,6 +15,9 @@ clmul, clsquare and _mod_int are the package's one GF(2)[x] kernel
 pipeline in confgen and the byte fields of snow2 all build on them.
 _mod_int picks its route from the modulus: sparse moduli (see
 _sparse_tail) are reduced by folding, the rest by long division.
+inv_mod, the one inversion of the pipeline's field stages, keeps each
+remainder of extended Euclid and its Bezout cofactor side by side in one
+int, so one shifted xor per quotient term updates both.
 """
 
 from __future__ import annotations
@@ -77,7 +80,10 @@ def parse_exponents(text: str, degree: int) -> int:
 
 
 def gcd(a: int, b: int) -> int:
-    """Euclidean GCD in GF(2)[x] (monic by construction)."""
+    """Euclidean GCD in GF(2)[x] (monic by construction); a negative a or b
+    is refused with ValueError."""
+    if (a | b) < 0:
+        raise ValueError("negative operand: polynomials are ints >= 0")
     while b:
         a, b = b, _mod_int(a, b)
     return a
@@ -160,28 +166,42 @@ def _mulmod_int(a: int, b: int, m: int) -> int:
 def inv_mod(a: int, m: int) -> int:
     """Inverse of a modulo m by extended Euclid; raises if not coprime.
 
-    The result needs no final reduction: with a reduced first, every
-    Bezout coefficient s_k has degree deg(m) - deg(r_(k-1)), so the one
-    paired with the gcd 1 has degree below deg(m)."""
+    Each remainder r and its Bezout cofactor s (r = s * a mod m) share one
+    int, r << off | s with off = m.bit_length(), so one shifted xor per
+    quotient term reduces the remainder and updates the cofactor together,
+    and the int's bit length is deg r + off + 1 while r is nonzero
+    (Hankerson-Menezes-Vanstone, Guide to ECC, Alg. 2.48).  The cofactor
+    stays below off: with a reduced first, s_k has degree
+    deg(m) - deg(r_(k-1)) <= deg(m), and so has every partial sum on the
+    way to it.  The same bound leaves the result, paired with the gcd 1,
+    of degree below deg(m), with no final reduction.  A negative a or m
+    is refused with ValueError."""
+    if (a | m) < 0:
+        what = "operand" if a < 0 else "modulus"
+        raise ValueError(f"negative {what}: polynomials are ints >= 0")
     if m == 0:
         raise ZeroDivisionError("modulus is the zero polynomial")
-    r0, r1 = m, _mod_int(a, m)
-    s0, s1 = 0, 1  # Bezout coefficients for the second argument
-    while r1:
-        # one long-division step: r0 = q*r1 + r, tracked on the s side
-        r, s = r0, s0
-        dl = r1.bit_length()
-        rl = r.bit_length()
-        while rl >= dl:
-            k = rl - dl
-            r ^= r1 << k
-            s ^= s1 << k
-            rl = r.bit_length()
-        r0, r1 = r1, r
-        s0, s1 = s1, s
-    if r0 != 1:
-        raise ZeroDivisionError(f"not invertible: gcd has degree {r0.bit_length() - 1}")
-    return s0
+    off = m.bit_length()
+    u = m << off
+    v = _mod_int(a, m) << off | 1
+    ul = u.bit_length()
+    vl = v.bit_length()
+    # u and v take turns as dividend; the loops stop when the remainder
+    # part of one runs out (bit length <= off), and the other holds the gcd
+    while vl > off:
+        while ul >= vl:
+            u ^= v << (ul - vl)
+            ul = u.bit_length()
+        if ul <= off:
+            u = v
+            break
+        while vl >= ul:
+            v ^= u << (vl - ul)
+            vl = v.bit_length()
+    g = u >> off
+    if g != 1:
+        raise ZeroDivisionError(f"not invertible: gcd has degree {g.bit_length() - 1}")
+    return u & ((1 << off) - 1)
 
 
 def powmod(base: int, exp: int, m: int) -> int:

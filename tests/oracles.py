@@ -43,6 +43,9 @@ route than the package:
   at a time, each product through its own byte window table and folded
   through the sparse tail or by long division, instead of the package's
   one packed int for all the rows, reduced by Barrett's quotient.
+  row_stage inverts the active row with inv_mod_reference, extended
+  Euclid with each remainder and its cofactor in ints of their own,
+  instead of gf2.poly.inv_mod's one int for both.
 * log_tables_per_entry builds the discrete-log tables one entry at a
   time, walking x's powers by one multiplication by x each, instead of
   confgen._log_tables's doublings on lanes of one int and its inverse
@@ -388,12 +391,36 @@ def mulmod_rows(rows: list[int], b: int, m: int) -> list[int]:
     return out
 
 
+def inv_mod_reference(a: int, m: int) -> int:
+    """gf2.poly.inv_mod with remainders and cofactors in separate ints: one
+    tuple swap per division step, two shifted xors per quotient term.
+    Same result and the same ZeroDivisionError messages; a must be >= 0."""
+    if m == 0:
+        raise ZeroDivisionError("modulus is the zero polynomial")
+    r0, r1 = m, long_division_mod(a, m)
+    s0, s1 = 0, 1  # Bezout coefficients for the second argument
+    while r1:
+        # one long-division step: r0 = q*r1 + r, tracked on the s side
+        r, s = r0, s0
+        dl = r1.bit_length()
+        rl = r.bit_length()
+        while rl >= dl:
+            k = rl - dl
+            r ^= r1 << k
+            s ^= s1 << k
+            rl = r.bit_length()
+        r0, r1 = r1, r
+        s0, s1 = s1, s
+    if r0 != 1:
+        raise ZeroDivisionError(f"not invertible: gcd has degree {r0.bit_length() - 1}")
+    return s0
+
+
 def row_stage(rows: list[int], i: int, p: int, fill: int) -> list[int]:
     """One pipeline stage on a list of reversed rows, each row through
     over_xw_rows and mulmod_rows on its own, then widened bit by bit:
     the per-row field route of confgen's packed stages."""
     from kdfc_snow.gf2.linalg import NoSolutionError
-    from kdfc_snow.gf2.poly import inv_mod
 
     m = len(rows)
     active = i % m
@@ -403,7 +430,7 @@ def row_stage(rows: list[int], i: int, p: int, fill: int) -> list[int]:
     mu_shifts = [w - e for e in range(1, w + 1) if mu >> e & 1]
     g = over_xw_rows(shifts, rows)
     try:
-        lam = inv_mod(g[active], p)
+        lam = inv_mod_reference(g[active], p)
     except ZeroDivisionError as exc:
         raise NoSolutionError(f"active row is zero or not cyclic: {exc}") from exc
     out = over_xw_rows(mu_shifts, mulmod_rows(g, lam, p))

@@ -344,6 +344,23 @@ class TestIteration:
         with pytest.raises(ValueError, match=f"^{name} must be an int, got {type(bad).__name__}$"):
             y_offline(m, b, k, fill)
 
+    @pytest.mark.parametrize("i,fill,message", [
+        (1.5, 0, "^i must be an int, got float$"),
+        (True, 0, "^i must be an int, got bool$"),
+        ("1", 0, "^i must be an int, got str$"),
+        (0, 0, "^need i >= 1, got i=0$"),
+        (1, True, "^fill must be an int, got bool$"),
+        (1, 1.0, "^fill must be an int, got float$"),
+        (1, None, "^fill must be an int, got NoneType$"),
+    ])
+    def test_iterate_refuses_a_bad_iteration_or_fill_before_any_work(
+        self, monkeypatch, i, fill, message
+    ):
+        # i = 1.5 ended in enumerate's TypeError; i = True with fill = True ran a stage
+        monkeypatch.setattr(confgen, "rank", lambda y: pytest.fail("rank was taken"))
+        with pytest.raises(ValueError, match=message):
+            y_iterate(identity(4), i, pipeline_poly(4), fill)
+
 
 def assert_stage_applies_krylov_lambda(p, m, seed):
     """y_iterate on random full-rank Y sends the active row to e_1 and every
@@ -640,6 +657,22 @@ class TestEmbedding:
 
 
 class TestGenerateConfig:
+    @pytest.mark.parametrize("m,b,message", [
+        (4.0, 4, "^m must be an int, got float$"),
+        (True, 4, "^m must be an int, got bool$"),
+        ("4", 4, "^m must be an int, got str$"),
+        (4, 4.0, "^b must be an int, got float$"),
+        (4, True, "^b must be an int, got bool$"),
+        (0, 4, "^need m >= 1, got m=0$"),
+        (4, 0, "^need b >= 1, got b=0$"),
+    ])
+    def test_refuses_non_int_or_small_dims_before_any_work(self, monkeypatch, m, b, message):
+        # m = 4.0 ended in range()'s TypeError
+        monkeypatch.setattr(confgen, "rank", lambda y: pytest.fail("rank was taken"))
+        fill = FillBits.from_seed(4, 12, "s")
+        with pytest.raises(ValueError, match=message):
+            generate_config(m, b, pipeline_poly(16), identity(4), fill)
+
     @pytest.mark.parametrize("m,b", [(2, 4), (4, 4)])
     @pytest.mark.parametrize("seed", ["a", "b", "c"])
     def test_prescribed_char_poly(self, m, b, seed):

@@ -7,9 +7,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import long_division_mod, mulmod_rows, sympy_mul, sympy_rem
+from oracles import inv_mod_reference, long_division_mod, mulmod_rows, sympy_mul, sympy_rem
 
-from kdfc_snow.confgen import _mulmod_packed, _pack, _stage_constants, _unpack
+from kdfc_snow.confgen import _mulmod_packed, _pack, _stage_constants, _unpack, pipeline_poly
 from kdfc_snow.gf2.linalg import BitMatrix, berlekamp_massey, char_poly
 from kdfc_snow.gf2.poly import (
     DegreeError,
@@ -378,6 +378,54 @@ class TestModularArithmetic:
         for bit in format(exp, "b"):
             want = long_division_mod(clmul(want, want) << int(bit), m)
         assert powmod(2, exp, m) == want
+
+
+def inversion_outcome(inv, a: int, m: int) -> int | str:
+    """inv(a, m), or the message of the ZeroDivisionError it raised."""
+    try:
+        return inv(a, m)
+    except ZeroDivisionError as exc:
+        return str(exc)
+
+
+class TestInversionAgainstReference:
+    """inv_mod (remainder and cofactor in one int) against the per-term
+    extended Euclid of tests/oracles.py, by value or by exception message."""
+
+    @staticmethod
+    def operands(m: int, rng: random.Random) -> list[int]:
+        d = max(m.bit_length() - 1, 1)
+        return [0, 1, m, m ^ 1, rng.getrandbits(d), rng.getrandbits(2 * d) | 1 << 2 * d]
+
+    @pytest.mark.parametrize("family", ["table", "random", "tiny"])
+    def test_matches_the_reference(self, family):
+        # table: every pipeline degree 1..512 and the dense target; random:
+        # mostly reducible moduli up to degree 80; tiny: 1, x and x + 1
+        rng = random.Random(family)
+        moduli = {
+            "table": [pipeline_poly(d) for d in range(1, 513)] + [target_poly()],
+            "random": [rng.getrandbits(rng.randrange(1, 82)) for _ in range(3000)],
+            "tiny": [1, 2, 3],
+        }[family]
+        for m in moduli:
+            for a in self.operands(m, rng):
+                got = inversion_outcome(inv_mod, a, m)
+                assert got == inversion_outcome(inv_mod_reference, a, m), (a, m)
+
+    @given(st.integers(0, (1 << 200) - 1), st.integers(0, (1 << 100) - 1))
+    @settings(max_examples=300)
+    def test_matches_the_reference_property(self, a, m):
+        assert inversion_outcome(inv_mod, a, m) == inversion_outcome(inv_mod_reference, a, m)
+
+    @pytest.mark.parametrize("f,a,m,message", [
+        (inv_mod, -3, 11, "operand"), (inv_mod, 3, -11, "modulus"),
+        (inv_mod, -3, -11, "operand"), (inv_mod, -3, 0, "operand"),
+        (gcd, -3, 11, "operand"), (gcd, 3, -11, "operand"),
+    ])
+    def test_negative_operands_are_refused(self, f, a, m, message):
+        # each but inv_mod(-3, 0) never returned: the remainders never shrank
+        with pytest.raises(ValueError, match=f"^negative {message}: polynomials are ints >= 0$"):
+            f(a, m)
 
 
 class TestPrimitivity:
