@@ -23,13 +23,13 @@ from kdfc_snow import attacks, kdfc, symbolic
 from kdfc_snow.confgen import (
     MAX_ENUMERATION_BITS,
     FillBits,
-    _check_dims,
     brute_force_count,
     count_configurations,
     generate_config,
     pipeline_poly,
     y_offline,
 )
+from kdfc_snow.gf2.linalg import check_dims
 from kdfc_snow.gf2.poly import (
     DegreeError,
     FactorTableMissError,
@@ -103,7 +103,7 @@ def _dims(args) -> tuple[int, int, int]:
     """(m, b, p) of a command that reads --m, --b and --poly: m and b are
     checked before any table lookup, then p is --poly or the table's."""
     m, b = args.m, args.b
-    _check_dims(m, b)
+    check_dims(m, b)
     degree = m * b
     if args.poly is None:
         return m, b, pipeline_poly(degree)

@@ -1,15 +1,19 @@
 """Feedback-configuration generation with a prescribed characteristic polynomial.
 
-The pipeline grows an m-row matrix Y (a BitMatrix, starting from the
-m x m identity) one column per iteration.  Iteration i (1-based) works at
-width w = m + i - 1 with the primitive polynomial p of degree w from the
-active table (gf2.primtable.default_table):
+The pipeline grows an m-row matrix Y (its list of row ints, starting
+from the m x m identity) one column per iteration.  Iteration i
+(1-based) works at width w = m + i - 1 with the primitive polynomial p
+of degree w from the active table (gf2.primtable.default_table):
 
 1. the active row, l = i mod m (rows 0-indexed), is sent to e_1 (the
    last-coordinate unit vector) by right-multiplying Y with a matrix
    Lambda that is a polynomial in companion(p);
 2. every other row is extended by one fill bit at the new last coordinate;
 3. the active row becomes e_1 of the new width.
+
+So Y keeps no width: its last active row (row m - 1 of the identity,
+before the first iteration) is e_1, and no row is wider, so the width is
+the bit length of its widest row (gf2.linalg.width).
 
 After the final iteration Y has width mb; its rows are rotated so the e_1
 row comes last, and a block matrix Q is stacked from Y times powers of the
@@ -47,7 +51,7 @@ other stage (_stage) runs on the m rows packed into one int, row t in bits
 [t*S, (t+1)*S), S = 64 * ceil(2w / 64) (SIMD within a register, Lamport,
 CACM 1975), so each map, the product by lambda and its Barrett reduction
 is a few shifts, xors and masks for all the rows at once.
-y_iterate runs one iteration on a BitMatrix in standard coordinates.  The
+y_iterate runs one iteration on Y's rows in standard coordinates.  The
 Krylov-matrix route (solve y.K = e_1, Lambda = sum y_j A^j) lives in
 tests/oracles.py as the test oracle, next to the standard-coordinate maps
 and the dense assembly Q * P * Q^{-1}.
@@ -60,13 +64,15 @@ import hashlib
 from itertools import product
 
 from kdfc_snow.gf2.linalg import (
-    BitMatrix,
     DimensionError,
     NoSolutionError,
     SingularMatrixError,
     _solve_rows,
+    check_dims,
+    check_int,
     companion_vec_mul,
     rank,
+    width,
 )
 from kdfc_snow.gf2.poly import (
     _divmod_int,
@@ -96,20 +102,6 @@ class RankLossError(RuntimeError):
     """A run's input Y lacks full row rank, or the verified char poly is wrong."""
 
 
-def _check_int(name: str, value: int, least: int | None) -> None:
-    """Refuse a value that is not an int (a bool is not one here) or is below
-    least (no bound if None)."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {type(value).__name__}")
-    if least is not None and value < least:
-        raise ValueError(f"need {name} >= {least}, got {name}={value}")
-
-
-def _check_dims(m: int, b: int) -> None:
-    _check_int("m", m, 1)
-    _check_int("b", b, 1)
-
-
 class FillBits:
     """Per-iteration fill vectors of m-1 bits each.
 
@@ -122,7 +114,7 @@ class FillBits:
     __slots__ = ("m", "vectors")
 
     def __init__(self, m: int, vectors: list[int]):
-        _check_int("m", m, 1)
+        check_int("m", m, 1)
         limit = 1 << (m - 1)
         for i, v in enumerate(vectors):
             if type(v) is not int:
@@ -138,8 +130,8 @@ class FillBits:
     @classmethod
     def from_seed(cls, m: int, count: int, seed: str, label: str = "fill") -> "FillBits":
         """Deterministic fill stream: SHA-256(label || seed || counter) bits."""
-        _check_int("m", m, 1)
-        _check_int("count", count, 0)
+        check_int("m", m, 1)
+        check_int("count", count, 0)
         need = m - 1
         vectors = []
         pool = 0
@@ -164,7 +156,7 @@ class FillBits:
         """Pack m-bit words into fill vectors for iterations starting at
         first_iteration (1-based): bit t of word -> row t, skipping the
         active row l = i mod m; a word that is not an m-bit int is refused."""
-        _check_int("m", m, 1)
+        check_int("m", m, 1)
         for i, w in enumerate(words):
             if type(w) is not int or w < 0 or w >> m:
                 raise ValueError(f"fill word {i} is not a {m}-bit int: {w!r}")
@@ -397,59 +389,60 @@ def _run(rows: list[int], first: int, polys: list[int], fills: list[int]) -> lis
     return _unpack(packed, m, slot) if slot else rows
 
 
-def y_iterate(y: BitMatrix, i: int, p: int, fill: int) -> BitMatrix:
+def y_iterate(y: list[int], i: int, p: int, fill: int) -> list[int]:
     """One pipeline iteration: active row to e_1, then widen by one bit.
 
-    y has m rows of width w; p is the stage polynomial, of degree w.  The
-    rows are reversed, go through _run and are reversed back.  A y
-    without full row rank raises RankLossError.
+    y has m rows of width w, its widest row; p is the stage polynomial, of
+    degree w.  The rows are reversed, go through _run and are reversed
+    back.  A y without full row rank raises RankLossError.
     """
-    _check_int("i", i, 1)
-    _check_int("fill", fill, None)  # its width is checked below, with m's
-    m, w = y.nrows, y.ncols
+    check_int("i", i, 1)
+    check_int("fill", fill, None)  # its width is checked below, with m's
+    m, w = len(y), width(y)
+    if rank(y) != m:
+        raise RankLossError(f"rank dropped below {m} at iteration {i}")
     if p.bit_length() - 1 != w:
         raise DimensionError(
             f"stage polynomial degree {p.bit_length() - 1} does not match Y width {w}"
         )
     if fill < 0 or fill >> (m - 1):
         raise ValueError(f"fill needs exactly {m - 1} bits")
-    if rank(y) != m:
-        raise RankLossError(f"rank dropped below {m} at iteration {i}")
-    rows = _run(_reversed_rows(y.rows, w), i, [p], [fill])
-    return BitMatrix(_reversed_rows(rows, w + 1), w + 1)
+    rows = _run(_reversed_rows(y, w), i, [p], [fill])
+    return _reversed_rows(rows, w + 1)
 
 
-def y_offline(m: int, b: int, k: int, fill: FillBits) -> BitMatrix:
-    """Run the first k iterations from the m x m identity."""
-    _check_dims(m, b)
-    _check_int("k", k, 0)
+def y_offline(m: int, b: int, k: int, fill: FillBits) -> list[int]:
+    """Run the first k iterations from the m x m identity: m rows of at
+    most m + k bits, the last active one (e_1) of m + k."""
+    check_dims(m, b)
+    check_int("k", k, 0)
     if not 0 <= k <= m * b - m:
         raise ValueError(f"k must lie in [0, {m * b - m}]")
     if fill.m != m or len(fill) < k:
         raise ValueError(f"fill must supply {k} vectors of {m - 1} bits")
     rows = [1 << (m - 1 - t) for t in range(m)]  # the identity, reversed
     rows = _run(rows, 1, [pipeline_poly(w) for w in range(m, m + k)], fill.vectors)
-    return BitMatrix(_reversed_rows(rows, m + k), m + k)
+    return _reversed_rows(rows, m + k)
 
 
-def build_q(y: BitMatrix, p: int) -> BitMatrix:
+def build_q(y: list[int], p: int) -> list[int]:
     """Stack Y * P^j for j = 0..b-1 into the mb x mb change-of-basis Q.
 
     Q is not checked for singularity here: assemble_config builds Q and
     eliminates it once for its row solves, raising SingularMatrixError there.
     """
-    m, n = y.nrows, y.ncols
-    if n % m:
-        raise DimensionError(f"Y width {n} is not a multiple of m={m}")
+    m, n = len(y), width(y)
     if p.bit_length() - 1 != n:
         raise DimensionError(f"polynomial degree {p.bit_length() - 1} != Y width {n}")
-    rows = list(y.rows)
+    if n % m:
+        raise DimensionError(f"Y width {n} is not a multiple of m={m}")
+    rows = list(y)
     for _ in range(n // m - 1):
         rows += [companion_vec_mul(r, p) for r in rows[-m:]]
-    return BitMatrix(rows, n)
+    return rows
 
 
-def assemble_config(y: BitMatrix, p: int) -> SigmaConfig:
+def assemble_config(y: list[int], p: int) -> SigmaConfig:
     """The configuration C = Q * companion(p) * Q^{-1} of Q = build_q(y, p),
     without forming C.
 
@@ -460,8 +453,8 @@ def assemble_config(y: BitMatrix, p: int) -> SigmaConfig:
     rows with the v_r appended, and refuses a singular Q
     (SingularMatrixError).
     """
-    m, n = y.nrows, y.ncols
-    rows = build_q(y, p).rows
+    rows = build_q(y, p)
+    m, n = len(y), len(rows)
     try:
         xs = _solve_rows(rows, [companion_vec_mul(r, p) for r in rows[n - m:]])
     except SingularMatrixError:
@@ -473,38 +466,38 @@ def generate_config(
     m: int,
     b: int,
     p: int,
-    y_init: BitMatrix,
+    y_init: list[int],
     online_fill: FillBits,
     verify: bool = True,
 ) -> SigmaConfig:
     """Finish the pipeline from a (possibly empty) offline prefix.
 
     y_init has width m + k after k offline iterations; online_fill supplies
-    the remaining mb - m - k fill vectors.  A rank-deficient y_init raises
-    RankLossError (SingularMatrixError with no stage left).  The result is
+    exactly the remaining mb - m - k fill vectors, so a Y narrower than its
+    caller meant never runs.  A rank-deficient y_init raises RankLossError
+    (SingularMatrixError with no stage left).  The result is
     block-companion with characteristic polynomial p, rechecked if verify.
     """
-    _check_dims(m, b)
+    check_dims(m, b)
     n = m * b
     if p.bit_length() - 1 != n:
         raise DimensionError(f"target degree {p.bit_length() - 1} != mb = {n}")
-    if y_init.nrows != m:
+    if len(y_init) != m:
         raise DimensionError("y_init row count != m")
-    k = y_init.ncols - m
+    k = width(y_init) - m
     total = n - m
     if not 0 <= k <= total:
-        raise ValueError(f"y_init width {y_init.ncols} outside [m, mb]")
-    if online_fill.m != m or len(online_fill) < total - k:
-        raise ValueError(f"online fill must supply {total - k} vectors")
+        raise ValueError(f"y_init width {m + k} outside [m, mb]")
+    if online_fill.m != m or len(online_fill) != total - k:
+        raise ValueError(f"online fill must supply exactly {total - k} vectors")
     if k < total and rank(y_init) != m:
         raise RankLossError(f"rank dropped below {m} at iteration {k + 1}")
     polys = [pipeline_poly(w) for w in range(m + k, n)]
-    rows = _run(_reversed_rows(y_init.rows, m + k), k + 1, polys, online_fill.vectors)
+    rows = _run(_reversed_rows(y_init, m + k), k + 1, polys, online_fill.vectors)
     # rotate rows so the most recently active row (now e_1) is last
     last_active = total % m
     order = [(last_active + 1 + t) % m for t in range(m)]
-    y = BitMatrix(_reversed_rows([rows[t] for t in order], n), n)
-    cfg = assemble_config(y, p)
+    cfg = assemble_config(_reversed_rows([rows[t] for t in order], n), p)
     if verify:
         got = config_char_poly(cfg)
         if got != p:
@@ -521,7 +514,7 @@ def count_configurations(m: int, b: int) -> int:
     Needs the factor table for 2^mb - 1, hence mb <= 64 or mb = 512
     (FactorTableMissError otherwise).
     """
-    _check_dims(m, b)
+    check_dims(m, b)
     n = m * b
     phi = euler_phi_2n1(n) if n > 1 else 1  # first: a table miss raises at once
     gl = 1
@@ -547,7 +540,7 @@ def brute_force_count(m: int, b: int) -> int:
     Exponential, so guarded to at most 2^20 candidates; cross-checks
     count_configurations at small sizes.
     """
-    _check_dims(m, b)
+    check_dims(m, b)
     nbits = m * m * b
     if nbits > MAX_ENUMERATION_BITS:
         raise ValueError(

@@ -1,13 +1,13 @@
 """Dense bit-packed linear algebra over GF(2).
 
 Vectors are plain Python integers used as bitsets: bit ``i`` is coordinate
-``i`` (LSB-first).  Matrices are lists of row integers.  The row-vector
-convention is used throughout: a linear map ``M`` acts on a row vector ``v``
-as ``v * M``, implemented by XORing together the rows of ``M`` selected by
-the set bits of ``v``.
-
-The basis vector written ``(0, 0, ..., 1)`` — one in the *last* coordinate —
-is ``1 << (n - 1)`` in this packing.
+``i`` (LSB-first).  A matrix is its list of row ints; unless a caller
+states its column count, that is the bit length of its widest row (width),
+so a square n x n matrix is n rows of at most n bits.  A linear map ``M``
+acts on a row vector ``v`` as ``v * M``, the XOR of the rows of ``M``
+selected by the set bits of ``v``.  The basis vector written
+``(0, 0, ..., 1)`` — one in the *last* coordinate — is ``1 << (n - 1)``.
+matrix_to_json and matrix_from_json write and read ``{"rows", "cols", "data"}``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,20 @@ from kdfc_snow.gf2.poly import clmul
 
 class DimensionError(ValueError):
     """Operands have incompatible shapes."""
+
+
+def check_int(name: str, value: int, least: int | None) -> None:
+    """Refuse a non-int (a bool is not one here) or a value below least (if given)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {type(value).__name__}")
+    if least is not None and value < least:
+        raise ValueError(f"need {name} >= {least}, got {name}={value}")
+
+
+def check_dims(m: int, b: int) -> None:
+    """Refuse a word width m or block count b that is not an int >= 1."""
+    check_int("m", m, 1)
+    check_int("b", b, 1)
 
 
 class SingularMatrixError(ValueError):
@@ -59,70 +73,44 @@ def vec_from_hex(s: str, length: int) -> int:
     return v
 
 
-class BitMatrix:
-    """An r x c matrix over GF(2), stored as one int per row."""
-
-    __slots__ = ("rows", "nrows", "ncols")
-
-    def __init__(self, rows: Sequence[int], ncols: int):
-        rows = list(rows)
-        if ncols < 0:
-            raise DimensionError("negative column count")
-        for r in rows:
-            if r < 0 or r >> ncols:
-                raise DimensionError("row has bits beyond the column count")
-        self.rows = rows
-        self.nrows = len(rows)
-        self.ncols = ncols
-
-    # -- basic access ------------------------------------------------------
-
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
-    # -- dunder ------------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BitMatrix):
-            return NotImplemented
-        return (
-            self.ncols == other.ncols
-            and self.nrows == other.nrows
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((tuple(self.rows), self.ncols))
-
-    def __repr__(self) -> str:
-        return f"BitMatrix({self.nrows}x{self.ncols})"
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "rows": self.nrows,
-            "cols": self.ncols,
-            "data": [vec_to_hex(r, self.ncols) for r in self.rows],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BitMatrix":
-        ncols = obj["cols"]
-        if ncols < 0:
-            raise DimensionError("negative column count")
-        rows = [vec_from_hex(s, ncols) for s in obj["data"]]
-        if len(rows) != obj["rows"]:
-            raise ValueError("row count mismatch in serialized matrix")
-        return cls(rows, ncols)
+def width(rows: Sequence[int]) -> int:
+    """The bit length of the widest row (0 for none); a negative row is refused."""
+    if rows and min(rows) < 0:
+        raise DimensionError("row has bits beyond the column count")
+    return max(rows, default=0).bit_length()
 
 
-def mat_vec_mul(v: int, m: BitMatrix) -> int:
-    """Row vector times matrix: ``v * m`` (XOR of rows of m selected by v)."""
-    if v >> m.nrows:
+def matrix_to_json(rows: Sequence[int], ncols: int) -> dict:
+    """The JSON form of a matrix of ncols columns, one hex string per row."""
+    return {"rows": len(rows), "cols": ncols, "data": [vec_to_hex(r, ncols) for r in rows]}
+
+
+def matrix_from_json(obj: dict, shape: tuple[int, int], name: str) -> list[int]:
+    """The rows of a matrix_to_json form declaring shape (rows, cols); name is
+    what a refusal calls it.  Rows are read before the shape is compared."""
+    nrows, ncols = obj["rows"], obj["cols"]
+    if ncols < 0:
+        raise DimensionError("negative column count")
+    rows = [vec_from_hex(s, ncols) for s in obj["data"]]
+    if len(rows) != nrows:
+        raise ValueError("row count mismatch in serialized matrix")
+    if (nrows, ncols) != shape:
+        raise DimensionError(f"{name} is {nrows}x{ncols}, expected {shape[0]}x{shape[1]}")
+    return rows
+
+
+def _check_square(rows: Sequence[int], what: str) -> int:
+    n = len(rows)
+    if width(rows) > n:
+        raise DimensionError(f"{what} of a non-square matrix")
+    return n
+
+
+def mat_vec_mul(v: int, rows: Sequence[int]) -> int:
+    """Row vector times matrix: ``v * rows`` (XOR of the rows selected by v)."""
+    if v >> len(rows):
         raise DimensionError("vector longer than matrix row count")
     acc = 0
-    rows = m.rows
     while v:
         i = (v & -v).bit_length() - 1
         acc ^= rows[i]
@@ -130,11 +118,11 @@ def mat_vec_mul(v: int, m: BitMatrix) -> int:
     return acc
 
 
-def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
+def mat_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """GF(2) matrix product: each row of a times b."""
-    if a.ncols != b.nrows:
-        raise DimensionError(f"cannot multiply {a.ncols}-col by {b.nrows}-row")
-    return BitMatrix([mat_vec_mul(r, b) for r in a.rows], b.ncols)
+    if width(a) > len(b):
+        raise DimensionError(f"cannot multiply {width(a)}-col by {len(b)}-row")
+    return [mat_vec_mul(r, b) for r in a]
 
 
 def _echelon(rows: list[int], ncols: int):
@@ -262,28 +250,25 @@ def _solve_rows(rows: Sequence[int], targets: Sequence[int]) -> list[int]:
     return [(v ^ flag) >> n for v in work[n:]]
 
 
-def rank(a: BitMatrix) -> int:
+def rank(rows: Sequence[int]) -> int:
     """GF(2) row rank."""
-    return len(_echelon(list(a.rows), a.ncols))
+    return len(_echelon(list(rows), width(rows)))
 
 
-def determinant(a: BitMatrix) -> int:
+def determinant(rows: Sequence[int]) -> int:
     """Determinant over GF(2): 1 iff the square matrix has full rank."""
-    if not a.is_square():
-        raise DimensionError("determinant of a non-square matrix")
-    return 1 if rank(a) == a.nrows else 0
+    n = _check_square(rows, "determinant")
+    return 1 if rank(rows) == n else 0
 
 
-def mat_inverse(a: BitMatrix) -> BitMatrix:
+def mat_inverse(rows: Sequence[int]) -> list[int]:
     """Inverse of a square matrix; raises SingularMatrixError if singular.
 
     Row i of the inverse is the x with x * a = e_i, all n solved by
     _solve_rows on one elimination.
     """
-    if not a.is_square():
-        raise DimensionError("inverse of a non-square matrix")
-    n = a.nrows
-    return BitMatrix(_solve_rows(a.rows, [1 << i for i in range(n)]), n)
+    n = _check_square(rows, "inverse")
+    return _solve_rows(rows, [1 << i for i in range(n)])
 
 
 def companion_vec_mul(v: int, p: int) -> int:
@@ -298,7 +283,7 @@ def companion_vec_mul(v: int, p: int) -> int:
     return (v >> 1) | (tail << (b - 1))
 
 
-def char_poly(a: BitMatrix) -> int:
+def char_poly(rows: Sequence[int]) -> int:
     """Characteristic polynomial of a square matrix over GF(2).
 
     Deterministic O(n^3): builds a filtration of Krylov-invariant subspaces;
@@ -307,9 +292,7 @@ def char_poly(a: BitMatrix) -> int:
     product of the block polynomials.  Works for non-cyclic matrices
     (e.g. char_poly(I_2) = x^2 + 1).
     """
-    if not a.is_square():
-        raise DimensionError("characteristic polynomial of a non-square matrix")
-    n = a.nrows
+    n = _check_square(rows, "characteristic polynomial")
     span: list[int] = []  # echelonized basis of the invariant subspace so far
     span_pivots: list[int] = []  # pivot bit positions, parallel to span
     result = 1  # polynomial accumulator, bit i = coeff of x^i
@@ -346,7 +329,7 @@ def char_poly(a: BitMatrix) -> int:
             local.append((x.bit_length() - 1, x, combo))
             chain.append(cur)
             t += 1
-            cur = reduce_vec(mat_vec_mul(cur, a))
+            cur = reduce_vec(mat_vec_mul(cur, rows))
         # Fold the chain into the global invariant span.
         for vec in chain:
             x = reduce_vec(vec)

@@ -36,8 +36,15 @@ def from_exponents(exps: Iterable[int]) -> int:
     return c
 
 
+def _negative(what: str) -> ValueError:
+    """The refusal of a negative operand or modulus: a polynomial is an int >= 0."""
+    return ValueError(f"negative {what}: polynomials are ints >= 0")
+
+
 def exponents(p: int) -> list[int]:
-    """Ascending exponents of the nonzero terms of p."""
+    """Ascending exponents of the nonzero terms of p (p >= 0)."""
+    if p < 0:
+        raise _negative("operand")
     out = []
     while p:
         low = p & -p
@@ -83,7 +90,7 @@ def gcd(a: int, b: int) -> int:
     """Euclidean GCD in GF(2)[x] (monic by construction); a negative a or b
     is refused with ValueError."""
     if (a | b) < 0:
-        raise ValueError("negative operand: polynomials are ints >= 0")
+        raise _negative("operand")
     while b:
         a, b = b, _mod_int(a, b)
     return a
@@ -94,6 +101,8 @@ def gcd(a: int, b: int) -> int:
 
 def clmul(a: int, b: int) -> int:
     """Carry-less product a * b, one shifted copy per term of the sparser factor."""
+    if (a | b) < 0:
+        raise _negative("operand")
     if a.bit_count() > b.bit_count():
         a, b = b, a
     acc = 0
@@ -106,6 +115,8 @@ def clmul(a: int, b: int) -> int:
 
 def clsquare(a: int) -> int:
     """a^2 by bit spreading: the binary digits of a, read in base 4."""
+    if a < 0:
+        raise _negative("operand")
     return int(format(a, "b"), 4)
 
 
@@ -177,8 +188,7 @@ def inv_mod(a: int, m: int) -> int:
     of degree below deg(m), with no final reduction.  A negative a or m
     is refused with ValueError."""
     if (a | m) < 0:
-        what = "operand" if a < 0 else "modulus"
-        raise ValueError(f"negative {what}: polynomials are ints >= 0")
+        raise _negative("operand" if a < 0 else "modulus")
     if m == 0:
         raise ZeroDivisionError("modulus is the zero polynomial")
     off = m.bit_length()
@@ -208,7 +218,10 @@ def powmod(base: int, exp: int, m: int) -> int:
     """base^exp mod m by left-to-right square-and-multiply (exp is a
     plain integer, not a polynomial).  The multiplier stays the reduced base, so with base x
     each multiply is one shift and one reduction step; the modulus's sparse
-    tail is taken once per call."""
+    tail is taken once per call.  A negative base or m is refused with
+    ValueError."""
+    if (base | m) < 0:
+        raise _negative("operand" if base < 0 else "modulus")
     if exp < 0:
         raise ValueError("negative exponent")
     if m == 0:

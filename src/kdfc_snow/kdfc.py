@@ -14,11 +14,13 @@ shipped as a data file (see tools/gen_y_init.py), parsed once per
 process.  The derivation is a function of key and IV over one Y-init
 document, the shipped one unless another is given, the stage polynomials
 of the active table and the fixed target polynomial.  A YInitDoc refuses a
-matrix that is not m x (m + k); on every use, KdfcParams.resolve checks the
-document's polynomial-table checksum against the active table, its m and
-its k window.  The recorded seed and fill label are kept for
-regeneration, not re-derived.  After the swap the cipher clocks as SNOW
-2.0 does, so kdfc_keystream is snow2_keystream.
+matrix that is not m rows whose widest has m + k bits (as the last
+active row, e_1, has), so the document's k is Y's own.  On every use,
+KdfcParams.resolve checks the document's polynomial-table checksum
+against the active table, its m and its k window.  The recorded seed and
+fill label are kept for regeneration, not re-derived.  After the swap
+the cipher clocks as SNOW 2.0 does, so kdfc_keystream is
+snow2_keystream.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from kdfc_snow.confgen import FillBits, generate_config
-from kdfc_snow.gf2.linalg import BitMatrix
+from kdfc_snow.gf2.linalg import check_int, matrix_from_json, matrix_to_json, width
 from kdfc_snow.gf2.poly import from_exponents
 from kdfc_snow.gf2.primtable import default_table
 from kdfc_snow.sigma_lfsr import SigmaConfig
@@ -109,7 +111,7 @@ _JSON_TYPES = {
     str: "a string", bool: "a boolean", type(None): "null",
 }
 
-#: the JSON shape of a BitMatrix as BitMatrix.to_json writes it; in a shape,
+#: the JSON shape of a matrix as gf2.linalg.matrix_to_json writes it; in a shape,
 #: [x] is an array of x, and object fields not named are not read
 MATRIX_SHAPE = {"rows": int, "cols": int, "data": [str]}
 
@@ -139,19 +141,19 @@ def check_shape(value, shape, what: str, field: str = "") -> None:
 
 @dataclass(frozen=True)
 class YInitDoc:
-    """An offline pipeline matrix Y (m x (m + k)) plus its provenance fields."""
+    """An offline pipeline matrix Y, m rows of width m + k, and its provenance."""
 
     m: int
     k: int
     seed: str
     fill_label: str
     poly_table_sha256: str
-    y: BitMatrix
+    y: list[int]
 
     def __post_init__(self):
-        if self.y.nrows != self.m or self.y.ncols != self.m + self.k:
+        if len(self.y) != self.m or width(self.y) != self.m + self.k:
             raise ValueError(
-                f"y_init matrix is {self.y.nrows}x{self.y.ncols}, "
+                f"y_init matrix is {len(self.y)}x{width(self.y)}, "
                 f"expected {self.m}x{self.m + self.k}"
             )
 
@@ -159,11 +161,12 @@ class YInitDoc:
     def from_json(cls, obj) -> "YInitDoc":
         check_shape(obj, _YINIT_SHAPE, "y_init document")
         fields = {name: obj[name] for name in _YINIT_SHAPE}
-        return cls(**{**fields, "y": BitMatrix.from_json(obj["y"])})
+        y = matrix_from_json(obj["y"], (obj["m"], obj["m"] + obj["k"]), "y_init matrix")
+        return cls(**{**fields, "y": y})
 
     def to_json(self) -> dict:
         doc = {name: getattr(self, name) for name in _YINIT_SHAPE}
-        return {**doc, "y": self.y.to_json()}
+        return {**doc, "y": matrix_to_json(self.y, self.m + self.k)}
 
 
 @functools.cache
@@ -203,7 +206,7 @@ class KdfcParams:
 
         The one place a document is checked before a keyed derivation: its
         polynomial-table checksum against the active table, m against M
-        and the k window; YInitDoc itself guarantees Y is m x (m + k).
+        and the k window; YInitDoc itself guarantees Y's shape.
         """
         doc = self.y_init if self.y_init is not None else load_y_init()
         if not isinstance(doc, YInitDoc):
@@ -223,8 +226,7 @@ class KdfcParams:
                 f"y_init k={doc.k} leaves {online} online iterations; "
                 "need between 0 and 32"
             )
-        if type(self.discard) is not int:
-            raise ValueError(f"discard must be an int, got {type(self.discard).__name__}")
+        check_int("discard", self.discard, None)
         if not 0 <= self.discard <= MAX_DISCARD:
             raise ValueError(f"discard must be in [0, {MAX_DISCARD}], got {self.discard}")
         return doc

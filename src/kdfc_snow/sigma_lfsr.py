@@ -16,8 +16,9 @@ between the two layouts, so either may be fed to char_poly.
 Words use the package bit order: bit i of a word is its coefficient of 2^i,
 and stacked state vectors place block i at bit positions [i*m, (i+1)*m).
 A SigmaConfig is the last block row of its configuration matrix, m
-feedback rows of mb bits, row r holding row r of B_i in block i; gain
-matrices appear only in its JSON form.
+feedback rows of mb bits, row r holding row r of B_i in block i.  Like
+every matrix in the package (gf2.linalg), a gain is its list of m row
+ints, and gains appear only in the JSON form.
 
 Stepping goes through the observer-form (Galois) realization of the same
 recurrence.  Its state z holds, in block k, the partial feedback
@@ -45,7 +46,9 @@ from __future__ import annotations
 
 from itertools import islice
 
-from kdfc_snow.gf2.linalg import BitMatrix, DimensionError, rank
+from kdfc_snow.gf2.linalg import (
+    DimensionError, check_dims, matrix_from_json, matrix_to_json, rank, width,
+)
 
 __all__ = [
     "SigmaConfig",
@@ -64,27 +67,20 @@ class PeriodGuardError(ValueError):
     """Period search refused: state space too large or seed zero."""
 
 
-def _check_dims(m: int, b: int) -> None:
-    """Refuse a shape other than two positive ints (a bool is not an int here)."""
-    if type(m) is not int or type(b) is not int:
-        raise ValueError(f"m and b must be integers, got m={m!r} b={b!r}")
-    if m < 1 or b < 1:
-        raise DimensionError(f"need m, b >= 1, got m={m} b={b}")
-
-
 class SigmaConfig:
     """Feedback configuration: word width m, block count b, and the m
     feedback rows, the last block row of the configuration matrix.
 
-    Row r holds row r of gain B_i at bits [i*m, (i+1)*m).  Gain matrices
-    appear only in the JSON documents: gains() splits the rows into them
-    and from_gains joins them back.
+    Row r holds row r of gain B_i at bits [i*m, (i+1)*m).  Gain matrices,
+    each a list of m row ints of m bits, appear only in the JSON
+    documents: gains() splits the rows into them and from_gains joins
+    them back.
     """
 
     __slots__ = ("m", "b", "rows", "_byte_tables")
 
     def __init__(self, m: int, b: int, rows: list[int]):
-        _check_dims(m, b)
+        check_dims(m, b)
         if len(rows) != m:
             raise DimensionError(f"expected {m} feedback rows, got {len(rows)}")
         n = m * b
@@ -99,29 +95,26 @@ class SigmaConfig:
         self._byte_tables = None
 
     @classmethod
-    def from_gains(cls, m: int, b: int, gains: list[BitMatrix]) -> "SigmaConfig":
-        """The configuration of b m x m gains B_0..B_{b-1}."""
-        _check_dims(m, b)
+    def from_gains(cls, m: int, b: int, gains: list[list[int]]) -> "SigmaConfig":
+        """The configuration of b m x m gains B_0..B_{b-1}, lists of m rows."""
+        check_dims(m, b)
         if len(gains) != b:
             raise DimensionError(f"expected {b} gain matrices, got {len(gains)}")
         for i, g in enumerate(gains):
-            if g.nrows != m or g.ncols != m:
+            if len(g) != m or width(g) > m:
                 raise DimensionError(
-                    f"gain B_{i} is {g.nrows}x{g.ncols}, expected {m}x{m}"
+                    f"gain B_{i} is {len(g)}x{width(g)}, expected {m}x{m}"
                 )
         rows = [0] * m
         for i, g in enumerate(gains):
-            for r, row in enumerate(g.rows):
+            for r, row in enumerate(g):
                 rows[r] |= row << (i * m)
         return cls(m, b, rows)
 
-    def gains(self) -> list[BitMatrix]:
+    def gains(self) -> list[list[int]]:
         """The gain matrices B_0..B_{b-1}, B_i from block i of every row."""
         m, mask = self.m, (1 << self.m) - 1
-        return [
-            BitMatrix([row >> (i * m) & mask for row in self.rows], m)
-            for i in range(self.b)
-        ]
+        return [[row >> (i * m) & mask for row in self.rows] for i in range(self.b)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SigmaConfig):
@@ -135,13 +128,15 @@ class SigmaConfig:
         return {
             "m": self.m,
             "b": self.b,
-            "gains": [g.to_json() for g in self.gains()],
+            "gains": [matrix_to_json(g, self.m) for g in self.gains()],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "SigmaConfig":
-        gains = [BitMatrix.from_json(g) for g in obj["gains"]]
-        return cls.from_gains(obj["m"], obj["b"], gains)
+        m, b = obj["m"], obj["b"]
+        check_dims(m, b)
+        gains = [matrix_from_json(g, (m, m), f"gain B_{i}") for i, g in enumerate(obj["gains"])]
+        return cls.from_gains(m, b, gains)
 
     def byte_tables(self) -> list[list[int]]:
         """Byte-lane lookup tables of the Galois feedback L.
@@ -187,11 +182,11 @@ def _check_words(words: list[int], m: int, b: int) -> int:
     return acc
 
 
-def build_config_matrix(cfg: SigmaConfig) -> BitMatrix:
+def build_config_matrix(cfg: SigmaConfig) -> list[int]:
     """mb x mb block matrix: identity super-diagonal, feedback rows last."""
     n = cfg.m * cfg.b
     # block row j: identity at block column j+1
-    return BitMatrix([1 << (cfg.m + i) for i in range(n - cfg.m)] + cfg.rows, n)
+    return [1 << (cfg.m + i) for i in range(n - cfg.m)] + cfg.rows
 
 
 def galois_state(cfg: SigmaConfig, words: list[int]) -> int:
@@ -250,7 +245,7 @@ def period(cfg: SigmaConfig, words: list[int]) -> int:
     if _check_words(words, m, cfg.b) == 0:
         raise PeriodGuardError("zero seed is a fixed point; period undefined")
     mask = (1 << m) - 1
-    if rank(BitMatrix([row & mask for row in cfg.rows], m)) < m:
+    if rank([row & mask for row in cfg.rows]) < m:
         raise PeriodGuardError("B_0 is singular: the step is not a bijection")
     start = galois_state(cfg, words)
     for t, z in enumerate(_galois_clock(cfg, start), 1):

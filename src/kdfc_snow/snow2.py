@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 
+from kdfc_snow.gf2.linalg import check_int
 from kdfc_snow.gf2.poly import _mulmod_int
 from kdfc_snow.sigma_lfsr import SigmaConfig, _check_words, galois_state
 
@@ -283,10 +284,7 @@ def init_with_captures(
 
 def snow2_keystream(state: CipherState, n: int) -> list[int]:
     """Produce n keystream words, advancing the state in place."""
-    if type(n) is not int:
-        raise ValueError(f"n must be an int, got {type(n).__name__}")
-    if n < 0:
-        raise ValueError("need n >= 0")
+    check_int("n", n, 0)
     return _clock(state, n, False)
 
 

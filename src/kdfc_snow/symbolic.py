@@ -33,6 +33,7 @@ of p below n).
 
 from __future__ import annotations
 
+from kdfc_snow.gf2.linalg import check_dims
 from kdfc_snow.gf2.poly import exponents
 
 __all__ = [
@@ -178,9 +179,8 @@ def _sym_companion_row_mul(row: list[AnfPoly], p: int) -> list[AnfPoly]:
 
 
 def _check_guard(m: int, b: int, limit: int) -> int:
+    check_dims(m, b)
     n = m * b
-    if m < 1 or b < 1:
-        raise ValueError("need m >= 1 and b >= 1")
     if n > limit:
         raise GuardError(f"mb = {n} exceeds the symbolic size guard {limit}")
     return n

@@ -86,7 +86,8 @@ The package has no production use for the matrix helpers at the end of
 this file (companion_matrix, krylov_matrix, solve_row, linear_complexity,
 reciprocal, build_transition_matrix, extract_config, identity, zeros,
 build_alpha_matrices, gd_closure, from_bits, to_bits, stacked,
-state_from_stacked, sym_from_bitmatrix, sym_eval); they serve the oracles above and the tests.
+state_from_stacked, sym_from_rows, sym_eval); they serve the oracles above and the tests.
+Every matrix here, as in the package, is its list of row ints.
 """
 
 from __future__ import annotations
@@ -527,24 +528,24 @@ def krylov_lambda(c_row: int, a, n: int):
     """Second route for the pipeline's Lambda: solve y K = e_1, sum y_j A^j.
 
     K is the Krylov matrix with rows c, cA, cA^2, ...; the result is the
-    BitMatrix Lambda = sum_j y_j A^j with c Lambda = e_1 (top coordinate
+    rows of Lambda = sum_j y_j A^j with c Lambda = e_1 (top coordinate
     convention of the pipeline: e_1 = 1 << (n - 1)).
     """
-    from kdfc_snow.gf2.linalg import BitMatrix, mat_mul, mat_vec_mul
+    from kdfc_snow.gf2.linalg import mat_mul, mat_vec_mul
 
     rows = []
     v = c_row
     for _ in range(n):
         rows.append(v)
         v = mat_vec_mul(v, a)
-    y = solve_row(BitMatrix(rows, n), 1 << (n - 1))
+    y = solve_row(rows, 1 << (n - 1))
     lam_rows = [0] * n
     power = identity(n)
     for j in range(n):
         if (y >> j) & 1:
-            lam_rows = [lr ^ pr for lr, pr in zip(lam_rows, power.rows)]
+            lam_rows = [lr ^ pr for lr, pr in zip(lam_rows, power)]
         power = mat_mul(power, a)
-    return BitMatrix(lam_rows, n)
+    return lam_rows
 
 
 def dense_assemble(q, p, m: int):
@@ -553,23 +554,18 @@ def dense_assemble(q, p, m: int):
     Q^{-1} is read off echelon_oracle's reduced row echelon form of Q with
     an identity tracker: the low part ends a permutation of identity rows.
     """
-    from kdfc_snow.gf2.linalg import (
-        BitMatrix,
-        SingularMatrixError,
-        companion_vec_mul,
-        mat_mul,
-    )
+    from kdfc_snow.gf2.linalg import SingularMatrixError, companion_vec_mul, mat_mul
 
-    n = q.nrows
-    work = [r | 1 << (n + i) for i, r in enumerate(q.rows)]
+    n = len(q)
+    work = [r | 1 << (n + i) for i, r in enumerate(q)]
     pivots = echelon_oracle(work, n)
     if len(pivots) < n:
         raise SingularMatrixError("Q is singular")
     inv = [0] * n
     for col, i in pivots:
         inv[col] = work[i] >> n
-    qp = BitMatrix([companion_vec_mul(r, p) for r in q.rows], n)
-    return extract_config(mat_mul(qp, BitMatrix(inv, n)), m)
+    qp = [companion_vec_mul(r, p) for r in q]
+    return extract_config(mat_mul(qp, inv), m)
 
 
 def dense_char_poly(cfg):
@@ -750,13 +746,8 @@ def compute_symbolic_config(m: int, b: int, p):
 
 def sym_eval(rows, bits: int):
     """Numeric specialization of a symbolic matrix at the variable bits:
-    column c of each row maps to bit c-1 of its BitMatrix row."""
-    from kdfc_snow.gf2.linalg import BitMatrix
-
-    return BitMatrix(
-        [sum(entry.eval(bits) << j for j, entry in enumerate(r)) for r in rows],
-        len(rows[0]),
-    )
+    column c of each row maps to bit c-1 of its row int."""
+    return [sum(entry.eval(bits) << j for j, entry in enumerate(r)) for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -788,13 +779,9 @@ def longest_runs(blocks) -> list[int]:
 
 def matrix_ranks(mats) -> list[int]:
     """GF(2) rank of each matrix, its rows summed into Python ints."""
-    from kdfc_snow.gf2.linalg import BitMatrix, rank
+    from kdfc_snow.gf2.linalg import rank
 
-    ranks = []
-    for mat in mats:
-        rows = [sum(int(b) << j for j, b in enumerate(row)) for row in mat]
-        ranks.append(rank(BitMatrix(rows, len(mat[0]))))
-    return ranks
+    return [rank([sum(int(b) << j for j, b in enumerate(row)) for row in mat]) for mat in mats]
 
 
 def psi_sq(x, m: int) -> float:
@@ -843,17 +830,14 @@ def apen_stats(x, m: int) -> dict:
 # ---------------------------------------------------------------------------
 # matrix helpers used only by the oracles above and the tests
 
-def from_bits(bits):
-    """BitMatrix from a list of 0/1 rows (bits[i][j] = entry i, j)."""
-    from kdfc_snow.gf2.linalg import BitMatrix
-
-    ncols = len(bits[0]) if bits else 0
-    return BitMatrix([sum((bit & 1) << j for j, bit in enumerate(row)) for row in bits], ncols)
+def from_bits(bits) -> list[int]:
+    """Row ints from a list of 0/1 rows (bits[i][j] = entry i, j)."""
+    return [sum((bit & 1) << j for j, bit in enumerate(row)) for row in bits]
 
 
-def to_bits(a) -> list[list[int]]:
-    """The 0/1 rows of a BitMatrix, from_bits' inverse."""
-    return [[(r >> j) & 1 for j in range(a.ncols)] for r in a.rows]
+def to_bits(a: list[int], ncols: int) -> list[list[int]]:
+    """The 0/1 rows of ncols entries of the row ints a, from_bits' inverse."""
+    return [[(r >> j) & 1 for j in range(ncols)] for r in a]
 
 
 def stacked(words, m: int) -> int:
@@ -867,13 +851,13 @@ def state_from_stacked(m: int, b: int, v: int) -> list[int]:
     return [(v >> (i * m)) & mask for i in range(b)]
 
 
-def sym_from_bitmatrix(a):
-    """Symbolic rows of constant entries, column c from bit c-1 of each row."""
+def sym_from_rows(a: list[int], ncols: int):
+    """Symbolic rows of ncols constant entries, column c from bit c-1 of each row."""
     from kdfc_snow.symbolic import AnfPoly
 
     return [
-        [AnfPoly.one() if (r >> j) & 1 else AnfPoly.zero() for j in range(a.ncols)]
-        for r in a.rows
+        [AnfPoly.one() if (r >> j) & 1 else AnfPoly.zero() for j in range(ncols)]
+        for r in a
     ]
 
 
@@ -884,8 +868,6 @@ def companion_matrix(p):
     (c_0, ..., c_{b-1}) where p(x) = x^b + sum c_j x^j, so that
     (x_n, ..., x_{n+b-1}) * P = (x_{n+1}, ..., x_{n+b}).
     """
-    from kdfc_snow.gf2.linalg import BitMatrix
-
     b = p.bit_length() - 1
     if b < 1:
         raise ValueError("companion matrix needs degree >= 1")
@@ -896,46 +878,44 @@ def companion_matrix(p):
         if (p >> i) & 1:
             r |= top
         rows.append(r)
-    return BitMatrix(rows, b)
+    return rows
 
 
-def krylov_matrix(c: int, a, k: int):
-    """Rows c, c*a, c*a^2, ..., c*a^(k-1)."""
-    from kdfc_snow.gf2.linalg import BitMatrix, DimensionError, mat_vec_mul
+def krylov_matrix(c: int, a: list[int], k: int) -> list[int]:
+    """Rows c, c*a, c*a^2, ..., c*a^(k-1) of the square a."""
+    from kdfc_snow.gf2.linalg import DimensionError, mat_vec_mul, width
 
-    if not a.is_square():
+    if width(a) > len(a):
         raise DimensionError("Krylov iteration needs a square matrix")
-    if c >> a.nrows:
+    if c >> len(a):
         raise DimensionError("vector longer than matrix size")
     rows = []
     cur = c
     for _ in range(k):
         rows.append(cur)
         cur = mat_vec_mul(cur, a)
-    return BitMatrix(rows, a.ncols)
+    return rows
 
 
-def solve_row(m, v: int) -> int:
+def solve_row(m: list[int], v: int) -> int:
     """Solve ``y * m == v`` for a row vector y.
 
     Deterministic: free variables are fixed to 0 (the returned combination
     uses pivot rows only).  Raises NoSolutionError when v is outside the
-    row space of m.
+    row space of m, a v wider than every row included.
     """
-    from kdfc_snow.gf2.linalg import DimensionError, NoSolutionError
+    from kdfc_snow.gf2.linalg import NoSolutionError, width
 
-    if v >> m.ncols:
-        raise DimensionError("right-hand side longer than matrix column count")
-    n = m.nrows
-    work = [m.rows[i] | (1 << (m.ncols + i)) for i in range(n)]
-    pivots = echelon_oracle(work, m.ncols)
-    lowmask = (1 << m.ncols) - 1
+    ncols = max(width(m), v.bit_length())
+    work = [r | (1 << (ncols + i)) for i, r in enumerate(m)]
+    pivots = echelon_oracle(work, ncols)
+    lowmask = (1 << ncols) - 1
     target = v
     y = 0
     for col, i in pivots:
         if (target >> col) & 1:
             target ^= work[i] & lowmask
-            y ^= work[i] >> m.ncols
+            y ^= work[i] >> ncols
     if target:
         raise NoSolutionError("vector is outside the row space")
     return y
@@ -961,32 +941,31 @@ def reciprocal(p):
 
 def build_transition_matrix(cfg):
     """State-update matrix: stacked_next = stacked * T for one step_stacked."""
-    from kdfc_snow.gf2.linalg import BitMatrix
-
     m, b = cfg.m, cfg.b
     n = m * b
     rows = [0] * n
     for i, g in enumerate(cfg.gains()):
         for r in range(m):
-            acc = g.rows[r] << ((b - 1) * m)
+            acc = g[r] << ((b - 1) * m)
             if i > 0:
                 # identity on the block sub-diagonal: block i shifts to i-1
                 acc ^= 1 << ((i - 1) * m + r)
             rows[i * m + r] = acc
-    return BitMatrix(rows, n)
+    return rows
 
 
 class NotMCompanionError(ValueError):
     """A matrix lacks the block-companion structure of a sigma-LFSR."""
 
 
-def extract_config(c, m: int):
+def extract_config(c: list[int], m: int):
     """Read the feedback rows off a configuration matrix; reject other structures."""
+    from kdfc_snow.gf2.linalg import width
     from kdfc_snow.sigma_lfsr import SigmaConfig
 
-    if not c.is_square():
+    n = len(c)
+    if width(c) > n:
         raise NotMCompanionError("matrix is not square")
-    n = c.nrows
     if m < 1 or n % m:
         raise NotMCompanionError(f"size {n} not a multiple of m={m}")
     b = n // m
@@ -994,35 +973,28 @@ def extract_config(c, m: int):
         for j in range(b - 1):
             shift = (j + 1) * m
             for r in range(m):
-                if c.rows[j * m + r] != 1 << (shift + r):
+                if c[j * m + r] != 1 << (shift + r):
                     raise NotMCompanionError(
                         f"block row {j} is not a super-diagonal identity block"
                     )
-    return SigmaConfig(m, b, c.rows[n - m:])
+    return SigmaConfig(m, b, c[n - m:])
 
 
-def identity(n: int):
-    """The n x n identity BitMatrix."""
-    from kdfc_snow.gf2.linalg import BitMatrix
-
-    return BitMatrix([1 << i for i in range(n)], n)
+def identity(n: int) -> list[int]:
+    """The rows of the n x n identity."""
+    return [1 << i for i in range(n)]
 
 
-def zeros(nrows: int, ncols: int):
-    """The nrows x ncols zero BitMatrix."""
-    from kdfc_snow.gf2.linalg import BitMatrix
-
-    return BitMatrix([0] * nrows, ncols)
+def zeros(nrows: int) -> list[int]:
+    """The rows of a zero matrix of nrows rows."""
+    return [0] * nrows
 
 
 def build_alpha_matrices():
     """Row-action matrices of alpha and alpha^{-1}: v*A = alpha*v."""
-    from kdfc_snow.gf2.linalg import BitMatrix
     from kdfc_snow.snow2 import alpha_inv_mul, alpha_mul
 
-    a = BitMatrix([alpha_mul(1 << r) for r in range(32)], 32)
-    a_inv = BitMatrix([alpha_inv_mul(1 << r) for r in range(32)], 32)
-    return a, a_inv
+    return [alpha_mul(1 << r) for r in range(32)], [alpha_inv_mul(1 << r) for r in range(32)]
 
 
 def gd_closure(tables, known: set[int]) -> set[int]:

@@ -224,7 +224,7 @@ def test_perfbench_call_shapes():
     assert config_char_poly(cfg) == poly
 
     # the y_init rebuild is compared with `==` against the shipped matrix,
-    # so both must be of one type (a BitMatrix)
+    # so both must be of one type (a list of row ints)
     rebuilt = confgen.y_offline(m, nb, 3, confgen.FillBits.from_seed(m, 3, seed, "x"))
     assert type(rebuilt) is type(kdfc.load_y_init().y)
 

@@ -24,7 +24,7 @@ from conftest import KAT_IV, KAT_KEY
 from kdfc_snow import cli
 from kdfc_snow.cli import main
 from kdfc_snow.confgen import count_configurations, pipeline_poly
-from kdfc_snow.gf2.linalg import BitMatrix
+from kdfc_snow.gf2.linalg import matrix_to_json
 from kdfc_snow.kdfc import _YINIT_SHAPE, TARGET_POLY_EXPONENTS, load_y_init
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -306,7 +306,7 @@ class TestStateDocument:
         from kdfc_snow.sigma_lfsr import SigmaConfig
 
         rng = random.Random(f"{m}x{b}")
-        gains = [BitMatrix([rng.getrandbits(m) for _ in range(m)], m) for _ in range(b)]
+        gains = [[rng.getrandbits(m) for _ in range(m)] for _ in range(b)]
         doc = {
             "m": m,
             "b": b,
@@ -417,7 +417,8 @@ class TestYInitDocument:
         # the document's k is the only k; 447 would need 33 captured words
         doc = load_y_init().to_json()
         doc["k"] = 447
-        doc["y"] = BitMatrix([1 << t for t in range(32)], 479).to_json()
+        # placeholder rows with the width of 447 offline iterations: e_1 of 479 bits
+        doc["y"] = matrix_to_json([1 << t for t in range(31)] + [1 << 478], 479)
         code, out, err = self.stream(capsys, tmp_path, doc)
         assert code == 1 and out == ""
         assert err.startswith("error:") and "k=447" in err
@@ -425,10 +426,10 @@ class TestYInitDocument:
     def test_rank_deficient_y_init_is_refused(self, capsys, tmp_path):
         # row 21 is active at iteration 469; a copy of row 0 there is dependent
         doc = load_y_init()
-        rows = list(doc.y.rows)
+        rows = list(doc.y)
         rows[(doc.k + 1) % doc.m] = rows[0]
         path = tmp_path / "y.json"
-        path.write_text(json.dumps({**doc.to_json(), "y": BitMatrix(rows, doc.y.ncols).to_json()}))
+        path.write_text(json.dumps({**doc.to_json(), "y": matrix_to_json(rows, 500)}))
         code, out, err = run(
             capsys, "kdfc", "init", "--key", KAT_KEY_HEX, "--iv", KAT_IV_HEX,
             "--y-init", str(path),

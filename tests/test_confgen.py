@@ -45,13 +45,13 @@ from kdfc_snow.confgen import (
 )
 from kdfc_snow.gf2 import linalg
 from kdfc_snow.gf2.linalg import (
-    BitMatrix,
     DimensionError,
     NoSolutionError,
     SingularMatrixError,
     companion_vec_mul,
     mat_vec_mul,
     rank,
+    width,
 )
 from kdfc_snow.gf2.poly import (
     FactorTableMissError,
@@ -84,7 +84,7 @@ def final_y(m, b, seed, y=None, k=0):
         y = y_iterate(y, i, pipeline_poly(m + i - 1), online.vectors[i - k - 1])
     last_active = total % m
     order = [(last_active + 1 + t) % m for t in range(m)]
-    return BitMatrix([y.rows[t] for t in order], y.ncols)
+    return [y[t] for t in order]
 
 
 def flip_gain_bit(monkeypatch, gain, row, bit):
@@ -171,12 +171,13 @@ class TestFillBits:
 
 
 class TestYMatrix:
-    """Y is a plain BitMatrix."""
+    """Y is its list of row ints; its width is its widest row, e_1."""
 
     def test_roundtrips(self):
         y = y_offline(3, 2, 2, FillBits.from_seed(3, 2, "roundtrip"))
-        assert type(y) is BitMatrix and (y.nrows, y.ncols) == (3, 5)
-        assert BitMatrix.from_json(y.to_json()) == y
+        assert type(y) is list and len(y) == 3 and width(y) == 5
+        assert y[2 % 3] == 1 << 4  # the last active row, iteration 2's, is e_1
+        assert linalg.matrix_from_json(linalg.matrix_to_json(y, 5), (3, 5), "Y") == y
         assert rank(y) == 3
 
 
@@ -193,20 +194,20 @@ class TestIteration:
         w = m + i - 1
         # grow a random full-rank width-w start
         while True:
-            y = BitMatrix([rng.getrandbits(w) for _ in range(m)], w)
-            if rank(y) == m and all(y.rows):
+            y = [rng.getrandbits(w) for _ in range(m)]
+            if rank(y) == m and all(y) and width(y) == w:
                 break
         fill = rng.getrandbits(m - 1)
         out = y_iterate(y, i, pipeline_poly(w), fill)
         active = i % m
-        assert out.ncols == w + 1
-        assert out.rows[active] == 1 << w
+        assert width(out) == w + 1
+        assert out[active] == 1 << w
         assert rank(out) == m
         # non-active rows carry their fill bit at the new coordinate
         pos = 0
         for t in range(m):
             if t != active:
-                assert (out.rows[t] >> w) & 1 == (fill >> pos) & 1
+                assert (out[t] >> w) & 1 == (fill >> pos) & 1
                 pos += 1
 
     @pytest.mark.parametrize("m,i", [(2, 1), (3, 2), (4, 1)])
@@ -218,19 +219,19 @@ class TestIteration:
         active = i % m
         for _ in range(5):
             while True:
-                y = BitMatrix([rng.getrandbits(w) for _ in range(m)], w)
-                if rank(y) == m:
+                y = [rng.getrandbits(w) for _ in range(m)]
+                if rank(y) == m and width(y) == w:
                     break
-            lam_krylov = krylov_lambda(y.rows[active], companion_matrix(p), w)
+            lam_krylov = krylov_lambda(y[active], companion_matrix(p), w)
             out = y_iterate(y, i, p, rng.getrandbits(m - 1))
             low = (1 << w) - 1
             for t in range(m):
                 if t == active:
                     # the active row lands on e_1 before it is replaced
-                    assert mat_vec_mul(y.rows[t], lam_krylov) == 1 << (w - 1)
-                    assert out.rows[t] == 1 << w
+                    assert mat_vec_mul(y[t], lam_krylov) == 1 << (w - 1)
+                    assert out[t] == 1 << w
                 else:
-                    assert out.rows[t] & low == mat_vec_mul(y.rows[t], lam_krylov)
+                    assert out[t] & low == mat_vec_mul(y[t], lam_krylov)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 6), st.integers(2, 5), st.text(max_size=4), st.data())
@@ -246,19 +247,19 @@ class TestIteration:
         for i in range(1, total + 1):
             w, active = m + i - 1, i % m
             p = pipeline_poly(w)
-            lam = krylov_lambda(y.rows[active], companion_matrix(p), w)
+            lam = krylov_lambda(y[active], companion_matrix(p), w)
             out = y_iterate(y, i, p, fills.vectors[i - 1])
-            assert mat_vec_mul(y.rows[active], lam) == 1 << (w - 1)
-            assert out.rows[active] == 1 << w
+            assert mat_vec_mul(y[active], lam) == 1 << (w - 1)
+            assert out[active] == 1 << w
             for t in range(m):
                 if t != active:
-                    assert out.rows[t] & ((1 << w) - 1) == mat_vec_mul(y.rows[t], lam)
+                    assert out[t] & ((1 << w) - 1) == mat_vec_mul(y[t], lam)
             y = out
             stepwise.append(y)
         assert y_offline(m, b, k, offline) == stepwise[k]
         p = pipeline_poly(n)
         order = [(total % m + 1 + t) % m for t in range(m)]
-        want = assemble_config(BitMatrix([y.rows[t] for t in order], n), p)
+        want = assemble_config([y[t] for t in order], p)
         online = FillBits(m, fills.vectors[k:])
         assert generate_config(m, b, p, y_offline(m, b, k, offline), online) == want
 
@@ -270,22 +271,22 @@ class TestIteration:
         rng = random.Random(seed)
         while not is_irreducible(p := (1 << w) | rng.getrandbits(w) | 1):
             pass
-        while rank(y := BitMatrix([rng.getrandbits(w) for _ in range(m)], w)) < min(m, w):
+        while rank(y := [rng.getrandbits(w) for _ in range(m)]) < min(m, w) or width(y) < w:
             pass
         i = rng.randrange(1, 100)
         active = i % m
-        if not y.rows[active]:
+        if not y[active]:
             return
-        lam = krylov_lambda(y.rows[active], companion_matrix(p), w)
+        lam = krylov_lambda(y[active], companion_matrix(p), w)
         try:
             out = y_iterate(y, i, p, rng.getrandbits(m - 1))
         except RankLossError:
             assert m > w  # more rows than columns: Y cannot have full rank
             return
-        assert mat_vec_mul(y.rows[active], lam) == 1 << (w - 1)
+        assert mat_vec_mul(y[active], lam) == 1 << (w - 1)
         for t in range(m):
             if t != active:
-                assert out.rows[t] & ((1 << w) - 1) == mat_vec_mul(y.rows[t], lam)
+                assert out[t] & ((1 << w) - 1) == mat_vec_mul(y[t], lam)
 
     @pytest.mark.parametrize("m,fill", [(1, 1), (1, 7), (1, -3), (2, 2), (3, -1), (3, 4)])
     def test_fill_wider_than_m_minus_1_bits_is_refused(self, m, fill):
@@ -297,7 +298,7 @@ class TestIteration:
             FillBits(m, [fill])
 
     def test_single_row_stage_takes_the_empty_fill(self):
-        assert y_iterate(BitMatrix([1], 1), 1, pipeline_poly(1), 0) == BitMatrix([0b10], 2)
+        assert y_iterate([1], 1, pipeline_poly(1), 0) == [0b10]
 
     def test_stage_degree_must_match_width(self):
         y = identity(3)
@@ -306,7 +307,7 @@ class TestIteration:
 
     def test_rank_loss_on_dependent_rows(self):
         # rows 0 and 2 are equal and neither is active (i = 1 -> row 1)
-        y = BitMatrix([0b001, 0b010, 0b001], 3)
+        y = [0b001, 0b010, 0b001]
         with pytest.raises(RankLossError):
             y_iterate(y, 1, pipeline_poly(3), 0)
 
@@ -320,10 +321,10 @@ class TestIteration:
         p = pipeline_poly(w)
         while dense and not is_irreducible(p := (1 << w) | rng.getrandbits(w) | 1):
             pass
-        while rank(BitMatrix(rows := [rng.getrandbits(w) for _ in range(m)], w)) < m:
+        while rank(rows := [rng.getrandbits(w) for _ in range(m)]) < m:
             pass
         out = _run(rows, rng.randrange(1, 100), [p], [rng.getrandbits(m - 1)])
-        assert rank(BitMatrix(out, w + 1)) == m
+        assert rank(out) == m
 
     def test_offline_k0_is_identity(self):
         y = y_offline(3, 2, 0, FillBits(3, []))
@@ -368,20 +369,20 @@ def assert_stage_applies_krylov_lambda(p, m, seed):
     w = p.bit_length() - 1
     rng = random.Random(seed)
     for i in range(1, m + 1):
-        while rank(y := BitMatrix([rng.getrandbits(w) for _ in range(m)], w)) < m:
+        while rank(y := [rng.getrandbits(w) for _ in range(m)]) < m or width(y) < w:
             pass
         active = i % m
-        lam = krylov_lambda(y.rows[active], companion_matrix(p), w)
+        lam = krylov_lambda(y[active], companion_matrix(p), w)
         out = y_iterate(y, i, p, rng.getrandbits(m - 1))
-        assert mat_vec_mul(y.rows[active], lam) == 1 << (w - 1)
-        assert out.rows[active] == 1 << w
+        assert mat_vec_mul(y[active], lam) == 1 << (w - 1)
+        assert out[active] == 1 << w
         for t in range(m):
             if t != active:
-                assert out.rows[t] & ((1 << w) - 1) == mat_vec_mul(y.rows[t], lam)
+                assert out[t] & ((1 << w) - 1) == mat_vec_mul(y[t], lam)
 
 
 def full_rank_rows(rng, m, w):
-    while rank(BitMatrix(rows := [rng.getrandbits(w) for _ in range(m)], w)) < m:
+    while rank(rows := [rng.getrandbits(w) for _ in range(m)]) < m:
         pass
     return rows
 
@@ -552,9 +553,9 @@ class TestQAndAssembly:
         poly = pipeline_poly(m * b)
         y = final_y(m, b, "q-structure")
         q = build_q(y, poly)
-        cur = list(y.rows)
+        cur = list(y)
         for j in range(b):
-            assert q.rows[j * m : (j + 1) * m] == cur
+            assert q[j * m : (j + 1) * m] == cur
             cur = [companion_vec_mul(r, poly) for r in cur]
 
     def test_build_q_validates_degree(self):
@@ -578,10 +579,15 @@ class TestQAndAssembly:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 5), st.randoms(use_true_random=False))
     def test_random_y_matches_dense_assembly(self, m, b, rng):
-        # with random rows Q is often singular; both routes must then refuse it
+        # with random rows Q is often singular; both routes must then refuse
+        # it, as they refuse a Y whose widest row is narrower than deg p
         n = m * b
         p = pipeline_poly(n)
-        y = BitMatrix([rng.getrandbits(n) for _ in range(m)], n)
+        y = [rng.getrandbits(n) for _ in range(m)]
+        if width(y) != n:
+            with pytest.raises(DimensionError, match=f"^polynomial degree {n} != Y width"):
+                assemble_config(y, p)
+            return
         try:
             want = dense_assemble(build_q(y, p), p, m)
         except SingularMatrixError:
@@ -597,10 +603,11 @@ class TestQAndAssembly:
 
     def test_singular_q_whose_appended_row_pivots(self, monkeypatch):
         # Y = [y0, y0 P]: Q has rank 3, but with v_r = (last block of Q)[r] * P
-        # appended the span is all of F_2^4, so n columns pivot, one on a v_r
+        # appended the span is all of F_2^4, so n columns pivot, one on a v_r;
+        # y0 has the top bit, so Y's widest row has n bits
         m, n = 2, 4
         p = pipeline_poly(n)
-        y = BitMatrix([0b0011, companion_vec_mul(0b0011, p)], n)
+        y = [0b1011, companion_vec_mul(0b1011, p)]
         assert rank(build_q(y, p)) == n - 1
         real, pivots = linalg._echelon, []
 
@@ -725,7 +732,7 @@ class TestGenerateConfig:
         rng = random.Random(dependent)
         r0 = rng.getrandbits(n)
         r1 = r0 if dependent == "equal" else companion_vec_mul(r0, p)
-        y = BitMatrix([r0, r1, rng.getrandbits(n), rng.getrandbits(n)], n)
+        y = [r0, r1, rng.getrandbits(n), rng.getrandbits(n)]
         with pytest.raises(SingularMatrixError):
             generate_config(m, b, p, y, FillBits(m, []))
 
@@ -737,7 +744,7 @@ class TestGenerateConfig:
         monkeypatch.setattr(confgen, "_run", lambda *a: pytest.fail("a stage ran"))
         with pytest.raises(RankLossError, match=f"rank dropped below {m} at iteration 1"):
             generate_config(
-                m, b, pipeline_poly(m * b), BitMatrix(rows, m),
+                m, b, pipeline_poly(m * b), rows,
                 FillBits.from_seed(m, m * b - m, "s"),
             )
 
@@ -754,11 +761,28 @@ class TestGenerateConfig:
 
     def test_online_fill_shortage(self):
         p = pipeline_poly(8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^online fill must supply exactly 6 vectors$"):
             generate_config(
                 2, 4, p, y_offline(2, 4, 0, FillBits(2, [])),
                 FillBits.from_seed(2, 2, "s"),
             )
+
+    def test_online_fill_surplus(self, monkeypatch):
+        # one vector more than the 6 online stages take is refused, not dropped
+        y = y_offline(2, 4, 0, FillBits(2, []))
+        monkeypatch.setattr(confgen, "_run", lambda *a: pytest.fail("a stage ran"))
+        with pytest.raises(ValueError, match="^online fill must supply exactly 6 vectors$"):
+            generate_config(2, 4, pipeline_poly(8), y, FillBits.from_seed(2, 7, "s"))
+
+    def test_fill_meant_for_a_narrower_y_never_runs(self, monkeypatch):
+        # Y after k = 3 offline stages, its widest row 5 bits, with the 4
+        # online vectors of a k = 2 run: the Y's own k asks for 3
+        m, b = 2, 4
+        y = y_offline(m, b, 3, FillBits.from_seed(m, 3, "s"))
+        assert width(y) == 5 and y[3 % m] == 1 << 4
+        monkeypatch.setattr(confgen, "_run", lambda *a: pytest.fail("a stage ran"))
+        with pytest.raises(ValueError, match="^online fill must supply exactly 3 vectors$"):
+            generate_config(m, b, pipeline_poly(m * b), y, FillBits.from_seed(m, 4, "t"))
 
     def test_degree_mismatch(self):
         with pytest.raises(DimensionError):
@@ -828,7 +852,7 @@ class TestCounting:
         hits = 0
         for enc in range(1 << 8):
             gains = [
-                BitMatrix([(enc >> (j * 4 + i * 2)) & mask for i in range(2)], 2)
+                [(enc >> (j * 4 + i * 2)) & mask for i in range(2)]
                 for j in range(2)
             ]
             cfg = SigmaConfig.from_gains(2, 2, gains)

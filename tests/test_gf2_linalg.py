@@ -24,7 +24,6 @@ from oracles import (
 
 from kdfc_snow.gf2 import linalg
 from kdfc_snow.gf2.linalg import (
-    BitMatrix,
     DimensionError,
     NoSolutionError,
     SingularMatrixError,
@@ -37,49 +36,74 @@ from kdfc_snow.gf2.linalg import (
     mat_inverse,
     mat_mul,
     mat_vec_mul,
+    matrix_from_json,
+    matrix_to_json,
     rank,
     vec_from_hex,
     vec_to_hex,
+    width,
 )
 from kdfc_snow.gf2.poly import from_exponents
 
 
 def random_matrix(rng, nrows, ncols):
-    return BitMatrix([rng.getrandbits(ncols) for _ in range(nrows)], ncols)
+    return [rng.getrandbits(ncols) for _ in range(nrows)]
 
 
 @st.composite
 def matrices(draw, max_dim=8, square=False):
+    """(rows, ncols): n rows of at most ncols bits."""
     n = draw(st.integers(1, max_dim))
     m = n if square else draw(st.integers(1, max_dim))
-    rows = [draw(st.integers(0, (1 << m) - 1)) for _ in range(n)]
-    return BitMatrix(rows, m)
+    return [draw(st.integers(0, (1 << m) - 1)) for _ in range(n)], m
 
 
 class TestBitMatrix:
+    """A bit matrix is its list of row ints; its width is its widest row."""
+
     def test_validation(self):
-        with pytest.raises(DimensionError):
-            BitMatrix([4], 2)  # row wider than ncols
-        with pytest.raises(DimensionError):
-            BitMatrix([1], -1)
+        # a negative row has no width; a row wider than its declared
+        # column count is refused on the way out and on the way in
+        with pytest.raises(DimensionError, match="row has bits beyond the column count"):
+            width([1, -1])
+        with pytest.raises(DimensionError, match="row has bits beyond the column count"):
+            rank([-4])
+        with pytest.raises(ValueError, match="vector has bits beyond its length"):
+            matrix_to_json([4], 2)
+        with pytest.raises(DimensionError, match="^negative column count$"):
+            matrix_from_json({"rows": 1, "cols": -1, "data": [""]}, (1, -1), "A")
+        assert width([]) == 0 and width([0, 0]) == 0 and width([1, 0b101]) == 3
 
     def test_identity_and_zeros(self):
-        i3 = identity(3)
-        assert i3.rows == [1, 2, 4]
-        assert zeros(2, 5).rows == [0, 0]
+        assert identity(3) == [1, 2, 4]
+        assert zeros(2) == [0, 0]
 
     @given(matrices())
-    def test_bits_roundtrip(self, a):
+    def test_bits_roundtrip(self, case):
         # the oracles' 0/1-row view reads entry (i, j) as bit j of row i
-        bits = to_bits(a)
+        a, ncols = case
+        bits = to_bits(a, ncols)
         assert from_bits(bits) == a
         assert all(
-            bits[i][j] == (a.rows[i] >> j) & 1 for i in range(a.nrows) for j in range(a.ncols)
+            bits[i][j] == (a[i] >> j) & 1 for i in range(len(a)) for j in range(ncols)
         )
 
     def test_json_roundtrip(self):
-        a = from_bits([[1, 0], [1, 1]])
-        assert BitMatrix.from_json(a.to_json()) == a
+        a = from_bits([[1, 0, 0], [1, 1, 0]])  # a zero last column: 3 columns, width 2
+        doc = matrix_to_json(a, 3)
+        assert doc == {"rows": 2, "cols": 3, "data": ["1", "3"]}
+        assert matrix_from_json(doc, (2, 3), "A") == a
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"rows": 2, "cols": 4, "data": ["1", "3"]}, "^A is 2x4, expected 2x3$"),
+        ({"rows": 1, "cols": 3, "data": ["1"]}, "^A is 1x3, expected 2x3$"),
+        ({"rows": 2, "cols": 3, "data": ["1"]}, "^row count mismatch in serialized matrix$"),
+        ({"rows": 2, "cols": 3, "data": ["1", "33"]}, "^expected 1 hex digits for 3 bits$"),
+        ({"rows": 2, "cols": 3, "data": ["1", "8"]}, "^hex string has bits beyond the stated"),
+    ], ids=["cols", "rows", "data-length", "hex-length", "over-wide"])
+    def test_json_refusals(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            matrix_from_json(doc, (2, 3), "A")
 
 
 class TestProducts:
@@ -89,20 +113,25 @@ class TestProducts:
         n, k, m = rng.randint(1, 12), rng.randint(1, 12), rng.randint(1, 12)
         a = random_matrix(rng, n, k)
         b = random_matrix(rng, k, m)
-        assert mat_mul(a, b).rows == gf2_matmul_numpy(a.rows, b.rows, k, m)
+        assert mat_mul(a, b) == gf2_matmul_numpy(a, b, k, m)
 
     @given(matrices(), st.integers(0, 255))
-    def test_mat_vec_is_row_xor(self, a, v):
-        v &= (1 << a.nrows) - 1
+    def test_mat_vec_is_row_xor(self, case, v):
+        a, _ = case
+        v &= (1 << len(a)) - 1
         acc = 0
-        for i in range(a.nrows):
+        for i in range(len(a)):
             if (v >> i) & 1:
-                acc ^= a.rows[i]
+                acc ^= a[i]
         assert mat_vec_mul(v, a) == acc
+        with pytest.raises(DimensionError, match="vector longer than matrix row count"):
+            mat_vec_mul(1 << len(a), a)
 
     def test_mat_mul_dimension_error(self):
-        with pytest.raises(DimensionError):
-            mat_mul(identity(2), identity(3))
+        # a's 3 columns meet b's 2 rows; a 2 x 2 times 3 rows is a 2 x 3 with a zero column
+        with pytest.raises(DimensionError, match="^cannot multiply 3-col by 2-row$"):
+            mat_mul(identity(3), identity(2))
+        assert mat_mul(identity(2), identity(3)) == identity(2)
 
 
 def ref_rank(bits):
@@ -127,13 +156,25 @@ def ref_rank(bits):
 class TestEliminationBased:
     @given(matrices(max_dim=10))
     @settings(max_examples=60)
-    def test_rank_matches_reference(self, a):
-        assert rank(a) == ref_rank(to_bits(a))
+    def test_rank_matches_reference(self, case):
+        a, ncols = case
+        assert rank(a) == ref_rank(to_bits(a, ncols))
 
     @given(matrices(max_dim=8, square=True))
     @settings(max_examples=60)
-    def test_determinant_iff_full_rank(self, a):
-        assert determinant(a) == (1 if rank(a) == a.nrows else 0)
+    def test_determinant_iff_full_rank(self, case):
+        a, _ = case
+        assert determinant(a) == (1 if rank(a) == len(a) else 0)
+
+    @pytest.mark.parametrize("op,what", [
+        (determinant, "determinant"),
+        (mat_inverse, "inverse"),
+        (char_poly, "characteristic polynomial"),
+    ])
+    def test_square_only(self, op, what):
+        # 2 rows, one of 3 bits: not square
+        with pytest.raises(DimensionError, match=f"^{what} of a non-square matrix$"):
+            op([1, 0b100])
 
     @pytest.mark.parametrize("seed", range(8))
     def test_inverse(self, seed):
@@ -148,19 +189,19 @@ class TestEliminationBased:
 
     def test_inverse_singular(self):
         with pytest.raises(SingularMatrixError):
-            mat_inverse(zeros(2, 2))
+            mat_inverse(zeros(2))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_solve_row(self, seed):
         rng = random.Random(200 + seed)
         a = random_matrix(rng, rng.randint(1, 10), rng.randint(1, 10))
-        y0 = rng.getrandbits(a.nrows)
+        y0 = rng.getrandbits(len(a))
         v = mat_vec_mul(y0, a)
         y = solve_row(a, v)
         assert mat_vec_mul(y, a) == v
 
     def test_solve_row_no_solution(self):
-        a = BitMatrix([1, 1], 2)  # row space is {00, 01}
+        a = [1, 1]  # row space is {00, 01}
         with pytest.raises(NoSolutionError):
             solve_row(a, 0b10)
 
@@ -195,8 +236,8 @@ def elimination_cases(draw):
         stop = min(ncols, start + rng.randint(1, 9))
         keep = ((1 << ncols) - 1) ^ (((1 << stop) - 1) >> start << start)
         basis = [r & keep for r in basis]
-    mix = BitMatrix([rng.getrandbits(basis_size) for _ in range(nrows)], basis_size)
-    rows = mat_mul(mix, BitMatrix(basis, ncols)).rows
+    mix = [rng.getrandbits(basis_size) for _ in range(nrows)]
+    rows = mat_mul(mix, basis)
     if draw(st.booleans()):
         rows = [r | 1 << (ncols + i) for i, r in enumerate(rows)]
     return rows, ncols
@@ -217,7 +258,7 @@ class TestFourRussians:
     @settings(max_examples=20, deadline=None)
     def test_inverse_matches_oracle(self, rng, n):
         a = random_matrix(rng, n, n)
-        work = [r | 1 << (n + i) for i, r in enumerate(a.rows)]
+        work = [r | 1 << (n + i) for i, r in enumerate(a)]
         pivots = echelon_oracle(work, n)
         if len(pivots) < n:
             with pytest.raises(SingularMatrixError):
@@ -227,7 +268,7 @@ class TestFourRussians:
         for col, i in pivots:
             want[col] = work[i] >> n
         inv = mat_inverse(a)
-        assert inv.rows == want
+        assert inv == want
         assert mat_mul(a, inv) == identity(n)
 
     def test_block_with_few_pivots(self):
@@ -239,8 +280,8 @@ class TestFourRussians:
         hole = ((1 << 80) - 1) ^ ((1 << 70) - 1)
         basis = [v & ~hole for v in basis]
         basis = [v & ~(1 << 200) | ((v >> 199) & 1) << 200 for v in basis]
-        mix = BitMatrix([rng.getrandbits(500) for _ in range(512)], 500)
-        rows = mat_mul(mix, BitMatrix(basis, 517)).rows
+        mix = [rng.getrandbits(500) for _ in range(512)]
+        rows = mat_mul(mix, basis)
         got, want = list(rows), list(rows)
         pivots = _echelon(got, 517)
         assert pivots == echelon_oracle(want, 517, reduce_up=False)
@@ -267,9 +308,9 @@ def solve_cases(draw):
     rng.shuffle(rows)
     if draw(st.booleans()):
         k = rng.randrange(n)
-        rows[k] = mat_vec_mul(rng.getrandbits(n) & ~(1 << k), BitMatrix(rows, n))
+        rows[k] = mat_vec_mul(rng.getrandbits(n) & ~(1 << k), rows)
     targets = [rng.getrandbits(n) for _ in range(draw(st.sampled_from([0, 1, 2, 4])))]
-    return BitMatrix(rows, n), targets
+    return rows, targets
 
 
 class TestSolveRows:
@@ -279,11 +320,11 @@ class TestSolveRows:
     @settings(max_examples=40, deadline=None)
     def test_matches_oracle(self, case):
         a, targets = case
-        if len(echelon_oracle(list(a.rows), a.ncols)) < a.nrows:
+        if len(echelon_oracle(list(a), len(a))) < len(a):
             with pytest.raises(SingularMatrixError):
-                _solve_rows(a.rows, targets)
+                _solve_rows(a, targets)
         else:
-            assert _solve_rows(a.rows, targets) == [solve_row(a, v) for v in targets]
+            assert _solve_rows(a, targets) == [solve_row(a, v) for v in targets]
 
     def test_inverse_refuses_a_pivot_on_an_appended_row(self, monkeypatch):
         # A = [e_0, e_0]: both columns pivot, column 1 on the appended e_1,
@@ -296,7 +337,7 @@ class TestSolveRows:
 
         monkeypatch.setattr(linalg, "_echelon", echelon)
         with pytest.raises(SingularMatrixError, match="matrix is singular"):
-            mat_inverse(BitMatrix([1, 1], 2))
+            mat_inverse([1, 1])
         assert [c for c, _ in pivots] == [0, 1]
 
 
@@ -319,7 +360,7 @@ class TestCompanionAndCharPoly:
         rng = random.Random(300 + seed)
         n = rng.randint(1, 8)
         a = random_matrix(rng, n, n)
-        assert char_poly(a) == char_poly_sympy(a.rows, n)
+        assert char_poly(a) == char_poly_sympy(a, n)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_cayley_hamilton(self, seed):
@@ -327,15 +368,13 @@ class TestCompanionAndCharPoly:
         n = rng.randint(2, 10)
         a = random_matrix(rng, n, n)
         p = char_poly(a)
-        acc = zeros(n, n)
+        acc = zeros(n)
         power = identity(n)
         for i in range(p.bit_length()):
             if p >> i & 1:
-                acc = BitMatrix(
-                    [x ^ y for x, y in zip(acc.rows, power.rows)], n
-                )
+                acc = [x ^ y for x, y in zip(acc, power)]
             power = mat_mul(power, a)
-        assert acc == zeros(n, n)
+        assert acc == zeros(n)
 
     def test_krylov_rows(self):
         rng = random.Random(7)
@@ -344,7 +383,7 @@ class TestCompanionAndCharPoly:
         k = krylov_matrix(c, a, 4)
         v = c
         for i in range(4):
-            assert k.rows[i] == v
+            assert k[i] == v
             v = mat_vec_mul(v, a)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import inv_mod_reference, long_division_mod, mulmod_rows, sympy_mul, sympy_rem
 
 from kdfc_snow.confgen import _mulmod_packed, _pack, _stage_constants, _unpack, pipeline_poly
-from kdfc_snow.gf2.linalg import BitMatrix, berlekamp_massey, char_poly
+from kdfc_snow.gf2.linalg import berlekamp_massey, char_poly
 from kdfc_snow.gf2.poly import (
     DegreeError,
     FactorTableMissError,
@@ -70,7 +70,7 @@ class TestBasics:
         table_8 = primitive_poly(8)
         got = [
             target_poly(), table_8, parse_exponents("8,4,3,2,0", 8),
-            inv_mod(3, table_8), char_poly(BitMatrix([2, 1], 2)),
+            inv_mod(3, table_8), char_poly([2, 1]),
             berlekamp_massey([1, 0, 1, 1]), config_char_poly(snow2_gains()),
             config_char_poly(SigmaConfig(1, 2, [0])),  # the dense fallback
         ]
@@ -165,6 +165,21 @@ class TestKernelVsSympy:
     @given(st.integers(0, (1 << 192) - 1), st.integers(1, (1 << 96) - 1))
     def test_mod_int(self, a, m):
         assert _mod_int(a, m) == sympy_rem(a, m)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: clmul(-3, 5), "operand"),  # looped forever: -3 never runs out of terms
+        (lambda: clmul(5, -3), "operand"),
+        (lambda: exponents(-1), "operand"),  # looped forever
+        (lambda: clsquare(-3), "operand"),  # returned -5
+        (lambda: powmod(-300, 3, 11), "operand"),  # returned 4
+        (lambda: powmod(3, 3, -11), "modulus"),  # returned -6
+        (lambda: powmod(-3, 3, -11), "operand"),
+    ], ids=["clmul-a", "clmul-b", "exponents", "clsquare", "powmod-base", "powmod-m",
+            "powmod-both"])
+    def test_negative_operands_are_refused(self, call, message):
+        # the wording of inv_mod and gcd
+        with pytest.raises(ValueError, match=f"^negative {message}: polynomials are ints >= 0$"):
+            call()
 
 
 def route_moduli() -> list[int]:

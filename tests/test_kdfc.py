@@ -2,7 +2,10 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +13,7 @@ from conftest import KAT_IV, KAT_KEY
 from oracles import identity, lfsr_step, reciprocal
 
 from kdfc_snow.confgen import FillBits, pipeline_poly, y_iterate, y_offline
-from kdfc_snow.gf2.linalg import BitMatrix, rank
+from kdfc_snow.gf2.linalg import matrix_to_json, rank, width
 from kdfc_snow.gf2.poly import exponents, is_irreducible, is_primitive
 from kdfc_snow.gf2.primtable import default_table
 from kdfc_snow.kdfc import (
@@ -19,6 +22,7 @@ from kdfc_snow.kdfc import (
     M,
     ONLINE_TOTAL,
     TARGET_POLY_EXPONENTS,
+    Y_INIT_FILE,
     KdfcParams,
     ProvenanceError,
     YInitDoc,
@@ -46,13 +50,19 @@ KEYED_KAT = [
 def doc_for(y, k, checksum=None):
     """A Y-init document for y, by default carrying the active table's checksum."""
     return YInitDoc(
-        m=y.nrows,
+        m=len(y),
         k=k,
         seed="test",
         fill_label="test",
         poly_table_sha256=checksum or default_table().checksum,
         y=y,
     )
+
+
+def placeholder_y(m, k):
+    """m rows of the identity, the last widened to e_1 of m + k bits: a Y
+    with the width of k offline iterations, for checks made before rank."""
+    return [1 << t for t in range(m - 1)] + [1 << (m + k - 1)]
 
 
 class TestTargetPoly:
@@ -90,7 +100,7 @@ class TestYInit:
         assert doc.m == M == 32 and doc.k == DEFAULT_K == 468
         assert doc.seed == "kdfc-snow-y-init-v1"
         assert doc.fill_label == "offline-fill"
-        assert doc.y.ncols == M + DEFAULT_K
+        assert width(doc.y) == M + DEFAULT_K
         assert rank(doc.y) == M
         assert doc.poly_table_sha256 == default_table().checksum
 
@@ -128,6 +138,19 @@ class TestYInit:
         doc = load_y_init()
         fill = FillBits.from_seed(M, DEFAULT_K, doc.seed, doc.fill_label)
         assert y_offline(M, B, DEFAULT_K, fill) == doc.y
+
+    def test_generator_rewrites_the_shipped_file(self, tmp_path, monkeypatch, capsys):
+        # tools/gen_y_init.py, run with its output redirected, writes the
+        # shipped document byte for byte
+        path = Path(__file__).resolve().parents[1] / "tools" / "gen_y_init.py"
+        spec = importlib.util.spec_from_file_location("gen_y_init", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        monkeypatch.setattr(tool, "OUT", tmp_path / "y_init.json")
+        tool.main()
+        shipped = resources.files("kdfc_snow").joinpath("data", Y_INIT_FILE).read_bytes()
+        assert (tmp_path / "y_init.json").read_bytes() == shipped
+        assert "y_init.json" in capsys.readouterr().out
 
     def test_shipped_document_read_once(self, monkeypatch):
         import types
@@ -173,6 +196,21 @@ class TestYInit:
         with pytest.raises(ValueError, match="expected a JSON object"):
             YInitDoc.from_json([obj])
 
+    def test_y_narrower_than_its_k_is_refused(self):
+        # the declared 32 x 500 shape holds, but with the top column cleared
+        # (e_1 in row 20, active at iteration 468, and the last fill bits)
+        # no row has 500 bits
+        doc = load_y_init()
+        assert doc.y[DEFAULT_K % M] == 1 << (M + DEFAULT_K - 1)
+        rows = [r & ((1 << (M + DEFAULT_K - 1)) - 1) for r in doc.y]
+        narrow = width(rows)
+        assert narrow < M + DEFAULT_K
+        obj = {**doc.to_json(), "y": matrix_to_json(rows, M + DEFAULT_K)}
+        with pytest.raises(ValueError, match=f"^y_init matrix is 32x{narrow}, expected 32x500$"):
+            YInitDoc.from_json(obj)
+        with pytest.raises(ValueError, match=f"^y_init matrix is 32x{narrow}, expected 32x500$"):
+            doc_for(rows, DEFAULT_K)
+
 
 class TestParams:
     def test_constants(self):
@@ -183,15 +221,14 @@ class TestParams:
 
     def test_k_window(self):
         # resolve() checks the window before rank, so placeholder rows do
-        rows = [1 << t for t in range(32)]
         ok = KdfcParams(
-            key=[0] * 8, iv=[0] * 4, y_init=doc_for(BitMatrix(rows, 512), 480)
+            key=[0] * 8, iv=[0] * 4, y_init=doc_for(placeholder_y(32, 480), 480)
         )
         ok.resolve()
         # fewer than 448 offline iterations would need more than the 32
         # captured words that exist
         bad = KdfcParams(
-            key=[0] * 8, iv=[0] * 4, y_init=doc_for(BitMatrix(rows, 479), 447)
+            key=[0] * 8, iv=[0] * 4, y_init=doc_for(placeholder_y(32, 447), 447)
         )
         with pytest.raises(ValueError):
             bad.resolve()
@@ -209,7 +246,7 @@ class TestParams:
         y = load_y_init().y
         with pytest.raises(ValueError, match="expected 32x499"):
             doc_for(y, DEFAULT_K - 1)
-        rows = BitMatrix(y.rows[:31], y.ncols)
+        rows = y[:31]
         with pytest.raises(ValueError, match="expected 31x499"):
             doc_for(rows, DEFAULT_K)
 
@@ -232,8 +269,7 @@ class TestParams:
         monkeypatch.setattr(confgen, "generate_config", unreachable)
         m = bad.get("m", M)
         k = bad.get("k", DEFAULT_K)
-        doc = doc_for(BitMatrix([1 << t for t in range(m)], m + k), k,
-                      checksum=bad.get("checksum"))
+        doc = doc_for(placeholder_y(m, k), k, checksum=bad.get("checksum"))
         with pytest.raises(ValueError):
             kdfc_init(KdfcParams(key=KAT_KEY, iv=KAT_IV, y_init=doc))
 

@@ -25,10 +25,11 @@ from oracles import (
 
 from kdfc_snow.gf2 import linalg
 from kdfc_snow.gf2.linalg import (
-    BitMatrix,
+    DimensionError,
     berlekamp_massey,
     char_poly,
     mat_vec_mul,
+    matrix_to_json,
 )
 from kdfc_snow.gf2.poly import clmul, from_exponents, is_primitive
 from kdfc_snow.gf2.primtable import primitive_poly
@@ -46,14 +47,14 @@ from kdfc_snow.snow2 import CipherState, snow2_gains
 
 def random_config(rng, m, b):
     return SigmaConfig.from_gains(
-        m, b, [BitMatrix([rng.getrandbits(m) for _ in range(m)], m) for _ in range(b)]
+        m, b, [[rng.getrandbits(m) for _ in range(m)] for _ in range(b)]
     )
 
 
 def zero_gains(cfg, zeroed):
     """cfg with the gains B_i, i in zeroed, replaced by zero matrices."""
     m = cfg.m
-    gains = [zeros(m, m) if i in zeroed else g for i, g in enumerate(cfg.gains())]
+    gains = [zeros(m) if i in zeroed else g for i, g in enumerate(cfg.gains())]
     return SigmaConfig.from_gains(m, cfg.b, gains)
 
 
@@ -99,7 +100,7 @@ class TestSigmaConfig:
 
     def test_rows_hold_the_gain_blocks(self):
         # row r holds row r of B_i at bits [i*m, (i+1)*m)
-        b0, b1 = BitMatrix([0b01, 0b11], 2), BitMatrix([0b10, 0b00], 2)
+        b0, b1 = [0b01, 0b11], [0b10, 0b00]
         cfg = SigmaConfig.from_gains(2, 2, [b0, b1])
         assert cfg.rows == [0b1001, 0b0011]
         assert cfg.gains() == [b0, b1]
@@ -112,16 +113,35 @@ class TestSigmaConfig:
 
     @pytest.mark.parametrize("m,b", [(2.9, 2), (2, "2"), (True, 1), (1, True), (2.0, 2)])
     def test_shape_must_be_ints(self, m, b):
-        with pytest.raises(ValueError, match="m and b must be integers"):
+        # the first of m, b that is not an int is named, with its type
+        name, bad = ("m", m) if type(m) is not int else ("b", b)
+        message = f"^{name} must be an int, got {type(bad).__name__}$"
+        with pytest.raises(ValueError, match=message):
             SigmaConfig(m, b, [0] * 2)
-        with pytest.raises(ValueError, match="m and b must be integers"):
+        with pytest.raises(ValueError, match=message):
             SigmaConfig.from_gains(m, b, [identity(2)] * 2)
 
     @pytest.mark.parametrize("m,b,n", [(2.9, "2", 2), (True, 1, 1), (2, 2.0, 2)])
     def test_from_json_refuses_a_non_int_shape(self, m, b, n):
         # n identity gains of n x n: the shape that int(m), int(b) would give
-        doc = {"m": m, "b": b, "gains": [identity(n).to_json()] * n}
-        with pytest.raises(ValueError, match="m and b must be integers"):
+        doc = {"m": m, "b": b, "gains": [matrix_to_json(identity(n), n)] * n}
+        name, bad = ("m", m) if type(m) is not int else ("b", b)
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got {type(bad).__name__}$"):
+            SigmaConfig.from_json(doc)
+
+    @pytest.mark.parametrize("gain,message", [
+        ([0b01, 0b100], "^gain B_1 is 2x3, expected 2x2$"),
+        ([0b01], "^gain B_1 is 1x1, expected 2x2$"),
+        ([0b01, -1], "^row has bits beyond the column count$"),
+    ], ids=["over-wide", "short", "negative"])
+    def test_gain_must_be_m_by_m(self, gain, message):
+        with pytest.raises(DimensionError, match=message):
+            SigmaConfig.from_gains(2, 2, [identity(2), gain])
+
+    def test_json_gain_shape_is_checked_as_declared(self):
+        # a declared 2 x 3 gain is refused even though its rows fit 2 bits
+        doc = {"m": 2, "b": 1, "gains": [matrix_to_json(identity(2), 3)]}
+        with pytest.raises(DimensionError, match="^gain B_0 is 2x3, expected 2x2$"):
             SigmaConfig.from_json(doc)
 
     def test_json_roundtrip(self):
@@ -136,17 +156,17 @@ class TestMatrices:
         rng = random.Random(m * 31 + b)
         cfg = random_config(rng, m, b)
         c = build_config_matrix(cfg)
-        assert (c.nrows, c.ncols) == (m * b, m * b)
+        assert len(c) == m * b and linalg.width(c) <= m * b
         # identity blocks on the block super-diagonal
         for j in range(b - 1):
             for r in range(m):
-                assert c.rows[j * m + r] == 1 << ((j + 1) * m + r)
+                assert c[j * m + r] == 1 << ((j + 1) * m + r)
         # gains across the last block row
         gains = cfg.gains()
         for i in range(b):
             for r in range(m):
-                got = (c.rows[(b - 1) * m + r] >> (i * m)) & ((1 << m) - 1)
-                assert got == gains[i].rows[r]
+                got = (c[(b - 1) * m + r] >> (i * m)) & ((1 << m) - 1)
+                assert got == gains[i][r]
 
     @pytest.mark.parametrize("m,b", [(2, 2), (3, 3), (2, 4)])
     def test_extract_roundtrip(self, m, b):
@@ -156,7 +176,7 @@ class TestMatrices:
 
     def test_extract_rejects_non_companion(self):
         with pytest.raises(NotMCompanionError):
-            extract_config(zeros(4, 4), 2)
+            extract_config(zeros(4), 2)
         with pytest.raises(NotMCompanionError):
             extract_config(identity(4), 2)
         with pytest.raises(NotMCompanionError):
@@ -203,7 +223,7 @@ class TestStepping:
         cfg = zero_gains(cfg, {i for i, z in enumerate(zeroed) if z})
         mask = (1 << m) - 1
         for k, g in enumerate(reversed(cfg.gains())):
-            if not any(g.rows):
+            if not any(g):
                 assert all((row >> (k * m)) & mask == 0 for row in lane_rows(cfg))
         want = stacked(lfsr_step(cfg.gains(), blocks)[0], m)
         assert step_stacked(cfg, stacked(blocks, m)) == want
@@ -237,7 +257,7 @@ class TestStepping:
     def test_single_block(self, m):
         # b = 1: the new block is x * B_0, or 0 when B_0 is zero
         rng = random.Random(m)
-        for gain in (random_config(rng, m, 1).gains()[0], zeros(m, m)):
+        for gain in (random_config(rng, m, 1).gains()[0], zeros(m)):
             cfg = SigmaConfig.from_gains(m, 1, [gain])
             for _ in range(10):
                 x = rng.getrandbits(m)
@@ -320,7 +340,7 @@ class TestJumpTables:
         widths = [min(8, m - 8 * k) for k in range((m + 7) // 8)]
         assert [len(table) for table in lanes] == [1 << w for w in widths]
         assert lane_rows(cfg) == [
-            sum(g.rows[r] << (k * m) for k, g in enumerate(reversed(cfg.gains())))
+            sum(g[r] << (k * m) for k, g in enumerate(reversed(cfg.gains())))
             for r in range(m)
         ]
         v = random.Random(b).getrandbits(m * b)
@@ -337,7 +357,7 @@ class TestCharPoly:
         m, b = rng.choice([(2, 2), (2, 3), (3, 2)])
         cfg = random_config(rng, m, b)
         c = build_config_matrix(cfg)
-        assert config_char_poly(cfg) == char_poly_sympy(c.rows, m * b)
+        assert config_char_poly(cfg) == char_poly_sympy(c, m * b)
 
     def test_known_single_block(self):
         # b = 1: the configuration matrix is the gain itself
@@ -351,9 +371,9 @@ class TestCharPoly:
         m = data.draw(st.integers(1, 5))
         b = data.draw(st.integers(1, 5))
         rows = st.lists(st.integers(0, (1 << m) - 1), min_size=m, max_size=m)
-        gains = [BitMatrix(data.draw(rows), m) for _ in range(b)]
+        gains = [data.draw(rows) for _ in range(b)]
         for i in data.draw(st.sets(st.integers(0, b - 1))):
-            gains[i] = zeros(m, m)
+            gains[i] = zeros(m)
         cfg = SigmaConfig.from_gains(m, b, gains)
         assert config_char_poly(cfg) == dense_char_poly(cfg)
 
@@ -371,12 +391,12 @@ class TestCharPoly:
         assert [config_char_poly(cfg) for cfg in cfgs] == want
 
     def test_zero_and_non_cyclic_configs_take_the_dense_route(self, monkeypatch):
-        zero = SigmaConfig.from_gains(3, 2, [zeros(3, 3)] * 2)
+        zero = SigmaConfig.from_gains(3, 2, [zeros(3)] * 2)
         eye = SigmaConfig.from_gains(2, 1, [identity(2)])  # (x + 1)^2, non-cyclic
         # a companion matrix of x (x^2 + x + 1), but the bits from e_0 repeat
         # 1, 1, 0 and have minimal polynomial x^2 + x + 1
         blocks = SigmaConfig.from_gains(
-            1, 3, [BitMatrix([0], 1), BitMatrix([1], 1), BitMatrix([1], 1)]
+            1, 3, [[0], [1], [1]]
         )
         cases = [
             (zero, from_exponents([6])),
@@ -421,7 +441,7 @@ class TestTransposedCertificate:
 
     @pytest.mark.parametrize("m,b", [(1, 1), (5, 2), (32, 16)])
     def test_all_gains_zero(self, m, b):
-        cfg = SigmaConfig.from_gains(m, b, [zeros(m, m)] * b)
+        cfg = SigmaConfig.from_gains(m, b, [zeros(m)] * b)
         bits = certificate_bits(cfg)
         assert bits == row_certificate_bits(cfg) == [1] + [0] * (2 * m * b - 1)
 
@@ -442,7 +462,7 @@ class TestTransposedCertificate:
         # f = x^b + sum c_i x^i, so the char poly is f^m and, for m >= 2, the
         # minimal polynomial f is too short: the dense route decides
         b = len(cs)
-        gains = [identity(m) if c else zeros(m, m) for c in cs]
+        gains = [identity(m) if c else zeros(m) for c in cs]
         cfg = SigmaConfig.from_gains(m, b, gains)
         f = from_exponents([b] + [i for i, c in enumerate(cs) if c])
         want = 1
@@ -473,7 +493,7 @@ class TestPeriod:
 
     def test_non_primitive_short_period(self):
         # x^4 + 1 = (x+1)^4: nilpotent-plus-identity dynamics, period 4 orbits
-        cfg = SigmaConfig.from_gains(1, 4, [BitMatrix([1], 1)] + [BitMatrix([0], 1)] * 3)
+        cfg = SigmaConfig.from_gains(1, 4, [[1]] + [[0]] * 3)
         assert config_char_poly(cfg) == from_exponents([4, 0])
         assert period(cfg, [1, 0, 0, 0]) < 15
 
@@ -485,7 +505,7 @@ class TestPeriod:
         checked = 0
         while checked < 3:
             cfg = SigmaConfig(m, b, [rng.getrandbits(m * b) for _ in range(m)])
-            b0 = BitMatrix([row & (1 << m) - 1 for row in cfg.rows], m)
+            b0 = [row & (1 << m) - 1 for row in cfg.rows]
             if linalg.rank(b0) < m or is_primitive(config_char_poly(cfg)):
                 continue
             for v in range(1, 1 << (m * b)):
@@ -497,7 +517,7 @@ class TestPeriod:
         cfg = primitive_config(2, 2)
         with pytest.raises(PeriodGuardError, match="zero seed"):
             period(cfg, [0, 0])
-        big = SigmaConfig.from_gains(32, 16, [zeros(32, 32)] * 16)
+        big = SigmaConfig.from_gains(32, 16, [zeros(32)] * 16)
         with pytest.raises(PeriodGuardError):
             period(big, [1] + [0] * 15)
 
@@ -516,10 +536,10 @@ class TestPeriod:
 
     @pytest.mark.parametrize("m,b,gains", [
         # B_0 = 0 at m = 1: the seed [1, 0] steps to [0, 0] and stays there
-        (1, 2, [BitMatrix([0], 1), BitMatrix([1], 1)]),
+        (1, 2, [[0], [1]]),
         # B_0 of rank 1 at m = 2, with dense B_1
-        (2, 2, [BitMatrix([0b11, 0b11], 2), BitMatrix([0b10, 0b01], 2)]),
-        (3, 1, [BitMatrix([0b001, 0b010, 0b011], 3)]),
+        (2, 2, [[0b11, 0b11], [0b10, 0b01]]),
+        (3, 1, [[0b001, 0b010, 0b011]]),
     ])
     def test_singular_step_refused_before_stepping(self, m, b, gains):
         # a singular B_0 makes the step non-injective, so the seed need not

@@ -33,7 +33,7 @@ from oracles import (
     zeros,
 )
 
-from kdfc_snow.gf2.linalg import BitMatrix, mat_mul, mat_vec_mul
+from kdfc_snow.gf2.linalg import mat_mul, mat_vec_mul
 from kdfc_snow import snow2
 from kdfc_snow.sigma_lfsr import SigmaConfig, step_stacked
 from kdfc_snow.snow2 import (
@@ -274,7 +274,7 @@ class TestKeystream:
 
         rng = random.Random(seed)
         cfg = SigmaConfig.from_gains(32, 16, [
-            BitMatrix([rng.getrandbits(32) for _ in range(32)], 32)
+            [rng.getrandbits(32) for _ in range(32)]
             for _ in range(16)
         ])
         key = [rng.getrandbits(32) for _ in range(8)]
@@ -310,14 +310,14 @@ class TestGains:
         assert gains[2] == identity(32)
         assert gains[11] == a_inv
         for j in set(range(16)) - {0, 2, 11}:
-            assert gains[j] == zeros(32, 32)
+            assert gains[j] == zeros(32)
         # four lanes of L: block k of L(e_r) is row r of B_{15-k}, so only
         # blocks 15, 13 and 4 (B_0, B_2, B_11) are ever nonzero
         lanes = cfg.byte_tables()
         assert [len(table) for table in lanes] == [256] * 4
         for r in range(32):
             row = lanes[r // 8][1 << (r % 8)]
-            want = (a.rows[r] << 15 * 32) | (1 << (13 * 32 + r)) | (a_inv.rows[r] << 4 * 32)
+            want = (a[r] << 15 * 32) | (1 << (13 * 32 + r)) | (a_inv[r] << 4 * 32)
             assert row == want
 
 
@@ -338,8 +338,8 @@ def object_words(state, n):
 
 def dense_config(rng, zeroed=()):
     gains = [
-        zeros(32, 32) if i in zeroed
-        else BitMatrix([rng.getrandbits(32) for _ in range(32)], 32)
+        zeros(32) if i in zeroed
+        else [rng.getrandbits(32) for _ in range(32)]
         for i in range(16)
     ]
     return SigmaConfig.from_gains(32, 16, gains)
@@ -427,7 +427,7 @@ class TestJumpRoute:
         # generic one-step function still steps them through the lane tables
         rng = random.Random(f"{m}x{b}")
         cfg = SigmaConfig.from_gains(m, b, [
-            BitMatrix([rng.getrandbits(m) for _ in range(m)], m) for _ in range(b)
+            [rng.getrandbits(m) for _ in range(m)] for _ in range(b)
         ])
         s = [rng.getrandbits(m) for _ in range(b)]
         with pytest.raises(ValueError, match=f"{m}x{b}"):

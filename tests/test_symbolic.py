@@ -11,12 +11,11 @@ from oracles import (
     identity,
     sym_adjugate_inverse,
     sym_eval,
-    sym_from_bitmatrix,
+    sym_from_rows,
     sym_mat_mul,
 )
 
 from kdfc_snow.gf2.linalg import (
-    BitMatrix,
     companion_vec_mul,
     determinant,
     mat_inverse,
@@ -132,19 +131,19 @@ class TestSymMatrix:
     """Symbolic matrices are lists of AnfPoly rows; sym_eval specializes them."""
 
     def test_identity_and_eval(self):
-        i3 = sym_from_bitmatrix(identity(3))
+        i3 = sym_from_rows(identity(3), 3)
         assert sym_eval(i3, 0) == identity(3)
 
     def test_bitmatrix_roundtrip(self):
         rng = random.Random(5)
-        m = BitMatrix([rng.getrandbits(4) for _ in range(4)], 4)
-        assert sym_eval(sym_from_bitmatrix(m), 0) == m
+        m = [rng.getrandbits(4) for _ in range(4)]
+        assert sym_eval(sym_from_rows(m, 4), 0) == m
 
     def test_eval_column_convention(self):
         # column c reads variable bit c-1 and lands on bit c-1
         row = [AnfPoly.var(1), AnfPoly.var(2)]
-        assert sym_eval([row], 0b01).rows == [0b01]
-        assert sym_eval([row], 0b10).rows == [0b10]
+        assert sym_eval([row], 0b01) == [0b01]
+        assert sym_eval([row], 0b10) == [0b10]
 
     def test_ragged_rejected(self):
         with pytest.raises(ValueError, match="square"):
@@ -154,9 +153,9 @@ class TestSymMatrix:
 
     def test_mul_matches_numeric(self):
         rng = random.Random(11)
-        a = BitMatrix([rng.getrandbits(3) for _ in range(3)], 3)
-        b = BitMatrix([rng.getrandbits(3) for _ in range(3)], 3)
-        sym = sym_mat_mul(sym_from_bitmatrix(a), sym_from_bitmatrix(b))
+        a = [rng.getrandbits(3) for _ in range(3)]
+        b = [rng.getrandbits(3) for _ in range(3)]
+        sym = sym_mat_mul(sym_from_rows(a, 3), sym_from_rows(b, 3))
         assert sym_eval(sym, 0) == mat_mul(a, b)
 
 
@@ -263,8 +262,8 @@ class TestNumericSpecialization:
             bits = rng.getrandbits(8)
             stepped = build_symbolic_qp(2, 4, P8)  # any symbolic rows work
             row = stepped[5]
-            packed = sym_eval([row], bits).rows[0]
-            sym_next = sym_eval([_sym_companion_row_mul(row, P8)], bits).rows[0]
+            packed = sym_eval([row], bits)[0]
+            sym_next = sym_eval([_sym_companion_row_mul(row, P8)], bits)[0]
             assert sym_next == companion_vec_mul(packed, P8)
 
 
@@ -305,7 +304,7 @@ class TestReplacedRowIdentity:
                 continue
             found += 1
             # corner (n-m, n-m) is bit 0 of the last gain's first row
-            assert entry.eval(bits) == dense_assemble(qn, p, m).gains()[b - 1].rows[0] & 1
+            assert entry.eval(bits) == dense_assemble(qn, p, m).gains()[b - 1][0] & 1
 
 
 class TestClaims:
@@ -352,3 +351,15 @@ class TestGuards:
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
             build_symbolic_q(2, 2, P8)
+
+    @pytest.mark.parametrize("build", [build_symbolic_q, theorem1_check, verify_minor_lemmas])
+    @pytest.mark.parametrize("m,b,message", [
+        (2.0, 4, "^m must be an int, got float$"),
+        (2, True, "^b must be an int, got bool$"),
+        (0, 4, "^need m >= 1, got m=0$"),
+        (2, -1, "^need b >= 1, got b=-1$"),
+    ])
+    def test_dims_refused_by_name(self, build, m, b, message):
+        # m = 2.0 passed the bounds and ended in a bare TypeError
+        with pytest.raises(ValueError, match=message):
+            build(m, b, P8)

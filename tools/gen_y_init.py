@@ -24,7 +24,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from kdfc_snow.confgen import FillBits, y_offline
-from kdfc_snow.gf2.linalg import rank
+from kdfc_snow.gf2.linalg import rank, width
 from kdfc_snow.gf2.primtable import default_table
 from kdfc_snow.kdfc import YInitDoc
 
@@ -46,7 +46,7 @@ def main() -> None:
     t0 = time.time()
     fill = FillBits.from_seed(M, K, SEED, label=LABEL)
     y = y_offline(M, B, K, fill)
-    assert y.ncols == M + K == 500
+    assert width(y) == M + K == 500
     assert rank(y) == M
     doc = YInitDoc(m=M, k=K, seed=SEED, fill_label=LABEL,
                    poly_table_sha256=default_table().checksum, y=y)
