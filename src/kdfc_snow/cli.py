@@ -29,7 +29,7 @@ from kdfc_snow.confgen import (
     pipeline_poly,
     y_offline,
 )
-from kdfc_snow.gf2.linalg import check_dims
+from kdfc_snow.gf2.linalg import check_dims, check_shape
 from kdfc_snow.gf2.poly import (
     DegreeError,
     FactorTableMissError,
@@ -38,7 +38,7 @@ from kdfc_snow.gf2.poly import (
     is_primitive,
     parse_exponents,
 )
-from kdfc_snow.sigma_lfsr import SigmaConfig, config_char_poly, period
+from kdfc_snow.sigma_lfsr import CONFIG_SHAPE, SigmaConfig, config_char_poly, period
 from kdfc_snow.snow2 import (
     CipherState,
     snow2_gains,
@@ -159,10 +159,10 @@ def _kdfc_state(args) -> CipherState:
 
 
 #: the JSON shape of a state document as `kdfc init` writes it (see
-#: kdfc.check_shape); its m and b are not read
+#: gf2.linalg.check_shape); its m and b are not read
 _STATE_SHAPE = {
     "char_poly": [int],
-    "config": {"m": int, "b": int, "gains": [kdfc.MATRIX_SHAPE]},
+    "config": CONFIG_SHAPE,
     "lfsr": [int],
     "fsm": {"r1": int, "r2": int},
 }
@@ -172,7 +172,7 @@ def _load_state(path: str) -> CipherState:
     """Read a state document; refuse one whose configuration is not a KDFC one."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    kdfc.check_shape(doc, _STATE_SHAPE, "state document")
+    check_shape(doc, _STATE_SHAPE, "state document")
     cfg = SigmaConfig.from_json(doc["config"])
     state = CipherState(doc["lfsr"], [doc["fsm"]["r1"], doc["fsm"]["r2"]], cfg)
     if config_char_poly(cfg) != kdfc.target_poly():
@@ -331,7 +331,7 @@ def _cmd_verify_theorem1(args) -> int:
     entry, ok = symbolic.theorem1_check(m, b, p)
     want = m * b - b
     _emit(
-        f"corner entry degree = {entry.degree}\n"
+        f"corner entry degree = {symbolic.anf_degree(entry)}\n"
         f"expected degree     = {want}\n"
         f"{'PASS' if ok else 'FAIL'}",
         args.out,

@@ -157,6 +157,7 @@ class FillBits:
         first_iteration (1-based): bit t of word -> row t, skipping the
         active row l = i mod m; a word that is not an m-bit int is refused."""
         check_int("m", m, 1)
+        check_int("first_iteration", first_iteration, 1)
         for i, w in enumerate(words):
             if type(w) is not int or w < 0 or w >> m:
                 raise ValueError(f"fill word {i} is not a {m}-bit int: {w!r}")
@@ -418,8 +419,8 @@ def y_offline(m: int, b: int, k: int, fill: FillBits) -> list[int]:
     check_int("k", k, 0)
     if not 0 <= k <= m * b - m:
         raise ValueError(f"k must lie in [0, {m * b - m}]")
-    if fill.m != m or len(fill) < k:
-        raise ValueError(f"fill must supply {k} vectors of {m - 1} bits")
+    if fill.m != m or len(fill) != k:
+        raise ValueError(f"offline fill must supply exactly {k} vectors")
     rows = [1 << (m - 1 - t) for t in range(m)]  # the identity, reversed
     rows = _run(rows, 1, [pipeline_poly(w) for w in range(m, m + k)], fill.vectors)
     return _reversed_rows(rows, m + k)

@@ -7,7 +7,8 @@ so a square n x n matrix is n rows of at most n bits.  A linear map ``M``
 acts on a row vector ``v`` as ``v * M``, the XOR of the rows of ``M``
 selected by the set bits of ``v``.  The basis vector written
 ``(0, 0, ..., 1)`` — one in the *last* coordinate — is ``1 << (n - 1)``.
-matrix_to_json and matrix_from_json write and read ``{"rows", "cols", "data"}``.
+matrix_to_json and matrix_from_json write and read ``{"rows", "cols", "data"}``
+(MATRIX_SHAPE); check_shape is the type check every JSON reader runs first.
 """
 
 from __future__ import annotations
@@ -80,6 +81,36 @@ def width(rows: Sequence[int]) -> int:
     return max(rows, default=0).bit_length()
 
 
+#: JSON type names for refusals
+_JSON_TYPES = {
+    dict: "an object", list: "an array", int: "an integer", float: "a number",
+    str: "a string", bool: "a boolean", type(None): "null",
+}
+
+#: the JSON shape of a matrix as matrix_to_json writes it; in a shape, [x] is
+#: an array of x, and object fields not named are not read
+MATRIX_SHAPE = {"rows": int, "cols": int, "data": [str]}
+
+
+def check_shape(value, shape, what: str, field: str = "") -> None:
+    """Refuse the first field of `value` that is missing or not of `shape`;
+    `what` names the document, whose root must be an object."""
+    kind = type(shape) if isinstance(shape, (dict, list)) else shape
+    if type(value) is not kind:
+        want = f"field {field!r} is not {_JSON_TYPES[kind]}" if field else "expected a JSON object"
+        got = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise ValueError(f"malformed {what}: {want} (got {got})")
+    if kind is dict:
+        for key, sub in shape.items():
+            if key not in value:
+                where = f" from {field!r}" if field else ""
+                raise ValueError(f"malformed {what}: field {key!r} missing{where}")
+            check_shape(value[key], sub, what, f"{field}.{key}" if field else key)
+    elif kind is list:
+        for i, item in enumerate(value):
+            check_shape(item, shape[0], what, f"{field}[{i}]")
+
+
 def matrix_to_json(rows: Sequence[int], ncols: int) -> dict:
     """The JSON form of a matrix of ncols columns, one hex string per row."""
     return {"rows": len(rows), "cols": ncols, "data": [vec_to_hex(r, ncols) for r in rows]}
@@ -87,7 +118,9 @@ def matrix_to_json(rows: Sequence[int], ncols: int) -> dict:
 
 def matrix_from_json(obj: dict, shape: tuple[int, int], name: str) -> list[int]:
     """The rows of a matrix_to_json form declaring shape (rows, cols); name is
-    what a refusal calls it.  Rows are read before the shape is compared."""
+    what a refusal calls it.  The JSON types are checked first, and rows are
+    read before the shape is compared."""
+    check_shape(obj, MATRIX_SHAPE, name)
     nrows, ncols = obj["rows"], obj["cols"]
     if ncols < 0:
         raise DimensionError("negative column count")

@@ -31,7 +31,9 @@ from dataclasses import dataclass
 from importlib import resources
 
 from kdfc_snow.confgen import FillBits, generate_config
-from kdfc_snow.gf2.linalg import check_int, matrix_from_json, matrix_to_json, width
+from kdfc_snow.gf2.linalg import (
+    MATRIX_SHAPE, check_int, check_shape, matrix_from_json, matrix_to_json, width,
+)
 from kdfc_snow.gf2.poly import from_exponents
 from kdfc_snow.gf2.primtable import default_table
 from kdfc_snow.sigma_lfsr import SigmaConfig
@@ -105,38 +107,10 @@ class ProvenanceError(ValueError):
     """A y_init document does not match the active polynomial table."""
 
 
-#: JSON type names for refusals
-_JSON_TYPES = {
-    dict: "an object", list: "an array", int: "an integer", float: "a number",
-    str: "a string", bool: "a boolean", type(None): "null",
-}
-
-#: the JSON shape of a matrix as gf2.linalg.matrix_to_json writes it; in a shape,
-#: [x] is an array of x, and object fields not named are not read
-MATRIX_SHAPE = {"rows": int, "cols": int, "data": [str]}
-
 _YINIT_SHAPE = {
     "m": int, "k": int, "seed": str, "fill_label": str,
     "poly_table_sha256": str, "y": MATRIX_SHAPE,
 }
-
-
-def check_shape(value, shape, what: str, field: str = "") -> None:
-    """Refuse the first field of `value` that is missing or not of `shape`;
-    `what` names the document, whose root must be an object."""
-    kind = type(shape) if isinstance(shape, (dict, list)) else shape
-    if type(value) is not kind:
-        want = f"field {field!r} is not {_JSON_TYPES[kind]}" if field else "expected a JSON object"
-        raise ValueError(f"malformed {what}: {want} (got {_JSON_TYPES[type(value)]})")
-    if kind is dict:
-        for key, sub in shape.items():
-            if key not in value:
-                where = f" from {field!r}" if field else ""
-                raise ValueError(f"malformed {what}: field {key!r} missing{where}")
-            check_shape(value[key], sub, what, f"{field}.{key}" if field else key)
-    elif kind is list:
-        for i, item in enumerate(value):
-            check_shape(item, shape[0], what, f"{field}[{i}]")
 
 
 @dataclass(frozen=True)

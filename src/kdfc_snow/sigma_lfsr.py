@@ -47,7 +47,8 @@ from __future__ import annotations
 from itertools import islice
 
 from kdfc_snow.gf2.linalg import (
-    DimensionError, check_dims, matrix_from_json, matrix_to_json, rank, width,
+    MATRIX_SHAPE, DimensionError, check_dims, check_shape, matrix_from_json,
+    matrix_to_json, rank, width,
 )
 
 __all__ = [
@@ -61,6 +62,9 @@ __all__ = [
 ]
 
 PERIOD_GUARD_BITS = 24
+
+#: the JSON shape of a configuration as SigmaConfig.to_json writes it
+CONFIG_SHAPE = {"m": int, "b": int, "gains": [MATRIX_SHAPE]}
 
 
 class PeriodGuardError(ValueError):
@@ -133,6 +137,7 @@ class SigmaConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SigmaConfig":
+        check_shape(obj, CONFIG_SHAPE, "configuration")
         m, b = obj["m"], obj["b"]
         check_dims(m, b)
         gains = [matrix_from_json(g, (m, m), f"gain B_{i}") for i, g in enumerate(obj["gains"])]

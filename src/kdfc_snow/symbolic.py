@@ -16,13 +16,19 @@ b = 4 it has degree 4 and 10 terms); at every specialization where Q is
 invertible, adj(Q) = Q^{-1} over GF(2) and the entry specializes to the
 entry of Q*P*Q^{-1}.
 
-Variable naming: v_{i,j} (free row i = 1..m-1, coordinate j = 1..mb)
-maps to the flat 1-based index (i-1)*mb + j, printed as "x<index>".
-With m = 2 this makes v_{1,j} print as xj, matching the worked 8x8
-instance reproduced in the tests.
+A polynomial in algebraic normal form is the frozenset of its
+monomials, each an int with bit v-1 set for the variable x_v; the
+monomial 0 is the constant 1.  The sum of two polynomials is their
+symmetric difference (a ^ b), and anf_mul and anf_degree are the rest of
+the algebra.  ZERO is the empty set, of degree NEG_INF.
 
-A symbolic matrix is its list of rows, each row a list of AnfPoly
-entries.  Row vectors are displayed left-to-right as columns 1..n;
+Variable naming: v_{i,j} (free row i = 1..m-1, coordinate j = 1..mb)
+maps to the flat 1-based index (i-1)*mb + j.  With m = 2 this makes
+v_{1,j} the variable x_j, matching the worked 8x8 instance reproduced in
+the tests.
+
+A symbolic matrix is its list of rows, each row a list of polynomials.
+Row vectors are displayed left-to-right as columns 1..n;
 column c of a displayed row corresponds to bit c-1 of the packed-integer
 convention used by gf2.linalg, so e_1 = (0, ..., 0, 1) evaluates to
 1 << (n-1) and the symbolic companion action mirrors companion_vec_mul
@@ -33,11 +39,15 @@ of p below n).
 
 from __future__ import annotations
 
-from kdfc_snow.gf2.linalg import check_dims
+from kdfc_snow.gf2.linalg import check_dims, check_int
 from kdfc_snow.gf2.poly import exponents
 
 __all__ = [
-    "AnfPoly",
+    "ZERO",
+    "ONE",
+    "variable",
+    "anf_mul",
+    "anf_degree",
     "GuardError",
     "var_index",
     "build_symbolic_q",
@@ -56,109 +66,34 @@ class GuardError(ValueError):
     """Requested size exceeds what the symbolic routines should attempt."""
 
 
-def _monomial(indices) -> int:
-    """Bit mask of a monomial: bit v-1 for each 1-based variable index v."""
-    mask = 0
-    for v in indices:
-        if v < 1:
-            raise ValueError("variable indices are 1-based")
-        mask |= 1 << (v - 1)
-    return mask
+#: the zero polynomial and the constant 1 (the empty monomial)
+ZERO: frozenset[int] = frozenset()
+ONE: frozenset[int] = frozenset({0})
 
 
-def _indices(mask: int) -> list[int]:
-    """Ascending 1-based variable indices of a monomial mask."""
-    return [v + 1 for v in range(mask.bit_length()) if (mask >> v) & 1]
+def variable(v: int) -> frozenset[int]:
+    """The polynomial x_v: one monomial, bit v-1 (v is 1-based)."""
+    check_int("v", v, 1)
+    return frozenset({1 << (v - 1)})
 
 
-class AnfPoly:
-    """Boolean polynomial in algebraic normal form over GF(2).
-
-    Stored as a frozenset of monomials, each monomial an int with bit v-1
-    set for the variable x_v; the monomial 0 is the constant 1.  Addition
-    is symmetric difference; the product of two monomials is their OR
-    (idempotent variables, x^2 = x), and products that arise an even
-    number of times cancel.  The constructor takes tuples of 1-based
-    variable indices.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        self.terms: frozenset[int] = frozenset(_monomial(t) for t in terms)
-
-    @classmethod
-    def _of(cls, terms) -> "AnfPoly":
-        out = cls()
-        out.terms = frozenset(terms)
-        return out
-
-    @classmethod
-    def zero(cls) -> "AnfPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "AnfPoly":
-        return cls([()])
-
-    @classmethod
-    def var(cls, i: int) -> "AnfPoly":
-        return cls([(i,)])
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AnfPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(self.terms)
-
-    def __add__(self, other: "AnfPoly") -> "AnfPoly":
-        return AnfPoly._of(self.terms ^ other.terms)
-
-    def __mul__(self, other: "AnfPoly") -> "AnfPoly":
-        acc: set[int] = set()
-        for s in self.terms:
-            for t in other.terms:
-                u = s | t
-                if u in acc:
-                    acc.remove(u)
-                else:
-                    acc.add(u)
-        return AnfPoly._of(acc)
-
-    @property
-    def degree(self):
-        """Max monomial size; 0 for constant 1, -inf for the zero poly."""
-        if not self.terms:
-            return NEG_INF
-        return max(t.bit_count() for t in self.terms)
-
-    def eval(self, bits: int) -> int:
-        """Evaluate with variable x_v taken from bit v-1 of ``bits``."""
-        acc = 0
-        for t in self.terms:
-            if t & bits == t:
-                acc ^= 1
-        return acc
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for idx in sorted(_indices(t) for t in self.terms):
-            parts.append(" ".join(f"x{v}" for v in idx) if idx else "1")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"AnfPoly({self})"
+def anf_mul(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
+    """Product: monomials multiply by OR (x^2 = x), and a product that
+    arises an even number of times cancels."""
+    acc: set[int] = set()
+    for s in a:
+        for t in b:
+            u = s | t
+            if u in acc:
+                acc.remove(u)
+            else:
+                acc.add(u)
+    return frozenset(acc)
 
 
-_ZERO = AnfPoly.zero()
-_ONE = AnfPoly.one()
+def anf_degree(a: frozenset[int]):
+    """Largest monomial size: 0 for ONE, NEG_INF for ZERO."""
+    return max((t.bit_count() for t in a), default=NEG_INF)
 
 
 def var_index(i: int, j: int, n: int) -> int:
@@ -168,13 +103,13 @@ def var_index(i: int, j: int, n: int) -> int:
     return (i - 1) * n + j
 
 
-def _sym_companion_row_mul(row: list[AnfPoly], p: int) -> list[AnfPoly]:
+def _sym_companion_row_mul(row: list[frozenset[int]], p: int) -> list[frozenset[int]]:
     """Symbolic row * companion(p): shift left, feedback in the last column."""
     n = len(row)
-    fb = _ZERO
+    fb = ZERO
     for e in exponents(p):
         if e < n:
-            fb = fb + row[e]
+            fb ^= row[e]
     return row[1:] + [fb]
 
 
@@ -186,17 +121,17 @@ def _check_guard(m: int, b: int, limit: int) -> int:
     return n
 
 
-def build_symbolic_q(m: int, b: int, p: int) -> list[list[AnfPoly]]:
+def build_symbolic_q(m: int, b: int, p: int) -> list[list[frozenset[int]]]:
     """Symbolic Q: blocks [e_1*P^j, v_1*P^j, ..., v_{m-1}*P^j], j = 0..b-1."""
     n = _check_guard(m, b, 12)
     if p.bit_length() - 1 != n:
         raise ValueError(f"polynomial degree {p.bit_length() - 1} != mb = {n}")
-    e1 = [_ZERO] * (n - 1) + [_ONE]
+    e1 = [ZERO] * (n - 1) + [ONE]
     block = [e1] + [
-        [AnfPoly.var(var_index(i, j, n)) for j in range(1, n + 1)]
+        [variable(var_index(i, j, n)) for j in range(1, n + 1)]
         for i in range(1, m)
     ]
-    rows: list[list[AnfPoly]] = []
+    rows: list[list[frozenset[int]]] = []
     for j in range(b):
         rows.extend(block)
         if j + 1 < b:
@@ -204,7 +139,7 @@ def build_symbolic_q(m: int, b: int, p: int) -> list[list[AnfPoly]]:
     return rows
 
 
-def build_symbolic_qp(m: int, b: int, p: int) -> list[list[AnfPoly]]:
+def build_symbolic_qp(m: int, b: int, p: int) -> list[list[frozenset[int]]]:
     """Row-permuted Q: all e_1*P^j rows first, then each v_i's power rows.
 
     In this order the top-left b x (mb-b) block is zero, the top-right
@@ -219,33 +154,33 @@ def build_symbolic_qp(m: int, b: int, p: int) -> list[list[AnfPoly]]:
 
 
 def _det_memo(
-    rows: list[list[AnfPoly]],
+    rows: list[list[frozenset[int]]],
     rowmask: int,
     colmask: int,
-    memo: dict[tuple[int, int], AnfPoly],
-) -> AnfPoly:
+    memo: dict[tuple[int, int], frozenset[int]],
+) -> frozenset[int]:
     """Determinant of the submatrix picked by bit masks, lowest-row expansion."""
     if rowmask == 0:
-        return _ONE
+        return ONE
     key = (rowmask, colmask)
     hit = memo.get(key)
     if hit is not None:
         return hit
     r = (rowmask & -rowmask).bit_length() - 1
     sub_rows = rowmask & (rowmask - 1)
-    acc = _ZERO
+    acc = ZERO
     cm = colmask
     while cm:
         c = (cm & -cm).bit_length() - 1
         cm &= cm - 1
         entry = rows[r][c]
-        if entry.terms:
-            acc = acc + entry * _det_memo(rows, sub_rows, colmask ^ (1 << c), memo)
+        if entry:
+            acc ^= anf_mul(entry, _det_memo(rows, sub_rows, colmask ^ (1 << c), memo))
     memo[key] = acc
     return acc
 
 
-def sym_det(rows: list[list[AnfPoly]]) -> AnfPoly:
+def sym_det(rows: list[list[frozenset[int]]]) -> frozenset[int]:
     """Symbolic determinant of a square matrix given by its rows (signs are
     trivial over GF(2))."""
     if any(len(r) != len(rows) for r in rows):
@@ -271,14 +206,14 @@ def verify_minor_lemmas(m: int, b: int, p: int) -> dict:
     n = _check_guard(m, b, 10)
     qp = build_symbolic_qp(m, b, p)
     full = (1 << n) - 1
-    memo: dict[tuple[int, int], AnfPoly] = {}
+    memo: dict[tuple[int, int], frozenset[int]] = {}
 
-    def minor(i: int, j: int) -> AnfPoly:
+    def minor(i: int, j: int) -> frozenset[int]:
         return _det_memo(qp, full ^ (1 << (i - 1)), full ^ (1 << (j - 1)), memo)
 
     def degree_is(want: int):
         def check(i: int, j: int) -> dict:
-            got = minor(i, j).degree
+            got = anf_degree(minor(i, j))
             return {
                 "entry": [i, j],
                 "expected_degree": want,
@@ -287,13 +222,13 @@ def verify_minor_lemmas(m: int, b: int, p: int) -> dict:
             }
         return check
 
-    def equals(want: AnfPoly, label: str):
+    def equals(want: frozenset[int], label: str):
         def check(i: int, j: int) -> dict:
             return {"entry": [i, j], "expected": label, "ok": minor(i, j) == want}
         return check
 
     det_q3 = sym_det([r[: n - b] for r in qp[b:]])
-    on_anti, zero = equals(det_q3, "det(bottom-left block)"), equals(_ZERO, "0")
+    on_anti, zero = equals(det_q3, "det(bottom-left block)"), equals(ZERO, "0")
     row_b, lower = degree_is(n - b), degree_is(n - b - 1)
     top, bottom = range(1, b + 1), range(b + 1, n + 1)
     left, right = range(1, n - b + 1), range(n - b + 1, n + 1)
@@ -349,7 +284,7 @@ def format_report(report: dict) -> str:
     return "\n".join(lines)
 
 
-def theorem1_check(m: int, b: int, p: int) -> tuple[AnfPoly, bool]:
+def theorem1_check(m: int, b: int, p: int) -> tuple[frozenset[int], bool]:
     """Degree witness in the derived configuration matrix.
 
     Returns the entry C[n-m+1, n-m+1] (1-indexed, n = mb) of the symbolic
@@ -363,4 +298,4 @@ def theorem1_check(m: int, b: int, p: int) -> tuple[AnfPoly, bool]:
     rows = build_symbolic_q(m, b, p)
     rows[n - m] = _sym_companion_row_mul(rows[n - m], p)
     entry = sym_det(rows)
-    return entry, entry.degree == n - b
+    return entry, anf_degree(entry) == n - b

@@ -86,8 +86,11 @@ The package has no production use for the matrix helpers at the end of
 this file (companion_matrix, krylov_matrix, solve_row, linear_complexity,
 reciprocal, build_transition_matrix, extract_config, identity, zeros,
 build_alpha_matrices, gd_closure, from_bits, to_bits, stacked,
-state_from_stacked, sym_from_rows, sym_eval); they serve the oracles above and the tests.
-Every matrix here, as in the package, is its list of row ints.
+state_from_stacked, sym_from_rows, sym_eval) nor for the ANF helpers
+anf (a polynomial from tuples of variable indices) and anf_eval (its
+value at an assignment); they serve the oracles above and the tests.
+Every matrix here, as in the package, is its list of row ints, and every
+ANF polynomial the frozenset of its monomial masks (bit v-1 is x_v).
 """
 
 from __future__ import annotations
@@ -704,8 +707,8 @@ def echelon_oracle(rows: list[int], ncols: int, reduce_up: bool = True):
 # symbolic configuration in full
 
 def sym_mat_mul(a, b):
-    """Product of two symbolic matrices (lists of AnfPoly rows), entry by entry."""
-    from kdfc_snow.symbolic import AnfPoly
+    """Product of two symbolic matrices (rows of ANF polynomials), entry by entry."""
+    from kdfc_snow.symbolic import ZERO, anf_mul
 
     if len(a[0]) != len(b):
         raise ValueError("inner dimensions differ")
@@ -713,9 +716,9 @@ def sym_mat_mul(a, b):
     for ar in a:
         row = []
         for bc in zip(*b):
-            acc = AnfPoly.zero()
+            acc = ZERO
             for x, y in zip(ar, bc):
-                acc = acc + x * y
+                acc ^= anf_mul(x, y)
             row.append(acc)
         out.append(row)
     return out
@@ -744,10 +747,22 @@ def compute_symbolic_config(m: int, b: int, p):
     return sym_mat_mul(qp, sym_adjugate_inverse(q))
 
 
+def anf(*monomials):
+    """The ANF polynomial whose monomials are the given tuples of 1-based
+    variable indices: () is the constant 1, and a repeated index or
+    monomial counts once."""
+    return frozenset(sum(1 << (v - 1) for v in set(t)) for t in monomials)
+
+
+def anf_eval(poly, bits: int) -> int:
+    """Value of an ANF polynomial with x_v taken from bit v-1 of bits."""
+    return sum(1 for t in poly if t & bits == t) & 1
+
+
 def sym_eval(rows, bits: int):
     """Numeric specialization of a symbolic matrix at the variable bits:
     column c of each row maps to bit c-1 of its row int."""
-    return [sum(entry.eval(bits) << j for j, entry in enumerate(r)) for r in rows]
+    return [sum(anf_eval(entry, bits) << j for j, entry in enumerate(r)) for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -853,10 +868,10 @@ def state_from_stacked(m: int, b: int, v: int) -> list[int]:
 
 def sym_from_rows(a: list[int], ncols: int):
     """Symbolic rows of ncols constant entries, column c from bit c-1 of each row."""
-    from kdfc_snow.symbolic import AnfPoly
+    from kdfc_snow.symbolic import ONE, ZERO
 
     return [
-        [AnfPoly.one() if (r >> j) & 1 else AnfPoly.zero() for j in range(ncols)]
+        [ONE if (r >> j) & 1 else ZERO for j in range(ncols)]
         for r in a
     ]
 

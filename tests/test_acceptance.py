@@ -12,6 +12,7 @@ import pytest
 
 from conftest import KAT_IV, KAT_KEY
 from oracles import (
+    anf,
     char_poly_sympy,
     gd_closure,
     lfsr_step,
@@ -48,9 +49,12 @@ from kdfc_snow.sigma_lfsr import (
 )
 from kdfc_snow.snow2 import snow2_gains, snow2_init, snow2_keystream
 from kdfc_snow.symbolic import (
-    AnfPoly,
+    ONE,
+    ZERO,
+    anf_degree,
     build_symbolic_q,
     theorem1_check,
+    variable,
     verify_minor_lemmas,
 )
 from kdfc_snow import randtests as rt
@@ -154,43 +158,43 @@ def test_03_configuration_counts():
 # frozen coordinate polynomials of the inverse change-of-basis matrix for the
 # 8x8 worked instance (m = 2, b = 4, p = x^8 + x^4 + x^3 + x^2 + 1)
 P8 = 0x11D
-WORKED_P1 = AnfPoly([
+WORKED_P1 = anf(
     (2, 4, 6, 8), (2, 4, 7), (2, 5, 8), (2, 6), (3, 6, 8),
     (3, 7), (4, 5, 6), (4, 6), (4, 8), (5,),
-])
-WORKED_P2 = AnfPoly([
+)
+WORKED_P2 = anf(
     (1, 4, 6, 8), (1, 4, 7), (1, 5, 8), (1, 6), (2, 3, 6, 8), (2, 3, 7),
     (2, 4, 5, 8), (2, 4, 6, 7), (2, 5, 6), (2, 5, 7), (3, 4, 8), (3, 5, 6),
     (3, 5, 8), (3, 6, 7), (4, 5), (4, 7),
-])
-WORKED_P3 = AnfPoly([
+)
+WORKED_P3 = anf(
     (1, 3, 6, 8), (1, 3, 7), (1, 4, 5, 8), (1, 4, 6, 7), (1, 5, 6),
     (1, 5, 7), (2, 3, 5, 8), (2, 3, 6, 7), (2, 4, 5, 7), (2, 4, 6),
     (2, 4, 8), (2, 5, 6), (2, 6, 8), (2, 7), (3, 4, 7), (3, 4, 8),
     (3, 5, 7), (3, 5), (4, 5), (4, 6),
-])
-WORKED_P4 = AnfPoly([
+)
+WORKED_P4 = anf(
     (1, 3, 5, 8), (1, 3, 6, 7), (1, 4, 5, 7), (1, 4, 6), (1, 4, 8),
     (1, 5, 6), (2, 3, 5, 7), (2, 3, 6), (2, 4, 7), (2, 5, 8), (2, 5),
     (2, 6, 7), (3, 4, 6), (3, 4, 7), (3, 8), (4, 5),
-])
+)
 
 
 def test_04_symbolic_pipeline_reproduction():
     with budget("check 04 (symbolic pipeline)", 120):
         q = build_symbolic_q(2, 4, P8)
-        assert q[0] == [AnfPoly.zero()] * 7 + [AnfPoly.one()]
-        assert q[1] == [AnfPoly.var(j) for j in range(1, 9)]
+        assert q[0] == [ZERO] * 7 + [ONE]
+        assert q[1] == [variable(j) for j in range(1, 9)]
         inv = sym_adjugate_inverse(q)
         col = [inv[i][6] for i in range(8)]
         assert col[:4] == [WORKED_P1, WORKED_P2, WORKED_P3, WORKED_P4]
-        assert col[5:] == [AnfPoly.zero()] * 3
+        assert col[5:] == [ZERO] * 3
         cases = [(2, 2, 0x13), (2, 4, P8), (3, 2, 0x43)]
         for m, b, p in cases:
             report = verify_minor_lemmas(m, b, p)
             assert report["all_hold"], f"minor-lemma claims failed at {m}x{b}"
             entry, ok = theorem1_check(m, b, p)
-            assert ok and entry.degree == m * b - b
+            assert ok and anf_degree(entry) == m * b - b
 
 
 def test_05_bias_table():

@@ -149,6 +149,17 @@ class TestFillBits:
         with pytest.raises(ValueError, match="^fill word 1 is not a 4-bit int: "):
             FillBits.from_words(4, [0b1011, word], 1)
 
+    @pytest.mark.parametrize("first,message", [
+        (0, "^need first_iteration >= 1, got first_iteration=0$"),
+        (-3, "^need first_iteration >= 1, got first_iteration=-3$"),
+        (1.5, "^first_iteration must be an int, got float$"),
+        (True, "^first_iteration must be an int, got bool$"),
+    ])
+    def test_from_words_refuses_a_first_iteration_that_is_no_int_from_1(self, first, message):
+        # 0 and -3 were packed against a wrong active row, and 1.5 ended in a bare TypeError
+        with pytest.raises(ValueError, match=message):
+            FillBits.from_words(4, [0b1011], first)
+
     @pytest.mark.parametrize("m", [True, 2.0, "2", None])
     def test_non_int_m_is_refused_before_any_work(self, m):
         for make in (
@@ -331,8 +342,13 @@ class TestIteration:
         assert y == identity(3)
 
     def test_offline_needs_enough_fill(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^offline fill must supply exactly 3 vectors$"):
             y_offline(2, 4, 3, FillBits.from_seed(2, 2, "s"))
+
+    def test_offline_refuses_surplus_fill(self):
+        # the four vectors past k were ignored without a word
+        with pytest.raises(ValueError, match="^offline fill must supply exactly 1 vectors$"):
+            y_offline(2, 4, 1, FillBits.from_seed(2, 5, "s"))
 
     @pytest.mark.parametrize("m,b,k,name", [
         (4, 4, True, "k"), (4, 4, 2.0, "k"), (4, 4, "1", "k"),

@@ -105,6 +105,22 @@ class TestBitMatrix:
         with pytest.raises(ValueError, match=message):
             matrix_from_json(doc, (2, 3), "A")
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"rows": 2, "cols": "3", "data": ["1", "3"]},
+         "field 'cols' is not an integer \\(got a string\\)$"),
+        ({"rows": 2, "cols": 3}, "field 'data' missing$"),
+        ({"rows": 2, "cols": 3, "data": [1, 3]},
+         "field 'data\\[0\\]' is not a string \\(got an integer\\)$"),
+        ([2, 3, ["1", "3"]], "expected a JSON object \\(got an array\\)$"),
+        ({"rows": 2, "cols": 3, "data": ("1", "3")},
+         "field 'data' is not an array \\(got tuple\\)$"),
+    ], ids=["cols-string", "no-data", "int-data", "not-object", "tuple-data"])
+    def test_json_types_are_checked_first(self, doc, message):
+        # all but the last ended in a bare TypeError or KeyError; a tuple,
+        # which json never makes, is named by its Python type
+        with pytest.raises(ValueError, match="^malformed A: " + message):
+            matrix_from_json(doc, (2, 3), "A")
+
 
 class TestProducts:
     @pytest.mark.parametrize("seed", range(5))

@@ -126,7 +126,24 @@ class TestSigmaConfig:
         # n identity gains of n x n: the shape that int(m), int(b) would give
         doc = {"m": m, "b": b, "gains": [matrix_to_json(identity(n), n)] * n}
         name, bad = ("m", m) if type(m) is not int else ("b", b)
-        with pytest.raises(ValueError, match=f"^{name} must be an int, got {type(bad).__name__}$"):
+        got = {float: "a number", bool: "a boolean"}[type(bad)]
+        message = f"^malformed configuration: field '{name}' is not an integer \\(got {got}\\)$"
+        with pytest.raises(ValueError, match=message):
+            SigmaConfig.from_json(doc)
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda doc: doc["gains"][0].update(cols="2"),
+         "field 'gains\\[0\\].cols' is not an integer \\(got a string\\)$"),
+        (lambda doc: doc["gains"][1].pop("data"), "field 'data' missing from 'gains\\[1\\]'$"),
+        (lambda doc: doc.pop("gains"), "field 'gains' missing$"),
+        (lambda doc: doc["gains"][0].update(data=[1, 2]),
+         "field 'gains\\[0\\].data\\[0\\]' is not a string \\(got an integer\\)$"),
+    ], ids=["cols-string", "no-data", "no-gains", "int-data"])
+    def test_from_json_refuses_a_malformed_document(self, change, message):
+        # these ended in a bare TypeError or KeyError
+        doc = SigmaConfig.from_gains(2, 2, [identity(2)] * 2).to_json()
+        change(doc)
+        with pytest.raises(ValueError, match="^malformed configuration: " + message):
             SigmaConfig.from_json(doc)
 
     @pytest.mark.parametrize("gain,message", [
