@@ -419,7 +419,9 @@ def y_offline(m: int, b: int, k: int, fill: FillBits) -> list[int]:
     check_int("k", k, 0)
     if not 0 <= k <= m * b - m:
         raise ValueError(f"k must lie in [0, {m * b - m}]")
-    if fill.m != m or len(fill) != k:
+    if fill.m != m:
+        raise ValueError(f"offline fill has vectors for m={fill.m}, need m={m}")
+    if len(fill) != k:
         raise ValueError(f"offline fill must supply exactly {k} vectors")
     rows = [1 << (m - 1 - t) for t in range(m)]  # the identity, reversed
     rows = _run(rows, 1, [pipeline_poly(w) for w in range(m, m + k)], fill.vectors)
@@ -489,7 +491,9 @@ def generate_config(
     total = n - m
     if not 0 <= k <= total:
         raise ValueError(f"y_init width {m + k} outside [m, mb]")
-    if online_fill.m != m or len(online_fill) != total - k:
+    if online_fill.m != m:
+        raise ValueError(f"online fill has vectors for m={online_fill.m}, need m={m}")
+    if len(online_fill) != total - k:
         raise ValueError(f"online fill must supply exactly {total - k} vectors")
     if k < total and rank(y_init) != m:
         raise RankLossError(f"rank dropped below {m} at iteration {k + 1}")

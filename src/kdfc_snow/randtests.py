@@ -12,8 +12,8 @@ incomplete gamma function is implemented here (series plus continued
 fraction, 1e-12 relative target) so the module needs no
 scientific-library dependency; erfc comes from the stdlib.
 
-The block tests work on whole arrays, never one block or one bit at a
-time:
+The tests work on whole arrays or on packed bits, never one block or one
+bit at a time:
 
 * linear-complexity runs Berlekamp-Massey on every block at once,
   bit-sliced: bit i of 64 blocks shares one uint64 word, so each step's
@@ -24,13 +24,23 @@ time:
   runs a single Gaussian elimination over all matrices, one column step
   across every matrix (``_matrix_ranks``);
 * longest-run-of-ones ANDs each block with itself shifted, once per run
-  length up to the top class (``_longest_run_classes``).
+  length up to the top class, in place in one buffer
+  (``_longest_run_classes``);
+* cumulative-sums reads the +-1 walk 16 steps at a time from the packed
+  bits, through tables of each 16-bit chunk's net step and lowest and
+  highest partial sum (``_excursion``), and its p-value sum leaves out
+  the terms that are exactly 0.0 (``_cusum_p``);
+* runs counts the transitions as the popcount of X ^ X >> 1, X the bits
+  as one int.
 
 These kernels pack bits into words and never widen one bit to an
 integer, so none of their transient arrays is larger than the bit array
-(cumulative-sums keeps one int32 per bit, serial and approximate-entropy
-one window index in the smallest unsigned type).  tests/oracles.py holds
-a per-block reference for each kernel.
+(cumulative-sums keeps one int32 per 16 bits, serial and
+approximate-entropy one window index per bit in the smallest unsigned
+type, and no copy of the bits).  Small transients also keep glibc's
+malloc from trimming its heap between tests, which would make the next
+test's arrays fault in afresh.  tests/oracles.py holds a per-block
+or per-bit reference for each kernel.
 
 serial and approximate-entropy count the overlapping m-bit windows once,
 at the largest m each needs, and take every smaller m by merging
@@ -45,6 +55,7 @@ probabilities.
 
 from __future__ import annotations
 
+import functools
 import math
 import string
 from dataclasses import dataclass, field
@@ -270,11 +281,14 @@ def block_frequency(bits, block_size: int = 128) -> TestResult:
 def runs_test(bits) -> TestResult:
     x = _at_least(bits, "runs", 100)
     n = x.size
-    pi = float(x.mean())
+    # the n bits as one int, x[0] the most significant
+    packed = int.from_bytes(np.packbits(x).tobytes(), "big") >> (-n % 8)
+    pi = packed.bit_count() / n
     tau = 2.0 / math.sqrt(n)
     if abs(pi - 0.5) >= tau:
         return _result("runs", 0.0, {"pi": pi, "skipped": "monobit precondition"})
-    v = int((x[1:] != x[:-1]).sum()) + 1
+    # bit t of packed ^ packed >> 1 is set where bits t and t + 1 differ
+    v = ((packed ^ packed >> 1) & ((1 << (n - 1)) - 1)).bit_count() + 1
     num = abs(v - 2.0 * n * pi * (1.0 - pi))
     den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
     p = math.erfc(num / den)
@@ -303,11 +317,12 @@ def _longest_run_classes(blocks: np.ndarray, lo: int, hi: int) -> np.ndarray:
     hi = row length the class is the longest run itself).
     """
     ones = blocks.view(bool)
-    run = ones
+    run = ones.copy()  # the one buffer every run length is ANDed into
     classes = np.zeros(len(blocks), dtype=np.intp)
     for k in range(1, hi + 1):
         if k > 1:
-            run = run[:, :-1] & ones[:, k - 1 :]
+            run = run[:, :-1]
+            run &= ones[:, k - 1 :]
         if k > lo:
             reached = run.any(axis=1)
             if not reached.any():
@@ -354,31 +369,25 @@ def _matrix_ranks(mats: np.ndarray) -> np.ndarray:
     """GF(2) rank of every matrix in a (count, rows, cols) 0/1 array, cols <= 64.
 
     Each row packs into one unsigned word; one Gaussian elimination then
-    runs over all matrices, a column at a time: the first unused row with
-    the column set becomes the pivot and is xored into the other unused
-    rows that have it.
+    runs over all matrices, a column at a time: the first row with the
+    column set is the pivot and is xored into every row that has it,
+    itself included, so a pivot row is zero from then on and never
+    pivots again.
     """
     count, nrows, ncols = mats.shape
     if not 1 <= ncols <= 64:
         raise ValueError(f"matrix width must be in 1..64, got {ncols}")
     itemsize = next(k for k in (1, 2, 4, 8) if 8 * k >= ncols)
-    word = np.dtype(f"u{itemsize}").type
     rows = _pack_rows(mats.reshape(count * nrows, ncols), itemsize)
     rows = rows.reshape(count, nrows)
-    free = np.ones((count, nrows), dtype=bool)
-    ranks = np.zeros(count, dtype=np.intp)
+    ranks = np.zeros(count, dtype=rows.dtype)
     at = np.arange(count)
-    zero = word(0)
     for col in range(ncols):
-        cand = free & ((rows & word(1 << col)) != 0)
+        cand = rows >> col & 1
         piv = cand.argmax(axis=1)
-        found = cand[at, piv]
-        pivot_rows = np.where(found, rows[at, piv], zero)
-        cand[at, piv] = False
-        rows ^= np.where(cand, pivot_rows[:, None], zero)
-        free[at, piv] &= ~found
-        ranks += found
-    return ranks
+        ranks += cand[at, piv]
+        rows ^= cand * rows[at, piv][:, None]
+    return ranks.astype(np.intp)
 
 
 def binary_matrix_rank(bits, size: int = 32) -> TestResult:
@@ -404,32 +413,98 @@ def binary_matrix_rank(bits, size: int = 32) -> TestResult:
     )
 
 
+@functools.cache
+def _walk_steps(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Net step, lowest and highest partial sum of the +-1 walk of every
+    width-bit chunk (width a power of two), first step its top bit.
+
+    A chunk is its top half's walk, then its bottom half's from the top
+    half's net step, so each width's tables come from the next smaller's.
+    """
+    if width == 1:
+        step = np.array([-1, 1], dtype=np.int8)
+        return step, step, step
+    net, lo, hi = _walk_steps(width // 2)
+    top = net[:, None]
+    return (
+        (top + net).ravel(),
+        np.minimum(lo[:, None], top + lo).ravel(),
+        np.maximum(hi[:, None], top + hi).ravel(),
+    )
+
+
+def _excursion(x: np.ndarray) -> tuple[int, int, int]:
+    """Lowest and highest of the partial sums S_1..S_n of the +-1 walk of
+    the n >= 16 bits x, and S_n.
+
+    The walk is read 16 steps at a time from np.packbits(x): a chunk's
+    lowest (highest) partial sum is the sum before it plus its table
+    entry.  The last n % 16 steps are taken one at a time.
+    """
+    net, lo, hi = _walk_steps(16)  # 192 KB, built on first use
+    whole = x.size & -16
+    chunks = np.packbits(x[:whole]).view(">u2")
+    steps = net[chunks]
+    # the partial sum before each chunk
+    before = np.cumsum(steps, dtype=np.int32 if x.size < 1 << 31 else np.int64)
+    before -= steps
+    lowest = int((before + lo[chunks]).min())
+    highest = int((before + hi[chunks]).max())
+    total = int(before[-1]) + int(steps[-1])
+    for bit in x[whole:].tolist():
+        total += 2 * bit - 1
+        lowest, highest = min(lowest, total), max(highest, total)
+    return lowest, highest, total
+
+
+#: beyond +-_PHI_EDGE the normal CDF is exactly 1.0 or 0.0 in a double
+_PHI_EDGE = 40.0
+
+
+def _cusum_p(n: int, z: int) -> float:
+    """The cumulative-sums p-value of a walk of n steps with excursion z.
+
+    The two sums run in order over the published k ranges, less the k
+    whose two Phi arguments both lie beyond +-_PHI_EDGE: such a term is
+    exactly 0.0, so leaving it out changes no bit of the total.
+    """
+    sqrt_n = math.sqrt(n)
+    # an argument (4k + c) z / sqrt(n) lies beyond +-_PHI_EDGE where |4k + c| > edge
+    edge = _PHI_EDGE * sqrt_n / z
+    total = 1.0
+    # past last, 4k - 1 > edge; before first, 4k + 1 < -edge
+    first = max(((-n // z) + 1) // 4, math.ceil((-edge - 1) / 4))
+    last = min(((n // z) - 1) // 4, math.floor((edge + 1) / 4))
+    for k in range(first, last + 1):
+        total -= _phi((4 * k + 1) * z / sqrt_n) - _phi((4 * k - 1) * z / sqrt_n)
+    # past last, 4k + 1 > edge; before first, 4k + 3 < -edge
+    first = max(((-n // z) - 3) // 4, math.ceil((-edge - 3) / 4))
+    last = min(((n // z) - 1) // 4, math.floor((edge - 1) / 4))
+    for k in range(first, last + 1):
+        total += _phi((4 * k + 3) * z / sqrt_n) - _phi((4 * k + 1) * z / sqrt_n)
+    return total
+
+
 def cumulative_sums(bits, reverse: bool = False) -> TestResult:
     x = _at_least(bits, "cumulative-sums", 100)
-    n = x.size
-    s = (x[::-1] if reverse else x).astype(np.int32 if n < 1 << 31 else np.int64)
-    s <<= 1
-    s -= 1  # the +-1 steps, summed in place
-    np.cumsum(s, out=s)
-    z = int(max(s.max(), -s.min()))
-    sqrt_n = math.sqrt(n)
-    total = 1.0
-    for k in range(((-n // z) + 1) // 4, ((n // z) - 1) // 4 + 1):
-        total -= _phi((4 * k + 1) * z / sqrt_n) - _phi((4 * k - 1) * z / sqrt_n)
-    for k in range(((-n // z) - 3) // 4, ((n // z) - 1) // 4 + 1):
-        total += _phi((4 * k + 3) * z / sqrt_n) - _phi((4 * k + 1) * z / sqrt_n)
+    lo, hi, total = _excursion(x)
+    if reverse:
+        # the reversed walk's partial sums are total - S_k, k = 0..n-1
+        z = max(total - min(0, lo), max(0, hi) - total)
+    else:
+        z = max(hi, -lo)
     name = "cumulative-sums-reverse" if reverse else "cumulative-sums-forward"
-    return _result(name, total, {"z": z})
+    return _result(name, _cusum_p(x.size, z), {"z": z})
 
 
 def _window_counts(x: np.ndarray, m: int) -> np.ndarray:
     """Counts of the 2^m overlapping m-bit windows of x, with wraparound."""
     n = x.size
-    ext = np.concatenate([x, x[: m - 1]])
     idx = np.zeros(n, dtype=np.min_scalar_type((1 << m) - 1))
     for j in range(m):
         idx <<= 1
-        idx |= ext[j : j + n]
+        idx[: n - j] |= x[j:]
+        idx[n - j :] |= x[:j]  # the windows that wrap around
     chunk = 1 << 16  # bincount widens its input to intp
     return sum(np.bincount(idx[i : i + chunk], minlength=1 << m) for i in range(0, n, chunk))
 

@@ -98,8 +98,11 @@ def anf_degree(a: frozenset[int]):
 
 def var_index(i: int, j: int, n: int) -> int:
     """Flat 1-based variable index of v_{i,j} with coordinates 1..n."""
-    if not (i >= 1 and 1 <= j <= n):
-        raise ValueError("v_{i,j} needs i >= 1 and 1 <= j <= n")
+    check_int("i", i, 1)
+    check_int("j", j, 1)
+    check_int("n", n, 1)
+    if j > n:
+        raise ValueError(f"v_{{i,j}} needs j <= n, got j={j}, n={n}")
     return (i - 1) * n + j
 
 
@@ -124,6 +127,7 @@ def _check_guard(m: int, b: int, limit: int) -> int:
 def build_symbolic_q(m: int, b: int, p: int) -> list[list[frozenset[int]]]:
     """Symbolic Q: blocks [e_1*P^j, v_1*P^j, ..., v_{m-1}*P^j], j = 0..b-1."""
     n = _check_guard(m, b, 12)
+    check_int("p", p, 1)
     if p.bit_length() - 1 != n:
         raise ValueError(f"polynomial degree {p.bit_length() - 1} != mb = {n}")
     e1 = [ZERO] * (n - 1) + [ONE]

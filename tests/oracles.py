@@ -78,6 +78,11 @@ route than the package:
   each block bit by bit, and matrix_ranks sums each row's bits into a
   Python int and takes rank per matrix, instead of the package's unpackbits,
   bit-sliced Berlekamp-Massey, shifted-AND runs and batched elimination.
+  walk_partial_sums widens each step to an int32 and sums them all, and
+  runs_v compares each bit with the next, instead of the package's 16-bit
+  walk tables and its popcount of X ^ X >> 1; cusum_p_full sums every
+  term of the cumulative-sums p-value, where the package leaves out the
+  terms that are exactly 0.0.
 * serial_stats and apen_stats count the windows afresh for every m the
   statistic needs (psi_sq and apen_phi), instead of the package's one
   count at the largest m folded down to the smaller ones.
@@ -797,6 +802,38 @@ def matrix_ranks(mats) -> list[int]:
     from kdfc_snow.gf2.linalg import rank
 
     return [rank([sum(int(b) << j for j, b in enumerate(row)) for row in mat]) for mat in mats]
+
+
+def walk_partial_sums(x):
+    """The partial sums S_1..S_n of the +-1 walk of x: the steps widened to
+    one int32 each (int64 from 2^31 bits), summed in place by np.cumsum."""
+    import numpy as np
+
+    s = x.astype(np.int32 if x.size < 1 << 31 else np.int64)
+    s <<= 1
+    s -= 1
+    np.cumsum(s, out=s)
+    return s
+
+
+def cusum_p_full(n: int, z: int) -> float:
+    """The cumulative-sums p-value, every term of both published k ranges."""
+    import math
+
+    from kdfc_snow.randtests import _phi
+
+    sqrt_n = math.sqrt(n)
+    total = 1.0
+    for k in range(((-n // z) + 1) // 4, ((n // z) - 1) // 4 + 1):
+        total -= _phi((4 * k + 1) * z / sqrt_n) - _phi((4 * k - 1) * z / sqrt_n)
+    for k in range(((-n // z) - 3) // 4, ((n // z) - 1) // 4 + 1):
+        total += _phi((4 * k + 3) * z / sqrt_n) - _phi((4 * k + 1) * z / sqrt_n)
+    return total
+
+
+def runs_v(x) -> int:
+    """The runs test's V_n: one plus the count of x[i + 1] != x[i]."""
+    return int((x[1:] != x[:-1]).sum()) + 1
 
 
 def psi_sq(x, m: int) -> float:

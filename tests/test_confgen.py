@@ -350,6 +350,11 @@ class TestIteration:
         with pytest.raises(ValueError, match="^offline fill must supply exactly 1 vectors$"):
             y_offline(2, 4, 1, FillBits.from_seed(2, 5, "s"))
 
+    def test_offline_refuses_fill_of_another_width(self):
+        # two vectors for m = 2 were refused as if two were missing
+        with pytest.raises(ValueError, match="^offline fill has vectors for m=2, need m=3$"):
+            y_offline(3, 2, 2, FillBits.from_seed(2, 2, "s"))
+
     @pytest.mark.parametrize("m,b,k,name", [
         (4, 4, True, "k"), (4, 4, 2.0, "k"), (4, 4, "1", "k"),
         (4.0, 4, 1, "m"), (True, 4, 1, "m"), (4, 4.0, 1, "b"), (4, False, 1, "b"),
@@ -789,6 +794,13 @@ class TestGenerateConfig:
         monkeypatch.setattr(confgen, "_run", lambda *a: pytest.fail("a stage ran"))
         with pytest.raises(ValueError, match="^online fill must supply exactly 6 vectors$"):
             generate_config(2, 4, pipeline_poly(8), y, FillBits.from_seed(2, 7, "s"))
+
+    def test_online_fill_of_another_width(self, monkeypatch):
+        # six vectors for m = 3 were refused as "must supply exactly 6 vectors"
+        y = y_offline(2, 4, 0, FillBits(2, []))
+        monkeypatch.setattr(confgen, "_run", lambda *a: pytest.fail("a stage ran"))
+        with pytest.raises(ValueError, match="^online fill has vectors for m=3, need m=2$"):
+            generate_config(2, 4, pipeline_poly(8), y, FillBits.from_seed(3, 6, "s"))
 
     def test_fill_meant_for_a_narrower_y_never_runs(self, monkeypatch):
         # Y after k = 3 offline stages, its widest row 5 bits, with the 4

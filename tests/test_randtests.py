@@ -10,13 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdfc_snow import randtests as rt
+from kdfc_snow import snow2
 from oracles import (
     apen_stats,
     block_linear_complexities,
+    cusum_p_full,
     longest_runs,
     matrix_ranks,
     psi_sq,
+    runs_v,
     serial_stats,
+    walk_partial_sums,
     words_to_bits,
 )
 
@@ -280,6 +284,49 @@ class TestBattery:
                 rt.run_test(name, small)
 
 
+#: repr of every run_battery result on two fixed streams, recorded before
+#: the runs, matrix-rank and cumulative-sums kernels were rewritten on packed
+#: bits: any moved float or stats entry fails the pin
+BATTERY_PINS = {
+    "seeded": [
+        "TestResult(name='monobit', p_value=0.7733467386671147, stats={'S_n': -288, 's_obs': 0.288, 'n': 1000000})",
+        "TestResult(name='block-frequency', p_value=0.5504359301043799, stats={'chi2': 7795.5, 'blocks': 7812, 'block_size': 128})",
+        "TestResult(name='runs', p_value=0.4031082038408038, stats={'V_n': 500418, 'pi': 0.499856})",
+        "TestResult(name='longest-run-of-ones', p_value=0.577524923178327, stats={'chi2': 4.7403128759821165, 'block_size': 10000, 'blocks': 100, 'counts': [9, 16, 32, 16, 13, 5, 9]})",
+        "TestResult(name='binary-matrix-rank', p_value=0.9049585978067903, stats={'chi2': 0.19973216921697023, 'matrices': 976, 'counts': [282, 559, 135], 'probabilities': [0.288788095153841, 0.5775761901732047, 0.1336357146729542]})",
+        "TestResult(name='cumulative-sums-forward', p_value=0.9009914204135501, stats={'z': 695})",
+        "TestResult(name='cumulative-sums-reverse', p_value=0.644840573428797, stats={'z': 983})",
+        "TestResult(name='serial', p_value=0.6764342685929878, stats={'m': 2, 'del1': 0.7818400000687689, 'del2': 0.698896000161767, 'p_value2': 0.4031549030017664})",
+        "TestResult(name='approximate-entropy', p_value=0.937175265716232, stats={'m': 2, 'ApEn': 0.693146775829675, 'chi2': 0.809460540596163})",
+        "TestResult(name='linear-complexity', p_value=0.14244443985096716, stats={'chi2': 9.602000000000002, 'blocks': 2000, 'block_size': 500, 'counts': [22, 63, 278, 1016, 481, 99, 41]})",
+    ],
+    "snow2": [
+        "TestResult(name='monobit', p_value=0.989907739039596, stats={'S_n': 4, 's_obs': 0.012649110640673516, 'n': 100000})",
+        "TestResult(name='block-frequency', p_value=0.7286674053889364, stats={'chi2': 756.53125, 'blocks': 781, 'block_size': 128})",
+        "TestResult(name='runs', p_value=0.18412620496934837, stats={'V_n': 50210, 'pi': 0.50002})",
+        "TestResult(name='longest-run-of-ones', p_value=0.25239029036507243, stats={'chi2': 6.596849256029712, 'block_size': 128, 'blocks': 781, 'counts': [86, 200, 215, 117, 73, 90]})",
+        "TestResult(name='binary-matrix-rank', p_value=0.2774287865068219, stats={'chi2': 2.564382007860342, 'matrices': 97, 'counts': [34, 54, 9], 'probabilities': [0.288788095153841, 0.5775761901732047, 0.1336357146729542]})",
+        "TestResult(name='cumulative-sums-forward', p_value=0.8090429483621401, stats={'z': 255})",
+        "TestResult(name='cumulative-sums-reverse', p_value=0.8203346518941096, stats={'z': 251})",
+        "TestResult(name='serial', p_value=0.41392105986365435, stats={'m': 2, 'del1': 1.7641599999915343, 'del2': 1.7639999999810243, 'p_value2': 0.18412637278733923})",
+        "TestResult(name='approximate-entropy', p_value=0.4290022895577942, stats={'m': 2, 'ApEn': 0.6931280128620338, 'chi2': 3.833539582287493})",
+        "TestResult(name='linear-complexity', p_value=0.39043644091731977, stats={'chi2': 6.3, 'blocks': 200, 'block_size': 500, 'counts': [4, 3, 24, 94, 55, 17, 3]})",
+    ],
+}
+
+
+class TestBatteryPins:
+    def test_seeded_million_bits(self):
+        x = np.random.default_rng(20260825).integers(0, 2, size=1_000_000, dtype=np.uint8)
+        assert [repr(r) for r in rt.run_battery(x)] == BATTERY_PINS["seeded"]
+
+    def test_snow2_zero_key_stream(self):
+        # the first 10^5 bits of the SNOW 2.0 zero-key, zero-IV keystream
+        stream = snow2.snow2_keystream(snow2.snow2_init([0] * 8, [0] * 4), 3125)
+        bits = rt.bits_from_words(stream)
+        assert [repr(r) for r in rt.run_battery(bits)] == BATTERY_PINS["snow2"]
+
+
 class TestInputGate:
     @pytest.mark.parametrize("name,test,required", [
         ("monobit", rt.monobit, 100),
@@ -419,7 +466,7 @@ class TestMatrixRankKernel:
         mats = random_blocks(seed, count, size * size, density).reshape(count, size, size)
         assert rt._matrix_ranks(mats).tolist() == matrix_ranks(mats)
 
-    @pytest.mark.parametrize("size", [1, 8, 32, 64])
+    @pytest.mark.parametrize("size", [1, 8, 32, 63, 64])
     def test_sizes(self, size):
         mats = random_blocks(size, 100, size * size).reshape(100, size, size)
         mats[0] = 0
@@ -428,6 +475,17 @@ class TestMatrixRankKernel:
         got = rt._matrix_ranks(mats).tolist()
         assert got == matrix_ranks(mats)
         assert got[:3] == [0, 1, size]
+
+    def test_all_ones_matrices(self):
+        # every row is a pivot candidate in every column; only the first pivots
+        for size in range(1, 65):
+            mats = np.ones((3, size, size), dtype=np.uint8)
+            assert rt._matrix_ranks(mats).tolist() == [1, 1, 1]
+
+    @pytest.mark.parametrize("nrows,ncols", [(3, 64), (64, 3), (1, 63), (63, 1)])
+    def test_rectangular(self, nrows, ncols):
+        mats = random_blocks(nrows * ncols, 50, nrows * ncols).reshape(50, nrows, ncols)
+        assert rt._matrix_ranks(mats).tolist() == matrix_ranks(mats)
 
     def test_refuses_wide_rows(self):
         with pytest.raises(ValueError, match="width"):
@@ -448,6 +506,66 @@ class TestMatrixRankKernel:
         deficits = [min(64 - k, 2) for k in matrix_ranks(x.reshape(38, 64, 64))]
         assert r.stats["counts"] == [deficits.count(i) for i in range(3)]
         assert r.passed
+
+
+class TestWalkKernel:
+    @pytest.mark.parametrize("residue", range(16))
+    @given(st.integers(0, 11), st.integers(0, 2**32), st.sampled_from([0.0, 0.5, 1.0]))
+    @settings(max_examples=12, deadline=None)
+    def test_excursion_matches_cumsum(self, residue, chunks, seed, density):
+        # n = 100..291 covers every n % 16, so every length of the last partial chunk
+        x = random_blocks(seed, 1, 100 + 16 * chunks + residue, density)[0]
+        s = walk_partial_sums(x)
+        assert rt._excursion(x) == (int(s.min()), int(s.max()), int(s[-1]))
+        for reverse in (False, True):
+            want = int(np.abs(walk_partial_sums(x[::-1] if reverse else x)).max())
+            assert rt.cumulative_sums(x, reverse).stats["z"] == want
+
+    def test_walk_tables(self):
+        net, lo, hi = rt._walk_steps(16)
+        assert net.nbytes + lo.nbytes + hi.nbytes == 3 << 16
+        chunks = np.arange(1 << 16, dtype=">u2")
+        bits = np.unpackbits(chunks.view(np.uint8)).reshape(-1, 16)
+        s = np.cumsum(2 * bits.astype(np.int64) - 1, axis=1)
+        assert np.array_equal(net, s[:, -1])
+        assert np.array_equal(lo, s.min(axis=1))
+        assert np.array_equal(hi, s.max(axis=1))
+
+    def test_truncated_phi_sum_every_z_at_100(self):
+        for z in range(1, 101):
+            assert rt._cusum_p(100, z).hex() == cusum_p_full(100, z).hex(), z
+
+    def test_truncated_phi_sum_sampled_z_at_a_million(self):
+        rng = np.random.default_rng(1_000_000)
+        sampled = np.unique(np.geomspace(10, 10**6, 40).astype(int)).tolist()
+        sampled += rng.integers(300, 3000, 40).tolist() + [10**6 - 1, 10**6]
+        for z in sampled:
+            assert rt._cusum_p(10**6, z).hex() == cusum_p_full(10**6, z).hex(), z
+
+
+class TestRunsKernel:
+    @pytest.mark.parametrize("residue", range(8))
+    @given(st.integers(0, 25), st.integers(0, 2**32))
+    @settings(max_examples=10)
+    def test_v_and_pi(self, residue, bytes_, seed):
+        # exactly half ones, so the monobit precondition holds and V_n is computed
+        n = 100 + 8 * bytes_ + residue
+        x = np.random.default_rng(seed).permutation(np.arange(n) % 2).astype(np.uint8)
+        stats = rt.runs_test(x).stats
+        assert stats == {"V_n": runs_v(x), "pi": float(x.mean())}
+
+    @pytest.mark.parametrize("n", [100, 101, 107, 1000, 100_003])
+    def test_alternating_and_paired(self, n):
+        alternating = (np.arange(n) % 2).astype(np.uint8)
+        assert rt.runs_test(alternating).stats["V_n"] == n == runs_v(alternating)
+        paired = (np.arange(n) // 2 % 2).astype(np.uint8)
+        assert rt.runs_test(paired).stats["V_n"] == runs_v(paired) == (n + 1) // 2
+
+    @pytest.mark.parametrize("density", [0.0, 0.05, 1.0])
+    def test_pi_when_skipped(self, density):
+        x = random_blocks(17, 1, 1001, density)[0]
+        assert rt.runs_test(x).stats == {
+            "pi": float(x.mean()), "skipped": "monobit precondition"}
 
 
 class TestLongestRunKernel:
@@ -518,13 +636,12 @@ class TestParameterChecks:
 
 
 class TestNarrowTransients:
-    """cumulative-sums, serial and approximate-entropy keep no int64 per bit."""
+    """No test widens a bit to an integer or copies the bit array twice."""
 
-    @pytest.mark.parametrize("name", [
-        "cumulative-sums-forward", "cumulative-sums-reverse", "serial",
-        "approximate-entropy",
-    ])
+    @pytest.mark.parametrize("name", rt.TEST_NAMES)
     def test_peak_on_a_million_bits(self, name):
+        # at most 1.6 bytes per bit: larger transients, once freed, let the
+        # allocator trim its heap, and the next test's arrays fault in afresh
         x = np.random.default_rng(7).integers(0, 2, size=1_000_000, dtype=np.uint8)
         rt.run_test(name, x)
         tracemalloc.start()
@@ -533,7 +650,7 @@ class TestNarrowTransients:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 9_000_000, f"{name} peaked at {peak} bytes"
+        assert peak <= 1_600_000, f"{name} peaked at {peak} bytes"
 
     @pytest.mark.parametrize("density", [0.5, 0.9, 1.0])
     def test_cumulative_sums_excursion(self, density):

@@ -178,6 +178,19 @@ class TestVarIndex:
         with pytest.raises(ValueError):
             var_index(1, 9, 8)
 
+    @pytest.mark.parametrize("i,j,n,message", [
+        (1.5, 1, 8, "^i must be an int, got float$"),
+        (1, 2.0, 8, "^j must be an int, got float$"),
+        (1, 1, 8.0, "^n must be an int, got float$"),
+        (True, 1, 8, "^i must be an int, got bool$"),
+        (1, 0, 8, "^need j >= 1, got j=0$"),
+        (1, 9, 8, r"^v_\{i,j\} needs j <= n, got j=9, n=8$"),
+    ])
+    def test_refused_by_name(self, i, j, n, message):
+        # var_index(1.5, 1, 8) returned the float 5.0
+        with pytest.raises(ValueError, match=message):
+            var_index(i, j, n)
+
 
 class TestWorkedInstance:
     def test_q_structure(self):
@@ -370,3 +383,16 @@ class TestGuards:
         # m = 2.0 passed the bounds and ended in a bare TypeError
         with pytest.raises(ValueError, match=message):
             build(m, b, P8)
+
+    @pytest.mark.parametrize("build", [
+        build_symbolic_q, build_symbolic_qp, theorem1_check, verify_minor_lemmas,
+    ])
+    @pytest.mark.parametrize("p,message", [
+        (285.0, "^p must be an int, got float$"),
+        ("285", "^p must be an int, got str$"),
+        (-285, "^need p >= 1, got p=-285$"),
+    ])
+    def test_polynomial_refused_by_name(self, build, p, message):
+        # build_symbolic_q(2, 4, 285.0) ended in AttributeError on bit_length
+        with pytest.raises(ValueError, match=message):
+            build(2, 4, p)
