@@ -5,12 +5,15 @@ binary-matrix-rank, cumulative-sums (forward and reverse), serial,
 approximate-entropy, and linear-complexity.  Each returns a TestResult
 whose ``passed`` is computed from its p-value, ``p_value >= 0.01``.
 
-Bits are handled as numpy uint8 arrays of 0/1.  Keystream words map to
-bits most-significant-bit first (matching the hex the CLI prints), by one
-``np.unpackbits`` over the words' big-endian bytes.  The regularized upper
-incomplete gamma function is implemented here (series plus continued
-fraction, 1e-12 relative target) so the module needs no
-scientific-library dependency; erfc comes from the stdlib.
+Bits are handled as numpy uint8 arrays of 0/1; an input of another
+integer or bool type is checked for 0/1 before its cast.  Keystream
+words map to bits most-significant-bit first (matching the hex the CLI
+prints), by one ``np.unpackbits`` over the words' big-endian bytes; a
+list of words goes through one typed 32-bit buffer after one pass over
+its element types.  The regularized upper incomplete gamma function is
+implemented here (series plus continued fraction, 1e-12 relative
+target) so the module needs no scientific-library dependency; erfc
+comes from the stdlib.
 
 The tests work on whole arrays or on packed bits, never one block or one
 bit at a time:
@@ -23,9 +26,14 @@ bit at a time:
 * binary-matrix-rank packs each matrix row into one unsigned word and
   runs a single Gaussian elimination over all matrices, one column step
   across every matrix (``_matrix_ranks``);
-* longest-run-of-ones ANDs each block with itself shifted, once per run
-  length up to the top class, in place in one buffer
-  (``_longest_run_classes``);
+* longest-run-of-ones packs each block into uint64 words and ANDs them
+  with themselves shifted by one bit, carried across words, once per run
+  length up to the top class (``_longest_run_classes``);
+* serial and approximate-entropy count every window that starts in a
+  byte's 8 phases from one histogram of the (m+7)-bit words read at each
+  byte offset of the packed bits (``_window_counts``);
+* monobit counts the ones with np.count_nonzero, and block-frequency
+  sums its blocks in the narrowest unsigned type;
 * cumulative-sums reads the +-1 walk 16 steps at a time from the packed
   bits, through tables of each 16-bit chunk's net step and lowest and
   highest partial sum (``_excursion``), and its p-value sum leaves out
@@ -36,11 +44,11 @@ bit at a time:
 These kernels pack bits into words and never widen one bit to an
 integer, so none of their transient arrays is larger than the bit array
 (cumulative-sums keeps one int32 per 16 bits, serial and
-approximate-entropy one window index per bit in the smallest unsigned
-type, and no copy of the bits).  Small transients also keep glibc's
-malloc from trimming its heap between tests, which would make the next
-test's arrays fault in afresh.  tests/oracles.py holds a per-block
-or per-bit reference for each kernel.
+approximate-entropy one 16-bit word per 8 bits, and no copy of the
+bits).  Small transients also keep glibc's malloc from trimming its
+heap between tests, which would make the next test's arrays fault in
+afresh.  tests/oracles.py holds a per-block or per-bit reference for
+each kernel.
 
 serial and approximate-entropy count the overlapping m-bit windows once,
 at the largest m each needs, and take every smaller m by merging
@@ -55,6 +63,7 @@ probabilities.
 
 from __future__ import annotations
 
+import array
 import functools
 import math
 import string
@@ -139,6 +148,24 @@ def bits_from_hex(text: str) -> np.ndarray:
     return bits[: 4 * len(digits)].astype(np.uint8)
 
 
+#: the array typecode of a C unsigned int of 32 bits
+_U32 = next(code for code in "IL" if array.array(code).itemsize == 4)
+
+
+def _word_list(words: list | tuple) -> np.ndarray:
+    """A list or tuple of words as uint32: one pass over the element types,
+    then one typed buffer, whose conversion refuses a word out of range."""
+    for kind in set(map(type, words)) - {int}:
+        if kind is bool or not issubclass(kind, (int, np.integer)):
+            if issubclass(kind, (list, tuple, np.ndarray)):
+                raise ValueError("words must be one-dimensional")
+            raise TypeError(f"words must be integers, got {kind.__name__}")
+    try:
+        return np.frombuffer(array.array(_U32, words), np.uint32)
+    except OverflowError:
+        raise ValueError("every word must be in [0, 2**32)") from None
+
+
 def bits_from_words(words) -> np.ndarray:
     """32-bit words to bits, most significant bit first within each word.
 
@@ -146,16 +173,16 @@ def bits_from_words(words) -> np.ndarray:
     ValueError (TypeError for a non-integer word, bools included) before
     any word is converted.
     """
-    arr = np.asarray(words)
-    if arr.ndim != 1:
-        raise ValueError("words must be one-dimensional")
-    if arr.size and arr.dtype.kind not in "iu":
-        # numpy holds Python ints past 64 bits as objects or floats
-        if all(type(w) is int for w in words):
+    if isinstance(words, (list, tuple)):
+        arr = _word_list(words)
+    else:
+        arr = np.asarray(words)
+        if arr.ndim != 1:
+            raise ValueError("words must be one-dimensional")
+        if arr.size and arr.dtype.kind not in "iu":
+            raise TypeError(f"words must be integers, got {arr.dtype}")
+        if arr.size and (arr.min() < 0 or int(arr.max()) >> 32):
             raise ValueError("every word must be in [0, 2**32)")
-        raise TypeError(f"words must be integers, got {arr.dtype}")
-    if arr.size and (arr.min() < 0 or int(arr.max()) >> 32):
-        raise ValueError("every word must be in [0, 2**32)")
     return np.unpackbits(arr.astype(">u4").view(np.uint8))
 
 
@@ -172,12 +199,27 @@ def _pack_rows(bits: np.ndarray, itemsize: int) -> np.ndarray:
 
 
 def _as_bits(bits) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.uint8)
+    """bits as a uint8 array, refused unless it holds integers or bools
+    that are all 0 or 1 (checked before the cast, which would wrap them)."""
+    arr = np.asarray(bits)
     if arr.ndim != 1:
         raise ValueError("bits must be one-dimensional")
-    if arr.size and arr.max() > 1:
+    if arr.size and arr.dtype.kind not in "biu":
+        raise ValueError(f"bits must be 0/1 integers or bools, got {arr.dtype}")
+    if arr.size and (arr.max() > 1 or (arr.dtype.kind == "i" and arr.min() < 0)):
         raise ValueError("bits must be 0/1")
-    return arr
+    return arr.astype(np.uint8, copy=False)
+
+
+def _check_param(name: str, value, least: int, most: int | None = None) -> None:
+    """Refuse a test parameter that is not an int (a bool is not one here)
+    or lies outside least..most, by name."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if most is None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    if most is not None and not least <= value <= most:
+        raise ValueError(f"{name} must be in {least}..{most}, got {value}")
 
 
 def _at_least(bits, name: str, required: int) -> np.ndarray:
@@ -253,22 +295,22 @@ def _phi(x: float) -> float:
 def monobit(bits) -> TestResult:
     x = _at_least(bits, "monobit", 100)
     n = x.size
-    s = int(2 * int(x.sum()) - n)
+    s = 2 * int(np.count_nonzero(x)) - n
     s_obs = abs(s) / math.sqrt(n)
     p = math.erfc(s_obs / math.sqrt(2.0))
     return _result("monobit", p, {"S_n": s, "s_obs": s_obs, "n": n})
 
 
 def block_frequency(bits, block_size: int = 128) -> TestResult:
-    if block_size < 1:
-        raise ValueError(f"block_size must be at least 1, got {block_size}")
+    _check_param("block_size", block_size, 1)
     x = _at_least(bits, "block-frequency", 100)
     n = x.size
     nblocks = n // block_size
     if nblocks < 1:
         raise InsufficientDataError("block-frequency", block_size, n)
     trimmed = x[: nblocks * block_size].reshape(nblocks, block_size)
-    pi = trimmed.mean(axis=1)
+    # the counts are exact, so count / block_size is bit for bit the mean
+    pi = trimmed.sum(axis=1, dtype=np.min_scalar_type(block_size)) / block_size
     chi2 = 4.0 * block_size * float(((pi - 0.5) ** 2).sum())
     p = igamc(nblocks / 2.0, chi2 / 2.0)
     return _result(
@@ -312,17 +354,21 @@ _LONGEST_RUN_TABLES = {
 def _longest_run_classes(blocks: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """min(max(longest run of ones, lo), hi) - lo for each row of blocks.
 
-    The class counts the run lengths k in lo+1..hi that some run reaches;
-    run k is the row ANDed with itself shifted by 1..k-1 (with lo = 0 and
-    hi = row length the class is the longest run itself).
+    The class counts the run lengths k in lo+1..hi that some run reaches.
+    Each row packs into uint64 words, bit i of the row bit i % 64 of word
+    i // 64; run_k, set at i where bits i..i+k-1 are all ones, is
+    run_{k-1} & (run_{k-1} >> 1), with bit 0 of the next word carried
+    into bit 63 (with lo = 0 and hi = row length the class is the longest
+    run itself).
     """
-    ones = blocks.view(bool)
-    run = ones.copy()  # the one buffer every run length is ANDed into
+    run = _pack_rows(blocks, 8)
+    shifted = np.empty_like(run)
     classes = np.zeros(len(blocks), dtype=np.intp)
     for k in range(1, hi + 1):
         if k > 1:
-            run = run[:, :-1]
-            run &= ones[:, k - 1 :]
+            np.right_shift(run, 1, out=shifted)
+            shifted[:, :-1] |= run[:, 1:] << 63
+            run &= shifted
         if k > lo:
             reached = run.any(axis=1)
             if not reached.any():
@@ -391,8 +437,7 @@ def _matrix_ranks(mats: np.ndarray) -> np.ndarray:
 
 
 def binary_matrix_rank(bits, size: int = 32) -> TestResult:
-    if not 2 <= size <= 64:
-        raise ValueError(f"size must be in 2..64, got {size}")
+    _check_param("size", size, 2, 64)
     x = _at_least(bits, "binary-matrix-rank", 38 * size * size)
     n = x.size
     nmat = n // (size * size)
@@ -498,15 +543,49 @@ def cumulative_sums(bits, reverse: bool = False) -> TestResult:
 
 
 def _window_counts(x: np.ndarray, m: int) -> np.ndarray:
-    """Counts of the 2^m overlapping m-bit windows of x, with wraparound."""
+    """Counts of the 2^m overlapping m-bit windows of x (m <= x.size), with
+    wraparound; window i is bits i..i+m-1, its first bit the most significant.
+
+    The windows start at 8k + s, k a byte offset of np.packbits(x) and s
+    one of 8 phases.  A group of q phases from s0 reads the m + q - 1 bits
+    from 8k + s0 at every k whose 8 windows lie inside x, and counts those
+    words in one histogram; phase s0 + t is bits t..t+m-1 of a word, so its
+    counts are the histogram reshaped to (2^t, 2^m, 2^(q-1-t)) and summed
+    over the outer axes.  With q = min(8, 17 - m), at least 1, no
+    histogram has more than max(2^16, 2^m) bins.  The rest of the windows
+    (at most 15, and the m - 1 that wrap around) are counted one at a time.
+    """
     n = x.size
-    idx = np.zeros(n, dtype=np.min_scalar_type((1 << m) - 1))
-    for j in range(m):
-        idx <<= 1
-        idx[: n - j] |= x[j:]
-        idx[n - j :] |= x[:j]  # the windows that wrap around
-    chunk = 1 << 16  # bincount widens its input to intp
-    return sum(np.bincount(idx[i : i + chunk], minlength=1 << m) for i in range(0, n, chunk))
+    counts = np.zeros(1 << m, dtype=np.intp)
+    # byte offsets whose 8 windows lie inside x (a window starts inside it)
+    offsets = max(0, (n - max(m, 1) - 7) // 8 + 1)
+    if offsets:
+        packed = np.packbits(x[: 8 * offsets + m + 6])
+        phases = min(8, max(1, 17 - m))
+        for s0 in range(0, 8, phases):
+            q = min(phases, 8 - s0)
+            width = m + q - 1
+            nbytes = -(-(s0 + width) // 8)
+            dtype = np.uint16 if nbytes <= 2 else np.uint32 if nbytes <= 4 else np.uint64
+            words = packed[:offsets].astype(dtype)
+            for j in range(1, nbytes):
+                words <<= 8
+                words |= packed[j : j + offsets]
+            words >>= 8 * nbytes - s0 - width
+            words &= dtype((1 << width) - 1)
+            # bincount widens its input to intp: chunks no larger than the bins
+            chunk = max(1 << 16, 1 << width)
+            hist = np.bincount(words[:chunk], minlength=1 << width)
+            for i in range(chunk, offsets, chunk):
+                hist += np.bincount(words[i : i + chunk], minlength=1 << width)
+            for t in range(q):
+                counts += hist.reshape(1 << t, 1 << m, 1 << (q - 1 - t)).sum(axis=(0, 2))
+    # the windows from bit 8 * offsets on, over the first m - 1 bits again
+    rest = x[8 * offsets :].tolist() + x[: max(m - 1, 0)].tolist()
+    value = int("".join(map(str, rest)) or "0", 2)
+    for start in range(n - 8 * offsets):
+        counts[value >> (len(rest) - m - start) & ((1 << m) - 1)] += 1
+    return counts
 
 
 def _fold(counts: np.ndarray) -> np.ndarray:
@@ -532,8 +611,7 @@ def _psi_sq(counts: np.ndarray, n: int) -> float:
 
 
 def serial_test(bits, m: int = 2) -> TestResult:
-    if m < 2:
-        raise ValueError(f"m must be at least 2, got {m}")
+    _check_param("m", m, 2)
     x = _at_least(bits, "serial", 100)
     n = x.size
     _check_window_bits(m, n)
@@ -554,8 +632,7 @@ def serial_test(bits, m: int = 2) -> TestResult:
 
 
 def approximate_entropy(bits, m: int = 2) -> TestResult:
-    if m < 0:
-        raise ValueError(f"m must be at least 0, got {m}")
+    _check_param("m", m, 0)
     x = _at_least(bits, "approximate-entropy", 100)
     n = x.size
     _check_window_bits(m, n)
@@ -649,8 +726,7 @@ def _linear_complexities(blocks: np.ndarray) -> np.ndarray:
 
 
 def linear_complexity(bits, block_size: int = 500) -> TestResult:
-    if block_size < 1:
-        raise ValueError(f"block_size must be at least 1, got {block_size}")
+    _check_param("block_size", block_size, 1)
     x = _at_least(bits, "linear-complexity", 200 * block_size)
     n = x.size
     nblocks = n // block_size

@@ -836,15 +836,27 @@ def runs_v(x) -> int:
     return int((x[1:] != x[:-1]).sum()) + 1
 
 
+def window_counts(x, m: int):
+    """Counts of the 2^m overlapping m-bit windows of x (m <= x.size), with
+    wraparound: one window index per bit, shifted in a bit at a time."""
+    import numpy as np
+
+    n = x.size
+    idx = np.zeros(n, dtype=np.min_scalar_type((1 << m) - 1))
+    for j in range(m):
+        idx <<= 1
+        idx[: n - j] |= x[j:]
+        idx[n - j :] |= x[:j]  # the windows that wrap around
+    return np.bincount(idx, minlength=1 << m)
+
+
 def psi_sq(x, m: int) -> float:
     """psi^2_m of the serial test from a fresh m-bit window count (0 for m = 0)."""
     import numpy as np
 
-    from kdfc_snow.randtests import _window_counts
-
     if m == 0:
         return 0.0
-    counts = _window_counts(x, m)
+    counts = window_counts(x, m)
     return float((1 << m) / x.size * (counts.astype(np.float64) ** 2).sum() - x.size)
 
 
@@ -862,11 +874,9 @@ def apen_phi(x, m: int) -> float:
     """sum of p log p over the m-bit window frequencies p (0 for m = 0)."""
     import numpy as np
 
-    from kdfc_snow.randtests import _window_counts
-
     if m == 0:
         return 0.0
-    counts = _window_counts(x, m).astype(np.float64)
+    counts = window_counts(x, m).astype(np.float64)
     nz = counts[counts > 0] / x.size
     return float((nz * np.log(nz)).sum())
 

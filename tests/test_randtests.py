@@ -21,6 +21,7 @@ from oracles import (
     runs_v,
     serial_stats,
     walk_partial_sums,
+    window_counts,
     words_to_bits,
 )
 
@@ -62,6 +63,26 @@ class TestHelpers:
             rt.monobit(np.zeros((10, 10), dtype=np.uint8))
         with pytest.raises(ValueError):
             rt.monobit(np.array([0, 1, 2], dtype=np.uint8))
+
+    @pytest.mark.parametrize("bits", [
+        np.full(200, 0.5),
+        [0.0, 1.0] * 100,
+        [-1] * 200,
+        [256] * 200,
+        np.full(200, -1, dtype=np.int8),
+        np.full(200, 257, dtype=np.uint16),
+        [1 << 70] * 200,
+    ], ids=["halves", "float-list", "minus-one", "256", "int8", "uint16", "object"])
+    def test_as_bits_refuses_before_the_cast(self, bits):
+        # a cast to uint8 would wrap these (or overflow) into other bits
+        with pytest.raises(ValueError, match="bits must be 0/1"):
+            rt.monobit(bits)
+
+    def test_as_bits_takes_integers_and_bools(self):
+        x = np.random.default_rng(5).integers(0, 2, size=300, dtype=np.uint8)
+        want = repr(rt.monobit(x))
+        for bits in (x.astype(bool), x.astype(np.int64), x.tolist(), x.view(np.int8)):
+            assert repr(rt.monobit(bits)) == want
 
 
 class TestIgamc:
@@ -374,6 +395,8 @@ class TestBitsFromWords:
         assert rt.bits_from_words(words).tolist() == words_to_bits(words.tolist())
         assert rt.bits_from_words([(1 << 32) - 1]).tolist() == [1] * 32
         assert rt.bits_from_words([]).size == 0
+        mixed = (np.uint32(0xFFFFFFFF), 1, np.int64(0x80000000))
+        assert rt.bits_from_words(mixed).tolist() == words_to_bits([int(w) for w in mixed])
 
     @pytest.mark.parametrize("words", [
         [2**33 + 5],
@@ -384,19 +407,25 @@ class TestBitsFromWords:
         [1 << 70],
         [-1, 2**63],
         np.array([-3], dtype=np.int64),
+        [np.int64(-1)],
+        (0, np.uint64(1 << 32)),
     ])
     def test_refuses_word_out_of_range(self, words):
         with pytest.raises(ValueError, match="word"):
             rt.bits_from_words(words)
 
-    @pytest.mark.parametrize("words", [[1.5], [0, 2.0], [True], ["1"], [1 << 70, 0.5]])
+    @pytest.mark.parametrize("words", [
+        [1.5], [0, 2.0], [True], ["1"], [1 << 70, 0.5], [1, True], (0, np.True_),
+    ])
     def test_refuses_non_integer_word(self, words):
         with pytest.raises(TypeError, match="integers"):
             rt.bits_from_words(words)
 
     def test_refuses_two_dimensional_words(self):
-        with pytest.raises(ValueError, match="one-dimensional"):
-            rt.bits_from_words([[0, 1], [2, 3]])
+        for words in ([[0, 1], [2, 3]], [1, (2, 3)], [np.array([1, 2])],
+                      np.zeros((2, 2), np.uint32), 7):
+            with pytest.raises(ValueError, match="one-dimensional"):
+                rt.bits_from_words(words)
 
 
 class TestLinearComplexityKernel:
@@ -577,7 +606,7 @@ class TestLongestRunKernel:
         assert got.tolist() == longest_runs(blocks)
 
     @pytest.mark.parametrize("length,lo,hi", [(8, 1, 4), (128, 4, 9), (10_000, 10, 16)])
-    @pytest.mark.parametrize("density", [0.0, 0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("density", [0.0, 0.5, 0.8, 0.99, 1.0])
     def test_published_classes(self, length, lo, hi, density):
         blocks = random_blocks(length, 30, length, density)
         want = [min(max(best, lo), hi) - lo for best in longest_runs(blocks)]
@@ -597,6 +626,13 @@ class TestParameterChecks:
         ("approximate_entropy", {"m": -1}),
         ("serial_test", {"m": 30}),
         ("approximate_entropy", {"m": 30}),
+        ("approximate_entropy", {"m": True}),
+        ("serial_test", {"m": 2.0}),
+        ("block_frequency", {"block_size": 2.5}),
+        ("block_frequency", {"block_size": np.int64(128)}),
+        ("linear_complexity", {"block_size": 500.0}),
+        ("binary_matrix_rank", {"size": 32.0}),
+        ("binary_matrix_rank", {"size": False}),
     ], ids=str)
     def test_bad_parameter_is_a_value_error(self, test, params):
         x = np.random.default_rng(3).integers(0, 2, size=200_000, dtype=np.uint8)
@@ -613,6 +649,11 @@ class TestParameterChecks:
             (rt.serial_test, {"m": 1}, r"\bm must"),
             (rt.approximate_entropy, {"m": -1}, r"\bm must"),
             (rt.linear_complexity, {"block_size": 0}, "block_size must"),
+            (rt.block_frequency, {"block_size": 2.5}, "block_size must be an int, got 2.5"),
+            (rt.binary_matrix_rank, {"size": 32.0}, "size must be an int"),
+            (rt.serial_test, {"m": True}, r"\bm must be an int, got True"),
+            (rt.approximate_entropy, {"m": 2.0}, r"\bm must be an int"),
+            (rt.linear_complexity, {"block_size": 500.0}, "block_size must be an int"),
         ]:
             with pytest.raises(ValueError, match=message) as exc:
                 test(x, **params)
@@ -669,6 +710,23 @@ class TestNarrowTransients:
         idx = sum(ext[j : j + x.size] << (m - 1 - j) for j in range(m))
         want = np.bincount(idx, minlength=1 << m)
         assert np.array_equal(rt._window_counts(x, m), want)
+
+    @given(
+        st.integers(1, 17),
+        st.one_of(
+            st.integers(16, 300),
+            st.integers((1 << 16) - 40, (1 << 16) + 40),
+            # past 2^16 byte offsets, where the histogram's bincount splits
+            st.integers((1 << 19) - 40, (1 << 19) + 40),
+        ),
+        st.integers(0, 2**32),
+        DENSITIES,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_window_counts_match_per_bit_count(self, m, n, seed, density):
+        # every phase group, histogram width and n mod 8, with the tail
+        x = random_blocks(seed, 1, max(n, m), density)[0]
+        assert np.array_equal(rt._window_counts(x, m), window_counts(x, m))
 
     @given(
         st.integers(1, 17),
