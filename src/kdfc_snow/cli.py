@@ -38,7 +38,9 @@ from kdfc_snow.gf2.poly import (
     is_primitive,
     parse_exponents,
 )
-from kdfc_snow.sigma_lfsr import CONFIG_SHAPE, SigmaConfig, config_char_poly, period
+from kdfc_snow.sigma_lfsr import (
+    CONFIG_SHAPE, SigmaConfig, annihilates, config_char_poly, period,
+)
 from kdfc_snow.snow2 import (
     CipherState,
     snow2_gains,
@@ -175,7 +177,7 @@ def _load_state(path: str) -> CipherState:
     check_shape(doc, _STATE_SHAPE, "state document")
     cfg = SigmaConfig.from_json(doc["config"])
     state = CipherState(doc["lfsr"], [doc["fsm"]["r1"], doc["fsm"]["r2"]], cfg)
-    if config_char_poly(cfg) != kdfc.target_poly():
+    if not annihilates(cfg, kdfc.target_poly()):
         raise ValueError("state configuration lacks the target characteristic polynomial")
     if doc["char_poly"] != exponent_list(kdfc.target_poly()):
         raise ValueError("state configuration does not match the document's char_poly")

@@ -82,7 +82,7 @@ from kdfc_snow.gf2.poly import (
     is_primitive,
 )
 from kdfc_snow.gf2.primtable import primitive_poly
-from kdfc_snow.sigma_lfsr import SigmaConfig, _certificate, config_char_poly
+from kdfc_snow.sigma_lfsr import SigmaConfig, _certificate, annihilates
 
 __all__ = [
     "FillBits",
@@ -479,7 +479,9 @@ def generate_config(
     exactly the remaining mb - m - k fill vectors, so a Y narrower than its
     caller meant never runs.  A rank-deficient y_init raises RankLossError
     (SingularMatrixError with no stage left).  The result is
-    block-companion with characteristic polynomial p, rechecked if verify.
+    block-companion with characteristic polynomial p.  p must be
+    irreducible: verify rechecks the result with sigma_lfsr.annihilates,
+    which proves chi = p only for an irreducible p.
     """
     check_dims(m, b)
     n = m * b
@@ -503,12 +505,8 @@ def generate_config(
     last_active = total % m
     order = [(last_active + 1 + t) % m for t in range(m)]
     cfg = assemble_config(_reversed_rows([rows[t] for t in order], n), p)
-    if verify:
-        got = config_char_poly(cfg)
-        if got != p:
-            raise RankLossError(
-                f"characteristic polynomial mismatch: got degree {got.bit_length() - 1}"
-            )
+    if verify and not annihilates(cfg, p):
+        raise RankLossError("characteristic polynomial mismatch: e_0 p(G) != 0")
     return cfg
 
 

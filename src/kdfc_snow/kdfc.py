@@ -166,7 +166,10 @@ class KdfcParams:
     iteration count; the remaining ONLINE_TOTAL - k iterations draw their
     fill bits from captured FSM words, so they number at most 32.  discard
     output vectors (default 32, at most MAX_DISCARD) are dropped after the
-    configuration swap.
+    configuration swap.  verify_config (default on) checks that the
+    derived configuration has the irreducible target_poly() as its
+    characteristic polynomial, by one Horner pass of it through the
+    Galois clock (sigma_lfsr.annihilates), and raises RankLossError if not.
     """
 
     key: list[int]

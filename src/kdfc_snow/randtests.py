@@ -171,7 +171,7 @@ def bits_from_words(words) -> np.ndarray:
 
     Every word must be an integer in [0, 2**32); anything else raises
     ValueError (TypeError for a non-integer word, bools included) before
-    any word is converted.
+    any word is converted.  A numpy object array takes the rules of a list.
     """
     if isinstance(words, (list, tuple)):
         arr = _word_list(words)
@@ -179,7 +179,9 @@ def bits_from_words(words) -> np.ndarray:
         arr = np.asarray(words)
         if arr.ndim != 1:
             raise ValueError("words must be one-dimensional")
-        if arr.size and arr.dtype.kind not in "iu":
+        if arr.dtype == object:
+            arr = _word_list(arr.tolist())
+        elif arr.size and arr.dtype.kind not in "iu":
             raise TypeError(f"words must be integers, got {arr.dtype}")
         if arr.size and (arr.min() < 0 or int(arr.max()) >> 32):
             raise ValueError("every word must be in [0, 2**32)")

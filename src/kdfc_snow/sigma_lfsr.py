@@ -34,8 +34,8 @@ which is ceil(m/8) lookups (4 at m = 32) in the byte-lane tables of L
 (SigmaConfig.byte_tables), however dense the gains are.  The Galois
 state of a window x_t..x_{t+b-1} is sum_j L(x_{t+j}) >> (b-1-j)m, the
 same clock fed with the window's words (galois_state).  The keystream
-(snow2), period, the one-step step_stacked and the char-poly certificate
-all use these tables.
+(snow2), period, the one-step step_stacked, the char-poly certificate and
+the verify check (annihilates) all use these tables.
 
 The per-object reference step, the certificate sequence stepped on the
 configuration matrix, the transition matrix and the read-back of gains
@@ -47,13 +47,14 @@ from __future__ import annotations
 from itertools import islice
 
 from kdfc_snow.gf2.linalg import (
-    MATRIX_SHAPE, DimensionError, check_dims, check_shape, matrix_from_json,
-    matrix_to_json, rank, width,
+    MATRIX_SHAPE, DimensionError, berlekamp_massey, char_poly, check_dims,
+    check_int, check_shape, matrix_from_json, matrix_to_json, rank, width,
 )
 
 __all__ = [
     "SigmaConfig",
     "PeriodGuardError",
+    "annihilates",
     "build_config_matrix",
     "config_char_poly",
     "galois_state",
@@ -273,8 +274,6 @@ def _certificate(cfg: SigmaConfig) -> int:
     it.  Each step is ceil(m/8) lookups in the byte tables the keystream
     uses.
     """
-    from kdfc_snow.gf2.linalg import berlekamp_massey
-
     n = cfg.m * cfg.b
     return berlekamp_massey([1] + [z & 1 for z in islice(_galois_clock(cfg, 1), 2 * n - 1)])
 
@@ -287,9 +286,42 @@ def config_char_poly(cfg: SigmaConfig) -> int:
     cyclic vector) the dense char_poly of the configuration matrix
     decides.
     """
-    from kdfc_snow.gf2.linalg import char_poly
-
     f = _certificate(cfg)
     if f.bit_length() - 1 == cfg.m * cfg.b:
         return f
     return char_poly(build_config_matrix(cfg))
+
+
+def annihilates(cfg: SigmaConfig, p: int) -> bool:
+    """Whether e_0 p(G) = 0 for the Galois map G of cfg and a degree-mb p.
+
+    Horner's rule on e_0 = 1: for each coefficient of p below the leading
+    one, from the top down, acc = G(acc) ^ coefficient; mb clocks in the
+    byte tables, no bit sequence and no Berlekamp-Massey.  G has the
+    configuration's characteristic polynomial chi (see _certificate).
+
+    For an irreducible p the result is exactly chi = p: the minimal
+    polynomial of e_0 != 0 divides p, so it is p, and it divides chi,
+    which has the same degree (Lidl and Niederreiter, Finite Fields,
+    ch. 8).  For a reducible p it shows only that e_0's minimal
+    polynomial divides p: over every row tuple at 2x2, 2x3, 1x5 and 1x6
+    and every odd p, 6,960 (tuple, reducible p) pairs pass with chi != p,
+    and none with an irreducible p.  A p whose degree is not mb raises
+    DimensionError.
+    """
+    check_int("p", p, 0)
+    m, n = cfg.m, cfg.m * cfg.b
+    if p.bit_length() - 1 != n:
+        raise DimensionError(f"polynomial degree {p.bit_length() - 1} != mb = {n}")
+    lanes = cfg.byte_tables()
+    mask = (1 << m) - 1
+    acc = 1
+    for c in bin(p)[3:]:
+        x = acc & mask
+        acc >>= m
+        for table in lanes:
+            acc ^= table[x & 0xFF]
+            x >>= 8
+        if c == "1":
+            acc ^= 1
+    return acc == 0

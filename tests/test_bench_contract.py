@@ -127,23 +127,23 @@ def test_init_paths_build_the_tables_once(bench):
 
 
 def test_verified_init_builds_its_row_tables_once(bench, monkeypatch):
-    # the char-poly certificate builds the derived configuration's lane
-    # tables, and the discard clocks reuse them; nothing steps through
-    # step_stacked or fsm_step
+    # the verify check builds the derived configuration's lane tables, and
+    # the discard clocks reuse them; nothing steps through step_stacked or
+    # fsm_step
     spans, _ = bench
     from kdfc_snow import confgen, kdfc, snow2, sigma_lfsr
 
     snow2.snow2_init(KAT_KEY, KAT_IV)  # the shared SNOW 2.0 tables exist
     certified = []
-    real = sigma_lfsr.config_char_poly
+    real = sigma_lfsr.annihilates
 
-    def certify(cfg):
-        p = real(cfg)
+    def certify(cfg, p):
+        ok = real(cfg, p)
         certified.append(cfg._byte_tables)
-        return p
+        return ok
 
     # generate_config's verify looks the name up in confgen
-    monkeypatch.setattr(confgen, "config_char_poly", certify)
+    monkeypatch.setattr(confgen, "annihilates", certify)
     tracer = spans.Tracer()
     tracer.install()
     try:

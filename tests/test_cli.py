@@ -268,7 +268,14 @@ class TestStateDocument:
         code, out, err = self.stream(capsys, tmp_path, doc)
         assert code == 1 and out == "" and err.startswith("error:")
 
-    def test_zeroed_gains(self, capsys, tmp_path, state_doc):
+    def test_zeroed_gains(self, capsys, tmp_path, monkeypatch, state_doc):
+        # refused by the check against the target, never by the dense char poly
+        from kdfc_snow import sigma_lfsr
+
+        def dense(_):
+            raise AssertionError("dense char_poly called")
+
+        monkeypatch.setattr(sigma_lfsr, "char_poly", dense)
         doc = json.loads(json.dumps(state_doc))
         for gain in doc["config"]["gains"]:
             gain["data"] = ["0" * len(row) for row in gain["data"]]
@@ -320,6 +327,7 @@ class TestStateDocument:
             raise AssertionError("char poly computed for a refused shape")
 
         monkeypatch.setattr(cli, "config_char_poly", no_char_poly)
+        monkeypatch.setattr(cli, "annihilates", no_char_poly)
         code, out, err = self.stream(capsys, tmp_path, doc)
         assert code == 1 and out == ""
         assert err.startswith("error:") and f"{m}x{b}" in err
@@ -587,21 +595,24 @@ class TestGoldenOutputs:
         assert hashlib.sha256(out.encode()).hexdigest() == SYMBOLIC_GOLDEN_SHA256[name]
 
     def test_writers_do_not_recompute_the_char_poly(self, capsys, monkeypatch):
-        # the written char_poly is the one generate_config(verify=True) certified
+        # the written char_poly is the one generate_config(verify=True)
+        # checked, by one annihilates call; config_char_poly never runs
         from kdfc_snow import confgen, sigma_lfsr
 
-        calls = []
-        real = sigma_lfsr.config_char_poly
-        monkeypatch.setattr(cli, "config_char_poly", lambda cfg: calls.append(cfg))
+        checks, computed = [], []
+        real = sigma_lfsr.annihilates
         monkeypatch.setattr(
-            confgen, "config_char_poly", lambda cfg: calls.append(cfg) or real(cfg)
+            confgen, "annihilates", lambda cfg, p: checks.append(cfg) or real(cfg, p)
         )
+        for module in (cli, confgen, sigma_lfsr):
+            monkeypatch.setattr(module, "config_char_poly", computed.append, raising=False)
         for name in ("kdfc-init", "kdfc-dump-config", "gen-config-4x4-k3", "char-poly-seeded"):
-            calls.clear()
+            checks.clear()
             code, out, _ = run(capsys, *GOLDEN_ARGV[name])
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[name]
-            assert len(calls) == 1  # the verify inside generate_config
+            assert len(checks) == 1  # the verify inside generate_config
+        assert computed == []
 
 
 class TestGenConfig:

@@ -22,7 +22,7 @@ from oracles import (
     triangular_unembed,
 )
 
-from kdfc_snow import confgen, kdfc
+from kdfc_snow import confgen, kdfc, sigma_lfsr
 from kdfc_snow.confgen import (
     FillBits,
     RankLossError,
@@ -834,7 +834,7 @@ class TestCounting:
         def dense(a):
             raise AssertionError("dense char_poly called")
 
-        monkeypatch.setattr(linalg, "char_poly", dense)
+        monkeypatch.setattr(sigma_lfsr, "char_poly", dense)
         assert brute_force_count(m, b) == count_configurations(m, b)
 
     def test_formula_spot_values(self):

@@ -398,6 +398,13 @@ class TestBitsFromWords:
         mixed = (np.uint32(0xFFFFFFFF), 1, np.int64(0x80000000))
         assert rt.bits_from_words(mixed).tolist() == words_to_bits([int(w) for w in mixed])
 
+    def test_object_array_words(self):
+        # an object array of in-range ints is read like the list it holds
+        words = [5, 0xFFFFFFFF, np.int64(7), 0]
+        got = rt.bits_from_words(np.array(words, dtype=object))
+        assert got.tolist() == words_to_bits([int(w) for w in words])
+        assert rt.bits_from_words(np.array([], dtype=object)).size == 0
+
     @pytest.mark.parametrize("words", [
         [2**33 + 5],
         [-1],
@@ -409,6 +416,8 @@ class TestBitsFromWords:
         np.array([-3], dtype=np.int64),
         [np.int64(-1)],
         (0, np.uint64(1 << 32)),
+        np.array([2**32], dtype=object),
+        np.array([0, -1], dtype=object),
     ])
     def test_refuses_word_out_of_range(self, words):
         with pytest.raises(ValueError, match="word"):
@@ -416,6 +425,7 @@ class TestBitsFromWords:
 
     @pytest.mark.parametrize("words", [
         [1.5], [0, 2.0], [True], ["1"], [1 << 70, 0.5], [1, True], (0, np.True_),
+        np.array([1, True], dtype=object), np.array([0.5], dtype=object),
     ])
     def test_refuses_non_integer_word(self, words):
         with pytest.raises(TypeError, match="integers"):
@@ -423,7 +433,8 @@ class TestBitsFromWords:
 
     def test_refuses_two_dimensional_words(self):
         for words in ([[0, 1], [2, 3]], [1, (2, 3)], [np.array([1, 2])],
-                      np.zeros((2, 2), np.uint32), 7):
+                      np.zeros((2, 2), np.uint32), 7,
+                      np.array([[0, 1], [2, 3]], dtype=object)):
             with pytest.raises(ValueError, match="one-dimensional"):
                 rt.bits_from_words(words)
 

@@ -2,11 +2,13 @@
 
 import random
 import signal
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import KAT_IV, KAT_KEY
 from oracles import (
     build_transition_matrix,
     char_poly_sympy,
@@ -23,6 +25,7 @@ from oracles import (
     zeros,
 )
 
+from kdfc_snow import sigma_lfsr
 from kdfc_snow.gf2 import linalg
 from kdfc_snow.gf2.linalg import (
     DimensionError,
@@ -31,11 +34,13 @@ from kdfc_snow.gf2.linalg import (
     mat_vec_mul,
     matrix_to_json,
 )
-from kdfc_snow.gf2.poly import clmul, from_exponents, is_primitive
+from kdfc_snow.gf2.poly import clmul, from_exponents, is_irreducible, is_primitive
 from kdfc_snow.gf2.primtable import primitive_poly
+from kdfc_snow.kdfc import KdfcParams, kdfc_init, target_poly
 from kdfc_snow.sigma_lfsr import (
     PeriodGuardError,
     SigmaConfig,
+    annihilates,
     build_config_matrix,
     config_char_poly,
     galois_state,
@@ -404,7 +409,7 @@ class TestCharPoly:
         def refuse(a):
             raise AssertionError("dense char_poly called")
 
-        monkeypatch.setattr(linalg, "char_poly", refuse)
+        monkeypatch.setattr(sigma_lfsr, "char_poly", refuse)
         assert [config_char_poly(cfg) for cfg in cfgs] == want
 
     def test_zero_and_non_cyclic_configs_take_the_dense_route(self, monkeypatch):
@@ -422,7 +427,7 @@ class TestCharPoly:
         ]
         calls = []
         real = linalg.char_poly
-        monkeypatch.setattr(linalg, "char_poly", lambda a: calls.append(a) or real(a))
+        monkeypatch.setattr(sigma_lfsr, "char_poly", lambda a: calls.append(a) or real(a))
         for cfg, want in cases:
             assert config_char_poly(cfg) == want
         assert len(calls) == len(cases)
@@ -433,7 +438,7 @@ def certificate_bits(cfg):
     seen = []
     real = linalg.berlekamp_massey
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "berlekamp_massey", lambda bits: seen.append(bits) or real(bits))
+        mp.setattr(sigma_lfsr, "berlekamp_massey", lambda bits: seen.append(bits) or real(bits))
         config_char_poly(cfg)
     assert len(seen) == 1
     return seen[0]
@@ -487,6 +492,54 @@ class TestTransposedCertificate:
             want = clmul(want, f)
         assert config_char_poly(cfg) == dense_char_poly(cfg) == want
         assert berlekamp_massey(certificate_bits(cfg)).bit_length() - 1 < m * b
+
+
+class TestAnnihilates:
+    """The verify check: e_0 p(G) = 0, against config_char_poly."""
+
+    def test_exhaustive_over_irreducible_targets(self):
+        # every row tuple at 2x2, 2x3 and 1x5, every irreducible p of
+        # degree mb: 37,824 checks
+        checks = 0
+        for m, b in [(2, 2), (2, 3), (1, 5)]:
+            n = m * b
+            targets = [p for p in range(1 << n, 2 << n) if is_irreducible(p)]
+            for rows in product(range(1 << n), repeat=m):
+                cfg = SigmaConfig(m, b, list(rows))
+                chi = config_char_poly(cfg)
+                for p in targets:
+                    assert annihilates(cfg, p) == (chi == p), (m, b, rows, p)
+                    checks += 1
+        assert checks == 37_824
+
+    def test_keyed_configuration_and_its_flips(self):
+        params = KdfcParams(key=KAT_KEY, iv=KAT_IV, discard=0, verify_config=False)
+        cfg, p = kdfc_init(params).cfg, target_poly()
+        assert annihilates(cfg, p)
+        rng = random.Random(35)
+        for _ in range(33):
+            rows = list(cfg.rows)
+            rows[rng.randrange(32)] ^= 1 << rng.randrange(512)
+            flipped = SigmaConfig(32, 16, rows)
+            assert not annihilates(flipped, p)
+            assert config_char_poly(flipped) != p
+
+    def test_reducible_p_shows_only_a_divisor(self):
+        # chi = x (x^2 + x + 1), but e_0's minimal polynomial x^2 + x + 1
+        # also divides the reducible x^3 + 1 = (x + 1)(x^2 + x + 1)
+        cfg = SigmaConfig.from_gains(1, 3, [[0], [1], [1]])
+        assert config_char_poly(cfg) == from_exponents([3, 2, 1])
+        assert annihilates(cfg, from_exponents([3, 0]))
+
+    @pytest.mark.parametrize("p", [1 << 15 | 1, 1 << 17 | 1, 1, 0])
+    def test_degree_mismatch_refused(self, p):
+        with pytest.raises(DimensionError, match="degree"):
+            annihilates(primitive_config(4, 4), p)
+
+    @pytest.mark.parametrize("p", [-(1 << 16) - 1, True, 1.0 * (1 << 16)])
+    def test_non_polynomial_refused(self, p):
+        with pytest.raises(ValueError, match="p must be an int|need p >= 0"):
+            annihilates(primitive_config(4, 4), p)
 
 
 class TestPeriod:
