@@ -15,28 +15,34 @@ FSM.  Two 32-bit registers, held as the list [R1, R2].
 F = (s_{t+15} boxplus R1) xor R2; R1' = s_{t+5} boxplus R2;
 R2' = S(R1), where S applies the AES S-box to each byte and then the AES
 MixColumn matrix over the Rijndael byte field x^8 + x^4 + x^3 + x + 1
-(low byte = first MixColumn row).
+(low byte = first MixColumn row).  S is two lookups, one per 16-bit half
+of R1, in tables of 65,536 native 32-bit words (512 KB in all) built at
+import.
 
 Initialization loads the key/IV schedule, then clocks 32 times with F
 xored into the feedback and no output; the first keystream word is
 produced by the very next clock.  Both phases, and KDFC-SNOW after its
-configuration swap, run through one loop, _clock.  It keeps the LFSR in
-its Galois form (see sigma_lfsr): the next word is the low block of z,
+configuration swap, run through one function, _clock.  It keeps the LFSR
+in its Galois form (see sigma_lfsr): the next word is the low block of z,
 and feeding it back is 4 lookups in the configuration's byte tables,
 sparse SNOW 2.0 gains or dense KDFC-SNOW ones alike.  Beside z it keeps
 the plain list of words, from which the FSM reads s_{t+5} and s_{t+15}
-and the output reads s_t.  A cipher state holds the last 16 words, so
-each call rebuilds z from them (galois_state, 64 lookups).  The FSM and
-the 8-hex-digit output are defined on 32-bit words and 16 blocks only,
-so CipherState refuses any other configuration shape.
+and the output reads s_t.  The init clocks run the FSM and the LFSR
+interleaved, as F feeds back; a keystream call runs the LFSR for all its
+words first, since there the LFSR never reads the FSM, and then the FSM.
+A cipher state holds the last 16 words, so each call rebuilds z from them
+(galois_state, 64 lookups).  The FSM and the 8-hex-digit output are
+defined on 32-bit words and 16 blocks only, so CipherState refuses any
+other configuration shape, and snow2_keystream re-checks the registers
+before every call.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
 
 from kdfc_snow.gf2.linalg import check_int
-from kdfc_snow.gf2.poly import _mulmod_int
 from kdfc_snow.sigma_lfsr import SigmaConfig, _check_words, galois_state
 
 __all__ = [
@@ -56,6 +62,13 @@ __all__ = [
 
 MASK32 = 0xFFFFFFFF
 
+
+def _check_word(name: str, w: int) -> None:
+    """Refuse anything but a 32-bit int word (a bool is not one here)."""
+    if type(w) is not int or not 0 <= w <= MASK32:
+        raise ValueError(f"{name} must be a 32-bit int word, got {w!r}")
+
+
 # ---------------------------------------------------------------------------
 # byte fields: F_{2^8} = F_2[beta] / (x^8 + x^7 + x^5 + x^3 + 1) for the LFSR,
 # the Rijndael field for the S-box; each gets one log/antilog table pass
@@ -65,7 +78,7 @@ _AES_POLY = 0x11B  # x^8 + x^4 + x^3 + x + 1
 
 
 def _log_tables(mod: int, gen: int) -> tuple[list[int], list[int]]:
-    """(exp, log) of the byte field F_2[x]/mod over the generator gen.
+    """(exp, log) of the byte field F_2[x]/mod over the generator gen, x or x + 1.
 
     exp[i] = gen^i for i in [0, 510), so exp[log a + log b] = a * b needs
     no reduction mod 255; log[gen^i] = i for i in [0, 255).
@@ -76,7 +89,10 @@ def _log_tables(mod: int, gen: int) -> tuple[list[int], list[int]]:
     for i in range(255):
         exp[i] = exp[i + 255] = x
         log[x] = i
-        x = _mulmod_int(x, gen, mod)
+        y = x << 1
+        if y >> 8:
+            y ^= mod
+        x = y ^ x if gen & 1 else y
     return exp, log
 
 
@@ -96,16 +112,15 @@ _G_COEFFS = tuple(_BETA_EXP[e] for e in (23, 245, 48, 239))
 # multiplication by alpha / alpha^{-1} on packed words
 
 
-def _pack(c3: int, c2: int, c1: int, c0: int) -> int:
-    return (c3 << 24) | (c2 << 16) | (c1 << 8) | c0
-
-
 def _alpha_table(coeffs: tuple[int, ...]) -> list[int]:
-    """c * (k3 alpha^3 + k2 alpha^2 + k1 alpha + k0), packed, for every byte c."""
-    return [
-        _pack(*[_times(c, k, _BETA_EXP, _BETA_LOG) for k in coeffs])
-        for c in range(256)
-    ]
+    """c * (k3 alpha^3 + k2 alpha^2 + k1 alpha + k0), packed, for every byte c.
+
+    Every k is nonzero, so its column is exp[log k + log c], 0 at c = 0.
+    """
+    k3, k2, k1, k0 = (
+        [0] + [_BETA_EXP[_BETA_LOG[k] + lc] for lc in _BETA_LOG[1:]] for k in coeffs
+    )
+    return [c3 << 24 | c2 << 16 | c1 << 8 | c0 for c3, c2, c1, c0 in zip(k3, k2, k1, k0)]
 
 
 def _alpha_inv_coeffs() -> tuple[int, ...]:
@@ -122,11 +137,13 @@ _MUL_AINV = _alpha_table(_alpha_inv_coeffs())
 
 def alpha_mul(w: int) -> int:
     """w * alpha in F_{2^32} (packed representation)."""
+    _check_word("w", w)
     return ((w << 8) & MASK32) ^ _MUL_A[w >> 24]
 
 
 def alpha_inv_mul(w: int) -> int:
     """w * alpha^{-1} in F_{2^32}."""
+    _check_word("w", w)
     return (w >> 8) ^ _MUL_AINV[w & 0xFF]
 
 
@@ -149,47 +166,63 @@ def snow2_gains() -> SigmaConfig:
 
 
 def _aes_sbox_table() -> list[int]:
+    # multiplicative inverse (0 -> 0), then the AES affine transform
+    # b ^ rotl(b, 1) ^ rotl(b, 2) ^ rotl(b, 3) ^ rotl(b, 4) ^ 0x63: the
+    # shifts of b xored, their bits above 7 folded back down
     table = []
-    for v in range(256):
-        # multiplicative inverse (0 -> 0), then the AES affine transform
-        # b ^ rotl(b, 1) ^ rotl(b, 2) ^ rotl(b, 3) ^ rotl(b, 4) ^ 0x63
-        inv = _AES_EXP[255 - _AES_LOG[v]] if v else 0
-        out = 0x63
-        for r in range(5):
-            out ^= ((inv << r) | (inv >> (8 - r))) & 0xFF
-        table.append(out)
+    for b in [0] + [_AES_EXP[255 - lv] for lv in _AES_LOG[1:]]:
+        t = b ^ b << 1 ^ b << 2 ^ b << 3 ^ b << 4
+        table.append((t ^ t >> 8) & 0xFF ^ 0x63)
     return table
 
 
 _SR = _aes_sbox_table()
 
-# Combined SubBytes+MixColumn lookup per byte lane: lane k feeds MixColumn
-# input position k (low byte = position 0 = first row of the matrix).
-_MIX_ROWS = ((2, 3, 1, 1), (1, 2, 3, 1), (1, 1, 2, 3), (3, 1, 1, 2))
-_STAB = [
-    [
-        sum(
-            _times(_MIX_ROWS[pos][lane], s, _AES_EXP, _AES_LOG) << (8 * pos)
-            for pos in range(4)
-        )
-        for s in _SR
-    ]
-    for lane in range(4)
-]
+
+def _sbox_halves() -> tuple[memoryview, memoryview]:
+    """S as two tables over 16-bit halves: S(w) = lo[w & 0xFFFF] ^ hi[w >> 16].
+
+    Byte k of w adds T_k[byte]: column k of MixColumn times s =
+    SubBytes(byte), so lo[h << 8 | l] = T_0[l] ^ T_1[h] and
+    hi[h << 8 | l] = T_2[l] ^ T_3[h].  Each table is 65,536 native 32-bit
+    entries (256 KB).  T_0 and T_1 are each one int of 256 native 32-bit
+    lanes, lane l for byte l, so 2s (xtime) and 3s = 2s ^ s take a few
+    operations for all 256 bytes; lo is written in place one 256-entry
+    row h at a time, T_0 xored with T_1[h] in every lane.  MixColumn is
+    circulant, so T_2 and T_3 are T_0 and T_1 rotated by 16 bits, and hi
+    is lo with the two 16-bit halves of every entry swapped: bytes 0, 1,
+    2, 3 of an entry become 2, 3, 0, 1 in either byte order.
+    """
+    order = sys.byteorder
+    ones = int.from_bytes((1).to_bytes(4, order) * 256, order)  # 1 in every lane
+    s = int.from_bytes(b"".join(v.to_bytes(4, order) for v in _SR), order)
+    s2 = (s << 1 & 0xFE * ones) ^ (s >> 7 & ones) * (_AES_POLY & 0xFF)
+    s3 = s2 ^ s
+    # byte j of T_k is s times the MixColumn entry at row j, column k
+    t0 = s2 | s << 8 | s << 16 | s3 << 24
+    t1 = s3 | s2 << 8 | s << 16 | s << 24
+    lo = bytearray(1 << 18)
+    for h, t in enumerate(memoryview(t1.to_bytes(1024, order)).cast("I")):
+        lo[h << 10 : h + 1 << 10] = (t0 ^ t * ones).to_bytes(1024, order)
+    hi = bytearray(1 << 18)
+    for k in range(4):
+        hi[k::4] = lo[k ^ 2 :: 4]
+    return memoryview(lo).cast("I"), memoryview(hi).cast("I")
+
+
+_S_LO, _S_HI = _sbox_halves()
 
 
 def sbox_s(w: int) -> int:
     """SNOW 2.0 32-bit S-box S(w)."""
-    return (
-        _STAB[0][w & 0xFF]
-        ^ _STAB[1][(w >> 8) & 0xFF]
-        ^ _STAB[2][(w >> 16) & 0xFF]
-        ^ _STAB[3][w >> 24]
-    )
+    _check_word("w", w)
+    return _S_LO[w & 0xFFFF] ^ _S_HI[w >> 16]
 
 
 def boxplus(x: int, y: int) -> int:
     """Addition modulo 2^32."""
+    _check_word("x", x)
+    _check_word("y", y)
     return (x + y) & MASK32
 
 
@@ -204,17 +237,39 @@ class CipherState:
     __slots__ = ("lfsr", "fsm", "cfg")
 
     def __init__(self, lfsr: list[int], fsm: list[int], cfg: SigmaConfig):
-        if (cfg.m, cfg.b) != (32, 16):
-            raise ValueError(
-                f"cipher configuration is {cfg.m}x{cfg.b}, expected m=32, b=16"
-            )
-        _check_words(lfsr, 32, 16)
-        if not (isinstance(fsm, list) and len(fsm) == 2
-                and all(type(r) is int and 0 <= r <= MASK32 for r in fsm)):
-            raise ValueError("FSM registers must be two 32-bit words")
+        _check_state(lfsr, fsm, cfg)
         self.lfsr = list(lfsr)
         self.fsm = list(fsm)
         self.cfg = cfg
+
+
+def _check_state(lfsr: list[int], fsm: list[int], cfg: SigmaConfig) -> None:
+    """Refuse what the clock loops cannot run: a configuration other than a
+    32x16 SigmaConfig, other than 16 LFSR words or other than two FSM
+    registers, each word a 32-bit int.  CipherState runs it when it is
+    built and snow2_keystream before every call, so registers mutated in
+    between are refused, not truncated or read past."""
+    if not isinstance(cfg, SigmaConfig):
+        raise TypeError(
+            f"cipher configuration must be a SigmaConfig, got {type(cfg).__name__}"
+        )
+    if (cfg.m, cfg.b) != (32, 16):
+        raise ValueError(
+            f"cipher configuration is {cfg.m}x{cfg.b}, expected m=32, b=16"
+        )
+    # _check_words' conditions in C-level passes; it runs only to name the
+    # word that fails them
+    if not (len(lfsr) == 16 and {*map(type, lfsr)} == {int}
+            and 0 <= min(lfsr) and max(lfsr) <= MASK32):
+        _check_words(lfsr, 32, 16)
+    _check_fsm(fsm)
+
+
+def _check_fsm(fsm: list[int]) -> None:
+    """Refuse anything but a list of two 32-bit int words."""
+    if not (isinstance(fsm, list) and len(fsm) == 2
+            and all(type(r) is int and 0 <= r <= MASK32 for r in fsm)):
+        raise ValueError("FSM registers must be two 32-bit words")
 
 
 class KeyError32(ValueError):
@@ -223,6 +278,9 @@ class KeyError32(ValueError):
 
 def fsm_step(fsm: list[int], d5: int, d15: int) -> tuple[list[int], int]:
     """One FSM clock of [R1, R2]: returns (new registers, output F)."""
+    _check_fsm(fsm)
+    _check_word("d5", d5)
+    _check_word("d15", d15)
     r1, r2 = fsm
     return [boxplus(d5, r2), sbox_s(r1)], boxplus(d15, r1) ^ r2
 
@@ -238,20 +296,19 @@ def load_state_words(key: list[int], iv: list[int]) -> list[int]:
             if not 0 <= w <= MASK32:
                 raise KeyError32(f"{what} word {i} is not a 32-bit word: {w:#x}")
     inv = [w ^ MASK32 for w in key]
-    iv0, iv1, iv2, iv3 = iv
     if len(key) == 8:
-        k = key
-        high = [k[0], k[1] ^ iv3, k[2] ^ iv2, k[3], k[4] ^ iv1, k[5], k[6], k[7] ^ iv0]
-        return inv + high
-    if len(key) == 4:
-        k = key
-        return [
-            inv[0], inv[1], inv[2], inv[3],
-            k[0], k[1], k[2], k[3],
-            inv[0], inv[1] ^ iv3, inv[2] ^ iv2, inv[3],
-            k[0] ^ iv1, k[1], k[2], k[3] ^ iv0,
-        ]
-    raise KeyError32(f"key must be 4 or 8 words, got {len(key)}")
+        low, high = inv, list(key)
+    elif len(key) == 4:
+        low = inv + list(key)
+        high = low.copy()
+    else:
+        raise KeyError32(f"key must be 4 or 8 words, got {len(key)}")
+    # the IV enters the newest 8 words at the same places for both key sizes
+    high[1] ^= iv[3]
+    high[2] ^= iv[2]
+    high[4] ^= iv[1]
+    high[7] ^= iv[0]
+    return low + high
 
 
 #: the SNOW 2.0 configuration, built once per process and shared
@@ -285,36 +342,43 @@ def init_with_captures(
 def snow2_keystream(state: CipherState, n: int) -> list[int]:
     """Produce n keystream words, advancing the state in place."""
     check_int("n", n, 0)
+    _check_state(state.lfsr, state.fsm, state.cfg)
     return _clock(state, n, False)
 
 
 def _clock(state: CipherState, n: int, init: bool) -> list[int]:
     """Clock state n times in place; returns the n words.
 
-    With init set, F is xored into the new word and the words are the F
-    values; otherwise the words are keystream F xor s_t.  seq holds
-    s_t, s_{t+1}, ... and z the Galois state whose low word is s_{t+16}.
+    seq holds s_t, s_{t+1}, ... and z the Galois state whose low word is
+    the next word to push.  With init set, F is xored into that word, so
+    the FSM and the LFSR run interleaved and the words are the F values.
+    Otherwise the LFSR never reads the FSM: the Galois clock first runs
+    all n words ahead, then the FSM reads s_{t+5} and s_{t+15} from seq in
+    step and the words are keystream F xor s_t.
     """
     t0, t1, t2, t3 = state.cfg.byte_tables()
-    s0, s1, s2, s3 = _STAB
+    s_lo, s_hi = _S_LO, _S_HI
     seq = list(state.lfsr)
     z = galois_state(state.cfg, seq)
     r1, r2 = state.fsm
     words = []
     emit, push = words.append, seq.append
-    for t in range(n):
-        f = ((seq[t + 15] + r1) & MASK32) ^ r2
-        r1, r2 = (seq[t + 5] + r2) & MASK32, (
-            s0[r1 & 0xFF] ^ s1[(r1 >> 8) & 0xFF] ^ s2[(r1 >> 16) & 0xFF] ^ s3[r1 >> 24]
-        )
-        x = z & MASK32
-        if init:
-            x ^= f
+    if init:
+        for t in range(n):
+            f = ((seq[t + 15] + r1) & MASK32) ^ r2
+            r1, r2 = (seq[t + 5] + r2) & MASK32, s_lo[r1 & 0xFFFF] ^ s_hi[r1 >> 16]
+            x = (z & MASK32) ^ f
             emit(f)
-        else:
-            emit(f ^ seq[t])
-        push(x)
-        z = (z >> 32) ^ t0[x & 0xFF] ^ t1[(x >> 8) & 0xFF] ^ t2[(x >> 16) & 0xFF] ^ t3[x >> 24]
+            push(x)
+            z = (z >> 32) ^ t0[x & 0xFF] ^ t1[(x >> 8) & 0xFF] ^ t2[(x >> 16) & 0xFF] ^ t3[x >> 24]
+    else:
+        for _ in range(n):
+            x = z & MASK32
+            push(x)
+            z = (z >> 32) ^ t0[x & 0xFF] ^ t1[(x >> 8) & 0xFF] ^ t2[(x >> 16) & 0xFF] ^ t3[x >> 24]
+        for s, d5, d15 in zip(seq, seq[5 : 5 + n], seq[15 : 15 + n]):
+            emit(((d15 + r1) & MASK32) ^ r2 ^ s)
+            r1, r2 = (d5 + r2) & MASK32, s_lo[r1 & 0xFFFF] ^ s_hi[r1 >> 16]
     state.lfsr = seq[-16:]
     state.fsm = [r1, r2]
     return words

@@ -214,6 +214,15 @@ def ref_alpha_inv_mul(w: int) -> int:
 _MC_ROWS = ((2, 3, 1, 1), (1, 2, 3, 1), (1, 1, 2, 3), (3, 1, 1, 2))
 
 
+def ref_sbox_lane(k: int) -> list[int]:
+    """T_k[b] for every byte b: byte k of the S-box input alone, SubBytes
+    then column k of MixColumn, so S(w) is the xor of T_k[byte k of w]."""
+    return [
+        sum(gf8_mul(_MC_ROWS[pos][k], s, AES_POLY) << (8 * pos) for pos in range(4))
+        for s in AES_SBOX
+    ]
+
+
 def ref_sbox(w: int) -> int:
     s = [AES_SBOX[(w >> (8 * k)) & 0xFF] for k in range(4)]
     out = 0

@@ -27,6 +27,7 @@ from oracles import (
     ref_alpha_inv_mul,
     ref_alpha_mul,
     ref_sbox,
+    ref_sbox_lane,
     stacked,
     vec_to_word,
     word_to_vec,
@@ -133,6 +134,29 @@ class TestSbox:
         # all-zero bytes: SubBytes gives 0x63 everywhere; MixColumn of a
         # constant column is that constant (row sums are 2^3^1^1 = 1)
         assert sbox_s(0) == 0x63636363
+
+    def test_sbox_matches_the_reference_on_seeded_words(self):
+        rng = random.Random("sbox-2048")
+        for _ in range(2048):
+            w = rng.getrandbits(32)
+            assert sbox_s(w) == ref_sbox(w)
+
+
+class TestSboxHalves:
+    """S(w) = _S_LO[w & 0xFFFF] ^ _S_HI[w >> 16], two 16-bit tables."""
+
+    def test_every_entry_is_the_xor_of_two_byte_lanes(self):
+        t0, t1, t2, t3 = (ref_sbox_lane(k) for k in range(4))
+        lo, hi = snow2._S_LO, snow2._S_HI
+        for h in range(256):
+            row = slice(h << 8, h + 1 << 8)
+            assert lo[row].tolist() == [t ^ t1[h] for t in t0]
+            assert hi[row].tolist() == [t ^ t3[h] for t in t2]
+
+    def test_tables_are_native_32_bit_entries(self):
+        for table in (snow2._S_LO, snow2._S_HI):
+            assert table.nbytes == 262_144
+            assert (table.format, table.itemsize, len(table)) == ("I", 4, 65_536)
 
 
 class TestFsm:
@@ -385,10 +409,11 @@ class TestJumpRoute:
         state = snow2_init(key, iv, cfg=cfg)
         assert snow2_keystream(state, n) == clock_oracle(key, iv, cfg, n)[1]
 
-    @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 1023, 1024, 1041])
+    @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 32, 1023, 1024, 1041, 4096])
     @pytest.mark.parametrize("cipher", ["snow2", "kdfc"])
     def test_route_choice_keeps_the_words(self, cipher, n, kdfc_state):
-        # one call of n words, from a running state, against per-object clocks
+        # one call of n words, from a running state, against per-object
+        # clocks: the LFSR runs all n words ahead of the FSM
         start = snow2_init(KAT_KEY, KAT_IV) if cipher == "snow2" else kdfc_state
         state = fresh_copy(start)
         words, lfsr, fsm = object_words(start, n)
@@ -472,3 +497,69 @@ class TestJumpRoute:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error:") and "16x32" in err
+
+
+class TestRefusals:
+    """Non-words and mutated states are refused, never clocked."""
+
+    @pytest.mark.parametrize("mutate,error,message", [
+        (lambda st: st.lfsr.append(0), ValueError,
+         "does not match configuration dimensions"),
+        (lambda st: setattr(st, "lfsr", st.lfsr[:3]), ValueError,
+         "does not match configuration dimensions"),
+        (lambda st: st.lfsr.__setitem__(4, 1 << 32), ValueError,
+         "block 4 not an 32-bit word: 0x100000000"),
+        (lambda st: st.lfsr.__setitem__(9, -1), ValueError, "block 9 not an 32-bit word"),
+        (lambda st: st.lfsr.__setitem__(2, True), ValueError,
+         "block 2 is not an integer: True"),
+        (lambda st: st.fsm.__setitem__(0, 1 << 40), ValueError, "FSM registers"),
+        (lambda st: st.fsm.append(0), ValueError, "FSM registers"),
+        (lambda st: setattr(st, "fsm", (0, 0)), ValueError, "FSM registers"),
+        (lambda st: setattr(st, "cfg", "x"), TypeError, "must be a SigmaConfig, got str"),
+        (lambda st: setattr(st, "cfg", SigmaConfig.from_gains(4, 4, [identity(4)] * 4)),
+         ValueError, "4x4"),
+    ])
+    def test_mutated_state_is_refused_before_any_clock(self, mutate, error, message):
+        # at 17 words the loop streamed wrong words, at 3 it raised IndexError
+        state = snow2_init(KAT_KEY, KAT_IV)
+        mutate(state)
+        before = (state.lfsr, list(state.lfsr), state.fsm, state.cfg)
+        with pytest.raises(error, match=message):
+            snow2_keystream(state, 40)
+        assert (state.lfsr, list(state.lfsr), state.fsm, state.cfg) == before
+
+    @pytest.mark.parametrize("cfg", ["x", 0, [[0] * 32] * 16])
+    def test_config_that_is_not_a_sigma_config(self, cfg):
+        with pytest.raises(TypeError, match="must be a SigmaConfig"):
+            snow2_init(KAT_KEY, KAT_IV, cfg=cfg)
+        with pytest.raises(TypeError, match="must be a SigmaConfig"):
+            CipherState([0] * 16, [0, 0], cfg)
+
+    @pytest.mark.parametrize("w", [-1, -5, 1 << 32, 1 << 40, True, False, 1.0, "1", None])
+    @pytest.mark.parametrize("fn", [sbox_s, alpha_mul, alpha_inv_mul])
+    def test_word_functions_refuse_a_non_word(self, fn, w):
+        with pytest.raises(ValueError, match="must be a 32-bit int word"):
+            fn(w)
+
+    @pytest.mark.parametrize("x,y,name", [
+        (-1, 0, "x"), (True, 1, "x"), (1 << 40, 0, "x"), (1.5, 2, "x"),
+        (0, -1, "y"), (0, 1 << 32, "y"), (0, False, "y"), (0, "1", "y"),
+    ])
+    def test_boxplus_refuses_a_non_word(self, x, y, name):
+        # boxplus(-1, 0) was 0xFFFFFFFF and boxplus(1 << 40, 0) was 0
+        with pytest.raises(ValueError, match=f"^{name} must be a 32-bit int word"):
+            boxplus(x, y)
+
+    @pytest.mark.parametrize("fsm,d5,d15,message", [
+        ([-1, 5], 3, 4, "FSM registers"),
+        ([0, 1 << 32], 3, 4, "FSM registers"),
+        ([0, True], 3, 4, "FSM registers"),
+        ((0, 0), 3, 4, "FSM registers"),
+        ([0, 0], -1, 4, "d5 must be a 32-bit int word"),
+        ([0, 0], 3, 1 << 32, "d15 must be a 32-bit int word"),
+        ([0, 0], 3.0, 4, "d5 must be a 32-bit int word"),
+        ([0, 0], 3, False, "d15 must be a 32-bit int word"),
+    ])
+    def test_fsm_step_refuses_a_non_word(self, fsm, d5, d15, message):
+        with pytest.raises(ValueError, match=message):
+            fsm_step(fsm, d5, d15)
