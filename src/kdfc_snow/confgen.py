@@ -75,9 +75,10 @@ from kdfc_snow.gf2.linalg import (
     width,
 )
 from kdfc_snow.gf2.poly import (
-    _divmod_int,
+    _barrett,
+    _barrett_constants,
+    _over_xw,
     euler_phi_2n1,
-    exponents,
     inv_mod,
     is_primitive,
 )
@@ -181,39 +182,9 @@ def _reversed_rows(rows: list[int], w: int) -> list[int]:
     return [int(format(r, f"0{w}b")[::-1], 2) for r in rows]
 
 
-def _over_xw(shifts: list[int], u: int) -> int:
-    """floor(c * u / x^w) for u of degree below w = deg c.
-
-    (u * x^e) >> w = u >> (w - e), so given c's shifts w - e over its
-    terms x^e, e > 0 (_shifts), this is one shift and xor per term, for c
-    of any weight.  On packed rows it maps every slot at once: s <= w
-    moves bits only into bits >= w of the slot below, which callers mask.
-    """
-    g = 0
-    for s in shifts:
-        g ^= u >> s
-    return g
-
-
-def _shifts(exps: list[int]) -> list[int]:
-    """_over_xw's shifts for the polynomial with ascending exponents exps."""
-    w = exps[-1]
-    return [w - e for e in exps if e]
-
-
-@functools.cache
-def _stage_constants(p: int) -> tuple:
-    """A stage's constants: the shifts of its polynomial p and of
-    mu = floor(x^2w / p) (p itself when deg(p - x^w) < w/2), and the
-    exponents of p - x^w, kept per polynomial for the life of the process
-    (when mu = p, one list serves both)."""
-    exps = exponents(p)
-    w = exps[-1]
-    shifts = _shifts(exps)
-    if 2 * (p ^ (1 << w)).bit_length() <= w + 1:
-        return shifts, shifts, exps[:-1]
-    return shifts, _shifts(exponents(_divmod_int(1 << 2 * w, p)[0])), exps[:-1]
-
+#: a stage's Barrett constants (gf2.poly._barrett_constants), kept per
+#: polynomial for the life of the process
+_stage_constants = functools.cache(_barrett_constants)
 
 LOG_TABLE_MAX_WIDTH = 16  # stages up to this width take _log_tables
 WINDOW_BITS = 6  # bits of lambda per table lookup in a packed product
@@ -246,9 +217,8 @@ def _mulmod_packed(g: int, lam: int, p: int, mask: int) -> int:
     windows of lam through a table of g's multiples, one shift and xor of
     the packed int per window (Hankerson-Menezes-Vanstone, Guide to ECC,
     2.3.3); below, where the table costs about what it saves, one shifted
-    copy of g per term of lam.  Barrett's q = floor(mu * floor(c / x^w) /
-    x^w) is floor(c / p) for deg c < 2w, so c mod p is the low w bits of
-    c + q * (p - x^w), for sparse and dense p alike.
+    copy of g per term of lam.  Every slot's c is then reduced at once by
+    one Barrett step (gf2.poly._barrett), for sparse and dense p alike.
     """
     w = p.bit_length() - 1
     _, mu_shifts, low = _stage_constants(p)
@@ -266,10 +236,7 @@ def _mulmod_packed(g: int, lam: int, p: int, mask: int) -> int:
         digit = (1 << WINDOW_BITS) - 1
         for k in range((w - 1) // WINDOW_BITS * WINDOW_BITS, -1, -WINDOW_BITS):
             acc = (acc << WINDOW_BITS) ^ tab[lam >> k & digit]
-    q = _over_xw(mu_shifts, acc >> w & mask) & mask
-    for e in low:
-        acc ^= q << e
-    return acc & mask
+    return _barrett(acc, w, mu_shifts, low, mask)
 
 
 @functools.cache

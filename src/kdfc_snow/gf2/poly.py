@@ -10,11 +10,13 @@ from and to exponent lists; documents, the char-poly output and the
 polynomial table write the descending list of exponent_list and read it
 back through parse_exponents.
 
-clmul, clsquare and _mod_int are the package's one GF(2)[x] kernel
+clmul, clsquare and _barrett are the package's one GF(2)[x] kernel
 (multiply, square, reduce); the modular helpers, linalg.char_poly, the
 pipeline in confgen and the byte fields of snow2 all build on them.
-_mod_int picks its route from the modulus: sparse moduli (see
-_sparse_tail) are reduced by folding, the rest by long division.
+_barrett, one step for any product of degree below 2 deg p (Barrett,
+CRYPTO '86), is the one reduction by a fixed modulus p, sparse or dense;
+moduli that change from step to step (gcd, and inv_mod's first
+reduction) take the one long division, _divmod_int.
 inv_mod, the one inversion of the pipeline's field stages, keeps each
 remainder of extended Euclid and its Bezout cofactor side by side in one
 int, so one shifted xor per quotient term updates both.
@@ -92,7 +94,7 @@ def gcd(a: int, b: int) -> int:
     if (a | b) < 0:
         raise _negative("operand")
     while b:
-        a, b = b, _mod_int(a, b)
+        a, b = b, _divmod_int(a, b)[1]
     return a
 
 
@@ -120,46 +122,6 @@ def clsquare(a: int) -> int:
     return int(format(a, "b"), 4)
 
 
-def _sparse_tail(m: int) -> list[int] | None:
-    """Exponents of m - x^deg(m) when m is sparse enough to fold, else None.
-
-    Sparse means at most five terms, every lower term of degree below
-    deg(m)/2: every trinomial and pentanomial of the primitive table but
-    those of degrees 2, 8 and 12.  Then one fold x^d -> tail at least
-    halves how far an operand reaches above x^d, so a product of two
-    reduced operands needs two folds (Hankerson-Menezes-Vanstone, Guide to
-    ECC, 2.3.5).  The dense target polynomial and the byte fields of snow2
-    are not sparse.
-    """
-    d = m.bit_length() - 1
-    tail = m ^ (1 << d)
-    if m.bit_count() <= 5 and not tail >> ((d + 1) // 2):
-        return exponents(tail)
-    return None
-
-
-def _mod_int(a: int, m: int, tail: list[int] | None | int = -1) -> int:
-    """a mod m: folding, one shifted xor per exponent of tail = _sparse_tail(m)
-    (taken here unless passed in), for a sparse m, long division otherwise."""
-    ml = m.bit_length()
-    al = a.bit_length()
-    if al < ml:
-        return a
-    if tail == -1:
-        tail = _sparse_tail(m)
-    if tail is not None:
-        d = ml - 1
-        while hi := a >> d:
-            a ^= hi << d
-            for e in tail:
-                a ^= hi << e
-        return a
-    while al >= ml:
-        a ^= m << (al - ml)
-        al = a.bit_length()
-    return a
-
-
 def _divmod_int(a: int, d: int) -> tuple[int, int]:
     """Quotient and remainder of a by d != 0, by long division."""
     dl = d.bit_length()
@@ -170,8 +132,57 @@ def _divmod_int(a: int, d: int) -> tuple[int, int]:
     return q, a
 
 
+def _over_xw(shifts: list[int], u: int) -> int:
+    """floor(c * u / x^w) for u of degree below w = deg c.
+
+    (u * x^e) >> w = u >> (w - e), so given c's shifts w - e over its
+    terms x^e, e > 0, this is one shift and xor per term, for c of any
+    weight.  On packed rows it maps every slot at once: s <= w moves bits
+    only into bits >= w of the slot below, which callers mask.
+    """
+    g = 0
+    for s in shifts:
+        g ^= u >> s
+    return g
+
+
+def _barrett_constants(p: int) -> tuple[list[int], list[int], list[int]]:
+    """Barrett's constants for p of degree w >= 0: _over_xw's shifts of p
+    and of mu = floor(x^2w / p), and the exponents of p - x^w.  Taken once
+    per call by powmod and is_irreducible, once per process and stage
+    polynomial by confgen.
+
+    With p = x^w + t, x^2w = p^2 + t^2, so mu is p itself when
+    deg t^2 < w, and one list serves both."""
+    exps = exponents(p)
+    w = exps[-1]
+    shifts = [w - e for e in exps if e]
+    if 2 * (p ^ (1 << w)).bit_length() <= w + 1:
+        return shifts, shifts, exps[:-1]
+    mu = _divmod_int(1 << 2 * w, p)[0]
+    return shifts, [w - e for e in exponents(mu) if e], exps[:-1]
+
+
+def _barrett(c: int, w: int, mu_shifts: list[int], low: list[int], mask: int) -> int:
+    """c mod p for deg c < 2w = 2 deg p, given p's (_, mu_shifts, low):
+    q = floor(mu * floor(c / x^w) / x^w) is floor(c / p), so c mod p is the
+    low w bits of c + q * (p - x^w).  mask is (1 << w) - 1, or on packed
+    rows the low w bits of every slot of at least 2w bits."""
+    q = _over_xw(mu_shifts, c >> w & mask) & mask
+    for e in low:
+        c ^= q << e
+    return c & mask
+
+
 def _mulmod_int(a: int, b: int, m: int) -> int:
-    return _mod_int(clmul(a, b), m)
+    """a * b mod m (m != 0) by one Barrett step; an operand of degree
+    deg m or more is long-divided first, so the product stays below
+    2 deg m, where the step is exact."""
+    w = m.bit_length() - 1
+    if (a | b) >> w:
+        a, b = _divmod_int(a, m)[1], _divmod_int(b, m)[1]
+    _, mu_shifts, low = _barrett_constants(m)
+    return _barrett(clmul(a, b), w, mu_shifts, low, (1 << w) - 1)
 
 
 def inv_mod(a: int, m: int) -> int:
@@ -193,7 +204,7 @@ def inv_mod(a: int, m: int) -> int:
         raise ZeroDivisionError("modulus is the zero polynomial")
     off = m.bit_length()
     u = m << off
-    v = _mod_int(a, m) << off | 1
+    v = _divmod_int(a, m)[1] << off | 1
     ul = u.bit_length()
     vl = v.bit_length()
     # u and v take turns as dividend; the loops stop when the remainder
@@ -216,23 +227,25 @@ def inv_mod(a: int, m: int) -> int:
 
 def powmod(base: int, exp: int, m: int) -> int:
     """base^exp mod m by left-to-right square-and-multiply (exp is a
-    plain integer, not a polynomial).  The multiplier stays the reduced base, so with base x
-    each multiply is one shift and one reduction step; the modulus's sparse
-    tail is taken once per call.  A negative base or m is refused with
-    ValueError."""
+    plain integer, not a polynomial).  Every square and multiply is one
+    Barrett step, on constants taken once per call; the multiplier stays
+    the reduced base, so with base x each multiply is one shift.  A
+    negative base or m is refused with ValueError."""
     if (base | m) < 0:
         raise _negative("operand" if base < 0 else "modulus")
     if exp < 0:
         raise ValueError("negative exponent")
     if m == 0:
         raise ZeroDivisionError("modulus is the zero polynomial")
-    tail = _sparse_tail(m)
-    result = _mod_int(1, m, tail)
-    b = _mod_int(base, m, tail)
+    w = m.bit_length() - 1
+    _, mu_shifts, low = _barrett_constants(m)
+    mask = (1 << w) - 1
+    result = 1 & mask
+    b = _divmod_int(base, m)[1]
     for bit in format(exp, "b"):
-        result = _mod_int(clsquare(result), m, tail)
+        result = _barrett(clsquare(result), w, mu_shifts, low, mask)
         if bit == "1":
-            result = _mod_int(clmul(result, b), m, tail)
+            result = _barrett(clmul(result, b), w, mu_shifts, low, mask)
     return result
 
 
@@ -251,11 +264,12 @@ def is_irreducible(p: int) -> bool:
         return False  # divisible by x
     if p.bit_count() % 2 == 0:
         return False  # p(1) = 0, divisible by x + 1
-    tail = _sparse_tail(p)
+    _, mu_shifts, low = _barrett_constants(p)
+    mask = (1 << d) - 1
     checkpoints = {d // q for q in _prime_factors(d)}
     t = 2  # x
     for k in range(1, d + 1):
-        t = _mod_int(clsquare(t), p, tail)
+        t = _barrett(clsquare(t), d, mu_shifts, low, mask)
         if k in checkpoints and gcd(t ^ 2, p) != 1:
             return False
     return t == 2  # x^(2^d) == x (mod p)

@@ -173,19 +173,18 @@ class SigmaConfig:
         return self._byte_tables
 
 
-def _check_words(words: list[int], m: int, b: int) -> int:
-    """Refuse anything but b m-bit int words x_0..x_{b-1} (a bool is not
-    an int here); return them stacked, x_i at bits [i*m, (i+1)*m)."""
+def _check_words(words: list[int], m: int, b: int) -> None:
+    """Refuse anything but b m-bit int words x_0..x_{b-1} (a bool is not an
+    int here), in C-level passes; the loop runs only to name a bad word."""
     if len(words) != b:
         raise ValueError("LFSR state does not match configuration dimensions")
-    acc = 0
+    if {*map(type, words)} == {int} and min(words) >= 0 and not max(words) >> m:
+        return
     for i, w in enumerate(words):
         if type(w) is not int:
             raise ValueError(f"block {i} is not an integer: {w!r}")
         if w < 0 or w >> m:
             raise ValueError(f"block {i} not an {m}-bit word: {w:#x}")
-        acc |= w << (i * m)
-    return acc
 
 
 def build_config_matrix(cfg: SigmaConfig) -> list[int]:
@@ -248,7 +247,8 @@ def period(cfg: SigmaConfig, words: list[int]) -> int:
     m, n = cfg.m, cfg.m * cfg.b
     if n > PERIOD_GUARD_BITS:
         raise PeriodGuardError(f"state space 2^{n} exceeds the 2^{PERIOD_GUARD_BITS} guard")
-    if _check_words(words, m, cfg.b) == 0:
+    _check_words(words, m, cfg.b)
+    if not any(words):
         raise PeriodGuardError("zero seed is a fixed point; period undefined")
     mask = (1 << m) - 1
     if rank([row & mask for row in cfg.rows]) < m:

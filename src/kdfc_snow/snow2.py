@@ -9,7 +9,8 @@ F_{2^32} = F_{2^8}[alpha] with
 packed so that the most significant byte is the alpha^3 coefficient.  The
 LFSR recurrence is s_{t+16} = alpha^{-1} s_{t+11} + s_{t+2} + alpha s_t,
 realized here by gain matrices B_0 = mult-by-alpha, B_2 = I,
-B_11 = mult-by-alpha^{-1} acting on row vectors.
+B_11 = mult-by-alpha^{-1} acting on row vectors.  The byte-field
+constants and tables are built at import on the gf2.poly kernel.
 
 FSM.  Two 32-bit registers, held as the list [R1, R2].
 F = (s_{t+15} boxplus R1) xor R2; R1' = s_{t+5} boxplus R2;
@@ -43,6 +44,7 @@ import functools
 import sys
 
 from kdfc_snow.gf2.linalg import check_int
+from kdfc_snow.gf2.poly import _mulmod_int, inv_mod, powmod
 from kdfc_snow.sigma_lfsr import SigmaConfig, _check_words, galois_state
 
 __all__ = [
@@ -71,68 +73,37 @@ def _check_word(name: str, w: int) -> None:
 
 # ---------------------------------------------------------------------------
 # byte fields: F_{2^8} = F_2[beta] / (x^8 + x^7 + x^5 + x^3 + 1) for the LFSR,
-# the Rijndael field for the S-box; each gets one log/antilog table pass
+# the Rijndael field for the S-box, both on the gf2.poly kernel
 
 _BETA_POLY = 0x1A9  # x^8 + x^7 + x^5 + x^3 + 1
 _AES_POLY = 0x11B  # x^8 + x^4 + x^3 + x + 1
 
 
-def _log_tables(mod: int, gen: int) -> tuple[list[int], list[int]]:
-    """(exp, log) of the byte field F_2[x]/mod over the generator gen, x or x + 1.
+def _byte_products(coeffs: tuple[int, ...], poly: int) -> list[int]:
+    """c * k for every byte c of F_2[x]/poly and every k of coeffs, one
+    byte each, highest first: c -> c * k is GF(2)-linear, so the rows for
+    c = x^j, j < 8, are doubled out over c's bits, one xor per entry."""
+    tab = [0]
+    for j in range(8):
+        row = 0
+        for k in coeffs:
+            row = row << 8 | _mulmod_int(k, 1 << j, poly)
+        tab += [t ^ row for t in tab]
+    return tab
 
-    exp[i] = gen^i for i in [0, 510), so exp[log a + log b] = a * b needs
-    no reduction mod 255; log[gen^i] = i for i in [0, 255).
-    """
-    exp = [0] * 510
-    log = [0] * 256
-    x = 1
-    for i in range(255):
-        exp[i] = exp[i + 255] = x
-        log[x] = i
-        y = x << 1
-        if y >> 8:
-            y ^= mod
-        x = y ^ x if gen & 1 else y
-    return exp, log
-
-
-_BETA_EXP, _BETA_LOG = _log_tables(_BETA_POLY, 0x02)  # beta = x generates
-_AES_EXP, _AES_LOG = _log_tables(_AES_POLY, 0x03)  # x + 1 generates
-
-
-def _times(a: int, b: int, exp: list[int], log: list[int]) -> int:
-    """a * b in the byte field of (exp, log)."""
-    return exp[log[a] + log[b]] if a and b else 0
-
-
-# alpha^4 coefficient row of G_S, highest power first: beta^23, ...
-_G_COEFFS = tuple(_BETA_EXP[e] for e in (23, 245, 48, 239))
 
 # ---------------------------------------------------------------------------
 # multiplication by alpha / alpha^{-1} on packed words
 
-
-def _alpha_table(coeffs: tuple[int, ...]) -> list[int]:
-    """c * (k3 alpha^3 + k2 alpha^2 + k1 alpha + k0), packed, for every byte c.
-
-    Every k is nonzero, so its column is exp[log k + log c], 0 at c = 0.
-    """
-    k3, k2, k1, k0 = (
-        [0] + [_BETA_EXP[_BETA_LOG[k] + lc] for lc in _BETA_LOG[1:]] for k in coeffs
-    )
-    return [c3 << 24 | c2 << 16 | c1 << 8 | c0 for c3, c2, c1, c0 in zip(k3, k2, k1, k0)]
-
-
-def _alpha_inv_coeffs() -> tuple[int, ...]:
-    """alpha^{-1} = g0^{-1} (alpha^3 + g3 alpha^2 + g2 alpha + g1)."""
-    g3, g2, g1, g0 = _G_COEFFS
-    i3 = _BETA_EXP[255 - _BETA_LOG[g0]]
-    return (i3, *(_times(i3, g, _BETA_EXP, _BETA_LOG) for g in (g3, g2, g1)))
-
-
+# alpha^4 coefficient row of G_S, highest power first: beta^23, ...
+_G_COEFFS = tuple(powmod(2, e, _BETA_POLY) for e in (23, 245, 48, 239))
 # c * alpha^4 reduced: c*(g3 a^3 + g2 a^2 + g1 a + g0)
-_MUL_A = _alpha_table(_G_COEFFS)
-_MUL_AINV = _alpha_table(_alpha_inv_coeffs())
+_MUL_A = _byte_products(_G_COEFFS, _BETA_POLY)
+# c * alpha^{-1} = c * g0^{-1} (alpha^3 + g3 alpha^2 + g2 alpha + g1)
+_G0_INV = inv_mod(_G_COEFFS[3], _BETA_POLY)
+_MUL_AINV = _byte_products(
+    tuple(_mulmod_int(_G0_INV, g, _BETA_POLY) for g in (1, *_G_COEFFS[:3])), _BETA_POLY
+)
 
 
 def alpha_mul(w: int) -> int:
@@ -170,7 +141,7 @@ def _aes_sbox_table() -> list[int]:
     # b ^ rotl(b, 1) ^ rotl(b, 2) ^ rotl(b, 3) ^ rotl(b, 4) ^ 0x63: the
     # shifts of b xored, their bits above 7 folded back down
     table = []
-    for b in [0] + [_AES_EXP[255 - lv] for lv in _AES_LOG[1:]]:
+    for b in [0] + [inv_mod(c, _AES_POLY) for c in range(1, 256)]:
         t = b ^ b << 1 ^ b << 2 ^ b << 3 ^ b << 4
         table.append((t ^ t >> 8) & 0xFF ^ 0x63)
     return table
@@ -185,25 +156,22 @@ def _sbox_halves() -> tuple[memoryview, memoryview]:
     Byte k of w adds T_k[byte]: column k of MixColumn times s =
     SubBytes(byte), so lo[h << 8 | l] = T_0[l] ^ T_1[h] and
     hi[h << 8 | l] = T_2[l] ^ T_3[h].  Each table is 65,536 native 32-bit
-    entries (256 KB).  T_0 and T_1 are each one int of 256 native 32-bit
-    lanes, lane l for byte l, so 2s (xtime) and 3s = 2s ^ s take a few
-    operations for all 256 bytes; lo is written in place one 256-entry
-    row h at a time, T_0 xored with T_1[h] in every lane.  MixColumn is
-    circulant, so T_2 and T_3 are T_0 and T_1 rotated by 16 bits, and hi
-    is lo with the two 16-bit halves of every entry swapped: bytes 0, 1,
-    2, 3 of an entry become 2, 3, 0, 1 in either byte order.
+    entries (256 KB).  T_0 is one int of 256 native 32-bit lanes, lane l
+    for byte l, and lo is written in place one 256-entry row h at a time,
+    T_0 xored with T_1[h] in every lane.  MixColumn is circulant, so T_2
+    and T_3 are T_0 and T_1 rotated by 16 bits, and hi is lo with the two
+    16-bit halves of every entry swapped: bytes 0, 1, 2, 3 of an entry
+    become 2, 3, 0, 1 in either byte order.
     """
     order = sys.byteorder
     ones = int.from_bytes((1).to_bytes(4, order) * 256, order)  # 1 in every lane
-    s = int.from_bytes(b"".join(v.to_bytes(4, order) for v in _SR), order)
-    s2 = (s << 1 & 0xFE * ones) ^ (s >> 7 & ones) * (_AES_POLY & 0xFF)
-    s3 = s2 ^ s
     # byte j of T_k is s times the MixColumn entry at row j, column k
-    t0 = s2 | s << 8 | s << 16 | s3 << 24
-    t1 = s3 | s2 << 8 | s << 16 | s << 24
+    col0 = _byte_products((3, 1, 1, 2), _AES_POLY)
+    col1 = _byte_products((1, 1, 2, 3), _AES_POLY)
+    t0 = int.from_bytes(b"".join(col0[s].to_bytes(4, order) for s in _SR), order)
     lo = bytearray(1 << 18)
-    for h, t in enumerate(memoryview(t1.to_bytes(1024, order)).cast("I")):
-        lo[h << 10 : h + 1 << 10] = (t0 ^ t * ones).to_bytes(1024, order)
+    for h, s in enumerate(_SR):
+        lo[h << 10 : h + 1 << 10] = (t0 ^ col1[s] * ones).to_bytes(1024, order)
     hi = bytearray(1 << 18)
     for k in range(4):
         hi[k::4] = lo[k ^ 2 :: 4]
@@ -257,11 +225,7 @@ def _check_state(lfsr: list[int], fsm: list[int], cfg: SigmaConfig) -> None:
         raise ValueError(
             f"cipher configuration is {cfg.m}x{cfg.b}, expected m=32, b=16"
         )
-    # _check_words' conditions in C-level passes; it runs only to name the
-    # word that fails them
-    if not (len(lfsr) == 16 and {*map(type, lfsr)} == {int}
-            and 0 <= min(lfsr) and max(lfsr) <= MASK32):
-        _check_words(lfsr, 32, 16)
+    _check_words(lfsr, 32, 16)
     _check_fsm(fsm)
 
 

@@ -20,8 +20,9 @@ route than the package:
 * gf2_matmul_numpy checks bit-packed matrix products against numpy
   integer arithmetic mod 2.
 * lfsr_step steps a sigma-LFSR on its list of words with one matrix-vector
-  product per gain, zero gains included, instead of the package's
-  step_stacked through the Galois byte-lane tables of all the gains.
+  product per gain, zero gains included unless given as None, instead of
+  the package's step_stacked through the Galois byte-lane tables of all
+  the gains.
 * orbit_of walks a seed's orbit by multiplying the stacked state with the
   transition matrix, instead of the package's period(), which clocks the
   Galois state through the byte-lane tables.
@@ -29,20 +30,20 @@ route than the package:
   time, instead of the package's vec_to_hex and vec_from_hex, which
   convert the whole row at once.
 * clock_oracle and keystream_oracle run SNOW 2.0's clocks on word lists
-  and [R1, R2] register pairs with lfsr_step and fsm_step, under any 32x16
-  configuration, instead of the package's single Galois-form loop on
-  plain ints.
+  and [R1, R2] register pairs with lfsr_step (on the nonzero gains, split
+  once per configuration) and fsm_step, under any 32x16 configuration,
+  instead of the package's single Galois-form loop on plain ints.
 * long_division_mod and triangular_unembed reduce and un-embed bit by bit
-  for any modulus, instead of the package's folding through the low terms
-  of a sparse modulus.  field_embed maps a row in standard coordinates to
+  for any modulus, instead of the package's Barrett step
+  (gf2.poly._barrett).  field_embed maps a row in standard coordinates to
   the field by reversing it bit by bit and multiplying by one shifted copy
   per coefficient of p, and long_division_quotient gives floor(a / m) bit
   by bit, where the pipeline shifts reversed rows through the terms of the
   modulus or of its Barrett factor.
 * over_xw_rows, mulmod_rows and row_stage run a pipeline stage one row
-  at a time, each product through its own byte window table and folded
-  through the sparse tail or by long division, instead of the package's
-  one packed int for all the rows, reduced by Barrett's quotient.
+  at a time, each product through its own byte window table and reduced
+  by long division, instead of the package's one packed int for all the
+  rows, reduced by Barrett's quotient.
   row_stage inverts the active row with inv_mod_reference, extended
   Euclid with each remainder and its cofactor in ints of their own,
   instead of gf2.poly.inv_mod's one int for both.
@@ -374,12 +375,10 @@ def over_xw_rows(shifts: list[int], rows: list[int]) -> list[int]:
 def mulmod_rows(rows: list[int], b: int, m: int) -> list[int]:
     """[a * b mod m for a in rows], one row at a time: a byte window
     table of b from degree 32 of m on, one shifted copy of a per term of b
-    below, then folding through the low terms of a sparse m
-    (gf2.poly._sparse_tail) or long division."""
-    from kdfc_snow.gf2.poly import _sparse_tail, exponents
+    below, then long division (long_division_mod)."""
+    from kdfc_snow.gf2.poly import exponents
 
     d = m.bit_length() - 1
-    tail = _sparse_tail(m)
     tab = None
     if d < 32:
         shifts = exponents(b)
@@ -397,15 +396,7 @@ def mulmod_rows(rows: list[int], b: int, m: int) -> list[int]:
         else:
             for byte in a.to_bytes((a.bit_length() + 7) // 8, "big"):
                 acc = (acc << 8) ^ tab[byte]
-        if tail is not None:
-            while hi := acc >> d:
-                acc ^= hi << d
-                for e in tail:
-                    acc ^= hi << e
-        else:
-            while (al := acc.bit_length()) > d:
-                acc ^= m << (al - d - 1)
-        out.append(acc)
+        out.append(long_division_mod(acc, m))
     return out
 
 
@@ -616,15 +607,23 @@ def row_certificate_bits(cfg) -> list[int]:
 
 def lfsr_step(gains, words):
     """One shift of words x_n..x_{n+b-1} under gains B_0..B_{b-1}, as split
-    once per configuration by cfg.gains(): (new words, output word x_n)."""
+    once per configuration by cfg.gains() or nonzero_gains(cfg): (new
+    words, output word x_n).  A gain given as None is zero and skipped."""
     from kdfc_snow.gf2.linalg import DimensionError, mat_vec_mul
 
     if len(words) != len(gains):
         raise DimensionError("state and configuration dimensions differ")
     feedback = 0
     for w, g in zip(words, gains):
-        feedback ^= mat_vec_mul(w, g)
+        if g is not None:
+            feedback ^= mat_vec_mul(w, g)
     return words[1:] + [feedback], words[0]
+
+
+def nonzero_gains(cfg) -> list:
+    """cfg.gains() with each all-zero gain as None, for lfsr_step to skip:
+    13 of SNOW 2.0's 16 gains."""
+    return [g if any(g) else None for g in cfg.gains()]
 
 
 def orbit_of(cfg, words) -> list[int]:
@@ -658,7 +657,7 @@ def clock_oracle(key, iv, cfg, n):
     """SNOW 2.0 clocks on word lists: (32 init F words, first n keystream words)."""
     from kdfc_snow.snow2 import fsm_step, load_state_words
 
-    gains = cfg.gains()
+    gains = nonzero_gains(cfg)
     s = load_state_words(key, iv)
     fsm = [0, 0]
     init_f = []
@@ -674,7 +673,7 @@ def keystream_oracle(cfg, s, fsm, n):
     """n keystream clocks from LFSR words s and FSM pair fsm: (words, s, fsm)."""
     from kdfc_snow.snow2 import fsm_step
 
-    gains = cfg.gains()
+    gains = nonzero_gains(cfg)
     words = []
     for _ in range(n):
         fsm, f = fsm_step(fsm, s[5], s[15])

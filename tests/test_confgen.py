@@ -33,11 +33,9 @@ from kdfc_snow.confgen import (
     generate_config,
     pipeline_poly,
     _log_tables,
-    _over_xw,
     _pack,
     _reversed_rows,
     _run,
-    _shifts,
     _stage_constants,
     _unpack,
     y_iterate,
@@ -56,7 +54,7 @@ from kdfc_snow.gf2.linalg import (
 from kdfc_snow.gf2.poly import (
     FactorTableMissError,
     _divmod_int,
-    _sparse_tail,
+    _over_xw,
     euler_phi_2n1,
     exponents,
     is_irreducible,
@@ -654,12 +652,14 @@ class TestEmbedding:
         for pc in moduli:
             w = pc.bit_length() - 1
             shifts, mu_shifts, low = _stage_constants(pc)
-            # Barrett's mu = floor(x^2w / p) is p itself exactly when p is sparse
+            # Barrett's mu = floor(x^2w / p) is p itself exactly when
+            # p - x^w has degree below w/2
             mu = long_division_quotient(1 << (2 * w), pc)
             assert mu == _divmod_int(1 << (2 * w), pc)[0]
-            assert (mu == pc) == (_sparse_tail(pc) is not None)
+            assert (mu == pc) == (2 * ((pc ^ (1 << w)).bit_length() - 1) < w)
             assert low == exponents(pc ^ (1 << w))
-            assert shifts == _shifts(exponents(pc)) and mu_shifts == _shifts(exponents(mu))
+            assert shifts == [w - e for e in range(1, w + 1) if pc >> e & 1]
+            assert mu_shifts == [w - e for e in range(1, w + 1) if mu >> e & 1]
             if len(shifts) > 4 or len(mu_shifts) > 4:
                 dense.append(pc)
             # the maps, one shift and xor per term whatever the weight, on

@@ -7,17 +7,24 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import inv_mod_reference, long_division_mod, mulmod_rows, sympy_mul, sympy_rem
+from oracles import (
+    inv_mod_reference,
+    long_division_mod,
+    long_division_quotient,
+    mulmod_rows,
+    sympy_mul,
+    sympy_rem,
+)
 
-from kdfc_snow.confgen import _mulmod_packed, _pack, _stage_constants, _unpack, pipeline_poly
+from kdfc_snow.confgen import _mulmod_packed, _pack, _unpack
 from kdfc_snow.gf2.linalg import berlekamp_massey, char_poly
 from kdfc_snow.gf2.poly import (
     DegreeError,
     FactorTableMissError,
+    _barrett,
+    _barrett_constants,
     _divmod_int,
-    _mod_int,
     _mulmod_int,
-    _sparse_tail,
     clmul,
     clsquare,
     exponent_list,
@@ -126,8 +133,8 @@ class TestBasics:
         p = from_exponents([4, 1, 0])
         assert [p >> i & 1 for i in range(6)] == [1, 1, 0, 0, 1, 0]
         # p(a) = p mod (x + a): the constant term at 0, the parity of the weight at 1
-        assert _mod_int(p, 0b10) == p & 1
-        assert _mod_int(p, 0b11) == p.bit_count() % 2
+        assert _divmod_int(p, 0b10)[1] == p & 1
+        assert _divmod_int(p, 0b11)[1] == p.bit_count() % 2
 
 
 class TestArithmeticVsSympy:
@@ -164,7 +171,9 @@ class TestKernelVsSympy:
 
     @given(st.integers(0, (1 << 192) - 1), st.integers(1, (1 << 96) - 1))
     def test_mod_int(self, a, m):
-        assert _mod_int(a, m) == sympy_rem(a, m)
+        # a reaches past 2 deg m, so _mulmod_int long-divides it before its
+        # Barrett step, which is exact only below that
+        assert _divmod_int(a, m)[1] == _mulmod_int(a, 1, m) == sympy_rem(a, m)
 
     @pytest.mark.parametrize("call,message", [
         (lambda: clmul(-3, 5), "operand"),  # looped forever: -3 never runs out of terms
@@ -188,29 +197,53 @@ def route_moduli() -> list[int]:
     return [table[d] for d in range(2, 513)] + [target_poly(), 0x11B, 0x1A9]
 
 
-class TestSparseReduction:
-    """Folding through the low terms against long division."""
+def barrett_mod(c: int, m: int) -> int:
+    """c mod m by one Barrett step (deg c < 2 deg m)."""
+    w = m.bit_length() - 1
+    _, mu_shifts, low = _barrett_constants(m)
+    return _barrett(c, w, mu_shifts, low, (1 << w) - 1)
 
-    def test_route_follows_the_modulus(self):
-        sparse = [m for m in route_moduli() if _sparse_tail(m) is not None]
-        assert len(sparse) == 511 - 3  # the table but degrees 2, 8 and 12
-        for dense in (target_poly(), 0x11B, 0x1A9):
-            assert _sparse_tail(dense) is None
+
+def barrett_operands(m: int, rng: random.Random) -> list[int]:
+    """0, m, the top degree 2w - 1 and random operands of degree below 2w."""
+    d = m.bit_length() - 1
+    operands = [0, m, m ^ (1 << d), (1 << (2 * d)) - 1, 1 << (2 * d - 1)]
+    return operands + [rng.getrandbits(rng.randint(1, 2 * d)) for _ in range(6)]
+
+
+class TestBarrettReduction:
+    """One Barrett step, the only reduction by a fixed modulus, against
+    the oracle's long division and _divmod_int."""
+
+    def test_mu_is_p_exactly_for_a_short_tail(self):
+        # x^2w = p^2 + t^2 for p = x^w + t, so mu = floor(x^2w / p) is p
+        # exactly when deg t^2 < w: the table but degrees 2, 8 and 12
+        short = 0
+        for m in route_moduli():
+            w = m.bit_length() - 1
+            shifts, mu_shifts, low = _barrett_constants(m)
+            mu = long_division_quotient(1 << (2 * w), m)
+            assert mu == _divmod_int(1 << (2 * w), m)[0]
+            assert shifts == [w - e for e in range(1, w + 1) if m >> e & 1]
+            assert mu_shifts == [w - e for e in range(1, w + 1) if mu >> e & 1]
+            assert low == exponents(m ^ (1 << w))
+            assert (mu == m) == (2 * ((m ^ (1 << w)).bit_length() - 1) < w)
+            short += mu == m
+        assert short == 511 - 3
 
     def test_every_table_degree_and_the_dense_moduli(self):
         rng = random.Random(5)
         for m in route_moduli():
-            d = m.bit_length() - 1
-            operands = [0, m, m ^ (1 << d), (1 << (2 * d)) - 1, 1 << (2 * d - 1)]
-            operands += [rng.getrandbits(rng.randint(1, 2 * d)) for _ in range(6)]
-            for a in operands:
-                assert _mod_int(a, m) == long_division_mod(a, m), (d, a)
+            for a in barrett_operands(m, rng):
+                want = long_division_mod(a, m)
+                assert barrett_mod(a, m) == want == _divmod_int(a, m)[1], (m, a)
 
-    @given(st.integers(0, (1 << 64) - 1), st.integers(2, 32), st.data())
-    def test_random_sparse_moduli(self, a, d, data):
-        low = data.draw(st.sets(st.integers(0, (d - 1) // 2), max_size=4))
-        m = (1 << d) | sum(1 << e for e in low)
-        assert _mod_int(a, m) == long_division_mod(a, m)
+    @given(st.integers(1, 130), st.data())
+    def test_random_dense_moduli(self, d, data):
+        # any modulus of degree d, reducible or not, mostly with mu != m
+        m = (1 << d) | data.draw(st.integers(0, (1 << d) - 1))
+        for a in barrett_operands(m, data.draw(st.randoms(use_true_random=False))):
+            assert barrett_mod(a, m) == long_division_mod(a, m) == _divmod_int(a, m)[1]
 
 
 def packed_products(rows: list[int], lam: int, m: int) -> list[int]:
@@ -263,21 +296,18 @@ class TestWindowedRows:
         st.randoms(use_true_random=False),
     )
     @settings(max_examples=80)
-    def test_tail_folds_around_the_window_threshold(self, d, sparse, rng):
-        # the table entries of these degrees have mu = floor(x^2d / m) = m
-        # and the oracle folds them through their tail; a modulus with a
-        # term at x^(d-1) has mu != m and the oracle takes long division;
-        # the packed products take Barrett's quotient for both
+    def test_short_and_long_tails_around_the_window_threshold(self, d, sparse, rng):
+        # the table entries of these degrees have mu = floor(x^2d / m) = m;
+        # a modulus with a term at x^(d-1) has mu != m; the packed products
+        # take Barrett's quotient for both, the oracle long division
         if sparse:
             m = default_table()[d]
         else:
             m = (1 << d) | (1 << (d - 1)) | rng.getrandbits(d) | 1
-        assert (_sparse_tail(m) is not None) == sparse
-        shifts, mu_shifts, _ = _stage_constants(m)
-        assert (mu_shifts == shifts) == sparse
+        assert (_divmod_int(1 << (2 * d), m)[0] == m) == sparse
         lam = rng.getrandbits(d)
         rows = [0, 1, (1 << d) - 1] + [rng.getrandbits(d) for _ in range(8)]
-        want = [_mod_int(clmul(a, lam), m) for a in rows]
+        want = [long_division_mod(clmul(a, lam), m) for a in rows]
         assert packed_products(rows, lam, m) == want
         assert mulmod_rows(rows, lam, m) == want
 
@@ -288,7 +318,7 @@ class TestAlgebraicProperties:
     @given(ints, ints, nonzero_ints)
     def test_add_is_xor(self, a, b, m):
         # reduction is GF(2)-linear: the remainder of a sum is the sum of remainders
-        assert _mod_int(a ^ b, m) == _mod_int(a, m) ^ _mod_int(b, m)
+        assert _divmod_int(a ^ b, m)[1] == _divmod_int(a, m)[1] ^ _divmod_int(b, m)[1]
 
     @given(ints, ints, ints)
     def test_mul_distributes(self, a, b, c):
@@ -307,7 +337,7 @@ class TestAlgebraicProperties:
         q, r = _divmod_int(a, b)
         assert clmul(q, b) ^ r == a
         assert r.bit_length() < b.bit_length()
-        assert r == _mod_int(a, b)
+        assert r == long_division_mod(a, b)
 
     @given(ints, ints)
     def test_gcd_divides_both(self, a, b):
@@ -315,7 +345,7 @@ class TestAlgebraicProperties:
         if not g:
             assert not a and not b
         else:
-            assert not _mod_int(a, g) and not _mod_int(b, g)
+            assert not _divmod_int(a, g)[1] and not _divmod_int(b, g)[1]
 
 
 class TestModularArithmetic:
@@ -335,7 +365,7 @@ class TestModularArithmetic:
         # reach past deg mod, and the inverse needs no reduction after Euclid
         m = target_poly() if d == 513 else default_table()[d]
         a = data.draw(st.integers(1, (1 << (2 * m.bit_length() - 1)) - 1))
-        if _mod_int(a, m) == 0:
+        if long_division_mod(a, m) == 0:
             return
         inv = inv_mod(a, m)
         assert inv.bit_length() < m.bit_length()
@@ -346,7 +376,7 @@ class TestModularArithmetic:
         for m in [table[d] for d in range(2, 513)] + [target_poly()]:
             d = m.bit_length() - 1
             for a in (1, m ^ 1, rng.getrandbits(d), rng.getrandbits(2 * d) | 1 << 2 * d):
-                if _mod_int(a, m):
+                if long_division_mod(a, m):
                     inv = inv_mod(a, m)
                     assert inv.bit_length() - 1 < d and _mulmod_int(a, inv, m) == 1
 
@@ -378,7 +408,7 @@ class TestModularArithmetic:
         else:
             m = (1 << d) | data.draw(st.integers(0, (1 << d) - 1))
         base = data.draw(st.sampled_from([2, 3, 2 | (1 << d), (1 << (d + 3)) - 1]))
-        acc, b, e = _mod_int(1, m), _mod_int(base, m), exp
+        acc, b, e = long_division_mod(1, m), long_division_mod(base, m), exp
         while e:
             if e & 1:
                 acc = _mulmod_int(acc, b, m)
@@ -418,7 +448,7 @@ class TestInversionAgainstReference:
         # mostly reducible moduli up to degree 80; tiny: 1, x and x + 1
         rng = random.Random(family)
         moduli = {
-            "table": [pipeline_poly(d) for d in range(1, 513)] + [target_poly()],
+            "table": [0b11] + [primitive_poly(d) for d in range(2, 513)] + [target_poly()],
             "random": [rng.getrandbits(rng.randrange(1, 82)) for _ in range(3000)],
             "tiny": [1, 2, 3],
         }[family]

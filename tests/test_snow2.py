@@ -16,6 +16,8 @@ from conftest import KAT_IV, KAT_KEY
 from oracles import (
     AES_SBOX,
     ALPHA_INV,
+    BETA_POLY,
+    GS,
     Snow2Ref,
     build_alpha_matrices,
     clock_oracle,
@@ -106,20 +108,18 @@ class TestFieldArithmetic:
 
 class TestByteFields:
     @pytest.mark.parametrize(
-        "exp,log,poly",
-        [
-            (snow2._BETA_EXP, snow2._BETA_LOG, 0x1A9),
-            (snow2._AES_EXP, snow2._AES_LOG, 0x11B),
-        ],
-        ids=["beta", "rijndael"],
+        "table,coeffs",
+        [("_MUL_A", GS), ("_MUL_AINV", ALPHA_INV)],
+        ids=["alpha", "alpha_inv"],
     )
-    def test_log_tables_multiply_like_the_oracle(self, exp, log, poly):
-        assert sorted(exp[:255]) == list(range(1, 256))  # a generator
-        assert exp[255:] == exp[:255]
-        rng = random.Random(poly)
-        for b in [0, 1, 2, 3, 0xFF] + [rng.randrange(256) for _ in range(27)]:
-            for a in range(256):
-                assert snow2._times(a, b, exp, log) == gf8_mul(a, b, poly)
+    def test_alpha_tables_multiply_like_the_oracle(self, table, coeffs):
+        # entry c is c times alpha^4 = GS (alpha^3 first) or alpha^{-1},
+        # one oracle byte product per coefficient
+        got = getattr(snow2, table)
+        assert len(got) == 256
+        for c in range(256):
+            want = vec_to_word(tuple(gf8_mul(c, k, BETA_POLY) for k in coeffs))
+            assert got[c] == want, (table, c)
 
 
 class TestSbox:
