@@ -177,9 +177,21 @@ def pipeline_poly(degree: int) -> int:
     return primitive_poly(degree)
 
 
+#: byte j with its 8 bits in reverse order
+_BIT_REVERSED = bytes(int(f"{j:08b}"[::-1], 2) for j in range(256))
+
+
 def _reversed_rows(rows: list[int], w: int) -> list[int]:
-    """Rows with their w coordinates in reverse order (an involution)."""
-    return [int(format(r, f"0{w}b")[::-1], 2) for r in rows]
+    """Rows of at most w bits with their w coordinates in reverse order
+    (an involution).  A row's little-endian bytes, each bit-reversed
+    through _BIT_REVERSED and read big-endian, are its 8 * size bits
+    reversed; shifting out the 8 * size - w pad leaves the w coordinates."""
+    size = -(-w // 8)
+    pad = 8 * size - w
+    return [
+        int.from_bytes(r.to_bytes(size, "little").translate(_BIT_REVERSED), "big") >> pad
+        for r in rows
+    ]
 
 
 #: a stage's Barrett constants (gf2.poly._barrett_constants), kept per
@@ -401,6 +413,7 @@ def build_q(y: list[int], p: int) -> list[int]:
     Q is not checked for singularity here: assemble_config builds Q and
     eliminates it once for its row solves, raising SingularMatrixError there.
     """
+    check_int("p", p, 0)
     m, n = len(y), width(y)
     if p.bit_length() - 1 != n:
         raise DimensionError(f"polynomial degree {p.bit_length() - 1} != Y width {n}")
@@ -423,6 +436,7 @@ def assemble_config(y: list[int], p: int) -> SigmaConfig:
     rows with the v_r appended, and refuses a singular Q
     (SingularMatrixError).
     """
+    check_int("p", p, 0)
     rows = build_q(y, p)
     m, n = len(y), len(rows)
     try:
@@ -450,6 +464,7 @@ def generate_config(
     irreducible: verify rechecks the result with sigma_lfsr.annihilates,
     which proves chi = p only for an irreducible p.
     """
+    check_int("p", p, 0)
     check_dims(m, b)
     n = m * b
     if p.bit_length() - 1 != n:

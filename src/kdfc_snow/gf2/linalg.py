@@ -239,6 +239,9 @@ def _clear_block(rows, block, c0, c1, end):
     block holds the (bit, row) pivots just above end, each reduced by the
     ones before it.  They are reduced against each other into a table of
     their combinations; the pivot rows themselves are left as they are.
+    Each row below is read mask-first: (r & window) >> c0 touches only its
+    low c1 bits, where r >> c0 would first shift the whole row (n columns,
+    a tracker and a flag, in _solve_rows).
     """
     reduced = [r for _, r in block]
     for t in range(len(block) - 1, 0, -1):
@@ -256,11 +259,8 @@ def _clear_block(rows, block, c0, c1, end):
             tab += [e ^ r for e in tab]
         else:
             tab += tab
-    mask = (1 << (c1 - c0)) - 1
-    for i in range(end, len(rows)):
-        j = rows[i] >> c0 & mask
-        if j:
-            rows[i] ^= tab[j]
+    window = ((1 << (c1 - c0)) - 1) << c0
+    rows[end:] = [r ^ tab[(r & window) >> c0] for r in rows[end:]]
 
 
 def _solve_rows(rows: Sequence[int], targets: Sequence[int]) -> list[int]:
@@ -271,14 +271,14 @@ def _solve_rows(rows: Sequence[int], targets: Sequence[int]) -> list[int]:
     and a flag bit at 2n.  When every column pivots on a row of A, each
     target ends cleared of all n columns with its tracker as x.  A is
     singular (SingularMatrixError) iff under n columns pivot or one pivots
-    on a target.
+    on a target, whose flag then sits among the n pivot rows work[:n].
     """
     n = len(rows)
     flag = 1 << 2 * n
     work = [r | 1 << (n + i) for i, r in enumerate(rows)]
     work += [v | flag for v in targets]
     pivots = _echelon(work, n)
-    if len(pivots) != n or any(work[i] & flag for _, i in pivots):
+    if len(pivots) != n or max(work[:n], default=0) >= flag:
         raise SingularMatrixError("matrix is singular")
     return [(v ^ flag) >> n for v in work[n:]]
 
@@ -309,10 +309,11 @@ def companion_vec_mul(v: int, p: int) -> int:
 
     P has ones on the subdiagonal (P[j+1, j] = 1) and last column
     (c_0, ..., c_{b-1}) where p(x) = x^b + sum c_j x^j, so that
-    (x_n, ..., x_{n+b-1}) * P = (x_{n+1}, ..., x_{n+b}).
+    (x_n, ..., x_{n+b-1}) * P = (x_{n+1}, ..., x_{n+b}).  v has at most
+    b = deg p bits, so v & p never holds p's leading x^b and needs no mask.
     """
     b = p.bit_length() - 1
-    tail = (v & p & ((1 << b) - 1)).bit_count() & 1
+    tail = (v & p).bit_count() & 1
     return (v >> 1) | (tail << (b - 1))
 
 

@@ -166,7 +166,7 @@ class KdfcParams:
     iteration count; the remaining ONLINE_TOTAL - k iterations draw their
     fill bits from captured FSM words, so they number at most 32.  discard
     output vectors (default 32, at most MAX_DISCARD) are dropped after the
-    configuration swap.  verify_config (default on) checks that the
+    configuration swap.  verify_config (a bool, default on) checks that the
     derived configuration has the irreducible target_poly() as its
     characteristic polynomial, by one Horner pass of it through the
     Galois clock (sigma_lfsr.annihilates), and raises RankLossError if not.
@@ -206,6 +206,10 @@ class KdfcParams:
         check_int("discard", self.discard, None)
         if not 0 <= self.discard <= MAX_DISCARD:
             raise ValueError(f"discard must be in [0, {MAX_DISCARD}], got {self.discard}")
+        if type(self.verify_config) is not bool:
+            raise ValueError(
+                f"verify_config must be a bool, got {type(self.verify_config).__name__}"
+            )
         return doc
 
 

@@ -44,7 +44,7 @@ import functools
 import sys
 
 from kdfc_snow.gf2.linalg import check_int
-from kdfc_snow.gf2.poly import _mulmod_int, inv_mod, powmod
+from kdfc_snow.gf2.poly import _barrett, _barrett_constants, _mulmod_int, inv_mod, powmod
 from kdfc_snow.sigma_lfsr import SigmaConfig, _check_words, galois_state
 
 __all__ = [
@@ -82,12 +82,15 @@ _AES_POLY = 0x11B  # x^8 + x^4 + x^3 + x + 1
 def _byte_products(coeffs: tuple[int, ...], poly: int) -> list[int]:
     """c * k for every byte c of F_2[x]/poly and every k of coeffs, one
     byte each, highest first: c -> c * k is GF(2)-linear, so the rows for
-    c = x^j, j < 8, are doubled out over c's bits, one xor per entry."""
+    c = x^j, j < 8, are doubled out over c's bits, one xor per entry.
+    Each k * x^j = k << j has degree below 16, so one Barrett step on
+    poly's constants, taken once, reduces it."""
+    _, mu_shifts, low = _barrett_constants(poly)
     tab = [0]
     for j in range(8):
         row = 0
         for k in coeffs:
-            row = row << 8 | _mulmod_int(k, 1 << j, poly)
+            row = row << 8 | _barrett(k << j, 8, mu_shifts, low, 0xFF)
         tab += [t ^ row for t in tab]
     return tab
 

@@ -85,6 +85,24 @@ def final_y(m, b, seed, y=None, k=0):
     return [y[t] for t in order]
 
 
+def not_a_polynomial(kind, p):
+    """p as a float, a str, None, or its negative (of p's bit length)."""
+    return {"float": float(p), "str": str(p), "None": None, "negative": -p}[kind]
+
+
+#: (kind, refusal) for not_a_polynomial: a float, str or None p ended in
+#: AttributeError on p.bit_length(), and a negative p ran every stage
+NOT_A_POLYNOMIAL = [
+    pytest.param(kind, message, id=kind)
+    for kind, message in [
+        ("float", "^p must be an int, got float$"),
+        ("str", "^p must be an int, got str$"),
+        ("None", "^p must be an int, got NoneType$"),
+        ("negative", "^need p >= 0, got p=-"),
+    ]
+]
+
+
 def flip_gain_bit(monkeypatch, gain, row, bit):
     """Make generate_config's assembly hand back one gain bit flipped."""
     real = confgen.assemble_config
@@ -577,6 +595,21 @@ class TestQAndAssembly:
             assert q[j * m : (j + 1) * m] == cur
             cur = [companion_vec_mul(r, poly) for r in cur]
 
+    @pytest.mark.parametrize("kind,message", NOT_A_POLYNOMIAL)
+    def test_build_q_refuses_a_p_that_is_no_polynomial(self, kind, message):
+        y = final_y(2, 3, "q-structure")
+        with pytest.raises(ValueError, match=message):
+            build_q(y, not_a_polynomial(kind, pipeline_poly(6)))
+
+    @pytest.mark.parametrize("kind,message", NOT_A_POLYNOMIAL)
+    def test_assemble_config_refuses_a_p_that_is_no_polynomial_before_q(
+        self, monkeypatch, kind, message
+    ):
+        y = final_y(2, 3, "q-structure")
+        monkeypatch.setattr(confgen, "build_q", lambda *a: pytest.fail("Q was built"))
+        with pytest.raises(ValueError, match=message):
+            assemble_config(y, not_a_polynomial(kind, pipeline_poly(6)))
+
     def test_build_q_validates_degree(self):
         y = identity(2)
         with pytest.raises(DimensionError):
@@ -700,6 +733,18 @@ class TestGenerateConfig:
         fill = FillBits.from_seed(4, 12, "s")
         with pytest.raises(ValueError, match=message):
             generate_config(m, b, pipeline_poly(16), identity(4), fill)
+
+    @pytest.mark.parametrize("kind,message", NOT_A_POLYNOMIAL)
+    def test_refuses_a_p_that_is_no_polynomial_before_any_work(
+        self, monkeypatch, kind, message
+    ):
+        # generate_config(4, 4, -p, ...) used to return a configuration
+        monkeypatch.setattr(confgen, "rank", lambda y: pytest.fail("rank was taken"))
+        monkeypatch.setattr(confgen, "_run", lambda *a: pytest.fail("a stage ran"))
+        fill = FillBits.from_seed(4, 12, "s")
+        p = not_a_polynomial(kind, pipeline_poly(16))
+        with pytest.raises(ValueError, match=message):
+            generate_config(4, 4, p, identity(4), fill, verify=False)
 
     @pytest.mark.parametrize("m,b", [(2, 4), (4, 4)])
     @pytest.mark.parametrize("seed", ["a", "b", "c"])

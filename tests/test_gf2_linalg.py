@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -356,6 +356,29 @@ class TestSolveRows:
             mat_inverse([1, 1])
         assert [c for c, _ in pivots] == [0, 1]
 
+    def test_a_pivot_on_an_appended_row_is_refused_in_a_block(self, monkeypatch):
+        # 128 rows of A plus a target: k = 5 blocks.  No row of A has
+        # column 70, so A is singular; the target has it and takes the
+        # pivot at rank 70, inside a block, and every column pivots
+        n, hole = 128, 70
+        rng = random.Random(70)
+        rows = [1 << i for i in range(n) if i != hole] + [1]
+        for _ in range(4 * n):
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i != j:
+                rows[i] ^= rows[j]
+        target = 1 << hole | rng.getrandbits(n)
+        real, pivots = linalg._echelon, []
+
+        def echelon(*args):
+            pivots.extend(real(*args))
+            return pivots
+
+        monkeypatch.setattr(linalg, "_echelon", echelon)
+        with pytest.raises(SingularMatrixError, match="matrix is singular"):
+            _solve_rows(rows, [target])
+        assert len(pivots) == n and (hole, hole) in pivots
+
 
 class TestCompanionAndCharPoly:
     @pytest.mark.parametrize(
@@ -365,10 +388,21 @@ class TestCompanionAndCharPoly:
         p = from_exponents(exps)
         assert char_poly(companion_matrix(p)) == p
 
-    @given(st.integers(0, 255), st.integers(0, 255))
-    def test_companion_vec_mul_matches_matrix(self, coeffs_low, v):
-        p = (1 << 8) | coeffs_low
-        v &= 0xFF
+    @given(
+        st.sampled_from([1, 8, 512]),
+        st.integers(0, (1 << 512) - 1),
+        st.integers(0, (1 << 512) - 1),
+    )
+    @example(1, 1, 1)
+    @example(8, 0xFF, 0xFF)
+    @example(512, (1 << 512) - 1, (1 << 512) - 1)
+    @example(512, 1 << 5 | 1 << 2 | 1, (1 << 512) - 1)
+    def test_companion_vec_mul_matches_matrix(self, b, coeffs_low, v):
+        # v has at most b = deg p bits; the all-ones row meets every
+        # coefficient of p at once
+        low = (1 << b) - 1
+        p = 1 << b | coeffs_low & low
+        v &= low
         assert companion_vec_mul(v, p) == mat_vec_mul(v, companion_matrix(p))
 
     @pytest.mark.parametrize("seed", range(6))

@@ -286,6 +286,14 @@ class TestParams:
         with pytest.raises(ValueError, match="^discard must be an int"):
             params.resolve()
 
+    @pytest.mark.parametrize("verify", [None, 0, 1, [], "no"], ids=repr)
+    def test_non_bool_verify_config_is_refused_by_resolve(self, verify):
+        # None, 0 and [] switched the check off without a word, and "no"
+        # left it on
+        params = KdfcParams(key=[0] * 8, iv=[0] * 4, verify_config=verify)
+        with pytest.raises(ValueError, match="^verify_config must be a bool, got "):
+            params.resolve()
+
     def test_discard_bound(self):
         from kdfc_snow.kdfc import MAX_DISCARD
 
