@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from kdfc_snow import attacks, kdfc, symbolic
+from kdfc_snow import kdfc
 from kdfc_snow.confgen import (
     MAX_ENUMERATION_BITS,
     FillBits,
@@ -241,6 +241,8 @@ def _cmd_char_poly(args) -> int:
 
 
 def _cmd_analyze_bias(args) -> int:
+    from kdfc_snow import attacks  # as randtests below: only its commands load it
+
     eps_final = attacks.pileup_bias(args.eps_log2, args.taps)
     needed = attacks.keystream_needed(eps_final)
     _emit(f"eps_final_log2 = {eps_final!r}\nkeystream_log2 = {needed!r}", args.out)
@@ -248,6 +250,8 @@ def _cmd_analyze_bias(args) -> int:
 
 
 def _cmd_analyze_linearization(args) -> int:
+    from kdfc_snow import attacks
+
     log2 = attacks.linearization_log2(args.n, args.degree)
     lines = [f"monomials_log2 = {log2!r}"]
     if args.exact:
@@ -257,6 +261,8 @@ def _cmd_analyze_linearization(args) -> int:
 
 
 def _cmd_analyze_gd(args) -> int:
+    from kdfc_snow import attacks
+
     if args.cipher == "snow2":
         tables = attacks.build_snow2_tables()
     else:
@@ -320,6 +326,8 @@ def _cmd_randtest(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
+    from kdfc_snow import symbolic
+
     report = symbolic.verify_minor_lemmas(*_dims(args))
     if args.json:
         _emit(json.dumps(report, indent=2), args.out)
@@ -329,6 +337,8 @@ def _cmd_verify_lemmas(args) -> int:
 
 
 def _cmd_verify_theorem1(args) -> int:
+    from kdfc_snow import symbolic
+
     m, b, p = _dims(args)
     entry, ok = symbolic.theorem1_check(m, b, p)
     want = m * b - b

@@ -21,13 +21,16 @@ against the active table, its m and its k window.  The recorded seed and
 fill label are kept for regeneration, not re-derived.  After the swap
 the cipher clocks as SNOW 2.0 does, so kdfc_keystream is
 snow2_keystream.
+
+YInitDoc and KdfcParams are plain __slots__ classes, not dataclasses:
+`dataclasses` and the inspect/ast chain it imports would cost every fresh
+process several milliseconds of start-up.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from importlib import resources
 
 from kdfc_snow.confgen import FillBits, generate_config
@@ -113,23 +116,48 @@ _YINIT_SHAPE = {
 }
 
 
-@dataclass(frozen=True)
+def _fields_eq(self, other):
+    """Field-wise equality of two instances of one __slots__ class."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+
 class YInitDoc:
-    """An offline pipeline matrix Y, m rows of width m + k, and its provenance."""
+    """An offline pipeline matrix Y, m rows of width m + k, and its provenance.
 
-    m: int
-    k: int
-    seed: str
-    fill_label: str
-    poly_table_sha256: str
-    y: list[int]
+    Read-only; m and k are ints (m >= 1, k >= 0), seed, fill_label and
+    poly_table_sha256 strs, and y a list of int rows.
+    """
 
-    def __post_init__(self):
-        if len(self.y) != self.m or width(self.y) != self.m + self.k:
+    __slots__ = tuple(_YINIT_SHAPE)
+
+    def __init__(self, m: int, k: int, seed: str, fill_label: str,
+                 poly_table_sha256: str, y: list[int]):
+        check_int("m", m, 1)
+        check_int("k", k, 0)
+        for name, value in (("seed", seed), ("fill_label", fill_label),
+                            ("poly_table_sha256", poly_table_sha256)):
+            if type(value) is not str:
+                raise ValueError(f"{name} must be a str, got {type(value).__name__}")
+        for row in y:
+            if type(row) is not int:
+                raise ValueError(f"y rows must be ints, got {type(row).__name__}")
+        if len(y) != m or width(y) != m + k:
             raise ValueError(
-                f"y_init matrix is {len(self.y)}x{width(self.y)}, "
-                f"expected {self.m}x{self.m + self.k}"
+                f"y_init matrix is {len(y)}x{width(y)}, expected {m}x{m + k}"
             )
+        for name, value in zip(self.__slots__, (m, k, seed, fill_label, poly_table_sha256, y)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"YInitDoc is read-only; cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"YInitDoc is read-only; cannot delete {name!r}")
+
+    __eq__ = _fields_eq
+    __hash__ = None
 
     @classmethod
     def from_json(cls, obj) -> "YInitDoc":
@@ -158,7 +186,6 @@ def load_y_init(path: str | None = None) -> YInitDoc:
         return YInitDoc.from_json(json.load(fh))
 
 
-@dataclass
 class KdfcParams:
     """Everything that determines a keystream: key, IV and the Y-init document.
 
@@ -172,11 +199,18 @@ class KdfcParams:
     Galois clock (sigma_lfsr.annihilates), and raises RankLossError if not.
     """
 
-    key: list[int]
-    iv: list[int]
-    y_init: YInitDoc | None = None
-    discard: int = 32
-    verify_config: bool = True
+    __slots__ = ("key", "iv", "y_init", "discard", "verify_config")
+
+    def __init__(self, key: list[int], iv: list[int], y_init: YInitDoc | None = None,
+                 discard: int = 32, verify_config: bool = True):
+        self.key = key
+        self.iv = iv
+        self.y_init = y_init
+        self.discard = discard
+        self.verify_config = verify_config
+
+    __eq__ = _fields_eq
+    __hash__ = None
 
     def resolve(self) -> YInitDoc:
         """The Y-init document to derive from, checked against this build.

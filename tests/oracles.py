@@ -19,10 +19,11 @@ route than the package:
   elimination, instead of the package's field-embedding inversion.
 * gf2_matmul_numpy checks bit-packed matrix products against numpy
   integer arithmetic mod 2.
-* lfsr_step steps a sigma-LFSR on its list of words with one matrix-vector
-  product per gain, zero gains included unless given as None, instead of
-  the package's step_stacked through the Galois byte-lane tables of all
-  the gains.
+* lfsr_step steps a sigma-LFSR on its list of words in the Fibonacci
+  form, one product per nonzero gain through that gain's own byte tables
+  (gain_tables, built once per configuration from cfg.gains()), instead
+  of the package's step_stacked through the Galois byte-lane tables of
+  all the gains at once.
 * orbit_of walks a seed's orbit by multiplying the stacked state with the
   transition matrix, instead of the package's period(), which clocks the
   Galois state through the byte-lane tables.
@@ -30,8 +31,8 @@ route than the package:
   time, instead of the package's vec_to_hex and vec_from_hex, which
   convert the whole row at once.
 * clock_oracle and keystream_oracle run SNOW 2.0's clocks on word lists
-  and [R1, R2] register pairs with lfsr_step (on the nonzero gains, split
-  once per configuration) and fsm_step, under any 32x16 configuration,
+  and [R1, R2] register pairs with lfsr_step (on gain tables built once
+  per configuration) and fsm_step, under any 32x16 configuration,
   instead of the package's single Galois-form loop on plain ints.
 * long_division_mod and triangular_unembed reduce and un-embed bit by bit
   for any modulus, instead of the package's Barrett step
@@ -605,25 +606,42 @@ def row_certificate_bits(cfg) -> list[int]:
 # ---------------------------------------------------------------------------
 # sigma-LFSR stepping oracles
 
-def lfsr_step(gains, words):
-    """One shift of words x_n..x_{n+b-1} under gains B_0..B_{b-1}, as split
-    once per configuration by cfg.gains() or nonzero_gains(cfg): (new
-    words, output word x_n).  A gain given as None is zero and skipped."""
-    from kdfc_snow.gf2.linalg import DimensionError, mat_vec_mul
+def gain_tables(gains) -> list:
+    """Each gain B_i (its m rows) as byte tables for lfsr_step, or None when
+    B_i is zero (13 of SNOW 2.0's 16 gains): table j maps byte j of a word
+    to the xor of the rows 8j..8j+7 it selects, one doubling per row."""
+    tables = []
+    for g in gains:
+        if not any(g):
+            tables.append(None)
+            continue
+        lanes = []
+        for base in range(0, len(g), 8):
+            table = [0]
+            for row in g[base : base + 8]:
+                table += [t ^ row for t in table]
+            lanes.append(table)
+        tables.append(lanes)
+    return tables
 
-    if len(words) != len(gains):
+
+def lfsr_step(tables, words):
+    """One shift of words x_n..x_{n+b-1} under gains B_0..B_{b-1}, given as
+    gain_tables(gains): (new words, output word x_n).  A word wider than m
+    bits finds no table entry and raises IndexError."""
+    from kdfc_snow.gf2.linalg import DimensionError
+
+    if len(words) != len(tables):
         raise DimensionError("state and configuration dimensions differ")
     feedback = 0
-    for w, g in zip(words, gains):
-        if g is not None:
-            feedback ^= mat_vec_mul(w, g)
+    for w, lanes in zip(words, tables):
+        if lanes is not None:
+            lane = 0
+            while w:
+                feedback ^= lanes[lane][w & 0xFF]
+                w >>= 8
+                lane += 1
     return words[1:] + [feedback], words[0]
-
-
-def nonzero_gains(cfg) -> list:
-    """cfg.gains() with each all-zero gain as None, for lfsr_step to skip:
-    13 of SNOW 2.0's 16 gains."""
-    return [g if any(g) else None for g in cfg.gains()]
 
 
 def orbit_of(cfg, words) -> list[int]:
@@ -657,14 +675,14 @@ def clock_oracle(key, iv, cfg, n):
     """SNOW 2.0 clocks on word lists: (32 init F words, first n keystream words)."""
     from kdfc_snow.snow2 import fsm_step, load_state_words
 
-    gains = nonzero_gains(cfg)
+    tables = gain_tables(cfg.gains())
     s = load_state_words(key, iv)
     fsm = [0, 0]
     init_f = []
     for _ in range(32):
         fsm, f = fsm_step(fsm, s[5], s[15])
         init_f.append(f)
-        s, _ = lfsr_step(gains, s)
+        s, _ = lfsr_step(tables, s)
         s[15] ^= f
     return init_f, keystream_oracle(cfg, s, fsm, n)[0]
 
@@ -673,11 +691,11 @@ def keystream_oracle(cfg, s, fsm, n):
     """n keystream clocks from LFSR words s and FSM pair fsm: (words, s, fsm)."""
     from kdfc_snow.snow2 import fsm_step
 
-    gains = nonzero_gains(cfg)
+    tables = gain_tables(cfg.gains())
     words = []
     for _ in range(n):
         fsm, f = fsm_step(fsm, s[5], s[15])
-        s, out = lfsr_step(gains, s)
+        s, out = lfsr_step(tables, s)
         words.append(f ^ out)
     return words, s, fsm
 

@@ -14,6 +14,7 @@ from conftest import KAT_IV, KAT_KEY
 from oracles import (
     anf,
     char_poly_sympy,
+    gain_tables,
     gd_closure,
     lfsr_step,
     orbit_of,
@@ -261,9 +262,9 @@ def test_08_cipher_behavior():
         # detached-LFSR outputs satisfy the degree-512 recurrence
         exps = exponents(target_poly())
         outs = []
-        s, gains = state.lfsr, state.cfg.gains()
+        s, tables = state.lfsr, gain_tables(state.cfg.gains())
         for _ in range(1500 + 512):
-            s, out = lfsr_step(gains, s)
+            s, out = lfsr_step(tables, s)
             outs.append(out)
         for t in range(1500):
             acc = 0

@@ -110,3 +110,12 @@ def test_untracked_perfbench_file_marks_the_benchmark_changed(bench, tmp_path, m
     (tmp_path / "perfbench" / "extra.py").unlink()
     (tmp_path / "perfbench" / "run.py").write_text("x = 2\n")
     assert bench.perfbench_differs(base)
+
+
+def test_records_whether_the_runs_write_bytecode(bench, monkeypatch):
+    # the runs inherit this process's environment; with no bytecode written,
+    # every fresh perfbench process compiles the package inside setup_s
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert bench.runs_dont_write_bytecode() is True
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert bench.runs_dont_write_bytecode() is False

@@ -1144,6 +1144,32 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
+    def test_start_up_path_imports_no_unused_module(self):
+        # perfbench's set-up path, then `kdfc init`, in one fresh child; the
+        # modules present before its first import are a bare interpreter's
+        script = "\n".join([
+            "import sys",
+            "bare = set(sys.modules)",
+            "import contextlib, io",
+            "import kdfc_snow",
+            "from kdfc_snow import cli, kdfc",
+            "from kdfc_snow.gf2.primtable import default_table",
+            "default_table(), kdfc.load_y_init(), kdfc.target_poly()",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert cli.main(['kdfc', 'init', '--key', '00' * 32, '--iv', '00' * 16]) == 0",
+            "print(' '.join(sorted(set(sys.modules) - bare)))",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "kdfc_snow.cli" in loaded
+        unused = {"dataclasses", "inspect", "numpy", "kdfc_snow.attacks",
+                  "kdfc_snow.symbolic", "kdfc_snow.randtests"}
+        assert not loaded & unused
+
 
 class TestConsoleScript:
     def test_entry_point_installed(self, tmp_path):

@@ -1,8 +1,8 @@
 """Key-dependent configuration cipher: derivation, provenance, keystream."""
 
-import dataclasses
 import hashlib
 import importlib.util
+import inspect
 import json
 from importlib import resources
 from pathlib import Path
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import KAT_IV, KAT_KEY
-from oracles import identity, lfsr_step, reciprocal
+from oracles import gain_tables, identity, lfsr_step, reciprocal
 
 from kdfc_snow.confgen import FillBits, pipeline_poly, y_iterate, y_offline
 from kdfc_snow.gf2.linalg import matrix_to_json, rank, width
@@ -211,6 +211,86 @@ class TestYInit:
         with pytest.raises(ValueError, match=f"^y_init matrix is 32x{narrow}, expected 32x500$"):
             doc_for(rows, DEFAULT_K)
 
+    @pytest.mark.parametrize("change,message", [
+        pytest.param(dict(k=468.0), "^k must be an int, got float$", id="float-k"),
+        pytest.param(dict(k=-1), "^need k >= 0, got k=-1$", id="negative-k"),
+        pytest.param(dict(m=True), "^m must be an int, got bool$", id="bool-m"),
+        pytest.param(dict(m=0, k=0, y=[]), "^need m >= 1, got m=0$", id="zero-m"),
+        pytest.param(dict(m=2, k=0, y=[1.0, 2]), "^y rows must be ints, got float$",
+                     id="float-row"),
+        pytest.param(dict(m=2, k=0, y=[1, True]), "^y rows must be ints, got bool$",
+                     id="bool-row"),
+        pytest.param(dict(poly_table_sha256=None),
+                     "^poly_table_sha256 must be a str, got NoneType$", id="none-checksum"),
+        pytest.param(dict(seed=3), "^seed must be a str, got int$", id="int-seed"),
+        pytest.param(dict(fill_label=b"offline-fill"), "^fill_label must be a str, got bytes$",
+                     id="bytes-label"),
+    ])
+    def test_ill_typed_field_is_refused_at_construction(self, change, message):
+        # each was once accepted, or refused by a shape message only
+        # (m=True read "expected Truex469"), and failed later in kdfc_init
+        doc = load_y_init()
+        fields = {name: getattr(doc, name) for name in YInitDoc.__slots__}
+        with pytest.raises(ValueError, match=message):
+            YInitDoc(**{**fields, **change})
+
+    def test_negative_row_is_refused(self):
+        with pytest.raises(ValueError, match="^row has bits beyond the column count$"):
+            doc_for([1, -2], 0)
+
+
+class TestDocumentClasses:
+    """YInitDoc and KdfcParams: construction, read-only fields, equality."""
+
+    def test_doc_is_read_only(self):
+        doc = load_y_init()
+        with pytest.raises(AttributeError):
+            doc.k = 400
+        with pytest.raises(AttributeError):
+            del doc.seed
+        with pytest.raises(AttributeError):
+            doc.extra = 1
+        assert doc.k == DEFAULT_K and doc.seed == "kdfc-snow-y-init-v1"
+
+    def test_equality_is_field_wise(self):
+        doc = load_y_init()
+        fields = {name: getattr(doc, name) for name in YInitDoc.__slots__}
+        copy = YInitDoc(**{**fields, "y": list(doc.y)})
+        assert copy == doc and copy is not doc
+        assert YInitDoc(**{**fields, "seed": "other"}) != doc
+        assert doc != fields
+        a = KdfcParams(key=[1] * 8, iv=[2] * 4, y_init=doc)
+        assert a == KdfcParams(key=[1] * 8, iv=[2] * 4, y_init=copy)
+        assert a != KdfcParams(key=[1] * 8, iv=[2] * 4, y_init=doc, discard=0)
+        assert a != KdfcParams(key=[1] * 8, iv=[2] * 4)
+        assert KdfcParams(key=[1] * 8, iv=[2] * 4) != (([1] * 8, [2] * 4))
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(load_y_init())
+        with pytest.raises(TypeError):
+            hash(KdfcParams(key=[0] * 8, iv=[0] * 4))
+
+    def test_positional_and_keyword_construction(self):
+        doc = load_y_init()
+        values = [getattr(doc, name) for name in YInitDoc.__slots__]
+        assert YInitDoc(*values) == doc
+        by_position = KdfcParams([1] * 8, [2] * 4, doc, 5, False)
+        assert by_position == KdfcParams(
+            key=[1] * 8, iv=[2] * 4, y_init=doc, discard=5, verify_config=False
+        )
+        params = KdfcParams([1] * 8, [2] * 4)
+        assert (params.y_init, params.discard, params.verify_config) == (None, 32, True)
+        params.discard = 0  # KdfcParams is not read-only
+        assert params.discard == 0
+
+    def test_repr_holds_no_key_word(self):
+        key = [0x9E3779B9 + i for i in range(8)]
+        iv = [0x7F4A7C15 + i for i in range(4)]
+        text = repr(KdfcParams(key=key, iv=iv))
+        for w in key + iv:
+            assert f"{w:x}" not in text.lower() and str(w) not in text
+
 
 class TestParams:
     def test_constants(self):
@@ -234,8 +314,10 @@ class TestParams:
             bad.resolve()
 
     def test_fields(self):
-        names = [f.name for f in dataclasses.fields(KdfcParams)]
-        assert names == ["key", "iv", "y_init", "discard", "verify_config"]
+        params = inspect.signature(KdfcParams).parameters
+        assert list(params) == ["key", "iv", "y_init", "discard", "verify_config"]
+        empty = inspect.Parameter.empty
+        assert [p.default for p in params.values()] == [empty, empty, None, 32, True]
 
     def test_bare_matrix_refused(self):
         params = KdfcParams(key=[0] * 8, iv=[0] * 4, y_init=load_y_init().y)
@@ -389,12 +471,12 @@ class TestDetachedLfsr:
         st = kdfc_init(
             KdfcParams(key=KAT_KEY, iv=KAT_IV, discard=0, verify_config=False)
         )
-        s, gains = st.lfsr, st.cfg.gains()
+        s, tables = st.lfsr, gain_tables(st.cfg.gains())
         exps = exponents(target_poly())
         steps = 200
         words = []
         for _ in range(steps + 512):
-            s, out = lfsr_step(gains, s)
+            s, out = lfsr_step(tables, s)
             words.append(out)
         for t in range(steps):
             acc = 0

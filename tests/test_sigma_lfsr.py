@@ -16,6 +16,7 @@ from oracles import (
     extract_config,
     NotMCompanionError,
     from_bits,
+    gain_tables,
     identity,
     lfsr_step,
     orbit_of,
@@ -210,10 +211,10 @@ class TestMatrices:
         rng = random.Random(5 * m + b)
         cfg = random_config(rng, m, b)
         t = build_transition_matrix(cfg)
-        gains = cfg.gains()
+        tables = gain_tables(cfg.gains())
         for _ in range(10):
             s = [rng.getrandbits(m) for _ in range(b)]
-            stepped, _ = lfsr_step(gains, s)
+            stepped, _ = lfsr_step(tables, s)
             assert mat_vec_mul(stacked(s, m), t) == stacked(stepped, m)
 
     @pytest.mark.parametrize("m,b", [(2, 2), (3, 2), (2, 3)])
@@ -231,7 +232,7 @@ class TestStepping:
     def test_step_stacked_matches_lfsr_step(self, data):
         m, b, blocks, rng = data
         cfg = random_config(rng, m, b)
-        stepped, out = lfsr_step(cfg.gains(), blocks)
+        stepped, out = lfsr_step(gain_tables(cfg.gains()), blocks)
         assert out == blocks[0]
         assert step_stacked(cfg, stacked(blocks, m)) == stacked(stepped, m)
 
@@ -248,7 +249,7 @@ class TestStepping:
         for k, g in enumerate(reversed(cfg.gains())):
             if not any(g):
                 assert all((row >> (k * m)) & mask == 0 for row in lane_rows(cfg))
-        want = stacked(lfsr_step(cfg.gains(), blocks)[0], m)
+        want = stacked(lfsr_step(gain_tables(cfg.gains()), blocks)[0], m)
         assert step_stacked(cfg, stacked(blocks, m)) == want
 
     @settings(max_examples=60, deadline=None)
@@ -273,7 +274,11 @@ class TestStepping:
                 want ^= mat_vec_mul(s[k + i], gains[i])
             assert (z >> (k * m)) & ((1 << m) - 1) == want
         assert z >> (m * b) == 0
-        assert step_stacked(cfg, stacked(s, m)) == stacked(lfsr_step(gains, s)[0], m)
+        # lfsr_step's gain tables against the per-gain products: block 0
+        # of z, checked against them above
+        stepped, out = lfsr_step(gain_tables(gains), s)
+        assert (stepped, out) == (s[1:] + [z & ((1 << m) - 1)], s[0])
+        assert step_stacked(cfg, stacked(s, m)) == stacked(stepped, m)
         assert config_char_poly(cfg) == dense_char_poly(cfg)
 
     @pytest.mark.parametrize("m", [1, 3, 8, 9, 32])
@@ -284,7 +289,7 @@ class TestStepping:
             cfg = SigmaConfig.from_gains(m, 1, [gain])
             for _ in range(10):
                 x = rng.getrandbits(m)
-                assert step_stacked(cfg, x) == lfsr_step([gain], [x])[0][0]
+                assert step_stacked(cfg, x) == lfsr_step(gain_tables([gain]), [x])[0][0]
 
     def test_all_zero_gains_shift_in_zeros(self):
         cfg = SigmaConfig(32, 16, [0] * 32)
@@ -298,7 +303,7 @@ class TestStepping:
         m, b, blocks, rng = data
         cfg = random_config(rng, m, b)
         via_matrix = mat_vec_mul(stacked(blocks, m), build_transition_matrix(cfg))
-        assert via_matrix == stacked(lfsr_step(cfg.gains(), blocks)[0], m)
+        assert via_matrix == stacked(lfsr_step(gain_tables(cfg.gains()), blocks)[0], m)
 
     def test_stacked_roundtrip(self):
         assert stacked([5, 0, 7], 3) == 5 | 7 << 6
@@ -367,9 +372,9 @@ class TestJumpTables:
             for r in range(m)
         ]
         v = random.Random(b).getrandbits(m * b)
-        want, gains = state_from_stacked(m, b, v), cfg.gains()
+        want, tables = state_from_stacked(m, b, v), gain_tables(cfg.gains())
         for _ in range(b):
-            want, _ = lfsr_step(gains, want)
+            want, _ = lfsr_step(tables, want)
         assert galois_clocks(cfg, v, b) == stacked(want, m)
 
 

@@ -22,6 +22,7 @@ from oracles import (
     build_alpha_matrices,
     clock_oracle,
     f32_mul,
+    gain_tables,
     gf8_mul,
     identity,
     keystream_oracle,
@@ -457,9 +458,9 @@ class TestJumpRoute:
         s = [rng.getrandbits(m) for _ in range(b)]
         with pytest.raises(ValueError, match=f"{m}x{b}"):
             CipherState(s, [0, 0], cfg)
-        v, gains = stacked(s, m), cfg.gains()
+        v, tables = stacked(s, m), gain_tables(cfg.gains())
         for _ in range(7 * b + 2):
-            s, _ = lfsr_step(gains, s)
+            s, _ = lfsr_step(tables, s)
             v = step_stacked(cfg, v)
             assert v == stacked(s, m)
 

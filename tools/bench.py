@@ -30,8 +30,10 @@ won (ties count for neither side), the ratio of the medians, and a verdict:
 * same: otherwise.
 
 It also records the seed, the run length, the Python version, the CPU
-count and model, the base commit, whether the working tree had changes,
-and the size of `src/` on both sides: its non-blank lines that are not
+count and model, whether the runs write no bytecode (`dont_write_bytecode`:
+then every fresh perfbench process compiles the package, and setup_s
+includes that compilation), the base commit, whether the working tree
+had changes, and the size of `src/` on both sides: its non-blank lines that are not
 comments (`src_lines`, comment lines start with `#`) and the difference,
 change minus base (`src_lines_net`), so that net lines sit next to speed.
 Each run's own failed checks are kept; a run with failures makes the tool
@@ -151,6 +153,16 @@ def summarize(spec: dict, base: list[float], change: list[float]) -> dict:
     }
 
 
+def runs_dont_write_bytecode() -> bool:
+    """sys.flags.dont_write_bytecode of a child started as run_once starts
+    its runs: the same interpreter in the environment this process passes on."""
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys; print(int(sys.flags.dont_write_bytecode))"],
+        check=True, capture_output=True, text=True,
+    )
+    return out.stdout.strip() == "1"
+
+
 def cpu_model() -> str:
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
@@ -190,6 +202,7 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "cpu_model": cpu_model(),
+        "dont_write_bytecode": runs_dont_write_bytecode(),
         "workloads": {},
     }
     failures = []
