@@ -22,7 +22,10 @@ C = Q * P * Q^{-1}, which is always block-companion with characteristic
 polynomial equal to the prescribed degree-mb polynomial.  C is never
 formed: block j of Q times P is block j+1 of Q, so every block row of C
 but the last is an identity shift by construction, and assemble_config
-solves the m feedback rows as rows appended to the one elimination of Q.  No
+solves the m feedback rows as rows appended to the one elimination of Q.
+Q's rows enter it chain by chain (y_r, y_r P, ..., y_r P^(b-1)), e_1's
+chain last: its rows have no bit below column mb - b, and anywhere
+earlier each would be read again by every pivot search before its own.  No
 stage loses rank (see _stage): Y's rank is checked once, at a run's input.
 
 The split into an offline prefix (y_offline, publishable) and an online
@@ -425,6 +428,14 @@ def build_q(y: list[int], p: int) -> list[int]:
     return rows
 
 
+@functools.cache
+def _chain_order(m: int, n: int) -> tuple[int, ...]:
+    """Q's row indices chain by chain, r, r + m, ..., r + n - m for
+    r = 0..m-1, kept per shape for the life of the process: built on
+    every call, it would cost a 4 x 4 solve more than the order saves."""
+    return tuple([i for r in range(m) for i in range(r, n, m)])
+
+
 def assemble_config(y: list[int], p: int) -> SigmaConfig:
     """The configuration C = Q * companion(p) * Q^{-1} of Q = build_q(y, p),
     without forming C.
@@ -435,12 +446,22 @@ def assemble_config(y: list[int], p: int) -> SigmaConfig:
     gf2.linalg._solve_rows solves all m on one forward elimination of Q's
     rows with the v_r appended, and refuses a singular Q
     (SingularMatrixError).
+
+    Q's rows enter the elimination chain by chain: y_r, y_r P, ...,
+    y_r P^(b-1) for r = 0..m-1, each keeping the tracker bit of its
+    block-major index, so x is the same as in block order.  Y's last row
+    is e_1 (generate_config rotates it there), and e_1 P^j has no bit
+    below column n - 1 - j, so its chain enters last.  Entered earlier,
+    each of its rows, once a pivot search reached it, would be read again
+    by every search up to its column (see _echelon).
     """
     check_int("p", p, 0)
     rows = build_q(y, p)
     m, n = len(y), len(rows)
     try:
-        xs = _solve_rows(rows, [companion_vec_mul(r, p) for r in rows[n - m:]])
+        xs = _solve_rows(
+            rows, [companion_vec_mul(r, p) for r in rows[n - m:]], _chain_order(m, n)
+        )
     except SingularMatrixError:
         raise SingularMatrixError("Q is singular: Y rows are not independent over P") from None
     return SigmaConfig(m, n // m, xs)

@@ -181,6 +181,13 @@ def _echelon(rows: list[int], ncols: int):
     512-row matrix).  The pivot list and the rows are the same for every k.
     A column that no remaining row has is skipped, up to the next column
     that one of them has.
+
+    The pivot search's cost depends on the row order.  A row with no bit
+    before column L, once a search has read it, is read (and lazily
+    reduced) again by every search until column L: the swap puts the
+    displaced front row in the pivot's old place, so the rows a search
+    passed stay ahead of the next pivot.  So callers put the rows that
+    pivot late last.
     """
     nrows = len(rows)
     k = 1 if nrows < 128 else nrows.bit_length() - 3
@@ -263,19 +270,25 @@ def _clear_block(rows, block, c0, c1, end):
     rows[end:] = [r ^ tab[(r & window) >> c0] for r in rows[end:]]
 
 
-def _solve_rows(rows: Sequence[int], targets: Sequence[int]) -> list[int]:
+def _solve_rows(
+    rows: Sequence[int], targets: Sequence[int], order: Sequence[int] | None = None
+) -> list[int]:
     """The x with x * A = v for each target v, A the n x n matrix of rows.
 
     One forward elimination (_echelon) of A's rows, each with an identity
     tracker at bits n..2n-1, above the targets, each with a zero tracker
-    and a flag bit at 2n.  When every column pivots on a row of A, each
-    target ends cleared of all n columns with its tracker as x.  A is
-    singular (SingularMatrixError) iff under n columns pivot or one pivots
-    on a target, whose flag then sits among the n pivot rows work[:n].
+    and a flag bit at 2n.  A's rows enter in order, a permutation of
+    range(n) (as given by default); rows[i] keeps tracker bit n + i
+    wherever it enters, so x does not depend on the order, only the
+    pivot search's cost does (see _echelon).  When every column pivots on
+    a row of A, each target ends cleared of all n columns with its tracker
+    as x.  A is singular (SingularMatrixError) iff under n columns pivot
+    or one pivots on a target, whose flag then sits among the n pivot rows
+    work[:n].
     """
     n = len(rows)
     flag = 1 << 2 * n
-    work = [r | 1 << (n + i) for i, r in enumerate(rows)]
+    work = [rows[i] | 1 << (n + i) for i in (range(n) if order is None else order)]
     work += [v | flag for v in targets]
     pivots = _echelon(work, n)
     if len(pivots) != n or max(work[:n], default=0) >= flag:

@@ -653,6 +653,32 @@ class TestQAndAssembly:
         y = final_y(32, 16, "full-scale", y=kdfc.load_y_init().y, k=kdfc.DEFAULT_K)
         assert assemble_config(y, p) == dense_assemble(build_q(y, p), p, 32)
 
+    @pytest.mark.parametrize("scale", ["2x3", "full"])
+    def test_q_enters_the_elimination_chain_by_chain(self, monkeypatch, scale):
+        # working row t is y_r P^j for t = r * b + j, with tracker bit
+        # n + j * m + r; Y's last row is e_1, so the last chain, the b rows
+        # before the targets, has no bit below column n - b
+        if scale == "2x3":
+            m, b, p = 2, 3, pipeline_poly(6)
+            y = final_y(m, b, "chains")
+        else:
+            m, b, p = 32, 16, kdfc.target_poly()
+            y = final_y(m, b, "full-scale", y=kdfc.load_y_init().y, k=kdfc.DEFAULT_K)
+        n = m * b
+        assert y[-1] == 1 << (n - 1)
+        real, seen = linalg._echelon, []
+
+        def echelon(rows, ncols):
+            seen.append(list(rows))
+            return real(rows, ncols)
+
+        monkeypatch.setattr(linalg, "_echelon", echelon)
+        assemble_config(y, p)
+        (work,) = seen
+        trackers = [(r >> n) & ((1 << n) - 1) for r in work[:n]]
+        assert trackers == [1 << (j * m + r) for r in range(m) for j in range(b)]
+        assert not any(r & ((1 << (n - b)) - 1) for r in work[n - b : n])
+
     def test_singular_q_whose_appended_row_pivots(self, monkeypatch):
         # Y = [y0, y0 P]: Q has rank 3, but with v_r = (last block of Q)[r] * P
         # appended the span is all of F_2^4, so n columns pivot, one on a v_r;

@@ -342,6 +342,20 @@ class TestSolveRows:
         else:
             assert _solve_rows(a, targets) == [solve_row(a, v) for v in targets]
 
+    @given(solve_cases(), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_any_row_order_gives_the_same_x(self, case, rng):
+        # rows[i] keeps tracker bit n + i wherever it enters, so only the
+        # pivot search's cost depends on the order
+        a, targets = case
+        order = rng.sample(range(len(a)), len(a))
+        if len(echelon_oracle(list(a), len(a))) < len(a):
+            with pytest.raises(SingularMatrixError):
+                _solve_rows(a, targets, order)
+        else:
+            x = _solve_rows(a, targets, order)
+            assert x == _solve_rows(a, targets) == [solve_row(a, v) for v in targets]
+
     def test_inverse_refuses_a_pivot_on_an_appended_row(self, monkeypatch):
         # A = [e_0, e_0]: both columns pivot, column 1 on the appended e_1,
         # so only the flag bit tells the singular A apart
@@ -356,10 +370,12 @@ class TestSolveRows:
             mat_inverse([1, 1])
         assert [c for c, _ in pivots] == [0, 1]
 
-    def test_a_pivot_on_an_appended_row_is_refused_in_a_block(self, monkeypatch):
+    @staticmethod
+    def _refuse_a_pivot_on_an_appended_row(monkeypatch, shuffle):
         # 128 rows of A plus a target: k = 5 blocks.  No row of A has
         # column 70, so A is singular; the target has it and takes the
-        # pivot at rank 70, inside a block, and every column pivots
+        # pivot at rank 70, inside a block, and every column pivots.  In
+        # any order: A's span, not its rows, decides both
         n, hole = 128, 70
         rng = random.Random(70)
         rows = [1 << i for i in range(n) if i != hole] + [1]
@@ -368,6 +384,7 @@ class TestSolveRows:
             if i != j:
                 rows[i] ^= rows[j]
         target = 1 << hole | rng.getrandbits(n)
+        order = None if shuffle is None else random.Random(shuffle).sample(range(n), n)
         real, pivots = linalg._echelon, []
 
         def echelon(*args):
@@ -376,8 +393,15 @@ class TestSolveRows:
 
         monkeypatch.setattr(linalg, "_echelon", echelon)
         with pytest.raises(SingularMatrixError, match="matrix is singular"):
-            _solve_rows(rows, [target])
+            _solve_rows(rows, [target], order)
         assert len(pivots) == n and (hole, hole) in pivots
+
+    def test_a_pivot_on_an_appended_row_is_refused_in_a_block(self, monkeypatch):
+        self._refuse_a_pivot_on_an_appended_row(monkeypatch, None)
+
+    @pytest.mark.parametrize("shuffle", range(3))
+    def test_a_pivot_on_an_appended_row_is_refused_in_any_order(self, monkeypatch, shuffle):
+        self._refuse_a_pivot_on_an_appended_row(monkeypatch, shuffle)
 
 
 class TestCompanionAndCharPoly:
