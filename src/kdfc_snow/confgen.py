@@ -53,7 +53,10 @@ lookup (log/antilog tables, Lidl-Niederreiter, Finite Fields).  Every
 other stage (_stage) runs on the m rows packed into one int, row t in bits
 [t*S, (t+1)*S), S = 64 * ceil(2w / 64) (SIMD within a register, Lamport,
 CACM 1975), so each map, the product by lambda and its Barrett reduction
-is a few shifts, xors and masks for all the rows at once.
+is a few shifts, xors and masks for all the rows at once.  A run reads
+its stages from a plan (_run_plan), each stage's polynomial and, where
+it has them, its log tables, built once per process for each active
+table and run shape (first and last width).
 y_iterate runs one iteration on Y's rows in standard coordinates.  The
 Krylov-matrix route (solve y.K = e_1, Lambda = sum y_j A^j) lives in
 tests/oracles.py as the test oracle, next to the standard-coordinate maps
@@ -73,7 +76,6 @@ from kdfc_snow.gf2.linalg import (
     _solve_rows,
     check_dims,
     check_int,
-    companion_vec_mul,
     rank,
     width,
 )
@@ -85,7 +87,7 @@ from kdfc_snow.gf2.poly import (
     inv_mod,
     is_primitive,
 )
-from kdfc_snow.gf2.primtable import primitive_poly
+from kdfc_snow.gf2.primtable import PrimitiveTable, default_table, primitive_poly
 from kdfc_snow.sigma_lfsr import SigmaConfig, _certificate, annihilates
 
 __all__ = [
@@ -175,6 +177,7 @@ class FillBits:
 
 def pipeline_poly(degree: int) -> int:
     """Table polynomial for a pipeline stage (degree 1 handled inline)."""
+    check_int("degree", degree, None)
     if degree == 1:
         return 0b11  # x + 1, the unique degree-1 primitive
     return primitive_poly(degree)
@@ -328,11 +331,35 @@ def _stage(packed: int, active: int, p: int, slot: int, ones: int, fill: int) ->
     return (out << 1) ^ (3 << at) ^ fill
 
 
-def _run(rows: list[int], first: int, polys: list[int], fills: list[int]) -> list[int]:
-    """Iterations first, first + 1, ... on the reversed rows, one per
-    stage polynomial in polys, with the fill vectors fills.
+def _plan(polys: list[int]) -> tuple[tuple, ...]:
+    """A run's stages, one (p, to_log, from_log, order) per stage
+    polynomial p: its log tables and their order where _log_tables has
+    them, else (p, None, None, 0)."""
+    plan = []
+    for p in polys:
+        tables = _log_tables(p)
+        plan.append((p, None, None, 0) if tables is None else (p, *tables, len(tables[1])))
+    return tuple(plan)
 
-    Until the rows are packed, where _log_tables has tables for p,
+
+@functools.cache
+def _run_plan(table: PrimitiveTable, first: int, last: int) -> tuple[tuple, ...]:
+    """The _plan of the stages of widths first..last-1, kept per process
+    for each (table, first, last), so a run fetches no stage polynomial
+    or table of its own.  table is the active default_table(), which
+    pipeline_poly reads: keyed on the table object, a plan is not served
+    after the table changes (KDFC_SNOW_POLY_TABLE and
+    default_table.cache_clear()).  A lookup that raises (an override
+    entry that is not irreducible) caches nothing, so it raises again at
+    the next run."""
+    return _plan([pipeline_poly(w) for w in range(first, last)])
+
+
+def _run(rows: list[int], first: int, plan: tuple[tuple, ...], fills: list[int]) -> list[int]:
+    """Iterations first, first + 1, ... on the reversed rows, one per
+    stage of the _plan, with the fill vectors fills.
+
+    Until the rows are packed, where the stage has log tables,
     embed(u) * lambda is x^(log u - log u_active), so each row is one
     lookup; a zero active row takes _stage, which refuses it.  The other
     stages run on one packed int (_stage): the rows are packed at the
@@ -344,13 +371,10 @@ def _run(rows: list[int], first: int, polys: list[int], fills: list[int]) -> lis
     """
     m = len(rows)  # m <= w < slot: the rows have full rank
     packed = slot = 0  # slot 0: the rows are the list
-    for i, (p, fill) in enumerate(zip(polys, fills), first):
+    for i, ((p, to_log, from_log, order), fill) in enumerate(zip(plan, fills), first):
         active = i % m
         fill = (fill & ((1 << active) - 1)) | (fill >> active << (active + 1))
-        tables = _log_tables(p)
-        if tables is not None and not slot and rows[active]:
-            to_log, from_log = tables
-            order = len(from_log)
+        if to_log is not None and not slot and rows[active]:
             la = to_log[rows[active]]
             rows = [
                 (from_log[(to_log[u] - la) % order] if u else 0) << 1 | (fill >> t & 1)
@@ -381,7 +405,7 @@ def y_iterate(y: list[int], i: int, p: int, fill: int) -> list[int]:
     """
     check_int("i", i, 1)
     check_int("fill", fill, None)  # its width is checked below, with m's
-    m, w = len(y), width(y)
+    m, w = len(y), width(y, "y")
     if rank(y) != m:
         raise RankLossError(f"rank dropped below {m} at iteration {i}")
     if p.bit_length() - 1 != w:
@@ -390,7 +414,7 @@ def y_iterate(y: list[int], i: int, p: int, fill: int) -> list[int]:
         )
     if fill < 0 or fill >> (m - 1):
         raise ValueError(f"fill needs exactly {m - 1} bits")
-    rows = _run(_reversed_rows(y, w), i, [p], [fill])
+    rows = _run(_reversed_rows(y, w), i, _plan([p]), [fill])
     return _reversed_rows(rows, w + 1)
 
 
@@ -405,8 +429,10 @@ def y_offline(m: int, b: int, k: int, fill: FillBits) -> list[int]:
         raise ValueError(f"offline fill has vectors for m={fill.m}, need m={m}")
     if len(fill) != k:
         raise ValueError(f"offline fill must supply exactly {k} vectors")
+    if not k:  # the identity: no stage to run, no coordinates to reverse
+        return [1 << t for t in range(m)]
     rows = [1 << (m - 1 - t) for t in range(m)]  # the identity, reversed
-    rows = _run(rows, 1, [pipeline_poly(w) for w in range(m, m + k)], fill.vectors)
+    rows = _run(rows, 1, _run_plan(default_table(), m, m + k), fill.vectors)
     return _reversed_rows(rows, m + k)
 
 
@@ -417,14 +443,16 @@ def build_q(y: list[int], p: int) -> list[int]:
     eliminates it once for its row solves, raising SingularMatrixError there.
     """
     check_int("p", p, 0)
-    m, n = len(y), width(y)
+    m, n = len(y), width(y, "y")
     if p.bit_length() - 1 != n:
         raise DimensionError(f"polynomial degree {p.bit_length() - 1} != Y width {n}")
     if n % m:
         raise DimensionError(f"Y width {n} is not a multiple of m={m}")
     rows = list(y)
+    top = n - 1
     for _ in range(n // m - 1):
-        rows += [companion_vec_mul(r, p) for r in rows[-m:]]
+        # r * P, as gf2.linalg.companion_vec_mul steps it
+        rows += [r >> 1 | ((r & p).bit_count() & 1) << top for r in rows[-m:]]
     return rows
 
 
@@ -458,10 +486,11 @@ def assemble_config(y: list[int], p: int) -> SigmaConfig:
     check_int("p", p, 0)
     rows = build_q(y, p)
     m, n = len(y), len(rows)
+    top = n - 1
+    # v_r = (last block of Q)[r] * P, stepped as in build_q
+    targets = [r >> 1 | ((r & p).bit_count() & 1) << top for r in rows[n - m:]]
     try:
-        xs = _solve_rows(
-            rows, [companion_vec_mul(r, p) for r in rows[n - m:]], _chain_order(m, n)
-        )
+        xs = _solve_rows(rows, targets, _chain_order(m, n))
     except SingularMatrixError:
         raise SingularMatrixError("Q is singular: Y rows are not independent over P") from None
     return SigmaConfig(m, n // m, xs)
@@ -492,7 +521,7 @@ def generate_config(
         raise DimensionError(f"target degree {p.bit_length() - 1} != mb = {n}")
     if len(y_init) != m:
         raise DimensionError("y_init row count != m")
-    k = width(y_init) - m
+    k = width(y_init, "y_init") - m
     total = n - m
     if not 0 <= k <= total:
         raise ValueError(f"y_init width {m + k} outside [m, mb]")
@@ -502,8 +531,8 @@ def generate_config(
         raise ValueError(f"online fill must supply exactly {total - k} vectors")
     if k < total and rank(y_init) != m:
         raise RankLossError(f"rank dropped below {m} at iteration {k + 1}")
-    polys = [pipeline_poly(w) for w in range(m + k, n)]
-    rows = _run(_reversed_rows(y_init, m + k), k + 1, polys, online_fill.vectors)
+    plan = _run_plan(default_table(), m + k, n)
+    rows = _run(_reversed_rows(y_init, m + k), k + 1, plan, online_fill.vectors)
     # rotate rows so the most recently active row (now e_1) is last
     last_active = total % m
     order = [(last_active + 1 + t) % m for t in range(m)]

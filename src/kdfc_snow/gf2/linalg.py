@@ -74,11 +74,18 @@ def vec_from_hex(s: str, length: int) -> int:
     return v
 
 
-def width(rows: Sequence[int]) -> int:
-    """The bit length of the widest row (0 for none); a negative row is refused."""
-    if rows and min(rows) < 0:
+def width(rows: Sequence[int], name: str = "rows") -> int:
+    """The bit length of the widest row (0 for none).  A row that is not an
+    int (a bool is not one here) is refused in one C-level pass, by its
+    index in name, and so is a negative row."""
+    if not rows:
+        return 0
+    if {*map(type, rows)} != {int}:
+        i = next(i for i, r in enumerate(rows) if type(r) is not int)
+        raise ValueError(f"{name}[{i}] must be an int, got {type(rows[i]).__name__}")
+    if min(rows) < 0:
         raise DimensionError("row has bits beyond the column count")
-    return max(rows, default=0).bit_length()
+    return max(rows).bit_length()
 
 
 #: JSON type names for refusals
@@ -324,7 +331,10 @@ def companion_vec_mul(v: int, p: int) -> int:
     (c_0, ..., c_{b-1}) where p(x) = x^b + sum c_j x^j, so that
     (x_n, ..., x_{n+b-1}) * P = (x_{n+1}, ..., x_{n+b}).  v has at most
     b = deg p bits, so v & p never holds p's leading x^b and needs no mask.
+    A v or p that is not an int >= 0 is refused.
     """
+    check_int("v", v, 0)
+    check_int("p", p, 0)
     b = p.bit_length() - 1
     tail = (v & p).bit_count() & 1
     return (v >> 1) | (tail << (b - 1))

@@ -28,13 +28,16 @@ from typing import Iterable
 
 
 def from_exponents(exps: Iterable[int]) -> int:
-    """The polynomial with a term x^e for each e in exps; repeated exponents
-    cancel over GF(2)."""
+    """The polynomial with a term x^e for each e in exps; a negative or a
+    repeated exponent, which would cancel unseen, is refused, as
+    parse_exponents refuses it."""
     c = 0
     for e in exps:
         if e < 0:
             raise ValueError("negative exponent")
-        c ^= 1 << e
+        if c >> e & 1:
+            raise ValueError(f"exponent {e} is repeated")
+        c |= 1 << e
     return c
 
 
@@ -102,7 +105,12 @@ def gcd(a: int, b: int) -> int:
 
 
 def clmul(a: int, b: int) -> int:
-    """Carry-less product a * b, one shifted copy per term of the sparser factor."""
+    """Carry-less product a * b, one shifted copy per term of the sparser
+    factor; an operand that is not an int (a bool is not one here) or is
+    negative is refused with ValueError."""
+    if type(a) is not int or type(b) is not int:
+        name, bad = ("b", b) if type(a) is int else ("a", a)
+        raise ValueError(f"{name} must be an int, got {type(bad).__name__}")
     if (a | b) < 0:
         raise _negative("operand")
     if a.bit_count() > b.bit_count():

@@ -181,12 +181,13 @@ def test_stream_chunks_reuse_the_tables(bench):
 
 
 def test_every_stage_inversion_and_table_lookup_is_traced(bench):
-    # the gf2.primtable.lookup span sees one table polynomial per pipeline
-    # stage, 12 in a 4x4 gen-config (k = 0) and 12 in a keyed init (the
-    # online iterations); gf2.poly.inv_mod sees one inversion per stage
-    # wider than confgen.LOG_TABLE_MAX_WIDTH = 16: none of the 4x4 stages
-    # (widths 4..15, all on the log tables), and every keyed stage
-    # (widths 500..511)
+    # gf2.poly.inv_mod sees one inversion per stage wider than
+    # confgen.LOG_TABLE_MAX_WIDTH = 16: none of the 4x4 stages (widths
+    # 4..15, all on the log tables), and every keyed stage (widths
+    # 500..511).  The gf2.primtable.lookup span sees one table polynomial
+    # per stage, 12 in a 4x4 gen-config (k = 0) and 12 in a keyed init (the
+    # online iterations), on the first derivation of a run shape in a
+    # process, when confgen._run_plan builds its plan, and none on a repeat
     spans, _ = bench
     from kdfc_snow import confgen, kdfc
 
@@ -199,14 +200,42 @@ def test_every_stage_inversion_and_table_lookup_is_traced(bench):
         (lambda: confgen.generate_config(4, 4, p16, y, online), 0),
         (lambda: kdfc.kdfc_init(params), 12),
     ):
+        confgen._run_plan.cache_clear()
+        for lookups in (12, 0):
+            tracer = spans.Tracer()
+            tracer.install()
+            try:
+                run()
+            finally:
+                tracer.uninstall()
+            assert tracer.calls("gf2.poly.inv_mod") == inversions
+            assert tracer.calls("gf2.primtable.lookup") == lookups
+
+
+def test_derivations_enter_the_assembly_spans_once(bench):
+    # perfbench's confgen.assemble_config_self_s and build_q_self_s time
+    # these two names: a 4x4 generate_config and a keyed init each call
+    # assemble_config, and it build_q, exactly once
+    spans, _ = bench
+    from kdfc_snow import confgen, kdfc
+
+    p16 = confgen.pipeline_poly(16)
+    y = confgen.y_offline(4, 4, 0, confgen.FillBits(4, []))
+    online = confgen.FillBits.from_seed(4, 12, "spans", "online-fill")
+    params = kdfc.KdfcParams(key=KAT_KEY, iv=KAT_IV)
+    for run in (
+        lambda: confgen.generate_config(4, 4, p16, y, online),
+        lambda: kdfc.kdfc_init(params),
+    ):
         tracer = spans.Tracer()
         tracer.install()
         try:
             run()
         finally:
             tracer.uninstall()
-        assert tracer.calls("gf2.poly.inv_mod") == inversions
-        assert tracer.calls("gf2.primtable.lookup") == 12
+        assert tracer.calls("confgen.assemble_config") == 1
+        assert tracer.calls("confgen.build_q") == 1
+        assert tracer.edges[("confgen.assemble_config", "confgen.build_q")] == 1
 
 
 def test_perfbench_call_shapes():

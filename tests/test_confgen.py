@@ -1,5 +1,6 @@
 """Configuration-generation pipeline: iteration, dual-route solver, counts."""
 
+import hashlib
 import random
 
 import pytest
@@ -33,6 +34,7 @@ from kdfc_snow.confgen import (
     generate_config,
     pipeline_poly,
     _log_tables,
+    _plan,
     _pack,
     _reversed_rows,
     _run,
@@ -60,7 +62,14 @@ from kdfc_snow.gf2.poly import (
     is_irreducible,
     is_primitive,
 )
-from kdfc_snow.gf2.primtable import default_table, primitive_poly
+from kdfc_snow.gf2 import primtable
+from kdfc_snow.gf2.primtable import (
+    POLY_TABLE_ENV,
+    TableFormatError,
+    default_table,
+    primitive_poly,
+    table_line,
+)
 from kdfc_snow.sigma_lfsr import SigmaConfig, config_char_poly
 
 
@@ -213,6 +222,114 @@ class TestPipelinePoly:
     def test_matches_table(self, d):
         assert pipeline_poly(d) == primitive_poly(d)
 
+    @pytest.mark.parametrize("degree,message", [
+        (2.0, "^degree must be an int, got float$"),  # returned 7, the degree-2 entry
+        (True, "^degree must be an int, got bool$"),  # returned 3, x + 1
+    ], ids=["float", "bool"])
+    def test_refuses_a_degree_that_is_no_int(self, degree, message):
+        with pytest.raises(ValueError, match=message):
+            pipeline_poly(degree)
+
+
+def _override_table(tmp_path, monkeypatch, swap: dict[int, int]):
+    """Make the shipped table, with the entries of swap's degrees replaced,
+    the process's default_table (KDFC_SNOW_POLY_TABLE, then the cache
+    cleared); the caller clears the cache again afterwards."""
+    shipped = default_table()
+    lines = [
+        table_line(swap.get(d, shipped[d])) for d in range(2, 513)
+    ]
+    body = "\n".join(lines)
+    path = tmp_path / "table.txt"
+    path.write_text(f"# sha256: {hashlib.sha256(body.encode()).hexdigest()}\n{body}")
+    monkeypatch.setenv(POLY_TABLE_ENV, str(path))
+    default_table.cache_clear()
+
+
+@pytest.fixture
+def restore_table():
+    """The shipped default_table again after the test, whatever it overrode."""
+    yield
+    default_table.cache_clear()
+
+
+class TestRunPlan:
+    """A run's stages come from a plan kept per (table, first width, last
+    width): polynomial and log tables, fetched once per process."""
+
+    def test_a_table_switch_reaches_the_next_derivation(
+        self, tmp_path, monkeypatch, restore_table
+    ):
+        # the shipped x^7 + x + 1 swapped for its reciprocal x^7 + x^6 + 1; a
+        # plan keyed on the widths alone would keep serving the shipped one
+        p16 = pipeline_poly(16)
+        y = y_offline(4, 4, 0, FillBits(4, []))
+        online = FillBits.from_seed(4, 12, "switch", "online-fill")
+        shipped = generate_config(4, 4, p16, y, online)
+        p7 = 0b11000001
+        assert pipeline_poly(7) == 0b10000011 and is_primitive(p7)
+        checks = []
+        real = primtable.is_irreducible
+        monkeypatch.setattr(primtable, "is_irreducible", lambda p: checks.append(p) or real(p))
+        _override_table(tmp_path, monkeypatch, {7: p7})
+        assert pipeline_poly(7) == p7
+        checks.clear()
+        switched = generate_config(4, 4, p16, y, online)
+        # the override's lazy Rabin check runs once per degree, at its first
+        # lookup: stage degrees 4..15, less 7, which the assert looked up
+        assert sorted(c.bit_length() - 1 for c in checks) == [
+            d for d in range(4, 16) if d != 7
+        ]
+        assert switched != shipped
+        assert switched == assemble_config(final_y(4, 4, "switch"), p16)
+        checks.clear()
+        assert generate_config(4, 4, p16, y, online) == switched
+        assert checks == []
+
+    def test_a_reducible_override_entry_is_refused_at_first_use(
+        self, tmp_path, monkeypatch, restore_table
+    ):
+        # x^9 + 1 = (x + 1)(x^8 + ... + 1): the table loads, the run refuses it,
+        # and the refusal is not cached: the next run refuses it again
+        y = y_offline(4, 4, 0, FillBits(4, []))
+        online = FillBits.from_seed(4, 12, "reducible", "online-fill")
+        generate_config(4, 4, pipeline_poly(16), y, online)
+        _override_table(tmp_path, monkeypatch, {9: 1 << 9 | 1})
+        for _ in range(2):
+            with pytest.raises(TableFormatError, match="degree 9 is not irreducible"):
+                generate_config(4, 4, pipeline_poly(16), y, online)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(2, 64), st.booleans(), st.data())
+    def test_inline_companion_steps_match_companion_vec_mul(self, n, dense, data):
+        # build_q's blocks and assemble_config's targets step each row by P
+        # inline; companion_vec_mul is the reference, for the table
+        # polynomial of degree n and for a dense p (at least every other term)
+        p = pipeline_poly(n)
+        if dense:
+            alternate = int("01" * 32, 2) & ((1 << n) - 1)
+            p = 1 << n | data.draw(st.integers(0, (1 << n) - 1)) | alternate | 1
+        m = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        y = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=m, max_size=m))
+        y[-1] |= 1 << (n - 1)
+        q = build_q(y, p)
+        assert q[:m] == y
+        for j in range(m, n):
+            assert q[j] == companion_vec_mul(q[j - m], p)
+        seen = []
+        real = confgen._solve_rows
+
+        def capture(rows, targets, order):
+            seen.append(list(targets))
+            return [0] * len(targets)
+
+        confgen._solve_rows = capture
+        try:
+            assemble_config(y, p)
+        finally:
+            confgen._solve_rows = real
+        assert seen == [[companion_vec_mul(r, p) for r in q[n - m:]]]
+
 
 class TestIteration:
     @pytest.mark.parametrize("m,i", [(2, 1), (2, 2), (3, 1), (4, 3)])
@@ -350,7 +467,7 @@ class TestIteration:
             pass
         while rank(rows := [rng.getrandbits(w) for _ in range(m)]) < m:
             pass
-        out = _run(rows, rng.randrange(1, 100), [p], [rng.getrandbits(m - 1)])
+        out = _run(rows, rng.randrange(1, 100), _plan([p]), [rng.getrandbits(m - 1)])
         assert rank(out) == m
 
     def test_offline_k0_is_identity(self):
@@ -493,7 +610,7 @@ class TestLogTables:
                 for i in range(1, m + 1):
                     fill = rng.getrandbits(m - 1)
                     want = outcome(row_stage, rows, i, p, fill)
-                    assert outcome(_run, rows, i, [p], [fill]) == want
+                    assert outcome(_run, rows, i, _plan([p]), [fill]) == want
 
     def test_wide_and_reducible_moduli_have_no_tables(self):
         assert _log_tables(pipeline_poly(confgen.LOG_TABLE_MAX_WIDTH + 1)) is None
@@ -507,18 +624,22 @@ class TestLogTables:
         assert (_log_tables(p) is not None) == (w <= confgen.LOG_TABLE_MAX_WIDTH)
         msg = f"active row is zero or not cyclic: not invertible: gcd has degree {w}"
         with pytest.raises(NoSolutionError, match=f"^{msg}$"):
-            _run([0b11, 0, 0b101], 1, [p], [0b10])
+            _run([0b11, 0, 0b101], 1, _plan([p]), [0b10])
         with pytest.raises(NoSolutionError, match=f"^{msg}$"):
             row_stage([0b11, 0, 0b101], 1, p, 0b10)
 
     def test_a_second_small_config_hits_the_tables(self):
+        # the second 4x4 derivation takes its 12 stages (widths 4..15), their
+        # polynomials and tables, from one hit on its run plan, and asks
+        # _log_tables for nothing
         seeded_pipeline(4, 4, "tables-first")
-        before = _log_tables.cache_info()
-        seeded_pipeline(4, 4, "tables-second")
-        after = _log_tables.cache_info()
-        # one lookup per stage, widths 4..15, none of them a new entry
-        assert after.misses == before.misses
-        assert after.hits - before.hits == 12
+        y = y_offline(4, 4, 0, FillBits(4, []))
+        online = FillBits.from_seed(4, 12, "tables-second", "online-fill")
+        plans, tables = confgen._run_plan.cache_info(), _log_tables.cache_info()
+        generate_config(4, 4, pipeline_poly(16), y, online)
+        after = confgen._run_plan.cache_info()
+        assert (after.hits - plans.hits, after.misses - plans.misses) == (1, 0)
+        assert _log_tables.cache_info() == tables
 
 
 class TestPackedStages:
@@ -541,7 +662,7 @@ class TestPackedStages:
             rows = full_rank_rows(rng, m, w)
             i = rng.randrange(1, 2 * m + 1)
             fill = rng.getrandbits(m - 1)
-            assert _run(rows, i, [p], [fill]) == row_stage(rows, i, p, fill)
+            assert _run(rows, i, _plan([p]), [fill]) == row_stage(rows, i, p, fill)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 32])
     def test_one_run_across_the_slot_and_window_changes(self, m, monkeypatch):
@@ -554,7 +675,7 @@ class TestPackedStages:
         want = rows
         for i, (p, fill) in enumerate(zip(polys, fills), 7):
             want = row_stage(want, i, p, fill)
-        assert _run(rows, 7, polys, fills) == want
+        assert _run(rows, 7, _plan(polys), fills) == want
 
     def test_dense_modulus(self):
         # weight above 5 and a term at x^39, so mu = floor(x^80 / p) is not p
@@ -569,7 +690,7 @@ class TestPackedStages:
             rows = full_rank_rows(rng, m, 40)
             for i in range(1, m + 1):
                 fill = rng.getrandbits(m - 1)
-                assert _run(rows, i, [p], [fill]) == row_stage(rows, i, p, fill)
+                assert _run(rows, i, _plan([p]), [fill]) == row_stage(rows, i, p, fill)
 
     def test_table_widths_after_a_packed_stage(self):
         # x^6 + x^3 + 1 is irreducible, but x has order 9: no tables, so the
@@ -581,7 +702,7 @@ class TestPackedStages:
         want = rows
         for i, (p, fill) in enumerate(zip(polys, fills), 1):
             want = row_stage(want, i, p, fill)
-        assert _run(rows, 1, polys, fills) == want
+        assert _run(rows, 1, _plan(polys), fills) == want
 
 
 class TestQAndAssembly:
@@ -609,6 +730,15 @@ class TestQAndAssembly:
         monkeypatch.setattr(confgen, "build_q", lambda *a: pytest.fail("Q was built"))
         with pytest.raises(ValueError, match=message):
             assemble_config(y, not_a_polynomial(kind, pipeline_poly(6)))
+
+    @pytest.mark.parametrize("call", [
+        lambda: build_q([1, 2.0], 19),
+        lambda: assemble_config([1, 2.0], 19),
+    ], ids=["build_q", "assemble_config"])
+    def test_a_float_row_of_y_is_refused(self, call):
+        # ended in AttributeError on the float's bit_length()
+        with pytest.raises(ValueError, match=r"^y\[1\] must be an int, got float$"):
+            call()
 
     def test_build_q_validates_degree(self):
         y = identity(2)
@@ -759,6 +889,13 @@ class TestGenerateConfig:
         fill = FillBits.from_seed(4, 12, "s")
         with pytest.raises(ValueError, match=message):
             generate_config(m, b, pipeline_poly(16), identity(4), fill)
+
+    def test_refuses_a_float_row_of_y_init_before_any_work(self, monkeypatch):
+        # the widest row a float ended in AttributeError on its bit_length()
+        monkeypatch.setattr(confgen, "rank", lambda y: pytest.fail("rank was taken"))
+        fill = FillBits.from_seed(4, 12, "s")
+        with pytest.raises(ValueError, match=r"^y_init\[3\] must be an int, got float$"):
+            generate_config(4, 4, pipeline_poly(16), [1, 2, 4, 8.0], fill)
 
     @pytest.mark.parametrize("kind,message", NOT_A_POLYNOMIAL)
     def test_refuses_a_p_that_is_no_polynomial_before_any_work(

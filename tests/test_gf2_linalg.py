@@ -74,6 +74,14 @@ class TestBitMatrix:
             matrix_from_json({"rows": 1, "cols": -1, "data": [""]}, (1, -1), "A")
         assert width([]) == 0 and width([0, 0]) == 0 and width([1, 0b101]) == 3
 
+    @pytest.mark.parametrize("call", [
+        lambda: width([1, 2.0]), lambda: rank([1.0]),
+    ], ids=["width", "rank"])
+    def test_a_float_row_is_refused(self, call):
+        # ended in AttributeError on the float's bit_length()
+        with pytest.raises(ValueError, match=r"^rows\[\d\] must be an int, got float$"):
+            call()
+
     def test_identity_and_zeros(self):
         assert identity(3) == [1, 2, 4]
         assert zeros(2) == [0, 0]
@@ -428,6 +436,11 @@ class TestCompanionAndCharPoly:
         p = 1 << b | coeffs_low & low
         v &= low
         assert companion_vec_mul(v, p) == mat_vec_mul(v, companion_matrix(p))
+
+    def test_companion_vec_mul_refuses_a_negative_row(self):
+        # returned -1
+        with pytest.raises(ValueError, match="^need v >= 0, got v=-1$"):
+            companion_vec_mul(-1, 19)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_char_poly_matches_sympy(self, seed):

@@ -72,6 +72,19 @@ class TestBasics:
         with pytest.raises(ValueError, match="negative exponent"):
             from_exponents([3, -1])
 
+    def test_a_repeated_exponent_is_refused(self):
+        # returned 0, x^3 + x^3, where parse_exponents refuses the repeat
+        with pytest.raises(ValueError, match="^exponent 3 is repeated$"):
+            from_exponents([3, 3])
+
+    @pytest.mark.parametrize("a,b,message", [
+        (True, 3, "^a must be an int, got bool$"),  # returned 3
+        (3, 2.0, "^b must be an int, got float$"),
+    ], ids=["bool", "float"])
+    def test_clmul_refuses_an_operand_that_is_no_int(self, a, b, message):
+        with pytest.raises(ValueError, match=message):
+            clmul(a, b)
+
     def test_polynomials_are_ints(self):
         # every polynomial the package hands out is a plain int
         table_8 = primitive_poly(8)
