@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from kdfc_snow.gf2.linalg import check_int
+
 __all__ = [
     "IndexTables",
     "GdPath",
@@ -48,8 +50,10 @@ GD_GUARD = 1 << 20
 def pileup_bias(eps_log2: float, taps: int) -> float:
     """log2 of the combined bias of an XOR of ``taps`` biased terms.
 
-    Piling-up: eps_final = 2^(taps-1) * eps^taps, all in log2.
+    Piling-up: eps_final = 2^(taps-1) * eps^taps, all in log2.  A taps
+    that is not an int (a bool is not one here) is refused.
     """
+    check_int("taps", taps, None)
     if taps < 1:
         raise ValueError("need taps >= 1")
     if not math.isfinite(eps_log2) or eps_log2 > 0:
@@ -72,8 +76,11 @@ def linearization_size(nvars: int, max_deg: int) -> int:
 
     The exact sum costs max_deg steps on binomials of at most
     min(nvars, max_deg * bits(nvars)) bits; that product is refused above
-    LINEARIZATION_GUARD (about a second of work).
+    LINEARIZATION_GUARD (about a second of work).  A count that is not an
+    int (a bool is not one here) is refused.
     """
+    check_int("nvars", nvars, None)
+    check_int("max_deg", max_deg, None)
     if not 0 <= max_deg <= nvars:
         raise ValueError("need 0 <= max_deg <= nvars")
     work = (max_deg + 1) * min(nvars, max_deg * nvars.bit_length())

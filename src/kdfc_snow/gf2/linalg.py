@@ -403,17 +403,28 @@ def berlekamp_massey(bits: Sequence[int]) -> int:
     Returns the characteristic polynomial f of degree L (the linear
     complexity): sum_j f_j s_{k+j} = 0 for every window, i.e.
     s_{k+L} = sum_{j<L} f_j s_{k+j}.  For a full-period window of an
-    m-sequence this recovers the generating primitive polynomial.
+    m-sequence this recovers the generating primitive polynomial.  An
+    element other than 0 or 1 is refused in one C-level pass.
     """
     if not len(bits):
         raise ValueError("empty sequence")
+    bad = {*bits} - {0, 1}
+    if bad:
+        raise ValueError(f"bits must be 0 or 1, got {min(bad, key=repr)!r}")
+    return _berlekamp_massey(bits)
+
+
+def _berlekamp_massey(bits: Sequence[int]) -> int:
+    """berlekamp_massey on a nonempty sequence of 0s and 1s, unchecked."""
     conn = 1  # connection polynomial C(D), bit i = c_i, c_0 = 1
     prev = 1  # B(D), connection before the last length change
     ln = 0
     gap = 1  # n - m where m is the index of the last length change
     hist = 0  # bit i = s_{n-i}: reversed history window
     for n, s in enumerate(bits):
-        hist = (hist << 1) | (s & 1)
+        hist <<= 1
+        if s:
+            hist |= 1
         d = (conn & hist).bit_count() & 1
         if d == 0:
             gap += 1

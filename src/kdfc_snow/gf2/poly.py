@@ -46,6 +46,12 @@ def _negative(what: str) -> ValueError:
     return ValueError(f"negative {what}: polynomials are ints >= 0")
 
 
+def _check_poly(p: int) -> None:
+    """Refuse a polynomial p that is not an int (a bool is not one here)."""
+    if type(p) is not int:
+        raise ValueError(f"p must be an int, got {type(p).__name__}")
+
+
 def exponents(p: int) -> list[int]:
     """Ascending exponents of the nonzero terms of p (p >= 0)."""
     if p < 0:
@@ -261,8 +267,10 @@ def is_irreducible(p: int) -> bool:
     """Rabin irreducibility test.
 
     p of degree d is irreducible over GF(2) iff x^(2^d) = x (mod p) and
-    gcd(x^(2^(d/q)) - x, p) = 1 for every prime q dividing d.
+    gcd(x^(2^(d/q)) - x, p) = 1 for every prime q dividing d.  A p that
+    is not an int (a bool is not one here) is refused with ValueError.
     """
+    _check_poly(p)
     d = p.bit_length() - 1
     if d < 1:
         return False
@@ -308,7 +316,9 @@ def is_primitive(p: int) -> bool:
     and d = 512; raises FactorTableMissError at any other degree above 1
     (callers fall back to the certified PrimitiveTable entries).  At
     degree 1 only x + 1 is primitive: x is irreducible but no unit mod x.
+    A p that is not an int is refused, as is_irreducible refuses it.
     """
+    _check_poly(p)
     d = p.bit_length() - 1
     if d < 2:
         return p == 0b11

@@ -47,7 +47,7 @@ from __future__ import annotations
 from itertools import islice
 
 from kdfc_snow.gf2.linalg import (
-    MATRIX_SHAPE, DimensionError, berlekamp_massey, char_poly, check_dims,
+    MATRIX_SHAPE, DimensionError, _berlekamp_massey, char_poly, check_dims,
     check_int, check_shape, matrix_from_json, matrix_to_json, rank, width,
 )
 
@@ -225,8 +225,12 @@ def _galois_clock(cfg: SigmaConfig, z: int):
 
 
 def step_stacked(cfg: SigmaConfig, v: int) -> int:
-    """One shift of a stacked mb-bit state, feedback via galois_state."""
+    """One shift of a stacked mb-bit state, feedback via galois_state; a v
+    that is not an int, is negative or has bits at mb and above is refused."""
     m, b = cfg.m, cfg.b
+    check_int("v", v, 0)
+    if v >> m * b:
+        raise ValueError(f"v must be below 2^{m * b}, got {v:#x}")
     mask = (1 << m) - 1
     feedback = galois_state(cfg, [(v >> (i * m)) & mask for i in range(b)]) & mask
     return (v >> m) | (feedback << ((b - 1) * m))
@@ -275,7 +279,7 @@ def _certificate(cfg: SigmaConfig) -> int:
     uses.
     """
     n = cfg.m * cfg.b
-    return berlekamp_massey([1] + [z & 1 for z in islice(_galois_clock(cfg, 1), 2 * n - 1)])
+    return _berlekamp_massey([1] + [z & 1 for z in islice(_galois_clock(cfg, 1), 2 * n - 1)])
 
 
 def config_char_poly(cfg: SigmaConfig) -> int:

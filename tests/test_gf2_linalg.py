@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -495,6 +496,17 @@ class TestBerlekampMassey:
         assert linear_complexity([0, 0, 0, 0]) == 0
         assert linear_complexity([1, 0, 0, 0, 0]) == 1
         assert linear_complexity([1, 1, 1, 1]) == 1
+
+    @pytest.mark.parametrize("bits", [[2, 3], [0, 1, -1], [1, 0.5], [1, "1"]])
+    def test_refuses_an_element_other_than_0_or_1(self, bits):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            berlekamp_massey(bits)
+
+    def test_numpy_bits_give_the_list_answer(self):
+        # the history stays a Python int past 63 bits
+        rng = random.Random(3)
+        bits = [rng.getrandbits(1) for _ in range(200)]
+        assert berlekamp_massey(np.array(bits)) == berlekamp_massey(bits)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_recurrence_holds_and_prefix_monotone(self, seed):

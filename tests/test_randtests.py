@@ -100,6 +100,16 @@ class TestIgamc:
         vals = [rt.igamc(2.0, x) for x in (0.5, 1.0, 2.0, 4.0, 8.0)]
         assert vals == sorted(vals, reverse=True)
 
+    @pytest.mark.parametrize("a,x", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+    def test_refuses_nan(self, a, x):
+        # every range check compares false on a NaN
+        with pytest.raises(ValueError, match="NaN"):
+            rt.igamc(a, x)
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1000.0])
+    def test_infinite_x_has_no_upper_tail(self, a):
+        assert rt.igamc(a, math.inf) == 0.0
+
 
 class TestResultInvariants:
     def test_p_range(self):
@@ -693,7 +703,12 @@ class TestNarrowTransients:
     @pytest.mark.parametrize("name", rt.TEST_NAMES)
     def test_peak_on_a_million_bits(self, name):
         # at most 1.6 bytes per bit: larger transients, once freed, let the
-        # allocator trim its heap, and the next test's arrays fault in afresh
+        # allocator trim its heap, and the next test's arrays fault in afresh;
+        # 0.7 where no transient is as large as the bit array (linear
+        # complexity packs its lanes from an eighth-size array, the window
+        # counts widen 2^14 words per bincount)
+        narrow = {"linear-complexity", "serial", "approximate-entropy"}
+        bound = 700_000 if name in narrow else 1_600_000
         x = np.random.default_rng(7).integers(0, 2, size=1_000_000, dtype=np.uint8)
         rt.run_test(name, x)
         tracemalloc.start()
@@ -702,7 +717,7 @@ class TestNarrowTransients:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1_600_000, f"{name} peaked at {peak} bytes"
+        assert peak <= bound, f"{name} peaked at {peak} bytes"
 
     @pytest.mark.parametrize("density", [0.5, 0.9, 1.0])
     def test_cumulative_sums_excursion(self, density):
@@ -715,7 +730,7 @@ class TestNarrowTransients:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 8, 9, 17])
     def test_window_counts(self, m):
-        # across the 2^16-window chunks and the uint8/uint16/uint32 indexes
+        # across the phase groups and the uint16/uint32/uint64 words
         x = random_blocks(m, 1, 70_001)[0]
         ext = np.concatenate([x, x[: m - 1]]).astype(np.int64)
         idx = sum(ext[j : j + x.size] << (m - 1 - j) for j in range(m))
@@ -727,7 +742,7 @@ class TestNarrowTransients:
         st.one_of(
             st.integers(16, 300),
             st.integers((1 << 16) - 40, (1 << 16) + 40),
-            # past 2^16 byte offsets, where the histogram's bincount splits
+            # past 2^16 byte offsets: four 2^14-word bincount chunks and a tail
             st.integers((1 << 19) - 40, (1 << 19) + 40),
         ),
         st.integers(0, 2**32),

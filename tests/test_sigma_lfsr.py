@@ -442,9 +442,9 @@ class TestCharPoly:
 def certificate_bits(cfg):
     """The sequence config_char_poly hands to Berlekamp-Massey."""
     seen = []
-    real = linalg.berlekamp_massey
+    real = linalg._berlekamp_massey
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sigma_lfsr, "berlekamp_massey", lambda bits: seen.append(bits) or real(bits))
+        mp.setattr(sigma_lfsr, "_berlekamp_massey", lambda bits: seen.append(bits) or real(bits))
         config_char_poly(cfg)
     assert len(seen) == 1
     return seen[0]
