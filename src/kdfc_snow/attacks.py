@@ -53,9 +53,7 @@ def pileup_bias(eps_log2: float, taps: int) -> float:
     Piling-up: eps_final = 2^(taps-1) * eps^taps, all in log2.  A taps
     that is not an int (a bool is not one here) is refused.
     """
-    check_int("taps", taps, None)
-    if taps < 1:
-        raise ValueError("need taps >= 1")
+    check_int("taps", taps, 1)
     if not math.isfinite(eps_log2) or eps_log2 > 0:
         raise ValueError("eps_log2 is a bias exponent, must be finite and <= 0")
     try:
@@ -118,8 +116,7 @@ class IndexTables:
     node_count: int
 
     def __post_init__(self):
-        if self.node_count < 1:
-            raise ValueError("node_count must be positive")
+        check_int("node_count", self.node_count, 1)
         for r in self.rows:
             if not r:
                 raise ValueError("rows must be nonempty")
@@ -169,10 +166,10 @@ def recurrence_row_tables(
     for t = 0..fsm_stages-1 (default: same as stages), using fsm_stages+2
     register nodes.
     """
-    if stages < 1:
-        raise ValueError("need stages >= 1")
+    check_int("stages", stages, 1)
     if fsm_stages is None:
         fsm_stages = stages
+    check_int("fsm_stages", fsm_stages, 0)
     deg = max(exponents)
     if min(exponents) != 0:
         raise ValueError("recurrence support must include 0")
@@ -266,8 +263,7 @@ def gd_search(tables: IndexTables, max_stages: int) -> GdPath:
     A search that could score more than GD_GUARD paths, n for stage 1
     and n^2 for each later stage over n nodes, is refused before any work.
     """
-    if max_stages < 1:
-        raise ValueError("need max_stages >= 1")
+    check_int("max_stages", max_stages, 1)
     n = tables.node_count
     paths = n + (max_stages - 1) * n * n
     if paths > GD_GUARD:

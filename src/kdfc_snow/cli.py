@@ -33,6 +33,7 @@ from kdfc_snow.gf2.linalg import check_dims, check_shape
 from kdfc_snow.gf2.poly import (
     DegreeError,
     FactorTableMissError,
+    check_int,
     exponent_list,
     is_irreducible,
     is_primitive,
@@ -86,8 +87,7 @@ def _write_stream(state: CipherState, n: int, out: str | None) -> None:
 
     Memory stays bounded in n.  n = 0 writes nothing and creates no file.
     """
-    if n < 0:
-        raise ValueError("need n >= 0")
+    check_int("n", n, 0)
     if n == 0:
         return
     fh = sys.stdout if out is None or out == "-" else open(out, "w", encoding="utf-8")

@@ -15,19 +15,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from kdfc_snow.gf2.poly import clmul
+from kdfc_snow.gf2.poly import check_int, clmul
 
 
 class DimensionError(ValueError):
     """Operands have incompatible shapes."""
-
-
-def check_int(name: str, value: int, least: int | None) -> None:
-    """Refuse a non-int (a bool is not one here) or a value below least (if given)."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {type(value).__name__}")
-    if least is not None and value < least:
-        raise ValueError(f"need {name} >= {least}, got {name}={value}")
 
 
 def check_dims(m: int, b: int) -> None:

@@ -20,11 +20,21 @@ reduction) take the one long division, _divmod_int.
 inv_mod, the one inversion of the pipeline's field stages, keeps each
 remainder of extended Euclid and its Bezout cofactor side by side in one
 int, so one shifted xor per quotient term updates both.
+check_int, the package's one check of an int parameter, lives here, at
+the bottom of the import graph; gf2.linalg re-exports it.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
+
+
+def check_int(name: str, value: int, least: int | None) -> None:
+    """Refuse a non-int (a bool is not one here) or a value below least (if given)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {type(value).__name__}")
+    if least is not None and value < least:
+        raise ValueError(f"need {name} >= {least}, got {name}={value}")
 
 
 def from_exponents(exps: Iterable[int]) -> int:
@@ -44,12 +54,6 @@ def from_exponents(exps: Iterable[int]) -> int:
 def _negative(what: str) -> ValueError:
     """The refusal of a negative operand or modulus: a polynomial is an int >= 0."""
     return ValueError(f"negative {what}: polynomials are ints >= 0")
-
-
-def _check_poly(p: int) -> None:
-    """Refuse a polynomial p that is not an int (a bool is not one here)."""
-    if type(p) is not int:
-        raise ValueError(f"p must be an int, got {type(p).__name__}")
 
 
 def exponents(p: int) -> list[int]:
@@ -114,9 +118,8 @@ def clmul(a: int, b: int) -> int:
     """Carry-less product a * b, one shifted copy per term of the sparser
     factor; an operand that is not an int (a bool is not one here) or is
     negative is refused with ValueError."""
-    if type(a) is not int or type(b) is not int:
-        name, bad = ("b", b) if type(a) is int else ("a", a)
-        raise ValueError(f"{name} must be an int, got {type(bad).__name__}")
+    check_int("a", a, None)
+    check_int("b", b, None)
     if (a | b) < 0:
         raise _negative("operand")
     if a.bit_count() > b.bit_count():
@@ -244,11 +247,10 @@ def powmod(base: int, exp: int, m: int) -> int:
     plain integer, not a polynomial).  Every square and multiply is one
     Barrett step, on constants taken once per call; the multiplier stays
     the reduced base, so with base x each multiply is one shift.  A
-    negative base or m is refused with ValueError."""
+    negative base or m, or an exp not an int >= 0, is refused (ValueError)."""
     if (base | m) < 0:
         raise _negative("operand" if base < 0 else "modulus")
-    if exp < 0:
-        raise ValueError("negative exponent")
+    check_int("exp", exp, 0)
     if m == 0:
         raise ZeroDivisionError("modulus is the zero polynomial")
     w = m.bit_length() - 1
@@ -270,7 +272,7 @@ def is_irreducible(p: int) -> bool:
     gcd(x^(2^(d/q)) - x, p) = 1 for every prime q dividing d.  A p that
     is not an int (a bool is not one here) is refused with ValueError.
     """
-    _check_poly(p)
+    check_int("p", p, None)
     d = p.bit_length() - 1
     if d < 1:
         return False
@@ -318,7 +320,7 @@ def is_primitive(p: int) -> bool:
     degree 1 only x + 1 is primitive: x is irreducible but no unit mod x.
     A p that is not an int is refused, as is_irreducible refuses it.
     """
-    _check_poly(p)
+    check_int("p", p, None)
     d = p.bit_length() - 1
     if d < 2:
         return p == 0b11

@@ -140,13 +140,9 @@ class YInitDoc:
                             ("poly_table_sha256", poly_table_sha256)):
             if type(value) is not str:
                 raise ValueError(f"{name} must be a str, got {type(value).__name__}")
-        for row in y:
-            if type(row) is not int:
-                raise ValueError(f"y rows must be ints, got {type(row).__name__}")
-        if len(y) != m or width(y) != m + k:
-            raise ValueError(
-                f"y_init matrix is {len(y)}x{width(y)}, expected {m}x{m + k}"
-            )
+        w = width(y, "y")
+        if len(y) != m or w != m + k:
+            raise ValueError(f"y_init matrix is {len(y)}x{w}, expected {m}x{m + k}")
         for name, value in zip(self.__slots__, (m, k, seed, fill_label, poly_table_sha256, y)):
             object.__setattr__(self, name, value)
 

@@ -10,10 +10,12 @@ integer or bool type is checked for 0/1 before its cast.  Keystream
 words map to bits most-significant-bit first (matching the hex the CLI
 prints), by one ``np.unpackbits`` over the words' big-endian bytes; a
 list of words goes through one typed 32-bit buffer after one pass over
-its element types.  The regularized upper incomplete gamma function is
-implemented here (series plus continued fraction, 1e-12 relative
-target) so the module needs no scientific-library dependency; erfc
-comes from the stdlib.
+its element types.  A test parameter (a block size, m, the matrix size)
+is refused by gf2.poly.check_int before the input is read.  The
+regularized upper incomplete gamma function is implemented here (series
+plus continued fraction, 1e-12 relative target, for a up to 2^20, where
+both converge) so the module needs no scientific-library dependency;
+erfc comes from the stdlib.
 
 The tests work on whole arrays or on packed bits, never one block or one
 bit at a time:
@@ -75,6 +77,8 @@ import string
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from kdfc_snow.gf2.poly import check_int
 
 __all__ = [
     "TestResult",
@@ -218,17 +222,6 @@ def _as_bits(bits) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
-def _check_param(name: str, value, least: int, most: int | None = None) -> None:
-    """Refuse a test parameter that is not an int (a bool is not one here)
-    or lies outside least..most, by name."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if most is None and value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
-    if most is not None and not least <= value <= most:
-        raise ValueError(f"{name} must be in {least}..{most}, got {value}")
-
-
 def _at_least(bits, name: str, required: int) -> np.ndarray:
     """bits as a 0/1 array, refused if shorter than required."""
     x = _as_bits(bits)
@@ -278,16 +271,22 @@ def _igamc_cf(a: float, x: float) -> float:
     return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
+#: the largest a igamc takes: up to here both routes converge within their
+#: 10,000 terms at every x (at most 7,900 series terms, at x near a + 1)
+IGAMC_MAX_A = 2.0**20
+
+
 def igamc(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) = Gamma(a,x)/Gamma(a).
 
-    A NaN a or x is refused (every comparison below would pass it on);
-    Q(a, +inf) is 0.0.
+    A NaN a or x is refused (every comparison below would pass it on), and
+    so is an a above IGAMC_MAX_A, infinity included; Q(a, +inf) is 0.0, and
+    so is Q where rounding takes the series' P(a, x) past 1 (a near 0).
     """
     if math.isnan(a) or math.isnan(x):
         raise ValueError(f"a and x must not be NaN, got a={a}, x={x}")
-    if a <= 0:
-        raise ValueError("need a > 0")
+    if not 0 < a <= IGAMC_MAX_A:
+        raise ValueError(f"need 0 < a <= 2^20, got a={a}")
     if x < 0:
         raise ValueError("need x >= 0")
     if x == 0:
@@ -295,7 +294,7 @@ def igamc(a: float, x: float) -> float:
     if x == math.inf:
         return 0.0
     if x < a + 1.0:
-        return 1.0 - _igamc_series(a, x)
+        return max(0.0, 1.0 - _igamc_series(a, x))
     return _igamc_cf(a, x)
 
 
@@ -317,7 +316,7 @@ def monobit(bits) -> TestResult:
 
 
 def block_frequency(bits, block_size: int = 128) -> TestResult:
-    _check_param("block_size", block_size, 1)
+    check_int("block_size", block_size, 1)
     x = _at_least(bits, "block-frequency", 100)
     n = x.size
     nblocks = n // block_size
@@ -452,7 +451,9 @@ def _matrix_ranks(mats: np.ndarray) -> np.ndarray:
 
 
 def binary_matrix_rank(bits, size: int = 32) -> TestResult:
-    _check_param("size", size, 2, 64)
+    check_int("size", size, 2)
+    if size > 64:
+        raise ValueError(f"need size <= 64, got size={size}")
     x = _at_least(bits, "binary-matrix-rank", 38 * size * size)
     n = x.size
     nmat = n // (size * size)
@@ -627,7 +628,7 @@ def _psi_sq(counts: np.ndarray, n: int) -> float:
 
 
 def serial_test(bits, m: int = 2) -> TestResult:
-    _check_param("m", m, 2)
+    check_int("m", m, 2)
     x = _at_least(bits, "serial", 100)
     n = x.size
     _check_window_bits(m, n)
@@ -648,7 +649,7 @@ def serial_test(bits, m: int = 2) -> TestResult:
 
 
 def approximate_entropy(bits, m: int = 2) -> TestResult:
-    _check_param("m", m, 0)
+    check_int("m", m, 0)
     x = _at_least(bits, "approximate-entropy", 100)
     n = x.size
     _check_window_bits(m, n)
@@ -759,7 +760,7 @@ def _linear_complexities(blocks: np.ndarray) -> np.ndarray:
 
 
 def linear_complexity(bits, block_size: int = 500) -> TestResult:
-    _check_param("block_size", block_size, 1)
+    check_int("block_size", block_size, 1)
     x = _at_least(bits, "linear-complexity", 200 * block_size)
     n = x.size
     nblocks = n // block_size

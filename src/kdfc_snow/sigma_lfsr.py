@@ -198,8 +198,15 @@ def galois_state(cfg: SigmaConfig, words: list[int]) -> int:
     """Galois state of the window x_t..x_{t+b-1}, words oldest first.
 
     sum_j L(x_{t+j}) >> (b-1-j)m: the Galois clock from z = 0, fed the
-    window's words; its block 0 is the feedback word x_{t+b}.
+    window's words; its block 0 is the feedback word x_{t+b}.  Anything
+    but b m-bit int words is refused (_check_words).
     """
+    _check_words(words, cfg.m, cfg.b)
+    return _galois_state(cfg, words)
+
+
+def _galois_state(cfg: SigmaConfig, words: list[int]) -> int:
+    """galois_state on words its caller has checked."""
     m = cfg.m
     lanes = cfg.byte_tables()
     z = 0
@@ -232,7 +239,7 @@ def step_stacked(cfg: SigmaConfig, v: int) -> int:
     if v >> m * b:
         raise ValueError(f"v must be below 2^{m * b}, got {v:#x}")
     mask = (1 << m) - 1
-    feedback = galois_state(cfg, [(v >> (i * m)) & mask for i in range(b)]) & mask
+    feedback = _galois_state(cfg, [(v >> (i * m)) & mask for i in range(b)]) & mask
     return (v >> m) | (feedback << ((b - 1) * m))
 
 
@@ -257,7 +264,7 @@ def period(cfg: SigmaConfig, words: list[int]) -> int:
     mask = (1 << m) - 1
     if rank([row & mask for row in cfg.rows]) < m:
         raise PeriodGuardError("B_0 is singular: the step is not a bijection")
-    start = galois_state(cfg, words)
+    start = _galois_state(cfg, words)
     for t, z in enumerate(_galois_clock(cfg, start), 1):
         if z == start:
             return t

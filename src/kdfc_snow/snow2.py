@@ -32,7 +32,7 @@ and the output reads s_t.  The init clocks run the FSM and the LFSR
 interleaved, as F feeds back; a keystream call runs the LFSR for all its
 words first, since there the LFSR never reads the FSM, and then the FSM.
 A cipher state holds the last 16 words, so each call rebuilds z from them
-(galois_state, 64 lookups).  The FSM and the 8-hex-digit output are
+(_galois_state, 64 lookups).  The FSM and the 8-hex-digit output are
 defined on 32-bit words and 16 blocks only, so CipherState refuses any
 other configuration shape, and snow2_keystream re-checks the registers
 before every call.
@@ -45,7 +45,7 @@ import sys
 
 from kdfc_snow.gf2.linalg import check_int
 from kdfc_snow.gf2.poly import _barrett, _barrett_constants, _mulmod_int, inv_mod, powmod
-from kdfc_snow.sigma_lfsr import SigmaConfig, _check_words, galois_state
+from kdfc_snow.sigma_lfsr import SigmaConfig, _check_words, _galois_state
 
 __all__ = [
     "CipherState",
@@ -326,7 +326,7 @@ def _clock(state: CipherState, n: int, init: bool) -> list[int]:
     t0, t1, t2, t3 = state.cfg.byte_tables()
     s_lo, s_hi = _S_LO, _S_HI
     seq = list(state.lfsr)
-    z = galois_state(state.cfg, seq)
+    z = _galois_state(state.cfg, seq)
     r1, r2 = state.fsm
     words = []
     emit, push = words.append, seq.append

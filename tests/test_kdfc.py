@@ -216,9 +216,9 @@ class TestYInit:
         pytest.param(dict(k=-1), "^need k >= 0, got k=-1$", id="negative-k"),
         pytest.param(dict(m=True), "^m must be an int, got bool$", id="bool-m"),
         pytest.param(dict(m=0, k=0, y=[]), "^need m >= 1, got m=0$", id="zero-m"),
-        pytest.param(dict(m=2, k=0, y=[1.0, 2]), "^y rows must be ints, got float$",
+        pytest.param(dict(m=2, k=0, y=[1.0, 2]), r"^y\[0\] must be an int, got float$",
                      id="float-row"),
-        pytest.param(dict(m=2, k=0, y=[1, True]), "^y rows must be ints, got bool$",
+        pytest.param(dict(m=2, k=0, y=[1, True]), r"^y\[1\] must be an int, got bool$",
                      id="bool-row"),
         pytest.param(dict(poly_table_sha256=None),
                      "^poly_table_sha256 must be a str, got NoneType$", id="none-checksum"),

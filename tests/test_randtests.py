@@ -1,12 +1,13 @@
 """Statistical battery: published worked-example values, duals, edge cases."""
 
 import math
+import re
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kdfc_snow import randtests as rt
@@ -109,6 +110,37 @@ class TestIgamc:
     @pytest.mark.parametrize("a", [0.5, 1.0, 1000.0])
     def test_infinite_x_has_no_upper_tail(self, a):
         assert rt.igamc(a, math.inf) == 0.0
+
+    @pytest.mark.parametrize("a,x", [
+        (math.inf, 1.0),  # returned nan
+        (1e308, 1.0),  # raised OverflowError
+        (1e300, 1e300),  # raised ZeroDivisionError
+        (2.0**20 + 1, 2.0**20),
+        (0.0, 1.0),
+    ])
+    def test_refuses_an_a_past_its_range(self, a, x):
+        with pytest.raises(ValueError, match=rf"^need 0 < a <= 2\^20, got a={re.escape(str(a))}$"):
+            rt.igamc(a, x)
+
+    @pytest.mark.parametrize("x", [2.0**20 - 1000, 2.0**20 + 1, 2.0**20 + 1000])
+    def test_largest_a_against_mpmath(self, x):
+        # both routes converge at the bound, on either side of x = a + 1
+        want = float(mpmath.gammainc(2**20, x, mpmath.inf, regularized=True))
+        assert rt.igamc(rt.IGAMC_MAX_A, x) == pytest.approx(want, rel=1e-8)
+
+    @settings(max_examples=300, deadline=None)
+    @example(a=1e308, x=1.0)
+    @example(a=1e300, x=1e300)
+    @example(a=3.950050437265875e-295, x=3.989550941638534e-295)  # returned -5e-14
+    @given(a=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+           x=st.floats(min_value=0.0, allow_nan=False))
+    def test_a_finite_a_gives_a_probability_or_a_value_error_naming_a(self, a, x):
+        try:
+            q = rt.igamc(a, x)
+        except ValueError as exc:
+            assert f"got a={a}" in str(exc)
+        else:
+            assert 0.0 <= q <= 1.0
 
 
 class TestResultInvariants:
@@ -635,48 +667,52 @@ class TestLongestRunKernel:
 
 
 class TestParameterChecks:
-    @pytest.mark.parametrize("test,params", [
-        ("block_frequency", {"block_size": 0}),
-        ("block_frequency", {"block_size": -3}),
-        ("linear_complexity", {"block_size": 0}),
-        ("linear_complexity", {"block_size": -5}),
-        ("binary_matrix_rank", {"size": 0}),
-        ("binary_matrix_rank", {"size": 1}),
-        ("serial_test", {"m": 0}),
-        ("serial_test", {"m": 1}),
-        ("approximate_entropy", {"m": -1}),
-        ("serial_test", {"m": 30}),
-        ("approximate_entropy", {"m": 30}),
-        ("approximate_entropy", {"m": True}),
-        ("serial_test", {"m": 2.0}),
-        ("block_frequency", {"block_size": 2.5}),
-        ("block_frequency", {"block_size": np.int64(128)}),
-        ("linear_complexity", {"block_size": 500.0}),
-        ("binary_matrix_rank", {"size": 32.0}),
-        ("binary_matrix_rank", {"size": False}),
-    ], ids=str)
-    def test_bad_parameter_is_a_value_error(self, test, params):
+    @pytest.mark.parametrize("test,params,message", [
+        pytest.param(test, params, message, id=f"{test}-{params}")
+        for test, params, message in [
+            ("block_frequency", {"block_size": 0}, "need block_size >= 1, got block_size=0"),
+            ("block_frequency", {"block_size": -3}, "need block_size >= 1, got block_size=-3"),
+            ("linear_complexity", {"block_size": 0}, "need block_size >= 1, got block_size=0"),
+            ("linear_complexity", {"block_size": -5}, "need block_size >= 1, got block_size=-5"),
+            ("binary_matrix_rank", {"size": 0}, "need size >= 2, got size=0"),
+            ("binary_matrix_rank", {"size": 1}, "need size >= 2, got size=1"),
+            ("binary_matrix_rank", {"size": 65}, "need size <= 64, got size=65"),
+            ("serial_test", {"m": 0}, "need m >= 2, got m=0"),
+            ("serial_test", {"m": 1}, "need m >= 2, got m=1"),
+            ("approximate_entropy", {"m": -1}, "need m >= 0, got m=-1"),
+            ("serial_test", {"m": 30}, "m must be at most 17 for 200000 bits, got 30"),
+            ("approximate_entropy", {"m": 30}, "m must be at most 17 for 200000 bits, got 30"),
+            ("approximate_entropy", {"m": True}, "m must be an int, got bool"),
+            ("serial_test", {"m": 2.0}, "m must be an int, got float"),
+            ("block_frequency", {"block_size": 2.5}, "block_size must be an int, got float"),
+            ("block_frequency", {"block_size": np.int64(128)},
+             "block_size must be an int, got int64"),
+            ("linear_complexity", {"block_size": 500.0}, "block_size must be an int, got float"),
+            ("binary_matrix_rank", {"size": 32.0}, "size must be an int, got float"),
+            ("binary_matrix_rank", {"size": False}, "size must be an int, got bool"),
+        ]
+    ])
+    def test_bad_parameter_is_a_value_error(self, test, params, message):
         x = np.random.default_rng(3).integers(0, 2, size=200_000, dtype=np.uint8)
-        (name,) = params
-        with pytest.raises(ValueError, match=rf"\b{name} must"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             getattr(rt, test)(x, **params)
 
     def test_bad_parameter_on_a_short_input(self):
         # the parameter is refused before the input's length is
         x = np.ones(0, dtype=np.uint8)
         for test, params, message in [
-            (rt.block_frequency, {"block_size": 0}, "block_size must"),
-            (rt.binary_matrix_rank, {"size": 1}, "size must"),
-            (rt.serial_test, {"m": 1}, r"\bm must"),
-            (rt.approximate_entropy, {"m": -1}, r"\bm must"),
-            (rt.linear_complexity, {"block_size": 0}, "block_size must"),
-            (rt.block_frequency, {"block_size": 2.5}, "block_size must be an int, got 2.5"),
-            (rt.binary_matrix_rank, {"size": 32.0}, "size must be an int"),
-            (rt.serial_test, {"m": True}, r"\bm must be an int, got True"),
-            (rt.approximate_entropy, {"m": 2.0}, r"\bm must be an int"),
-            (rt.linear_complexity, {"block_size": 500.0}, "block_size must be an int"),
+            (rt.block_frequency, {"block_size": 0}, "need block_size >= 1, got block_size=0"),
+            (rt.binary_matrix_rank, {"size": 1}, "need size >= 2, got size=1"),
+            (rt.serial_test, {"m": 1}, "need m >= 2, got m=1"),
+            (rt.approximate_entropy, {"m": -1}, "need m >= 0, got m=-1"),
+            (rt.linear_complexity, {"block_size": 0}, "need block_size >= 1, got block_size=0"),
+            (rt.block_frequency, {"block_size": 2.5}, "block_size must be an int, got float"),
+            (rt.binary_matrix_rank, {"size": 32.0}, "size must be an int, got float"),
+            (rt.serial_test, {"m": True}, "m must be an int, got bool"),
+            (rt.approximate_entropy, {"m": 2.0}, "m must be an int, got float"),
+            (rt.linear_complexity, {"block_size": 500.0}, "block_size must be an int, got float"),
         ]:
-            with pytest.raises(ValueError, match=message) as exc:
+            with pytest.raises(ValueError, match=f"^{message}$") as exc:
                 test(x, **params)
             assert not isinstance(exc.value, rt.InsufficientDataError)
 

@@ -49,7 +49,7 @@ from kdfc_snow.sigma_lfsr import (
     period,
     step_stacked,
 )
-from kdfc_snow.snow2 import CipherState, snow2_gains
+from kdfc_snow.snow2 import CipherState, snow2_gains, snow2_init, snow2_keystream
 
 
 def random_config(rng, m, b):
@@ -321,6 +321,33 @@ class TestStepping:
         with pytest.raises(ValueError, match="block 3 is not an integer"):
             CipherState([0, 0, 0, word] + [0] * 12, [0, 0], snow2_gains())
 
+    @pytest.mark.parametrize("m,b,words,message", [
+        (2, 1, [1, 5], "^LFSR state does not match configuration dimensions$"),
+        (2, 2, [1, 5], "^block 1 not an 2-bit word: 0x5$"),  # raised IndexError
+        (8, 1, [0x1FF], "^block 0 not an 8-bit word: 0x1ff$"),  # returned 255
+        (8, 1, [-1], "^block 0 not an 8-bit word: -0x1$"),  # returned 255
+        (8, 1, [True], "^block 0 is not an integer: True$"),
+        (8, 2, [1.0, 2], "^block 0 is not an integer: 1.0$"),
+    ])
+    def test_galois_state_refuses_a_word_that_is_no_m_bit_int(self, m, b, words, message):
+        cfg = random_config(random.Random(m), m, b)
+        with pytest.raises(ValueError, match=message):
+            galois_state(cfg, words)
+
+    def test_checked_callers_reach_the_lanes_without_a_second_check(self, monkeypatch):
+        # step_stacked checks its v, period and CipherState their words, so
+        # none of them goes through galois_state's check again
+        calls = []
+        check = sigma_lfsr._check_words
+        monkeypatch.setattr(sigma_lfsr, "_check_words", lambda *a: calls.append(a) or check(*a))
+        cfg = random_config(random.Random(5), 5, 3)
+        step_stacked(cfg, 1234)
+        assert calls == []
+        period(cfg, [1, 2, 3])
+        assert calls == [([1, 2, 3], 5, 3)]
+        snow2_keystream(snow2_init(KAT_KEY, KAT_IV), 1)
+        assert len(calls) == 1
+
 
 def lane_rows(cfg):
     """L(e_r) for each bit r of a word, read from the lane tables."""
@@ -328,15 +355,20 @@ def lane_rows(cfg):
 
 
 def galois_clocks(cfg, v, n):
-    """The Fibonacci window v after n Galois clocks through the lane tables."""
+    """The Fibonacci window v after n Galois clocks through the lane tables,
+    each feeding back L(x) as the xor of L(e_r) over the bits r of x."""
     m, b = cfg.m, cfg.b
     mask = (1 << m) - 1
+    rows = lane_rows(cfg)
     words = state_from_stacked(m, b, v)
     z = galois_state(cfg, words)
     for _ in range(n):
         x = z & mask
         words.append(x)
-        z = (z >> m) ^ galois_state(cfg, [x])
+        z >>= m
+        for r in range(m):
+            if x >> r & 1:
+                z ^= rows[r]
     return stacked(words[n:], m)
 
 
